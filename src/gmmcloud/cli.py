@@ -16,7 +16,6 @@ from .embedding import inflated_bounds, make_probe_set
 from .geodesics import DEFAULT_TS, InterpolationConfig, interpolate_point_clouds
 from .io import (
     FitMetadata,
-    emit_svg,
     emit_svg_filmstrip,
     format_aic_table,
     load_embeddings,
@@ -187,11 +186,9 @@ def probes(cloud_paths, seed, count, out):
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--probes", "probes_path", required=True,
               type=click.Path(exists=True, dir_okay=False), help="Probe-set file.")
-@click.option("--seed", default=0, show_default=True,
-              help="Accepted for interface uniformity; embedding is deterministic.")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False),
               help="Output embeddings file (JSON).")
-def embed(model_paths, probes_path, seed, out):
+def embed(model_paths, probes_path, out):
     """Embed fitted models on the unit hypersphere via probe densities."""
     probe_set = load_probe_set(probes_path)
     entries = []
@@ -212,9 +209,7 @@ def embed(model_paths, probes_path, seed, out):
               help="Embeddings file to classify.")
 @click.option("--positive", default="demented", show_default=True,
               help="Label treated as the positive class in the metrics.")
-@click.option("--seed", default=0, show_default=True,
-              help="Accepted for interface uniformity; classification is deterministic.")
-def classify(train_path, test_path, positive, seed):
+def classify(train_path, test_path, positive):
     """1-NN classify embeddings and report accuracy per class."""
     train = [(emb, label) for emb, label, _ in load_embeddings(train_path)
              if label is not None]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    GaussianComponent,
     Gmm,
     PointCloud,
     covariance_floor,
@@ -159,24 +158,18 @@ def kmeans_init(cloud: PointCloud, k: int, seed: int, restarts: int = 1) -> Gmm:
         if best is None or wcss < best[2]:
             best = (centers, assign, wcss)
     centers, assign, _ = best
-    eps = covariance_floor(pts)
-    components = []
-    for j in range(k):
+    counts = np.bincount(assign, minlength=k)
+    means = centers.copy()
+    covs = np.zeros((k, 3, 3))
+    for j in np.flatnonzero(counts):
         members = pts[assign == j]
-        weight = members.shape[0] / n
-        if members.shape[0] > 0:
-            mean = members.mean(axis=0)
-            diff = members - mean
-            cov = diff.T @ diff / members.shape[0]
-        else:
-            mean = centers[j]
-            cov = np.zeros((3, 3))
-        components.append(GaussianComponent(weight, mean, floor_spd(cov, eps)))
-    return Gmm(tuple(components))
+        means[j] = members.mean(axis=0)
+        diff = members - means[j]
+        covs[j] = diff.T @ diff / counts[j]
+    return Gmm.from_arrays(counts / n, means, floor_spd(covs, covariance_floor(pts)))
 
 
-def _gamma_from_log_densities(lwd: np.ndarray) -> tuple[np.ndarray, int]:
-    norm = log_sum_exp_rows(lwd)
+def _gamma_from_log_densities(lwd: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, int]:
     dead = ~np.isfinite(norm)
     underflow = int(np.count_nonzero(dead))
     gamma = np.empty_like(lwd)
@@ -189,41 +182,34 @@ def _gamma_from_log_densities(lwd: np.ndarray) -> tuple[np.ndarray, int]:
 
 def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
     """Posterior membership of every point in every component."""
-    lwd = weighted_log_densities(cloud.points, model)
-    gamma, underflow = _gamma_from_log_densities(lwd)
+    lwd = weighted_log_densities(cloud.points, model.weights, model.means, model.covariances)
+    gamma, underflow = _gamma_from_log_densities(lwd, log_sum_exp_rows(lwd))
     return Responsibilities(gamma, underflow)
 
 
-def _m_step_arrays(pts: np.ndarray, gamma: np.ndarray, eps: float) -> Gmm:
+def _m_step_arrays(pts: np.ndarray, gamma: np.ndarray, eps: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, k = gamma.shape
     mass = gamma.sum(axis=0)
     weights = mass / mass.sum()
-    means = np.zeros((k, 3))
+    alive = mass >= COLLAPSE_MASS
+    means = (gamma.T @ pts) / np.where(alive, mass, 1.0)[:, None]
     covs = np.zeros((k, 3, 3))
-    collapsed = np.flatnonzero(mass < COLLAPSE_MASS)
-    alive = np.flatnonzero(mass >= COLLAPSE_MASS)
-    for j in alive:
-        means[j] = gamma[:, j] @ pts / mass[j]
+    for j in np.flatnonzero(alive):
         diff = pts - means[j]
         covs[j] = (gamma[:, j] * diff.T) @ diff / mass[j]
-        covs[j] = floor_spd(covs[j], eps)
-    if collapsed.size > 0:
+    covs[alive] = floor_spd(covs[alive], eps)
+    if not alive.all():
         # reseed dead components at the point the surviving mixture
         # explains worst, with the full data covariance
-        partial = Gmm(tuple(
-            GaussianComponent(mass[j] / mass[alive].sum(), means[j], covs[j])
-            for j in alive
-        ))
-        worst = int(np.argmin(log_sum_exp_rows(weighted_log_densities(pts, partial))))
-        data_cov = floor_spd(np.cov(pts.T, ddof=0), eps)
-        for j in collapsed:
-            means[j] = pts[worst]
-            covs[j] = data_cov
-            weights[j] = 1.0 / n
+        lwd = weighted_log_densities(pts, mass[alive] / mass[alive].sum(), means[alive],
+                                     covs[alive])
+        worst = int(np.argmin(log_sum_exp_rows(lwd)))
+        means[~alive] = pts[worst]
+        covs[~alive] = floor_spd(np.cov(pts.T, ddof=0), eps)
+        weights[~alive] = 1.0 / n
         weights = weights / weights.sum()
-    return Gmm(tuple(
-        GaussianComponent(weights[j], means[j], covs[j]) for j in range(k)
-    ))
+    return weights, means, covs
 
 
 def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
@@ -231,7 +217,8 @@ def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
     if resp.gamma.shape[0] != len(cloud):
         raise ValueError(
             f"responsibilities cover {resp.gamma.shape[0]} points, cloud has {len(cloud)}")
-    return _m_step_arrays(cloud.points, resp.gamma, covariance_floor(cloud.points))
+    return Gmm.from_arrays(
+        *_m_step_arrays(cloud.points, resp.gamma, covariance_floor(cloud.points)))
 
 
 def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitResult:
@@ -249,23 +236,27 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
     pts = _sorted_points(cloud.points)
     eps = covariance_floor(pts)
     model = kmeans_init(cloud, k, config.seed, restarts=config.kmeans_restarts)
-    lwd = weighted_log_densities(pts, model)
+    params = (model.weights, model.means, model.covariances)
+    lwd = weighted_log_densities(pts, *params)
+    norm = log_sum_exp_rows(lwd)
     trace: list[float] = []
     converged = False
-    for it in range(1, config.max_iterations + 1):
-        gamma, _ = _gamma_from_log_densities(lwd)
-        try:
-            model = _m_step_arrays(pts, gamma, eps)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise FitError(f"fit failed at iteration {it}: {exc}") from exc
-        lwd = weighted_log_densities(pts, model)
-        ll = float(np.sum(log_sum_exp_rows(lwd)))
-        if not np.isfinite(ll):
-            raise FitError(f"non-finite log-likelihood at iteration {it}")
-        trace.append(ll)
-        if len(trace) >= 2:
-            rel = abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0)
-            if rel < config.rel_tolerance:
-                converged = True
-                break
+    try:
+        for it in range(1, config.max_iterations + 1):
+            gamma, _ = _gamma_from_log_densities(lwd, norm)
+            params = _m_step_arrays(pts, gamma, eps)
+            lwd = weighted_log_densities(pts, *params)
+            norm = log_sum_exp_rows(lwd)
+            ll = float(np.sum(norm))
+            if not np.isfinite(ll):
+                raise FitError(f"non-finite log-likelihood at iteration {it}")
+            trace.append(ll)
+            if len(trace) >= 2:
+                rel = abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0)
+                if rel < config.rel_tolerance:
+                    converged = True
+                    break
+        model = Gmm.from_arrays(*params)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise FitError(f"fit failed at iteration {it}: {exc}") from exc
     return FitResult(model, tuple(trace), len(trace), converged)

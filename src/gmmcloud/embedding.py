@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Gmm, GmmEnsemble, PointCloud, ensemble_log_density, gmm_log_density
+from .model import Gmm, GmmEnsemble, ensemble_log_density, gmm_log_density
 from .sampling import RngStream
 
 PROBE_COUNT = 1000

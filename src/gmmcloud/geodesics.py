@@ -15,7 +15,6 @@ component matching on mean distances.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,19 +22,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .em import FitConfig
-from .model import (
-    DegenerateCovarianceError,
-    GaussianComponent,
-    Gmm,
-    GmmEnsemble,
-    PointCloud,
-)
+from .model import Gmm, GmmEnsemble, PointCloud, _transposed, checked_components, checked_spd
 from .sampling import RngStream, generate_point_cloud
 from .selection import build_ensemble, default_candidate_ks
 
 SPHERE_NORM_TOL = 1e-12
 COLINEAR_THETA = 1e-8
-EXHAUSTIVE_MATCH_LIMIT = 8
 
 DEFAULT_TS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -47,6 +39,9 @@ class ProductPoint:
     sqrt_weights: (K,) unit vector with non-negative entries.
     means: (3, K) matrix, one column per component.
     covariances: (K, 3, 3) stack of SPD matrices.
+
+    The arrays are validated at construction by the same check as Gmm's
+    and are read-only afterwards.
     """
 
     sqrt_weights: np.ndarray
@@ -54,46 +49,23 @@ class ProductPoint:
     covariances: np.ndarray
 
     def __post_init__(self):
-        sq = np.array(self.sqrt_weights, dtype=float)
+        sq = np.asarray(self.sqrt_weights, dtype=float)
         if sq.ndim != 1 or sq.size < 1:
             raise ValueError(f"sqrt_weights must be a non-empty vector, got shape {sq.shape}")
-        if np.any(sq < 0.0) or not np.all(np.isfinite(sq)):
-            raise ValueError("sqrt_weights entries must be finite and >= 0")
+        means = np.asarray(self.means, dtype=float)
+        if means.shape != (3, sq.size):
+            raise ValueError(f"means must have shape (3, {sq.size}), got {means.shape}")
+        sq, means_t, covs = checked_components(sq, means.T, self.covariances)
         norm = float(np.linalg.norm(sq))
         if abs(norm - 1.0) > SPHERE_NORM_TOL:
             raise ValueError(f"sqrt_weights norm is {norm!r}, expected 1")
-        k = sq.size
-        means = np.array(self.means, dtype=float)
-        if means.shape != (3, k):
-            raise ValueError(f"means must have shape (3, {k}), got {means.shape}")
-        covs = np.array(self.covariances, dtype=float)
-        if covs.shape != (k, 3, 3):
-            raise ValueError(f"covariances must have shape ({k}, 3, 3), got {covs.shape}")
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
-            raise ValueError("means and covariances must be finite")
-        for j in range(k):
-            covs[j] = _checked_spd(covs[j])
-        for arr in (sq, means, covs):
-            arr.setflags(write=False)
         object.__setattr__(self, "sqrt_weights", sq)
-        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "means", means_t.T)
         object.__setattr__(self, "covariances", covs)
 
     @property
     def k(self) -> int:
         return self.sqrt_weights.size
-
-
-def _checked_spd(mat: np.ndarray) -> np.ndarray:
-    asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > 1e-12:
-        raise DegenerateCovarianceError(f"matrix asymmetry {asym:.3e} exceeds 1e-12")
-    sym = 0.5 * (mat + mat.T)
-    smallest = float(np.linalg.eigvalsh(sym)[0])
-    if smallest <= 0.0:
-        raise DegenerateCovarianceError(
-            f"matrix is not SPD: smallest eigenvalue {smallest:.6e}")
-    return sym
 
 
 def gmm_to_product_point(model: Gmm) -> ProductPoint:
@@ -106,11 +78,7 @@ def gmm_to_product_point(model: Gmm) -> ProductPoint:
 def product_point_to_gmm(point: ProductPoint) -> Gmm:
     """Project back to a mixture. Weights are the squared sphere entries."""
     w = point.sqrt_weights ** 2
-    w = w / w.sum()
-    return Gmm(tuple(
-        GaussianComponent(w[j], point.means[:, j], point.covariances[j])
-        for j in range(point.k)
-    ))
+    return Gmm.from_arrays(w / w.sum(), point.means.T, point.covariances)
 
 
 def _merge_pair(w1, m1, s1, w2, m2, s2):
@@ -125,62 +93,41 @@ def _merge_pair(w1, m1, s1, w2, m2, s2):
     return w, mean, cov
 
 
-def _merge_cost(w1, m1, w2, m2) -> float:
-    """Trace increase of the within-mixture covariance when merging."""
-    w = w1 + w2
-    if w <= 0.0:
-        return 0.0
-    return float(w1 * w2 / w * np.sum((m1 - m2) ** 2))
-
-
 def project_to_k(model: Gmm, k_target: int) -> Gmm:
     """Reduce a mixture to k_target components by greedy pairwise merges.
 
     Each step merges the pair whose moment-preserving merge least
-    increases the within-mixture covariance, so the overall mixture mean
-    and covariance are preserved throughout.
+    increases the within-mixture covariance, w_i w_j / (w_i + w_j) times
+    the squared mean distance, so the overall mixture mean and covariance
+    are preserved throughout. Ties go to the first pair in (i, j) order.
     """
     if k_target < 1:
         raise ValueError(f"target component count must be >= 1, got {k_target}")
     if k_target > model.k:
         raise ValueError(f"cannot project K={model.k} up to K={k_target}")
-    comps = [(c.weight, c.mean.copy(), c.covariance.copy()) for c in model.components]
-    while len(comps) > k_target:
-        best = None
-        for i, j in itertools.combinations(range(len(comps)), 2):
-            cost = _merge_cost(comps[i][0], comps[i][1], comps[j][0], comps[j][1])
-            if best is None or cost < best[0]:
-                best = (cost, i, j)
-        _, i, j = best
-        comps[i] = _merge_pair(*comps[i], *comps[j])
-        del comps[j]
-    total = math.fsum(w for w, _, _ in comps)
-    return Gmm(tuple(
-        GaussianComponent(w / total, m, 0.5 * (s + s.T)) for w, m, s in comps
-    ))
+    w, m, s = model.weights.copy(), model.means.copy(), model.covariances.copy()
+    while w.size > k_target:
+        pair_w = w[:, None] + w[None, :]
+        d2 = np.sum((m[:, None, :] - m[None, :, :]) ** 2, axis=2)
+        cost = w[:, None] * w[None, :] / np.where(pair_w > 0.0, pair_w, 1.0) * d2
+        cost[np.tril_indices(w.size)] = np.inf
+        i, j = np.unravel_index(int(np.argmin(cost)), cost.shape)
+        w[i], m[i], s[i] = _merge_pair(w[i], m[i], s[i], w[j], m[j], s[j])
+        w, m, s = (np.delete(a, j, axis=0) for a in (w, m, s))
+    total = math.fsum(w.tolist())
+    return Gmm.from_arrays(w / total, m, 0.5 * (s + _transposed(s)))
 
 
 def match_components(a: Gmm, b: Gmm) -> np.ndarray:
     """Permutation aligning b's components to a's by squared mean distance.
 
     Returns perm such that component j of a pairs with component perm[j]
-    of b. Exhaustive search up to K = 8, the Hungarian assignment above.
+    of b, from the optimal (Hungarian) assignment.
     """
     if a.k != b.k:
         raise ValueError(f"component counts differ: {a.k} vs {b.k}")
     cost = np.sum((a.means[:, None, :] - b.means[None, :, :]) ** 2, axis=2)
-    k = a.k
-    if k <= EXHAUSTIVE_MATCH_LIMIT:
-        rows = np.arange(k)
-        best_perm, best_cost = None, np.inf
-        for perm in itertools.permutations(range(k)):
-            total = float(cost[rows, perm].sum())
-            if total < best_cost:
-                best_perm, best_cost = perm, total
-        return np.array(best_perm)
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(k, dtype=int)
-    perm[rows] = cols
+    _, perm = linear_sum_assignment(cost)
     return perm
 
 
@@ -231,28 +178,28 @@ def sphere_distance(w1: np.ndarray, w2: np.ndarray) -> float:
 
 
 def _spd_eigh(mat: np.ndarray):
-    sym = _checked_spd(np.asarray(mat, dtype=float))
-    lam, q = np.linalg.eigh(sym)
-    return lam, q
+    return np.linalg.eigh(checked_spd(mat))
 
 
 def spd_power(mat: np.ndarray, t: float) -> np.ndarray:
-    """Symmetric matrix power through the eigendecomposition."""
+    """Symmetric matrix power through the eigendecomposition, over a
+    (3, 3) matrix or a (K, 3, 3) stack."""
     lam, q = _spd_eigh(mat)
-    out = (q * lam ** t) @ q.T
-    return 0.5 * (out + out.T)
+    out = (q * (lam ** t)[..., None, :]) @ _transposed(q)
+    return 0.5 * (out + _transposed(out))
 
 
 def spd_geodesic(s1: np.ndarray, s2: np.ndarray, t: float) -> np.ndarray:
-    """Affine-invariant geodesic between SPD matrices."""
+    """Affine-invariant geodesic between SPD matrices, or between two
+    equally long (K, 3, 3) stacks of them, slot by slot."""
     _check_t(t)
     lam, q = _spd_eigh(s1)
-    half = (q * np.sqrt(lam)) @ q.T
-    inv_half = (q / np.sqrt(lam)) @ q.T
+    root = np.sqrt(lam)[..., None, :]
+    half = (q * root) @ _transposed(q)
+    inv_half = (q / root) @ _transposed(q)
     inner = inv_half @ np.asarray(s2, dtype=float) @ inv_half
-    mid = spd_power(0.5 * (inner + inner.T), t)
-    out = half @ mid @ half
-    return 0.5 * (out + out.T)
+    out = half @ spd_power(0.5 * (inner + _transposed(inner)), t) @ half
+    return 0.5 * (out + _transposed(out))
 
 
 def spd_distance(s1: np.ndarray, s2: np.ndarray) -> float:
@@ -271,10 +218,7 @@ def product_geodesic(p1: ProductPoint, p2: ProductPoint, t: float) -> ProductPoi
     _check_t(t)
     sq = sphere_geodesic(p1.sqrt_weights, p2.sqrt_weights, t)
     means = (1.0 - t) * p1.means + t * p2.means
-    covs = np.stack([
-        spd_geodesic(p1.covariances[j], p2.covariances[j], t) for j in range(p1.k)
-    ])
-    return ProductPoint(sq, means, covs)
+    return ProductPoint(sq, means, spd_geodesic(p1.covariances, p2.covariances, t))
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import ProbeSet, SphereEmbedding
-from .model import (
-    EnsembleMember,
-    GaussianComponent,
-    Gmm,
-    GmmEnsemble,
-    PointCloud,
-)
+from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud
 from .selection import AicRow, AicTable
 
 SCHEMA_VERSION = "1"
@@ -167,17 +161,14 @@ class ModelFile:
 
 def _gmm_to_obj(model: Gmm):
     return {
-        "weights": [c.weight for c in model.components],
-        "means": [c.mean.tolist() for c in model.components],
-        "covariances": [c.covariance.tolist() for c in model.components],
+        "weights": model.weights.tolist(),
+        "means": model.means.tolist(),
+        "covariances": model.covariances.tolist(),
     }
 
 
 def _gmm_from_obj(obj) -> Gmm:
-    return Gmm(tuple(
-        GaussianComponent(w, m, c)
-        for w, m, c in zip(obj["weights"], obj["means"], obj["covariances"])
-    ))
+    return Gmm.from_arrays(obj["weights"], obj["means"], obj["covariances"])
 
 
 def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,

@@ -1,18 +1,22 @@
 """Core mixture-model types and density evaluation for 3D point clouds.
 
-Shapes are modeled as Gaussian mixtures over R^3. This module holds the
-shared value types (point clouds, mixture components, mixtures, and
-AIC-weighted mixture ensembles) together with the density and
-log-likelihood routines everything else builds on.
+Shapes are modeled as Gaussian mixtures over R^3. A mixture has one
+representation: stacked arrays of weights (K,), means (K, 3) and
+covariances (K, 3, 3), validated once when the mixture is built from
+user or file input and read-only afterwards. Fitting, sampling,
+geodesics and file I/O work on these arrays; GaussianComponent is the
+per-component view, and gaussian_log_density, gaussian_density and
+gmm_density evaluate densities through it one component at a time, as
+a reference for the stacked routines.
 
-All types are immutable after construction; their arrays are copied in
-and marked read-only. All functions are pure.
+This module also holds point clouds and AIC-weighted mixture ensembles.
+All types are immutable after construction. All functions are pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -33,14 +37,68 @@ class DegenerateCovarianceError(ValueError):
     """A covariance matrix is not symmetric positive definite."""
 
 
-def _frozen_array(values, shape: tuple[int, ...] | None, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if shape is not None and arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.setflags(write=False)
-    return arr
+def _transposed(mats: np.ndarray) -> np.ndarray:
+    return np.swapaxes(mats, -1, -2)
+
+
+def checked_spd(matrices) -> np.ndarray:
+    """Symmetrized read-only copy of one SPD matrix or a stack of them.
+
+    Takes a (3, 3) matrix or a (K, 3, 3) stack. Every matrix must be
+    finite, symmetric to SYMMETRY_TOL and positive definite; for a stack
+    the error names the first failing component.
+    """
+    mats = np.array(matrices, dtype=float)
+    if mats.ndim not in (2, 3) or mats.shape[-2:] != (3, 3):
+        raise ValueError(f"covariance must be 3x3 or a stack of 3x3, got shape {mats.shape}")
+    stack = mats.reshape(-1, 3, 3)
+
+    def where(j: int) -> str:
+        return f" (component {j})" if mats.ndim == 3 else ""
+
+    # np.argmax over a boolean vector finds the first failing matrix
+    bad = ~np.isfinite(stack).all(axis=(1, 2))
+    j = int(np.argmax(bad))
+    if bad[j]:
+        raise DegenerateCovarianceError(f"covariance must be finite{where(j)}")
+    asym = np.abs(stack - _transposed(stack)).max(axis=(1, 2))
+    j = int(np.argmax(asym > SYMMETRY_TOL))
+    if asym[j] > SYMMETRY_TOL:
+        raise DegenerateCovarianceError(
+            f"covariance asymmetry {asym[j]:.3e} exceeds {SYMMETRY_TOL:.0e}{where(j)}")
+    sym = 0.5 * (mats + _transposed(mats))
+    smallest = np.linalg.eigvalsh(sym.reshape(-1, 3, 3))[:, 0]
+    j = int(np.argmax(smallest <= 0.0))
+    if smallest[j] <= 0.0:
+        raise DegenerateCovarianceError(
+            f"degenerate covariance: smallest eigenvalue {smallest[j]:.6e}{where(j)}")
+    sym.setflags(write=False)
+    return sym
+
+
+def checked_components(weights, means, covariances
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated read-only copies of component parameters.
+
+    weights has shape S, means S + (3,) and covariances S + (3, 3), with
+    S = () for one component or (K,) for a stack. Weights must be finite
+    and >= 0, means finite, and covariances SPD (see checked_spd).
+    """
+    w = np.array(weights, dtype=float)
+    bad = ~(np.isfinite(w) & (w >= 0.0))
+    if np.any(bad):
+        raise ValueError(f"component weight must be finite and >= 0, got {float(w[bad][0])}")
+    m = np.array(means, dtype=float)
+    if m.shape != w.shape + (3,):
+        raise ValueError(f"means must have shape {w.shape + (3,)}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("means must be finite")
+    covs = np.asarray(covariances, dtype=float)
+    if covs.shape != w.shape + (3, 3):
+        raise ValueError(f"covariances must have shape {w.shape + (3, 3)}, got {covs.shape}")
+    w.setflags(write=False)
+    m.setflags(write=False)
+    return w, m, checked_spd(covs)
 
 
 @dataclass(frozen=True)
@@ -76,62 +134,65 @@ class GaussianComponent:
     covariance: np.ndarray
 
     def __post_init__(self):
-        w = float(self.weight)
-        if not (w >= 0.0 and math.isfinite(w)):
-            raise ValueError(f"component weight must be finite and >= 0, got {self.weight}")
-        mean = _frozen_array(self.mean, (3,), "mean")
-        cov = np.array(self.covariance, dtype=float)
-        if cov.shape != (3, 3):
-            raise ValueError(f"covariance must be 3x3, got shape {cov.shape}")
-        if not np.all(np.isfinite(cov)):
-            raise DegenerateCovarianceError("covariance must be finite")
-        asym = float(np.max(np.abs(cov - cov.T)))
-        if asym > SYMMETRY_TOL:
-            raise DegenerateCovarianceError(
-                f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}"
-            )
-        cov = 0.5 * (cov + cov.T)
-        smallest = float(np.linalg.eigvalsh(cov)[0])
-        if smallest <= 0.0:
-            raise DegenerateCovarianceError(
-                f"degenerate covariance: smallest eigenvalue {smallest:.6e}"
-            )
-        cov.setflags(write=False)
-        object.__setattr__(self, "weight", w)
+        weight, mean, cov = checked_components(self.weight, self.mean, self.covariance)
+        object.__setattr__(self, "weight", float(weight))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Gmm:
-    """A Gaussian mixture. Component weights sum to one."""
+    """A Gaussian mixture as stacked read-only arrays; weights sum to one.
 
-    components: tuple[GaussianComponent, ...]
+    Gmm.from_arrays(weights, means, covariances) validates its input once.
+    Gmm(components) stacks already validated GaussianComponents, which
+    .components then returns as given; for a mixture built from arrays,
+    .components is built on first access.
+    """
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    weights: np.ndarray
+    means: np.ndarray
+    covariances: np.ndarray
+    _components: tuple[GaussianComponent, ...] | None = field(
+        default=None, repr=False, compare=False)
+
+    def __init__(self, components):
+        comps = tuple(components)
         if len(comps) < 1:
             raise ValueError("a mixture needs at least one component")
-        total = math.fsum(c.weight for c in comps)
+        self._set(np.array([c.weight for c in comps]), np.array([c.mean for c in comps]),
+                  np.array([c.covariance for c in comps]), comps)
+
+    @classmethod
+    def from_arrays(cls, weights, means, covariances) -> "Gmm":
+        """A mixture from weights (K,), means (K, 3) and covariances (K, 3, 3)."""
+        weights, means, covariances = checked_components(weights, means, covariances)
+        if weights.ndim != 1 or weights.size < 1:
+            raise ValueError(f"weights must be a non-empty (K,) vector, got shape {weights.shape}")
+        model = cls.__new__(cls)
+        model._set(weights, means, covariances, None)
+        return model
+
+    def _set(self, weights, means, covariances, components):
+        total = math.fsum(weights.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"component weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "components", comps)
+        for name, arr in (("weights", weights), ("means", means), ("covariances", covariances)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_components", components)
 
     @property
     def k(self) -> int:
-        return len(self.components)
+        return self.weights.shape[0]
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.components])
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([c.mean for c in self.components])
-
-    @property
-    def covariances(self) -> np.ndarray:
-        return np.array([c.covariance for c in self.components])
+    def components(self) -> tuple[GaussianComponent, ...]:
+        if self._components is None:
+            object.__setattr__(self, "_components", tuple(
+                GaussianComponent(w, m, c)
+                for w, m, c in zip(self.weights, self.means, self.covariances)))
+        return self._components
 
 
 @dataclass(frozen=True)
@@ -189,12 +250,11 @@ def covariance_floor(points: np.ndarray) -> float:
 
 
 def floor_spd(cov: np.ndarray, eps: float) -> np.ndarray:
-    """Clamp the eigenvalues of a symmetric matrix at eps and resymmetrize."""
-    sym = 0.5 * (cov + cov.T)
-    lam, q = np.linalg.eigh(sym)
-    lam = np.maximum(lam, eps)
-    out = (q * lam) @ q.T
-    return 0.5 * (out + out.T)
+    """Clamp the eigenvalues of symmetric 3x3 matrices at eps and
+    resymmetrize, over any leading axes."""
+    lam, q = np.linalg.eigh(0.5 * (cov + _transposed(cov)))
+    out = (q * np.maximum(lam, eps)[..., None, :]) @ _transposed(q)
+    return 0.5 * (out + _transposed(out))
 
 
 def gaussian_log_density(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -207,10 +267,8 @@ def gaussian_log_density(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) 
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(0.5 * (cov + cov.T))[0])
-        raise DegenerateCovarianceError(
-            f"degenerate covariance: smallest eigenvalue {smallest:.6e}"
-        ) from None
+        checked_spd(cov)
+        raise DegenerateCovarianceError("degenerate covariance: Cholesky failed") from None
     diff = pts - np.asarray(mean, dtype=float)
     y = solve_triangular(chol, diff.T, lower=True)
     maha = np.einsum("ij,ij->j", y, y)
@@ -225,16 +283,27 @@ def gaussian_density(x: np.ndarray, component: GaussianComponent) -> float:
     return float(np.exp(logd[0]))
 
 
-def weighted_log_densities(points: np.ndarray, model: Gmm) -> np.ndarray:
-    """(N, K) matrix of log(w_j) + log f_j(x_i). Zero weights map to -inf."""
+def weighted_log_densities(points: np.ndarray, weights: np.ndarray, means: np.ndarray,
+                           covariances: np.ndarray) -> np.ndarray:
+    """(N, K) matrix of log(w_j) + log f_j(x_i). Zero weights map to -inf.
+
+    One batched Cholesky factorization covers all K covariances and gives
+    the log-determinants; the quadratic forms loop over K so that no
+    temporary grows beyond (N, 3).
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cols = np.empty((pts.shape[0], model.k))
-    for j, comp in enumerate(model.components):
-        if comp.weight > 0.0:
-            cols[:, j] = math.log(comp.weight) + gaussian_log_density(
-                pts, comp.mean, comp.covariance)
-        else:
-            cols[:, j] = -np.inf
+    try:
+        chol = np.linalg.cholesky(covariances)
+    except np.linalg.LinAlgError:
+        checked_spd(covariances)
+        raise DegenerateCovarianceError("degenerate covariance: Cholesky failed") from None
+    inv_chol = np.linalg.inv(chol)
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    cols = np.full((pts.shape[0], weights.shape[0]), -np.inf)
+    for j in np.flatnonzero(weights > 0.0):
+        y = (pts - means[j]) @ inv_chol[j].T
+        cols[:, j] = (math.log(weights[j]) - 0.5 * (3.0 * LOG_TWO_PI + log_det[j])
+                      - 0.5 * np.einsum("ij,ij->i", y, y))
     return cols
 
 
@@ -251,7 +320,8 @@ def log_sum_exp_rows(matrix: np.ndarray) -> np.ndarray:
 
 def gmm_log_density(points: np.ndarray, model: Gmm) -> np.ndarray:
     """Log mixture density at each row of points, shape (N,)."""
-    return log_sum_exp_rows(weighted_log_densities(points, model))
+    return log_sum_exp_rows(weighted_log_densities(
+        points, model.weights, model.means, model.covariances))
 
 
 def ensemble_log_density(points: np.ndarray, ensemble: GmmEnsemble) -> np.ndarray:

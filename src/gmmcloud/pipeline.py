@@ -12,7 +12,6 @@ between evaluation rounds, so accuracy is averaged over probe seeds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

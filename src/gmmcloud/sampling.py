@@ -100,12 +100,9 @@ def sample_assignments(ensemble: GmmEnsemble, n: int, rng: RngStream):
     component_idx = np.empty(n, dtype=int)
     for k, member in enumerate(ensemble.members):
         mask = member_idx == k
-        if not np.any(mask):
-            continue
-        w = _validated_probs(member.model.weights)
-        cdf = np.cumsum(w)
+        cdf = np.cumsum(member.model.weights)
         component_idx[mask] = np.minimum(
-            np.searchsorted(cdf, u[mask], side="right"), w.size - 1)
+            np.searchsorted(cdf, u[mask], side="right"), member.model.k - 1)
     return member_idx, component_idx
 
 
@@ -118,14 +115,14 @@ def generate_point_cloud(ensemble: GmmEnsemble, n: int, rng: RngStream,
     """
     member_idx, component_idx = sample_assignments(ensemble, n, rng)
     z = rng.standard_normal((n, 3))
-    out = np.empty((n, 3))
-    for k, member in enumerate(ensemble.members):
-        for j, comp in enumerate(member.model.components):
-            mask = (member_idx == k) & (component_idx == j)
-            if not np.any(mask):
-                continue
-            chol = np.linalg.cholesky(comp.covariance)
-            out[mask] = comp.mean + z[mask] @ chol.T
+    models = [member.model for member in ensemble.members]
+    # one stack over the components of every member, indexed by member
+    # offset plus component index
+    offsets = np.cumsum([0] + [model.k for model in models[:-1]])
+    means = np.concatenate([model.means for model in models])
+    chols = np.linalg.cholesky(np.concatenate([model.covariances for model in models]))
+    idx = offsets[member_idx] + component_idx
+    out = means[idx] + np.einsum("nij,nj->ni", chols[idx], z)
     return PointCloud(out, label=label)
 
 

@@ -63,6 +63,13 @@ def test_help_screens(command):
     assert "Usage:" in result.output
 
 
+@pytest.mark.parametrize("command", ["embed", "classify"])
+def test_deterministic_commands_take_no_seed(command):
+    result = runner.invoke(main, [command, "--help"], catch_exceptions=False)
+    assert result.exit_code == 0
+    assert "--seed" not in result.output
+
+
 def test_synth_writes_labeled_cloud(tmp_path):
     out = str(tmp_path / "tube.xyz")
     result = run_cli(["synth", "--class", "demented", "--n", "80", "--seed", "3",

@@ -181,8 +181,8 @@ def test_match_identity_and_reversal():
 
 @pytest.mark.parametrize("k", [3, 9])
 def test_match_equals_brute_force(k):
-    # k = 9 exercises the assignment-solver branch above the
-    # exhaustive-search limit
+    # both sizes go through the assignment solver; k = 9 is about the
+    # largest the brute-force oracle below enumerates quickly
     rng = np.random.default_rng(8 + k)
     a = random_gmm(rng, k)
     b = random_gmm(rng, k)

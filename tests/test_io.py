@@ -24,7 +24,14 @@ from gmmcloud.io import (
     save_probe_set,
     write_point_cloud,
 )
-from gmmcloud.model import EnsembleMember, GaussianComponent, Gmm, GmmEnsemble, PointCloud
+from gmmcloud.model import (
+    DegenerateCovarianceError,
+    EnsembleMember,
+    GaussianComponent,
+    Gmm,
+    GmmEnsemble,
+    PointCloud,
+)
 from gmmcloud.selection import AicRow, AicTable
 
 
@@ -213,6 +220,17 @@ def test_model_file_rejects_wrong_kind_and_schema(tmp_path):
     obj["schema_version"] = "999"
     open(model_path, "w").write(json.dumps(obj))
     with pytest.raises(FileFormatError, match="not supported"):
+        load_model(model_path)
+
+
+def test_model_file_rejects_degenerate_covariance(tmp_path):
+    model_path = str(tmp_path / "model.json")
+    ensemble, table = two_member_ensemble()
+    save_model(model_path, ensemble, table, FitMetadata(0, 1e-6, 200, 4, (1, 2), 5))
+    obj = json.load(open(model_path))
+    obj["ensemble"][1]["model"]["covariances"][1] = np.diag([1.0, 0.0, 1.0]).tolist()
+    open(model_path, "w").write(json.dumps(obj))
+    with pytest.raises(DegenerateCovarianceError, match="degenerate covariance"):
         load_model(model_path)
 
 

@@ -15,6 +15,7 @@ from gmmcloud.model import (
     GaussianComponent,
     Gmm,
     GmmEnsemble,
+    WEIGHT_SUM_TOL,
     PointCloud,
     covariance_floor,
     ensemble_log_density,
@@ -101,6 +102,43 @@ def test_gmm_weight_tolerance_is_tight():
     with pytest.raises(ValueError):
         Gmm((standard_component(weight=0.5), standard_component((1, 0, 0), 0.5 + eps)))
     Gmm((standard_component(weight=0.5), standard_component((1, 0, 0), 0.5 + 4e-10)))
+
+
+def stacked_arrays(k=3):
+    weights = np.full(k, 1.0 / k)
+    means = np.arange(3.0 * k).reshape(k, 3)
+    covs = np.stack([np.diag([1.0, 2.0, 3.0])] * k)
+    return weights, means, covs
+
+
+def test_gmm_from_arrays_matches_components():
+    weights, means, covs = stacked_arrays()
+    model = Gmm.from_arrays(weights, means, covs)
+    assert model.k == 3
+    for arr, expected in ((model.weights, weights), (model.means, means),
+                          (model.covariances, covs)):
+        np.testing.assert_array_equal(arr, expected)
+        assert not arr.flags.writeable
+    assert model.components is model.components
+    np.testing.assert_array_equal(model.components[1].mean, means[1])
+
+
+def _not_spd_at_one(covs):
+    covs = covs.copy()
+    covs[1] = np.diag([1.0, 0.0, 1.0])
+    return covs
+
+
+@pytest.mark.parametrize("change, error, match", [
+    (lambda w, m, c: (w, m[:, :2], c), ValueError, "means"),
+    (lambda w, m, c: (w, m, c[:-1]), ValueError, "covariances"),
+    (lambda w, m, c: (w + 2.0 * WEIGHT_SUM_TOL, m, c), ValueError, "sum"),
+    (lambda w, m, c: (w, m, _not_spd_at_one(c)), DegenerateCovarianceError,
+     r"degenerate covariance.*\(component 1\)"),
+], ids=["means-k-by-2", "covariances-k-minus-1", "weight-sum", "one-not-spd"])
+def test_gmm_from_arrays_rejects_bad_input(change, error, match):
+    with pytest.raises(error, match=match):
+        Gmm.from_arrays(*change(*stacked_arrays()))
 
 
 def test_gmm_array_views():
