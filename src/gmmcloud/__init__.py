@@ -19,12 +19,9 @@ from .embedding import (
 from .geodesics import (
     InterpolationConfig,
     InterpolationResult,
-    ProductPoint,
-    gmm_to_product_point,
     interpolate_point_clouds,
     match_components,
     product_geodesic,
-    product_point_to_gmm,
     project_to_k,
     spd_geodesic,
     sphere_geodesic,
@@ -32,15 +29,13 @@ from .geodesics import (
 from .model import (
     DegenerateCovarianceError,
     EnsembleMember,
-    GaussianComponent,
     Gmm,
     GmmEnsemble,
     PointCloud,
-    gaussian_density,
     gmm_density,
     gmm_log_likelihood,
 )
-from .sampling import RngStream, generate_point_cloud, sample_categorical, sample_gaussian
+from .sampling import RngStream, generate_point_cloud, sample_categorical
 from .selection import AicTable, aic_score, akaike_weights, build_ensemble, default_candidate_ks
 from .shapes import TubeSpec, add_outliers, make_bent_tube, tube_spec_for_class
 
@@ -54,14 +49,12 @@ __all__ = [
     "FitConfig",
     "FitError",
     "FitResult",
-    "GaussianComponent",
     "Gmm",
     "GmmEnsemble",
     "InterpolationConfig",
     "InterpolationResult",
     "PointCloud",
     "ProbeSet",
-    "ProductPoint",
     "Responsibilities",
     "RngStream",
     "SphereEmbedding",
@@ -76,11 +69,9 @@ __all__ = [
     "embed",
     "evaluate",
     "fit_em",
-    "gaussian_density",
     "generate_point_cloud",
     "gmm_density",
     "gmm_log_likelihood",
-    "gmm_to_product_point",
     "interpolate_point_clouds",
     "kmeans_init",
     "knn_classify",
@@ -89,10 +80,8 @@ __all__ = [
     "make_probe_set",
     "match_components",
     "product_geodesic",
-    "product_point_to_gmm",
     "project_to_k",
     "sample_categorical",
-    "sample_gaussian",
     "spd_geodesic",
     "sphere_geodesic",
     "tube_spec_for_class",

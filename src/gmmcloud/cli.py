@@ -244,7 +244,11 @@ def classify(train_path, test_path, positive):
               help="Comma-separated candidate component counts.")
 def eval_paper_pipeline(seeds, seed, bases, counts, n_points, ks):
     """Run the synthetic generate-then-classify benchmark end to end."""
-    demented_count, nondemented_count = _parse_ints(counts)
+    generated_counts = _parse_ints(counts)
+    if len(generated_counts) != 2:
+        raise click.BadParameter(f"expected two integers demented,nondemented, got {counts!r}",
+                                 param_hint="'--counts'")
+    demented_count, nondemented_count = generated_counts
     config = ExperimentConfig(
         base_shapes_per_class=bases,
         generated_counts={"demented": demented_count, "nondemented": nondemented_count},

@@ -17,6 +17,7 @@ from .model import (
     covariance_floor,
     floor_spd,
     log_sum_exp_rows,
+    reduce_through_constructor,
     weighted_log_densities,
 )
 from .sampling import RngStream
@@ -69,6 +70,8 @@ class Responsibilities:
             raise ValueError("responsibility rows must sum to 1")
         g.setflags(write=False)
         object.__setattr__(self, "gamma", g)
+
+    __reduce__ = reduce_through_constructor
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,7 @@ def kmeans_init(cloud: PointCloud, k: int, seed: int, restarts: int = 1) -> Gmm:
         means[j] = members.mean(axis=0)
         diff = members - means[j]
         covs[j] = diff.T @ diff / counts[j]
-    return Gmm.from_arrays(counts / n, means, floor_spd(covs, covariance_floor(pts)))
+    return Gmm(counts / n, means, floor_spd(covs, covariance_floor(pts)))
 
 
 def _gamma_from_log_densities(lwd: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, int]:
@@ -217,7 +220,7 @@ def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
     if resp.gamma.shape[0] != len(cloud):
         raise ValueError(
             f"responsibilities cover {resp.gamma.shape[0]} points, cloud has {len(cloud)}")
-    return Gmm.from_arrays(
+    return Gmm(
         *_m_step_arrays(cloud.points, resp.gamma, covariance_floor(cloud.points)))
 
 
@@ -256,7 +259,7 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
                 if rel < config.rel_tolerance:
                     converged = True
                     break
-        model = Gmm.from_arrays(*params)
+        model = Gmm(*params)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise FitError(f"fit failed at iteration {it}: {exc}") from exc
     return FitResult(model, tuple(trace), len(trace), converged)

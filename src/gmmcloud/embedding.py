@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Gmm, GmmEnsemble, ensemble_log_density, gmm_log_density
+from .model import (
+    Gmm,
+    GmmEnsemble,
+    ensemble_log_density,
+    gmm_log_density,
+    reduce_through_constructor,
+)
 from .sampling import RngStream
 
 PROBE_COUNT = 1000
@@ -47,6 +53,8 @@ class ProbeSet:
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "seed", int(self.seed))
 
+    __reduce__ = reduce_through_constructor
+
     @property
     def count(self) -> int:
         return self.probes.shape[0]
@@ -69,6 +77,8 @@ class SphereEmbedding:
             raise ValueError(f"coords norm is {norm!r}, expected 1")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
+
+    __reduce__ = reduce_through_constructor
 
 
 def inflated_bounds(clouds, margin_fraction: float = INFLATE_FRACTION) -> np.ndarray:

@@ -8,9 +8,11 @@ on the sphere slot, the straight line on the mean slot, and
 
     S1^(1/2) (S1^(-1/2) S2 S1^(-1/2))^t S1^(1/2)
 
-on every covariance slot. Mixtures of unequal size are first reduced to
-a common K by moment-preserving merges and then aligned by an optimal
-component matching on mean distances.
+on every covariance slot. product_geodesic maps two mixtures (Gmm) to
+the mixture at t and does the square-root lift of the weights itself.
+Mixtures of unequal size are first reduced to a common K by
+moment-preserving merges and then aligned by an optimal component
+matching on mean distances.
 """
 
 from __future__ import annotations
@@ -22,63 +24,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .em import FitConfig
-from .model import Gmm, GmmEnsemble, PointCloud, _transposed, checked_components, checked_spd
+from .model import Gmm, GmmEnsemble, PointCloud, _transposed, checked_spd
 from .sampling import RngStream, generate_point_cloud
 from .selection import build_ensemble, default_candidate_ks
 
-SPHERE_NORM_TOL = 1e-12
 COLINEAR_THETA = 1e-8
 
 DEFAULT_TS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-
-
-@dataclass(frozen=True)
-class ProductPoint:
-    """A mixture as a point on the weight-sphere x means x SPD product.
-
-    sqrt_weights: (K,) unit vector with non-negative entries.
-    means: (3, K) matrix, one column per component.
-    covariances: (K, 3, 3) stack of SPD matrices.
-
-    The arrays are validated at construction by the same check as Gmm's
-    and are read-only afterwards.
-    """
-
-    sqrt_weights: np.ndarray
-    means: np.ndarray
-    covariances: np.ndarray
-
-    def __post_init__(self):
-        sq = np.asarray(self.sqrt_weights, dtype=float)
-        if sq.ndim != 1 or sq.size < 1:
-            raise ValueError(f"sqrt_weights must be a non-empty vector, got shape {sq.shape}")
-        means = np.asarray(self.means, dtype=float)
-        if means.shape != (3, sq.size):
-            raise ValueError(f"means must have shape (3, {sq.size}), got {means.shape}")
-        sq, means_t, covs = checked_components(sq, means.T, self.covariances)
-        norm = float(np.linalg.norm(sq))
-        if abs(norm - 1.0) > SPHERE_NORM_TOL:
-            raise ValueError(f"sqrt_weights norm is {norm!r}, expected 1")
-        object.__setattr__(self, "sqrt_weights", sq)
-        object.__setattr__(self, "means", means_t.T)
-        object.__setattr__(self, "covariances", covs)
-
-    @property
-    def k(self) -> int:
-        return self.sqrt_weights.size
-
-
-def gmm_to_product_point(model: Gmm) -> ProductPoint:
-    """Lift a mixture onto the product manifold."""
-    sq = np.sqrt(model.weights)
-    sq = sq / np.linalg.norm(sq)
-    return ProductPoint(sq, model.means.T, model.covariances)
-
-
-def product_point_to_gmm(point: ProductPoint) -> Gmm:
-    """Project back to a mixture. Weights are the squared sphere entries."""
-    w = point.sqrt_weights ** 2
-    return Gmm.from_arrays(w / w.sum(), point.means.T, point.covariances)
 
 
 def _merge_pair(w1, m1, s1, w2, m2, s2):
@@ -115,7 +67,7 @@ def project_to_k(model: Gmm, k_target: int) -> Gmm:
         w[i], m[i], s[i] = _merge_pair(w[i], m[i], s[i], w[j], m[j], s[j])
         w, m, s = (np.delete(a, j, axis=0) for a in (w, m, s))
     total = math.fsum(w.tolist())
-    return Gmm.from_arrays(w / total, m, 0.5 * (s + _transposed(s)))
+    return Gmm(w / total, m, 0.5 * (s + _transposed(s)))
 
 
 def match_components(a: Gmm, b: Gmm) -> np.ndarray:
@@ -136,7 +88,7 @@ def reorder_components(model: Gmm, perm) -> Gmm:
     perm = np.asarray(perm, dtype=int)
     if sorted(perm.tolist()) != list(range(model.k)):
         raise ValueError(f"not a permutation of 0..{model.k - 1}: {perm.tolist()}")
-    return Gmm(tuple(model.components[j] for j in perm))
+    return Gmm(model.weights[perm], model.means[perm], model.covariances[perm])
 
 
 def sphere_geodesic(w1: np.ndarray, w2: np.ndarray, t: float) -> np.ndarray:
@@ -211,14 +163,25 @@ def spd_distance(s1: np.ndarray, s2: np.ndarray) -> float:
     return float(np.linalg.norm(np.log(ev)))
 
 
-def product_geodesic(p1: ProductPoint, p2: ProductPoint, t: float) -> ProductPoint:
-    """Slot-wise geodesic between two product points of equal K."""
-    if p1.k != p2.k:
-        raise ValueError(f"component counts differ: {p1.k} vs {p2.k}")
+def _sphere_point(model: Gmm) -> np.ndarray:
+    """The mixture's weights lifted onto the unit sphere S^(K-1)."""
+    sq = np.sqrt(model.weights)
+    return sq / np.linalg.norm(sq)
+
+
+def product_geodesic(a: Gmm, b: Gmm, t: float) -> Gmm:
+    """Mixture at t on the product-manifold geodesic from a to b.
+
+    The weights follow the great circle between the square-root weight
+    vectors (squared and renormalized on the way back), the means the
+    straight line, and each covariance its affine-invariant geodesic.
+    """
+    if a.k != b.k:
+        raise ValueError(f"component counts differ: {a.k} vs {b.k}")
     _check_t(t)
-    sq = sphere_geodesic(p1.sqrt_weights, p2.sqrt_weights, t)
-    means = (1.0 - t) * p1.means + t * p2.means
-    return ProductPoint(sq, means, spd_geodesic(p1.covariances, p2.covariances, t))
+    w = sphere_geodesic(_sphere_point(a), _sphere_point(b), t) ** 2
+    means = (1.0 - t) * a.means + t * b.means
+    return Gmm(w / w.sum(), means, spd_geodesic(a.covariances, b.covariances, t))
 
 
 @dataclass(frozen=True)
@@ -281,9 +244,7 @@ def interpolate_point_clouds(x: PointCloud, y: PointCloud, ts=DEFAULT_TS,
     source = project_to_k(gx, k)
     target = project_to_k(gy, k)
     target = reorder_components(target, match_components(source, target))
-    p1 = gmm_to_product_point(source)
-    p2 = gmm_to_product_point(target)
-    models = tuple(product_point_to_gmm(product_geodesic(p1, p2, t)) for t in ts)
+    models = tuple(product_geodesic(source, target, t) for t in ts)
     frames = tuple(
         generate_point_cloud(GmmEnsemble.single(m), n_out, RngStream(config.seed, i))
         for i, m in enumerate(models)

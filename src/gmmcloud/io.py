@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,7 +169,7 @@ def _gmm_to_obj(model: Gmm):
 
 
 def _gmm_from_obj(obj) -> Gmm:
-    return Gmm.from_arrays(obj["weights"], obj["means"], obj["covariances"])
+    return Gmm(obj["weights"], obj["means"], obj["covariances"])
 
 
 def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
@@ -198,37 +199,57 @@ def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
     _atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
-def _check_schema(obj, path: str, kind: str):
+def _load_json(path: str, kind: str):
+    """The top-level object of a JSON file of the given kind."""
+    with open(path, "r") as handle:
+        try:
+            obj = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise FileFormatError(
             f"{path}: schema_version {version!r} not supported, expected {SCHEMA_VERSION!r}")
     if obj.get("kind") != kind:
         raise FileFormatError(f"{path}: expected a {kind} file, got {obj.get('kind')!r}")
+    return obj
+
+
+@contextmanager
+def _fields_of(path: str):
+    """Report a missing or mistyped field as a FileFormatError; value
+    errors from the constructors pass through unchanged."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FileFormatError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise FileFormatError(f"{path}: malformed field: {exc}") from None
 
 
 def load_model(path: str) -> ModelFile:
-    with open(path, "r") as handle:
-        obj = json.load(handle)
-    _check_schema(obj, path, "model_file")
-    ensemble = GmmEnsemble(tuple(
-        EnsembleMember(m["p"], _gmm_from_obj(m["model"])) for m in obj["ensemble"]
-    ))
-    table = AicTable(tuple(
-        AicRow(r["k"], r["aic"], r["normalized"], r["kept"]) for r in obj["aic_table"]
-    ))
-    meta = obj["metadata"]
-    offset = meta.get("center_offset")
-    metadata = FitMetadata(
-        seed=meta["seed"],
-        rel_tolerance=meta["rel_tolerance"],
-        max_iterations=meta["max_iterations"],
-        kmeans_restarts=meta["kmeans_restarts"],
-        candidate_ks=tuple(meta["candidate_ks"]),
-        training_n=meta["training_n"],
-        label=meta.get("label"),
-        center_offset=tuple(offset) if offset is not None else None,
-    )
+    obj = _load_json(path, "model_file")
+    with _fields_of(path):
+        ensemble = GmmEnsemble(tuple(
+            EnsembleMember(m["p"], _gmm_from_obj(m["model"])) for m in obj["ensemble"]
+        ))
+        table = AicTable(tuple(
+            AicRow(r["k"], r["aic"], r["normalized"], r["kept"]) for r in obj["aic_table"]
+        ))
+        meta = obj["metadata"]
+        offset = meta.get("center_offset")
+        metadata = FitMetadata(
+            seed=meta["seed"],
+            rel_tolerance=meta["rel_tolerance"],
+            max_iterations=meta["max_iterations"],
+            kmeans_restarts=meta["kmeans_restarts"],
+            candidate_ks=tuple(meta["candidate_ks"]),
+            training_n=meta["training_n"],
+            label=meta.get("label"),
+            center_offset=tuple(offset) if offset is not None else None,
+        )
     return ModelFile(obj["schema_version"], ensemble, table, metadata)
 
 
@@ -244,11 +265,10 @@ def save_probe_set(path: str, probes: ProbeSet):
 
 
 def load_probe_set(path: str) -> ProbeSet:
-    with open(path, "r") as handle:
-        obj = json.load(handle)
-    _check_schema(obj, path, "probe_set")
-    bounds = np.array([obj["bounds"]["lo"], obj["bounds"]["hi"]])
-    return ProbeSet(np.array(obj["probes"]), bounds, obj["seed"])
+    obj = _load_json(path, "probe_set")
+    with _fields_of(path):
+        bounds = np.array([obj["bounds"]["lo"], obj["bounds"]["hi"]])
+        return ProbeSet(np.array(obj["probes"]), bounds, obj["seed"])
 
 
 def save_embeddings(path: str, entries):
@@ -265,13 +285,12 @@ def save_embeddings(path: str, entries):
 
 
 def load_embeddings(path: str) -> list[tuple[SphereEmbedding, str | None, str]]:
-    with open(path, "r") as handle:
-        obj = json.load(handle)
-    _check_schema(obj, path, "embeddings")
-    return [
-        (SphereEmbedding(np.array(e["coords"])), e.get("label"), e.get("source", ""))
-        for e in obj["entries"]
-    ]
+    obj = _load_json(path, "embeddings")
+    with _fields_of(path):
+        return [
+            (SphereEmbedding(np.array(e["coords"])), e.get("label"), e.get("source", ""))
+            for e in obj["entries"]
+        ]
 
 
 def format_aic_table(table: AicTable) -> str:
@@ -288,46 +307,6 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _svg_panel(lines: list[str], points2d: np.ndarray, color: str, lo, hi,
-               radius: float, x_shift: float):
-    for px, py in points2d:
-        cx = x_shift + (px - lo[0])
-        cy = hi[1] - py
-        lines.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" fill="{color}"/>')
-
-
-def _projection_bounds(point_sets):
-    stacked = np.vstack(point_sets)
-    lo = stacked.min(axis=0)
-    hi = stacked.max(axis=0)
-    span = float(max(hi - lo))
-    pad = 0.04 * span if span > 0.0 else 1.0
-    return lo - pad, hi + pad
-
-
-def emit_svg(clouds, path: str, projection: str = "xy"):
-    """Scatter one or more (cloud, color) pairs into an equal-aspect SVG."""
-    clouds = list(clouds)
-    if not clouds:
-        raise ValueError("need at least one cloud to plot")
-    if projection not in _PROJECTION_AXES:
-        raise ValueError(f"projection must be one of {sorted(_PROJECTION_AXES)}")
-    axes = list(_PROJECTION_AXES[projection])
-    planar = [cloud.points[:, axes] for cloud, _ in clouds]
-    lo, hi = _projection_bounds(planar)
-    width, height = hi[0] - lo[0], hi[1] - lo[1]
-    radius = 0.006 * float(max(width, height))
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_fmt(width)} {_fmt(height)}" '
-        f'width="640" height="{_fmt(640.0 * height / width)}">',
-    ]
-    for pts, (_, color) in zip(planar, clouds):
-        _svg_panel(lines, pts, color, lo, hi, radius, 0.0)
-    lines.append("</svg>")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def emit_svg_filmstrip(panels, path: str, projection: str = "xy"):
     """Side-by-side panels, one per (title, cloud, color), on a shared scale."""
     panels = list(panels)
@@ -337,7 +316,11 @@ def emit_svg_filmstrip(panels, path: str, projection: str = "xy"):
         raise ValueError(f"projection must be one of {sorted(_PROJECTION_AXES)}")
     axes = list(_PROJECTION_AXES[projection])
     planar = [cloud.points[:, axes] for _, cloud, _ in panels]
-    lo, hi = _projection_bounds(planar)
+    stacked = np.vstack(planar)
+    lo, hi = stacked.min(axis=0), stacked.max(axis=0)
+    span = float(max(hi - lo))
+    pad = 0.04 * span if span > 0.0 else 1.0
+    lo, hi = lo - pad, hi + pad
     width, height = hi[0] - lo[0], hi[1] - lo[1]
     gap = 0.05 * width
     total_w = len(panels) * width + (len(panels) - 1) * gap
@@ -354,7 +337,9 @@ def emit_svg_filmstrip(panels, path: str, projection: str = "xy"):
             f'<text x="{_fmt(shift + 0.02 * width)}" y="{_fmt(0.9 * caption)}" '
             f'font-size="{_fmt(0.6 * caption)}" font-family="sans-serif">{title}</text>')
         lines.append(f'<g transform="translate(0,{_fmt(caption)})">')
-        _svg_panel(lines, pts, color, lo, hi, radius, shift)
+        for px, py in pts:
+            lines.append(f'<circle cx="{_fmt(shift + (px - lo[0]))}" cy="{_fmt(hi[1] - py)}" '
+                         f'r="{_fmt(radius)}" fill="{color}"/>')
         lines.append("</g>")
     lines.append("</svg>")
     _atomic_write_text(path, "\n".join(lines) + "\n")

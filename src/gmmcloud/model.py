@@ -1,22 +1,22 @@
 """Core mixture-model types and density evaluation for 3D point clouds.
 
 Shapes are modeled as Gaussian mixtures over R^3. A mixture has one
-representation: stacked arrays of weights (K,), means (K, 3) and
-covariances (K, 3, 3), validated once when the mixture is built from
-user or file input and read-only afterwards. Fitting, sampling,
-geodesics and file I/O work on these arrays; GaussianComponent is the
-per-component view, and gaussian_log_density, gaussian_density and
-gmm_density evaluate densities through it one component at a time, as
-a reference for the stacked routines.
+type, Gmm(weights, means, covariances): stacked arrays of weights (K,),
+means (K, 3) and covariances (K, 3, 3), validated once at construction
+and read-only afterwards. Fitting, sampling, geodesics and file I/O work
+on these arrays. gaussian_log_density and gmm_density evaluate densities
+one component at a time, as a reference for the stacked routines.
 
 This module also holds point clouds and AIC-weighted mixture ensembles.
-All types are immutable after construction. All functions are pure.
+All types are immutable after construction; a pickled copy is rebuilt
+through its constructor, so it is validated again and stays read-only.
+All functions are pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -76,29 +76,11 @@ def checked_spd(matrices) -> np.ndarray:
     return sym
 
 
-def checked_components(weights, means, covariances
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated read-only copies of component parameters.
-
-    weights has shape S, means S + (3,) and covariances S + (3, 3), with
-    S = () for one component or (K,) for a stack. Weights must be finite
-    and >= 0, means finite, and covariances SPD (see checked_spd).
-    """
-    w = np.array(weights, dtype=float)
-    bad = ~(np.isfinite(w) & (w >= 0.0))
-    if np.any(bad):
-        raise ValueError(f"component weight must be finite and >= 0, got {float(w[bad][0])}")
-    m = np.array(means, dtype=float)
-    if m.shape != w.shape + (3,):
-        raise ValueError(f"means must have shape {w.shape + (3,)}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("means must be finite")
-    covs = np.asarray(covariances, dtype=float)
-    if covs.shape != w.shape + (3, 3):
-        raise ValueError(f"covariances must have shape {w.shape + (3, 3)}, got {covs.shape}")
-    w.setflags(write=False)
-    m.setflags(write=False)
-    return w, m, checked_spd(covs)
+def reduce_through_constructor(obj):
+    """__reduce__ for the frozen array types: unpickling calls the
+    constructor again, so the copy is validated and its arrays are
+    read-only like the original's."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
 @dataclass(frozen=True)
@@ -124,75 +106,50 @@ class PointCloud:
     def __len__(self) -> int:
         return self.n
 
+    __reduce__ = reduce_through_constructor
+
 
 @dataclass(frozen=True)
-class GaussianComponent:
-    """One weighted trivariate Gaussian: weight, mean, SPD covariance."""
-
-    weight: float
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        weight, mean, cov = checked_components(self.weight, self.mean, self.covariance)
-        object.__setattr__(self, "weight", float(weight))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-
-
-@dataclass(frozen=True, init=False)
 class Gmm:
-    """A Gaussian mixture as stacked read-only arrays; weights sum to one.
+    """A Gaussian mixture as stacked read-only arrays.
 
-    Gmm.from_arrays(weights, means, covariances) validates its input once.
-    Gmm(components) stacks already validated GaussianComponents, which
-    .components then returns as given; for a mixture built from arrays,
-    .components is built on first access.
+    weights (K,) must be finite, >= 0 and sum to one; means (K, 3)
+    finite; covariances (K, 3, 3) SPD (see checked_spd). The input is
+    validated and copied once, here.
     """
 
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
-    _components: tuple[GaussianComponent, ...] | None = field(
-        default=None, repr=False, compare=False)
 
-    def __init__(self, components):
-        comps = tuple(components)
-        if len(comps) < 1:
-            raise ValueError("a mixture needs at least one component")
-        self._set(np.array([c.weight for c in comps]), np.array([c.mean for c in comps]),
-                  np.array([c.covariance for c in comps]), comps)
-
-    @classmethod
-    def from_arrays(cls, weights, means, covariances) -> "Gmm":
-        """A mixture from weights (K,), means (K, 3) and covariances (K, 3, 3)."""
-        weights, means, covariances = checked_components(weights, means, covariances)
-        if weights.ndim != 1 or weights.size < 1:
-            raise ValueError(f"weights must be a non-empty (K,) vector, got shape {weights.shape}")
-        model = cls.__new__(cls)
-        model._set(weights, means, covariances, None)
-        return model
-
-    def _set(self, weights, means, covariances, components):
-        total = math.fsum(weights.tolist())
+    def __post_init__(self):
+        w = np.array(self.weights, dtype=float)
+        if w.ndim != 1 or w.size < 1:
+            raise ValueError(f"weights must be a non-empty (K,) vector, got shape {w.shape}")
+        bad = ~(np.isfinite(w) & (w >= 0.0))
+        if np.any(bad):
+            raise ValueError(f"component weight must be finite and >= 0, got {float(w[bad][0])}")
+        m = np.array(self.means, dtype=float)
+        if m.shape != w.shape + (3,):
+            raise ValueError(f"means must have shape {w.shape + (3,)}, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("means must be finite")
+        covs = np.asarray(self.covariances, dtype=float)
+        if covs.shape != w.shape + (3, 3):
+            raise ValueError(f"covariances must have shape {w.shape + (3, 3)}, got {covs.shape}")
+        covs = checked_spd(covs)
+        total = math.fsum(w.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"component weights sum to {total!r}, expected 1")
-        for name, arr in (("weights", weights), ("means", means), ("covariances", covariances)):
+        for name, arr in (("weights", w), ("means", m), ("covariances", covs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_components", components)
+
+    __reduce__ = reduce_through_constructor
 
     @property
     def k(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def components(self) -> tuple[GaussianComponent, ...]:
-        if self._components is None:
-            object.__setattr__(self, "_components", tuple(
-                GaussianComponent(w, m, c)
-                for w, m, c in zip(self.weights, self.means, self.covariances)))
-        return self._components
 
 
 @dataclass(frozen=True)
@@ -276,13 +233,6 @@ def gaussian_log_density(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) 
     return -0.5 * (3.0 * LOG_TWO_PI + log_det + maha)
 
 
-def gaussian_density(x: np.ndarray, component: GaussianComponent) -> float:
-    """Trivariate normal density of a single component at a single point."""
-    logd = gaussian_log_density(np.asarray(x, dtype=float).reshape(1, 3),
-                                component.mean, component.covariance)
-    return float(np.exp(logd[0]))
-
-
 def weighted_log_densities(points: np.ndarray, weights: np.ndarray, means: np.ndarray,
                            covariances: np.ndarray) -> np.ndarray:
     """(N, K) matrix of log(w_j) + log f_j(x_i). Zero weights map to -inf.
@@ -333,9 +283,12 @@ def ensemble_log_density(points: np.ndarray, ensemble: GmmEnsemble) -> np.ndarra
 
 
 def gmm_density(x: np.ndarray, model: Gmm) -> float:
-    """Mixture density at a single point: sum_j w_j f_j(x)."""
+    """Mixture density at a single point, sum_j w_j f_j(x), summed one
+    component at a time."""
+    x = np.asarray(x, dtype=float).reshape(1, 3)
     return float(math.fsum(
-        c.weight * gaussian_density(x, c) for c in model.components
+        w * float(np.exp(gaussian_log_density(x, m, c)[0]))
+        for w, m, c in zip(model.weights.tolist(), model.means, model.covariances)
     ))
 
 

@@ -11,13 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (
-    DegenerateCovarianceError,
-    GaussianComponent,
-    Gmm,
-    GmmEnsemble,
-    PointCloud,
-)
+from .model import Gmm, GmmEnsemble, PointCloud
 
 PROB_SUM_TOL = 1e-9
 
@@ -73,17 +67,6 @@ def sample_categorical(probs, rng: RngStream, size: int | None = None):
     if size is None:
         return int(idx)
     return idx.astype(int)
-
-
-def sample_gaussian(component: GaussianComponent, rng: RngStream) -> np.ndarray:
-    """One draw from a component: mean + L z with L the Cholesky factor."""
-    try:
-        chol = np.linalg.cholesky(component.covariance)
-    except np.linalg.LinAlgError:
-        raise DegenerateCovarianceError(
-            f"component at mean {component.mean.tolist()} has a non-SPD covariance"
-        ) from None
-    return component.mean + chol @ rng.standard_normal(3)
 
 
 def sample_assignments(ensemble: GmmEnsemble, n: int, rng: RngStream):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import settings
 
 from gmmcloud.em import FitConfig, fit_em
-from gmmcloud.model import GaussianComponent, Gmm, PointCloud
+from gmmcloud.model import Gmm, PointCloud
 from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
 
 settings.register_profile("suite", deadline=None, max_examples=25)
@@ -56,10 +56,15 @@ def random_rotation(rng):
 
 def random_gmm(rng, k, spread=4.0, scale=1.0):
     w = rng.dirichlet(np.ones(k))
-    return Gmm(tuple(
-        GaussianComponent(w[j], rng.normal(scale=spread, size=3), random_spd(rng, scale))
-        for j in range(k)
-    ))
+    # draw order per component: its mean, then its covariance
+    means, covs = zip(*((rng.normal(scale=spread, size=3), random_spd(rng, scale))
+                        for _ in range(k)))
+    return Gmm(w, means, covs)
+
+
+def unit_gmm(weights=(1.0,), means=((0.0, 0.0, 0.0),)):
+    """Mixture of identity-covariance components."""
+    return Gmm(weights, means, np.stack([np.eye(3)] * len(weights)))
 
 
 def best_match(fitted_means, true_means):

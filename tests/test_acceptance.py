@@ -24,7 +24,6 @@ from gmmcloud.em import FitConfig, FitError, fit_em
 from gmmcloud.embedding import arc_distance, embed, inflated_bounds, make_probe_set
 from gmmcloud.geodesics import (
     InterpolationConfig,
-    gmm_to_product_point,
     interpolate_point_clouds,
     product_geodesic,
     sphere_distance,
@@ -34,7 +33,6 @@ from gmmcloud.geodesics import (
 )
 from gmmcloud.model import (
     EnsembleMember,
-    GaussianComponent,
     Gmm,
     GmmEnsemble,
     PointCloud,
@@ -156,15 +154,16 @@ def test_criterion_05_geodesic_laws():
         congruent = spd_geodesic(mat @ s1 @ mat.T, mat @ s2 @ mat.T, t)
         gl_dev = max(gl_dev, float(np.linalg.norm(direct - congruent)
                                    / np.linalg.norm(direct)))
-        # full product point: endpoints across all three slots
-        p1 = gmm_to_product_point(random_gmm(rng, 3))
-        p2 = gmm_to_product_point(random_gmm(rng, 3))
-        for point, end in ((p1, product_geodesic(p1, p2, 0.0)),
-                           (p2, product_geodesic(p1, p2, 1.0))):
+        # full product path: endpoints across all three slots, the sphere
+        # slot compared on the square-root weights
+        g1 = random_gmm(rng, 3)
+        g2 = random_gmm(rng, 3)
+        for model, end in ((g1, product_geodesic(g1, g2, 0.0)),
+                           (g2, product_geodesic(g1, g2, 1.0))):
             end_dev = max(end_dev,
-                          float(np.max(np.abs(end.sqrt_weights - point.sqrt_weights))),
-                          float(np.max(np.abs(end.means - point.means))),
-                          float(np.max(np.abs(end.covariances - point.covariances))))
+                          float(np.max(np.abs(np.sqrt(end.weights) - np.sqrt(model.weights)))),
+                          float(np.max(np.abs(end.means - model.means))),
+                          float(np.max(np.abs(end.covariances - model.covariances))))
         w1 = np.abs(rng.normal(size=4)) + 1e-3
         w2 = np.abs(rng.normal(size=4)) + 1e-3
         w1, w2 = w1 / np.linalg.norm(w1), w2 / np.linalg.norm(w2)
@@ -178,15 +177,9 @@ def test_criterion_05_geodesic_laws():
 
 
 def test_criterion_06_hierarchical_sampling_law():
-    model_a = Gmm((
-        GaussianComponent(0.3, np.zeros(3), np.eye(3)),
-        GaussianComponent(0.7, np.array([4.0, 0.0, 0.0]), np.eye(3)),
-    ))
-    model_b = Gmm((
-        GaussianComponent(0.2, np.zeros(3), np.eye(3)),
-        GaussianComponent(0.3, np.array([0.0, 4.0, 0.0]), np.eye(3)),
-        GaussianComponent(0.5, np.array([0.0, 0.0, 4.0]), np.eye(3)),
-    ))
+    model_a = Gmm([0.3, 0.7], [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]], [np.eye(3)] * 2)
+    model_b = Gmm([0.2, 0.3, 0.5], [[0.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 4.0]],
+                  [np.eye(3)] * 3)
     ensemble = GmmEnsemble((EnsembleMember(0.6, model_a), EnsembleMember(0.4, model_b)))
     n = 1_000_000
     member_idx, comp_idx = sample_assignments(ensemble, n, RngStream(1234, 0))

@@ -139,7 +139,7 @@ def test_fit_center_offset_restored_on_sampling(tmp_path):
     assert loaded.metadata.center_offset is not None
     assert abs(loaded.metadata.center_offset[0] - 50.0) < 0.5
     # the stored model is centered, the samples are shifted back
-    assert abs(loaded.ensemble.members[0].model.components[0].mean[0]) < 1e-6
+    assert abs(loaded.ensemble.members[0].model.means[0, 0]) < 1e-6
     out = str(tmp_path / "regen.xyz")
     run_cli(["sample", model_path, "--n", "400", "-o", out])
     assert abs(float(read_point_cloud(out).points[:, 0].mean()) - 50.0) < 0.5
@@ -216,3 +216,7 @@ def test_cli_rejects_malformed_lists(workspace, tmp_path):
     result = runner.invoke(main, ["fit", workspace["dem0"], "--ks", "2;4",
                                   "-o", str(tmp_path / "m.json")])
     assert result.exit_code != 0
+    for counts in ("5", "1,2,3"):
+        result = runner.invoke(main, ["eval-paper-pipeline", "--counts", counts])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--counts'" in result.output

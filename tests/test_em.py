@@ -25,7 +25,6 @@ from gmmcloud.em import (
     m_step,
 )
 from gmmcloud.model import (
-    GaussianComponent,
     Gmm,
     GmmEnsemble,
     PointCloud,
@@ -77,16 +76,15 @@ def test_responsibilities_validation():
 def test_kmeans_degenerate_single_cluster():
     cloud = PointCloud(np.ones((3, 3)))
     model = kmeans_init(cloud, 1, seed=0)
-    comp = model.components[0]
-    assert comp.weight == 1.0
-    np.testing.assert_allclose(comp.mean, np.ones(3), atol=1e-15)
-    np.testing.assert_allclose(comp.covariance, 1e-12 * np.eye(3), atol=1e-24)
+    assert model.weights[0] == 1.0
+    np.testing.assert_allclose(model.means[0], np.ones(3), atol=1e-15)
+    np.testing.assert_allclose(model.covariances[0], 1e-12 * np.eye(3), atol=1e-24)
 
 
 def test_kmeans_two_blobs_exact_split():
     cloud, a, b = two_blob_cloud()
     model = kmeans_init(cloud, 2, seed=1, restarts=4)
-    assert sorted(c.weight for c in model.components) == [0.5, 0.5]
+    assert sorted(model.weights.tolist()) == [0.5, 0.5]
     blob_means = np.array([a.mean(axis=0), b.mean(axis=0)])
     perm = best_match(model.means, blob_means)
     matched = model.means[list(perm)]
@@ -103,10 +101,9 @@ def test_kmeans_one_point_per_cluster():
     cloud = PointCloud(pts)
     model = kmeans_init(cloud, 6, seed=0)
     eps = covariance_floor(pts)
-    for comp in model.components:
-        assert comp.weight == 1.0 / 6.0
-        np.testing.assert_allclose(comp.covariance, eps * np.eye(3), rtol=1e-9,
-                                   atol=1e-18)
+    for weight, cov in zip(model.weights, model.covariances):
+        assert weight == 1.0 / 6.0
+        np.testing.assert_allclose(cov, eps * np.eye(3), rtol=1e-9, atol=1e-18)
     np.testing.assert_allclose(np.sort(model.means, axis=0), np.sort(pts, axis=0),
                                atol=1e-15)
 
@@ -124,7 +121,7 @@ def test_kmeans_rejects_more_components_than_points():
 
 def test_e_step_single_component_is_certain():
     cloud = PointCloud(np.random.default_rng(0).normal(size=(20, 3)))
-    model = Gmm((GaussianComponent(1.0, np.zeros(3), np.eye(3)),))
+    model = Gmm([1.0], np.zeros((1, 3)), np.eye(3)[None])
     resp = e_step(cloud, model)
     assert np.array_equal(resp.gamma, np.ones((20, 1)))
     assert resp.underflow_rows == 0
@@ -132,26 +129,19 @@ def test_e_step_single_component_is_certain():
 
 def test_e_step_identical_components_split_evenly():
     cloud = PointCloud(np.random.default_rng(1).normal(size=(15, 3)))
-    comp = GaussianComponent(0.5, np.array([1.0, -2.0, 0.5]), np.diag([1.0, 2.0, 0.5]))
-    model = Gmm((comp, GaussianComponent(0.5, comp.mean, comp.covariance)))
+    model = Gmm([0.5, 0.5], [[1.0, -2.0, 0.5]] * 2, [np.diag([1.0, 2.0, 0.5])] * 2)
     resp = e_step(cloud, model)
     np.testing.assert_allclose(resp.gamma, 0.5, atol=1e-15)
 
 
 def test_e_step_equidistant_point():
-    model = Gmm((
-        GaussianComponent(0.5, np.array([1.0, 0.0, 0.0]), np.eye(3)),
-        GaussianComponent(0.5, np.array([-1.0, 0.0, 0.0]), np.eye(3)),
-    ))
+    model = Gmm([0.5, 0.5], [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [np.eye(3)] * 2)
     resp = e_step(PointCloud(np.array([[0.0, 5.0, -3.0]])), model)
     np.testing.assert_allclose(resp.gamma, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_e_step_underflow_goes_uniform():
-    model = Gmm((
-        GaussianComponent(0.5, np.zeros(3), np.eye(3)),
-        GaussianComponent(0.5, np.array([1.0, 0.0, 0.0]), np.eye(3)),
-    ))
+    model = Gmm([0.5, 0.5], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [np.eye(3)] * 2)
     cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]]))
     resp = e_step(cloud, model)
     assert resp.underflow_rows == 1
@@ -164,11 +154,10 @@ def test_e_step_rows_sum_to_one(seed, k):
     rng = np.random.default_rng(seed)
     cloud = PointCloud(rng.normal(scale=3.0, size=(rng.integers(1, 40), 3)))
     w = rng.dirichlet(np.ones(k))
-    model = Gmm(tuple(
-        GaussianComponent(w[j], rng.normal(scale=2.0, size=3),
-                          np.diag(rng.uniform(0.2, 2.0, size=3)))
-        for j in range(k)
-    ))
+    # draw order per component: its mean, then its covariance
+    means, covs = zip(*((rng.normal(scale=2.0, size=3), np.diag(rng.uniform(0.2, 2.0, size=3)))
+                        for _ in range(k)))
+    model = Gmm(w, means, covs)
     resp = e_step(cloud, model)
     assert np.max(np.abs(resp.gamma.sum(axis=1) - 1.0)) < 1e-9
     assert np.all(resp.gamma >= 0.0) and np.all(resp.gamma <= 1.0)
@@ -182,11 +171,10 @@ def test_m_step_all_ones_is_single_gaussian_mle():
     pts = rng.normal(scale=2.0, size=(40, 3))
     cloud = PointCloud(pts)
     model = m_step(cloud, Responsibilities(np.ones((40, 1))))
-    comp = model.components[0]
-    assert comp.weight == 1.0
-    np.testing.assert_allclose(comp.mean, pts.mean(axis=0), atol=1e-12)
+    assert model.weights[0] == 1.0
+    np.testing.assert_allclose(model.means[0], pts.mean(axis=0), atol=1e-12)
     diff = pts - pts.mean(axis=0)
-    np.testing.assert_allclose(comp.covariance, diff.T @ diff / 40, atol=1e-12)
+    np.testing.assert_allclose(model.covariances[0], diff.T @ diff / 40, atol=1e-12)
 
 
 def test_m_step_hard_assignment_gives_cluster_moments():
@@ -195,11 +183,12 @@ def test_m_step_hard_assignment_gives_cluster_moments():
     gamma[:50, 0] = 1.0
     gamma[50:, 1] = 1.0
     model = m_step(cloud, Responsibilities(gamma))
-    for comp, members in zip(model.components, (a, b)):
-        assert comp.weight == 0.5
-        np.testing.assert_allclose(comp.mean, members.mean(axis=0), atol=1e-12)
+    for weight, mean, cov, members in zip(model.weights, model.means, model.covariances,
+                                          (a, b)):
+        assert weight == 0.5
+        np.testing.assert_allclose(mean, members.mean(axis=0), atol=1e-12)
         diff = members - members.mean(axis=0)
-        np.testing.assert_allclose(comp.covariance, diff.T @ diff / 50, atol=1e-12)
+        np.testing.assert_allclose(cov, diff.T @ diff / 50, atol=1e-12)
 
 
 def test_m_step_soft_responsibilities_match_weighted_moments():
@@ -207,14 +196,14 @@ def test_m_step_soft_responsibilities_match_weighted_moments():
     pts = rng.normal(scale=2.0, size=(10, 3))
     gamma = rng.dirichlet(np.ones(2), size=10)
     model = m_step(PointCloud(pts), Responsibilities(gamma))
-    for j, comp in enumerate(model.components):
+    for j in range(model.k):
         mass = gamma[:, j].sum()
-        assert math.isclose(comp.weight, mass / 10.0, rel_tol=1e-12)
+        assert math.isclose(model.weights[j], mass / 10.0, rel_tol=1e-12)
         mean = gamma[:, j] @ pts / mass
-        np.testing.assert_allclose(comp.mean, mean, atol=1e-12)
+        np.testing.assert_allclose(model.means[j], mean, atol=1e-12)
         diff = pts - mean
         cov = (gamma[:, j][:, None] * diff).T @ diff / mass
-        np.testing.assert_allclose(comp.covariance, cov, atol=1e-12)
+        np.testing.assert_allclose(model.covariances[j], cov, atol=1e-12)
 
 
 def test_m_step_reseeds_collapsed_component():
@@ -225,10 +214,10 @@ def test_m_step_reseeds_collapsed_component():
     gamma[:, 0] = 1.0
     model = m_step(PointCloud(pts), Responsibilities(gamma))
     assert math.isclose(float(model.weights.sum()), 1.0, abs_tol=1e-12)
-    assert model.components[1].weight > 0.0
-    np.testing.assert_allclose(model.components[1].mean, pts[4], atol=1e-12)
+    assert model.weights[1] > 0.0
+    np.testing.assert_allclose(model.means[1], pts[4], atol=1e-12)
     data_cov = np.cov(pts.T, ddof=0)
-    np.testing.assert_allclose(model.components[1].covariance, data_cov, atol=1e-10)
+    np.testing.assert_allclose(model.covariances[1], data_cov, atol=1e-10)
 
 
 def test_m_step_shape_mismatch():
@@ -243,7 +232,7 @@ def test_m_step_weights_sum_to_one(seed, k):
     pts = rng.normal(scale=2.0, size=(n, 3))
     gamma = rng.dirichlet(np.ones(k), size=n)
     model = m_step(PointCloud(pts), Responsibilities(gamma))
-    assert abs(math.fsum(c.weight for c in model.components) - 1.0) < 1e-12
+    assert abs(math.fsum(model.weights.tolist()) - 1.0) < 1e-12
 
 
 # ------------------------------------------------------------- full EM
@@ -255,10 +244,10 @@ def test_fit_recovers_two_component_mixture():
     assert result.converged
     perm = best_match(result.model.means, RECOVERY_MEANS)
     for j, p in enumerate(perm):
-        comp = result.model.components[p]
-        assert float(np.linalg.norm(comp.mean - RECOVERY_MEANS[j])) < 0.1
-        assert abs(comp.weight - RECOVERY_WEIGHTS[j]) < 0.03
-        assert float(np.linalg.norm(comp.covariance - RECOVERY_COVS[j])) < 0.15
+        model = result.model
+        assert float(np.linalg.norm(model.means[p] - RECOVERY_MEANS[j])) < 0.1
+        assert abs(model.weights[p] - RECOVERY_WEIGHTS[j]) < 0.03
+        assert float(np.linalg.norm(model.covariances[p] - RECOVERY_COVS[j])) < 0.15
 
 
 def test_fit_is_self_consistent():
@@ -278,10 +267,9 @@ def test_fit_single_component_is_sample_moments():
     result = fit_em(PointCloud(pts), 1, FitConfig(seed=0))
     assert result.converged
     assert result.iterations <= 2
-    comp = result.model.components[0]
-    np.testing.assert_allclose(comp.mean, pts.mean(axis=0), atol=1e-10)
+    np.testing.assert_allclose(result.model.means[0], pts.mean(axis=0), atol=1e-10)
     diff = pts - pts.mean(axis=0)
-    np.testing.assert_allclose(comp.covariance, diff.T @ diff / 60, atol=1e-10)
+    np.testing.assert_allclose(result.model.covariances[0], diff.T @ diff / 60, atol=1e-10)
 
 
 def test_fit_trace_is_monotone():

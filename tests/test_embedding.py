@@ -23,7 +23,6 @@ from gmmcloud.embedding import (
     make_probe_set,
 )
 from gmmcloud.model import (
-    GaussianComponent,
     Gmm,
     GmmEnsemble,
     PointCloud,
@@ -37,7 +36,7 @@ UNIT_BOX = PointCloud(np.array([
 
 
 def isotropic_model(center):
-    return Gmm((GaussianComponent(1.0, np.asarray(center, dtype=float), np.eye(3)),))
+    return Gmm([1.0], [center], np.eye(3)[None])
 
 
 def random_embedding(rng, size=50):

@@ -1,4 +1,4 @@
-"""Product-manifold representation, geodesic laws, and interpolation."""
+"""Product-manifold geodesic laws, projection, matching, and interpolation."""
 
 import itertools
 import math
@@ -8,19 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assert_moments_close, random_gmm, random_spd
+from conftest import assert_moments_close, random_gmm, random_spd, unit_gmm
 from gmmcloud.em import FitConfig
 from gmmcloud.embedding import arc_distance, embed, make_probe_set
 from gmmcloud.geodesics import (
     DEFAULT_TS,
     InterpolationConfig,
-    ProductPoint,
     dominant_member,
-    gmm_to_product_point,
     interpolate_point_clouds,
     match_components,
     product_geodesic,
-    product_point_to_gmm,
     project_to_k,
     reorder_components,
     sphere_distance,
@@ -32,7 +29,6 @@ from gmmcloud.geodesics import (
 from gmmcloud.model import (
     DegenerateCovarianceError,
     EnsembleMember,
-    GaussianComponent,
     Gmm,
     GmmEnsemble,
     PointCloud,
@@ -46,71 +42,37 @@ def random_unit_nonneg(rng, k):
     return v / np.linalg.norm(v)
 
 
-def random_product_point(rng, k):
-    return gmm_to_product_point(random_gmm(rng, k))
-
-
-# -------------------------------------------------------- product point
-
-
-def test_product_point_validation():
-    with pytest.raises(ValueError, match="norm"):
-        ProductPoint(np.array([0.5, 0.5]), np.zeros((3, 2)),
-                     np.stack([np.eye(3), np.eye(3)]))
-    with pytest.raises(ValueError, match=">= 0"):
-        ProductPoint(np.array([-0.6, 0.8]), np.zeros((3, 2)),
-                     np.stack([np.eye(3), np.eye(3)]))
-    with pytest.raises(DegenerateCovarianceError):
-        ProductPoint(np.array([1.0]), np.zeros((3, 1)),
-                     np.zeros((1, 3, 3)))
+# ---------------------------------------------------- square-root weights
 
 
 def test_sqrt_weight_map():
-    model = Gmm((
-        GaussianComponent(0.25, np.zeros(3), np.eye(3)),
-        GaussianComponent(0.75, np.ones(3), np.eye(3)),
-    ))
-    point = gmm_to_product_point(model)
-    np.testing.assert_allclose(point.sqrt_weights, [0.5, math.sqrt(0.75)], atol=1e-15)
-    assert point.means.shape == (3, 2)
-    np.testing.assert_array_equal(point.means[:, 1], np.ones(3))
+    # sqrt weights (1/2, sqrt(3)/2) and (sqrt(3)/2, 1/2) sit at 60 and 30
+    # degrees on the circle; the path between them is the arc, so the
+    # weights at t are (cos^2, sin^2) of 60 - 30 t degrees
+    a = unit_gmm([0.25, 0.75], np.zeros((2, 3)))
+    b = unit_gmm([0.75, 0.25], np.ones((2, 3)))
+    for t in (0.25, 0.5, 0.75):
+        angle = math.radians(60.0 - 30.0 * t)
+        np.testing.assert_allclose(product_geodesic(a, b, t).weights,
+                                   [math.cos(angle) ** 2, math.sin(angle) ** 2], atol=1e-15)
 
 
 def test_uniform_weights_map_to_uniform_sphere_point():
     k = 4
-    model = Gmm(tuple(
-        GaussianComponent(0.25, np.array([float(j), 0.0, 0.0]), np.eye(3))
-        for j in range(k)
-    ))
-    point = gmm_to_product_point(model)
-    np.testing.assert_allclose(point.sqrt_weights, 0.5, atol=1e-15)
-
-
-def test_product_point_round_trip():
-    rng = np.random.default_rng(2)
-    model = random_gmm(rng, 3)
-    back = product_point_to_gmm(gmm_to_product_point(model))
-    np.testing.assert_allclose(back.weights, model.weights, atol=1e-14)
-    np.testing.assert_allclose(back.means, model.means, atol=1e-14)
-    np.testing.assert_allclose(back.covariances, model.covariances, atol=1e-14)
-    point = random_product_point(rng, 4)
-    again = gmm_to_product_point(product_point_to_gmm(point))
-    np.testing.assert_allclose(again.sqrt_weights, point.sqrt_weights, atol=1e-14)
-    np.testing.assert_allclose(again.means, point.means, atol=1e-14)
-    np.testing.assert_allclose(again.covariances, point.covariances, atol=1e-14)
+    a = unit_gmm(np.full(k, 0.25), [[float(j), 0.0, 0.0] for j in range(k)])
+    b = unit_gmm(np.full(k, 0.25), [[0.0, float(j), 0.0] for j in range(k)])
+    np.testing.assert_allclose(product_geodesic(a, b, 0.4).weights, 0.25, atol=1e-15)
 
 
 def test_zero_weight_component_survives_round_trip():
-    point = ProductPoint(np.array([1.0, 0.0]),
-                         np.array([[0.0, 5.0], [0.0, 0.0], [0.0, 0.0]]),
-                         np.stack([np.eye(3), np.eye(3)]))
-    model = product_point_to_gmm(point)
+    a = unit_gmm([1.0, 0.0], [[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+    b = unit_gmm([1.0, 0.0], [[0.0, 1.0, 0.0], [5.0, 1.0, 0.0]])
+    model = product_geodesic(a, b, 0.5)
     assert model.k == 2
-    assert model.components[0].weight == 1.0
-    assert model.components[1].weight == 0.0
-    half = ProductPoint(np.full(2, 1.0 / math.sqrt(2.0)),
-                        np.zeros((3, 2)), np.stack([np.eye(3), np.eye(3)]))
-    np.testing.assert_allclose(product_point_to_gmm(half).weights, 0.5, atol=1e-15)
+    assert model.weights[0] == 1.0
+    assert model.weights[1] == 0.0
+    half = unit_gmm([0.5, 0.5], np.zeros((2, 3)))
+    np.testing.assert_allclose(product_geodesic(half, half, 0.5).weights, 0.5, atol=1e-15)
 
 
 # ----------------------------------------------------------- projection
@@ -128,13 +90,12 @@ def test_project_identity():
 def test_project_merge_formula():
     m1, m2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0])
     s1, s2 = np.diag([1.0, 2.0, 3.0]), np.eye(3)
-    model = Gmm((GaussianComponent(0.5, m1, s1), GaussianComponent(0.5, m2, s2)))
-    merged = project_to_k(model, 1).components[0]
-    assert merged.weight == 1.0
-    np.testing.assert_allclose(merged.mean, 0.5 * (m1 + m2), atol=1e-15)
+    merged = project_to_k(Gmm([0.5, 0.5], [m1, m2], [s1, s2]), 1)
+    assert merged.weights[0] == 1.0
+    np.testing.assert_allclose(merged.means[0], 0.5 * (m1 + m2), atol=1e-15)
     d = m1 - m2
     expected = 0.5 * (s1 + s2) + 0.25 * np.outer(d, d)
-    np.testing.assert_allclose(merged.covariance, expected, atol=1e-14)
+    np.testing.assert_allclose(merged.covariances[0], expected, atol=1e-14)
 
 
 def test_project_preserves_mixture_moments():
@@ -150,11 +111,7 @@ def test_project_preserves_mixture_moments():
 
 
 def test_project_merges_nearest_pair_first():
-    model = Gmm((
-        GaussianComponent(0.25, np.array([0.0, 0.0, 0.0]), np.eye(3)),
-        GaussianComponent(0.25, np.array([0.1, 0.0, 0.0]), np.eye(3)),
-        GaussianComponent(0.5, np.array([50.0, 0.0, 0.0]), np.eye(3)),
-    ))
+    model = unit_gmm([0.25, 0.25, 0.5], [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [50.0, 0.0, 0.0]])
     reduced = project_to_k(model, 2)
     means = np.sort(reduced.means[:, 0])
     np.testing.assert_allclose(means, [0.05, 50.0], atol=1e-12)
@@ -174,7 +131,7 @@ def test_project_rejects_bad_targets():
 def test_match_identity_and_reversal():
     model = random_gmm(np.random.default_rng(7), 4)
     np.testing.assert_array_equal(match_components(model, model), np.arange(4))
-    reversed_model = Gmm(tuple(reversed(model.components)))
+    reversed_model = Gmm(model.weights[::-1], model.means[::-1], model.covariances[::-1])
     np.testing.assert_array_equal(match_components(model, reversed_model),
                                   np.array([3, 2, 1, 0]))
 
@@ -205,7 +162,9 @@ def test_match_requires_equal_counts():
 def test_reorder_components():
     model = random_gmm(np.random.default_rng(11), 3)
     swapped = reorder_components(model, [2, 0, 1])
-    assert swapped.components[0] is model.components[2]
+    for got, original in ((swapped.weights, model.weights), (swapped.means, model.means),
+                          (swapped.covariances, model.covariances)):
+        np.testing.assert_array_equal(got, original[[2, 0, 1]])
     with pytest.raises(ValueError, match="permutation"):
         reorder_components(model, [0, 0, 1])
 
@@ -327,24 +286,24 @@ def test_spd_rejects_non_spd_input():
 
 def test_product_geodesic_endpoints_and_midpoint():
     rng = np.random.default_rng(20)
-    p1, p2 = random_product_point(rng, 3), random_product_point(rng, 3)
-    start = product_geodesic(p1, p2, 0.0)
-    end = product_geodesic(p1, p2, 1.0)
-    np.testing.assert_allclose(start.sqrt_weights, p1.sqrt_weights, atol=1e-10)
-    np.testing.assert_allclose(start.means, p1.means, atol=1e-10)
-    np.testing.assert_allclose(start.covariances, p1.covariances, atol=1e-10)
-    np.testing.assert_allclose(end.sqrt_weights, p2.sqrt_weights, atol=1e-10)
-    np.testing.assert_allclose(end.means, p2.means, atol=1e-10)
-    np.testing.assert_allclose(end.covariances, p2.covariances, atol=1e-10)
-    mid = product_geodesic(p1, p2, 0.5)
-    np.testing.assert_array_equal(mid.means, 0.5 * p1.means + 0.5 * p2.means)
+    a, b = random_gmm(rng, 3), random_gmm(rng, 3)
+    start = product_geodesic(a, b, 0.0)
+    end = product_geodesic(a, b, 1.0)
+    np.testing.assert_allclose(np.sqrt(start.weights), np.sqrt(a.weights), atol=1e-10)
+    np.testing.assert_allclose(start.means, a.means, atol=1e-10)
+    np.testing.assert_allclose(start.covariances, a.covariances, atol=1e-10)
+    np.testing.assert_allclose(np.sqrt(end.weights), np.sqrt(b.weights), atol=1e-10)
+    np.testing.assert_allclose(end.means, b.means, atol=1e-10)
+    np.testing.assert_allclose(end.covariances, b.covariances, atol=1e-10)
+    mid = product_geodesic(a, b, 0.5)
+    np.testing.assert_array_equal(mid.means, 0.5 * a.means + 0.5 * b.means)
 
 
 def test_product_geodesic_constant_path():
-    p = random_product_point(np.random.default_rng(21), 2)
+    p = random_gmm(np.random.default_rng(21), 2)
     for t in (0.0, 0.3, 1.0):
         q = product_geodesic(p, p, t)
-        np.testing.assert_allclose(q.sqrt_weights, p.sqrt_weights, atol=1e-12)
+        np.testing.assert_allclose(np.sqrt(q.weights), np.sqrt(p.weights), atol=1e-12)
         np.testing.assert_allclose(q.means, p.means, atol=1e-12)
         np.testing.assert_allclose(q.covariances, p.covariances, atol=1e-10)
 
@@ -352,7 +311,7 @@ def test_product_geodesic_constant_path():
 def test_product_geodesic_rejects_mismatched_k():
     rng = np.random.default_rng(22)
     with pytest.raises(ValueError, match="differ"):
-        product_geodesic(random_product_point(rng, 2), random_product_point(rng, 3), 0.5)
+        product_geodesic(random_gmm(rng, 2), random_gmm(rng, 3), 0.5)
 
 
 # -------------------------------------------------------- interpolation

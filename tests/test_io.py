@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from gmmcloud.io import (
     FileFormatError,
     FitMetadata,
     SCHEMA_VERSION,
-    emit_svg,
     emit_svg_filmstrip,
     format_aic_table,
     load_embeddings,
@@ -27,7 +27,6 @@ from gmmcloud.io import (
 from gmmcloud.model import (
     DegenerateCovarianceError,
     EnsembleMember,
-    GaussianComponent,
     Gmm,
     GmmEnsemble,
     PointCloud,
@@ -46,13 +45,10 @@ def messy_cloud(label=None):
 
 def two_member_ensemble():
     p2 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
-    model1 = Gmm((GaussianComponent(
-        1.0, np.array([math.pi, 0.0, -1.5]),
-        np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.2]])),))
-    model2 = Gmm((
-        GaussianComponent(1.0 / 3.0, np.zeros(3), np.eye(3)),
-        GaussianComponent(2.0 / 3.0, np.full(3, math.e), 0.5 * np.eye(3)),
-    ))
+    model1 = Gmm([1.0], [[math.pi, 0.0, -1.5]],
+                 [[[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.2]]])
+    model2 = Gmm([1.0 / 3.0, 2.0 / 3.0], [np.zeros(3), np.full(3, math.e)],
+                 [np.eye(3), 0.5 * np.eye(3)])
     ensemble = GmmEnsemble((EnsembleMember(1.0 - p2, model1), EnsembleMember(p2, model2)))
     table = AicTable((
         AicRow(1, 100.0, 1.0, True),
@@ -234,6 +230,51 @@ def test_model_file_rejects_degenerate_covariance(tmp_path):
         load_model(model_path)
 
 
+def _without_ensemble(obj):
+    del obj["ensemble"]
+    return obj
+
+
+def _without_means(obj):
+    del obj["ensemble"][1]["model"]["means"]
+    return obj
+
+
+@pytest.mark.parametrize("change, message", [
+    (_without_ensemble, "missing field 'ensemble'"),
+    (_without_means, "missing field 'means'"),
+    (lambda obj: [obj], "expected a JSON object, got list"),
+    (lambda obj: {**obj, "ensemble": 5}, "malformed field"),
+    (lambda obj: {**obj, "metadata": []}, "malformed field"),
+    (lambda obj: json.dumps(obj)[:-9], "not valid JSON"),
+], ids=["no-ensemble", "model-without-means", "top-level-list", "ensemble-not-a-list",
+        "metadata-not-an-object", "truncated"])
+def test_model_file_malformed_json_raises_file_format_error(tmp_path, change, message):
+    path = str(tmp_path / "model.json")
+    ensemble, table = two_member_ensemble()
+    save_model(path, ensemble, table, FitMetadata(0, 1e-6, 200, 4, (1, 2), 5))
+    obj = change(json.load(open(path)))
+    open(path, "w").write(obj if isinstance(obj, str) else json.dumps(obj))
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
+        load_model(path)
+
+
+def test_probe_and_embedding_files_reject_malformed_json(tmp_path):
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    for load in (load_probe_set, load_embeddings):
+        with pytest.raises(FileFormatError, match="expected a JSON object"):
+            load(str(listed))
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps({"schema_version": "1", "kind": "probe_set", "seed": 0}))
+    with pytest.raises(FileFormatError, match="missing field 'bounds'"):
+        load_probe_set(str(probes))
+    embeddings = tmp_path / "emb.json"
+    embeddings.write_text(json.dumps({"schema_version": "1", "kind": "embeddings"}))
+    with pytest.raises(FileFormatError, match="missing field 'entries'"):
+        load_embeddings(str(embeddings))
+
+
 def test_probe_set_round_trip(tmp_path):
     path = str(tmp_path / "probes.json")
     probes = make_probe_set([messy_cloud()], seed=17, count=64)
@@ -282,7 +323,7 @@ def test_format_aic_table():
 
 def test_svg_one_marker_per_point(tmp_path):
     path = str(tmp_path / "plot.svg")
-    emit_svg([(PointCloud(np.array([[0.0, 0.0, 0.0]])), "#204080")], path)
+    emit_svg_filmstrip([("t=0", PointCloud(np.array([[0.0, 0.0, 0.0]])), "#204080")], path)
     text = open(path).read()
     assert text.count("<circle") == 1
     assert text.startswith("<svg ")
@@ -295,29 +336,31 @@ def test_svg_projection_drops_the_third_axis(tmp_path):
     shifted = base.copy()
     shifted[:, 2] += rng.normal(size=40)
     a, b = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
-    emit_svg([(PointCloud(base), "#111111")], a, projection="xy")
-    emit_svg([(PointCloud(shifted), "#111111")], b, projection="xy")
+    emit_svg_filmstrip([("t=0", PointCloud(base), "#111111")], a, projection="xy")
+    emit_svg_filmstrip([("t=0", PointCloud(shifted), "#111111")], b, projection="xy")
     assert open(a, "rb").read() == open(b, "rb").read()
     # yz keeps z, so the same pair now differs
-    emit_svg([(PointCloud(base), "#111111")], a, projection="yz")
-    emit_svg([(PointCloud(shifted), "#111111")], b, projection="yz")
+    emit_svg_filmstrip([("t=0", PointCloud(base), "#111111")], a, projection="yz")
+    emit_svg_filmstrip([("t=0", PointCloud(shifted), "#111111")], b, projection="yz")
     assert open(a, "rb").read() != open(b, "rb").read()
 
 
 def test_svg_is_byte_deterministic(tmp_path):
     cloud = PointCloud(np.random.default_rng(9).normal(size=(25, 3)))
     a, b = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
-    emit_svg([(cloud, "#807020"), (messy_cloud(), "#102030")], a)
-    emit_svg([(cloud, "#807020"), (messy_cloud(), "#102030")], b)
+    # one panel holding both the plain and the extreme coordinates
+    panel = ("t=0", PointCloud(np.vstack([cloud.points, messy_cloud().points])), "#807020")
+    emit_svg_filmstrip([panel], a)
+    emit_svg_filmstrip([panel], b)
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
 def test_svg_input_checks(tmp_path):
     path = str(tmp_path / "plot.svg")
     with pytest.raises(ValueError, match="at least one"):
-        emit_svg([], path)
+        emit_svg_filmstrip([], path)
     with pytest.raises(ValueError, match="projection"):
-        emit_svg([(messy_cloud(), "#000000")], path, projection="zz")
+        emit_svg_filmstrip([("t=0", messy_cloud(), "#000000")], path, projection="zz")
 
 
 def test_filmstrip_panels_and_determinism(tmp_path):

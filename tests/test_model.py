@@ -1,6 +1,8 @@
 """Core types and density evaluation against analytic oracles."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,11 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from conftest import random_gmm, random_rotation, random_spd, sample_mixture
+from conftest import random_gmm, random_rotation, random_spd, sample_mixture, unit_gmm
+from gmmcloud.em import Responsibilities
+from gmmcloud.embedding import SphereEmbedding, make_probe_set
 from gmmcloud.model import (
     DegenerateCovarianceError,
     EnsembleMember,
-    GaussianComponent,
     Gmm,
     GmmEnsemble,
     WEIGHT_SUM_TOL,
@@ -20,7 +23,6 @@ from gmmcloud.model import (
     covariance_floor,
     ensemble_log_density,
     floor_spd,
-    gaussian_density,
     gaussian_log_density,
     gmm_density,
     gmm_log_density,
@@ -31,8 +33,9 @@ from gmmcloud.model import (
 STANDARD_PEAK = (2.0 * math.pi) ** -1.5
 
 
-def standard_component(mean=(0.0, 0.0, 0.0), weight=1.0):
-    return GaussianComponent(weight, np.array(mean), np.eye(3))
+def density(x, mean, cov):
+    """Density of N(mean, cov) at the single point x."""
+    return float(np.exp(gaussian_log_density(np.reshape(x, (1, 3)), mean, cov)[0]))
 
 
 def univariate(x, mu, var):
@@ -64,44 +67,46 @@ def test_point_cloud_rejects_bad_input(bad):
 
 def test_component_rejects_negative_weight():
     with pytest.raises(ValueError, match="weight"):
-        GaussianComponent(-0.1, np.zeros(3), np.eye(3))
+        Gmm([-0.1, 1.1], np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
 
 
 def test_component_allows_zero_weight():
-    assert standard_component(weight=0.0).weight == 0.0
+    assert unit_gmm((0.0, 1.0), np.zeros((2, 3))).weights[0] == 0.0
 
 
 def test_component_symmetrizes_tiny_asymmetry():
     cov = np.eye(3)
     cov[0, 1] = 1e-13
-    comp = GaussianComponent(1.0, np.zeros(3), cov)
-    assert np.array_equal(comp.covariance, comp.covariance.T)
+    model = Gmm([1.0], np.zeros((1, 3)), cov[None])
+    assert np.array_equal(model.covariances[0], model.covariances[0].T)
 
 
 def test_component_rejects_large_asymmetry():
     cov = np.eye(3)
     cov[0, 1] = 1e-6
     with pytest.raises(DegenerateCovarianceError, match="asymmetry"):
-        GaussianComponent(1.0, np.zeros(3), cov)
+        Gmm([1.0], np.zeros((1, 3)), cov[None])
 
 
 def test_component_rejects_non_spd_with_eigenvalue():
     with pytest.raises(DegenerateCovarianceError, match="degenerate covariance"):
-        GaussianComponent(1.0, np.zeros(3), np.diag([1.0, 1.0, 0.0]))
+        Gmm([1.0], np.zeros((1, 3)), np.diag([1.0, 1.0, 0.0])[None])
 
 
 def test_gmm_requires_normalized_weights():
-    good = Gmm((standard_component(weight=0.5), standard_component((1, 0, 0), 0.5)))
+    pair = ((0, 0, 0), (1, 0, 0))
+    good = unit_gmm((0.5, 0.5), pair)
     assert good.k == 2
     with pytest.raises(ValueError, match="sum"):
-        Gmm((standard_component(weight=0.5), standard_component((1, 0, 0), 0.6)))
+        unit_gmm((0.5, 0.6), pair)
 
 
 def test_gmm_weight_tolerance_is_tight():
     eps = 2e-9
+    pair = ((0, 0, 0), (1, 0, 0))
     with pytest.raises(ValueError):
-        Gmm((standard_component(weight=0.5), standard_component((1, 0, 0), 0.5 + eps)))
-    Gmm((standard_component(weight=0.5), standard_component((1, 0, 0), 0.5 + 4e-10)))
+        unit_gmm((0.5, 0.5 + eps), pair)
+    unit_gmm((0.5, 0.5 + 4e-10), pair)
 
 
 def stacked_arrays(k=3):
@@ -113,14 +118,12 @@ def stacked_arrays(k=3):
 
 def test_gmm_from_arrays_matches_components():
     weights, means, covs = stacked_arrays()
-    model = Gmm.from_arrays(weights, means, covs)
+    model = Gmm(weights, means, covs)
     assert model.k == 3
     for arr, expected in ((model.weights, weights), (model.means, means),
                           (model.covariances, covs)):
         np.testing.assert_array_equal(arr, expected)
         assert not arr.flags.writeable
-    assert model.components is model.components
-    np.testing.assert_array_equal(model.components[1].mean, means[1])
 
 
 def _not_spd_at_one(covs):
@@ -138,7 +141,7 @@ def _not_spd_at_one(covs):
 ], ids=["means-k-by-2", "covariances-k-minus-1", "weight-sum", "one-not-spd"])
 def test_gmm_from_arrays_rejects_bad_input(change, error, match):
     with pytest.raises(error, match=match):
-        Gmm.from_arrays(*change(*stacked_arrays()))
+        Gmm(*change(*stacked_arrays()))
 
 
 def test_gmm_array_views():
@@ -149,16 +152,36 @@ def test_gmm_array_views():
     assert math.isclose(float(model.weights.sum()), 1.0, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: random_gmm(np.random.default_rng(0), 3),
+    lambda: PointCloud(np.eye(3), label="demented"),
+    lambda: make_probe_set([PointCloud(np.eye(3))], seed=0, count=8),
+    lambda: SphereEmbedding(np.full(4, 0.5)),
+    lambda: Responsibilities(np.array([[0.25, 0.75], [1.0, 0.0]]), 1),
+], ids=["Gmm", "PointCloud", "ProbeSet", "SphereEmbedding", "Responsibilities"])
+def test_pickle_round_trip_keeps_arrays_read_only(make):
+    original = make()
+    copy = pickle.loads(pickle.dumps(original))
+    assert type(copy) is type(original)
+    for f in dataclasses.fields(original):
+        got, expected = getattr(copy, f.name), getattr(original, f.name)
+        if isinstance(expected, np.ndarray):
+            np.testing.assert_array_equal(got, expected)
+            assert not got.flags.writeable, f.name
+        else:
+            assert got == expected
+
+
 def test_ensemble_requires_distinct_component_counts():
-    m1 = Gmm((standard_component(),))
-    m2 = Gmm((standard_component(weight=0.5), standard_component((1, 0, 0), 0.5)))
+    m1 = unit_gmm()
+    m2 = unit_gmm((0.5, 0.5), ((0, 0, 0), (1, 0, 0)))
     GmmEnsemble((EnsembleMember(0.3, m1), EnsembleMember(0.7, m2)))
     with pytest.raises(ValueError, match="distinct"):
         GmmEnsemble((EnsembleMember(0.3, m1), EnsembleMember(0.7, m1)))
 
 
 def test_ensemble_requires_positive_normalized_weights():
-    m1 = Gmm((standard_component(),))
+    m1 = unit_gmm()
     with pytest.raises(ValueError):
         EnsembleMember(0.0, m1)
     with pytest.raises(ValueError, match="sum"):
@@ -171,20 +194,19 @@ def test_ensemble_requires_positive_normalized_weights():
 
 
 def test_standard_density_at_mean():
-    d = gaussian_density(np.zeros(3), standard_component())
+    d = density(np.zeros(3), np.zeros(3), np.eye(3))
     assert math.isclose(d, STANDARD_PEAK, rel_tol=1e-13)
     assert abs(d - 0.0634936) < 1e-7
 
 
 def test_standard_density_at_unit_displacement():
-    d = gaussian_density(np.array([1.0, 0.0, 0.0]), standard_component())
+    d = density(np.array([1.0, 0.0, 0.0]), np.zeros(3), np.eye(3))
     assert math.isclose(d, STANDARD_PEAK * math.exp(-0.5), rel_tol=1e-13)
     assert abs(d - 0.0385108) < 1e-7
 
 
 def test_diagonal_density_matches_univariate_product():
-    comp = GaussianComponent(1.0, np.array([0.0, 1.0, 1.0]), np.diag([1.0, 2.0, 4.0]))
-    d = gaussian_density(np.array([1.0, 2.0, 3.0]), comp)
+    d = density(np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 1.0]), np.diag([1.0, 2.0, 4.0]))
     oracle = univariate(1, 0, 1) * univariate(2, 1, 2) * univariate(3, 1, 4)
     assert math.isclose(d, oracle, rel_tol=1e-13)
 
@@ -201,24 +223,19 @@ def test_rotation_invariance():
         mean = rng.normal(size=3)
         cov = random_spd(rng)
         x = rng.normal(size=3)
-        d = gaussian_density(x, GaussianComponent(1.0, mean, cov))
-        d_rot = gaussian_density(rot @ x,
-                                 GaussianComponent(1.0, rot @ mean, rot @ cov @ rot.T))
+        d = density(x, mean, cov)
+        d_rot = density(rot @ x, rot @ mean, rot @ cov @ rot.T)
         assert math.isclose(d, d_rot, rel_tol=1e-10)
 
 
 def test_single_component_mixture_reduces():
-    comp = standard_component()
-    model = Gmm((comp,))
+    model = unit_gmm()
     x = np.array([0.3, -0.2, 1.1])
-    assert gmm_density(x, model) == gaussian_density(x, comp)
+    assert gmm_density(x, model) == density(x, model.means[0], model.covariances[0])
 
 
 def test_symmetric_two_component_mixture():
-    model = Gmm((
-        GaussianComponent(0.5, np.array([1.0, 0.0, 0.0]), np.eye(3)),
-        GaussianComponent(0.5, np.array([-1.0, 0.0, 0.0]), np.eye(3)),
-    ))
+    model = unit_gmm((0.5, 0.5), ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)))
     d = gmm_density(np.zeros(3), model)
     assert math.isclose(d, STANDARD_PEAK * math.exp(-0.5), rel_tol=1e-13)
     assert abs(d - 0.0385108) < 1e-7
@@ -229,7 +246,8 @@ def test_mixture_density_matches_termwise_sum():
     model = random_gmm(rng, 3)
     for _ in range(10):
         x = rng.normal(scale=3.0, size=3)
-        oracle = math.fsum(c.weight * gaussian_density(x, c) for c in model.components)
+        oracle = math.fsum(w * density(x, m, c) for w, m, c in
+                           zip(model.weights, model.means, model.covariances))
         assert math.isclose(gmm_density(x, model), oracle, rel_tol=1e-12)
 
 
@@ -237,14 +255,15 @@ def test_mixture_density_matches_termwise_sum():
 def test_mixture_density_is_permutation_invariant(seed, k):
     rng = np.random.default_rng(seed)
     model = random_gmm(rng, k)
-    shuffled = Gmm(tuple(model.components[j] for j in rng.permutation(k)))
+    perm = rng.permutation(k)
+    shuffled = Gmm(model.weights[perm], model.means[perm], model.covariances[perm])
     x = rng.normal(scale=3.0, size=3)
     assert gmm_density(x, model) == gmm_density(x, shuffled)
 
 
 def test_log_likelihood_of_point_at_mean():
     cloud = PointCloud(np.zeros((1, 3)))
-    ll = gmm_log_likelihood(cloud, Gmm((standard_component(),)))
+    ll = gmm_log_likelihood(cloud, unit_gmm())
     assert math.isclose(ll, -1.5 * math.log(2.0 * math.pi), rel_tol=1e-13)
     assert abs(ll - (-2.7568)) < 1e-4
 
@@ -272,7 +291,7 @@ def test_log_likelihood_matches_naive_summation():
 
 def test_log_likelihood_survives_far_outlier():
     cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]]))
-    ll = gmm_log_likelihood(cloud, Gmm((standard_component(),)))
+    ll = gmm_log_likelihood(cloud, unit_gmm())
     assert math.isfinite(ll)
     assert math.isclose(ll, -3.0 * math.log(2.0 * math.pi) - 0.5 * 2500.0, rel_tol=1e-12)
 

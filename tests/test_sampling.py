@@ -8,7 +8,6 @@ import pytest
 from conftest import assert_moments_close, sample_mixture
 from gmmcloud.model import (
     EnsembleMember,
-    GaussianComponent,
     Gmm,
     GmmEnsemble,
     PointCloud,
@@ -20,15 +19,12 @@ from gmmcloud.sampling import (
     mixture_moments,
     sample_assignments,
     sample_categorical,
-    sample_gaussian,
 )
 
 
 def uniform_gmm(k, spacing=3.0):
-    return Gmm(tuple(
-        GaussianComponent(1.0 / k, np.array([spacing * j, 0.0, 0.0]), np.eye(3))
-        for j in range(k)
-    ))
+    return Gmm(np.full(k, 1.0 / k), [[spacing * j, 0.0, 0.0] for j in range(k)],
+               [np.eye(3)] * k)
 
 
 # -------------------------------------------------------------- streams
@@ -98,17 +94,19 @@ def test_categorical_scalar_type():
 # ------------------------------------------------------------- gaussian
 
 
+def single_gaussian(mean, cov):
+    return GmmEnsemble.single(Gmm([1.0], [mean], [cov]))
+
+
 def test_gaussian_draw_moments():
-    comp = GaussianComponent(1.0, np.array([5.0, 5.0, 5.0]), np.eye(3))
-    rng = RngStream(4, 0)
-    draws = np.array([sample_gaussian(comp, rng) for _ in range(100_000)])
+    ensemble = single_gaussian([5.0, 5.0, 5.0], np.eye(3))
+    draws = generate_point_cloud(ensemble, 100_000, RngStream(4, 0)).points
     assert np.max(np.abs(draws.mean(axis=0) - 5.0)) < 0.02
 
 
 def test_gaussian_draw_variance():
-    comp = GaussianComponent(1.0, np.zeros(3), np.diag([4.0, 1.0, 1.0]))
-    rng = RngStream(5, 0)
-    draws = np.array([sample_gaussian(comp, rng) for _ in range(100_000)])
+    ensemble = single_gaussian(np.zeros(3), np.diag([4.0, 1.0, 1.0]))
+    draws = generate_point_cloud(ensemble, 100_000, RngStream(5, 0)).points
     var = float(draws[:, 0].var())
     assert 3.8 <= var <= 4.2
 
@@ -125,8 +123,8 @@ def test_assignment_law_matches_hierarchy():
     n = 1_000_000
     member_idx, component_idx = sample_assignments(ensemble, n, RngStream(42, 0))
     for k, member in enumerate(ensemble.members):
-        for j, comp in enumerate(member.model.components):
-            p = ensemble.members[k].weight * comp.weight
+        for j, weight in enumerate(member.model.weights):
+            p = ensemble.members[k].weight * weight
             freq = float(np.mean((member_idx == k) & (component_idx == j)))
             sigma = math.sqrt(p * (1.0 - p) / n)
             assert abs(freq - p) < 4.0 * sigma, (k, j, freq, p)
@@ -156,10 +154,8 @@ def test_generate_is_deterministic_per_stream():
 
 
 def test_generated_cloud_matches_known_mixture_moments():
-    model = Gmm((
-        GaussianComponent(0.3, np.array([1.0, 0.0, 0.0]), np.diag([1.0, 2.0, 3.0])),
-        GaussianComponent(0.7, np.array([-1.0, 2.0, 0.0]), np.eye(3)),
-    ))
+    model = Gmm([0.3, 0.7], [[1.0, 0.0, 0.0], [-1.0, 2.0, 0.0]],
+                [np.diag([1.0, 2.0, 3.0]), np.eye(3)])
     cloud = generate_point_cloud(GmmEnsemble.single(model), 200_000, RngStream(8, 0))
     mean, cov = mixture_moments(model)
     assert float(np.linalg.norm(cloud.points.mean(axis=0) - mean)) < 0.02
@@ -178,10 +174,8 @@ def test_regenerated_tube_matches_training_moments(fitted_tube):
 
 
 def test_mixture_moments_against_oracle_sampling():
-    model = Gmm((
-        GaussianComponent(0.3, np.array([1.0, 0.0, 0.0]), np.diag([1.0, 2.0, 3.0])),
-        GaussianComponent(0.7, np.array([-1.0, 2.0, 0.0]), np.eye(3)),
-    ))
+    model = Gmm([0.3, 0.7], [[1.0, 0.0, 0.0], [-1.0, 2.0, 0.0]],
+                [np.diag([1.0, 2.0, 3.0]), np.eye(3)])
     mean, cov = mixture_moments(model)
     rng = np.random.default_rng(51)
     pts = sample_mixture(rng, 200_000, model.weights, model.means, model.covariances)
@@ -198,11 +192,10 @@ def test_ensemble_moments_blend_members():
     mean, cov = ensemble_moments(ensemble)
     # oracle: expand the ensemble into one flat mixture and reuse the
     # single-mixture moment formula
-    flat = []
-    for member in ensemble.members:
-        for comp in member.model.components:
-            flat.append(GaussianComponent(member.weight * comp.weight, comp.mean,
-                                          comp.covariance))
-    flat_mean, flat_cov = mixture_moments(Gmm(tuple(flat)))
+    members = ensemble.members
+    flat = Gmm(np.concatenate([m.weight * m.model.weights for m in members]),
+               np.concatenate([m.model.means for m in members]),
+               np.concatenate([m.model.covariances for m in members]))
+    flat_mean, flat_cov = mixture_moments(flat)
     np.testing.assert_allclose(mean, flat_mean, atol=1e-12)
     np.testing.assert_allclose(cov, flat_cov, atol=1e-12)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import recovery_cloud
 from gmmcloud.em import FitConfig, FitError
-from gmmcloud.model import GaussianComponent, Gmm, PointCloud
+from gmmcloud.model import Gmm, PointCloud
 from gmmcloud.selection import (
     AicRow,
     AicTable,
@@ -25,10 +25,7 @@ from gmmcloud.selection import (
 
 
 def point_model(x, k=1):
-    return Gmm(tuple(
-        GaussianComponent(1.0 / k, np.array([x, float(j), 0.0]), np.eye(3))
-        for j in range(k)
-    ))
+    return Gmm(np.full(k, 1.0 / k), [[x, float(j), 0.0] for j in range(k)], [np.eye(3)] * k)
 
 
 def test_parameter_count():
@@ -112,8 +109,8 @@ def test_ensemble_from_scored_models_renormalizes():
     assert math.isclose(ensemble.members[0].weight, p1, rel_tol=1e-12)
     assert math.isclose(ensemble.members[1].weight, p2, rel_tol=1e-12)
     # the kept members are the low-AIC models, matched by position
-    assert ensemble.members[0].model.components[0].mean[0] == 0.0
-    assert ensemble.members[1].model.components[0].mean[0] == 1.0
+    assert ensemble.members[0].model.means[0, 0] == 0.0
+    assert ensemble.members[1].model.means[0, 0] == 1.0
     assert abs(math.fsum(m.weight for m in ensemble.members) - 1.0) < 1e-12
 
 
