@@ -56,6 +56,18 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise click.BadParameter(f"expected a comma-separated number list, got {text!r}")
 
 
+def _load(loader, path):
+    """Read a file with one of the io loaders; a file it rejects becomes a
+    one-line CLI error that names the file, instead of a traceback."""
+    try:
+        return loader(path)
+    except ValueError as exc:
+        message = str(exc)
+        if not message.startswith(f"{path}:"):
+            message = f"{path}: {message}"
+        raise click.ClickException(message) from None
+
+
 @click.group()
 def main():
     """Fit, sample, interpolate, embed, and classify 3D point-cloud shapes."""
@@ -71,7 +83,7 @@ def main():
               help="Output model file (JSON).")
 def fit(cloud_path, ks, seed, tol, center, out):
     """Fit an AIC-weighted mixture ensemble to a point cloud."""
-    cloud = read_point_cloud(cloud_path)
+    cloud = _load(read_point_cloud, cloud_path)
     offset = None
     if center:
         offset = cloud.points.mean(axis=0)
@@ -103,7 +115,7 @@ def fit(cloud_path, ks, seed, tol, center, out):
               help="Output cloud file (.xyz or .csv).")
 def sample(model_path, n, seed, out):
     """Draw a new point cloud from a fitted model file."""
-    loaded = load_model(model_path)
+    loaded = _load(load_model, model_path)
     count = n if n is not None else loaded.metadata.training_n
     cloud = generate_point_cloud(loaded.ensemble, count, RngStream(seed, 0),
                                  label=loaded.metadata.label)
@@ -127,8 +139,8 @@ def sample(model_path, n, seed, out):
               help="Output directory for frames and filmstrip.")
 def interpolate(cloud_a, cloud_b, ts, n, ks, seed, out):
     """Morph between two clouds along the product-manifold geodesic."""
-    x = read_point_cloud(cloud_a)
-    y = read_point_cloud(cloud_b)
+    x = _load(read_point_cloud, cloud_a)
+    y = _load(read_point_cloud, cloud_b)
     config = InterpolationConfig(
         candidate_ks=_parse_ints(ks) if ks else None,
         fit=FitConfig(seed=seed),
@@ -176,7 +188,7 @@ def synth(class_label, n, seed, outliers, out):
               help="Output probe-set file (JSON).")
 def probes(cloud_paths, seed, count, out):
     """Draw a shared probe set over the bounding box of the given clouds."""
-    clouds = [read_point_cloud(p) for p in cloud_paths]
+    clouds = [_load(read_point_cloud, p) for p in cloud_paths]
     save_probe_set(out, make_probe_set(clouds, seed, count))
     click.echo(f"wrote {count} probes to {out}")
 
@@ -190,10 +202,10 @@ def probes(cloud_paths, seed, count, out):
               help="Output embeddings file (JSON).")
 def embed(model_paths, probes_path, out):
     """Embed fitted models on the unit hypersphere via probe densities."""
-    probe_set = load_probe_set(probes_path)
+    probe_set = _load(load_probe_set, probes_path)
     entries = []
     for path in model_paths:
-        loaded = load_model(path)
+        loaded = _load(load_model, path)
         entries.append((embed_model(loaded.ensemble, probe_set),
                         loaded.metadata.label, os.path.basename(path)))
     save_embeddings(out, entries)
@@ -211,11 +223,11 @@ def embed(model_paths, probes_path, out):
               help="Label treated as the positive class in the metrics.")
 def classify(train_path, test_path, positive):
     """1-NN classify embeddings and report accuracy per class."""
-    train = [(emb, label) for emb, label, _ in load_embeddings(train_path)
+    train = [(emb, label) for emb, label, _ in _load(load_embeddings, train_path)
              if label is not None]
     if not train:
         raise click.ClickException("training embeddings carry no labels")
-    test = load_embeddings(test_path)
+    test = _load(load_embeddings, test_path)
     pairs = []
     for emb, label, source in test:
         predicted = knn_classify(train, emb)

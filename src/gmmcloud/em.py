@@ -48,7 +48,7 @@ class FitConfig:
             raise ValueError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Responsibilities:
     """Posterior component memberships, one row per point.
 
@@ -113,17 +113,30 @@ def _kmeans_pp_centers(pts: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
 
 def _lloyd(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     n, k = pts.shape[0], centers.shape[0]
+    x, y, z = np.ascontiguousarray(pts.T)
+    # squared distances as a (K, N) buffer, each a left-to-right sum of
+    # three squares: the same bits as summing (pts - c) ** 2 over axis 1
+    d2 = np.empty((k, n))
+    tmp = np.empty((k, n))
+    point_ids = np.arange(n)
     assign = np.full(n, -1)
     for _ in range(MAX_LLOYD_ITERATIONS):
-        d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_assign = np.argmin(d2, axis=1)
+        np.subtract(x, centers[:, 0, None], out=d2)
+        np.square(d2, out=d2)
+        np.subtract(y, centers[:, 1, None], out=tmp)
+        np.square(tmp, out=tmp)
+        d2 += tmp
+        np.subtract(z, centers[:, 2, None], out=tmp)
+        np.square(tmp, out=tmp)
+        d2 += tmp
+        new_assign = np.argmin(d2, axis=0)
         counts = np.bincount(new_assign, minlength=k)
         for empty in np.flatnonzero(counts == 0):
             # steal the point farthest from its centroid, preferring donors
             # that keep their cluster non-empty
-            dist_own = d2[np.arange(n), new_assign]
+            dist_own = d2[new_assign, point_ids]
             donors = counts[new_assign] > 1
-            pool = np.flatnonzero(donors) if np.any(donors) else np.arange(n)
+            pool = np.flatnonzero(donors) if np.any(donors) else point_ids
             moved = pool[int(np.argmax(dist_own[pool]))]
             counts[new_assign[moved]] -= 1
             new_assign[moved] = empty
@@ -131,10 +144,11 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for j in range(k):
-            members = pts[assign == j]
-            if members.shape[0] > 0:
-                centers[j] = members.mean(axis=0)
+        # bincount adds each cluster's rows in order, as mean(axis=0) does
+        filled = counts > 0
+        for d, coord in enumerate((x, y, z)):
+            sums = np.bincount(assign, weights=coord, minlength=k)
+            centers[filled, d] = sums[filled] / counts[filled]
     d2 = np.sum((pts - centers[assign]) ** 2, axis=1)
     return centers, assign, float(d2.sum())
 
@@ -175,11 +189,12 @@ def kmeans_init(cloud: PointCloud, k: int, seed: int, restarts: int = 1) -> Gmm:
 def _gamma_from_log_densities(lwd: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, int]:
     dead = ~np.isfinite(norm)
     underflow = int(np.count_nonzero(dead))
+    if not underflow:
+        return np.exp(lwd - norm[:, None]), 0
     gamma = np.empty_like(lwd)
     live = ~dead
     gamma[live] = np.exp(lwd[live] - norm[live, None])
-    if underflow:
-        gamma[dead] = 1.0 / lwd.shape[1]
+    gamma[dead] = 1.0 / lwd.shape[1]
     return gamma, underflow
 
 

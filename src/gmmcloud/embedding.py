@@ -28,7 +28,7 @@ INFLATE_FRACTION = 0.05
 DEGENERATE_AXIS_PAD = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeSet:
     """Probe locations with the box they were drawn from and their seed."""
 
@@ -60,7 +60,7 @@ class ProbeSet:
         return self.probes.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereEmbedding:
     """Unit vector of square-root normalized probe densities."""
 

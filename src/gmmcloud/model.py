@@ -10,7 +10,8 @@ one component at a time, as a reference for the stacked routines.
 This module also holds point clouds and AIC-weighted mixture ensembles.
 All types are immutable after construction; a pickled copy is rebuilt
 through its constructor, so it is validated again and stays read-only.
-All functions are pure.
+The types that hold arrays compare and hash by identity. All functions
+are pure.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def reduce_through_constructor(obj):
     return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """A non-empty set of 3D points, optionally tagged with a class label."""
 
@@ -109,7 +110,7 @@ class PointCloud:
     __reduce__ = reduce_through_constructor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gmm:
     """A Gaussian mixture as stacked read-only arrays.
 
@@ -261,6 +262,8 @@ def log_sum_exp_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-wise log-sum-exp that maps all -inf rows to -inf without warnings."""
     peak = np.max(matrix, axis=1)
     finite = np.isfinite(peak)
+    if finite.all():
+        return peak + np.log(np.sum(np.exp(matrix - peak[:, None]), axis=1))
     out = np.full(matrix.shape[0], -np.inf)
     if np.any(finite):
         shifted = matrix[finite] - peak[finite, None]

@@ -220,3 +220,42 @@ def test_cli_rejects_malformed_lists(workspace, tmp_path):
         result = runner.invoke(main, ["eval-paper-pipeline", "--counts", counts])
         assert result.exit_code == 2, result.output
         assert "Invalid value for '--counts'" in result.output
+
+
+def _degenerate_model(workspace, path):
+    import json
+    obj = json.load(open(workspace["dem0_model"]))
+    obj["ensemble"][0]["model"]["covariances"][0] = np.diag([1.0, 0.0, 1.0]).tolist()
+    with open(path, "w") as handle:
+        json.dump(obj, handle)
+
+
+@pytest.mark.parametrize("loader, write, args, message", [
+    ("read_point_cloud", lambda ws, p: open(p, "w").write("1.0 2.0\n"),
+     lambda ws, bad: ["fit", bad, "--ks", "1", "-o", bad + ".model.json"],
+     "line 1: expected 3 coordinates, got 2"),
+    ("load_model", lambda ws, p: open(p, "w").write("[]"),
+     lambda ws, bad: ["sample", bad, "-o", bad + ".xyz"],
+     "expected a JSON object, got list"),
+    ("load_model", _degenerate_model,
+     lambda ws, bad: ["embed", bad, "--probes", ws["probes"], "-o", bad + ".emb.json"],
+     "degenerate covariance: smallest eigenvalue"),
+    ("load_probe_set", lambda ws, p: open(p, "w").write("{not json"),
+     lambda ws, bad: ["embed", ws["dem0_model"], "--probes", bad, "-o", bad + ".emb.json"],
+     "not valid JSON"),
+    ("load_embeddings", lambda ws, p: open(p, "w").write('{"schema_version": "2"}'),
+     lambda ws, bad: ["classify", "--train", bad, "--test", ws["test_emb"]],
+     "schema_version '2' not supported"),
+], ids=["read_point_cloud", "load_model", "load_model-degenerate", "load_probe_set",
+        "load_embeddings"])
+def test_rejected_input_file_is_a_one_line_error(workspace, tmp_path, loader, write, args,
+                                                 message):
+    bad = str(tmp_path / ("bad.xyz" if loader == "read_point_cloud" else "bad.json"))
+    write(workspace, bad)
+    # an exception other than the CLI's own exit would propagate out of invoke
+    result = runner.invoke(main, args(workspace, bad), catch_exceptions=False)
+    combined = result.output + (result.stderr or "")
+    assert result.exit_code == 1, combined
+    assert f"Error: {bad}" in combined
+    assert message in combined
+    assert "Traceback" not in combined

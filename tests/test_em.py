@@ -15,6 +15,7 @@ from conftest import (
     recovery_cloud,
     sample_mixture,
 )
+from gmmcloud import em
 from gmmcloud.em import (
     FitConfig,
     FitError,
@@ -30,8 +31,10 @@ from gmmcloud.model import (
     PointCloud,
     covariance_floor,
     gmm_log_likelihood,
+    log_sum_exp_rows,
 )
 from gmmcloud.sampling import RngStream, generate_point_cloud
+from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
 
 
 def two_blob_cloud(n_per_blob=50, sigma=0.05, seed=2):
@@ -116,6 +119,68 @@ def test_kmeans_rejects_more_components_than_points():
         kmeans_init(cloud, 0, seed=0)
 
 
+def lloyd_reference(pts, centers):
+    """Lloyd iterations in their plain form, an (N, K, 3) broadcast and one
+    boolean mask per cluster, which em._lloyd must reproduce bit for bit.
+    Also returns how many empty clusters stole a point."""
+    n, k = pts.shape[0], centers.shape[0]
+    assign = np.full(n, -1)
+    steals = 0
+    for _ in range(em.MAX_LLOYD_ITERATIONS):
+        d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_assign = np.argmin(d2, axis=1)
+        counts = np.bincount(new_assign, minlength=k)
+        for empty in np.flatnonzero(counts == 0):
+            dist_own = d2[np.arange(n), new_assign]
+            donors = counts[new_assign] > 1
+            pool = np.flatnonzero(donors) if np.any(donors) else np.arange(n)
+            moved = pool[int(np.argmax(dist_own[pool]))]
+            counts[new_assign[moved]] -= 1
+            new_assign[moved] = empty
+            counts[empty] += 1
+            steals += 1
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            members = pts[assign == j]
+            if members.shape[0] > 0:
+                centers[j] = members.mean(axis=0)
+    d2 = np.sum((pts - centers[assign]) ** 2, axis=1)
+    return centers, assign, float(d2.sum()), steals
+
+
+def assert_lloyd_matches_reference(pts, k, seed):
+    """em._lloyd and the reference agree bit for bit from one k-means++
+    start; returns the reference's steal count."""
+    pts = em._sorted_points(pts)
+    start = em._kmeans_pp_centers(pts, k, RngStream(seed, stream_id=0))
+    centers, assign, wcss = em._lloyd(pts, start.copy())
+    ref_centers, ref_assign, ref_wcss, steals = lloyd_reference(pts, start.copy())
+    assert centers.tobytes() == ref_centers.tobytes()
+    np.testing.assert_array_equal(assign, ref_assign)
+    assert wcss.hex() == ref_wcss.hex()
+    return steals
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lloyd_is_bit_identical_to_reference(seed, k):
+    label = "demented" if seed % 2 else "nondemented"
+    cloud = make_bent_tube(tube_spec_for_class(label, n_points=600), seed)
+    assert_lloyd_matches_reference(cloud.points, k, seed)
+
+
+@pytest.mark.parametrize("distinct, copies, k", [(6, 10, 40), (3, 4, 11), (5, 5, 25)])
+def test_lloyd_matches_reference_when_clusters_steal(distinct, copies, k):
+    # duplicate points make k-means++ repeat centers, which leaves
+    # clusters empty until they steal a point
+    rng = np.random.default_rng(distinct)
+    pts = np.repeat(rng.normal(size=(distinct, 3)), copies, axis=0)
+    steals = sum(assert_lloyd_matches_reference(pts, k, seed) for seed in range(3))
+    assert steals > 0
+
+
 # -------------------------------------------------------------- E step
 
 
@@ -147,6 +212,22 @@ def test_e_step_underflow_goes_uniform():
     assert resp.underflow_rows == 1
     np.testing.assert_allclose(resp.gamma[1], [0.5, 0.5], atol=0)
     np.testing.assert_allclose(resp.gamma.sum(axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 32])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gamma_without_underflow_matches_masked_bits(seed, k):
+    rng = np.random.default_rng(seed)
+    lwd = rng.normal(scale=50.0, size=(500, k))
+    if k > 1:
+        lwd[:, 0] = -np.inf  # a zero-weight component, every row still live
+    norm = log_sum_exp_rows(lwd)
+    live = np.ones(500, dtype=bool)
+    masked = np.empty_like(lwd)
+    masked[live] = np.exp(lwd[live] - norm[live, None])
+    gamma, underflow = em._gamma_from_log_densities(lwd, norm)
+    assert underflow == 0
+    assert gamma.tobytes() == masked.tobytes()
 
 
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4))

@@ -152,13 +152,17 @@ def test_gmm_array_views():
     assert math.isclose(float(model.weights.sum()), 1.0, abs_tol=1e-12)
 
 
-@pytest.mark.parametrize("make", [
+# one small instance of each frozen type that holds arrays
+ARRAY_TYPES = pytest.mark.parametrize("make", [
     lambda: random_gmm(np.random.default_rng(0), 3),
     lambda: PointCloud(np.eye(3), label="demented"),
     lambda: make_probe_set([PointCloud(np.eye(3))], seed=0, count=8),
     lambda: SphereEmbedding(np.full(4, 0.5)),
     lambda: Responsibilities(np.array([[0.25, 0.75], [1.0, 0.0]]), 1),
 ], ids=["Gmm", "PointCloud", "ProbeSet", "SphereEmbedding", "Responsibilities"])
+
+
+@ARRAY_TYPES
 def test_pickle_round_trip_keeps_arrays_read_only(make):
     original = make()
     copy = pickle.loads(pickle.dumps(original))
@@ -170,6 +174,26 @@ def test_pickle_round_trip_keeps_arrays_read_only(make):
             assert not got.flags.writeable, f.name
         else:
             assert got == expected
+
+
+@ARRAY_TYPES
+def test_array_types_hash_and_compare_by_identity(make):
+    a, b = make(), make()
+    assert isinstance(hash(a), int)
+    assert {a: 1}[a] == 1
+    assert (a == a) is True
+    assert (a == b) is False
+    assert (a != b) is True
+
+
+def test_ensembles_hash_through_their_members():
+    model = random_gmm(np.random.default_rng(0), 3)
+    member = EnsembleMember(1.0, model)
+    ensemble = GmmEnsemble((member,))
+    assert hash(member) == hash(EnsembleMember(1.0, model))
+    assert hash(ensemble) == hash(GmmEnsemble.single(model))
+    assert ensemble == GmmEnsemble.single(model)
+    assert (ensemble == GmmEnsemble.single(random_gmm(np.random.default_rng(0), 3))) is False
 
 
 def test_ensemble_requires_distinct_component_counts():
@@ -318,6 +342,26 @@ def test_log_sum_exp_matches_scipy(seed):
     rows = rng.normal(scale=200.0, size=(8, 4))
     np.testing.assert_allclose(log_sum_exp_rows(rows), logsumexp(rows, axis=1),
                                rtol=1e-12)
+
+
+def masked_log_sum_exp_rows(matrix):
+    """log_sum_exp_rows evaluated only on the rows with a finite peak."""
+    peak = np.max(matrix, axis=1)
+    finite = np.isfinite(peak)
+    out = np.full(matrix.shape[0], -np.inf)
+    shifted = matrix[finite] - peak[finite, None]
+    out[finite] = peak[finite] + np.log(np.sum(np.exp(shifted), axis=1))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 32])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_log_sum_exp_without_dead_rows_matches_masked_bits(seed, k):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(scale=200.0, size=(500, k))
+    if k > 1:
+        rows[:, 0] = -np.inf  # a zero-weight component, every row still live
+    assert log_sum_exp_rows(rows).tobytes() == masked_log_sum_exp_rows(rows).tobytes()
 
 
 def test_log_sum_exp_handles_dead_rows():
