@@ -114,21 +114,14 @@ def _kmeans_pp_centers(pts: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
 def _lloyd(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     n, k = pts.shape[0], centers.shape[0]
     x, y, z = np.ascontiguousarray(pts.T)
-    # squared distances as a (K, N) buffer, each a left-to-right sum of
-    # three squares: the same bits as summing (pts - c) ** 2 over axis 1
-    d2 = np.empty((k, n))
-    tmp = np.empty((k, n))
     point_ids = np.arange(n)
     assign = np.full(n, -1)
     for _ in range(MAX_LLOYD_ITERATIONS):
-        np.subtract(x, centers[:, 0, None], out=d2)
-        np.square(d2, out=d2)
-        np.subtract(y, centers[:, 1, None], out=tmp)
-        np.square(tmp, out=tmp)
-        d2 += tmp
-        np.subtract(z, centers[:, 2, None], out=tmp)
-        np.square(tmp, out=tmp)
-        d2 += tmp
+        # (K, N) squared distances, each a left-to-right sum of three
+        # squares: the same bits as summing (pts - c) ** 2 over axis 1
+        d2 = (x - centers[:, 0, None]) ** 2
+        d2 += (y - centers[:, 1, None]) ** 2
+        d2 += (z - centers[:, 2, None]) ** 2
         new_assign = np.argmin(d2, axis=0)
         counts = np.bincount(new_assign, minlength=k)
         for empty in np.flatnonzero(counts == 0):
@@ -188,14 +181,11 @@ def kmeans_init(cloud: PointCloud, k: int, seed: int, restarts: int = 1) -> Gmm:
 
 def _gamma_from_log_densities(lwd: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, int]:
     dead = ~np.isfinite(norm)
-    underflow = int(np.count_nonzero(dead))
-    if not underflow:
-        return np.exp(lwd - norm[:, None]), 0
-    gamma = np.empty_like(lwd)
-    live = ~dead
-    gamma[live] = np.exp(lwd[live] - norm[live, None])
+    # a dead row's -inf - -inf is NaN until it is overwritten with 1/K
+    with np.errstate(invalid="ignore"):
+        gamma = np.exp(lwd - norm[:, None])
     gamma[dead] = 1.0 / lwd.shape[1]
-    return gamma, underflow
+    return gamma, int(np.count_nonzero(dead))
 
 
 def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:

@@ -261,14 +261,10 @@ def weighted_log_densities(points: np.ndarray, weights: np.ndarray, means: np.nd
 def log_sum_exp_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-wise log-sum-exp that maps all -inf rows to -inf without warnings."""
     peak = np.max(matrix, axis=1)
-    finite = np.isfinite(peak)
-    if finite.all():
-        return peak + np.log(np.sum(np.exp(matrix - peak[:, None]), axis=1))
-    out = np.full(matrix.shape[0], -np.inf)
-    if np.any(finite):
-        shifted = matrix[finite] - peak[finite, None]
-        out[finite] = peak[finite] + np.log(np.sum(np.exp(shifted), axis=1))
-    return out
+    # an all -inf row shifts by 0, sums to 0 and takes log(0) = -inf
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.sum(np.exp(matrix - shift[:, None]), axis=1))
 
 
 def gmm_log_density(points: np.ndarray, model: Gmm) -> np.ndarray:

@@ -1,6 +1,7 @@
 """k-means initialization, E/M steps, and full EM fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,19 +215,26 @@ def test_e_step_underflow_goes_uniform():
     np.testing.assert_allclose(resp.gamma.sum(axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("dead_rows", [False, True])
 @pytest.mark.parametrize("k", [1, 3, 8, 32])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_gamma_without_underflow_matches_masked_bits(seed, k):
+def test_gamma_matches_masked_bits(seed, k, dead_rows):
     rng = np.random.default_rng(seed)
     lwd = rng.normal(scale=50.0, size=(500, k))
     if k > 1:
         lwd[:, 0] = -np.inf  # a zero-weight component, every row still live
+    if dead_rows:
+        lwd[::7] = -np.inf
     norm = log_sum_exp_rows(lwd)
-    live = np.ones(500, dtype=bool)
+    dead = ~np.isfinite(norm)
+    live = ~dead
     masked = np.empty_like(lwd)
     masked[live] = np.exp(lwd[live] - norm[live, None])
-    gamma, underflow = em._gamma_from_log_densities(lwd, norm)
-    assert underflow == 0
+    masked[dead] = 1.0 / k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma, underflow = em._gamma_from_log_densities(lwd, norm)
+    assert underflow == (72 if dead_rows else 0)
     assert gamma.tobytes() == masked.tobytes()
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 import pickle
 
 import numpy as np
@@ -354,14 +355,20 @@ def masked_log_sum_exp_rows(matrix):
     return out
 
 
+@pytest.mark.parametrize("dead_rows", [False, True])
 @pytest.mark.parametrize("k", [1, 3, 8, 32])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_log_sum_exp_without_dead_rows_matches_masked_bits(seed, k):
+def test_log_sum_exp_matches_masked_bits(seed, k, dead_rows):
     rng = np.random.default_rng(seed)
     rows = rng.normal(scale=200.0, size=(500, k))
     if k > 1:
         rows[:, 0] = -np.inf  # a zero-weight component, every row still live
-    assert log_sum_exp_rows(rows).tobytes() == masked_log_sum_exp_rows(rows).tobytes()
+    if dead_rows:
+        rows[::7] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = log_sum_exp_rows(rows)
+    assert out.tobytes() == masked_log_sum_exp_rows(rows).tobytes()
 
 
 def test_log_sum_exp_handles_dead_rows():
