@@ -17,7 +17,6 @@ from .embedding import (
     make_probe_set,
 )
 from .geodesics import (
-    InterpolationConfig,
     InterpolationResult,
     interpolate_point_clouds,
     match_components,
@@ -32,10 +31,9 @@ from .model import (
     Gmm,
     GmmEnsemble,
     PointCloud,
-    gmm_density,
     gmm_log_likelihood,
 )
-from .sampling import RngStream, generate_point_cloud, sample_categorical
+from .sampling import generate_point_cloud, rng_stream
 from .selection import AicTable, aic_score, akaike_weights, build_ensemble, default_candidate_ks
 from .shapes import TubeSpec, add_outliers, make_bent_tube, tube_spec_for_class
 
@@ -51,12 +49,10 @@ __all__ = [
     "FitResult",
     "Gmm",
     "GmmEnsemble",
-    "InterpolationConfig",
     "InterpolationResult",
     "PointCloud",
     "ProbeSet",
     "Responsibilities",
-    "RngStream",
     "SphereEmbedding",
     "TubeSpec",
     "add_outliers",
@@ -70,7 +66,6 @@ __all__ = [
     "evaluate",
     "fit_em",
     "generate_point_cloud",
-    "gmm_density",
     "gmm_log_likelihood",
     "interpolate_point_clouds",
     "kmeans_init",
@@ -81,7 +76,7 @@ __all__ = [
     "match_components",
     "product_geodesic",
     "project_to_k",
-    "sample_categorical",
+    "rng_stream",
     "spd_geodesic",
     "sphere_geodesic",
     "tube_spec_for_class",

@@ -6,14 +6,15 @@ outputs on every run. Commands that draw random numbers take --seed.
 
 from __future__ import annotations
 
+import math
 import os
 
 import click
 import numpy as np
 
-from .em import FitConfig
+from .em import KMEANS_RESTARTS, MAX_ITERATIONS, FitConfig
 from .embedding import inflated_bounds, make_probe_set
-from .geodesics import DEFAULT_TS, InterpolationConfig, interpolate_point_clouds
+from .geodesics import DEFAULT_TS, interpolate_point_clouds
 from .io import (
     FitMetadata,
     emit_svg_filmstrip,
@@ -33,27 +34,49 @@ from .pipeline import (
     format_report,
     run_generation_classification,
 )
-from .sampling import RngStream, generate_point_cloud
+from .sampling import generate_point_cloud, rng_stream
 from .selection import build_ensemble, default_candidate_ks
 from .shapes import CLASS_PARAMETERS, add_outliers, make_bent_tube, tube_spec_for_class
 from .embedding import embed as embed_model
 from .embedding import evaluate, knn_classify
 
-FRAME_COLOR = "#1f6fb4"
+
+class FloatRange(click.FloatRange):
+    """click.FloatRange that also rejects nan, which passes click's own
+    bound comparisons."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if math.isnan(number):
+            self.fail(f"{value!r} is not a number", param, ctx)
+        return number
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise click.BadParameter(f"expected a comma-separated integer list, got {text!r}")
+class CommaList(click.ParamType):
+    """A non-empty comma-separated list, each item converted by a click type."""
+
+    def __init__(self, item: click.ParamType):
+        self.item = item
+        self.name = f"{item.name.split()[0]} list"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, tuple):
+            return value
+        items = tuple(self.item.convert(part.strip(), param, ctx)
+                      for part in value.split(",") if part.strip())
+        if not items:
+            self.fail(f"expected a comma-separated {self.name}, got {value!r}", param, ctx)
+        return items
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise click.BadParameter(f"expected a comma-separated number list, got {text!r}")
+POSITIVE_INTS = CommaList(click.IntRange(min=1))
+
+
+def _check_ks(ks, n: int):
+    """Reject a candidate K above the n points it would be fitted to."""
+    if ks is not None and max(ks) > n:
+        raise click.BadParameter(f"K={max(ks)} exceeds the {n} points to fit",
+                                 param_hint="'--ks'")
 
 
 def _load(loader, path):
@@ -75,9 +98,11 @@ def main():
 
 @main.command()
 @click.argument("cloud_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--ks", default=None, help="Comma-separated candidate component counts.")
+@click.option("--ks", default=None, type=POSITIVE_INTS,
+              help="Comma-separated candidate component counts.")
 @click.option("--seed", default=0, show_default=True, help="Fit seed.")
-@click.option("--tol", default=1e-6, show_default=True, help="EM relative tolerance.")
+@click.option("--tol", default=1e-6, show_default=True,
+              type=FloatRange(min=0.0, min_open=True), help="EM relative tolerance.")
 @click.option("--center", is_flag=True, help="Subtract the centroid before fitting.")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False),
               help="Output model file (JSON).")
@@ -88,14 +113,15 @@ def fit(cloud_path, ks, seed, tol, center, out):
     if center:
         offset = cloud.points.mean(axis=0)
         cloud = PointCloud(cloud.points - offset, label=cloud.label)
-    candidate_ks = _parse_ints(ks) if ks else default_candidate_ks(len(cloud))
-    config = FitConfig(seed=seed, rel_tolerance=tol)
-    ensemble, table = build_ensemble(cloud, candidate_ks, config)
+    _check_ks(ks, len(cloud))
+    candidate_ks = ks or default_candidate_ks(len(cloud))
+    ensemble, table = build_ensemble(cloud, candidate_ks,
+                                     FitConfig(seed=seed, rel_tolerance=tol))
     metadata = FitMetadata(
         seed=seed,
         rel_tolerance=tol,
-        max_iterations=config.max_iterations,
-        kmeans_restarts=config.kmeans_restarts,
+        max_iterations=MAX_ITERATIONS,
+        kmeans_restarts=KMEANS_RESTARTS,
         candidate_ks=tuple(sorted(set(candidate_ks))),
         training_n=len(cloud),
         label=cloud.label,
@@ -108,7 +134,7 @@ def fit(cloud_path, ks, seed, tol, center, out):
 
 @main.command()
 @click.argument("model_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--n", default=None, type=int,
+@click.option("--n", default=None, type=click.IntRange(min=1),
               help="Points to draw (default: training cloud size).")
 @click.option("--seed", default=0, show_default=True, help="Sampling stream seed.")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False),
@@ -117,7 +143,7 @@ def sample(model_path, n, seed, out):
     """Draw a new point cloud from a fitted model file."""
     loaded = _load(load_model, model_path)
     count = n if n is not None else loaded.metadata.training_n
-    cloud = generate_point_cloud(loaded.ensemble, count, RngStream(seed, 0),
+    cloud = generate_point_cloud(loaded.ensemble, count, rng_stream(seed),
                                  label=loaded.metadata.label)
     if loaded.metadata.center_offset is not None:
         cloud = PointCloud(cloud.points + np.array(loaded.metadata.center_offset),
@@ -130,29 +156,27 @@ def sample(model_path, n, seed, out):
 @click.argument("cloud_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("cloud_b", type=click.Path(exists=True, dir_okay=False))
 @click.option("--ts", default=",".join(str(t) for t in DEFAULT_TS), show_default=True,
+              type=CommaList(FloatRange(0.0, 1.0)),
               help="Comma-separated interpolation parameters in [0, 1].")
-@click.option("--n", default=None, type=int,
+@click.option("--n", default=None, type=click.IntRange(min=1),
               help="Points per frame (default: size of CLOUD_A).")
-@click.option("--ks", default=None, help="Comma-separated candidate component counts.")
-@click.option("--seed", default=0, show_default=True, help="Frame sampling seed.")
+@click.option("--ks", default=None, type=POSITIVE_INTS,
+              help="Comma-separated candidate component counts.")
+@click.option("--seed", default=0, show_default=True, help="Fit and frame sampling seed.")
 @click.option("-o", "--out", required=True, type=click.Path(file_okay=False),
               help="Output directory for frames and filmstrip.")
 def interpolate(cloud_a, cloud_b, ts, n, ks, seed, out):
     """Morph between two clouds along the product-manifold geodesic."""
     x = _load(read_point_cloud, cloud_a)
     y = _load(read_point_cloud, cloud_b)
-    config = InterpolationConfig(
-        candidate_ks=_parse_ints(ks) if ks else None,
-        fit=FitConfig(seed=seed),
-        seed=seed,
-    )
-    result = interpolate_point_clouds(x, y, _parse_floats(ts), n, config)
+    _check_ks(ks, min(len(x), len(y)))
+    result = interpolate_point_clouds(x, y, ts, n, candidate_ks=ks, seed=seed)
     os.makedirs(out, exist_ok=True)
     panels = []
     for i, (t, frame) in enumerate(zip(result.ts, result.frames)):
         frame_path = os.path.join(out, f"frame_{i:02d}_t{t:g}.xyz")
         write_point_cloud(frame, frame_path)
-        panels.append((f"t={t:g}", frame, FRAME_COLOR))
+        panels.append((f"t={t:g}", frame))
         click.echo(f"wrote {frame_path}")
     strip_path = os.path.join(out, "filmstrip.svg")
     emit_svg_filmstrip(panels, strip_path)
@@ -163,9 +187,11 @@ def interpolate(cloud_a, cloud_b, ts, n, ks, seed, out):
 @click.option("--class", "class_label", required=True,
               type=click.Choice(sorted(CLASS_PARAMETERS)),
               help="Which stock shape class to draw.")
-@click.option("--n", default=600, show_default=True, help="Points per cloud.")
+@click.option("--n", default=600, show_default=True, type=click.IntRange(min=1),
+              help="Points per cloud.")
 @click.option("--seed", default=0, show_default=True, help="Shape sampling seed.")
 @click.option("--outliers", default=0.0, show_default=True,
+              type=FloatRange(0.0, 1.0, max_open=True),
               help="Fraction of points replaced by uniform box outliers.")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False),
               help="Output cloud file (.xyz or .csv).")
@@ -183,7 +209,8 @@ def synth(class_label, n, seed, outliers, out):
 @click.argument("cloud_paths", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", default=0, show_default=True, help="Probe placement seed.")
-@click.option("--count", default=1000, show_default=True, help="Number of probes.")
+@click.option("--count", default=1000, show_default=True, type=click.IntRange(min=1),
+              help="Number of probes.")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False),
               help="Output probe-set file (JSON).")
 def probes(cloud_paths, seed, count, out):
@@ -235,7 +262,10 @@ def classify(train_path, test_path, positive):
         if label is not None:
             pairs.append((label, predicted))
     if pairs:
-        metrics = evaluate(pairs, positive)
+        try:
+            metrics = evaluate(pairs, positive)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), param_hint="'--positive'") from None
         click.echo(
             f"accuracy {metrics.accuracy:.4f}  sensitivity {metrics.sensitivity:.4f}  "
             f"specificity {metrics.specificity:.4f}  (positive class: {positive})")
@@ -244,31 +274,33 @@ def classify(train_path, test_path, positive):
 
 
 @main.command("eval-paper-pipeline")
-@click.option("--seeds", default="0,1,2,3,4", show_default=True,
+@click.option("--seeds", default="0,1,2,3,4", show_default=True, type=CommaList(click.INT),
               help="Comma-separated probe-set seeds to average over.")
 @click.option("--seed", default=0, show_default=True,
               help="Base seed for shapes, fits, and generation.")
-@click.option("--bases", default=5, show_default=True, help="Base shapes per class.")
-@click.option("--counts", default="33,36", show_default=True,
+@click.option("--bases", default=5, show_default=True, type=click.IntRange(min=1),
+              help="Base shapes per class.")
+@click.option("--counts", default="33,36", show_default=True, type=POSITIVE_INTS,
               help="Generated cloud counts: demented,nondemented.")
-@click.option("--n-points", default=600, show_default=True, help="Points per cloud.")
-@click.option("--ks", default="2,4,8", show_default=True,
+@click.option("--n-points", default=600, show_default=True, type=click.IntRange(min=1),
+              help="Points per cloud.")
+@click.option("--ks", default="2,4,8", show_default=True, type=POSITIVE_INTS,
               help="Comma-separated candidate component counts.")
 def eval_paper_pipeline(seeds, seed, bases, counts, n_points, ks):
     """Run the synthetic generate-then-classify benchmark end to end."""
-    generated_counts = _parse_ints(counts)
-    if len(generated_counts) != 2:
-        raise click.BadParameter(f"expected two integers demented,nondemented, got {counts!r}",
-                                 param_hint="'--counts'")
-    demented_count, nondemented_count = generated_counts
+    if len(counts) != 2:
+        raise click.BadParameter(
+            f"expected two integers demented,nondemented, got {len(counts)}",
+            param_hint="'--counts'")
+    _check_ks(ks, n_points)
+    demented_count, nondemented_count = counts
     config = ExperimentConfig(
         base_shapes_per_class=bases,
         generated_counts={"demented": demented_count, "nondemented": nondemented_count},
         n_points=n_points,
-        candidate_ks=_parse_ints(ks),
-        fit=FitConfig(seed=seed),
+        candidate_ks=ks,
         seed=seed,
-        probe_seeds=_parse_ints(seeds),
+        probe_seeds=seeds,
     )
     click.echo(format_report(run_generation_classification(config)))
 

@@ -20,10 +20,12 @@ from .model import (
     reduce_through_constructor,
     weighted_log_densities,
 )
-from .sampling import RngStream
+from .sampling import rng_stream
 
 COLLAPSE_MASS = 1e-12
 MAX_LLOYD_ITERATIONS = 100
+MAX_ITERATIONS = 200
+KMEANS_RESTARTS = 4
 
 
 class FitError(RuntimeError):
@@ -32,20 +34,15 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for fit_em. Defaults match the standard pipeline settings."""
+    """The settable part of fit_em: the k-means++ seed and the EM
+    convergence tolerance."""
 
-    max_iterations: int = 200
     rel_tolerance: float = 1e-6
     seed: int = 0
-    kmeans_restarts: int = 4
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.rel_tolerance > 0.0:
             raise ValueError(f"rel_tolerance must be > 0, got {self.rel_tolerance}")
-        if self.kmeans_restarts < 1:
-            raise ValueError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +91,7 @@ def _sorted_points(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
-def _kmeans_pp_centers(pts: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
+def _kmeans_pp_centers(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = pts.shape[0]
     centers = np.empty((k, 3))
     centers[0] = pts[int(rng.integers(n))]
@@ -146,13 +143,13 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return centers, assign, float(d2.sum())
 
 
-def kmeans_init(cloud: PointCloud, k: int, seed: int, restarts: int = 1) -> Gmm:
+def kmeans_init(cloud: PointCloud, k: int, seed: int) -> Gmm:
     """Cluster-based starting mixture: k-means++ seeding plus Lloyd.
 
     Weights are cluster fractions, means the centroids, covariances the
     per-cluster sample covariances floored at the data-scale eigenvalue
-    floor. With several restarts the lowest within-cluster sum of squares
-    wins.
+    floor. Of KMEANS_RESTARTS starts, one stream each, the lowest
+    within-cluster sum of squares wins.
     """
     n = len(cloud)
     if k > n:
@@ -161,9 +158,8 @@ def kmeans_init(cloud: PointCloud, k: int, seed: int, restarts: int = 1) -> Gmm:
         raise ValueError(f"component count must be >= 1, got {k}")
     pts = _sorted_points(cloud.points)
     best = None
-    for r in range(restarts):
-        rng = RngStream(seed, stream_id=r)
-        centers = _kmeans_pp_centers(pts, k, rng)
+    for r in range(KMEANS_RESTARTS):
+        centers = _kmeans_pp_centers(pts, k, rng_stream(seed, r))
         centers, assign, wcss = _lloyd(pts, centers)
         if best is None or wcss < best[2]:
             best = (centers, assign, wcss)
@@ -234,23 +230,18 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
 
     Convergence is declared when the relative log-likelihood change
     |dL| / (|L| + 1) drops below config.rel_tolerance; otherwise the loop
-    stops at config.max_iterations.
+    stops at MAX_ITERATIONS.
     """
-    n = len(cloud)
-    if k > n:
-        raise ValueError(f"more components than points: K={k}, N={n}")
-    if k < 1:
-        raise ValueError(f"component count must be >= 1, got {k}")
+    model = kmeans_init(cloud, k, config.seed)
     pts = _sorted_points(cloud.points)
     eps = covariance_floor(pts)
-    model = kmeans_init(cloud, k, config.seed, restarts=config.kmeans_restarts)
     params = (model.weights, model.means, model.covariances)
     lwd = weighted_log_densities(pts, *params)
     norm = log_sum_exp_rows(lwd)
     trace: list[float] = []
     converged = False
     try:
-        for it in range(1, config.max_iterations + 1):
+        for it in range(1, MAX_ITERATIONS + 1):
             gamma, _ = _gamma_from_log_densities(lwd, norm)
             params = _m_step_arrays(pts, gamma, eps)
             lwd = weighted_log_densities(pts, *params)

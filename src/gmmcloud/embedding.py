@@ -21,7 +21,7 @@ from .model import (
     gmm_log_density,
     reduce_through_constructor,
 )
-from .sampling import RngStream
+from .sampling import rng_stream
 
 PROBE_COUNT = 1000
 INFLATE_FRACTION = 0.05
@@ -97,7 +97,7 @@ def make_probe_set(clouds, seed: int, count: int = PROBE_COUNT) -> ProbeSet:
     if count < 1:
         raise ValueError(f"probe count must be >= 1, got {count}")
     bounds = inflated_bounds(clouds)
-    rng = RngStream(seed, stream_id=0)
+    rng = rng_stream(seed)
     probes = bounds[0] + rng.random((count, 3)) * (bounds[1] - bounds[0])
     return ProbeSet(probes, bounds, seed)
 

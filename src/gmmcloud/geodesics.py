@@ -18,14 +18,14 @@ matching on mean distances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .em import FitConfig
 from .model import Gmm, GmmEnsemble, PointCloud, _transposed, checked_spd
-from .sampling import RngStream, generate_point_cloud
+from .sampling import generate_point_cloud, rng_stream
 from .selection import build_ensemble, default_candidate_ks
 
 COLINEAR_THETA = 1e-8
@@ -185,19 +185,6 @@ def product_geodesic(a: Gmm, b: Gmm, t: float) -> Gmm:
 
 
 @dataclass(frozen=True)
-class InterpolationConfig:
-    """Settings for interpolate_point_clouds.
-
-    candidate_ks of None selects the standard candidate set for each
-    cloud's size. seed drives the per-frame sampling streams.
-    """
-
-    candidate_ks: tuple[int, ...] | None = None
-    fit: FitConfig = field(default_factory=FitConfig)
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class InterpolationResult:
     """Frames sampled along the geodesic plus the models behind them."""
 
@@ -215,15 +202,15 @@ def dominant_member(ensemble: GmmEnsemble) -> Gmm:
 
 
 def interpolate_point_clouds(x: PointCloud, y: PointCloud, ts=DEFAULT_TS,
-                             n_out: int | None = None,
-                             config: InterpolationConfig = InterpolationConfig()
+                             n_out: int | None = None, candidate_ks=None, seed: int = 0
                              ) -> InterpolationResult:
     """Morph between two clouds along the product-manifold geodesic.
 
-    Both clouds get an AIC ensemble; the dominant member of each is
+    Both clouds get an AIC ensemble over candidate_ks (None: the standard
+    candidates for each cloud's size); the dominant member of each is
     reduced to the smaller component count, the components are matched on
     mean distances, and one cloud is sampled per requested t with an
-    independent stream per frame.
+    independent stream per frame. seed drives the fits and the frames.
     """
     ts = tuple(float(t) for t in ts)
     if not ts:
@@ -234,10 +221,9 @@ def interpolate_point_clouds(x: PointCloud, y: PointCloud, ts=DEFAULT_TS,
         n_out = len(x)
     if n_out < 1:
         raise ValueError(f"output cloud size must be >= 1, got {n_out}")
-    ks_x = config.candidate_ks if config.candidate_ks else default_candidate_ks(len(x))
-    ks_y = config.candidate_ks if config.candidate_ks else default_candidate_ks(len(y))
-    ensemble_x, _ = build_ensemble(x, ks_x, config.fit)
-    ensemble_y, _ = build_ensemble(y, ks_y, config.fit)
+    fit = FitConfig(seed=seed)
+    ensemble_x, _ = build_ensemble(x, candidate_ks or default_candidate_ks(len(x)), fit)
+    ensemble_y, _ = build_ensemble(y, candidate_ks or default_candidate_ks(len(y)), fit)
     gx = dominant_member(ensemble_x)
     gy = dominant_member(ensemble_y)
     k = min(gx.k, gy.k)
@@ -246,7 +232,7 @@ def interpolate_point_clouds(x: PointCloud, y: PointCloud, ts=DEFAULT_TS,
     target = reorder_components(target, match_components(source, target))
     models = tuple(product_geodesic(source, target, t) for t in ts)
     frames = tuple(
-        generate_point_cloud(GmmEnsemble.single(m), n_out, RngStream(config.seed, i))
+        generate_point_cloud(GmmEnsemble.single(m), n_out, rng_stream(seed, i))
         for i, m in enumerate(models)
     )
     return InterpolationResult(ts, frames, models, source, target)

@@ -40,6 +40,10 @@ def _atomic_write_text(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
+        # mkstemp creates 0600; give the file the mode open(path, "w") would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -49,23 +53,18 @@ def _atomic_write_text(path: str, text: str):
         raise
 
 
-def _infer_format(path: str, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("xyz", "csv"):
-            raise ValueError(f"unknown point-cloud format {fmt!r}")
-        return fmt
-    suffix = os.path.splitext(path)[1].lower()
-    return "csv" if suffix == ".csv" else "xyz"
+def _is_csv(path: str) -> bool:
+    return os.path.splitext(path)[1].lower() == ".csv"
 
 
-def read_point_cloud(path: str, fmt: str | None = None) -> PointCloud:
-    """Load a cloud from an XYZ or CSV file (format inferred from suffix)."""
-    fmt = _infer_format(path, fmt)
+def read_point_cloud(path: str) -> PointCloud:
+    """Load a cloud from a CSV file (suffix .csv) or an XYZ file (any
+    other suffix)."""
     with open(path, "r") as handle:
         text = handle.read()
-    if fmt == "xyz":
-        return _parse_xyz(text, path)
-    return _parse_csv(text, path)
+    if _is_csv(path):
+        return _parse_csv(text, path)
+    return _parse_xyz(text, path)
 
 
 def _parse_xyz(text: str, path: str) -> PointCloud:
@@ -121,20 +120,20 @@ def _parse_csv(text: str, path: str) -> PointCloud:
     return PointCloud(np.array(rows))
 
 
-def write_point_cloud(cloud: PointCloud, path: str, fmt: str | None = None):
-    """Write a cloud as XYZ or CSV, atomically and byte-deterministically."""
-    fmt = _infer_format(path, fmt)
+def write_point_cloud(cloud: PointCloud, path: str):
+    """Write a cloud as CSV (suffix .csv) or XYZ (any other suffix),
+    atomically and byte-deterministically."""
     lines = []
     # native floats repr as the shortest decimal that parses back exactly
-    if fmt == "xyz":
+    if _is_csv(path):
+        lines.append("x,y,z")
+        for x, y, z in cloud.points.tolist():
+            lines.append(f"{x!r},{y!r},{z!r}")
+    else:
         if cloud.label is not None:
             lines.append(f"{_LABEL_COMMENT} {cloud.label}")
         for x, y, z in cloud.points.tolist():
             lines.append(f"{x!r} {y!r} {z!r}")
-    else:
-        lines.append("x,y,z")
-        for x, y, z in cloud.points.tolist():
-            lines.append(f"{x!r},{y!r},{z!r}")
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -300,22 +299,20 @@ def format_aic_table(table: AicTable) -> str:
     return "\n".join(lines)
 
 
-_PROJECTION_AXES = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
+FRAME_COLOR = "#1f6fb4"
 
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def emit_svg_filmstrip(panels, path: str, projection: str = "xy"):
-    """Side-by-side panels, one per (title, cloud, color), on a shared scale."""
+def emit_svg_filmstrip(panels, path: str):
+    """Side-by-side xy projections, one panel per (title, cloud), on a
+    shared scale."""
     panels = list(panels)
     if not panels:
         raise ValueError("need at least one panel to plot")
-    if projection not in _PROJECTION_AXES:
-        raise ValueError(f"projection must be one of {sorted(_PROJECTION_AXES)}")
-    axes = list(_PROJECTION_AXES[projection])
-    planar = [cloud.points[:, axes] for _, cloud, _ in panels]
+    planar = [cloud.points[:, :2] for _, cloud in panels]
     stacked = np.vstack(planar)
     lo, hi = stacked.min(axis=0), stacked.max(axis=0)
     span = float(max(hi - lo))
@@ -331,7 +328,7 @@ def emit_svg_filmstrip(panels, path: str, projection: str = "xy"):
         f'viewBox="0 0 {_fmt(total_w)} {_fmt(height + caption)}" '
         f'width="960" height="{_fmt(960.0 * (height + caption) / total_w)}">',
     ]
-    for i, (pts, (title, _, color)) in enumerate(zip(planar, panels)):
+    for i, (pts, (title, _)) in enumerate(zip(planar, panels)):
         shift = i * (width + gap)
         lines.append(
             f'<text x="{_fmt(shift + 0.02 * width)}" y="{_fmt(0.9 * caption)}" '
@@ -339,7 +336,7 @@ def emit_svg_filmstrip(panels, path: str, projection: str = "xy"):
         lines.append(f'<g transform="translate(0,{_fmt(caption)})">')
         for px, py in pts:
             lines.append(f'<circle cx="{_fmt(shift + (px - lo[0]))}" cy="{_fmt(hi[1] - py)}" '
-                         f'r="{_fmt(radius)}" fill="{color}"/>')
+                         f'r="{_fmt(radius)}" fill="{FRAME_COLOR}"/>')
         lines.append("</g>")
     lines.append("</svg>")
     _atomic_write_text(path, "\n".join(lines) + "\n")

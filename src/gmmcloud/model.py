@@ -4,8 +4,8 @@ Shapes are modeled as Gaussian mixtures over R^3. A mixture has one
 type, Gmm(weights, means, covariances): stacked arrays of weights (K,),
 means (K, 3) and covariances (K, 3, 3), validated once at construction
 and read-only afterwards. Fitting, sampling, geodesics and file I/O work
-on these arrays. gaussian_log_density and gmm_density evaluate densities
-one component at a time, as a reference for the stacked routines.
+on these arrays, and densities are evaluated for all K components at
+once.
 
 This module also holds point clouds and AIC-weighted mixture ensembles.
 All types are immutable after construction; a pickled copy is rebuilt
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -215,25 +214,6 @@ def floor_spd(cov: np.ndarray, eps: float) -> np.ndarray:
     return 0.5 * (out + _transposed(out))
 
 
-def gaussian_log_density(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density of N(mean, cov) at each row of points, shape (N,).
-
-    Evaluated through the Cholesky factor so the quadratic form and the
-    determinant stay stable for small covariances.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        checked_spd(cov)
-        raise DegenerateCovarianceError("degenerate covariance: Cholesky failed") from None
-    diff = pts - np.asarray(mean, dtype=float)
-    y = solve_triangular(chol, diff.T, lower=True)
-    maha = np.einsum("ij,ij->j", y, y)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (3.0 * LOG_TWO_PI + log_det + maha)
-
-
 def weighted_log_densities(points: np.ndarray, weights: np.ndarray, means: np.ndarray,
                            covariances: np.ndarray) -> np.ndarray:
     """(N, K) matrix of log(w_j) + log f_j(x_i). Zero weights map to -inf.
@@ -279,16 +259,6 @@ def ensemble_log_density(points: np.ndarray, ensemble: GmmEnsemble) -> np.ndarra
         math.log(m.weight) + gmm_log_density(points, m.model) for m in ensemble.members
     ])
     return log_sum_exp_rows(cols)
-
-
-def gmm_density(x: np.ndarray, model: Gmm) -> float:
-    """Mixture density at a single point, sum_j w_j f_j(x), summed one
-    component at a time."""
-    x = np.asarray(x, dtype=float).reshape(1, 3)
-    return float(math.fsum(
-        w * float(np.exp(gaussian_log_density(x, m, c)[0]))
-        for w, m, c in zip(model.weights.tolist(), model.means, model.covariances)
-    ))
 
 
 def gmm_log_likelihood(cloud: PointCloud, model: Gmm) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PointCloud
-from .sampling import RngStream
+from .sampling import rng_stream
 
 DEMENTED = "demented"
 NONDEMENTED = "nondemented"
@@ -63,7 +63,7 @@ def make_bent_tube(spec: TubeSpec, seed: int) -> PointCloud:
     The arc lies in the z = 0 plane, centered on the angle bisector, so
     clouds with the same arc radius share a canonical pose.
     """
-    rng = RngStream(seed, stream_id=0)
+    rng = rng_stream(seed)
     n = spec.n_points
     phi = (rng.random(n) - 0.5) * spec.bend_angle
     radial = np.column_stack([np.cos(phi), np.sin(phi), np.zeros(n)])
@@ -89,8 +89,8 @@ def add_outliers(cloud: PointCloud, fraction: float, bounds: np.ndarray,
     count = int(fraction * n)
     if count == 0:
         return PointCloud(cloud.points, label=cloud.label)
-    rng = RngStream(seed, stream_id=0)
-    replace = rng.generator.choice(n, size=count, replace=False)
+    rng = rng_stream(seed)
+    replace = rng.choice(n, size=count, replace=False)
     pts = cloud.points.copy()
     pts[replace] = box[0] + rng.random((count, 3)) * (box[1] - box[0])
     return PointCloud(pts, label=cloud.label)

@@ -23,7 +23,6 @@ from gmmcloud.cli import main as cli_main
 from gmmcloud.em import FitConfig, FitError, fit_em
 from gmmcloud.embedding import arc_distance, embed, inflated_bounds, make_probe_set
 from gmmcloud.geodesics import (
-    InterpolationConfig,
     interpolate_point_clouds,
     product_geodesic,
     sphere_distance,
@@ -39,9 +38,9 @@ from gmmcloud.model import (
 )
 from gmmcloud.pipeline import ExperimentConfig, run_generation_classification
 from gmmcloud.sampling import (
-    RngStream,
     ensemble_moments,
     generate_point_cloud,
+    rng_stream,
     sample_assignments,
 )
 from gmmcloud.selection import aic_score, akaike_weights, build_ensemble
@@ -182,7 +181,7 @@ def test_criterion_06_hierarchical_sampling_law():
                   [np.eye(3)] * 3)
     ensemble = GmmEnsemble((EnsembleMember(0.6, model_a), EnsembleMember(0.4, model_b)))
     n = 1_000_000
-    member_idx, comp_idx = sample_assignments(ensemble, n, RngStream(1234, 0))
+    member_idx, comp_idx = sample_assignments(ensemble, n, rng_stream(1234))
     freq_dev = se_bound = 0.0
     within = True
     for mi, weights in ((0, (0.3, 0.7)), (1, (0.2, 0.3, 0.5))):
@@ -197,7 +196,7 @@ def test_criterion_06_hierarchical_sampling_law():
 
     tube = make_bent_tube(tube_spec_for_class("nondemented", n_points=600), seed=2)
     fitted, _ = build_ensemble(tube, (2, 4, 8), FitConfig(seed=0))
-    regen = generate_point_cloud(fitted, 5000, RngStream(7, 0))
+    regen = generate_point_cloud(fitted, 5000, rng_stream(7))
     model_mean, model_cov = ensemble_moments(fitted)
     sample_mean, sample_cov = cloud_moments(regen.points)
     mean_err = float(np.linalg.norm(sample_mean - model_mean)
@@ -212,8 +211,7 @@ def test_criterion_06_hierarchical_sampling_law():
 def test_criterion_07_interpolation_monotone_in_embedding():
     x = make_bent_tube(tube_spec_for_class("nondemented", n_points=600), seed=0)
     y = PointCloud(x.points * np.array([-1.0, 1.0, 1.0]), label=x.label)
-    config = InterpolationConfig(candidate_ks=(4,), fit=FitConfig(seed=0), seed=0)
-    result = interpolate_point_clouds(x, y, config=config)
+    result = interpolate_point_clouds(x, y, candidate_ks=(4,), seed=0)
     probes = make_probe_set([x, y], seed=0)
     anchors = [embed(m, probes) for m in result.models]
     distances = [arc_distance(anchors[0], e) for e in anchors]

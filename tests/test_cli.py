@@ -259,3 +259,41 @@ def test_rejected_input_file_is_a_one_line_error(workspace, tmp_path, loader, wr
     assert f"Error: {bad}" in combined
     assert message in combined
     assert "Traceback" not in combined
+
+
+@pytest.mark.parametrize("args, option", [
+    (lambda ws, out: ["fit", ws["dem0"], "--ks", "0", "-o", out], "--ks"),
+    (lambda ws, out: ["fit", ws["dem0"], "--ks", "1000", "-o", out], "--ks"),
+    (lambda ws, out: ["fit", ws["dem0"], "--tol", "0", "-o", out], "--tol"),
+    (lambda ws, out: ["fit", ws["dem0"], "--tol", "nan", "-o", out], "--tol"),
+    (lambda ws, out: ["synth", "--class", "demented", "--n", "0", "-o", out], "--n"),
+    (lambda ws, out: ["synth", "--class", "demented", "--outliers", "1.5", "-o", out],
+     "--outliers"),
+    (lambda ws, out: ["synth", "--class", "demented", "--outliers", "nan", "-o", out],
+     "--outliers"),
+    (lambda ws, out: ["probes", ws["dem0"], "--count", "0", "-o", out], "--count"),
+    (lambda ws, out: ["sample", ws["dem0_model"], "--n", "0", "-o", out], "--n"),
+    (lambda ws, out: ["sample", ws["dem0_model"], "--n", "-3", "-o", out], "--n"),
+    (lambda ws, out: ["interpolate", ws["dem0"], ws["non0"], "--ts", "2", "-o", out], "--ts"),
+    (lambda ws, out: ["interpolate", ws["dem0"], ws["non0"], "--ks", "1000", "-o", out],
+     "--ks"),
+    (lambda ws, out: ["classify", "--train", ws["train_emb"], "--test", ws["test_emb"],
+                      "--positive", "healthy"], "--positive"),
+    (lambda ws, out: ["eval-paper-pipeline", "--bases", "0"], "--bases"),
+    (lambda ws, out: ["eval-paper-pipeline", "--counts", "0,0"], "--counts"),
+    (lambda ws, out: ["eval-paper-pipeline", "--seeds", ","], "--seeds"),
+    (lambda ws, out: ["eval-paper-pipeline", "--n-points", "5"], "--ks"),
+], ids=["fit-ks-0", "fit-ks-above-n", "fit-tol-0", "fit-tol-nan", "synth-n-0",
+        "synth-outliers-1.5", "synth-outliers-nan",
+        "probes-count-0", "sample-n-0", "sample-n-negative", "interpolate-ts-2",
+        "interpolate-ks-above-n", "classify-unknown-positive", "eval-bases-0", "eval-counts-0", "eval-seeds-empty",
+        "eval-ks-above-n-points"])
+def test_out_of_range_option_is_a_one_line_error(workspace, tmp_path, args, option):
+    out = str(tmp_path / "out")
+    # an exception other than the CLI's own exit would propagate out of invoke
+    result = runner.invoke(main, args(workspace, out), catch_exceptions=False)
+    combined = result.output + (result.stderr or "")
+    assert result.exit_code == 2, combined
+    assert f"Invalid value for '{option}'" in combined
+    assert "Traceback" not in combined
+    assert not os.path.exists(out)

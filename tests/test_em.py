@@ -34,7 +34,7 @@ from gmmcloud.model import (
     gmm_log_likelihood,
     log_sum_exp_rows,
 )
-from gmmcloud.sampling import RngStream, generate_point_cloud
+from gmmcloud.sampling import generate_point_cloud, rng_stream
 from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
 
 
@@ -50,16 +50,15 @@ def two_blob_cloud(n_per_blob=50, sigma=0.05, seed=2):
 
 def test_fit_config_defaults():
     config = FitConfig()
-    assert config.max_iterations == 200
+    assert em.MAX_ITERATIONS == 200
     assert config.rel_tolerance == 1e-6
-    assert config.kmeans_restarts == 4
+    assert em.KMEANS_RESTARTS == 4
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(max_iterations=0),
     dict(rel_tolerance=0.0),
     dict(rel_tolerance=-1e-6),
-    dict(kmeans_restarts=0),
+    dict(rel_tolerance=float("nan")),
 ])
 def test_fit_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -87,7 +86,7 @@ def test_kmeans_degenerate_single_cluster():
 
 def test_kmeans_two_blobs_exact_split():
     cloud, a, b = two_blob_cloud()
-    model = kmeans_init(cloud, 2, seed=1, restarts=4)
+    model = kmeans_init(cloud, 2, seed=1)
     assert sorted(model.weights.tolist()) == [0.5, 0.5]
     blob_means = np.array([a.mean(axis=0), b.mean(axis=0)])
     perm = best_match(model.means, blob_means)
@@ -155,7 +154,7 @@ def assert_lloyd_matches_reference(pts, k, seed):
     """em._lloyd and the reference agree bit for bit from one k-means++
     start; returns the reference's steal count."""
     pts = em._sorted_points(pts)
-    start = em._kmeans_pp_centers(pts, k, RngStream(seed, stream_id=0))
+    start = em._kmeans_pp_centers(pts, k, rng_stream(seed))
     centers, assign, wcss = em._lloyd(pts, start.copy())
     ref_centers, ref_assign, ref_wcss, steals = lloyd_reference(pts, start.copy())
     assert centers.tobytes() == ref_centers.tobytes()
@@ -343,7 +342,7 @@ def test_fit_is_self_consistent():
     rng = np.random.default_rng(19)
     pts = sample_mixture(rng, 800, RECOVERY_WEIGHTS, RECOVERY_MEANS, RECOVERY_COVS)
     first = fit_em(PointCloud(pts), 2, FitConfig(seed=0))
-    regen = generate_point_cloud(GmmEnsemble.single(first.model), 2000, RngStream(5, 0))
+    regen = generate_point_cloud(GmmEnsemble.single(first.model), 2000, rng_stream(5))
     refit = fit_em(regen, 2, FitConfig(seed=0))
     per_point_gap = abs(gmm_log_likelihood(regen, refit.model)
                         - gmm_log_likelihood(regen, first.model)) / len(regen)

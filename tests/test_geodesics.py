@@ -9,11 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import assert_moments_close, random_gmm, random_spd, unit_gmm
-from gmmcloud.em import FitConfig
 from gmmcloud.embedding import arc_distance, embed, make_probe_set
 from gmmcloud.geodesics import (
     DEFAULT_TS,
-    InterpolationConfig,
     dominant_member,
     interpolate_point_clouds,
     match_components,
@@ -328,9 +326,8 @@ def test_dominant_member_prefers_weight_then_smaller_k():
 
 def test_interpolate_t_zero_samples_source_model():
     cloud = make_bent_tube(tube_spec_for_class("nondemented", n_points=600), seed=0)
-    config = InterpolationConfig(candidate_ks=(2, 4), fit=FitConfig(seed=0), seed=0)
     result = interpolate_point_clouds(cloud, cloud, ts=(0.0,), n_out=5000,
-                                      config=config)
+                                      candidate_ks=(2, 4), seed=0)
     assert result.ts == (0.0,)
     assert len(result.frames) == 1
     assert len(result.frames[0]) == 5000
@@ -341,10 +338,10 @@ def test_interpolate_identical_clouds_stay_close():
     rng = np.random.default_rng(24)
     cloud = make_bent_tube(tube_spec_for_class("demented", n_points=400), seed=1)
     unrelated = PointCloud(np.array([30.0, 30.0, 30.0]) + rng.normal(size=(400, 3)))
-    config = InterpolationConfig(candidate_ks=(2,), fit=FitConfig(seed=0), seed=0)
-    result = interpolate_point_clouds(cloud, cloud, ts=(0.0, 0.5, 1.0), config=config)
+    result = interpolate_point_clouds(cloud, cloud, ts=(0.0, 0.5, 1.0), candidate_ks=(2,),
+                                      seed=0)
     assert all(len(f) == 400 for f in result.frames)
-    other = interpolate_point_clouds(unrelated, unrelated, ts=(0.0,), config=config)
+    other = interpolate_point_clouds(unrelated, unrelated, ts=(0.0,), candidate_ks=(2,), seed=0)
     probe_set = make_probe_set([cloud, unrelated], seed=0)
     frame_embeddings = [embed(m, probe_set) for m in result.models]
     cross = arc_distance(embed(result.models[0], probe_set),
@@ -359,10 +356,9 @@ def test_interpolate_default_grid():
 
 def test_interpolate_validates_arguments():
     cloud = make_bent_tube(tube_spec_for_class("demented", n_points=60), seed=2)
-    config = InterpolationConfig(candidate_ks=(2,), fit=FitConfig(seed=0), seed=0)
     with pytest.raises(ValueError):
-        interpolate_point_clouds(cloud, cloud, ts=(), config=config)
+        interpolate_point_clouds(cloud, cloud, ts=(), candidate_ks=(2,))
     with pytest.raises(ValueError):
-        interpolate_point_clouds(cloud, cloud, ts=(1.2,), config=config)
+        interpolate_point_clouds(cloud, cloud, ts=(1.2,), candidate_ks=(2,))
     with pytest.raises(ValueError):
-        interpolate_point_clouds(cloud, cloud, ts=(0.5,), n_out=0, config=config)
+        interpolate_point_clouds(cloud, cloud, ts=(0.5,), n_out=0, candidate_ks=(2,))

@@ -4,12 +4,14 @@ import json
 import math
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
 
 from gmmcloud.embedding import SphereEmbedding, make_probe_set
 from gmmcloud.io import (
+    FRAME_COLOR,
     FileFormatError,
     FitMetadata,
     SCHEMA_VERSION,
@@ -138,15 +140,6 @@ def test_csv_empty_is_an_error(tmp_path):
         read_point_cloud(str(path))
 
 
-def test_format_override_beats_suffix(tmp_path):
-    path = tmp_path / "data.txt"
-    path.write_text("x,y,z\n7,8,9\n")
-    cloud = read_point_cloud(str(path), fmt="csv")
-    np.testing.assert_array_equal(cloud.points, [[7.0, 8.0, 9.0]])
-    with pytest.raises(ValueError, match="unknown point-cloud format"):
-        read_point_cloud(str(path), fmt="ply")
-
-
 # -------------------------------------------------------------- writers
 
 
@@ -164,6 +157,18 @@ def test_writer_overwrites_and_leaves_no_temp_files(tmp_path):
     assert len(read_point_cloud(path)) == 1
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_written_file_mode_follows_umask(tmp_path, umask, mode):
+    path = str(tmp_path / "cloud.xyz")
+    previous = os.umask(umask)
+    try:
+        write_point_cloud(messy_cloud(), path)
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
 
 
 def test_writer_rejects_empty_path():
@@ -323,9 +328,10 @@ def test_format_aic_table():
 
 def test_svg_one_marker_per_point(tmp_path):
     path = str(tmp_path / "plot.svg")
-    emit_svg_filmstrip([("t=0", PointCloud(np.array([[0.0, 0.0, 0.0]])), "#204080")], path)
+    emit_svg_filmstrip([("t=0", PointCloud(np.array([[0.0, 0.0, 0.0]])))], path)
     text = open(path).read()
     assert text.count("<circle") == 1
+    assert f'fill="{FRAME_COLOR}"' in text
     assert text.startswith("<svg ")
     assert text.rstrip().endswith("</svg>")
 
@@ -336,20 +342,16 @@ def test_svg_projection_drops_the_third_axis(tmp_path):
     shifted = base.copy()
     shifted[:, 2] += rng.normal(size=40)
     a, b = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
-    emit_svg_filmstrip([("t=0", PointCloud(base), "#111111")], a, projection="xy")
-    emit_svg_filmstrip([("t=0", PointCloud(shifted), "#111111")], b, projection="xy")
+    emit_svg_filmstrip([("t=0", PointCloud(base))], a)
+    emit_svg_filmstrip([("t=0", PointCloud(shifted))], b)
     assert open(a, "rb").read() == open(b, "rb").read()
-    # yz keeps z, so the same pair now differs
-    emit_svg_filmstrip([("t=0", PointCloud(base), "#111111")], a, projection="yz")
-    emit_svg_filmstrip([("t=0", PointCloud(shifted), "#111111")], b, projection="yz")
-    assert open(a, "rb").read() != open(b, "rb").read()
 
 
 def test_svg_is_byte_deterministic(tmp_path):
     cloud = PointCloud(np.random.default_rng(9).normal(size=(25, 3)))
     a, b = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
     # one panel holding both the plain and the extreme coordinates
-    panel = ("t=0", PointCloud(np.vstack([cloud.points, messy_cloud().points])), "#807020")
+    panel = ("t=0", PointCloud(np.vstack([cloud.points, messy_cloud().points])))
     emit_svg_filmstrip([panel], a)
     emit_svg_filmstrip([panel], b)
     assert open(a, "rb").read() == open(b, "rb").read()
@@ -359,13 +361,11 @@ def test_svg_input_checks(tmp_path):
     path = str(tmp_path / "plot.svg")
     with pytest.raises(ValueError, match="at least one"):
         emit_svg_filmstrip([], path)
-    with pytest.raises(ValueError, match="projection"):
-        emit_svg_filmstrip([("t=0", messy_cloud(), "#000000")], path, projection="zz")
 
 
 def test_filmstrip_panels_and_determinism(tmp_path):
     rng = np.random.default_rng(10)
-    panels = [(f"t={t:g}", PointCloud(rng.normal(size=(12, 3)) + t), "#334455")
+    panels = [(f"t={t:g}", PointCloud(rng.normal(size=(12, 3)) + t))
               for t in (0.0, 0.5, 1.0)]
     a, b = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
     emit_svg_filmstrip(panels, a)

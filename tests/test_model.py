@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from conftest import random_gmm, random_rotation, random_spd, sample_mixture, unit_gmm
 from gmmcloud.em import Responsibilities
 from gmmcloud.embedding import SphereEmbedding, make_probe_set
 from gmmcloud.model import (
+    LOG_TWO_PI,
     DegenerateCovarianceError,
     EnsembleMember,
     Gmm,
@@ -24,14 +26,36 @@ from gmmcloud.model import (
     covariance_floor,
     ensemble_log_density,
     floor_spd,
-    gaussian_log_density,
-    gmm_density,
     gmm_log_density,
     gmm_log_likelihood,
     log_sum_exp_rows,
+    weighted_log_densities,
 )
 
 STANDARD_PEAK = (2.0 * math.pi) ** -1.5
+
+
+def gaussian_log_density(points, mean, cov):
+    """Log density of N(mean, cov) at each row of points, one Gaussian
+    through its Cholesky factor: the per-component reference for the
+    stacked densities of gmmcloud.model."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    chol = np.linalg.cholesky(cov)
+    diff = pts - np.asarray(mean, dtype=float)
+    y = solve_triangular(chol, diff.T, lower=True)
+    maha = np.einsum("ij,ij->j", y, y)
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return -0.5 * (3.0 * LOG_TWO_PI + log_det + maha)
+
+
+def gmm_density(x, model):
+    """Mixture density at a single point, sum_j w_j f_j(x), summed one
+    component at a time."""
+    x = np.asarray(x, dtype=float).reshape(1, 3)
+    return float(math.fsum(
+        w * float(np.exp(gaussian_log_density(x, m, c)[0]))
+        for w, m, c in zip(model.weights.tolist(), model.means, model.covariances)
+    ))
 
 
 def density(x, mean, cov):
@@ -238,7 +262,8 @@ def test_diagonal_density_matches_univariate_product():
 
 def test_density_rejects_degenerate_covariance():
     with pytest.raises(DegenerateCovarianceError, match="degenerate covariance"):
-        gaussian_log_density(np.zeros((1, 3)), np.zeros(3), np.diag([1.0, 1.0, 0.0]))
+        weighted_log_densities(np.zeros((1, 3)), np.ones(1), np.zeros((1, 3)),
+                               np.diag([1.0, 1.0, 0.0])[None])
 
 
 def test_rotation_invariance():

@@ -1,4 +1,4 @@
-"""Random streams, categorical and Gaussian draws, cloud generation."""
+"""Random streams, member and Gaussian draws, cloud generation."""
 
 import math
 
@@ -13,12 +13,11 @@ from gmmcloud.model import (
     PointCloud,
 )
 from gmmcloud.sampling import (
-    RngStream,
     ensemble_moments,
     generate_point_cloud,
     mixture_moments,
+    rng_stream,
     sample_assignments,
-    sample_categorical,
 )
 
 
@@ -31,37 +30,44 @@ def uniform_gmm(k, spacing=3.0):
 
 
 def test_stream_replays_identically():
-    a = RngStream(123, 4).random(10)
-    b = RngStream(123, 4).random(10)
+    a = rng_stream(123, 4).random(10)
+    b = rng_stream(123, 4).random(10)
     np.testing.assert_array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = RngStream(123, 0).random(10)
-    b = RngStream(123, 1).random(10)
-    c = RngStream(124, 0).random(10)
+    a = rng_stream(123).random(10)
+    b = rng_stream(123, 1).random(10)
+    c = rng_stream(124).random(10)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_stream_wraps_large_keys():
-    a = RngStream(2**64 + 5, 0).random(4)
-    b = RngStream(5, 0).random(4)
-    np.testing.assert_array_equal(a, b)
+    # the Philox key is (seed mod 2**64, stream_id mod 2**64)
+    philox = np.random.Philox(key=np.array([5, 3], dtype=np.uint64))
+    np.testing.assert_array_equal(rng_stream(2**64 + 5, 3).random(4),
+                                  np.random.Generator(philox).random(4))
+    np.testing.assert_array_equal(rng_stream(2**64 + 5).random(4), rng_stream(5).random(4))
 
 
-# ---------------------------------------------------------- categorical
+# ------------------------------------------------------- member draws
+
+
+def member_draws(probs, seed, n):
+    """sample_assignments' member indices for an ensemble whose members
+    have the selection probabilities probs."""
+    ensemble = GmmEnsemble(tuple(EnsembleMember(p, uniform_gmm(k + 1))
+                                 for k, p in enumerate(probs)))
+    return sample_assignments(ensemble, n, rng_stream(seed))[0]
 
 
 def test_categorical_point_mass():
-    rng = RngStream(0, 0)
-    draws = sample_categorical(np.array([1.0]), rng, size=100)
-    assert np.all(draws == 0)
-    assert sample_categorical(np.array([1.0]), rng) == 0
+    assert np.all(member_draws([1.0], 0, 100) == 0)
 
 
 def test_categorical_fair_coin_frequency():
-    draws = sample_categorical(np.array([0.5, 0.5]), RngStream(1, 0), size=1_000_000)
+    draws = member_draws([0.5, 0.5], 1, 1_000_000)
     freq = float(np.mean(draws == 0))
     assert 0.498 <= freq <= 0.502
 
@@ -69,26 +75,11 @@ def test_categorical_fair_coin_frequency():
 def test_categorical_three_way_frequencies():
     probs = np.array([0.2, 0.3, 0.5])
     n = 1_000_000
-    draws = sample_categorical(probs, RngStream(2, 0), size=n)
+    draws = member_draws(probs, 2, n)
     for j, p in enumerate(probs):
         freq = float(np.mean(draws == j))
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert abs(freq - p) < 4.0 * sigma
-
-
-def test_categorical_validates_probabilities():
-    rng = RngStream(0, 0)
-    with pytest.raises(ValueError, match="sum"):
-        sample_categorical(np.array([0.5, 0.6]), rng)
-    with pytest.raises(ValueError):
-        sample_categorical(np.array([1.5, -0.5]), rng)
-    with pytest.raises(ValueError):
-        sample_categorical(np.array([]), rng)
-
-
-def test_categorical_scalar_type():
-    out = sample_categorical(np.array([0.3, 0.7]), RngStream(3, 0))
-    assert isinstance(out, int)
 
 
 # ------------------------------------------------------------- gaussian
@@ -100,13 +91,13 @@ def single_gaussian(mean, cov):
 
 def test_gaussian_draw_moments():
     ensemble = single_gaussian([5.0, 5.0, 5.0], np.eye(3))
-    draws = generate_point_cloud(ensemble, 100_000, RngStream(4, 0)).points
+    draws = generate_point_cloud(ensemble, 100_000, rng_stream(4)).points
     assert np.max(np.abs(draws.mean(axis=0) - 5.0)) < 0.02
 
 
 def test_gaussian_draw_variance():
     ensemble = single_gaussian(np.zeros(3), np.diag([4.0, 1.0, 1.0]))
-    draws = generate_point_cloud(ensemble, 100_000, RngStream(5, 0)).points
+    draws = generate_point_cloud(ensemble, 100_000, rng_stream(5)).points
     var = float(draws[:, 0].var())
     assert 3.8 <= var <= 4.2
 
@@ -121,7 +112,7 @@ def test_assignment_law_matches_hierarchy():
         EnsembleMember(0.5, uniform_gmm(4)),
     ))
     n = 1_000_000
-    member_idx, component_idx = sample_assignments(ensemble, n, RngStream(42, 0))
+    member_idx, component_idx = sample_assignments(ensemble, n, rng_stream(42))
     for k, member in enumerate(ensemble.members):
         for j, weight in enumerate(member.model.weights):
             p = ensemble.members[k].weight * weight
@@ -132,23 +123,23 @@ def test_assignment_law_matches_hierarchy():
 
 def test_assignments_single_member_reduce():
     ensemble = GmmEnsemble.single(uniform_gmm(3))
-    member_idx, component_idx = sample_assignments(ensemble, 500, RngStream(6, 0))
+    member_idx, component_idx = sample_assignments(ensemble, 500, rng_stream(6))
     assert np.all(member_idx == 0)
     assert set(np.unique(component_idx)) <= {0, 1, 2}
 
 
 def test_assignments_reject_bad_count():
     with pytest.raises(ValueError, match="count"):
-        sample_assignments(GmmEnsemble.single(uniform_gmm(1)), 0, RngStream(0, 0))
+        sample_assignments(GmmEnsemble.single(uniform_gmm(1)), 0, rng_stream(0))
 
 
 def test_generate_is_deterministic_per_stream():
     ensemble = GmmEnsemble.single(uniform_gmm(2))
-    one = generate_point_cloud(ensemble, 1, RngStream(7, 0))
-    again = generate_point_cloud(ensemble, 1, RngStream(7, 0))
+    one = generate_point_cloud(ensemble, 1, rng_stream(7))
+    again = generate_point_cloud(ensemble, 1, rng_stream(7))
     np.testing.assert_array_equal(one.points, again.points)
     assert len(one) == 1
-    more = generate_point_cloud(ensemble, 64, RngStream(7, 1), label="demented")
+    more = generate_point_cloud(ensemble, 64, rng_stream(7, 1), label="demented")
     assert len(more) == 64
     assert more.label == "demented"
 
@@ -156,7 +147,7 @@ def test_generate_is_deterministic_per_stream():
 def test_generated_cloud_matches_known_mixture_moments():
     model = Gmm([0.3, 0.7], [[1.0, 0.0, 0.0], [-1.0, 2.0, 0.0]],
                 [np.diag([1.0, 2.0, 3.0]), np.eye(3)])
-    cloud = generate_point_cloud(GmmEnsemble.single(model), 200_000, RngStream(8, 0))
+    cloud = generate_point_cloud(GmmEnsemble.single(model), 200_000, rng_stream(8))
     mean, cov = mixture_moments(model)
     assert float(np.linalg.norm(cloud.points.mean(axis=0) - mean)) < 0.02
     diff = cloud.points - cloud.points.mean(axis=0)
@@ -166,7 +157,7 @@ def test_generated_cloud_matches_known_mixture_moments():
 
 def test_regenerated_tube_matches_training_moments(fitted_tube):
     cloud, model = fitted_tube
-    regen = generate_point_cloud(GmmEnsemble.single(model), 5000, RngStream(9, 0))
+    regen = generate_point_cloud(GmmEnsemble.single(model), 5000, rng_stream(9))
     assert_moments_close(regen.points, cloud.points, rel=0.05)
 
 
