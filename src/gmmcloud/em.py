@@ -3,6 +3,10 @@
 fit_em sorts the points lexicographically before doing anything else, so
 the whole fit is a function of the point multiset: permuting the input
 order reproduces the same parameters bit for bit under the same seed.
+
+Both EM steps use the moment form of model.py: the E-step is one
+product of coefficients with the feature table Phi of the points, the
+M-step one product of the (K, N) responsibilities with Phi^T.
 """
 
 from __future__ import annotations
@@ -12,11 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    SECOND_MOMENT_ROWS,
     Gmm,
     PointCloud,
+    centred_features,
     covariance_floor,
+    feature_log_densities,
     floor_spd,
-    log_sum_exp_rows,
+    log_sum_exp_columns,
     reduce_through_constructor,
     weighted_log_densities,
 )
@@ -176,42 +183,46 @@ def kmeans_init(cloud: PointCloud, k: int, seed: int) -> Gmm:
 
 
 def _gamma_from_log_densities(lwd: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, int]:
+    """(K, N) responsibilities exp(lwd - norm), computed in lwd's buffer;
+    columns whose density underflowed everywhere get 1/K. Returns the
+    buffer and the number of such columns."""
     dead = ~np.isfinite(norm)
-    # a dead row's -inf - -inf is NaN until it is overwritten with 1/K
+    # a dead column's -inf - -inf is NaN until it is overwritten with 1/K
     with np.errstate(invalid="ignore"):
-        gamma = np.exp(lwd - norm[:, None])
-    gamma[dead] = 1.0 / lwd.shape[1]
-    return gamma, int(np.count_nonzero(dead))
+        np.subtract(lwd, norm, out=lwd)
+    np.exp(lwd, out=lwd)
+    lwd[:, dead] = 1.0 / lwd.shape[0]
+    return lwd, int(np.count_nonzero(dead))
 
 
 def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
     """Posterior membership of every point in every component."""
     lwd = weighted_log_densities(cloud.points, model.weights, model.means, model.covariances)
-    gamma, underflow = _gamma_from_log_densities(lwd, log_sum_exp_rows(lwd))
-    return Responsibilities(gamma, underflow)
+    gamma, underflow = _gamma_from_log_densities(lwd, log_sum_exp_columns(lwd))
+    return Responsibilities(gamma.T, underflow)
 
 
-def _m_step_arrays(pts: np.ndarray, gamma: np.ndarray, eps: float
+def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, k = gamma.shape
-    mass = gamma.sum(axis=0)
+    """Weights, means and floored covariances from (K, N) responsibilities
+    and the feature table Phi, means in Phi's frame."""
+    moments = gamma @ phi.T
+    mass = moments[:, 0]
     weights = mass / mass.sum()
     alive = mass >= COLLAPSE_MASS
-    means = (gamma.T @ pts) / np.where(alive, mass, 1.0)[:, None]
-    covs = np.zeros((k, 3, 3))
-    for j in np.flatnonzero(alive):
-        diff = pts - means[j]
-        covs[j] = (gamma[:, j] * diff.T) @ diff / mass[j]
+    scaled = moments / np.where(alive, mass, 1.0)[:, None]
+    means = scaled[:, 1:4]
+    covs = scaled[:, SECOND_MOMENT_ROWS] - means[:, :, None] * means[:, None, :]
     covs[alive] = floor_spd(covs[alive], eps)
     if not alive.all():
         # reseed dead components at the point the surviving mixture
         # explains worst, with the full data covariance
-        lwd = weighted_log_densities(pts, mass[alive] / mass[alive].sum(), means[alive],
-                                     covs[alive])
-        worst = int(np.argmin(log_sum_exp_rows(lwd)))
-        means[~alive] = pts[worst]
-        covs[~alive] = floor_spd(np.cov(pts.T, ddof=0), eps)
-        weights[~alive] = 1.0 / n
+        lwd = feature_log_densities(phi, mass[alive] / mass[alive].sum(), means[alive],
+                                    covs[alive])
+        worst = int(np.argmin(log_sum_exp_columns(lwd)))
+        means[~alive] = phi[1:4, worst]
+        covs[~alive] = floor_spd(np.cov(phi[1:4], ddof=0), eps)
+        weights[~alive] = 1.0 / phi.shape[1]
         weights = weights / weights.sum()
     return weights, means, covs
 
@@ -221,12 +232,20 @@ def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
     if resp.gamma.shape[0] != len(cloud):
         raise ValueError(
             f"responsibilities cover {resp.gamma.shape[0]} points, cloud has {len(cloud)}")
-    return Gmm(
-        *_m_step_arrays(cloud.points, resp.gamma, covariance_floor(cloud.points)))
+    centre = cloud.points.mean(axis=0)
+    weights, means, covs = _m_step_arrays(centred_features(cloud.points, centre),
+                                          resp.gamma.T, covariance_floor(cloud.points))
+    return Gmm(weights, means + centre, covs)
 
 
 def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitResult:
     """Fit a K-component mixture by EM from the best k-means++ start.
+
+    The points are sorted, then centred on their mean, and the feature
+    table of the centred points is built once for the fit; the means are
+    fitted in that frame and the centre is added back to the final
+    means. Sorting comes first, so the centre and the fit do not depend
+    on the input order.
 
     Convergence is declared when the relative log-likelihood change
     |dL| / (|L| + 1) drops below config.rel_tolerance; otherwise the loop
@@ -235,17 +254,21 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
     model = kmeans_init(cloud, k, config.seed)
     pts = _sorted_points(cloud.points)
     eps = covariance_floor(pts)
-    params = (model.weights, model.means, model.covariances)
-    lwd = weighted_log_densities(pts, *params)
-    norm = log_sum_exp_rows(lwd)
+    centre = pts.mean(axis=0)
+    phi = centred_features(pts, centre)
+    del pts  # Phi holds the centred points for the rest of the fit
+    params = (model.weights, model.means - centre, model.covariances)
+    lwd = feature_log_densities(phi, *params)
+    norm = log_sum_exp_columns(lwd)
     trace: list[float] = []
     converged = False
     try:
         for it in range(1, MAX_ITERATIONS + 1):
             gamma, _ = _gamma_from_log_densities(lwd, norm)
-            params = _m_step_arrays(pts, gamma, eps)
-            lwd = weighted_log_densities(pts, *params)
-            norm = log_sum_exp_rows(lwd)
+            params = _m_step_arrays(phi, gamma, eps)
+            # the next log-densities overwrite the responsibilities
+            lwd = feature_log_densities(phi, *params, out=gamma)
+            norm = log_sum_exp_columns(lwd)
             ll = float(np.sum(norm))
             if not np.isfinite(ll):
                 raise FitError(f"non-finite log-likelihood at iteration {it}")
@@ -255,7 +278,8 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
                 if rel < config.rel_tolerance:
                     converged = True
                     break
-        model = Gmm(*params)
+        weights, means, covs = params
+        model = Gmm(weights, means + centre, covs)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise FitError(f"fit failed at iteration {it}: {exc}") from exc
     return FitResult(model, tuple(trace), len(trace), converged)

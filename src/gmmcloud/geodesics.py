@@ -222,8 +222,10 @@ def interpolate_point_clouds(x: PointCloud, y: PointCloud, ts=DEFAULT_TS,
     if n_out < 1:
         raise ValueError(f"output cloud size must be >= 1, got {n_out}")
     fit = FitConfig(seed=seed)
-    ensemble_x, _ = build_ensemble(x, candidate_ks or default_candidate_ks(len(x)), fit)
-    ensemble_y, _ = build_ensemble(y, candidate_ks or default_candidate_ks(len(y)), fit)
+    ks_x = default_candidate_ks(len(x)) if candidate_ks is None else candidate_ks
+    ks_y = default_candidate_ks(len(y)) if candidate_ks is None else candidate_ks
+    ensemble_x, _ = build_ensemble(x, ks_x, fit)
+    ensemble_y, _ = build_ensemble(y, ks_y, fit)
     gx = dominant_member(ensemble_x)
     gy = dominant_member(ensemble_y)
     k = min(gx.k, gy.k)

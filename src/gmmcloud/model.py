@@ -4,8 +4,18 @@ Shapes are modeled as Gaussian mixtures over R^3. A mixture has one
 type, Gmm(weights, means, covariances): stacked arrays of weights (K,),
 means (K, 3) and covariances (K, 3, 3), validated once at construction
 and read-only afterwards. Fitting, sampling, geodesics and file I/O work
-on these arrays, and densities are evaluated for all K components at
-once.
+on these arrays.
+
+Densities use the moment (exponential-family) form of a Gaussian
+(Bishop, PRML 2.3-2.4 and 9.2). Each point x becomes a column of a
+feature table Phi = [1, x, x x^T] (10 rows, the second moments taken
+once each), and each weighted component becomes a row of coefficients
+built from its precision P, P mu and a constant. All K log-densities at
+all N points are then one (K, 10) by (10, N) product, and the moments
+an M-step needs are one (K, N) by (N, 10) product. The expanded form
+cancels when the points sit far from the origin next to a component's
+scale, so every table is built from centred points: a fit centres on
+the mean of its points, an evaluation on the mean of the mixture.
 
 This module also holds point clouds and AIC-weighted mixture ensembles.
 All types are immutable after construction; a pickled copy is rebuilt
@@ -214,15 +224,48 @@ def floor_spd(cov: np.ndarray, eps: float) -> np.ndarray:
     return 0.5 * (out + _transposed(out))
 
 
-def weighted_log_densities(points: np.ndarray, weights: np.ndarray, means: np.ndarray,
-                           covariances: np.ndarray) -> np.ndarray:
-    """(N, K) matrix of log(w_j) + log f_j(x_i). Zero weights map to -inf.
+# Rows of the feature table Phi: 1, the coordinates x, y, z, then the
+# second moments xx, yy, zz, xy, xz, yz. SECOND_MOMENT_ROWS maps a 3x3
+# second-moment matrix onto those rows.
+N_FEATURES = 10
+SECOND_MOMENT_ROWS = np.array([[4, 7, 8], [7, 5, 9], [8, 9, 6]])
+_PRODUCTS = ((1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3))
 
-    One batched Cholesky factorization covers all K covariances and gives
-    the log-determinants; the quadratic forms loop over K so that no
-    temporary grows beyond (N, 3).
+
+def centred_features(points: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """Feature table Phi (10, N) of the points taken relative to centre.
+
+    Column i of Phi is [1, y, y y^T] for y = x_i - centre, the second
+    moments in SECOND_MOMENT_ROWS order. The table is filled row by row,
+    so no (N, 3, 3) or (N, 10) temporary is made.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    phi = np.empty((N_FEATURES, pts.shape[0]))
+    phi[0] = 1.0
+    np.subtract(pts.T, centre[:, None], out=phi[1:4])
+    # a coordinate beyond 1e154 squares to inf, a density of exactly zero
+    with np.errstate(over="ignore"):
+        for row, (a, b) in enumerate(_PRODUCTS, start=4):
+            np.multiply(phi[a], phi[b], out=phi[row])
+    return phi
+
+
+def feature_log_densities(phi: np.ndarray, weights: np.ndarray, means: np.ndarray,
+                          covariances: np.ndarray, out: np.ndarray | None = None
+                          ) -> np.ndarray:
+    """(K, N) matrix of log(w_j) + log f_j(x_i) from the feature table of
+    the points. Zero weights map to -inf.
+
+    means are in Phi's frame, the same centre subtracted. One batched
+    Cholesky factorization gives every precision P = L^-T L^-1 and
+    log-determinant; row j of the coefficients is
+
+        [log w_j - (3 log 2 pi + log det S_j + mu^T P mu) / 2,  P mu,
+         -P_xx / 2, -P_yy / 2, -P_zz / 2, -P_xy, -P_xz, -P_yz]
+
+    and the log-densities are coefficients @ Phi, written to out when
+    given.
+    """
     try:
         chol = np.linalg.cholesky(covariances)
     except np.linalg.LinAlgError:
@@ -230,35 +273,65 @@ def weighted_log_densities(points: np.ndarray, weights: np.ndarray, means: np.nd
         raise DegenerateCovarianceError("degenerate covariance: Cholesky failed") from None
     inv_chol = np.linalg.inv(chol)
     log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    cols = np.full((pts.shape[0], weights.shape[0]), -np.inf)
-    for j in np.flatnonzero(weights > 0.0):
-        y = (pts - means[j]) @ inv_chol[j].T
-        cols[:, j] = (math.log(weights[j]) - 0.5 * (3.0 * LOG_TWO_PI + log_det[j])
-                      - 0.5 * np.einsum("ij,ij->i", y, y))
-    return cols
+    whitened = np.einsum("kab,kb->ka", inv_chol, means)
+    precision = _transposed(inv_chol) @ inv_chol
+    alive = weights > 0.0
+    coef = np.empty((weights.shape[0], N_FEATURES))
+    coef[:, 0] = (np.log(np.where(alive, weights, 1.0))
+                  - 0.5 * (3.0 * LOG_TWO_PI + log_det
+                           + np.einsum("ka,ka->k", whitened, whitened)))
+    coef[:, 1:4] = np.einsum("kba,kb->ka", inv_chol, whitened)
+    coef[:, 4:7] = -0.5 * np.diagonal(precision, axis1=1, axis2=2)
+    coef[:, 7:10] = -precision[:, [0, 0, 1], [1, 2, 2]]
+    # -inf stays out of the product, where BLAS could meet it with a zero
+    lwd = np.matmul(coef, phi, out=out)
+    lwd[~alive] = -np.inf
+    return lwd
 
 
-def log_sum_exp_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp that maps all -inf rows to -inf without warnings."""
-    peak = np.max(matrix, axis=1)
-    # an all -inf row shifts by 0, sums to 0 and takes log(0) = -inf
+def weighted_log_densities(points: np.ndarray, weights: np.ndarray, means: np.ndarray,
+                           covariances: np.ndarray) -> np.ndarray:
+    """(K, N) matrix of log(w_j) + log f_j(x_i). Zero weights map to -inf.
+
+    Points and means are taken relative to the mixture's own mean, the
+    weighted mean of its components, so the moment form stays accurate
+    near the mixture however far it sits from the origin.
+    """
+    centre = weights @ means
+    return feature_log_densities(centred_features(points, centre), weights, means - centre,
+                                 covariances)
+
+
+def log_sum_exp_columns(matrix: np.ndarray) -> np.ndarray:
+    """Log-sum-exp down each column of a (K, N) matrix, one value per
+    point; an all -inf column maps to -inf without warnings."""
+    peak = np.max(matrix, axis=0)
+    # an all -inf column shifts by 0, sums to 0 and takes log(0) = -inf
     shift = np.where(np.isfinite(peak), peak, 0.0)
+    shifted = matrix - shift
+    np.exp(shifted, out=shifted)
     with np.errstate(divide="ignore"):
-        return shift + np.log(np.sum(np.exp(matrix - shift[:, None]), axis=1))
+        return shift + np.log(np.sum(shifted, axis=0))
 
 
 def gmm_log_density(points: np.ndarray, model: Gmm) -> np.ndarray:
     """Log mixture density at each row of points, shape (N,)."""
-    return log_sum_exp_rows(weighted_log_densities(
+    return log_sum_exp_columns(weighted_log_densities(
         points, model.weights, model.means, model.covariances))
 
 
 def ensemble_log_density(points: np.ndarray, ensemble: GmmEnsemble) -> np.ndarray:
-    """Log density of the ensemble mixture sum_k p_k f_k at each point."""
-    cols = np.column_stack([
-        math.log(m.weight) + gmm_log_density(points, m.model) for m in ensemble.members
-    ])
-    return log_sum_exp_rows(cols)
+    """Log density of the ensemble mixture sum_k p_k f_k at each point.
+
+    The ensemble is one mixture whose components are every member's,
+    weighted p_k w_j, so it takes one product like a single mixture.
+    """
+    members = ensemble.members
+    return log_sum_exp_columns(weighted_log_densities(
+        points,
+        np.concatenate([m.weight * m.model.weights for m in members]),
+        np.concatenate([m.model.means for m in members]),
+        np.concatenate([m.model.covariances for m in members])))
 
 
 def gmm_log_likelihood(cloud: PointCloud, model: Gmm) -> float:

@@ -6,13 +6,15 @@ validate itself.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from gmmcloud import em
 from gmmcloud.em import FitConfig, fit_em
-from gmmcloud.model import Gmm, PointCloud
+from gmmcloud.model import LOG_TWO_PI, Gmm, PointCloud, floor_spd
 from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
 
 settings.register_profile("suite", deadline=None, max_examples=25)
@@ -107,3 +109,85 @@ def fitted_tube():
     cloud = make_bent_tube(tube_spec_for_class("nondemented", n_points=500), seed=3)
     result = fit_em(cloud, 4, FitConfig(seed=0))
     return cloud, result.model
+
+
+# ------------------------------------------------- loop-form EM oracle
+#
+# The E- and M-steps one component at a time, as gmmcloud computed them
+# before the moment-form core: (N, K) log-densities from each component's
+# Cholesky factor, and each covariance from the weighted outer products
+# of the points about its mean.
+
+
+def loop_log_densities(points, weights, means, covariances):
+    """(N, K) matrix of log w_j + log f_j(x_i); zero weights map to -inf."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    chol = np.linalg.cholesky(covariances)
+    inv_chol = np.linalg.inv(chol)
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    cols = np.full((pts.shape[0], weights.shape[0]), -np.inf)
+    for j in np.flatnonzero(weights > 0.0):
+        y = (pts - means[j]) @ inv_chol[j].T
+        cols[:, j] = (math.log(weights[j]) - 0.5 * (3.0 * LOG_TWO_PI + log_det[j])
+                      - 0.5 * np.einsum("ij,ij->i", y, y))
+    return cols
+
+
+def loop_log_sum_exp_rows(matrix):
+    peak = np.max(matrix, axis=1)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.sum(np.exp(matrix - shift[:, None]), axis=1))
+
+
+def loop_m_step(pts, gamma, eps):
+    """Weights, means and floored covariances from (N, K) responsibilities,
+    with the collapse reseed of em._m_step_arrays."""
+    n, k = gamma.shape
+    mass = gamma.sum(axis=0)
+    weights = mass / mass.sum()
+    alive = mass >= em.COLLAPSE_MASS
+    means = (gamma.T @ pts) / np.where(alive, mass, 1.0)[:, None]
+    covs = np.zeros((k, 3, 3))
+    for j in np.flatnonzero(alive):
+        diff = pts - means[j]
+        covs[j] = (gamma[:, j] * diff.T) @ diff / mass[j]
+    covs[alive] = floor_spd(covs[alive], eps)
+    if not alive.all():
+        lwd = loop_log_densities(pts, mass[alive] / mass[alive].sum(), means[alive],
+                                 covs[alive])
+        worst = int(np.argmin(loop_log_sum_exp_rows(lwd)))
+        means[~alive] = pts[worst]
+        covs[~alive] = floor_spd(np.cov(pts.T, ddof=0), eps)
+        weights[~alive] = 1.0 / n
+        weights = weights / weights.sum()
+    return weights, means, covs
+
+
+def loop_gamma(lwd, norm):
+    dead = ~np.isfinite(norm)
+    with np.errstate(invalid="ignore"):
+        gamma = np.exp(lwd - norm[:, None])
+    gamma[dead] = 1.0 / lwd.shape[1]
+    return gamma
+
+
+def loop_fit(pts, start, eps, rel_tolerance=FitConfig().rel_tolerance):
+    """EM by the loop-form steps from the start mixture's arrays, with
+    fit_em's convergence rule and iteration cap; returns the
+    log-likelihood trace."""
+    params = start
+    lwd = loop_log_densities(pts, *params)
+    norm = loop_log_sum_exp_rows(lwd)
+    trace = []
+    for _ in range(em.MAX_ITERATIONS):
+        params = loop_m_step(pts, loop_gamma(lwd, norm), eps)
+        lwd = loop_log_densities(pts, *params)
+        norm = loop_log_sum_exp_rows(lwd)
+        trace.append(float(np.sum(norm)))
+        if not math.isfinite(trace[-1]):
+            break
+        if len(trace) >= 2 and (abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0)
+                                < rel_tolerance):
+            break
+    return trace

@@ -13,6 +13,11 @@ from conftest import (
     RECOVERY_MEANS,
     RECOVERY_WEIGHTS,
     best_match,
+    loop_fit,
+    loop_gamma,
+    loop_log_densities,
+    loop_log_sum_exp_rows,
+    loop_m_step,
     recovery_cloud,
     sample_mixture,
 )
@@ -30,9 +35,11 @@ from gmmcloud.model import (
     Gmm,
     GmmEnsemble,
     PointCloud,
+    centred_features,
     covariance_floor,
+    feature_log_densities,
     gmm_log_likelihood,
-    log_sum_exp_rows,
+    log_sum_exp_columns,
 )
 from gmmcloud.sampling import generate_point_cloud, rng_stream
 from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
@@ -218,18 +225,19 @@ def test_e_step_underflow_goes_uniform():
 @pytest.mark.parametrize("k", [1, 3, 8, 32])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_gamma_matches_masked_bits(seed, k, dead_rows):
+    # (K, N) layout: one row per component, one column per point
     rng = np.random.default_rng(seed)
-    lwd = rng.normal(scale=50.0, size=(500, k))
+    lwd = np.ascontiguousarray(rng.normal(scale=50.0, size=(500, k)).T)
     if k > 1:
-        lwd[:, 0] = -np.inf  # a zero-weight component, every row still live
+        lwd[0] = -np.inf  # a zero-weight component, every column still live
     if dead_rows:
-        lwd[::7] = -np.inf
-    norm = log_sum_exp_rows(lwd)
+        lwd[:, ::7] = -np.inf
+    norm = log_sum_exp_columns(lwd)
     dead = ~np.isfinite(norm)
     live = ~dead
     masked = np.empty_like(lwd)
-    masked[live] = np.exp(lwd[live] - norm[live, None])
-    masked[dead] = 1.0 / k
+    masked[:, live] = np.exp(lwd[:, live] - norm[live])
+    masked[:, dead] = 1.0 / k
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gamma, underflow = em._gamma_from_log_densities(lwd, norm)
@@ -321,6 +329,76 @@ def test_m_step_weights_sum_to_one(seed, k):
     gamma = rng.dirichlet(np.ones(k), size=n)
     model = m_step(PointCloud(pts), Responsibilities(gamma))
     assert abs(math.fsum(model.weights.tolist()) - 1.0) < 1e-12
+
+
+# --------------------------------------------- moment form vs loop form
+#
+# The moment form expands (x - mu)^T P (x - mu), so it loses digits as the
+# quadratic form grows next to its value. The covariance floor, 1e-6 of
+# the data variance, caps P, so on centred points the loss stays within
+# about 1e6 ulps of a log-density; the M-step moments lose far less.
+
+ULP = np.finfo(float).eps
+LOG_DENSITY_TOL = 1e6 * ULP  # per unit of 1 + |log-density|
+MOMENT_TOL = 1e4 * ULP  # relative, on weights, means and covariances
+FIT_LL_TOL = 1e7 * ULP  # relative, on a whole fit's final log-likelihood
+
+
+@pytest.mark.parametrize("n, k", [(600, 2), (600, 8), (600, 32), (6000, 8)])
+def test_moment_core_matches_loop_oracle(n, k):
+    cloud = make_bent_tube(tube_spec_for_class("demented", n_points=n), seed=3)
+    model = fit_em(cloud, k, FitConfig(seed=0)).model
+    pts = em._sorted_points(cloud.points)
+    centre = pts.mean(axis=0)
+    args = (model.weights, model.means - centre, model.covariances)
+    oracle = loop_log_densities(pts - centre, *args)
+    got = feature_log_densities(centred_features(pts, centre), *args)
+    assert np.all(np.abs(got.T - oracle) <= LOG_DENSITY_TOL * (1.0 + np.abs(oracle)))
+
+    gamma = loop_gamma(oracle, loop_log_sum_exp_rows(oracle))
+    eps = covariance_floor(pts)
+    weights, means, covs = em._m_step_arrays(centred_features(pts, centre),
+                                             np.ascontiguousarray(gamma.T), eps)
+    ref_weights, ref_means, ref_covs = loop_m_step(pts - centre, gamma, eps)
+    spread = math.sqrt(float(np.trace(np.cov(pts.T))))
+    assert np.all(np.abs(weights - ref_weights) <= MOMENT_TOL * ref_weights)
+    assert np.all(np.abs(means - ref_means) <= MOMENT_TOL * spread)
+    gap = np.linalg.norm(covs - ref_covs, axis=(1, 2))
+    assert np.all(gap <= MOMENT_TOL * np.linalg.norm(ref_covs, axis=(1, 2)))
+
+
+def far_cloud(name):
+    """Clouds whose scale is small next to their distance from the origin
+    or from the rest of the cloud, where the moment form cancels most."""
+    tube = make_bent_tube(tube_spec_for_class("demented", n_points=600), seed=0).points
+    rng = np.random.default_rng(0)
+    if name == "tube_at_1e6":
+        return 1e-3 * tube + 1e6
+    if name == "tube_at_1e8":
+        return 1e-3 * tube + 1e8
+    if name == "tight_cluster_at_1e4":
+        return np.vstack([rng.normal(size=(540, 3)),
+                          1e4 + rng.normal(scale=1e-4, size=(60, 3))])
+    return np.vstack([tube, [[1e5, 1e5, 1e5]]])
+
+
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("name", ["tube_at_1e6", "tube_at_1e8", "tight_cluster_at_1e4",
+                                  "tube_and_far_point"])
+def test_fit_far_from_origin_matches_loop_oracle(name, k):
+    cloud = PointCloud(far_cloud(name))
+    try:
+        result = fit_em(cloud, k, FitConfig(seed=0))
+    except FitError:
+        return  # a clear failure is allowed, a wrong fit is not
+    pts = em._sorted_points(cloud.points)
+    centre = pts.mean(axis=0)
+    start = kmeans_init(cloud, k, seed=0)
+    trace = loop_fit(pts - centre, (start.weights, start.means - centre, start.covariances),
+                     covariance_floor(pts))
+    assert result.iterations == len(trace)
+    final = result.log_likelihood_trace[-1]
+    assert abs(final - trace[-1]) <= FIT_LL_TOL * abs(trace[-1])
 
 
 # ------------------------------------------------------------- full EM

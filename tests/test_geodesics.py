@@ -362,3 +362,5 @@ def test_interpolate_validates_arguments():
         interpolate_point_clouds(cloud, cloud, ts=(1.2,), candidate_ks=(2,))
     with pytest.raises(ValueError):
         interpolate_point_clouds(cloud, cloud, ts=(0.5,), n_out=0, candidate_ks=(2,))
+    with pytest.raises(ValueError, match="at least one candidate"):
+        interpolate_point_clouds(cloud, cloud, ts=(0.5,), candidate_ks=())

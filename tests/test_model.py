@@ -28,7 +28,7 @@ from gmmcloud.model import (
     floor_spd,
     gmm_log_density,
     gmm_log_likelihood,
-    log_sum_exp_rows,
+    log_sum_exp_columns,
     weighted_log_densities,
 )
 
@@ -366,17 +366,17 @@ def test_mixture_integrates_to_one():
 def test_log_sum_exp_matches_scipy(seed):
     rng = np.random.default_rng(seed)
     rows = rng.normal(scale=200.0, size=(8, 4))
-    np.testing.assert_allclose(log_sum_exp_rows(rows), logsumexp(rows, axis=1),
+    np.testing.assert_allclose(log_sum_exp_columns(rows.T), logsumexp(rows, axis=1),
                                rtol=1e-12)
 
 
-def masked_log_sum_exp_rows(matrix):
-    """log_sum_exp_rows evaluated only on the rows with a finite peak."""
-    peak = np.max(matrix, axis=1)
+def masked_log_sum_exp_columns(matrix):
+    """log_sum_exp_columns evaluated only on the columns with a finite peak."""
+    peak = np.max(matrix, axis=0)
     finite = np.isfinite(peak)
-    out = np.full(matrix.shape[0], -np.inf)
-    shifted = matrix[finite] - peak[finite, None]
-    out[finite] = peak[finite] + np.log(np.sum(np.exp(shifted), axis=1))
+    out = np.full(matrix.shape[1], -np.inf)
+    shifted = matrix[:, finite] - peak[finite]
+    out[finite] = peak[finite] + np.log(np.sum(np.exp(shifted), axis=0))
     return out
 
 
@@ -384,21 +384,22 @@ def masked_log_sum_exp_rows(matrix):
 @pytest.mark.parametrize("k", [1, 3, 8, 32])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_log_sum_exp_matches_masked_bits(seed, k, dead_rows):
+    # (K, N) layout: one row per component, one column per point
     rng = np.random.default_rng(seed)
-    rows = rng.normal(scale=200.0, size=(500, k))
+    cols = np.ascontiguousarray(rng.normal(scale=200.0, size=(500, k)).T)
     if k > 1:
-        rows[:, 0] = -np.inf  # a zero-weight component, every row still live
+        cols[0] = -np.inf  # a zero-weight component, every column still live
     if dead_rows:
-        rows[::7] = -np.inf
+        cols[:, ::7] = -np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = log_sum_exp_rows(rows)
-    assert out.tobytes() == masked_log_sum_exp_rows(rows).tobytes()
+        out = log_sum_exp_columns(cols)
+    assert out.tobytes() == masked_log_sum_exp_columns(cols).tobytes()
 
 
 def test_log_sum_exp_handles_dead_rows():
-    rows = np.array([[math.log(2.0), -np.inf], [-np.inf, -np.inf]])
-    out = log_sum_exp_rows(rows)
+    cols = np.array([[math.log(2.0), -np.inf], [-np.inf, -np.inf]]).T
+    out = log_sum_exp_columns(cols)
     assert math.isclose(out[0], math.log(2.0), rel_tol=1e-15)
     assert out[1] == -np.inf
 
