@@ -6,11 +6,14 @@ order reproduces the same parameters bit for bit under the same seed.
 
 Both EM steps use the moment form of model.py: the E-step is one
 product of coefficients with the feature table Phi of the points, the
-M-step one product of the (K, N) responsibilities with Phi^T.
+M-step one product of the (K, N) responsibilities with Phi^T. fit_em
+accelerates the EM map with SQUAREM and falls back to the plain map
+whenever an extrapolated state would lower the log-likelihood.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,9 @@ COLLAPSE_MASS = 1e-12
 MAX_LLOYD_ITERATIONS = 100
 MAX_ITERATIONS = 200
 KMEANS_RESTARTS = 4
+# SQUAREM step cap: the factor it grows by after an accepted step at the
+# cap and shrinks by, not below 1, after a rejected one
+STEP_GROWTH = 4.0
 
 
 class FitError(RuntimeError):
@@ -80,11 +86,15 @@ class Responsibilities:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted mixture plus the per-iteration log-likelihood trace.
+    """Fitted mixture plus the log-likelihood trace of its accepted EM
+    states, one entry per iteration.
 
-    EM with the covariance floor keeps the trace non-decreasing up to a
-    small slack; that property is asserted by the test suite rather than
-    enforced here, so a pathological fit is still inspectable.
+    The trace is non-decreasing by construction where fit_em can choose:
+    an extrapolated SQUAREM state enters it only when its log-likelihood
+    is at least that of the plain EM state it replaces. A plain EM map
+    never lowers the log-likelihood in exact arithmetic; the covariance
+    floor and collapse reseeds can, so the test suite asserts the
+    property with a small slack rather than fit_em enforcing it.
     """
 
     model: Gmm
@@ -238,8 +248,55 @@ def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
     return Gmm(weights, means + centre, covs)
 
 
+def _em_map(phi: np.ndarray, lwd: np.ndarray, norm: np.ndarray, eps: float
+            ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """One EM map: the M-step from the log-densities in lwd and their
+    log-sum-exp norm, then the E-step of its result written over lwd.
+    Returns the new parameters, their log-densities and their norm."""
+    gamma, _ = _gamma_from_log_densities(lwd, norm)
+    params = _m_step_arrays(phi, gamma, eps)
+    lwd = feature_log_densities(phi, *params, out=gamma)
+    return params, lwd, log_sum_exp_columns(lwd)
+
+
+def _converged(trace: list[float], rel_tolerance: float) -> bool:
+    """Whether the last two log-likelihoods differ by less than
+    rel_tolerance relative to |L| + 1."""
+    return len(trace) >= 2 and abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0) < rel_tolerance
+
+
+def _extrapolate(theta0, theta1, theta2, step_max: float):
+    """S3 SQUAREM step (Varadhan & Roland 2008) from three consecutive EM
+    states, each a (weights, means, covariances) tuple.
+
+    With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0 over all
+    three arrays, the step is alpha = min(step_max, |r| / |v|) and the
+    extrapolated state theta0 + 2 alpha r + alpha^2 v (alpha = 1 gives
+    theta2). Returns alpha and that state, or None in its place when
+    alpha <= 1 or the state is infeasible: a weight below zero, or a
+    covariance that Cholesky rejects.
+    """
+    r = [b - a for a, b in zip(theta0, theta1)]
+    v = [c - 2.0 * b + a for a, b, c in zip(theta0, theta1, theta2)]
+    sv2 = sum(float(np.vdot(x, x)) for x in v)
+    ratio = math.sqrt(sum(float(np.vdot(x, x)) for x in r) / sv2) if sv2 > 0.0 else math.inf
+    alpha = min(step_max, ratio)
+    if not alpha > 1.0:
+        return alpha, None
+    weights, means, covs = (a + 2.0 * alpha * x + alpha * alpha * y
+                            for a, x, y in zip(theta0, r, v))
+    if not np.all(weights >= 0.0):
+        return alpha, None
+    try:
+        np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        return alpha, None
+    return alpha, (weights, means, covs)
+
+
 def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitResult:
-    """Fit a K-component mixture by EM from the best k-means++ start.
+    """Fit a K-component mixture by SQUAREM-accelerated EM from the best
+    k-means++ start.
 
     The points are sorted, then centred on their mean, and the feature
     table of the centred points is built once for the fit; the means are
@@ -247,9 +304,23 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
     means. Sorting comes first, so the centre and the fit do not depend
     on the input order.
 
-    Convergence is declared when the relative log-likelihood change
-    |dL| / (|L| + 1) drops below config.rel_tolerance; otherwise the loop
-    stops at MAX_ITERATIONS.
+    Each cycle takes two EM maps, theta0 -> theta1 -> theta2, and then
+    the S3 SQUAREM step (see _extrapolate) with the step cap of the
+    SQUAREM package (Du & Varadhan 2020): the cap starts at 1, grows
+    STEP_GROWTH-fold after an accepted step at the cap and shrinks as
+    much, not below 1, after a rejected one. When the step is longer
+    than 1, one stabilising EM map is applied to the extrapolated state
+    theta', and its result ends the cycle unless theta' is infeasible,
+    or theta' or the stabilised state has a lower log-likelihood than
+    theta2; then the cycle ends at theta2.
+
+    The trace holds the log-likelihood of every accepted EM-map output,
+    and iterations is its length. Every M-step counts against
+    MAX_ITERATIONS, a rejected stabilising map included, so no fit runs
+    more M-steps than the cap. Convergence is declared when the
+    relative change |dL| / (|L| + 1) between two consecutive trace
+    entries drops below config.rel_tolerance; otherwise the fit stops
+    after MAX_ITERATIONS M-steps.
     """
     model = kmeans_init(cloud, k, config.seed)
     pts = _sorted_points(cloud.points)
@@ -261,25 +332,46 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
     lwd = feature_log_densities(phi, *params)
     norm = log_sum_exp_columns(lwd)
     trace: list[float] = []
-    converged = False
+    cycle = [params]  # the EM states of the current SQUAREM cycle
+    step_max = 1.0
+    m_steps = 0
+    stopped = False
     try:
-        for it in range(1, MAX_ITERATIONS + 1):
-            gamma, _ = _gamma_from_log_densities(lwd, norm)
-            params = _m_step_arrays(phi, gamma, eps)
-            # the next log-densities overwrite the responsibilities
-            lwd = feature_log_densities(phi, *params, out=gamma)
-            norm = log_sum_exp_columns(lwd)
+        while not stopped:
+            # one log-density buffer: each E-step overwrites the last
+            params, lwd, norm = _em_map(phi, lwd, norm, eps)
+            m_steps += 1
             ll = float(np.sum(norm))
             if not np.isfinite(ll):
-                raise FitError(f"non-finite log-likelihood at iteration {it}")
+                raise FitError(f"non-finite log-likelihood at iteration {m_steps}")
             trace.append(ll)
-            if len(trace) >= 2:
-                rel = abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0)
-                if rel < config.rel_tolerance:
-                    converged = True
-                    break
+            stopped = _converged(trace, config.rel_tolerance) or m_steps == MAX_ITERATIONS
+            cycle.append(params)
+            if len(cycle) < 3 or stopped:
+                continue
+            alpha, candidate = _extrapolate(*cycle, step_max)
+            accepted = not alpha > 1.0
+            if candidate is not None:
+                lwd = feature_log_densities(phi, *candidate, out=lwd)
+                norm = log_sum_exp_columns(lwd)
+                if float(np.sum(norm)) >= ll:
+                    stabilised, lwd, norm = _em_map(phi, lwd, norm, eps)
+                    m_steps += 1
+                    accepted = float(np.sum(norm)) >= ll
+                if accepted:
+                    params = stabilised
+                    trace.append(float(np.sum(norm)))
+                    stopped = _converged(trace, config.rel_tolerance)
+                else:
+                    # back to theta2: recompute its log-densities
+                    lwd = feature_log_densities(phi, *params, out=lwd)
+                    norm = log_sum_exp_columns(lwd)
+                stopped = stopped or m_steps == MAX_ITERATIONS
+            if alpha == step_max:
+                step_max = step_max * STEP_GROWTH if accepted else max(1.0, step_max / STEP_GROWTH)
+            cycle = [params]
         weights, means, covs = params
         model = Gmm(weights, means + centre, covs)
     except (ValueError, np.linalg.LinAlgError) as exc:
-        raise FitError(f"fit failed at iteration {it}: {exc}") from exc
-    return FitResult(model, tuple(trace), len(trace), converged)
+        raise FitError(f"fit failed at iteration {m_steps}: {exc}") from exc
+    return FitResult(model, tuple(trace), len(trace), _converged(trace, config.rel_tolerance))

@@ -96,6 +96,7 @@ def _parse_csv(text: str, path: str) -> PointCloud:
     reader = list(csv.reader(text.splitlines()))
     rows = []
     numeric_cols = None
+    first = True
     for lineno, record in enumerate(reader, start=1):
         if not record or all(not f.strip() for f in record):
             continue
@@ -108,7 +109,11 @@ def _parse_csv(text: str, path: str) -> PointCloud:
                 except ValueError:
                     pass
             if len(cols) < 3:
-                continue  # header row
+                if not first:
+                    raise FileFormatError(
+                        f"{path}: line {lineno}: expected 3 numeric columns, got {len(cols)}")
+                first = False
+                continue  # the header, only ever the first non-empty row
             numeric_cols = cols[:3]
         try:
             rows.append([float(record[i]) for i in numeric_cols])

@@ -315,7 +315,12 @@ def log_sum_exp_columns(matrix: np.ndarray) -> np.ndarray:
 
 
 def gmm_log_density(points: np.ndarray, model: Gmm) -> np.ndarray:
-    """Log mixture density at each row of points, shape (N,)."""
+    """Log mixture density at each row of points, shape (N,).
+
+    A point's value can differ in the last bit with the batch it is
+    evaluated in: NumPy sends a one-point product to BLAS gemv and a
+    larger one to gemm, and the two round differently.
+    """
     return log_sum_exp_columns(weighted_log_densities(
         points, model.weights, model.means, model.covariances))
 

@@ -172,22 +172,71 @@ def loop_gamma(lwd, norm):
     return gamma
 
 
+def loop_is_spd(covs):
+    try:
+        np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def loop_fit(pts, start, eps, rel_tolerance=FitConfig().rel_tolerance):
-    """EM by the loop-form steps from the start mixture's arrays, with
-    fit_em's convergence rule and iteration cap; returns the
-    log-likelihood trace."""
-    params = start
-    lwd = loop_log_densities(pts, *params)
-    norm = loop_log_sum_exp_rows(lwd)
+    """EM by the loop-form steps from the start mixture's arrays, on
+    fit_em's SQUAREM schedule, convergence rule and M-step cap; returns
+    the trace of accepted log-likelihoods.
+
+    Each cycle: two EM maps theta0 -> theta1 -> theta2, the step
+    alpha = min(step_max, |r| / |v|), and for alpha > 1 one EM map from
+    theta' = theta0 + 2 alpha r + alpha^2 v, kept only if theta' is
+    feasible and neither it nor its image scores below theta2.
+    """
     trace = []
-    for _ in range(em.MAX_ITERATIONS):
-        params = loop_m_step(pts, loop_gamma(lwd, norm), eps)
+    maps = 0
+
+    def log_likelihood(params):
+        return float(np.sum(loop_log_sum_exp_rows(loop_log_densities(pts, *params))))
+
+    def em_map(params):
+        nonlocal maps
+        maps += 1
         lwd = loop_log_densities(pts, *params)
-        norm = loop_log_sum_exp_rows(lwd)
-        trace.append(float(np.sum(norm)))
-        if not math.isfinite(trace[-1]):
+        new = loop_m_step(pts, loop_gamma(lwd, loop_log_sum_exp_rows(lwd)), eps)
+        return new, log_likelihood(new)
+
+    def stops():
+        return (not math.isfinite(trace[-1]) or maps == em.MAX_ITERATIONS
+                or (len(trace) >= 2
+                    and abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0) < rel_tolerance))
+
+    theta, step_max = start, 1.0
+    while True:
+        theta1, ll1 = em_map(theta)
+        trace.append(ll1)
+        if stops():
             break
-        if len(trace) >= 2 and (abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0)
-                                < rel_tolerance):
+        theta2, ll2 = em_map(theta1)
+        trace.append(ll2)
+        if stops():
+            break
+        r = [b - a for a, b in zip(theta, theta1)]
+        v = [c - 2.0 * b + a for a, b, c in zip(theta, theta1, theta2)]
+        sv2 = sum(float(np.sum(x * x)) for x in v)
+        ratio = math.sqrt(sum(float(np.sum(x * x)) for x in r) / sv2) if sv2 > 0 else math.inf
+        alpha = min(step_max, ratio)
+        accepted = alpha <= 1.0
+        if not accepted:
+            moved = tuple(a + 2.0 * alpha * x + alpha ** 2 * y for a, x, y in zip(theta, r, v))
+            if (np.all(moved[0] >= 0.0) and loop_is_spd(moved[2])
+                    and log_likelihood(moved) >= ll2):
+                theta3, ll3 = em_map(moved)
+                accepted = ll3 >= ll2
+        if alpha == step_max:
+            step_max = step_max * 4.0 if accepted else max(1.0, step_max / 4.0)
+        if accepted and alpha > 1.0:
+            theta = theta3
+            trace.append(ll3)
+        else:
+            theta = theta2
+        if stops():
             break
     return trace

@@ -447,6 +447,58 @@ def test_fit_trace_is_monotone():
         assert np.all(np.diff(trace) >= -1e-8)
 
 
+def test_fit_runs_at_most_max_iterations_m_steps(monkeypatch):
+    calls = []
+    m_step_arrays = em._m_step_arrays
+
+    def counted(*args):
+        calls.append(None)
+        return m_step_arrays(*args)
+
+    monkeypatch.setattr(em, "_m_step_arrays", counted)
+    cloud = make_bent_tube(tube_spec_for_class("demented", n_points=600), seed=0)
+    result = fit_em(cloud, 8, FitConfig(rel_tolerance=1e-300, seed=0))
+    assert len(calls) <= em.MAX_ITERATIONS
+    assert result.converged or len(calls) == em.MAX_ITERATIONS
+    assert result.iterations == len(result.log_likelihood_trace) <= len(calls)
+    assert np.all(np.diff(result.log_likelihood_trace) >= -1e-8)
+
+
+def squarem_states(weights, covariance_scales):
+    """Three EM states with fixed means: the given weights and multiples
+    of the identity as covariances."""
+    means = np.zeros((2, 3))
+    return [(np.array(w), means, np.stack([s * np.eye(3)] * 2))
+            for w, s in zip(weights, covariance_scales)]
+
+
+def test_extrapolate_takes_a_feasible_step():
+    states = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
+    # |r|^2 = 2 * 0.05^2 + 6 * 0.1^2, |v|^2 = 2 * 0.02^2 + 6 * 0.05^2
+    alpha, _ = em._extrapolate(*states, step_max=4.0)
+    assert alpha == pytest.approx(math.sqrt(0.065 / 0.0158))
+    alpha, moved = em._extrapolate(*states, step_max=2.0)
+    assert alpha == 2.0
+    # theta0 + 4 r + 4 v
+    np.testing.assert_allclose(moved[0], [0.38, 0.62])
+    np.testing.assert_allclose(moved[2], np.stack([1.2 * np.eye(3)] * 2))
+    # a step no longer than 1 is theta2 itself: nothing to extrapolate
+    assert em._extrapolate(*states, step_max=1.0) == (1.0, None)
+
+
+def test_extrapolate_rejects_negative_weights():
+    # v = 0, so alpha = step_max and theta' = theta0 + 2 alpha r
+    states = squarem_states([[0.5, 0.5], [0.4, 0.6], [0.3, 0.7]], [1.0, 1.0, 1.0])
+    alpha, moved = em._extrapolate(*states, step_max=4.0)
+    assert alpha == 4.0 and moved is None
+
+
+def test_extrapolate_rejects_non_spd_covariances():
+    states = squarem_states([[0.5, 0.5]] * 3, [1.0, 0.9, 0.8])
+    alpha, moved = em._extrapolate(*states, step_max=16.0)
+    assert alpha == 16.0 and moved is None
+
+
 def test_fit_is_permutation_equivariant():
     rng = np.random.default_rng(31)
     pts = sample_mixture(rng, 200, RECOVERY_WEIGHTS, RECOVERY_MEANS, RECOVERY_COVS)

@@ -133,6 +133,15 @@ def test_csv_reports_offending_line(tmp_path):
         read_point_cloud(str(path))
 
 
+def test_csv_short_row_after_header_is_an_error(tmp_path):
+    # only the first non-empty row may be a header; a short data row is
+    # an error, not a second header
+    path = tmp_path / "short.csv"
+    path.write_text("x,y,z\n1,2\n9,9\n3,4,5\n6,7,8\n")
+    with pytest.raises(FileFormatError, match="line 2"):
+        read_point_cloud(str(path))
+
+
 def test_csv_empty_is_an_error(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("x,y,z\n")
