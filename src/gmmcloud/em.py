@@ -4,6 +4,12 @@ fit_em sorts the points lexicographically before doing anything else, so
 the whole fit is a function of the point multiset: permuting the input
 order reproduces the same parameters bit for bit under the same seed.
 
+The k-means start assigns points to their nearest centre with SciPy's
+compiled scipy.cluster.vq.vq. It adds the three squared coordinate
+differences left to right and keeps the first of equal minima, as the
+NumPy column form (x - cx)**2 + (y - cy)**2 + (z - cz)**2 followed by
+argmin does, so the assignments are the same bit for bit.
+
 Both EM steps use the moment form of model.py: the E-step is one
 product of coefficients with the feature table Phi of the points, the
 M-step one product of the (K, N) responsibilities with Phi^T. fit_em
@@ -17,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.cluster.vq import vq
 
 from .model import (
     SECOND_MOMENT_ROWS,
@@ -108,11 +115,20 @@ def _sorted_points(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
+def _squared_distances(x: np.ndarray, y: np.ndarray, z: np.ndarray, c: np.ndarray
+                       ) -> np.ndarray:
+    """Squared distances from the points with coordinate columns x, y, z
+    to c, one centre (3,) or one per point (N, 3): the left-to-right sum
+    of three squares, the same bits as np.sum((pts - c) ** 2, axis=1)."""
+    return (x - c[..., 0]) ** 2 + (y - c[..., 1]) ** 2 + (z - c[..., 2]) ** 2
+
+
 def _kmeans_pp_centers(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = pts.shape[0]
+    x, y, z = np.ascontiguousarray(pts.T)
     centers = np.empty((k, 3))
     centers[0] = pts[int(rng.integers(n))]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    d2 = _squared_distances(x, y, z, centers[0])
     for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -121,7 +137,7 @@ def _kmeans_pp_centers(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = int(rng.integers(n))
         centers[j] = pts[idx]
-        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, _squared_distances(x, y, z, centers[j]))
     return centers
 
 
@@ -131,17 +147,14 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray
     point_ids = np.arange(n)
     assign = np.full(n, -1)
     for _ in range(MAX_LLOYD_ITERATIONS):
-        # (K, N) squared distances, each a left-to-right sum of three
-        # squares: the same bits as summing (pts - c) ** 2 over axis 1
-        d2 = (x - centers[:, 0, None]) ** 2
-        d2 += (y - centers[:, 1, None]) ** 2
-        d2 += (z - centers[:, 2, None]) ** 2
-        new_assign = np.argmin(d2, axis=0)
+        # the codes np.argmin gives over _squared_distances (see the module
+        # docstring); PointCloud has already rejected non-finite points
+        new_assign = vq(pts, centers, check_finite=False)[0]
         counts = np.bincount(new_assign, minlength=k)
         for empty in np.flatnonzero(counts == 0):
             # steal the point farthest from its centroid, preferring donors
             # that keep their cluster non-empty
-            dist_own = d2[new_assign, point_ids]
+            dist_own = _squared_distances(x, y, z, centers[new_assign])
             donors = counts[new_assign] > 1
             pool = np.flatnonzero(donors) if np.any(donors) else point_ids
             moved = pool[int(np.argmax(dist_own[pool]))]
@@ -156,12 +169,15 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray
         for d, coord in enumerate((x, y, z)):
             sums = np.bincount(assign, weights=coord, minlength=k)
             centers[filled, d] = sums[filled] / counts[filled]
-    d2 = np.sum((pts - centers[assign]) ** 2, axis=1)
-    return centers, assign, float(d2.sum())
+    return centers, assign, float(_squared_distances(x, y, z, centers[assign]).sum())
 
 
 def kmeans_init(cloud: PointCloud, k: int, seed: int) -> Gmm:
     """Cluster-based starting mixture: k-means++ seeding plus Lloyd.
+
+    Lloyd's assignment step is scipy.cluster.vq.vq, which matches the
+    NumPy nearest-centre argmin bit for bit: it sums the three squared
+    differences in the same order and breaks ties to the lowest index.
 
     Weights are cluster fractions, means the centroids, covariances the
     per-cluster sample covariances floored at the data-scale eigenvalue

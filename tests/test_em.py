@@ -170,22 +170,94 @@ def assert_lloyd_matches_reference(pts, k, seed):
     return steals
 
 
+def tube_points(seed, n_points=600):
+    label = "demented" if seed % 2 else "nondemented"
+    return make_bent_tube(tube_spec_for_class(label, n_points=n_points), seed).points
+
+
+def duplicate_points(distinct, copies):
+    rng = np.random.default_rng(distinct)
+    return np.repeat(rng.normal(size=(distinct, 3)), copies, axis=0)
+
+
+STEAL_CASES = [(6, 10, 40), (3, 4, 11), (5, 5, 25)]
+
+
 @pytest.mark.parametrize("k", [1, 2, 8, 32])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lloyd_is_bit_identical_to_reference(seed, k):
-    label = "demented" if seed % 2 else "nondemented"
-    cloud = make_bent_tube(tube_spec_for_class(label, n_points=600), seed)
-    assert_lloyd_matches_reference(cloud.points, k, seed)
+    assert_lloyd_matches_reference(tube_points(seed), k, seed)
 
 
-@pytest.mark.parametrize("distinct, copies, k", [(6, 10, 40), (3, 4, 11), (5, 5, 25)])
+def test_lloyd_is_bit_identical_to_reference_at_larger_n():
+    assert_lloyd_matches_reference(tube_points(1, n_points=6000), 8, 1)
+
+
+@pytest.mark.parametrize("distinct, copies, k", STEAL_CASES)
 def test_lloyd_matches_reference_when_clusters_steal(distinct, copies, k):
     # duplicate points make k-means++ repeat centers, which leaves
     # clusters empty until they steal a point
-    rng = np.random.default_rng(distinct)
-    pts = np.repeat(rng.normal(size=(distinct, 3)), copies, axis=0)
+    pts = duplicate_points(distinct, copies)
     steals = sum(assert_lloyd_matches_reference(pts, k, seed) for seed in range(3))
     assert steals > 0
+
+
+def test_lloyd_breaks_exact_ties_to_the_lowest_index(monkeypatch):
+    centers = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
+    # the origin is equidistant from all four centres, the others from two;
+    # the last four sit on the centres, so no cluster is empty
+    pts = np.vstack([[[0.0, 0, 0], [0.5, 0.5, 0], [-0.5, -0.5, 0], [-0.5, 0.5, 0],
+                      [0.5, -0.5, 0]], centers])
+    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    ties = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1)
+    assert ties.tolist() == [4, 2, 2, 2, 2, 1, 1, 1, 1]
+    # one iteration returns the first assignment
+    monkeypatch.setattr(em, "MAX_LLOYD_ITERATIONS", 1)
+    _, assign, _ = em._lloyd(pts, centers.copy())
+    assert assign.tolist() == [0, 0, 1, 1, 0, 0, 1, 2, 3]
+    np.testing.assert_array_equal(assign, np.argmin(d2, axis=1))
+    _, ref_assign, _, _ = lloyd_reference(pts, centers.copy())
+    np.testing.assert_array_equal(assign, ref_assign)
+
+
+def kmeans_pp_reference(pts, k, rng):
+    """k-means++ seeding in its row form, np.sum((pts - c) ** 2, axis=1),
+    which em._kmeans_pp_centers must reproduce bit for bit."""
+    n = pts.shape[0]
+    centers = np.empty((k, 3))
+    centers[0] = pts[int(rng.integers(n))]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total > 0.0:
+            cdf = np.cumsum(d2) / total
+            idx = min(int(np.searchsorted(cdf, rng.random(), side="right")), n - 1)
+        else:
+            idx = int(rng.integers(n))
+        centers[j] = pts[idx]
+        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def assert_kmeans_pp_matches_reference(pts, k):
+    pts = em._sorted_points(pts)
+    for seed in range(3):
+        rng, ref_rng = rng_stream(seed), rng_stream(seed)
+        centers = em._kmeans_pp_centers(pts, k, rng)
+        assert centers.tobytes() == kmeans_pp_reference(pts, k, ref_rng).tobytes()
+        # both consumed the same draws
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kmeans_pp_is_bit_identical_to_row_form(seed, k):
+    assert_kmeans_pp_matches_reference(tube_points(seed), k)
+
+
+@pytest.mark.parametrize("distinct, copies, k", STEAL_CASES)
+def test_kmeans_pp_matches_row_form_on_duplicate_points(distinct, copies, k):
+    assert_kmeans_pp_matches_reference(duplicate_points(distinct, copies), k)
 
 
 # -------------------------------------------------------------- E step
