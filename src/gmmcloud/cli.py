@@ -10,7 +10,6 @@ import math
 import os
 
 import click
-import numpy as np
 
 from .em import KMEANS_RESTARTS, MAX_ITERATIONS, FitConfig
 from .embedding import inflated_bounds, make_probe_set
@@ -28,7 +27,6 @@ from .io import (
     save_probe_set,
     write_point_cloud,
 )
-from .model import PointCloud
 from .pipeline import (
     ExperimentConfig,
     format_report,
@@ -103,16 +101,11 @@ def main():
 @click.option("--seed", default=0, show_default=True, help="Fit seed.")
 @click.option("--tol", default=1e-6, show_default=True,
               type=FloatRange(min=0.0, min_open=True), help="EM relative tolerance.")
-@click.option("--center", is_flag=True, help="Subtract the centroid before fitting.")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False),
               help="Output model file (JSON).")
-def fit(cloud_path, ks, seed, tol, center, out):
+def fit(cloud_path, ks, seed, tol, out):
     """Fit an AIC-weighted mixture ensemble to a point cloud."""
     cloud = _load(read_point_cloud, cloud_path)
-    offset = None
-    if center:
-        offset = cloud.points.mean(axis=0)
-        cloud = PointCloud(cloud.points - offset, label=cloud.label)
     _check_ks(ks, len(cloud))
     candidate_ks = ks or default_candidate_ks(len(cloud))
     ensemble, table = build_ensemble(cloud, candidate_ks,
@@ -125,7 +118,6 @@ def fit(cloud_path, ks, seed, tol, center, out):
         candidate_ks=tuple(sorted(set(candidate_ks))),
         training_n=len(cloud),
         label=cloud.label,
-        center_offset=tuple(offset.tolist()) if offset is not None else None,
     )
     save_model(out, ensemble, table, metadata)
     click.echo(format_aic_table(table))
@@ -145,9 +137,6 @@ def sample(model_path, n, seed, out):
     count = n if n is not None else loaded.metadata.training_n
     cloud = generate_point_cloud(loaded.ensemble, count, rng_stream(seed),
                                  label=loaded.metadata.label)
-    if loaded.metadata.center_offset is not None:
-        cloud = PointCloud(cloud.points + np.array(loaded.metadata.center_offset),
-                           label=cloud.label)
     write_point_cloud(cloud, out)
     click.echo(f"wrote {count} points to {out}")
 
@@ -255,6 +244,11 @@ def classify(train_path, test_path, positive):
     if not train:
         raise click.ClickException("training embeddings carry no labels")
     test = _load(load_embeddings, test_path)
+    sizes = sorted({emb.coords.size for emb, *_ in (*train, *test)})
+    if len(sizes) > 1:
+        raise click.ClickException(
+            f"{train_path} and {test_path} hold embeddings of sizes {sizes}; "
+            "embed every model on one probe set")
     pairs = []
     for emb, label, source in test:
         predicted = knn_classify(train, emb)

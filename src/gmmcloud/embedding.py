@@ -17,7 +17,6 @@ import numpy as np
 from .model import (
     Gmm,
     GmmEnsemble,
-    ensemble_log_density,
     gmm_log_density,
     reduce_through_constructor,
 )
@@ -114,12 +113,9 @@ def embedding_from_log_densities(log_density: np.ndarray) -> SphereEmbedding:
 
 
 def embed(model: Gmm | GmmEnsemble, probes: ProbeSet) -> SphereEmbedding:
-    """Embed a mixture or an ensemble through its probe density profile."""
-    if isinstance(model, GmmEnsemble):
-        logp = ensemble_log_density(probes.probes, model)
-    else:
-        logp = gmm_log_density(probes.probes, model)
-    return embedding_from_log_densities(logp)
+    """Embed a mixture, or an ensemble as its flat mixture, through its
+    probe density profile."""
+    return embedding_from_log_densities(gmm_log_density(probes.probes, model))
 
 
 def arc_distance(a: SphereEmbedding, b: SphereEmbedding) -> float:

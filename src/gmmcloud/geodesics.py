@@ -234,7 +234,7 @@ def interpolate_point_clouds(x: PointCloud, y: PointCloud, ts=DEFAULT_TS,
     target = reorder_components(target, match_components(source, target))
     models = tuple(product_geodesic(source, target, t) for t in ts)
     frames = tuple(
-        generate_point_cloud(GmmEnsemble.single(m), n_out, rng_stream(seed, i))
+        generate_point_cloud(m, n_out, rng_stream(seed, i))
         for i, m in enumerate(models)
     )
     return InterpolationResult(ts, frames, models, source, target)

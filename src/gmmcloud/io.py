@@ -153,7 +153,6 @@ class FitMetadata:
     candidate_ks: tuple[int, ...]
     training_n: int
     label: str | None = None
-    center_offset: tuple[float, float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -172,8 +171,23 @@ def _gmm_to_obj(model: Gmm):
     }
 
 
-def _gmm_from_obj(obj) -> Gmm:
-    return Gmm(obj["weights"], obj["means"], obj["covariances"])
+def _gmm_from_obj(obj, offset) -> Gmm:
+    model = Gmm(obj["weights"], obj["means"], obj["covariances"])
+    if offset is None:
+        return model
+    return Gmm(model.weights, model.means + offset, model.covariances)
+
+
+def _center_offset(meta, path: str) -> np.ndarray | None:
+    """The center_offset a schema "1" file may store, its means taken
+    relative to it; None when the means are in the cloud's own frame."""
+    value = meta.get("center_offset")
+    if value is None:
+        return None
+    offset = np.array(value, dtype=float)
+    if offset.shape != (3,) or not np.all(np.isfinite(offset)):
+        raise FileFormatError(f"{path}: center_offset must be three finite numbers")
+    return offset
 
 
 def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
@@ -196,8 +210,6 @@ def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
             "candidate_ks": list(metadata.candidate_ks),
             "training_n": metadata.training_n,
             "label": metadata.label,
-            "center_offset": (list(metadata.center_offset)
-                              if metadata.center_offset is not None else None),
         },
     }
     _atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
@@ -234,16 +246,18 @@ def _fields_of(path: str):
 
 
 def load_model(path: str) -> ModelFile:
+    """Read a model file; every member's means come back in the cloud's
+    own frame, with a stored center_offset added to them."""
     obj = _load_json(path, "model_file")
     with _fields_of(path):
+        meta = obj["metadata"]
+        offset = _center_offset(meta, path)
         ensemble = GmmEnsemble(tuple(
-            EnsembleMember(m["p"], _gmm_from_obj(m["model"])) for m in obj["ensemble"]
+            EnsembleMember(m["p"], _gmm_from_obj(m["model"], offset)) for m in obj["ensemble"]
         ))
         table = AicTable(tuple(
             AicRow(r["k"], r["aic"], r["normalized"], r["kept"]) for r in obj["aic_table"]
         ))
-        meta = obj["metadata"]
-        offset = meta.get("center_offset")
         metadata = FitMetadata(
             seed=meta["seed"],
             rel_tolerance=meta["rel_tolerance"],
@@ -252,7 +266,6 @@ def load_model(path: str) -> ModelFile:
             candidate_ks=tuple(meta["candidate_ks"]),
             training_n=meta["training_n"],
             label=meta.get("label"),
-            center_offset=tuple(offset) if offset is not None else None,
         )
     return ModelFile(obj["schema_version"], ensemble, table, metadata)
 

@@ -18,6 +18,8 @@ scale, so every table is built from centred points: a fit centres on
 the mean of its points, an evaluation on the mean of the mixture.
 
 This module also holds point clouds and AIC-weighted mixture ensembles.
+An ensemble is sampled, scored and embedded as its flat mixture, the
+components of every member weighted p_k w_kj (flat_mixture).
 All types are immutable after construction; a pickled copy is rebuilt
 through its constructor, so it is validated again and stays read-only.
 The types that hold arrays compare and hash by identity. All functions
@@ -194,10 +196,6 @@ class GmmEnsemble:
             raise ValueError(f"member component counts must be distinct, got {ks}")
         object.__setattr__(self, "members", members)
 
-    @classmethod
-    def single(cls, model: Gmm) -> "GmmEnsemble":
-        return cls((EnsembleMember(1.0, model),))
-
 
 def covariance_floor(points: np.ndarray) -> float:
     """Scale-aware eigenvalue floor for fitted covariances.
@@ -314,29 +312,36 @@ def log_sum_exp_columns(matrix: np.ndarray) -> np.ndarray:
         return shift + np.log(np.sum(shifted, axis=0))
 
 
-def gmm_log_density(points: np.ndarray, model: Gmm) -> np.ndarray:
-    """Log mixture density at each row of points, shape (N,).
+def flat_mixture(model: Gmm | GmmEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weights, means, covariances) of a mixture, or of an ensemble as
+    the one mixture whose components are every member's, weighted p_k w_kj.
+
+    The flat weights are neither checked nor renormalised: they sum to
+    one only within the two constructors' tolerances, which together can
+    exceed Gmm's own.
+    """
+    if isinstance(model, Gmm):
+        return model.weights, model.means, model.covariances
+    members = model.members
+    return (np.concatenate([m.weight * m.model.weights for m in members]),
+            np.concatenate([m.model.means for m in members]),
+            np.concatenate([m.model.covariances for m in members]))
+
+
+def gmm_log_density(points: np.ndarray, model: Gmm | GmmEnsemble) -> np.ndarray:
+    """Log density at each row of points, shape (N,), of a mixture or of
+    an ensemble's flat mixture sum_k p_k f_k.
 
     A point's value can differ in the last bit with the batch it is
     evaluated in: NumPy sends a one-point product to BLAS gemv and a
     larger one to gemm, and the two round differently.
     """
-    return log_sum_exp_columns(weighted_log_densities(
-        points, model.weights, model.means, model.covariances))
+    return log_sum_exp_columns(weighted_log_densities(points, *flat_mixture(model)))
 
 
 def ensemble_log_density(points: np.ndarray, ensemble: GmmEnsemble) -> np.ndarray:
-    """Log density of the ensemble mixture sum_k p_k f_k at each point.
-
-    The ensemble is one mixture whose components are every member's,
-    weighted p_k w_j, so it takes one product like a single mixture.
-    """
-    members = ensemble.members
-    return log_sum_exp_columns(weighted_log_densities(
-        points,
-        np.concatenate([m.weight * m.model.weights for m in members]),
-        np.concatenate([m.model.means for m in members]),
-        np.concatenate([m.model.covariances for m in members])))
+    """Log density of the ensemble mixture sum_k p_k f_k at each point."""
+    return gmm_log_density(points, ensemble)
 
 
 def gmm_log_likelihood(cloud: PointCloud, model: Gmm) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Gmm, GmmEnsemble, PointCloud
+from .model import Gmm, GmmEnsemble, PointCloud, flat_mixture
 
 
 def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -21,45 +21,23 @@ def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_assignments(ensemble: GmmEnsemble, n: int, rng: np.random.Generator):
-    """Hierarchical index draws for n points: (member_idx, component_idx).
+def generate_point_cloud(model: Gmm | GmmEnsemble, n: int, rng: np.random.Generator,
+                         label: str | None = None) -> PointCloud:
+    """Sample an n-point cloud from a mixture or an ensemble.
 
-    First a member k with probability p_k, then one of its components j
-    with probability w_kj, each by inverse CDF and vectorized over all n
-    points.
+    Each point takes component j of the flat mixture (flat_mixture) with
+    probability w_j, by inverse CDF over all n points at once, then a
+    Gaussian draw from it. Identical models and identically built
+    streams yield bit-identical clouds.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    members = ensemble.members
-    member_cdf = np.cumsum([m.weight for m in members])
-    member_idx = np.minimum(np.searchsorted(member_cdf, rng.random(n), side="right"),
-                            len(members) - 1)
-    u = rng.random(n)
-    component_idx = np.empty(n, dtype=int)
-    for k, member in enumerate(members):
-        mask = member_idx == k
-        cdf = np.cumsum(member.model.weights)
-        component_idx[mask] = np.minimum(
-            np.searchsorted(cdf, u[mask], side="right"), member.model.k - 1)
-    return member_idx, component_idx
-
-
-def generate_point_cloud(ensemble: GmmEnsemble, n: int, rng: np.random.Generator,
-                         label: str | None = None) -> PointCloud:
-    """Sample an n-point cloud from an ensemble.
-
-    Identical ensemble and an identically built stream yield a
-    bit-identical cloud.
-    """
-    member_idx, component_idx = sample_assignments(ensemble, n, rng)
+    weights, means, covariances = flat_mixture(model)
+    # a draw at or above the second-to-last cumulative weight takes the
+    # last component, also where the flat weights sum to just below one
+    idx = np.searchsorted(np.cumsum(weights)[:-1], rng.random(n), side="right")
     z = rng.standard_normal((n, 3))
-    models = [member.model for member in ensemble.members]
-    # one stack over the components of every member, indexed by member
-    # offset plus component index
-    offsets = np.cumsum([0] + [model.k for model in models[:-1]])
-    means = np.concatenate([model.means for model in models])
-    chols = np.linalg.cholesky(np.concatenate([model.covariances for model in models]))
-    idx = offsets[member_idx] + component_idx
+    chols = np.linalg.cholesky(covariances)
     out = means[idx] + np.einsum("nij,nj->ni", chols[idx], z)
     return PointCloud(out, label=label)
 

@@ -14,7 +14,8 @@ from hypothesis import settings
 
 from gmmcloud import em
 from gmmcloud.em import FitConfig, fit_em
-from gmmcloud.model import LOG_TWO_PI, Gmm, PointCloud, floor_spd
+from gmmcloud.model import LOG_TWO_PI, EnsembleMember, Gmm, GmmEnsemble, PointCloud, floor_spd
+from gmmcloud.sampling import generate_point_cloud, rng_stream
 from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
 
 settings.register_profile("suite", deadline=None, max_examples=25)
@@ -67,6 +68,26 @@ def random_gmm(rng, k, spread=4.0, scale=1.0):
 def unit_gmm(weights=(1.0,), means=((0.0, 0.0, 0.0),)):
     """Mixture of identity-covariance components."""
     return Gmm(weights, means, np.stack([np.eye(3)] * len(weights)))
+
+
+GRID = 3.0
+
+
+def grid_ensemble(member_weights, component_weights):
+    """Ensemble whose member k puts its component j at (GRID j, GRID k, 0)
+    with covariance 1e-6 I, so the (member, component) a draw came from
+    can be read off its position."""
+    return GmmEnsemble(tuple(
+        EnsembleMember(p, Gmm(w, [[GRID * j, GRID * k, 0.0] for j in range(len(w))],
+                              [1e-6 * np.eye(3)] * len(w)))
+        for k, (p, w) in enumerate(zip(member_weights, component_weights))))
+
+
+def drawn_indices(ensemble, n, seed):
+    """(member, component) indices of n points that generate_point_cloud
+    draws from a grid_ensemble on rng_stream(seed)."""
+    pts = generate_point_cloud(ensemble, n, rng_stream(seed)).points
+    return np.rint(pts[:, 1] / GRID).astype(int), np.rint(pts[:, 0] / GRID).astype(int)
 
 
 def best_match(fitted_means, true_means):

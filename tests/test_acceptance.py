@@ -14,6 +14,8 @@ from conftest import (
     RECOVERY_WEIGHTS,
     best_match,
     cloud_moments,
+    drawn_indices,
+    grid_ensemble,
     random_gmm,
     random_spd,
     recovery_cloud,
@@ -30,18 +32,12 @@ from gmmcloud.geodesics import (
     spd_distance,
     spd_geodesic,
 )
-from gmmcloud.model import (
-    EnsembleMember,
-    Gmm,
-    GmmEnsemble,
-    PointCloud,
-)
+from gmmcloud.model import PointCloud
 from gmmcloud.pipeline import ExperimentConfig, run_generation_classification
 from gmmcloud.sampling import (
     ensemble_moments,
     generate_point_cloud,
     rng_stream,
-    sample_assignments,
 )
 from gmmcloud.selection import aic_score, akaike_weights, build_ensemble
 from gmmcloud.shapes import add_outliers, make_bent_tube, tube_spec_for_class
@@ -176,12 +172,9 @@ def test_criterion_05_geodesic_laws():
 
 
 def test_criterion_06_hierarchical_sampling_law():
-    model_a = Gmm([0.3, 0.7], [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]], [np.eye(3)] * 2)
-    model_b = Gmm([0.2, 0.3, 0.5], [[0.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 4.0]],
-                  [np.eye(3)] * 3)
-    ensemble = GmmEnsemble((EnsembleMember(0.6, model_a), EnsembleMember(0.4, model_b)))
+    ensemble = grid_ensemble((0.6, 0.4), ((0.3, 0.7), (0.2, 0.3, 0.5)))
     n = 1_000_000
-    member_idx, comp_idx = sample_assignments(ensemble, n, rng_stream(1234))
+    member_idx, comp_idx = drawn_indices(ensemble, n, 1234)
     freq_dev = se_bound = 0.0
     within = True
     for mi, weights in ((0, (0.3, 0.7)), (1, (0.2, 0.3, 0.5))):

@@ -1,5 +1,7 @@
 """End-to-end command-line interface checks."""
 
+import json
+import math
 import os
 import re
 
@@ -126,23 +128,72 @@ def test_sample_defaults_to_training_size(workspace, tmp_path):
     assert len(read_point_cloud(small)) == 25
 
 
-def test_fit_center_offset_restored_on_sampling(tmp_path):
-    rng = np.random.default_rng(6)
-    from gmmcloud.io import write_point_cloud
-    from gmmcloud.model import PointCloud
-    cloud_path = str(tmp_path / "shifted.xyz")
-    write_point_cloud(PointCloud(rng.normal(size=(300, 3)) + [50.0, 0.0, 0.0]),
-                      cloud_path)
-    model_path = str(tmp_path / "model.json")
-    run_cli(["fit", cloud_path, "--ks", "1", "--center", "-o", model_path])
-    loaded = load_model(model_path)
-    assert loaded.metadata.center_offset is not None
-    assert abs(loaded.metadata.center_offset[0] - 50.0) < 0.5
-    # the stored model is centered, the samples are shifted back
-    assert abs(loaded.ensemble.members[0].model.means[0, 0]) < 1e-6
-    out = str(tmp_path / "regen.xyz")
-    run_cli(["sample", model_path, "--n", "400", "-o", out])
-    assert abs(float(read_point_cloud(out).points[:, 0].mean()) - 50.0) < 0.5
+def test_fit_has_no_center_option(workspace, tmp_path):
+    result = runner.invoke(main, ["fit", workspace["dem0"], "--center",
+                                  "-o", str(tmp_path / "m.json")])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--center" in result.output
+
+
+OFFSET = [1000.0, -5.0, 20.0]
+# members K = 1 (p 0.4) and K = 2 (p 0.6), means relative to OFFSET
+CENTRED_MEANS = ([[0.5, -1.0, 0.25]], [[-2.0, 0.0, 1.0], [1.5, 0.5, -0.75]])
+
+
+def write_schema_1_model(path, means, center_offset):
+    """A hand-written schema "1" model file whose member means are stored
+    relative to center_offset (None: in the cloud's own frame)."""
+    covariances = ([np.diag([1.0, 2.0, 0.5]).tolist()],
+                   [np.eye(3).tolist(), np.diag([0.5, 1.0, 2.0]).tolist()])
+    obj = {
+        "schema_version": "1",
+        "kind": "model_file",
+        "ensemble": [{"p": p, "model": {"weights": w, "means": m, "covariances": c}}
+                     for p, w, m, c in zip((0.4, 0.6), ([1.0], [0.25, 0.75]), means,
+                                           covariances)],
+        "aic_table": [{"k": 1, "aic": 100.0, "normalized": 1.0, "kept": True},
+                      {"k": 2, "aic": 100.8, "normalized": 0.67, "kept": True}],
+        "metadata": {"seed": 0, "rel_tolerance": 1e-6, "max_iterations": 200,
+                     "kmeans_restarts": 4, "candidate_ks": [1, 2], "training_n": 300,
+                     "label": "demented", "center_offset": center_offset},
+    }
+    with open(path, "w") as handle:
+        json.dump(obj, handle)
+
+
+@pytest.fixture
+def centred_and_plain_models(tmp_path):
+    """The same mixture written relative to OFFSET and in its own frame."""
+    centred = str(tmp_path / "centred.json")
+    plain = str(tmp_path / "plain.json")
+    write_schema_1_model(centred, CENTRED_MEANS, OFFSET)
+    write_schema_1_model(plain, [[[a + o for a, o in zip(mean, OFFSET)] for mean in means]
+                                 for means in CENTRED_MEANS], None)
+    return centred, plain
+
+
+def test_centred_model_file_embeds_in_its_cloud_frame(centred_and_plain_models, tmp_path):
+    centred, plain = centred_and_plain_models
+    cloud = str(tmp_path / "cloud.xyz")
+    run_cli(["sample", plain, "--n", "300", "-o", cloud])
+    probes = str(tmp_path / "probes.json")
+    run_cli(["probes", cloud, "--count", "200", "-o", probes])
+    out = str(tmp_path / "emb.json")
+    run_cli(["embed", centred, plain, "--probes", probes, "-o", out])
+    (a, _, _), (b, _, _) = load_embeddings(out)
+    # arc length from the chord, accurate where acos of the dot is not
+    angle = 2.0 * math.asin(float(np.linalg.norm(a.coords - b.coords)) / 2.0)
+    assert angle < 1e-9
+
+
+def test_centred_model_file_samples_in_its_cloud_frame(centred_and_plain_models, tmp_path):
+    centred, plain = centred_and_plain_models
+    outs = [str(tmp_path / name) for name in ("centred.xyz", "plain.xyz")]
+    for model, out in zip((centred, plain), outs):
+        run_cli(["sample", model, "--n", "400", "--seed", "3", "-o", out])
+    points = read_point_cloud(outs[0]).points
+    assert np.all(np.abs(points.mean(axis=0) - OFFSET) < 2.0)
+    assert read_bytes(outs[0]) == read_bytes(outs[1])
 
 
 def test_interpolate_writes_frames_and_filmstrip(workspace, tmp_path):
@@ -202,6 +253,22 @@ def test_classify_requires_labeled_training_data(workspace, tmp_path):
     assert result.exit_code != 0
     combined = result.output + (result.stderr or "")
     assert "no labels" in combined
+
+
+def test_classify_rejects_embeddings_of_different_sizes(workspace, tmp_path):
+    probes = str(tmp_path / "probes50.json")
+    run_cli(["probes", workspace["dem1"], "--count", "50", "-o", probes])
+    test = str(tmp_path / "test50.json")
+    run_cli(["embed", workspace["dem1_model"], "--probes", probes, "-o", test])
+    # an exception other than the CLI's own exit would propagate out of invoke
+    result = runner.invoke(main, ["classify", "--train", workspace["train_emb"],
+                                  "--test", test], catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    error = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(error) == 1
+    assert workspace["train_emb"] in error[0] and test in error[0]
+    assert "[50, 400]" in error[0]
+    assert "Traceback" not in result.output
 
 
 def test_eval_paper_pipeline_reduced_run():

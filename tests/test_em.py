@@ -33,7 +33,6 @@ from gmmcloud.em import (
 )
 from gmmcloud.model import (
     Gmm,
-    GmmEnsemble,
     PointCloud,
     centred_features,
     covariance_floor,
@@ -492,7 +491,7 @@ def test_fit_is_self_consistent():
     rng = np.random.default_rng(19)
     pts = sample_mixture(rng, 800, RECOVERY_WEIGHTS, RECOVERY_MEANS, RECOVERY_COVS)
     first = fit_em(PointCloud(pts), 2, FitConfig(seed=0))
-    regen = generate_point_cloud(GmmEnsemble.single(first.model), 2000, rng_stream(5))
+    regen = generate_point_cloud(first.model, 2000, rng_stream(5))
     refit = fit_em(regen, 2, FitConfig(seed=0))
     per_point_gap = abs(gmm_log_likelihood(regen, refit.model)
                         - gmm_log_likelihood(regen, first.model)) / len(regen)

@@ -23,6 +23,7 @@ from gmmcloud.embedding import (
     make_probe_set,
 )
 from gmmcloud.model import (
+    EnsembleMember,
     Gmm,
     GmmEnsemble,
     PointCloud,
@@ -147,7 +148,7 @@ def test_embed_single_member_ensemble_matches_model():
     cloud = PointCloud(model.means)
     probe_set = make_probe_set([cloud], seed=2)
     alone = embed(model, probe_set)
-    wrapped = embed(GmmEnsemble.single(model), probe_set)
+    wrapped = embed(GmmEnsemble((EnsembleMember(1.0, model),)), probe_set)
     np.testing.assert_allclose(wrapped.coords, alone.coords, atol=1e-12)
 
 

@@ -193,7 +193,7 @@ def test_model_file_round_trip_is_exact(tmp_path):
     ensemble, table = two_member_ensemble()
     metadata = FitMetadata(seed=11, rel_tolerance=1e-6, max_iterations=200,
                            kmeans_restarts=4, candidate_ks=(1, 2), training_n=321,
-                           label="demented", center_offset=(0.1, -math.pi, 3.0))
+                           label="demented")
     save_model(path, ensemble, table, metadata)
     loaded = load_model(path)
     assert loaded.schema_version == SCHEMA_VERSION == "1"
@@ -214,7 +214,27 @@ def test_model_file_optional_fields_default_to_none(tmp_path):
     save_model(path, ensemble, table, metadata)
     loaded = load_model(path)
     assert loaded.metadata.label is None
-    assert loaded.metadata.center_offset is None
+    # a model file is always in the cloud's own frame
+    assert "center_offset" not in json.load(open(path))["metadata"]
+
+
+def test_model_file_center_offset_shifts_every_member(tmp_path):
+    # schema "1" files may store each member's means relative to a
+    # center_offset; they load with the offset added back
+    path = str(tmp_path / "model.json")
+    ensemble, table = two_member_ensemble()
+    save_model(path, ensemble, table, FitMetadata(0, 1e-6, 200, 4, (1, 2), 5))
+    obj = json.load(open(path))
+    offset = [1000.0, -math.pi, 0.1]
+    obj["metadata"]["center_offset"] = offset
+    open(path, "w").write(json.dumps(obj))
+    loaded = load_model(path)
+    assert not hasattr(loaded.metadata, "center_offset")
+    for got, expected in zip(loaded.ensemble.members, ensemble.members):
+        assert got.weight == expected.weight
+        np.testing.assert_array_equal(got.model.weights, expected.model.weights)
+        np.testing.assert_array_equal(got.model.means, expected.model.means + offset)
+        np.testing.assert_array_equal(got.model.covariances, expected.model.covariances)
 
 
 def test_model_file_rejects_wrong_kind_and_schema(tmp_path):
@@ -261,8 +281,10 @@ def _without_means(obj):
     (lambda obj: {**obj, "ensemble": 5}, "malformed field"),
     (lambda obj: {**obj, "metadata": []}, "malformed field"),
     (lambda obj: json.dumps(obj)[:-9], "not valid JSON"),
+    (lambda obj: {**obj, "metadata": {**obj["metadata"], "center_offset": [1.0, 2.0]}},
+     "center_offset must be three finite numbers"),
 ], ids=["no-ensemble", "model-without-means", "top-level-list", "ensemble-not-a-list",
-        "metadata-not-an-object", "truncated"])
+        "metadata-not-an-object", "truncated", "short-center-offset"])
 def test_model_file_malformed_json_raises_file_format_error(tmp_path, change, message):
     path = str(tmp_path / "model.json")
     ensemble, table = two_member_ensemble()

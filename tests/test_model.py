@@ -216,9 +216,10 @@ def test_ensembles_hash_through_their_members():
     member = EnsembleMember(1.0, model)
     ensemble = GmmEnsemble((member,))
     assert hash(member) == hash(EnsembleMember(1.0, model))
-    assert hash(ensemble) == hash(GmmEnsemble.single(model))
-    assert ensemble == GmmEnsemble.single(model)
-    assert (ensemble == GmmEnsemble.single(random_gmm(np.random.default_rng(0), 3))) is False
+    assert hash(ensemble) == hash(GmmEnsemble((EnsembleMember(1.0, model),)))
+    assert ensemble == GmmEnsemble((EnsembleMember(1.0, model),))
+    other = random_gmm(np.random.default_rng(0), 3)
+    assert (ensemble == GmmEnsemble((EnsembleMember(1.0, other),))) is False
 
 
 def test_ensemble_requires_distinct_component_counts():
@@ -235,8 +236,6 @@ def test_ensemble_requires_positive_normalized_weights():
         EnsembleMember(0.0, m1)
     with pytest.raises(ValueError, match="sum"):
         GmmEnsemble((EnsembleMember(0.5, m1),))
-    single = GmmEnsemble.single(m1)
-    assert single.members[0].weight == 1.0
 
 
 # ------------------------------------------------------------- densities

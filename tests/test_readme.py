@@ -1,9 +1,12 @@
-"""The README's Python quickstart runs as written."""
+"""The README's Python quickstart runs as written, and its shell lines use
+only options the CLI has."""
 
 import contextlib
 import io
 import pathlib
 import re
+
+from gmmcloud.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +22,24 @@ def test_readme_quickstart_runs_and_classifies():
     with contextlib.redirect_stdout(out):
         exec(compile(quickstart_source(), str(README), "exec"), {"__name__": "quickstart"})
     assert out.getvalue().splitlines()[-1] == "demented"
+
+
+def readme_command_lines():
+    """(command, --options) of every `gmmcloud <command>` line in the
+    README's shell blocks."""
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.DOTALL):
+        for line in block.splitlines():
+            words = line.split("#")[0].split()
+            if words[:1] == ["gmmcloud"]:
+                yield words[1], [w.split("=")[0] for w in words[2:] if w.startswith("--")]
+
+
+def test_readme_command_lines_use_existing_options():
+    lines = list(readme_command_lines())
+    assert len(lines) > 10
+    for name, options in lines:
+        assert name in main.commands, f"README runs unknown command gmmcloud {name}"
+        known = {opt for param in main.commands[name].params
+                 for opt in param.opts + param.secondary_opts}
+        for option in options:
+            assert option in known, f"README passes gmmcloud {name} unknown option {option}"

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_moments_close, sample_mixture
+from conftest import assert_moments_close, drawn_indices, grid_ensemble, sample_mixture
+from gmmcloud.embedding import embed, make_probe_set
 from gmmcloud.model import (
     EnsembleMember,
     Gmm,
@@ -17,7 +18,6 @@ from gmmcloud.sampling import (
     generate_point_cloud,
     mixture_moments,
     rng_stream,
-    sample_assignments,
 )
 
 
@@ -55,11 +55,10 @@ def test_stream_wraps_large_keys():
 
 
 def member_draws(probs, seed, n):
-    """sample_assignments' member indices for an ensemble whose members
-    have the selection probabilities probs."""
-    ensemble = GmmEnsemble(tuple(EnsembleMember(p, uniform_gmm(k + 1))
-                                 for k, p in enumerate(probs)))
-    return sample_assignments(ensemble, n, rng_stream(seed))[0]
+    """Member indices of n draws from an ensemble whose members have the
+    selection probabilities probs."""
+    ensemble = grid_ensemble(probs, [np.full(k + 1, 1.0 / (k + 1)) for k in range(len(probs))])
+    return drawn_indices(ensemble, n, seed)[0]
 
 
 def test_categorical_point_mass():
@@ -86,7 +85,7 @@ def test_categorical_three_way_frequencies():
 
 
 def single_gaussian(mean, cov):
-    return GmmEnsemble.single(Gmm([1.0], [mean], [cov]))
+    return Gmm([1.0], [mean], [cov])
 
 
 def test_gaussian_draw_moments():
@@ -107,12 +106,9 @@ def test_gaussian_draw_variance():
 
 def test_assignment_law_matches_hierarchy():
     # joint (member, component) probabilities are all multiples of 1/8
-    ensemble = GmmEnsemble((
-        EnsembleMember(0.5, uniform_gmm(2)),
-        EnsembleMember(0.5, uniform_gmm(4)),
-    ))
+    ensemble = grid_ensemble((0.5, 0.5), (np.full(2, 0.5), np.full(4, 0.25)))
     n = 1_000_000
-    member_idx, component_idx = sample_assignments(ensemble, n, rng_stream(42))
+    member_idx, component_idx = drawn_indices(ensemble, n, 42)
     for k, member in enumerate(ensemble.members):
         for j, weight in enumerate(member.model.weights):
             p = ensemble.members[k].weight * weight
@@ -122,19 +118,45 @@ def test_assignment_law_matches_hierarchy():
 
 
 def test_assignments_single_member_reduce():
-    ensemble = GmmEnsemble.single(uniform_gmm(3))
-    member_idx, component_idx = sample_assignments(ensemble, 500, rng_stream(6))
+    ensemble = grid_ensemble((1.0,), (np.full(3, 1.0 / 3.0),))
+    member_idx, component_idx = drawn_indices(ensemble, 500, 6)
     assert np.all(member_idx == 0)
-    assert set(np.unique(component_idx)) <= {0, 1, 2}
+    assert set(np.unique(component_idx)) == {0, 1, 2}
+    # a one-member ensemble draws the very points of its mixture
+    model = ensemble.members[0].model
+    np.testing.assert_array_equal(
+        generate_point_cloud(ensemble, 500, rng_stream(6)).points,
+        generate_point_cloud(model, 500, rng_stream(6)).points)
 
 
 def test_assignments_reject_bad_count():
-    with pytest.raises(ValueError, match="count"):
-        sample_assignments(GmmEnsemble.single(uniform_gmm(1)), 0, rng_stream(0))
+    for model in (uniform_gmm(1), GmmEnsemble((EnsembleMember(1.0, uniform_gmm(1)),))):
+        with pytest.raises(ValueError, match="count"):
+            generate_point_cloud(model, 0, rng_stream(0))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ensemble_with_weight_sums_at_tolerance_samples_and_embeds(sign):
+    # member and component weights each sum 0.9e-9 off one, as the
+    # constructors allow, so the flat weights sum about 1.8e-9 off: more
+    # than a single Gmm accepts
+    off = sign * 0.9e-9
+    ensemble = GmmEnsemble((
+        EnsembleMember(0.25 + off / 2, uniform_gmm(1)),
+        EnsembleMember(0.75 + off / 2, Gmm([0.5 + off / 2, 0.5 + off / 2],
+                                           [[0.0, 3.0, 0.0], [3.0, 3.0, 0.0]],
+                                           [np.eye(3)] * 2)),
+    ))
+    flat_total = math.fsum(m.weight * w for m in ensemble.members for w in m.model.weights)
+    assert abs(flat_total - 1.0) > 1e-9
+    cloud = generate_point_cloud(ensemble, 1000, rng_stream(3))
+    assert len(cloud) == 1000
+    probe_set = make_probe_set([cloud], seed=0, count=50)
+    assert embed(ensemble, probe_set).coords.size == 50
 
 
 def test_generate_is_deterministic_per_stream():
-    ensemble = GmmEnsemble.single(uniform_gmm(2))
+    ensemble = GmmEnsemble((EnsembleMember(1.0, uniform_gmm(2)),))
     one = generate_point_cloud(ensemble, 1, rng_stream(7))
     again = generate_point_cloud(ensemble, 1, rng_stream(7))
     np.testing.assert_array_equal(one.points, again.points)
@@ -147,7 +169,7 @@ def test_generate_is_deterministic_per_stream():
 def test_generated_cloud_matches_known_mixture_moments():
     model = Gmm([0.3, 0.7], [[1.0, 0.0, 0.0], [-1.0, 2.0, 0.0]],
                 [np.diag([1.0, 2.0, 3.0]), np.eye(3)])
-    cloud = generate_point_cloud(GmmEnsemble.single(model), 200_000, rng_stream(8))
+    cloud = generate_point_cloud(model, 200_000, rng_stream(8))
     mean, cov = mixture_moments(model)
     assert float(np.linalg.norm(cloud.points.mean(axis=0) - mean)) < 0.02
     diff = cloud.points - cloud.points.mean(axis=0)
@@ -157,7 +179,7 @@ def test_generated_cloud_matches_known_mixture_moments():
 
 def test_regenerated_tube_matches_training_moments(fitted_tube):
     cloud, model = fitted_tube
-    regen = generate_point_cloud(GmmEnsemble.single(model), 5000, rng_stream(9))
+    regen = generate_point_cloud(model, 5000, rng_stream(9))
     assert_moments_close(regen.points, cloud.points, rel=0.05)
 
 
