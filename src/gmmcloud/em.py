@@ -4,11 +4,14 @@ fit_em sorts the points lexicographically before doing anything else, so
 the whole fit is a function of the point multiset: permuting the input
 order reproduces the same parameters bit for bit under the same seed.
 
-The k-means start assigns points to their nearest centre with SciPy's
-compiled scipy.cluster.vq.vq. It adds the three squared coordinate
-differences left to right and keeps the first of equal minima, as the
-NumPy column form (x - cx)**2 + (y - cy)**2 + (z - cz)**2 followed by
-argmin does, so the assignments are the same bit for bit.
+EM starts from the partition of the points by their nearest k-means++
+seed (Arthur & Vassilvitskii 2007); no Lloyd pass refines it, since EM
+refines the same partition anyway (seeding as a GMM start: Blömer &
+Bujna 2016). The partition comes from SciPy's compiled
+scipy.cluster.vq.vq. It adds the three squared coordinate differences
+left to right and keeps the first of equal minima, as the NumPy column
+form (x - cx)**2 + (y - cy)**2 + (z - cz)**2 followed by argmin does,
+so the assignments are the same bit for bit.
 
 Both EM steps use the moment form of model.py: the E-step is one
 product of coefficients with the feature table Phi of the points, the
@@ -40,7 +43,6 @@ from .model import (
 from .sampling import rng_stream
 
 COLLAPSE_MASS = 1e-12
-MAX_LLOYD_ITERATIONS = 100
 MAX_ITERATIONS = 200
 KMEANS_RESTARTS = 4
 # SQUAREM step cap: the factor it grows by after an accepted step at the
@@ -123,7 +125,11 @@ def _squared_distances(x: np.ndarray, y: np.ndarray, z: np.ndarray, c: np.ndarra
     return (x - c[..., 0]) ** 2 + (y - c[..., 1]) ** 2 + (z - c[..., 2]) ** 2
 
 
-def _kmeans_pp_centers(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_centers(pts: np.ndarray, k: int, rng: np.random.Generator
+                       ) -> tuple[np.ndarray, float]:
+    """k-means++ seeds and their potential: the sum over points of the
+    squared distance to the nearest seed, the within-cluster sum of
+    squares of the nearest-seed partition."""
     n = pts.shape[0]
     x, y, z = np.ascontiguousarray(pts.T)
     centers = np.empty((k, 3))
@@ -138,51 +144,37 @@ def _kmeans_pp_centers(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.
             idx = int(rng.integers(n))
         centers[j] = pts[idx]
         d2 = np.minimum(d2, _squared_distances(x, y, z, centers[j]))
-    return centers
+    return centers, float(d2.sum())
 
 
-def _lloyd(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    n, k = pts.shape[0], centers.shape[0]
-    x, y, z = np.ascontiguousarray(pts.T)
-    point_ids = np.arange(n)
-    assign = np.full(n, -1)
-    for _ in range(MAX_LLOYD_ITERATIONS):
-        # the codes np.argmin gives over _squared_distances (see the module
-        # docstring); PointCloud has already rejected non-finite points
-        new_assign = vq(pts, centers, check_finite=False)[0]
-        counts = np.bincount(new_assign, minlength=k)
-        for empty in np.flatnonzero(counts == 0):
-            # steal the point farthest from its centroid, preferring donors
-            # that keep their cluster non-empty
-            dist_own = _squared_distances(x, y, z, centers[new_assign])
-            donors = counts[new_assign] > 1
-            pool = np.flatnonzero(donors) if np.any(donors) else point_ids
-            moved = pool[int(np.argmax(dist_own[pool]))]
-            counts[new_assign[moved]] -= 1
-            new_assign[moved] = empty
-            counts[empty] += 1
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        # bincount adds each cluster's rows in order, as mean(axis=0) does
-        filled = counts > 0
-        for d, coord in enumerate((x, y, z)):
-            sums = np.bincount(assign, weights=coord, minlength=k)
-            centers[filled, d] = sums[filled] / counts[filled]
-    return centers, assign, float(_squared_distances(x, y, z, centers[assign]).sum())
+def _nearest_seed_partition(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Cluster index of every point: its nearest centre, ties to the lowest
+    index (see the module docstring). A seed repeated among duplicate
+    points leaves its cluster empty; each empty cluster then steals the
+    point farthest from its centre, preferring donors that keep their
+    cluster non-empty, so with K <= N no cluster stays empty."""
+    # PointCloud has already rejected non-finite points
+    assign = vq(pts, centers, check_finite=False)[0]
+    counts = np.bincount(assign, minlength=centers.shape[0])
+    for empty in np.flatnonzero(counts == 0):
+        dist_own = _squared_distances(*pts.T, centers[assign])
+        donors = counts[assign] > 1
+        pool = np.flatnonzero(donors) if np.any(donors) else np.arange(pts.shape[0])
+        moved = pool[int(np.argmax(dist_own[pool]))]
+        counts[assign[moved]] -= 1
+        assign[moved] = empty
+        counts[empty] += 1
+    return assign
 
 
 def kmeans_init(cloud: PointCloud, k: int, seed: int) -> Gmm:
-    """Cluster-based starting mixture: k-means++ seeding plus Lloyd.
+    """Cluster-based starting mixture from the best k-means++ seeding.
 
-    Lloyd's assignment step is scipy.cluster.vq.vq, which matches the
-    NumPy nearest-centre argmin bit for bit: it sums the three squared
-    differences in the same order and breaks ties to the lowest index.
-
-    Weights are cluster fractions, means the centroids, covariances the
-    per-cluster sample covariances floored at the data-scale eigenvalue
-    floor. Of KMEANS_RESTARTS starts, one stream each, the lowest
-    within-cluster sum of squares wins.
+    Of KMEANS_RESTARTS seedings, one stream each, the one with the
+    lowest potential wins, the first on ties. The points are split by
+    their nearest seed (_nearest_seed_partition); weights are cluster
+    fractions, means the centroids, covariances the per-cluster sample
+    covariances floored at the data-scale eigenvalue floor.
     """
     n = len(cloud)
     if k > n:
@@ -190,17 +182,13 @@ def kmeans_init(cloud: PointCloud, k: int, seed: int) -> Gmm:
     if k < 1:
         raise ValueError(f"component count must be >= 1, got {k}")
     pts = _sorted_points(cloud.points)
-    best = None
-    for r in range(KMEANS_RESTARTS):
-        centers = _kmeans_pp_centers(pts, k, rng_stream(seed, r))
-        centers, assign, wcss = _lloyd(pts, centers)
-        if best is None or wcss < best[2]:
-            best = (centers, assign, wcss)
-    centers, assign, _ = best
+    centers, _ = min((_kmeans_pp_centers(pts, k, rng_stream(seed, r))
+                      for r in range(KMEANS_RESTARTS)), key=lambda seeding: seeding[1])
+    assign = _nearest_seed_partition(pts, centers)
     counts = np.bincount(assign, minlength=k)
-    means = centers.copy()
-    covs = np.zeros((k, 3, 3))
-    for j in np.flatnonzero(counts):
+    means = np.empty((k, 3))
+    covs = np.empty((k, 3, 3))
+    for j in range(k):
         members = pts[assign == j]
         means[j] = members.mean(axis=0)
         diff = members - means[j]
@@ -312,7 +300,7 @@ def _extrapolate(theta0, theta1, theta2, step_max: float):
 
 def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitResult:
     """Fit a K-component mixture by SQUAREM-accelerated EM from the best
-    k-means++ start.
+    k-means++ seeding (kmeans_init).
 
     The points are sorted, then centred on their mean, and the feature
     table of the centred points is built once for the fit; the means are

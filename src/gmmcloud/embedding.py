@@ -119,10 +119,12 @@ def embed(model: Gmm | GmmEnsemble, probes: ProbeSet) -> SphereEmbedding:
 
 
 def arc_distance(a: SphereEmbedding, b: SphereEmbedding) -> float:
-    """Great-circle angle between two embeddings."""
+    """Great-circle angle between two embeddings, in the chord form
+    2 asin(|a - b| / 2): exactly 0 from an embedding to itself, where
+    acos of the dot product resolves angles only to about 1e-8 rad."""
     if a.coords.size != b.coords.size:
         raise ValueError(f"embedding sizes differ: {a.coords.size} vs {b.coords.size}")
-    return math.acos(float(np.clip(a.coords @ b.coords, -1.0, 1.0)))
+    return 2.0 * math.asin(float(np.linalg.norm(a.coords - b.coords)) / 2.0)
 
 
 def knn_classify(train, query: SphereEmbedding) -> str:

@@ -16,6 +16,8 @@ import csv
 import json
 import os
 import tempfile
+from array import array
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -61,16 +63,16 @@ def read_point_cloud(path: str) -> PointCloud:
     """Load a cloud from a CSV file (suffix .csv) or an XYZ file (any
     other suffix)."""
     with open(path, "r") as handle:
-        text = handle.read()
-    if _is_csv(path):
-        return _parse_csv(text, path)
-    return _parse_xyz(text, path)
+        if _is_csv(path):
+            return _parse_csv(handle.read(), path)
+        return _parse_xyz(handle, path)
 
 
-def _parse_xyz(text: str, path: str) -> PointCloud:
-    rows = []
+def _parse_xyz(lines: Iterable[str], path: str) -> PointCloud:
+    """Points of an XYZ file, read line by line into one flat array."""
+    coords = array("d")
     label = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -83,13 +85,13 @@ def _parse_xyz(text: str, path: str) -> PointCloud:
             raise FileFormatError(
                 f"{path}: line {lineno}: expected 3 coordinates, got {len(fields)}")
         try:
-            rows.append([float(f) for f in fields])
+            coords.extend(map(float, fields))
         except ValueError:
             raise FileFormatError(
                 f"{path}: line {lineno}: non-numeric coordinate in {line!r}") from None
-    if not rows:
+    if not coords:
         raise FileFormatError(f"{path}: no points found")
-    return PointCloud(np.array(rows), label=label)
+    return PointCloud(np.frombuffer(coords).reshape(-1, 3), label=label)
 
 
 def _parse_csv(text: str, path: str) -> PointCloud:

@@ -42,23 +42,11 @@ def generate_point_cloud(model: Gmm | GmmEnsemble, n: int, rng: np.random.Genera
     return PointCloud(out, label=label)
 
 
-def mixture_moments(model: Gmm) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic mean and covariance of a mixture."""
-    w = model.weights
-    means = model.means
-    covs = model.covariances
+def mixture_moments(model: Gmm | GmmEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic mean and covariance of a mixture, or of an ensemble's flat
+    mixture sum_k p_k f_k."""
+    w, means, covs = flat_mixture(model)
     mean = w @ means
     second = np.einsum("k,kij->ij", w, covs)
     second += np.einsum("k,ki,kj->ij", w, means, means)
-    return mean, second - np.outer(mean, mean)
-
-
-def ensemble_moments(ensemble: GmmEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic mean and covariance of the ensemble mixture sum_k p_k f_k."""
-    mean = np.zeros(3)
-    second = np.zeros((3, 3))
-    for member in ensemble.members:
-        m, c = mixture_moments(member.model)
-        mean += member.weight * m
-        second += member.weight * (c + np.outer(m, m))
     return mean, second - np.outer(mean, mean)

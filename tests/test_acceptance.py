@@ -34,11 +34,7 @@ from gmmcloud.geodesics import (
 )
 from gmmcloud.model import PointCloud
 from gmmcloud.pipeline import ExperimentConfig, run_generation_classification
-from gmmcloud.sampling import (
-    ensemble_moments,
-    generate_point_cloud,
-    rng_stream,
-)
+from gmmcloud.sampling import generate_point_cloud, mixture_moments, rng_stream
 from gmmcloud.selection import aic_score, akaike_weights, build_ensemble
 from gmmcloud.shapes import add_outliers, make_bent_tube, tube_spec_for_class
 
@@ -190,7 +186,7 @@ def test_criterion_06_hierarchical_sampling_law():
     tube = make_bent_tube(tube_spec_for_class("nondemented", n_points=600), seed=2)
     fitted, _ = build_ensemble(tube, (2, 4, 8), FitConfig(seed=0))
     regen = generate_point_cloud(fitted, 5000, rng_stream(7))
-    model_mean, model_cov = ensemble_moments(fitted)
+    model_mean, model_cov = mixture_moments(fitted)
     sample_mean, sample_cov = cloud_moments(regen.points)
     mean_err = float(np.linalg.norm(sample_mean - model_mean)
                      / math.sqrt(float(np.trace(model_cov))))

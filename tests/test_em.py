@@ -37,6 +37,7 @@ from gmmcloud.model import (
     centred_features,
     covariance_floor,
     feature_log_densities,
+    floor_spd,
     gmm_log_likelihood,
     log_sum_exp_columns,
 )
@@ -125,103 +126,10 @@ def test_kmeans_rejects_more_components_than_points():
         kmeans_init(cloud, 0, seed=0)
 
 
-def lloyd_reference(pts, centers):
-    """Lloyd iterations in their plain form, an (N, K, 3) broadcast and one
-    boolean mask per cluster, which em._lloyd must reproduce bit for bit.
-    Also returns how many empty clusters stole a point."""
-    n, k = pts.shape[0], centers.shape[0]
-    assign = np.full(n, -1)
-    steals = 0
-    for _ in range(em.MAX_LLOYD_ITERATIONS):
-        d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_assign = np.argmin(d2, axis=1)
-        counts = np.bincount(new_assign, minlength=k)
-        for empty in np.flatnonzero(counts == 0):
-            dist_own = d2[np.arange(n), new_assign]
-            donors = counts[new_assign] > 1
-            pool = np.flatnonzero(donors) if np.any(donors) else np.arange(n)
-            moved = pool[int(np.argmax(dist_own[pool]))]
-            counts[new_assign[moved]] -= 1
-            new_assign[moved] = empty
-            counts[empty] += 1
-            steals += 1
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        for j in range(k):
-            members = pts[assign == j]
-            if members.shape[0] > 0:
-                centers[j] = members.mean(axis=0)
-    d2 = np.sum((pts - centers[assign]) ** 2, axis=1)
-    return centers, assign, float(d2.sum()), steals
-
-
-def assert_lloyd_matches_reference(pts, k, seed):
-    """em._lloyd and the reference agree bit for bit from one k-means++
-    start; returns the reference's steal count."""
-    pts = em._sorted_points(pts)
-    start = em._kmeans_pp_centers(pts, k, rng_stream(seed))
-    centers, assign, wcss = em._lloyd(pts, start.copy())
-    ref_centers, ref_assign, ref_wcss, steals = lloyd_reference(pts, start.copy())
-    assert centers.tobytes() == ref_centers.tobytes()
-    np.testing.assert_array_equal(assign, ref_assign)
-    assert wcss.hex() == ref_wcss.hex()
-    return steals
-
-
-def tube_points(seed, n_points=600):
-    label = "demented" if seed % 2 else "nondemented"
-    return make_bent_tube(tube_spec_for_class(label, n_points=n_points), seed).points
-
-
-def duplicate_points(distinct, copies):
-    rng = np.random.default_rng(distinct)
-    return np.repeat(rng.normal(size=(distinct, 3)), copies, axis=0)
-
-
-STEAL_CASES = [(6, 10, 40), (3, 4, 11), (5, 5, 25)]
-
-
-@pytest.mark.parametrize("k", [1, 2, 8, 32])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_lloyd_is_bit_identical_to_reference(seed, k):
-    assert_lloyd_matches_reference(tube_points(seed), k, seed)
-
-
-def test_lloyd_is_bit_identical_to_reference_at_larger_n():
-    assert_lloyd_matches_reference(tube_points(1, n_points=6000), 8, 1)
-
-
-@pytest.mark.parametrize("distinct, copies, k", STEAL_CASES)
-def test_lloyd_matches_reference_when_clusters_steal(distinct, copies, k):
-    # duplicate points make k-means++ repeat centers, which leaves
-    # clusters empty until they steal a point
-    pts = duplicate_points(distinct, copies)
-    steals = sum(assert_lloyd_matches_reference(pts, k, seed) for seed in range(3))
-    assert steals > 0
-
-
-def test_lloyd_breaks_exact_ties_to_the_lowest_index(monkeypatch):
-    centers = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
-    # the origin is equidistant from all four centres, the others from two;
-    # the last four sit on the centres, so no cluster is empty
-    pts = np.vstack([[[0.0, 0, 0], [0.5, 0.5, 0], [-0.5, -0.5, 0], [-0.5, 0.5, 0],
-                      [0.5, -0.5, 0]], centers])
-    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    ties = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1)
-    assert ties.tolist() == [4, 2, 2, 2, 2, 1, 1, 1, 1]
-    # one iteration returns the first assignment
-    monkeypatch.setattr(em, "MAX_LLOYD_ITERATIONS", 1)
-    _, assign, _ = em._lloyd(pts, centers.copy())
-    assert assign.tolist() == [0, 0, 1, 1, 0, 0, 1, 2, 3]
-    np.testing.assert_array_equal(assign, np.argmin(d2, axis=1))
-    _, ref_assign, _, _ = lloyd_reference(pts, centers.copy())
-    np.testing.assert_array_equal(assign, ref_assign)
-
-
 def kmeans_pp_reference(pts, k, rng):
     """k-means++ seeding in its row form, np.sum((pts - c) ** 2, axis=1),
-    which em._kmeans_pp_centers must reproduce bit for bit."""
+    which em._kmeans_pp_centers must reproduce bit for bit: the seeds and
+    the potential, the final d2.sum()."""
     n = pts.shape[0]
     centers = np.empty((k, 3))
     centers[0] = pts[int(rng.integers(n))]
@@ -235,15 +143,134 @@ def kmeans_pp_reference(pts, k, rng):
             idx = int(rng.integers(n))
         centers[j] = pts[idx]
         d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
-    return centers
+    return centers, float(d2.sum())
+
+
+def partition_reference(pts, centers):
+    """Nearest-centre partition in its plain form, an (N, K, 3) broadcast
+    and argmin, then the empty-cluster steal; also returns how many empty
+    clusters stole a point."""
+    n, k = pts.shape[0], centers.shape[0]
+    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    assign = np.argmin(d2, axis=1)
+    counts = np.bincount(assign, minlength=k)
+    steals = 0
+    for empty in np.flatnonzero(counts == 0):
+        dist_own = d2[np.arange(n), assign]
+        donors = counts[assign] > 1
+        pool = np.flatnonzero(donors) if np.any(donors) else np.arange(n)
+        moved = pool[int(np.argmax(dist_own[pool]))]
+        counts[assign[moved]] -= 1
+        assign[moved] = empty
+        counts[empty] += 1
+        steals += 1
+    return assign, steals
+
+
+def kmeans_init_reference(pts, k, seed):
+    """kmeans_init in its plain form: the row-form seedings, the first of
+    the lowest potential, the plain partition and one boolean mask per
+    cluster. Returns the start's arrays and the steal count."""
+    pts = em._sorted_points(pts)
+    seedings = [kmeans_pp_reference(pts, k, rng_stream(seed, r))
+                for r in range(em.KMEANS_RESTARTS)]
+    potentials = [potential for _, potential in seedings]
+    centers = seedings[potentials.index(min(potentials))][0]
+    assign, steals = partition_reference(pts, centers)
+    weights, means, covs = np.zeros(k), np.zeros((k, 3)), np.zeros((k, 3, 3))
+    for j in range(k):
+        members = pts[assign == j]
+        weights[j] = members.shape[0] / pts.shape[0]
+        means[j] = members.mean(axis=0)
+        diff = members - means[j]
+        covs[j] = diff.T @ diff / members.shape[0]
+    return weights, means, floor_spd(covs, covariance_floor(pts)), steals
+
+
+def assert_kmeans_init_matches_reference(pts, k, seed):
+    """kmeans_init and the reference agree bit for bit; returns the
+    reference's steal count."""
+    model = kmeans_init(PointCloud(pts), k, seed)
+    weights, means, covs, steals = kmeans_init_reference(pts, k, seed)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.means.tobytes() == means.tobytes()
+    assert model.covariances.tobytes() == covs.tobytes()
+    return steals
+
+
+def tube_points(seed, n_points=600):
+    label = "demented" if seed % 2 else "nondemented"
+    return make_bent_tube(tube_spec_for_class(label, n_points=n_points), seed).points
+
+
+def duplicate_points(distinct, copies):
+    rng = np.random.default_rng(distinct)
+    return np.repeat(rng.normal(size=(distinct, 3)), copies, axis=0)
+
+
+# (distinct points, copies of each, K): K above the distinct count makes
+# k-means++ repeat seeds, which leaves clusters empty until they steal
+STEAL_CASES = [(6, 10, 40), (3, 4, 11), (5, 5, 25)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kmeans_init_is_bit_identical_to_reference(seed, k):
+    assert_kmeans_init_matches_reference(tube_points(seed), k, seed)
+
+
+def test_kmeans_init_is_bit_identical_to_reference_at_larger_n():
+    assert_kmeans_init_matches_reference(tube_points(1, n_points=6000), 8, 1)
+
+
+@pytest.mark.parametrize("distinct, copies, k", STEAL_CASES)
+def test_kmeans_init_matches_reference_when_clusters_steal(distinct, copies, k):
+    pts = duplicate_points(distinct, copies)
+    steals = sum(assert_kmeans_init_matches_reference(pts, k, seed) for seed in range(3))
+    assert steals > 0
+
+
+@pytest.mark.parametrize("distinct, copies, k", STEAL_CASES)
+def test_kmeans_init_leaves_no_zero_weight_component(distinct, copies, k):
+    cloud = PointCloud(duplicate_points(distinct, copies))
+    for seed in range(3):
+        assert np.all(kmeans_init(cloud, k, seed).weights > 0.0)
+
+
+@pytest.mark.parametrize("distinct, copies, k", STEAL_CASES)
+def test_fit_converges_quickly_when_seeds_repeat(distinct, copies, k):
+    # a start with zero-weight components sends EM into collapse
+    # reseeding, which can cycle until the iteration cap
+    cloud = PointCloud(duplicate_points(distinct, copies))
+    for seed in range(3):
+        result = fit_em(cloud, k, FitConfig(seed=seed))
+        assert result.converged and result.iterations < 10
+        assert np.all(np.diff(result.log_likelihood_trace) >= -1e-8)
+
+
+def test_nearest_seed_partition_breaks_exact_ties_to_the_lowest_index():
+    centers = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
+    # the origin is equidistant from all four centres, the others from two;
+    # the last four sit on the centres, so no cluster is empty
+    pts = np.vstack([[[0.0, 0, 0], [0.5, 0.5, 0], [-0.5, -0.5, 0], [-0.5, 0.5, 0],
+                      [0.5, -0.5, 0]], centers])
+    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    ties = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1)
+    assert ties.tolist() == [4, 2, 2, 2, 2, 1, 1, 1, 1]
+    assign = em._nearest_seed_partition(pts, centers)
+    assert assign.tolist() == [0, 0, 1, 1, 0, 0, 1, 2, 3]
+    np.testing.assert_array_equal(assign, np.argmin(d2, axis=1))
+    np.testing.assert_array_equal(assign, partition_reference(pts, centers)[0])
 
 
 def assert_kmeans_pp_matches_reference(pts, k):
     pts = em._sorted_points(pts)
     for seed in range(3):
         rng, ref_rng = rng_stream(seed), rng_stream(seed)
-        centers = em._kmeans_pp_centers(pts, k, rng)
-        assert centers.tobytes() == kmeans_pp_reference(pts, k, ref_rng).tobytes()
+        centers, potential = em._kmeans_pp_centers(pts, k, rng)
+        ref_centers, ref_potential = kmeans_pp_reference(pts, k, ref_rng)
+        assert centers.tobytes() == ref_centers.tobytes()
+        assert potential.hex() == ref_potential.hex()
         # both consumed the same draws
         assert rng.random() == ref_rng.random()
 

@@ -1,15 +1,22 @@
-"""The package's public names and declared dependencies."""
+"""The package's public names, declared dependencies and the attributes
+the benchmark hooks."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
-import gmmcloud
+import numpy as np
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+import gmmcloud
+from gmmcloud import em
+
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+BENCH_SPANS = ROOT / "bench" / "spans.py"
 
 
 def test_every_exported_name_resolves_once():
@@ -41,3 +48,38 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names) - {"gmmcloud"}
     assert {"numpy", "scipy", "click"} <= third_party
     assert third_party <= declared
+
+
+def hooked_sites():
+    """The (module, attribute) pairs named in the HOOKS table of the
+    benchmark's span recorder, read from its source without importing it."""
+    tree = ast.parse(BENCH_SPANS.read_text(), filename=str(BENCH_SPANS))
+    hooks = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "HOOKS" for t in node.targets))
+    return sorted({(node.elts[0].value, node.elts[1].value) for node in ast.walk(hooks)
+                   if isinstance(node, ast.Tuple) and len(node.elts) == 2
+                   and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                           for e in node.elts)
+                   and node.elts[0].value.startswith("gmmcloud")})
+
+
+def test_every_benchmark_hook_site_resolves():
+    sites = hooked_sites()
+    assert ("gmmcloud.em", "kmeans_init") in sites
+    missing = [f"{module}.{attr}" for module, attr in sites
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+
+
+def test_fit_em_calls_kmeans_init_through_the_module_attribute(monkeypatch):
+    calls = []
+    kmeans_init = em.kmeans_init
+
+    def recorded(*args):
+        calls.append(args[1:])
+        return kmeans_init(*args)
+
+    monkeypatch.setattr(em, "kmeans_init", recorded)
+    cloud = gmmcloud.PointCloud(np.random.default_rng(0).normal(size=(40, 3)))
+    em.fit_em(cloud, 2, em.FitConfig(seed=3))
+    assert calls == [(2, 3)]

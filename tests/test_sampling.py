@@ -14,7 +14,6 @@ from gmmcloud.model import (
     PointCloud,
 )
 from gmmcloud.sampling import (
-    ensemble_moments,
     generate_point_cloud,
     mixture_moments,
     rng_stream,
@@ -202,13 +201,13 @@ def test_ensemble_moments_blend_members():
         EnsembleMember(0.25, uniform_gmm(1)),
         EnsembleMember(0.75, uniform_gmm(2, spacing=4.0)),
     ))
-    mean, cov = ensemble_moments(ensemble)
-    # oracle: expand the ensemble into one flat mixture and reuse the
-    # single-mixture moment formula
-    members = ensemble.members
-    flat = Gmm(np.concatenate([m.weight * m.model.weights for m in members]),
-               np.concatenate([m.model.means for m in members]),
-               np.concatenate([m.model.covariances for m in members]))
-    flat_mean, flat_cov = mixture_moments(flat)
-    np.testing.assert_allclose(mean, flat_mean, atol=1e-12)
-    np.testing.assert_allclose(cov, flat_cov, atol=1e-12)
+    mean, cov = mixture_moments(ensemble)
+    # oracle: the law of total mean and covariance over the members
+    oracle_mean, oracle_second = np.zeros(3), np.zeros((3, 3))
+    for member in ensemble.members:
+        m, c = mixture_moments(member.model)
+        oracle_mean += member.weight * m
+        oracle_second += member.weight * (c + np.outer(m, m))
+    np.testing.assert_allclose(mean, oracle_mean, atol=1e-12)
+    np.testing.assert_allclose(cov, oracle_second - np.outer(oracle_mean, oracle_mean),
+                               atol=1e-12)
