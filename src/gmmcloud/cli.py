@@ -11,7 +11,7 @@ import os
 
 import click
 
-from .em import KMEANS_RESTARTS, MAX_ITERATIONS, FitConfig
+from .em import KMEANS_RESTARTS, MAX_ITERATIONS, REL_TOLERANCE, FitConfig, FitError
 from .embedding import inflated_bounds, make_probe_set
 from .geodesics import DEFAULT_TS, interpolate_point_clouds
 from .io import (
@@ -89,6 +89,15 @@ def _load(loader, path):
         raise click.ClickException(message) from None
 
 
+def _fit(fitter, *args, **kwargs):
+    """Run a command's fits; a failed fit becomes a one-line CLI error
+    instead of a traceback."""
+    try:
+        return fitter(*args, **kwargs)
+    except FitError as exc:
+        raise click.ClickException(str(exc)) from None
+
+
 @click.group()
 def main():
     """Fit, sample, interpolate, embed, and classify 3D point-cloud shapes."""
@@ -99,20 +108,17 @@ def main():
 @click.option("--ks", default=None, type=POSITIVE_INTS,
               help="Comma-separated candidate component counts.")
 @click.option("--seed", default=0, show_default=True, help="Fit seed.")
-@click.option("--tol", default=1e-6, show_default=True,
-              type=FloatRange(min=0.0, min_open=True), help="EM relative tolerance.")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False),
               help="Output model file (JSON).")
-def fit(cloud_path, ks, seed, tol, out):
+def fit(cloud_path, ks, seed, out):
     """Fit an AIC-weighted mixture ensemble to a point cloud."""
     cloud = _load(read_point_cloud, cloud_path)
     _check_ks(ks, len(cloud))
     candidate_ks = ks or default_candidate_ks(len(cloud))
-    ensemble, table = build_ensemble(cloud, candidate_ks,
-                                     FitConfig(seed=seed, rel_tolerance=tol))
+    ensemble, table = _fit(build_ensemble, cloud, candidate_ks, FitConfig(seed=seed))
     metadata = FitMetadata(
         seed=seed,
-        rel_tolerance=tol,
+        rel_tolerance=REL_TOLERANCE,
         max_iterations=MAX_ITERATIONS,
         kmeans_restarts=KMEANS_RESTARTS,
         candidate_ks=tuple(sorted(set(candidate_ks))),
@@ -159,7 +165,7 @@ def interpolate(cloud_a, cloud_b, ts, n, ks, seed, out):
     x = _load(read_point_cloud, cloud_a)
     y = _load(read_point_cloud, cloud_b)
     _check_ks(ks, min(len(x), len(y)))
-    result = interpolate_point_clouds(x, y, ts, n, candidate_ks=ks, seed=seed)
+    result = _fit(interpolate_point_clouds, x, y, ts, n, candidate_ks=ks, seed=seed)
     os.makedirs(out, exist_ok=True)
     panels = []
     for i, (t, frame) in enumerate(zip(result.ts, result.frames)):
@@ -296,7 +302,7 @@ def eval_paper_pipeline(seeds, seed, bases, counts, n_points, ks):
         seed=seed,
         probe_seeds=seeds,
     )
-    click.echo(format_report(run_generation_classification(config)))
+    click.echo(format_report(_fit(run_generation_classification, config)))
 
 
 if __name__ == "__main__":

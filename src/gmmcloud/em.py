@@ -11,13 +11,17 @@ Bujna 2016). The partition comes from SciPy's compiled
 scipy.cluster.vq.vq. It adds the three squared coordinate differences
 left to right and keeps the first of equal minima, as the NumPy column
 form (x - cx)**2 + (y - cy)**2 + (z - cz)**2 followed by argmin does,
-so the assignments are the same bit for bit.
+so the assignments are the same bit for bit. Every seed is a point at
+a new position, so it is its own strict nearest seed and no cluster is
+empty; a cloud with fewer than K distinct points raises FitError.
 
 Both EM steps use the moment form of model.py: the E-step is one
 product of coefficients with the feature table Phi of the points, the
 M-step one product of the (K, N) responsibilities with Phi^T. fit_em
 accelerates the EM map with SQUAREM and falls back to the plain map
-whenever an extrapolated state would lower the log-likelihood.
+whenever an extrapolated state would lower the log-likelihood; only
+the covariance floor can lower it otherwise. A component that
+collapses raises FitError; nothing is reseeded.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .model import (
 from .sampling import rng_stream
 
 COLLAPSE_MASS = 1e-12
+REL_TOLERANCE = 1e-6
 MAX_ITERATIONS = 200
 KMEANS_RESTARTS = 4
 # SQUAREM step cap: the factor it grows by after an accepted step at the
@@ -56,15 +61,9 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """The settable part of fit_em: the k-means++ seed and the EM
-    convergence tolerance."""
+    """The settable part of fit_em: the k-means++ seed."""
 
-    rel_tolerance: float = 1e-6
     seed: int = 0
-
-    def __post_init__(self):
-        if not self.rel_tolerance > 0.0:
-            raise ValueError(f"rel_tolerance must be > 0, got {self.rel_tolerance}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +100,9 @@ class FitResult:
     The trace is non-decreasing by construction where fit_em can choose:
     an extrapolated SQUAREM state enters it only when its log-likelihood
     is at least that of the plain EM state it replaces. A plain EM map
-    never lowers the log-likelihood in exact arithmetic; the covariance
-    floor and collapse reseeds can, so the test suite asserts the
-    property with a small slack rather than fit_em enforcing it.
+    never lowers the log-likelihood in exact arithmetic; only the
+    covariance floor can, so the test suite asserts the property with a
+    small slack rather than fit_em enforcing it.
     """
 
     model: Gmm
@@ -120,8 +119,8 @@ def _sorted_points(points: np.ndarray) -> np.ndarray:
 def _squared_distances(x: np.ndarray, y: np.ndarray, z: np.ndarray, c: np.ndarray
                        ) -> np.ndarray:
     """Squared distances from the points with coordinate columns x, y, z
-    to c, one centre (3,) or one per point (N, 3): the left-to-right sum
-    of three squares, the same bits as np.sum((pts - c) ** 2, axis=1)."""
+    to the centre c: the left-to-right sum of three squares, the same
+    bits as np.sum((pts - c) ** 2, axis=1)."""
     return (x - c[..., 0]) ** 2 + (y - c[..., 1]) ** 2 + (z - c[..., 2]) ** 2
 
 
@@ -137,34 +136,15 @@ def _kmeans_pp_centers(pts: np.ndarray, k: int, rng: np.random.Generator
     d2 = _squared_distances(x, y, z, centers[0])
     for j in range(1, k):
         total = float(d2.sum())
-        if total > 0.0:
-            cdf = np.cumsum(d2) / total
-            idx = min(int(np.searchsorted(cdf, rng.random(), side="right")), n - 1)
-        else:
-            idx = int(rng.integers(n))
+        if total == 0.0:
+            raise FitError(f"K={k} needs {k} distinct points, the cloud has {j}")
+        # side="right" skips the flat cdf steps of points on a seed
+        idx = int(np.searchsorted(np.cumsum(d2) / total, rng.random(), side="right"))
+        if idx == n:  # the draw fell past the rounded end of the cdf
+            idx = int(np.flatnonzero(d2)[-1])
         centers[j] = pts[idx]
         d2 = np.minimum(d2, _squared_distances(x, y, z, centers[j]))
     return centers, float(d2.sum())
-
-
-def _nearest_seed_partition(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Cluster index of every point: its nearest centre, ties to the lowest
-    index (see the module docstring). A seed repeated among duplicate
-    points leaves its cluster empty; each empty cluster then steals the
-    point farthest from its centre, preferring donors that keep their
-    cluster non-empty, so with K <= N no cluster stays empty."""
-    # PointCloud has already rejected non-finite points
-    assign = vq(pts, centers, check_finite=False)[0]
-    counts = np.bincount(assign, minlength=centers.shape[0])
-    for empty in np.flatnonzero(counts == 0):
-        dist_own = _squared_distances(*pts.T, centers[assign])
-        donors = counts[assign] > 1
-        pool = np.flatnonzero(donors) if np.any(donors) else np.arange(pts.shape[0])
-        moved = pool[int(np.argmax(dist_own[pool]))]
-        counts[assign[moved]] -= 1
-        assign[moved] = empty
-        counts[empty] += 1
-    return assign
 
 
 def kmeans_init(cloud: PointCloud, k: int, seed: int) -> Gmm:
@@ -172,7 +152,7 @@ def kmeans_init(cloud: PointCloud, k: int, seed: int) -> Gmm:
 
     Of KMEANS_RESTARTS seedings, one stream each, the one with the
     lowest potential wins, the first on ties. The points are split by
-    their nearest seed (_nearest_seed_partition); weights are cluster
+    their nearest seed (see the module docstring); weights are cluster
     fractions, means the centroids, covariances the per-cluster sample
     covariances floored at the data-scale eigenvalue floor.
     """
@@ -184,7 +164,8 @@ def kmeans_init(cloud: PointCloud, k: int, seed: int) -> Gmm:
     pts = _sorted_points(cloud.points)
     centers, _ = min((_kmeans_pp_centers(pts, k, rng_stream(seed, r))
                       for r in range(KMEANS_RESTARTS)), key=lambda seeding: seeding[1])
-    assign = _nearest_seed_partition(pts, centers)
+    # PointCloud has already rejected non-finite points
+    assign = vq(pts, centers, check_finite=False)[0]
     counts = np.bincount(assign, minlength=k)
     means = np.empty((k, 3))
     covs = np.empty((k, 3, 3))
@@ -219,26 +200,18 @@ def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
 def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights, means and floored covariances from (K, N) responsibilities
-    and the feature table Phi, means in Phi's frame."""
+    and the feature table Phi, means in Phi's frame. A component whose
+    mass is below COLLAPSE_MASS has no mean to estimate: ValueError."""
     moments = gamma @ phi.T
     mass = moments[:, 0]
-    weights = mass / mass.sum()
     alive = mass >= COLLAPSE_MASS
-    scaled = moments / np.where(alive, mass, 1.0)[:, None]
+    if not alive.all():
+        j = int(np.argmin(alive))
+        raise ValueError(f"component {j} collapsed: mass {mass[j]:.3g} < {COLLAPSE_MASS:g}")
+    scaled = moments / mass[:, None]
     means = scaled[:, 1:4]
     covs = scaled[:, SECOND_MOMENT_ROWS] - means[:, :, None] * means[:, None, :]
-    covs[alive] = floor_spd(covs[alive], eps)
-    if not alive.all():
-        # reseed dead components at the point the surviving mixture
-        # explains worst, with the full data covariance
-        lwd = feature_log_densities(phi, mass[alive] / mass[alive].sum(), means[alive],
-                                    covs[alive])
-        worst = int(np.argmin(log_sum_exp_columns(lwd)))
-        means[~alive] = phi[1:4, worst]
-        covs[~alive] = floor_spd(np.cov(phi[1:4], ddof=0), eps)
-        weights[~alive] = 1.0 / phi.shape[1]
-        weights = weights / weights.sum()
-    return weights, means, covs
+    return mass / mass.sum(), means, floor_spd(covs, eps)
 
 
 def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
@@ -263,10 +236,10 @@ def _em_map(phi: np.ndarray, lwd: np.ndarray, norm: np.ndarray, eps: float
     return params, lwd, log_sum_exp_columns(lwd)
 
 
-def _converged(trace: list[float], rel_tolerance: float) -> bool:
+def _converged(trace: list[float]) -> bool:
     """Whether the last two log-likelihoods differ by less than
-    rel_tolerance relative to |L| + 1."""
-    return len(trace) >= 2 and abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0) < rel_tolerance
+    REL_TOLERANCE relative to |L| + 1."""
+    return len(trace) >= 2 and abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0) < REL_TOLERANCE
 
 
 def _extrapolate(theta0, theta1, theta2, step_max: float):
@@ -323,8 +296,9 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
     MAX_ITERATIONS, a rejected stabilising map included, so no fit runs
     more M-steps than the cap. Convergence is declared when the
     relative change |dL| / (|L| + 1) between two consecutive trace
-    entries drops below config.rel_tolerance; otherwise the fit stops
-    after MAX_ITERATIONS M-steps.
+    entries drops below REL_TOLERANCE; otherwise the fit stops after
+    MAX_ITERATIONS M-steps. A collapsed component or a non-finite
+    log-likelihood raises FitError naming the iteration.
     """
     model = kmeans_init(cloud, k, config.seed)
     pts = _sorted_points(cloud.points)
@@ -342,14 +316,14 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
     stopped = False
     try:
         while not stopped:
+            m_steps += 1
             # one log-density buffer: each E-step overwrites the last
             params, lwd, norm = _em_map(phi, lwd, norm, eps)
-            m_steps += 1
             ll = float(np.sum(norm))
             if not np.isfinite(ll):
                 raise FitError(f"non-finite log-likelihood at iteration {m_steps}")
             trace.append(ll)
-            stopped = _converged(trace, config.rel_tolerance) or m_steps == MAX_ITERATIONS
+            stopped = _converged(trace) or m_steps == MAX_ITERATIONS
             cycle.append(params)
             if len(cycle) < 3 or stopped:
                 continue
@@ -359,13 +333,13 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
                 lwd = feature_log_densities(phi, *candidate, out=lwd)
                 norm = log_sum_exp_columns(lwd)
                 if float(np.sum(norm)) >= ll:
-                    stabilised, lwd, norm = _em_map(phi, lwd, norm, eps)
                     m_steps += 1
+                    stabilised, lwd, norm = _em_map(phi, lwd, norm, eps)
                     accepted = float(np.sum(norm)) >= ll
                 if accepted:
                     params = stabilised
                     trace.append(float(np.sum(norm)))
-                    stopped = _converged(trace, config.rel_tolerance)
+                    stopped = _converged(trace)
                 else:
                     # back to theta2: recompute its log-densities
                     lwd = feature_log_densities(phi, *params, out=lwd)
@@ -378,4 +352,4 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
         model = Gmm(weights, means + centre, covs)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise FitError(f"fit failed at iteration {m_steps}: {exc}") from exc
-    return FitResult(model, tuple(trace), len(trace), _converged(trace, config.rel_tolerance))
+    return FitResult(model, tuple(trace), len(trace), _converged(trace))

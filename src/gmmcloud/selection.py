@@ -107,7 +107,7 @@ def build_ensemble(cloud: PointCloud, candidate_ks, config: FitConfig = FitConfi
     """Fit every candidate K, score with AIC, and keep the plausible ones.
 
     A candidate whose fit fails is dropped with a warning; if every
-    candidate fails the error propagates.
+    candidate fails, FitError gives each candidate's reason.
     """
     ks = sorted(set(int(k) for k in candidate_ks))
     if not ks:
@@ -123,9 +123,9 @@ def build_ensemble(cloud: PointCloud, candidate_ks, config: FitConfig = FitConfi
             result = fit_em(cloud, k, config)
         except FitError as exc:
             warnings.warn(f"candidate K={k} dropped: {exc}", stacklevel=2)
-            failures.append(k)
+            failures.append(f"K={k}: {exc}")
             continue
         scored.append((k, aic_score(cloud, result.model), result.model))
     if not scored:
-        raise FitError(f"every candidate fit failed: K in {failures}")
+        raise FitError(f"every candidate fit failed: {'; '.join(failures)}")
     return ensemble_from_scored_models(scored)

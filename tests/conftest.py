@@ -162,27 +162,15 @@ def loop_log_sum_exp_rows(matrix):
 
 
 def loop_m_step(pts, gamma, eps):
-    """Weights, means and floored covariances from (N, K) responsibilities,
-    with the collapse reseed of em._m_step_arrays."""
-    n, k = gamma.shape
+    """Weights, means and floored covariances from (N, K) responsibilities."""
+    k = gamma.shape[1]
     mass = gamma.sum(axis=0)
-    weights = mass / mass.sum()
-    alive = mass >= em.COLLAPSE_MASS
-    means = (gamma.T @ pts) / np.where(alive, mass, 1.0)[:, None]
+    means = (gamma.T @ pts) / mass[:, None]
     covs = np.zeros((k, 3, 3))
-    for j in np.flatnonzero(alive):
+    for j in range(k):
         diff = pts - means[j]
         covs[j] = (gamma[:, j] * diff.T) @ diff / mass[j]
-    covs[alive] = floor_spd(covs[alive], eps)
-    if not alive.all():
-        lwd = loop_log_densities(pts, mass[alive] / mass[alive].sum(), means[alive],
-                                 covs[alive])
-        worst = int(np.argmin(loop_log_sum_exp_rows(lwd)))
-        means[~alive] = pts[worst]
-        covs[~alive] = floor_spd(np.cov(pts.T, ddof=0), eps)
-        weights[~alive] = 1.0 / n
-        weights = weights / weights.sum()
-    return weights, means, covs
+    return mass / mass.sum(), means, floor_spd(covs, eps)
 
 
 def loop_gamma(lwd, norm):
@@ -201,7 +189,7 @@ def loop_is_spd(covs):
     return True
 
 
-def loop_fit(pts, start, eps, rel_tolerance=FitConfig().rel_tolerance):
+def loop_fit(pts, start, eps, rel_tolerance=em.REL_TOLERANCE):
     """EM by the loop-form steps from the start mixture's arrays, on
     fit_em's SQUAREM schedule, convergence rule and M-step cap; returns
     the trace of accepted log-likelihoods.

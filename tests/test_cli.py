@@ -10,7 +10,14 @@ import pytest
 from click.testing import CliRunner
 
 from gmmcloud.cli import main
-from gmmcloud.io import load_embeddings, load_model, load_probe_set, read_point_cloud
+from gmmcloud.io import (
+    load_embeddings,
+    load_model,
+    load_probe_set,
+    read_point_cloud,
+    write_point_cloud,
+)
+from gmmcloud.model import PointCloud
 
 runner = CliRunner()
 
@@ -133,6 +140,40 @@ def test_fit_has_no_center_option(workspace, tmp_path):
                                   "-o", str(tmp_path / "m.json")])
     assert result.exit_code == 2
     assert "No such option" in result.output and "--center" in result.output
+
+
+@pytest.fixture
+def six_point_cloud(tmp_path):
+    """A cloud of 6 distinct points, 10 copies of each."""
+    path = str(tmp_path / "six.xyz")
+    pts = np.repeat(np.random.default_rng(6).normal(size=(6, 3)), 10, axis=0)
+    write_point_cloud(PointCloud(pts), path)
+    return path
+
+
+@pytest.mark.parametrize("command", [["fit", "{cloud}"], ["interpolate", "{cloud}", "{cloud}"]],
+                         ids=["fit", "interpolate"])
+def test_fit_beyond_the_distinct_points_is_a_one_line_error(six_point_cloud, tmp_path,
+                                                            command):
+    out = str(tmp_path / "out")
+    args = [arg.format(cloud=six_point_cloud) for arg in command] + ["--ks", "8", "-o", out]
+    with pytest.warns(UserWarning, match="K=8 dropped"):
+        result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "Error: every candidate fit failed: K=8: K=8 needs 8 distinct points, the cloud has 6"]
+    assert not os.path.exists(out)
+
+
+def test_fit_drops_a_candidate_beyond_the_distinct_points(six_point_cloud, tmp_path):
+    out = str(tmp_path / "model.json")
+    with pytest.warns(UserWarning) as caught:
+        run_cli(["fit", six_point_cloud, "--ks", "2,8", "-o", out])
+    assert [str(w.message) for w in caught] == [
+        "candidate K=8 dropped: K=8 needs 8 distinct points, the cloud has 6"]
+    model = load_model(out)
+    assert [row.k for row in model.aic_table.rows] == [2]
+    assert [member.model.k for member in model.ensemble.members] == [2]
 
 
 OFFSET = [1000.0, -5.0, 20.0]
@@ -331,8 +372,6 @@ def test_rejected_input_file_is_a_one_line_error(workspace, tmp_path, loader, wr
 @pytest.mark.parametrize("args, option", [
     (lambda ws, out: ["fit", ws["dem0"], "--ks", "0", "-o", out], "--ks"),
     (lambda ws, out: ["fit", ws["dem0"], "--ks", "1000", "-o", out], "--ks"),
-    (lambda ws, out: ["fit", ws["dem0"], "--tol", "0", "-o", out], "--tol"),
-    (lambda ws, out: ["fit", ws["dem0"], "--tol", "nan", "-o", out], "--tol"),
     (lambda ws, out: ["synth", "--class", "demented", "--n", "0", "-o", out], "--n"),
     (lambda ws, out: ["synth", "--class", "demented", "--outliers", "1.5", "-o", out],
      "--outliers"),
@@ -350,7 +389,7 @@ def test_rejected_input_file_is_a_one_line_error(workspace, tmp_path, loader, wr
     (lambda ws, out: ["eval-paper-pipeline", "--counts", "0,0"], "--counts"),
     (lambda ws, out: ["eval-paper-pipeline", "--seeds", ","], "--seeds"),
     (lambda ws, out: ["eval-paper-pipeline", "--n-points", "5"], "--ks"),
-], ids=["fit-ks-0", "fit-ks-above-n", "fit-tol-0", "fit-tol-nan", "synth-n-0",
+], ids=["fit-ks-0", "fit-ks-above-n", "synth-n-0",
         "synth-outliers-1.5", "synth-outliers-nan",
         "probes-count-0", "sample-n-0", "sample-n-negative", "interpolate-ts-2",
         "interpolate-ks-above-n", "classify-unknown-positive", "eval-bases-0", "eval-counts-0", "eval-seeds-empty",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.cluster.vq import vq
 
 from conftest import (
     RECOVERY_COVS,
@@ -56,20 +57,10 @@ def two_blob_cloud(n_per_blob=50, sigma=0.05, seed=2):
 
 
 def test_fit_config_defaults():
-    config = FitConfig()
+    assert FitConfig() == FitConfig(seed=0)
     assert em.MAX_ITERATIONS == 200
-    assert config.rel_tolerance == 1e-6
+    assert em.REL_TOLERANCE == 1e-6
     assert em.KMEANS_RESTARTS == 4
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(rel_tolerance=0.0),
-    dict(rel_tolerance=-1e-6),
-    dict(rel_tolerance=float("nan")),
-])
-def test_fit_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        FitConfig(**kwargs)
 
 
 def test_responsibilities_validation():
@@ -129,18 +120,19 @@ def test_kmeans_rejects_more_components_than_points():
 def kmeans_pp_reference(pts, k, rng):
     """k-means++ seeding in its row form, np.sum((pts - c) ** 2, axis=1),
     which em._kmeans_pp_centers must reproduce bit for bit: the seeds and
-    the potential, the final d2.sum()."""
+    the potential, the final d2.sum(), or the FitError when the points
+    run out before the K-th seed."""
     n = pts.shape[0]
     centers = np.empty((k, 3))
     centers[0] = pts[int(rng.integers(n))]
     d2 = np.sum((pts - centers[0]) ** 2, axis=1)
     for j in range(1, k):
         total = float(d2.sum())
-        if total > 0.0:
-            cdf = np.cumsum(d2) / total
-            idx = min(int(np.searchsorted(cdf, rng.random(), side="right")), n - 1)
-        else:
-            idx = int(rng.integers(n))
+        if total == 0.0:
+            raise FitError(f"K={k} needs {k} distinct points, the cloud has {j}")
+        idx = int(np.searchsorted(np.cumsum(d2) / total, rng.random(), side="right"))
+        if idx == n:
+            idx = int(np.flatnonzero(d2)[-1])
         centers[j] = pts[idx]
         d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
     return centers, float(d2.sum())
@@ -148,35 +140,21 @@ def kmeans_pp_reference(pts, k, rng):
 
 def partition_reference(pts, centers):
     """Nearest-centre partition in its plain form, an (N, K, 3) broadcast
-    and argmin, then the empty-cluster steal; also returns how many empty
-    clusters stole a point."""
-    n, k = pts.shape[0], centers.shape[0]
+    and argmin."""
     d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    assign = np.argmin(d2, axis=1)
-    counts = np.bincount(assign, minlength=k)
-    steals = 0
-    for empty in np.flatnonzero(counts == 0):
-        dist_own = d2[np.arange(n), assign]
-        donors = counts[assign] > 1
-        pool = np.flatnonzero(donors) if np.any(donors) else np.arange(n)
-        moved = pool[int(np.argmax(dist_own[pool]))]
-        counts[assign[moved]] -= 1
-        assign[moved] = empty
-        counts[empty] += 1
-        steals += 1
-    return assign, steals
+    return np.argmin(d2, axis=1)
 
 
 def kmeans_init_reference(pts, k, seed):
     """kmeans_init in its plain form: the row-form seedings, the first of
     the lowest potential, the plain partition and one boolean mask per
-    cluster. Returns the start's arrays and the steal count."""
+    cluster. Returns the start's arrays."""
     pts = em._sorted_points(pts)
     seedings = [kmeans_pp_reference(pts, k, rng_stream(seed, r))
                 for r in range(em.KMEANS_RESTARTS)]
     potentials = [potential for _, potential in seedings]
     centers = seedings[potentials.index(min(potentials))][0]
-    assign, steals = partition_reference(pts, centers)
+    assign = partition_reference(pts, centers)
     weights, means, covs = np.zeros(k), np.zeros((k, 3)), np.zeros((k, 3, 3))
     for j in range(k):
         members = pts[assign == j]
@@ -184,18 +162,16 @@ def kmeans_init_reference(pts, k, seed):
         means[j] = members.mean(axis=0)
         diff = members - means[j]
         covs[j] = diff.T @ diff / members.shape[0]
-    return weights, means, floor_spd(covs, covariance_floor(pts)), steals
+    return weights, means, floor_spd(covs, covariance_floor(pts))
 
 
 def assert_kmeans_init_matches_reference(pts, k, seed):
-    """kmeans_init and the reference agree bit for bit; returns the
-    reference's steal count."""
+    """kmeans_init and the reference agree bit for bit."""
     model = kmeans_init(PointCloud(pts), k, seed)
-    weights, means, covs, steals = kmeans_init_reference(pts, k, seed)
+    weights, means, covs = kmeans_init_reference(pts, k, seed)
     assert model.weights.tobytes() == weights.tobytes()
     assert model.means.tobytes() == means.tobytes()
     assert model.covariances.tobytes() == covs.tobytes()
-    return steals
 
 
 def tube_points(seed, n_points=600):
@@ -208,9 +184,9 @@ def duplicate_points(distinct, copies):
     return np.repeat(rng.normal(size=(distinct, 3)), copies, axis=0)
 
 
-# (distinct points, copies of each, K): K above the distinct count makes
-# k-means++ repeat seeds, which leaves clusters empty until they steal
-STEAL_CASES = [(6, 10, 40), (3, 4, 11), (5, 5, 25)]
+# (distinct points, copies of each, K): K above the distinct count, so
+# k-means++ runs out of new positions before the K-th seed
+SHORT_CASES = [(6, 10, 40), (3, 4, 11), (5, 5, 25)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 8, 32])
@@ -223,29 +199,69 @@ def test_kmeans_init_is_bit_identical_to_reference_at_larger_n():
     assert_kmeans_init_matches_reference(tube_points(1, n_points=6000), 8, 1)
 
 
-@pytest.mark.parametrize("distinct, copies, k", STEAL_CASES)
-def test_kmeans_init_matches_reference_when_clusters_steal(distinct, copies, k):
-    pts = duplicate_points(distinct, copies)
-    steals = sum(assert_kmeans_init_matches_reference(pts, k, seed) for seed in range(3))
-    assert steals > 0
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12), extra=st.integers(0, 6))
+def test_kmeans_init_matches_reference_on_repeated_points(seed, k, extra):
+    # m >= K distinct positions on an integer grid, where exact distance
+    # ties abound, each repeated 1-5 times and shuffled
+    rng = np.random.default_rng(seed)
+    m = k + extra
+    grid = np.stack(np.unravel_index(rng.choice(125, size=m, replace=False), (5, 5, 5)), 1)
+    pts = np.repeat(grid.astype(float), rng.integers(1, 6, size=m), axis=0)
+    pts = pts[rng.permutation(pts.shape[0])]
+    assert np.all(kmeans_init(PointCloud(pts), k, seed).weights > 0.0)
+    assert_kmeans_init_matches_reference(pts, k, seed)
 
 
-@pytest.mark.parametrize("distinct, copies, k", STEAL_CASES)
+@pytest.mark.parametrize("distinct, copies, k", SHORT_CASES)
 def test_kmeans_init_leaves_no_zero_weight_component(distinct, copies, k):
+    # K up to the distinct count puts one position in each cluster; above
+    # it there is no start without an empty cluster, so kmeans_init refuses
     cloud = PointCloud(duplicate_points(distinct, copies))
     for seed in range(3):
-        assert np.all(kmeans_init(cloud, k, seed).weights > 0.0)
+        assert np.array_equal(kmeans_init(cloud, distinct, seed).weights,
+                              np.full(distinct, 1.0 / distinct))
+        with pytest.raises(FitError) as raised:
+            kmeans_init(cloud, k, seed)
+        assert str(raised.value) == f"K={k} needs {k} distinct points, the cloud has {distinct}"
 
 
-@pytest.mark.parametrize("distinct, copies, k", STEAL_CASES)
-def test_fit_converges_quickly_when_seeds_repeat(distinct, copies, k):
-    # a start with zero-weight components sends EM into collapse
-    # reseeding, which can cycle until the iteration cap
+@pytest.mark.parametrize("distinct, copies, k", SHORT_CASES)
+def test_fit_em_names_k_and_the_distinct_count_when_points_run_out(distinct, copies, k):
     cloud = PointCloud(duplicate_points(distinct, copies))
     for seed in range(3):
-        result = fit_em(cloud, k, FitConfig(seed=seed))
-        assert result.converged and result.iterations < 10
-        assert np.all(np.diff(result.log_likelihood_trace) >= -1e-8)
+        with pytest.raises(FitError, match=f"^K={k} needs {k} distinct points, "
+                                           f"the cloud has {distinct}$"):
+            fit_em(cloud, k, FitConfig(seed=seed))
+
+
+def test_fit_em_fails_on_a_start_with_a_zero_weight_component(monkeypatch):
+    # a zero-weight component has no mass in the first M-step
+    cloud, a, b = two_blob_cloud()
+    start = Gmm([0.5, 0.5, 0.0], [a.mean(axis=0), b.mean(axis=0), np.zeros(3)],
+                np.stack([np.eye(3)] * 3))
+    monkeypatch.setattr(em, "kmeans_init", lambda *args: start)
+    with pytest.raises(FitError, match="^fit failed at iteration 1: component 2 collapsed"):
+        fit_em(cloud, 3, FitConfig(seed=0))
+
+
+class EdgeDraws:
+    """Stand-in generator for k-means++: the last index first, then the
+    largest double below 1."""
+
+    def integers(self, n):
+        return n - 1
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+
+def test_kmeans_pp_draw_past_the_rounded_cdf_end_takes_the_last_point_off_the_seeds():
+    pts = em._sorted_points(np.random.default_rng(1).normal(size=(50, 3)))
+    pts[-1] = pts[-2]  # the first seed, the last point, has a twin before it
+    d2 = np.sum((pts - pts[-1]) ** 2, axis=1)
+    assert float((np.cumsum(d2) / d2.sum())[-1]) < EdgeDraws().random()
+    centers, _ = em._kmeans_pp_centers(pts, 2, EdgeDraws())
+    np.testing.assert_array_equal(centers, [pts[-1], pts[-3]])
 
 
 def test_nearest_seed_partition_breaks_exact_ties_to_the_lowest_index():
@@ -257,33 +273,47 @@ def test_nearest_seed_partition_breaks_exact_ties_to_the_lowest_index():
     d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
     ties = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1)
     assert ties.tolist() == [4, 2, 2, 2, 2, 1, 1, 1, 1]
-    assign = em._nearest_seed_partition(pts, centers)
+    # kmeans_init partitions with vq, which must keep the first minimum
+    assign = vq(pts, centers, check_finite=False)[0]
     assert assign.tolist() == [0, 0, 1, 1, 0, 0, 1, 2, 3]
     np.testing.assert_array_equal(assign, np.argmin(d2, axis=1))
-    np.testing.assert_array_equal(assign, partition_reference(pts, centers)[0])
+    np.testing.assert_array_equal(assign, partition_reference(pts, centers))
 
 
 def assert_kmeans_pp_matches_reference(pts, k):
+    """The seeding and its row form agree bit for bit, or raise the same
+    FitError; returns how many of the three seeds raised."""
     pts = em._sorted_points(pts)
+    raised = 0
     for seed in range(3):
         rng, ref_rng = rng_stream(seed), rng_stream(seed)
-        centers, potential = em._kmeans_pp_centers(pts, k, rng)
-        ref_centers, ref_potential = kmeans_pp_reference(pts, k, ref_rng)
-        assert centers.tobytes() == ref_centers.tobytes()
-        assert potential.hex() == ref_potential.hex()
+        try:
+            ref_centers, ref_potential = kmeans_pp_reference(pts, k, ref_rng)
+        except FitError as exc:
+            with pytest.raises(FitError) as same:
+                em._kmeans_pp_centers(pts, k, rng)
+            assert str(same.value) == str(exc)
+            raised += 1
+        else:
+            centers, potential = em._kmeans_pp_centers(pts, k, rng)
+            assert centers.tobytes() == ref_centers.tobytes()
+            assert potential.hex() == ref_potential.hex()
         # both consumed the same draws
         assert rng.random() == ref_rng.random()
+    return raised
 
 
 @pytest.mark.parametrize("k", [1, 2, 8, 32])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_kmeans_pp_is_bit_identical_to_row_form(seed, k):
-    assert_kmeans_pp_matches_reference(tube_points(seed), k)
+    assert assert_kmeans_pp_matches_reference(tube_points(seed), k) == 0
 
 
-@pytest.mark.parametrize("distinct, copies, k", STEAL_CASES)
+@pytest.mark.parametrize("distinct, copies, k", SHORT_CASES)
 def test_kmeans_pp_matches_row_form_on_duplicate_points(distinct, copies, k):
-    assert_kmeans_pp_matches_reference(duplicate_points(distinct, copies), k)
+    pts = duplicate_points(distinct, copies)
+    assert assert_kmeans_pp_matches_reference(pts, k) == 3
+    assert assert_kmeans_pp_matches_reference(pts, distinct) == 0
 
 
 # -------------------------------------------------------------- E step
@@ -400,18 +430,12 @@ def test_m_step_soft_responsibilities_match_weighted_moments():
         np.testing.assert_allclose(model.covariances[j], cov, atol=1e-12)
 
 
-def test_m_step_reseeds_collapsed_component():
-    rng = np.random.default_rng(13)
-    pts = rng.normal(size=(12, 3))
-    pts[4] = [9.0, -9.0, 9.0]  # clearly the worst-explained point
-    gamma = np.zeros((12, 2))
+def test_m_step_rejects_collapsed_component():
+    pts = np.random.default_rng(13).normal(size=(12, 3))
+    gamma = np.zeros((12, 3))
     gamma[:, 0] = 1.0
-    model = m_step(PointCloud(pts), Responsibilities(gamma))
-    assert math.isclose(float(model.weights.sum()), 1.0, abs_tol=1e-12)
-    assert model.weights[1] > 0.0
-    np.testing.assert_allclose(model.means[1], pts[4], atol=1e-12)
-    data_cov = np.cov(pts.T, ddof=0)
-    np.testing.assert_allclose(model.covariances[1], data_cov, atol=1e-10)
+    with pytest.raises(ValueError, match="^component 1 collapsed"):
+        m_step(PointCloud(pts), Responsibilities(gamma))
 
 
 def test_m_step_shape_mismatch():
@@ -554,8 +578,9 @@ def test_fit_runs_at_most_max_iterations_m_steps(monkeypatch):
         return m_step_arrays(*args)
 
     monkeypatch.setattr(em, "_m_step_arrays", counted)
+    monkeypatch.setattr(em, "REL_TOLERANCE", 1e-300)
     cloud = make_bent_tube(tube_spec_for_class("demented", n_points=600), seed=0)
-    result = fit_em(cloud, 8, FitConfig(rel_tolerance=1e-300, seed=0))
+    result = fit_em(cloud, 8, FitConfig(seed=0))
     assert len(calls) <= em.MAX_ITERATIONS
     assert result.converged or len(calls) == em.MAX_ITERATIONS
     assert result.iterations == len(result.log_likelihood_trace) <= len(calls)

@@ -5,6 +5,7 @@ import ast
 import importlib
 import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ from gmmcloud import em
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
-BENCH_SPANS = ROOT / "bench" / "spans.py"
+BENCH = ROOT / "bench"
+BENCH_SPANS = BENCH / "spans.py"
 
 
 def test_every_exported_name_resolves_once():
@@ -83,3 +85,50 @@ def test_fit_em_calls_kmeans_init_through_the_module_attribute(monkeypatch):
     cloud = gmmcloud.PointCloud(np.random.default_rng(0).normal(size=(40, 3)))
     em.fit_em(cloud, 2, em.FitConfig(seed=3))
     assert calls == [(2, 3)]
+
+
+def benchmark_gmmcloud_names():
+    """Dotted names the benchmark reads from gmmcloud, from its source
+    without importing it: every `from gmmcloud... import X` as module.X,
+    and every attribute read off such a name X as module.X.attr."""
+    names = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.partition(".")[0] == "gmmcloud"):
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in bound:
+                names.add(f"{bound[node.value.id]}.{node.attr}")
+        names.update(bound.values())
+    return names
+
+
+def resolve(dotted):
+    """The object a dotted gmmcloud name refers to, importing submodules
+    on the way; AttributeError or ImportError when there is none."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part) and isinstance(obj, types.ModuleType):
+            importlib.import_module(".".join(parts[:i]))
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    names = benchmark_gmmcloud_names()
+    assert {"gmmcloud.em.e_step", "gmmcloud.em.m_step", "gmmcloud.em.FitConfig",
+            "gmmcloud.model.ensemble_log_density"} <= names
+    missing = []
+    for name in sorted(names):
+        try:
+            resolve(name)
+        except (AttributeError, ImportError):
+            missing.append(name)
+    assert missing == []
+    # bench/workloads.py builds its fit settings this way
+    assert resolve("gmmcloud.em.FitConfig")(seed=1).seed == 1

@@ -166,5 +166,6 @@ def test_build_ensemble_drops_failing_candidate(monkeypatch):
 
     monkeypatch.setattr(selection, "fit_em", always_fails)
     with pytest.warns(UserWarning):
-        with pytest.raises(FitError, match="every candidate"):
+        with pytest.raises(FitError, match="^every candidate fit failed: K=1: fit failed at "
+                                           "iteration 1: injected; K=2: fit failed"):
             selection.build_ensemble(cloud, (1, 2), FitConfig(seed=0))
