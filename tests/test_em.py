@@ -213,6 +213,22 @@ def test_kmeans_init_matches_reference_on_repeated_points(seed, k, extra):
 
 
 @pytest.mark.parametrize("distinct, copies, k", SHORT_CASES)
+def test_kmeans_init_matches_reference_when_clusters_steal(distinct, copies, k):
+    # the clouds where an empty cluster once stole a point: every K up to
+    # the distinct count matches the reference bit for bit, and at K above
+    # it both refuse with the same error instead of leaving a cluster empty
+    pts = duplicate_points(distinct, copies)
+    for seed in range(3):
+        for fewer in range(1, distinct + 1):
+            assert_kmeans_init_matches_reference(pts, fewer, seed)
+        with pytest.raises(FitError) as raised:
+            kmeans_init(PointCloud(pts), k, seed)
+        with pytest.raises(FitError) as expected:
+            kmeans_init_reference(pts, k, seed)
+        assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("distinct, copies, k", SHORT_CASES)
 def test_kmeans_init_leaves_no_zero_weight_component(distinct, copies, k):
     # K up to the distinct count puts one position in each cluster; above
     # it there is no start without an empty cluster, so kmeans_init refuses
