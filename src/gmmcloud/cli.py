@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 
 import click
 
-from .em import KMEANS_RESTARTS, MAX_ITERATIONS, REL_TOLERANCE, FitConfig, FitError
+from .em import FitConfig, FitError
 from .embedding import inflated_bounds, make_probe_set
 from .geodesics import DEFAULT_TS, interpolate_point_clouds
 from .io import (
@@ -90,12 +91,18 @@ def _load(loader, path):
 
 
 def _fit(fitter, *args, **kwargs):
-    """Run a command's fits; a failed fit becomes a one-line CLI error
-    instead of a traceback."""
-    try:
-        return fitter(*args, **kwargs)
-    except FitError as exc:
-        raise click.ClickException(str(exc)) from None
+    """Run a command's fits, print each warning they raise as one
+    "Warning:" line on stderr, and turn a failed fit into a one-line CLI
+    error instead of a traceback."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fitter(*args, **kwargs)
+        except FitError as exc:
+            raise click.ClickException(str(exc)) from None
+    for warning in caught:
+        click.echo(f"Warning: {warning.message}", err=True)
+    return result
 
 
 @click.group()
@@ -118,9 +125,6 @@ def fit(cloud_path, ks, seed, out):
     ensemble, table = _fit(build_ensemble, cloud, candidate_ks, FitConfig(seed=seed))
     metadata = FitMetadata(
         seed=seed,
-        rel_tolerance=REL_TOLERANCE,
-        max_iterations=MAX_ITERATIONS,
-        kmeans_restarts=KMEANS_RESTARTS,
         candidate_ks=tuple(sorted(set(candidate_ks))),
         training_n=len(cloud),
         label=cloud.label,

@@ -16,8 +16,9 @@ a new position, so it is its own strict nearest seed and no cluster is
 empty; a cloud with fewer than K distinct points raises FitError.
 
 Both EM steps use the moment form of model.py: the E-step is one
-product of coefficients with the feature table Phi of the points, the
-M-step one product of the (K, N) responsibilities with Phi^T. fit_em
+product of coefficients with the feature table Phi of the points and
+one in-place softmax_columns, the M-step one product of the (K, N)
+responsibilities with Phi^T. fit_em
 accelerates the EM map with SQUAREM and falls back to the plain map
 whenever an extrapolated state would lower the log-likelihood; only
 the covariance floor can lower it otherwise. A component that
@@ -40,8 +41,8 @@ from .model import (
     covariance_floor,
     feature_log_densities,
     floor_spd,
-    log_sum_exp_columns,
     reduce_through_constructor,
+    softmax_columns,
     weighted_log_densities,
 )
 from .sampling import rng_stream
@@ -177,24 +178,13 @@ def kmeans_init(cloud: PointCloud, k: int, seed: int) -> Gmm:
     return Gmm(counts / n, means, floor_spd(covs, covariance_floor(pts)))
 
 
-def _gamma_from_log_densities(lwd: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, int]:
-    """(K, N) responsibilities exp(lwd - norm), computed in lwd's buffer;
-    columns whose density underflowed everywhere get 1/K. Returns the
-    buffer and the number of such columns."""
-    dead = ~np.isfinite(norm)
-    # a dead column's -inf - -inf is NaN until it is overwritten with 1/K
-    with np.errstate(invalid="ignore"):
-        np.subtract(lwd, norm, out=lwd)
-    np.exp(lwd, out=lwd)
-    lwd[:, dead] = 1.0 / lwd.shape[0]
-    return lwd, int(np.count_nonzero(dead))
-
-
 def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
-    """Posterior membership of every point in every component."""
+    """Posterior membership of every point in every component, normalised
+    by softmax_columns; a point whose log-sum-exp is not finite (every
+    density underflowed) gets 1/K and counts in underflow_rows."""
     lwd = weighted_log_densities(cloud.points, model.weights, model.means, model.covariances)
-    gamma, underflow = _gamma_from_log_densities(lwd, log_sum_exp_columns(lwd))
-    return Responsibilities(gamma.T, underflow)
+    log_sum = softmax_columns(lwd)
+    return Responsibilities(lwd.T, int(np.count_nonzero(~np.isfinite(log_sum))))
 
 
 def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: float
@@ -225,15 +215,22 @@ def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
     return Gmm(weights, means + centre, covs)
 
 
-def _em_map(phi: np.ndarray, lwd: np.ndarray, norm: np.ndarray, eps: float
-            ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """One EM map: the M-step from the log-densities in lwd and their
-    log-sum-exp norm, then the E-step of its result written over lwd.
-    Returns the new parameters, their log-densities and their norm."""
-    gamma, _ = _gamma_from_log_densities(lwd, norm)
+def _responsibilities(phi: np.ndarray, params, out: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, float]:
+    """The E-step of the fit: (K, N) responsibilities of params, written
+    to out when given, and the log-likelihood of the points."""
+    gamma = feature_log_densities(phi, *params, out=out)
+    return gamma, float(np.sum(softmax_columns(gamma)))
+
+
+def _em_map(phi: np.ndarray, gamma: np.ndarray, eps: float
+            ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, float]:
+    """One EM map: the M-step from the (K, N) responsibilities in gamma,
+    then the E-step of its result written over gamma. Returns the new
+    parameters, their responsibilities and their log-likelihood."""
     params = _m_step_arrays(phi, gamma, eps)
-    lwd = feature_log_densities(phi, *params, out=gamma)
-    return params, lwd, log_sum_exp_columns(lwd)
+    gamma, ll = _responsibilities(phi, params, out=gamma)
+    return params, gamma, ll
 
 
 def _converged(trace: list[float]) -> bool:
@@ -289,7 +286,8 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
     than 1, one stabilising EM map is applied to the extrapolated state
     theta', and its result ends the cycle unless theta' is infeasible,
     or theta' or the stabilised state has a lower log-likelihood than
-    theta2; then the cycle ends at theta2.
+    theta2; then the cycle ends at theta2, whose responsibilities stay
+    in place: theta' is evaluated in a second buffer.
 
     The trace holds the log-likelihood of every accepted EM-map output,
     and iterations is its length. Every M-step counts against
@@ -307,8 +305,8 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
     phi = centred_features(pts, centre)
     del pts  # Phi holds the centred points for the rest of the fit
     params = (model.weights, model.means - centre, model.covariances)
-    lwd = feature_log_densities(phi, *params)
-    norm = log_sum_exp_columns(lwd)
+    gamma, _ = _responsibilities(phi, params)
+    spare = None  # the SQUAREM candidate's responsibilities, made on first use
     trace: list[float] = []
     cycle = [params]  # the EM states of the current SQUAREM cycle
     step_max = 1.0
@@ -317,9 +315,7 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
     try:
         while not stopped:
             m_steps += 1
-            # one log-density buffer: each E-step overwrites the last
-            params, lwd, norm = _em_map(phi, lwd, norm, eps)
-            ll = float(np.sum(norm))
+            params, gamma, ll = _em_map(phi, gamma, eps)
             if not np.isfinite(ll):
                 raise FitError(f"non-finite log-likelihood at iteration {m_steps}")
             trace.append(ll)
@@ -330,20 +326,17 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
             alpha, candidate = _extrapolate(*cycle, step_max)
             accepted = not alpha > 1.0
             if candidate is not None:
-                lwd = feature_log_densities(phi, *candidate, out=lwd)
-                norm = log_sum_exp_columns(lwd)
-                if float(np.sum(norm)) >= ll:
+                # gamma keeps theta2's responsibilities unless the candidate wins
+                spare, candidate_ll = _responsibilities(phi, candidate, out=spare)
+                if candidate_ll >= ll:
                     m_steps += 1
-                    stabilised, lwd, norm = _em_map(phi, lwd, norm, eps)
-                    accepted = float(np.sum(norm)) >= ll
+                    stabilised, spare, stabilised_ll = _em_map(phi, spare, eps)
+                    accepted = stabilised_ll >= ll
                 if accepted:
                     params = stabilised
-                    trace.append(float(np.sum(norm)))
+                    gamma, spare = spare, gamma
+                    trace.append(stabilised_ll)
                     stopped = _converged(trace)
-                else:
-                    # back to theta2: recompute its log-densities
-                    lwd = feature_log_densities(phi, *params, out=lwd)
-                    norm = log_sum_exp_columns(lwd)
                 stopped = stopped or m_steps == MAX_ITERATIONS
             if alpha == step_max:
                 step_max = step_max * STEP_GROWTH if accepted else max(1.0, step_max / STEP_GROWTH)

@@ -19,6 +19,7 @@ from .model import (
     GmmEnsemble,
     gmm_log_density,
     reduce_through_constructor,
+    softmax_columns,
 )
 from .sampling import rng_stream
 
@@ -103,13 +104,10 @@ def make_probe_set(clouds, seed: int, count: int = PROBE_COUNT) -> ProbeSet:
 
 def embedding_from_log_densities(log_density: np.ndarray) -> SphereEmbedding:
     """Normalize probe log-densities and map by square root to the sphere."""
-    logp = np.asarray(log_density, dtype=float)
-    peak = float(np.max(logp))
-    if not math.isfinite(peak):
+    q = np.array(log_density, dtype=float).reshape(-1, 1)
+    if not math.isfinite(softmax_columns(q)[0]):
         raise ValueError("probe set does not cover the model support")
-    q = np.exp(logp - peak)
-    q = q / q.sum()
-    return SphereEmbedding(np.sqrt(q))
+    return SphereEmbedding(np.sqrt(q[:, 0]))
 
 
 def embed(model: Gmm | GmmEnsemble, probes: ProbeSet) -> SphereEmbedding:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import em
 from .embedding import ProbeSet, SphereEmbedding
 from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud
 from .selection import AicRow, AicTable
@@ -146,12 +147,10 @@ def write_point_cloud(cloud: PointCloud, path: str):
 
 @dataclass(frozen=True)
 class FitMetadata:
-    """Provenance a model file carries alongside the ensemble."""
+    """Provenance a model file carries alongside the ensemble; save_model
+    adds em's fit constants, which load_model does not read."""
 
     seed: int
-    rel_tolerance: float
-    max_iterations: int
-    kmeans_restarts: int
     candidate_ks: tuple[int, ...]
     training_n: int
     label: str | None = None
@@ -206,9 +205,9 @@ def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
         ],
         "metadata": {
             "seed": metadata.seed,
-            "rel_tolerance": metadata.rel_tolerance,
-            "max_iterations": metadata.max_iterations,
-            "kmeans_restarts": metadata.kmeans_restarts,
+            "rel_tolerance": em.REL_TOLERANCE,
+            "max_iterations": em.MAX_ITERATIONS,
+            "kmeans_restarts": em.KMEANS_RESTARTS,
             "candidate_ks": list(metadata.candidate_ks),
             "training_n": metadata.training_n,
             "label": metadata.label,
@@ -262,9 +261,6 @@ def load_model(path: str) -> ModelFile:
         ))
         metadata = FitMetadata(
             seed=meta["seed"],
-            rel_tolerance=meta["rel_tolerance"],
-            max_iterations=meta["max_iterations"],
-            kmeans_restarts=meta["kmeans_restarts"],
             candidate_ks=tuple(meta["candidate_ks"]),
             training_n=meta["training_n"],
             label=meta.get("label"),

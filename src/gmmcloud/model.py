@@ -12,7 +12,9 @@ feature table Phi = [1, x, x x^T] (10 rows, the second moments taken
 once each), and each weighted component becomes a row of coefficients
 built from its precision P, P mu and a constant. All K log-densities at
 all N points are then one (K, 10) by (10, N) product, and the moments
-an M-step needs are one (K, N) by (N, 10) product. The expanded form
+an M-step needs are one (K, N) by (N, 10) product. softmax_columns
+normalises the log-density table in place into the responsibilities and
+each point's log density together. The expanded form
 cancels when the points sit far from the origin next to a component's
 scale, so every table is built from centred points: a fit centres on
 the mean of its points, an evaluation on the mean of the mixture.
@@ -300,16 +302,21 @@ def weighted_log_densities(points: np.ndarray, weights: np.ndarray, means: np.nd
                                  covariances)
 
 
-def log_sum_exp_columns(matrix: np.ndarray) -> np.ndarray:
-    """Log-sum-exp down each column of a (K, N) matrix, one value per
-    point; an all -inf column maps to -inf without warnings."""
-    peak = np.max(matrix, axis=0)
-    # an all -inf column shifts by 0, sums to 0 and takes log(0) = -inf
-    shift = np.where(np.isfinite(peak), peak, 0.0)
-    shifted = matrix - shift
-    np.exp(shifted, out=shifted)
-    with np.errstate(divide="ignore"):
-        return shift + np.log(np.sum(shifted, axis=0))
+def softmax_columns(lwd: np.ndarray) -> np.ndarray:
+    """Turn a (K, N) log-density table into responsibilities in place,
+    each column exp(lwd - peak) / sum, and return each column's
+    log-sum-exp, peak + log(sum). A column with no finite peak, where
+    every density underflowed, gets 1/K and -inf, without warnings."""
+    peak = np.max(lwd, axis=0)
+    dead = ~np.isfinite(peak)
+    # zeros exponentiate to ones, which divide to exactly 1/K
+    lwd[:, dead] = 0.0
+    peak[dead] = 0.0
+    np.subtract(lwd, peak, out=lwd)
+    np.exp(lwd, out=lwd)
+    total = np.sum(lwd, axis=0)
+    lwd /= total
+    return np.where(dead, -np.inf, peak + np.log(total))
 
 
 def flat_mixture(model: Gmm | GmmEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,9 +341,10 @@ def gmm_log_density(points: np.ndarray, model: Gmm | GmmEnsemble) -> np.ndarray:
 
     A point's value can differ in the last bit with the batch it is
     evaluated in: NumPy sends a one-point product to BLAS gemv and a
-    larger one to gemm, and the two round differently.
+    larger one to gemm, and the two round differently. The value is
+    softmax_columns' log-sum-exp: -inf where every density underflowed.
     """
-    return log_sum_exp_columns(weighted_log_densities(points, *flat_mixture(model)))
+    return softmax_columns(weighted_log_densities(points, *flat_mixture(model)))
 
 
 def ensemble_log_density(points: np.ndarray, ensemble: GmmEnsemble) -> np.ndarray:

@@ -4,11 +4,15 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import gmmcloud
 from gmmcloud.cli import main
 from gmmcloud.io import (
     load_embeddings,
@@ -151,29 +155,51 @@ def six_point_cloud(tmp_path):
     return path
 
 
+SIX_POINT_DROP = "K=8 needs 8 distinct points, the cloud has 6"
+
+
 @pytest.mark.parametrize("command", [["fit", "{cloud}"], ["interpolate", "{cloud}", "{cloud}"]],
                          ids=["fit", "interpolate"])
 def test_fit_beyond_the_distinct_points_is_a_one_line_error(six_point_cloud, tmp_path,
                                                             command):
     out = str(tmp_path / "out")
     args = [arg.format(cloud=six_point_cloud) for arg in command] + ["--ks", "8", "-o", out]
-    with pytest.warns(UserWarning, match="K=8 dropped"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 1
-    assert result.output.splitlines() == [
-        "Error: every candidate fit failed: K=8: K=8 needs 8 distinct points, the cloud has 6"]
+    assert result.stderr.splitlines() == [
+        f"Error: every candidate fit failed: K=8: {SIX_POINT_DROP}"]
     assert not os.path.exists(out)
 
 
 def test_fit_drops_a_candidate_beyond_the_distinct_points(six_point_cloud, tmp_path):
     out = str(tmp_path / "model.json")
-    with pytest.warns(UserWarning) as caught:
-        run_cli(["fit", six_point_cloud, "--ks", "2,8", "-o", out])
-    assert [str(w.message) for w in caught] == [
-        "candidate K=8 dropped: K=8 needs 8 distinct points, the cloud has 6"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cli(["fit", six_point_cloud, "--ks", "2,8", "-o", out])
+    assert result.stderr.splitlines() == [f"Warning: candidate K=8 dropped: {SIX_POINT_DROP}"]
     model = load_model(out)
     assert [row.k for row in model.aic_table.rows] == [2]
     assert [member.model.k for member in model.ensemble.members] == [2]
+
+
+@pytest.mark.parametrize("ks, exit_code, stderr", [
+    ("2,8", 0, f"Warning: candidate K=8 dropped: {SIX_POINT_DROP}"),
+    ("8", 1, f"Error: every candidate fit failed: K=8: {SIX_POINT_DROP}"),
+], ids=["dropped", "failed"])
+def test_fit_in_a_shell_prints_one_stderr_line(six_point_cloud, tmp_path, ks, exit_code,
+                                               stderr):
+    # a new interpreter, where no test harness captures Python warnings
+    src = os.path.dirname(os.path.dirname(gmmcloud.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmmcloud.cli", "fit", six_point_cloud, "--ks", ks,
+         "-o", str(tmp_path / "model.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == exit_code
+    assert proc.stderr.splitlines() == [stderr]
 
 
 OFFSET = [1000.0, -5.0, 20.0]

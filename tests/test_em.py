@@ -40,7 +40,7 @@ from gmmcloud.model import (
     feature_log_densities,
     floor_spd,
     gmm_log_likelihood,
-    log_sum_exp_columns,
+    softmax_columns,
 )
 from gmmcloud.sampling import generate_point_cloud, rng_stream
 from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
@@ -376,16 +376,19 @@ def test_gamma_matches_masked_bits(seed, k, dead_rows):
         lwd[0] = -np.inf  # a zero-weight component, every column still live
     if dead_rows:
         lwd[:, ::7] = -np.inf
-    norm = log_sum_exp_columns(lwd)
-    dead = ~np.isfinite(norm)
+    peak = np.max(lwd, axis=0)
+    dead = ~np.isfinite(peak)
     live = ~dead
     masked = np.empty_like(lwd)
-    masked[:, live] = np.exp(lwd[:, live] - norm[live])
+    shifted = np.exp(lwd[:, live] - peak[live])
+    # summed component by component, the order of a (K, N) C-order sum
+    masked[:, live] = shifted / sum(shifted[1:], start=shifted[0])
     masked[:, dead] = 1.0 / k
+    gamma = lwd.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gamma, underflow = em._gamma_from_log_densities(lwd, norm)
-    assert underflow == (72 if dead_rows else 0)
+        log_sum = softmax_columns(gamma)
+    assert np.count_nonzero(~np.isfinite(log_sum)) == (72 if dead_rows else 0)
     assert gamma.tobytes() == masked.tobytes()
 
 
@@ -601,6 +604,36 @@ def test_fit_runs_at_most_max_iterations_m_steps(monkeypatch):
     assert result.converged or len(calls) == em.MAX_ITERATIONS
     assert result.iterations == len(result.log_likelihood_trace) <= len(calls)
     assert np.all(np.diff(result.log_likelihood_trace) >= -1e-8)
+
+
+def test_fit_evaluates_each_state_once(monkeypatch):
+    # one E-step for the start, one per M-step and one per SQUAREM
+    # candidate; a rejected candidate leaves theta2's responsibilities
+    # in place rather than recomputing them
+    counts = {"e": 0, "m": 0, "candidates": 0}
+    feature_log_densities_, m_step_arrays, extrapolate = (
+        em.feature_log_densities, em._m_step_arrays, em._extrapolate)
+
+    def e_counted(*args, **kwargs):
+        counts["e"] += 1
+        return feature_log_densities_(*args, **kwargs)
+
+    def m_counted(*args):
+        counts["m"] += 1
+        return m_step_arrays(*args)
+
+    def extrapolate_counted(*args):
+        alpha, candidate = extrapolate(*args)
+        counts["candidates"] += candidate is not None
+        return alpha, candidate
+
+    monkeypatch.setattr(em, "feature_log_densities", e_counted)
+    monkeypatch.setattr(em, "_m_step_arrays", m_counted)
+    monkeypatch.setattr(em, "_extrapolate", extrapolate_counted)
+    cloud = make_bent_tube(tube_spec_for_class("demented", n_points=600), seed=0)
+    fit_em(cloud, 8, FitConfig(seed=0))
+    assert counts["candidates"] > 0
+    assert counts["e"] == 1 + counts["m"] + counts["candidates"]
 
 
 def squarem_states(weights, covariance_scales):

@@ -136,6 +136,21 @@ def test_embedding_handles_extreme_log_range():
     assert emb.coords[1] == 0.0
 
 
+def peak_normalised_embedding(logp):
+    """The embedding formula spelled out: exp(logp - peak), divided by its
+    sum, square-rooted."""
+    q = np.exp(logp - np.max(logp))
+    return np.sqrt(q / q.sum())
+
+
+@given(seed=st.integers(0, 2**32 - 1), shift=st.sampled_from([0.0, 1e6, -1e6]))
+def test_embedding_matches_peak_normalised_formula_bits(seed, shift):
+    rng = np.random.default_rng(seed)
+    logp = rng.normal(scale=rng.uniform(0.1, 300.0), size=int(rng.integers(1, 1500))) + shift
+    emb = embedding_from_log_densities(logp)
+    assert emb.coords.tobytes() == peak_normalised_embedding(logp).tobytes()
+
+
 def test_embed_is_deterministic():
     model = random_gmm(np.random.default_rng(6), 2)
     probe_set = make_probe_set([PointCloud(model.means)], seed=1)

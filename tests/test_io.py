@@ -191,13 +191,16 @@ def test_writer_rejects_empty_path():
 def test_model_file_round_trip_is_exact(tmp_path):
     path = str(tmp_path / "model.json")
     ensemble, table = two_member_ensemble()
-    metadata = FitMetadata(seed=11, rel_tolerance=1e-6, max_iterations=200,
-                           kmeans_restarts=4, candidate_ks=(1, 2), training_n=321,
-                           label="demented")
+    metadata = FitMetadata(seed=11, candidate_ks=(1, 2), training_n=321, label="demented")
     save_model(path, ensemble, table, metadata)
     loaded = load_model(path)
     assert loaded.schema_version == SCHEMA_VERSION == "1"
     assert loaded.metadata == metadata
+    # the fit constants come from em, in the order schema "1" files have them
+    assert list(json.load(open(path))["metadata"].items()) == [
+        ("seed", 11), ("rel_tolerance", 1e-6), ("max_iterations", 200),
+        ("kmeans_restarts", 4), ("candidate_ks", [1, 2]), ("training_n", 321),
+        ("label", "demented")]
     assert loaded.aic_table.rows == table.rows
     for got, expected in zip(loaded.ensemble.members, ensemble.members):
         assert got.weight == expected.weight
@@ -209,8 +212,7 @@ def test_model_file_round_trip_is_exact(tmp_path):
 def test_model_file_optional_fields_default_to_none(tmp_path):
     path = str(tmp_path / "model.json")
     ensemble, table = two_member_ensemble()
-    metadata = FitMetadata(seed=0, rel_tolerance=1e-6, max_iterations=200,
-                           kmeans_restarts=4, candidate_ks=(2,), training_n=10)
+    metadata = FitMetadata(seed=0, candidate_ks=(2,), training_n=10)
     save_model(path, ensemble, table, metadata)
     loaded = load_model(path)
     assert loaded.metadata.label is None
@@ -223,7 +225,7 @@ def test_model_file_center_offset_shifts_every_member(tmp_path):
     # center_offset; they load with the offset added back
     path = str(tmp_path / "model.json")
     ensemble, table = two_member_ensemble()
-    save_model(path, ensemble, table, FitMetadata(0, 1e-6, 200, 4, (1, 2), 5))
+    save_model(path, ensemble, table, FitMetadata(0, (1, 2), 5))
     obj = json.load(open(path))
     offset = [1000.0, -math.pi, 0.1]
     obj["metadata"]["center_offset"] = offset
@@ -244,7 +246,7 @@ def test_model_file_rejects_wrong_kind_and_schema(tmp_path):
         load_model(probe_path)
     model_path = str(tmp_path / "model.json")
     ensemble, table = two_member_ensemble()
-    metadata = FitMetadata(0, 1e-6, 200, 4, (1,), 5)
+    metadata = FitMetadata(0, (1,), 5)
     save_model(model_path, ensemble, table, metadata)
     obj = json.load(open(model_path))
     obj["schema_version"] = "999"
@@ -256,7 +258,7 @@ def test_model_file_rejects_wrong_kind_and_schema(tmp_path):
 def test_model_file_rejects_degenerate_covariance(tmp_path):
     model_path = str(tmp_path / "model.json")
     ensemble, table = two_member_ensemble()
-    save_model(model_path, ensemble, table, FitMetadata(0, 1e-6, 200, 4, (1, 2), 5))
+    save_model(model_path, ensemble, table, FitMetadata(0, (1, 2), 5))
     obj = json.load(open(model_path))
     obj["ensemble"][1]["model"]["covariances"][1] = np.diag([1.0, 0.0, 1.0]).tolist()
     open(model_path, "w").write(json.dumps(obj))
@@ -288,7 +290,7 @@ def _without_means(obj):
 def test_model_file_malformed_json_raises_file_format_error(tmp_path, change, message):
     path = str(tmp_path / "model.json")
     ensemble, table = two_member_ensemble()
-    save_model(path, ensemble, table, FitMetadata(0, 1e-6, 200, 4, (1, 2), 5))
+    save_model(path, ensemble, table, FitMetadata(0, (1, 2), 5))
     obj = change(json.load(open(path)))
     open(path, "w").write(obj if isinstance(obj, str) else json.dumps(obj))
     with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
@@ -321,7 +323,7 @@ def test_probe_set_round_trip(tmp_path):
     assert back.seed == 17
     model_path = str(tmp_path / "m.json")
     ensemble, table = two_member_ensemble()
-    save_model(model_path, ensemble, table, FitMetadata(0, 1e-6, 200, 4, (1,), 5))
+    save_model(model_path, ensemble, table, FitMetadata(0, (1,), 5))
     with pytest.raises(FileFormatError, match="probe_set"):
         load_probe_set(model_path)
 

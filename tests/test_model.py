@@ -28,7 +28,7 @@ from gmmcloud.model import (
     floor_spd,
     gmm_log_density,
     gmm_log_likelihood,
-    log_sum_exp_columns,
+    softmax_columns,
     weighted_log_densities,
 )
 
@@ -364,6 +364,11 @@ def test_mixture_integrates_to_one():
 # ----------------------------------------------------- log-space helpers
 
 
+def log_sum_exp_columns(matrix):
+    """The log-sum-exps softmax_columns returns, computed on a copy."""
+    return softmax_columns(np.array(matrix, dtype=float))
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 def test_log_sum_exp_matches_scipy(seed):
     rng = np.random.default_rng(seed)
@@ -373,7 +378,7 @@ def test_log_sum_exp_matches_scipy(seed):
 
 
 def masked_log_sum_exp_columns(matrix):
-    """log_sum_exp_columns evaluated only on the columns with a finite peak."""
+    """The column log-sum-exp evaluated only on the columns with a finite peak."""
     peak = np.max(matrix, axis=0)
     finite = np.isfinite(peak)
     out = np.full(matrix.shape[1], -np.inf)
