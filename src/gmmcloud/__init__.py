@@ -5,7 +5,7 @@ morph between shapes along closed-form product-manifold geodesics, and
 classify shapes through density-probe embeddings on a unit hypersphere.
 """
 
-from .em import FitConfig, FitError, FitResult, Responsibilities, e_step, fit_em, kmeans_init, m_step
+from .em import FitConfig, FitError, FitResult, Responsibilities, e_step, fit_em, m_step
 from .embedding import (
     ClassificationMetrics,
     ProbeSet,
@@ -68,7 +68,6 @@ __all__ = [
     "generate_point_cloud",
     "gmm_log_likelihood",
     "interpolate_point_clouds",
-    "kmeans_init",
     "knn_classify",
     "m_step",
     "make_bent_tube",

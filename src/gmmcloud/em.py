@@ -4,16 +4,17 @@ fit_em sorts the points lexicographically before doing anything else, so
 the whole fit is a function of the point multiset: permuting the input
 order reproduces the same parameters bit for bit under the same seed.
 
-EM starts from the partition of the points by their nearest k-means++
-seed (Arthur & Vassilvitskii 2007); no Lloyd pass refines it, since EM
-refines the same partition anyway (seeding as a GMM start: Blömer &
-Bujna 2016). The partition comes from SciPy's compiled
-scipy.cluster.vq.vq. It adds the three squared coordinate differences
-left to right and keeps the first of equal minima, as the NumPy column
-form (x - cx)**2 + (y - cy)**2 + (z - cz)**2 followed by argmin does,
-so the assignments are the same bit for bit. Every seed is a point at
-a new position, so it is its own strict nearest seed and no cluster is
-empty; a cloud with fewer than K distinct points raises FitError.
+EM starts from its own M-step on the one-hot partition of the points by
+their nearest k-means++ seed (Arthur & Vassilvitskii 2007); no Lloyd
+pass refines it, since EM refines the same partition anyway (seeding
+as a GMM start: Blömer & Bujna 2016). The partition comes from SciPy's
+compiled scipy.cluster.vq.vq. It adds the three squared coordinate
+differences left to right and keeps the first of equal minima, as the
+NumPy column form (x - cx)**2 + (y - cy)**2 + (z - cz)**2 followed by
+argmin does, so the assignments are the same bit for bit. Every seed
+is a point at a new position, so it is its own strict nearest seed and
+no cluster is empty; a cloud with fewer than K distinct points raises
+FitError.
 
 Both EM steps use the moment form of model.py: the E-step is one
 product of coefficients with the feature table Phi of the points and
@@ -148,34 +149,22 @@ def _kmeans_pp_centers(pts: np.ndarray, k: int, rng: np.random.Generator
     return centers, float(d2.sum())
 
 
-def kmeans_init(cloud: PointCloud, k: int, seed: int) -> Gmm:
-    """Cluster-based starting mixture from the best k-means++ seeding.
+def kmeans_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Nearest-seed codes (N,) of the best k-means++ seeding of the points.
 
     Of KMEANS_RESTARTS seedings, one stream each, the one with the
-    lowest potential wins, the first on ties. The points are split by
-    their nearest seed (see the module docstring); weights are cluster
-    fractions, means the centroids, covariances the per-cluster sample
-    covariances floored at the data-scale eigenvalue floor.
+    lowest potential wins, the first on ties; each point gets the index
+    of its nearest seed (see the module docstring).
     """
-    n = len(cloud)
+    n = points.shape[0]
     if k > n:
         raise ValueError(f"more components than points: K={k}, N={n}")
     if k < 1:
         raise ValueError(f"component count must be >= 1, got {k}")
-    pts = _sorted_points(cloud.points)
-    centers, _ = min((_kmeans_pp_centers(pts, k, rng_stream(seed, r))
+    centers, _ = min((_kmeans_pp_centers(points, k, rng_stream(seed, r))
                       for r in range(KMEANS_RESTARTS)), key=lambda seeding: seeding[1])
-    # PointCloud has already rejected non-finite points
-    assign = vq(pts, centers, check_finite=False)[0]
-    counts = np.bincount(assign, minlength=k)
-    means = np.empty((k, 3))
-    covs = np.empty((k, 3, 3))
-    for j in range(k):
-        members = pts[assign == j]
-        means[j] = members.mean(axis=0)
-        diff = members - means[j]
-        covs[j] = diff.T @ diff / counts[j]
-    return Gmm(counts / n, means, floor_spd(covs, covariance_floor(pts)))
+    # fit_em passes a PointCloud's points, which are finite
+    return vq(points, centers, check_finite=False)[0]
 
 
 def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
@@ -270,13 +259,14 @@ def _extrapolate(theta0, theta1, theta2, step_max: float):
 
 def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitResult:
     """Fit a K-component mixture by SQUAREM-accelerated EM from the best
-    k-means++ seeding (kmeans_init).
+    k-means++ seeding.
 
     The points are sorted, then centred on their mean, and the feature
-    table of the centred points is built once for the fit; the means are
-    fitted in that frame and the centre is added back to the final
-    means. Sorting comes first, so the centre and the fit do not depend
-    on the input order.
+    table of the centred points and the covariance floor are computed
+    once for the fit; the means are fitted in that frame and the centre
+    is added back to the final means. Sorting comes first, so the centre
+    and the fit do not depend on the input order. The start is the
+    M-step on the one-hot partition by kmeans_init's codes.
 
     Each cycle takes two EM maps, theta0 -> theta1 -> theta2, and then
     the S3 SQUAREM step (see _extrapolate) with the step cap of the
@@ -290,29 +280,31 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
     in place: theta' is evaluated in a second buffer.
 
     The trace holds the log-likelihood of every accepted EM-map output,
-    and iterations is its length. Every M-step counts against
+    and iterations is its length. Every EM map counts against
     MAX_ITERATIONS, a rejected stabilising map included, so no fit runs
-    more M-steps than the cap. Convergence is declared when the
-    relative change |dL| / (|L| + 1) between two consecutive trace
-    entries drops below REL_TOLERANCE; otherwise the fit stops after
-    MAX_ITERATIONS M-steps. A collapsed component or a non-finite
-    log-likelihood raises FitError naming the iteration.
+    more maps than the cap; the start's M-step is not a map. Convergence
+    is declared when the relative change |dL| / (|L| + 1) between two
+    consecutive trace entries drops below REL_TOLERANCE; otherwise the
+    fit stops after MAX_ITERATIONS maps. A collapsed component or a
+    non-finite log-likelihood raises FitError naming the iteration, 0
+    for the start.
     """
-    model = kmeans_init(cloud, k, config.seed)
     pts = _sorted_points(cloud.points)
+    codes = kmeans_init(pts, k, config.seed)
     eps = covariance_floor(pts)
     centre = pts.mean(axis=0)
     phi = centred_features(pts, centre)
     del pts  # Phi holds the centred points for the rest of the fit
-    params = (model.weights, model.means - centre, model.covariances)
-    gamma, _ = _responsibilities(phi, params)
+    gamma = (np.arange(k)[:, None] == codes).astype(float)  # the partition, one-hot
     spare = None  # the SQUAREM candidate's responsibilities, made on first use
     trace: list[float] = []
-    cycle = [params]  # the EM states of the current SQUAREM cycle
     step_max = 1.0
     m_steps = 0
     stopped = False
     try:
+        params = _m_step_arrays(phi, gamma, eps)
+        gamma, _ = _responsibilities(phi, params, out=gamma)
+        cycle = [params]  # the EM states of the current SQUAREM cycle
         while not stopped:
             m_steps += 1
             params, gamma, ll = _em_map(phi, gamma, eps)

@@ -38,7 +38,6 @@ from gmmcloud.model import (
     centred_features,
     covariance_floor,
     feature_log_densities,
-    floor_spd,
     gmm_log_likelihood,
     softmax_columns,
 )
@@ -75,46 +74,28 @@ def test_responsibilities_validation():
 
 
 def test_kmeans_degenerate_single_cluster():
-    cloud = PointCloud(np.ones((3, 3)))
-    model = kmeans_init(cloud, 1, seed=0)
-    assert model.weights[0] == 1.0
-    np.testing.assert_allclose(model.means[0], np.ones(3), atol=1e-15)
-    np.testing.assert_allclose(model.covariances[0], 1e-12 * np.eye(3), atol=1e-24)
+    codes = kmeans_init(np.ones((3, 3)), 1, seed=0)
+    assert codes.tolist() == [0, 0, 0]
 
 
 def test_kmeans_two_blobs_exact_split():
-    cloud, a, b = two_blob_cloud()
-    model = kmeans_init(cloud, 2, seed=1)
-    assert sorted(model.weights.tolist()) == [0.5, 0.5]
-    blob_means = np.array([a.mean(axis=0), b.mean(axis=0)])
-    perm = best_match(model.means, blob_means)
-    matched = model.means[list(perm)]
-    # separation guarantees the centroids are the per-blob sample means
-    np.testing.assert_allclose(matched, blob_means, atol=1e-9)
-    standard_error = 0.05 / math.sqrt(50)
-    centers = np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0]])
-    assert np.max(np.abs(matched - centers)) < 3.0 * standard_error
+    cloud, _, _ = two_blob_cloud()
+    codes = kmeans_init(cloud.points, 2, seed=1)
+    # the points are the stacked blobs, 50 of each
+    assert codes.tolist() == [codes[0]] * 50 + [1 - codes[0]] * 50
 
 
 def test_kmeans_one_point_per_cluster():
-    rng = np.random.default_rng(4)
-    pts = rng.normal(size=(6, 3))
-    cloud = PointCloud(pts)
-    model = kmeans_init(cloud, 6, seed=0)
-    eps = covariance_floor(pts)
-    for weight, cov in zip(model.weights, model.covariances):
-        assert weight == 1.0 / 6.0
-        np.testing.assert_allclose(cov, eps * np.eye(3), rtol=1e-9, atol=1e-18)
-    np.testing.assert_allclose(np.sort(model.means, axis=0), np.sort(pts, axis=0),
-                               atol=1e-15)
+    pts = np.random.default_rng(4).normal(size=(6, 3))
+    assert sorted(kmeans_init(pts, 6, seed=0).tolist()) == list(range(6))
 
 
 def test_kmeans_rejects_more_components_than_points():
-    cloud = PointCloud(np.zeros((2, 3)))
+    pts = np.zeros((2, 3))
     with pytest.raises(ValueError, match="more components than points"):
-        kmeans_init(cloud, 3, seed=0)
+        kmeans_init(pts, 3, seed=0)
     with pytest.raises(ValueError):
-        kmeans_init(cloud, 0, seed=0)
+        kmeans_init(pts, 0, seed=0)
 
 
 def kmeans_pp_reference(pts, k, rng):
@@ -147,31 +128,20 @@ def partition_reference(pts, centers):
 
 def kmeans_init_reference(pts, k, seed):
     """kmeans_init in its plain form: the row-form seedings, the first of
-    the lowest potential, the plain partition and one boolean mask per
-    cluster. Returns the start's arrays."""
-    pts = em._sorted_points(pts)
+    the lowest potential and the plain partition."""
     seedings = [kmeans_pp_reference(pts, k, rng_stream(seed, r))
                 for r in range(em.KMEANS_RESTARTS)]
     potentials = [potential for _, potential in seedings]
-    centers = seedings[potentials.index(min(potentials))][0]
-    assign = partition_reference(pts, centers)
-    weights, means, covs = np.zeros(k), np.zeros((k, 3)), np.zeros((k, 3, 3))
-    for j in range(k):
-        members = pts[assign == j]
-        weights[j] = members.shape[0] / pts.shape[0]
-        means[j] = members.mean(axis=0)
-        diff = members - means[j]
-        covs[j] = diff.T @ diff / members.shape[0]
-    return weights, means, floor_spd(covs, covariance_floor(pts))
+    return partition_reference(pts, seedings[potentials.index(min(potentials))][0])
 
 
 def assert_kmeans_init_matches_reference(pts, k, seed):
-    """kmeans_init and the reference agree bit for bit."""
-    model = kmeans_init(PointCloud(pts), k, seed)
-    weights, means, covs = kmeans_init_reference(pts, k, seed)
-    assert model.weights.tobytes() == weights.tobytes()
-    assert model.means.tobytes() == means.tobytes()
-    assert model.covariances.tobytes() == covs.tobytes()
+    """kmeans_init and the reference give the same codes on the sorted
+    points fit_em seeds from."""
+    pts = em._sorted_points(pts)
+    codes = kmeans_init(pts, k, seed)
+    assert codes.tolist() == kmeans_init_reference(pts, k, seed).tolist()
+    return codes
 
 
 def tube_points(seed, n_points=600):
@@ -208,8 +178,8 @@ def test_kmeans_init_matches_reference_on_repeated_points(seed, k, extra):
     grid = np.stack(np.unravel_index(rng.choice(125, size=m, replace=False), (5, 5, 5)), 1)
     pts = np.repeat(grid.astype(float), rng.integers(1, 6, size=m), axis=0)
     pts = pts[rng.permutation(pts.shape[0])]
-    assert np.all(kmeans_init(PointCloud(pts), k, seed).weights > 0.0)
-    assert_kmeans_init_matches_reference(pts, k, seed)
+    codes = assert_kmeans_init_matches_reference(pts, k, seed)
+    assert np.all(np.bincount(codes, minlength=k) > 0)
 
 
 @pytest.mark.parametrize("distinct, copies, k", SHORT_CASES)
@@ -222,9 +192,9 @@ def test_kmeans_init_matches_reference_when_clusters_steal(distinct, copies, k):
         for fewer in range(1, distinct + 1):
             assert_kmeans_init_matches_reference(pts, fewer, seed)
         with pytest.raises(FitError) as raised:
-            kmeans_init(PointCloud(pts), k, seed)
+            kmeans_init(pts, k, seed)
         with pytest.raises(FitError) as expected:
-            kmeans_init_reference(pts, k, seed)
+            kmeans_init_reference(em._sorted_points(pts), k, seed)
         assert str(raised.value) == str(expected.value)
 
 
@@ -232,12 +202,12 @@ def test_kmeans_init_matches_reference_when_clusters_steal(distinct, copies, k):
 def test_kmeans_init_leaves_no_zero_weight_component(distinct, copies, k):
     # K up to the distinct count puts one position in each cluster; above
     # it there is no start without an empty cluster, so kmeans_init refuses
-    cloud = PointCloud(duplicate_points(distinct, copies))
+    pts = duplicate_points(distinct, copies)
     for seed in range(3):
-        assert np.array_equal(kmeans_init(cloud, distinct, seed).weights,
-                              np.full(distinct, 1.0 / distinct))
+        codes = kmeans_init(pts, distinct, seed)
+        assert np.bincount(codes, minlength=distinct).tolist() == [copies] * distinct
         with pytest.raises(FitError) as raised:
-            kmeans_init(cloud, k, seed)
+            kmeans_init(pts, k, seed)
         assert str(raised.value) == f"K={k} needs {k} distinct points, the cloud has {distinct}"
 
 
@@ -251,12 +221,11 @@ def test_fit_em_names_k_and_the_distinct_count_when_points_run_out(distinct, cop
 
 
 def test_fit_em_fails_on_a_start_with_a_zero_weight_component(monkeypatch):
-    # a zero-weight component has no mass in the first M-step
-    cloud, a, b = two_blob_cloud()
-    start = Gmm([0.5, 0.5, 0.0], [a.mean(axis=0), b.mean(axis=0), np.zeros(3)],
-                np.stack([np.eye(3)] * 3))
-    monkeypatch.setattr(em, "kmeans_init", lambda *args: start)
-    with pytest.raises(FitError, match="^fit failed at iteration 1: component 2 collapsed"):
+    # an empty cluster has no mass in the start's M-step
+    cloud, _, _ = two_blob_cloud()
+    codes = np.repeat([0, 1], 50)
+    monkeypatch.setattr(em, "kmeans_init", lambda *args: codes)
+    with pytest.raises(FitError, match="^fit failed at iteration 0: component 2 collapsed"):
         fit_em(cloud, 3, FitConfig(seed=0))
 
 
@@ -485,6 +454,23 @@ MOMENT_TOL = 1e4 * ULP  # relative, on weights, means and covariances
 FIT_LL_TOL = 1e7 * ULP  # relative, on a whole fit's final log-likelihood
 
 
+def assert_moments_match_loop_form(got, ref, pts):
+    """M-step arrays within MOMENT_TOL of the loop form's: weights
+    relative, means relative to the cloud's spread, covariances in
+    relative Frobenius norm."""
+    (weights, means, covs), (ref_weights, ref_means, ref_covs) = got, ref
+    spread = math.sqrt(float(np.trace(np.cov(pts.T))))
+    assert np.all(np.abs(weights - ref_weights) <= MOMENT_TOL * ref_weights)
+    assert np.all(np.abs(means - ref_means) <= MOMENT_TOL * spread)
+    gap = np.linalg.norm(covs - ref_covs, axis=(1, 2))
+    assert np.all(gap <= MOMENT_TOL * np.linalg.norm(ref_covs, axis=(1, 2)))
+
+
+def one_hot(codes, k):
+    """(N, K) responsibilities of a hard partition."""
+    return (codes[:, None] == np.arange(k)).astype(float)
+
+
 @pytest.mark.parametrize("n, k", [(600, 2), (600, 8), (600, 32), (6000, 8)])
 def test_moment_core_matches_loop_oracle(n, k):
     cloud = make_bent_tube(tube_spec_for_class("demented", n_points=n), seed=3)
@@ -498,14 +484,30 @@ def test_moment_core_matches_loop_oracle(n, k):
 
     gamma = loop_gamma(oracle, loop_log_sum_exp_rows(oracle))
     eps = covariance_floor(pts)
-    weights, means, covs = em._m_step_arrays(centred_features(pts, centre),
-                                             np.ascontiguousarray(gamma.T), eps)
-    ref_weights, ref_means, ref_covs = loop_m_step(pts - centre, gamma, eps)
-    spread = math.sqrt(float(np.trace(np.cov(pts.T))))
-    assert np.all(np.abs(weights - ref_weights) <= MOMENT_TOL * ref_weights)
-    assert np.all(np.abs(means - ref_means) <= MOMENT_TOL * spread)
-    gap = np.linalg.norm(covs - ref_covs, axis=(1, 2))
-    assert np.all(gap <= MOMENT_TOL * np.linalg.norm(ref_covs, axis=(1, 2)))
+    assert_moments_match_loop_form(
+        em._m_step_arrays(centred_features(pts, centre), np.ascontiguousarray(gamma.T), eps),
+        loop_m_step(pts - centre, gamma, eps), pts)
+
+
+@pytest.mark.parametrize("n, k, seed", [(600, 1, 0), (600, 2, 1), (600, 8, 2), (600, 32, 0),
+                                        (6000, 8, 1)])
+def test_fit_start_is_the_loop_m_step_on_the_partition(monkeypatch, n, k, seed):
+    # the first M-step of a fit is its start
+    starts = []
+    m_step_arrays = em._m_step_arrays
+
+    def recorded(*args):
+        starts.append(m_step_arrays(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(em, "_m_step_arrays", recorded)
+    pts = tube_points(seed, n_points=n)
+    fit_em(PointCloud(pts), k, FitConfig(seed=seed))
+    pts = em._sorted_points(pts)
+    codes = assert_kmeans_init_matches_reference(pts, k, seed)
+    assert_moments_match_loop_form(
+        starts[0], loop_m_step(pts - pts.mean(axis=0), one_hot(codes, k),
+                               covariance_floor(pts)), pts)
 
 
 def far_cloud(name):
@@ -534,9 +536,9 @@ def test_fit_far_from_origin_matches_loop_oracle(name, k):
         return  # a clear failure is allowed, a wrong fit is not
     pts = em._sorted_points(cloud.points)
     centre = pts.mean(axis=0)
-    start = kmeans_init(cloud, k, seed=0)
-    trace = loop_fit(pts - centre, (start.weights, start.means - centre, start.covariances),
-                     covariance_floor(pts))
+    eps = covariance_floor(pts)
+    start = loop_m_step(pts - centre, one_hot(kmeans_init(pts, k, seed=0), k), eps)
+    trace = loop_fit(pts - centre, start, eps)
     assert result.iterations == len(trace)
     final = result.log_likelihood_trace[-1]
     assert abs(final - trace[-1]) <= FIT_LL_TOL * abs(trace[-1])
@@ -600,14 +602,15 @@ def test_fit_runs_at_most_max_iterations_m_steps(monkeypatch):
     monkeypatch.setattr(em, "REL_TOLERANCE", 1e-300)
     cloud = make_bent_tube(tube_spec_for_class("demented", n_points=600), seed=0)
     result = fit_em(cloud, 8, FitConfig(seed=0))
-    assert len(calls) <= em.MAX_ITERATIONS
-    assert result.converged or len(calls) == em.MAX_ITERATIONS
-    assert result.iterations == len(result.log_likelihood_trace) <= len(calls)
+    maps = len(calls) - 1  # the first M-step is the start's
+    assert maps <= em.MAX_ITERATIONS
+    assert result.converged or maps == em.MAX_ITERATIONS
+    assert result.iterations == len(result.log_likelihood_trace) <= maps
     assert np.all(np.diff(result.log_likelihood_trace) >= -1e-8)
 
 
 def test_fit_evaluates_each_state_once(monkeypatch):
-    # one E-step for the start, one per M-step and one per SQUAREM
+    # one E-step per M-step, the start's included, and one per SQUAREM
     # candidate; a rejected candidate leaves theta2's responsibilities
     # in place rather than recomputing them
     counts = {"e": 0, "m": 0, "candidates": 0}
@@ -633,7 +636,25 @@ def test_fit_evaluates_each_state_once(monkeypatch):
     cloud = make_bent_tube(tube_spec_for_class("demented", n_points=600), seed=0)
     fit_em(cloud, 8, FitConfig(seed=0))
     assert counts["candidates"] > 0
-    assert counts["e"] == 1 + counts["m"] + counts["candidates"]
+    assert counts["e"] == counts["m"] + counts["candidates"]
+
+
+def test_fit_sorts_floors_and_builds_features_once(monkeypatch):
+    counts = {}
+
+    def counted(name):
+        real = getattr(em, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+        return wrapper
+
+    for name in ("_sorted_points", "covariance_floor", "centred_features"):
+        monkeypatch.setattr(em, name, counted(name))
+    fit_em(make_bent_tube(tube_spec_for_class("demented", n_points=600), seed=0), 8,
+           FitConfig(seed=0))
+    assert counts == {"_sorted_points": 1, "covariance_floor": 1, "centred_features": 1}
 
 
 def squarem_states(weights, covariance_scales):

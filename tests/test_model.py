@@ -378,12 +378,13 @@ def test_log_sum_exp_matches_scipy(seed):
 
 
 def masked_log_sum_exp_columns(matrix):
-    """The column log-sum-exp evaluated only on the columns with a finite peak."""
+    """The column log-sum-exp evaluated only on the columns with a finite
+    peak, summed component by component, the order of a (K, N) C-order sum."""
     peak = np.max(matrix, axis=0)
     finite = np.isfinite(peak)
     out = np.full(matrix.shape[1], -np.inf)
-    shifted = matrix[:, finite] - peak[finite]
-    out[finite] = peak[finite] + np.log(np.sum(np.exp(shifted), axis=0))
+    shifted = np.exp(matrix[:, finite] - peak[finite])
+    out[finite] = peak[finite] + np.log(sum(shifted[1:], start=shifted[0]))
     return out
 
 
@@ -398,10 +399,17 @@ def test_log_sum_exp_matches_masked_bits(seed, k, dead_rows):
         cols[0] = -np.inf  # a zero-weight component, every column still live
     if dead_rows:
         cols[:, ::7] = -np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = log_sum_exp_columns(cols)
-    assert out.tobytes() == masked_log_sum_exp_columns(cols).tobytes()
+    # at a zero peak the log-sum-exp is log(sum) alone, so the order of the
+    # sum shows in the last bits
+    peak = np.max(cols, axis=0)
+    live = np.isfinite(peak)
+    zero_peak = cols.copy()
+    zero_peak[:, live] -= peak[live]
+    for case in (cols, zero_peak):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = log_sum_exp_columns(case)
+        assert out.tobytes() == masked_log_sum_exp_columns(case).tobytes()
 
 
 def test_log_sum_exp_handles_dead_rows():
