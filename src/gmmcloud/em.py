@@ -19,7 +19,11 @@ FitError.
 Both EM steps use the moment form of model.py: the E-step is one
 product of coefficients with the feature table Phi of the points and
 one in-place softmax_columns, the M-step one product of the (K, N)
-responsibilities with Phi^T. fit_em
+responsibilities with Phi^T. An EM state is (weights, means,
+covariances, factor): the eigendecomposition with which the M-step
+floors the covariances is also the factor the next E-step takes its
+precisions and log-determinants from, so each EM map runs one eigh and
+no Cholesky or inverse. fit_em
 accelerates the EM map with SQUAREM and falls back to the plain map
 whenever an extrapolated state would lower the log-likelihood; only
 the covariance floor can lower it otherwise. A component that
@@ -176,11 +180,12 @@ def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
     return Responsibilities(lwd.T, int(np.count_nonzero(~np.isfinite(log_sum))))
 
 
-def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: float
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights, means and floored covariances from (K, N) responsibilities
-    and the feature table Phi, means in Phi's frame. A component whose
-    mass is below COLLAPSE_MASS has no mean to estimate: ValueError."""
+def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: float) -> tuple:
+    """The EM state (weights, means, covariances, factor) from (K, N)
+    responsibilities and the feature table Phi, means in Phi's frame:
+    the covariances floored by floor_spd, and factor its (lam, q). A
+    component whose mass is below COLLAPSE_MASS has no mean to estimate:
+    ValueError."""
     moments = gamma @ phi.T
     mass = moments[:, 0]
     alive = mass >= COLLAPSE_MASS
@@ -190,7 +195,8 @@ def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: float
     scaled = moments / mass[:, None]
     means = scaled[:, 1:4]
     covs = scaled[:, SECOND_MOMENT_ROWS] - means[:, :, None] * means[:, None, :]
-    return mass / mass.sum(), means, floor_spd(covs, eps)
+    covs, factor = floor_spd(covs, eps)
+    return mass / mass.sum(), means, covs, factor
 
 
 def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
@@ -199,24 +205,25 @@ def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
         raise ValueError(
             f"responsibilities cover {resp.gamma.shape[0]} points, cloud has {len(cloud)}")
     centre = cloud.points.mean(axis=0)
-    weights, means, covs = _m_step_arrays(centred_features(cloud.points, centre),
-                                          resp.gamma.T, covariance_floor(cloud.points))
+    weights, means, covs, _ = _m_step_arrays(centred_features(cloud.points, centre),
+                                             resp.gamma.T, covariance_floor(cloud.points))
     return Gmm(weights, means + centre, covs)
 
 
 def _responsibilities(phi: np.ndarray, params, out: np.ndarray | None = None
                       ) -> tuple[np.ndarray, float]:
-    """The E-step of the fit: (K, N) responsibilities of params, written
-    to out when given, and the log-likelihood of the points."""
-    gamma = feature_log_densities(phi, *params, out=out)
+    """The E-step of the fit: (K, N) responsibilities of the EM state
+    params, written to out when given, and the log-likelihood of the
+    points."""
+    weights, means, _, factor = params
+    gamma = feature_log_densities(phi, weights, means, factor, out=out)
     return gamma, float(np.sum(softmax_columns(gamma)))
 
 
-def _em_map(phi: np.ndarray, gamma: np.ndarray, eps: float
-            ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, float]:
+def _em_map(phi: np.ndarray, gamma: np.ndarray, eps: float) -> tuple[tuple, np.ndarray, float]:
     """One EM map: the M-step from the (K, N) responsibilities in gamma,
     then the E-step of its result written over gamma. Returns the new
-    parameters, their responsibilities and their log-likelihood."""
+    EM state, its responsibilities and its log-likelihood."""
     params = _m_step_arrays(phi, gamma, eps)
     gamma, ll = _responsibilities(phi, params, out=gamma)
     return params, gamma, ll
@@ -230,15 +237,17 @@ def _converged(trace: list[float]) -> bool:
 
 def _extrapolate(theta0, theta1, theta2, step_max: float):
     """S3 SQUAREM step (Varadhan & Roland 2008) from three consecutive EM
-    states, each a (weights, means, covariances) tuple.
+    states, each beginning (weights, means, covariances).
 
-    With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0 over all
-    three arrays, the step is alpha = min(step_max, |r| / |v|) and the
-    extrapolated state theta0 + 2 alpha r + alpha^2 v (alpha = 1 gives
-    theta2). Returns alpha and that state, or None in its place when
-    alpha <= 1 or the state is infeasible: a weight below zero, or a
-    covariance that Cholesky rejects.
+    With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0 over
+    those three arrays, the step is alpha = min(step_max, |r| / |v|) and
+    the extrapolated state theta0 + 2 alpha r + alpha^2 v (alpha = 1
+    gives theta2). Returns alpha and that state with its own eigh as its
+    factor, or None in its place when alpha <= 1 or the state is
+    infeasible: a weight below zero, or a covariance with an eigenvalue
+    that is not > 0, NaN included.
     """
+    theta0, theta1, theta2 = (theta[:3] for theta in (theta0, theta1, theta2))
     r = [b - a for a, b in zip(theta0, theta1)]
     v = [c - 2.0 * b + a for a, b, c in zip(theta0, theta1, theta2)]
     sv2 = sum(float(np.vdot(x, x)) for x in v)
@@ -250,11 +259,10 @@ def _extrapolate(theta0, theta1, theta2, step_max: float):
                             for a, x, y in zip(theta0, r, v))
     if not np.all(weights >= 0.0):
         return alpha, None
-    try:
-        np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
+    lam, q = np.linalg.eigh(covs)
+    if not np.all(lam > 0.0):
         return alpha, None
-    return alpha, (weights, means, covs)
+    return alpha, (weights, means, covs, (lam, q))
 
 
 def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitResult:
@@ -333,7 +341,7 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
             if alpha == step_max:
                 step_max = step_max * STEP_GROWTH if accepted else max(1.0, step_max / STEP_GROWTH)
             cycle = [params]
-        weights, means, covs = params
+        weights, means, covs, _ = params
         model = Gmm(weights, means + centre, covs)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise FitError(f"fit failed at iteration {m_steps}: {exc}") from exc

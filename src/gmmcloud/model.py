@@ -10,7 +10,11 @@ Densities use the moment (exponential-family) form of a Gaussian
 (Bishop, PRML 2.3-2.4 and 9.2). Each point x becomes a column of a
 feature table Phi = [1, x, x x^T] (10 rows, the second moments taken
 once each), and each weighted component becomes a row of coefficients
-built from its precision P, P mu and a constant. All K log-densities at
+built from its precision P, P mu and a constant. Those come from the
+eigendecomposition (lam, q) of the covariances, P = q diag(1 / lam) q^T
+and log det = sum log lam: an EM M-step gets that factor from floor_spd,
+which floors the covariances with it, and a fixed mixture from one
+batched eigh per evaluation. All K log-densities at
 all N points are then one (K, 10) by (10, N) product, and the moments
 an M-step needs are one (K, N) by (N, 10) product. softmax_columns
 normalises the log-density table in place into the responsibilities and
@@ -216,12 +220,17 @@ def covariance_floor(points: np.ndarray) -> float:
     return eps
 
 
-def floor_spd(cov: np.ndarray, eps: float) -> np.ndarray:
-    """Clamp the eigenvalues of symmetric 3x3 matrices at eps and
-    resymmetrize, over any leading axes."""
+def floor_spd(cov: np.ndarray, eps: float
+              ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Clamp the eigenvalues of symmetric 3x3 matrices at eps, over any
+    leading axes. Returns the resymmetrized floored matrices and their
+    factor (lam, q): the eigenvalues, already clamped, and the
+    eigenvectors as columns, so that q diag(lam) q^T is the floored
+    matrix before resymmetrization."""
     lam, q = np.linalg.eigh(0.5 * (cov + _transposed(cov)))
-    out = (q * np.maximum(lam, eps)[..., None, :]) @ _transposed(q)
-    return 0.5 * (out + _transposed(out))
+    lam = np.maximum(lam, eps)
+    out = (q * lam[..., None, :]) @ _transposed(q)
+    return 0.5 * (out + _transposed(out)), (lam, q)
 
 
 # Rows of the feature table Phi: 1, the coordinates x, y, z, then the
@@ -251,14 +260,16 @@ def centred_features(points: np.ndarray, centre: np.ndarray) -> np.ndarray:
 
 
 def feature_log_densities(phi: np.ndarray, weights: np.ndarray, means: np.ndarray,
-                          covariances: np.ndarray, out: np.ndarray | None = None
-                          ) -> np.ndarray:
+                          factor: tuple[np.ndarray, np.ndarray],
+                          out: np.ndarray | None = None) -> np.ndarray:
     """(K, N) matrix of log(w_j) + log f_j(x_i) from the feature table of
     the points. Zero weights map to -inf.
 
-    means are in Phi's frame, the same centre subtracted. One batched
-    Cholesky factorization gives every precision P = L^-T L^-1 and
-    log-determinant; row j of the coefficients is
+    means are in Phi's frame, the same centre subtracted. factor is the
+    eigendecomposition (lam, q) of the covariances, every lam > 0, as
+    floor_spd returns it: the precision is P = q diag(1 / lam) q^T,
+    P mu = q (q^T mu / lam), mu^T P mu = sum (q^T mu)^2 / lam and
+    log det S = sum log lam. Row j of the coefficients is
 
         [log w_j - (3 log 2 pi + log det S_j + mu^T P mu) / 2,  P mu,
          -P_xx / 2, -P_yy / 2, -P_zz / 2, -P_xy, -P_xz, -P_yz]
@@ -266,26 +277,22 @@ def feature_log_densities(phi: np.ndarray, weights: np.ndarray, means: np.ndarra
     and the log-densities are coefficients @ Phi, written to out when
     given.
     """
-    try:
-        chol = np.linalg.cholesky(covariances)
-    except np.linalg.LinAlgError:
-        checked_spd(covariances)
-        raise DegenerateCovarianceError("degenerate covariance: Cholesky failed") from None
-    inv_chol = np.linalg.inv(chol)
-    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    whitened = np.einsum("kab,kb->ka", inv_chol, means)
-    precision = _transposed(inv_chol) @ inv_chol
+    lam, q = factor
+    rotated = (means[:, None, :] @ q)[:, 0]  # q^T mu
+    scaled = rotated / lam
+    precision = (q / lam[:, None, :]) @ _transposed(q)
     alive = weights > 0.0
     coef = np.empty((weights.shape[0], N_FEATURES))
     coef[:, 0] = (np.log(np.where(alive, weights, 1.0))
-                  - 0.5 * (3.0 * LOG_TWO_PI + log_det
-                           + np.einsum("ka,ka->k", whitened, whitened)))
-    coef[:, 1:4] = np.einsum("kba,kb->ka", inv_chol, whitened)
+                  - 0.5 * (3.0 * LOG_TWO_PI + np.sum(np.log(lam), axis=1)
+                           + np.sum(rotated * scaled, axis=1)))
+    coef[:, 1:4] = (q @ scaled[:, :, None])[:, :, 0]
     coef[:, 4:7] = -0.5 * np.diagonal(precision, axis1=1, axis2=2)
     coef[:, 7:10] = -precision[:, [0, 0, 1], [1, 2, 2]]
     # -inf stays out of the product, where BLAS could meet it with a zero
     lwd = np.matmul(coef, phi, out=out)
-    lwd[~alive] = -np.inf
+    if not alive.all():
+        lwd[~alive] = -np.inf
     return lwd
 
 
@@ -293,13 +300,20 @@ def weighted_log_densities(points: np.ndarray, weights: np.ndarray, means: np.nd
                            covariances: np.ndarray) -> np.ndarray:
     """(K, N) matrix of log(w_j) + log f_j(x_i). Zero weights map to -inf.
 
-    Points and means are taken relative to the mixture's own mean, the
-    weighted mean of its components, so the moment form stays accurate
-    near the mixture however far it sits from the origin.
+    The covariances are factored once, by one batched eigh; a stack with
+    an eigenvalue that is not > 0 raises DegenerateCovarianceError
+    naming the first failing component. Points and means are taken
+    relative to the mixture's own mean, the weighted mean of its
+    components, so the moment form stays accurate near the mixture
+    however far it sits from the origin.
     """
+    lam, q = np.linalg.eigh(covariances)
+    if not np.all(lam > 0.0):
+        checked_spd(covariances)
+        raise DegenerateCovarianceError("degenerate covariance: eigenvalue not > 0")
     centre = weights @ means
     return feature_log_densities(centred_features(points, centre), weights, means - centre,
-                                 covariances)
+                                 (lam, q))
 
 
 def softmax_columns(lwd: np.ndarray) -> np.ndarray:
@@ -309,14 +323,20 @@ def softmax_columns(lwd: np.ndarray) -> np.ndarray:
     every density underflowed, gets 1/K and -inf, without warnings."""
     peak = np.max(lwd, axis=0)
     dead = ~np.isfinite(peak)
-    # zeros exponentiate to ones, which divide to exactly 1/K
-    lwd[:, dead] = 0.0
-    peak[dead] = 0.0
+    any_dead = dead.any()
+    if any_dead:
+        # zeros exponentiate to ones, which divide to exactly 1/K
+        lwd[:, dead] = 0.0
+        peak[dead] = 0.0
     np.subtract(lwd, peak, out=lwd)
     np.exp(lwd, out=lwd)
     total = np.sum(lwd, axis=0)
     lwd /= total
-    return np.where(dead, -np.inf, peak + np.log(total))
+    log_sum = np.log(total, out=total)
+    log_sum += peak
+    if any_dead:
+        log_sum[dead] = -np.inf
+    return log_sum
 
 
 def flat_mixture(model: Gmm | GmmEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -170,7 +170,7 @@ def loop_m_step(pts, gamma, eps):
     for j in range(k):
         diff = pts - means[j]
         covs[j] = (gamma[:, j] * diff.T) @ diff / mass[j]
-    return mass / mass.sum(), means, floor_spd(covs, eps)
+    return mass / mass.sum(), means, floor_spd(covs, eps)[0]
 
 
 def loop_gamma(lwd, norm):

@@ -32,16 +32,19 @@ from gmmcloud.em import (
     kmeans_init,
     m_step,
 )
+from gmmcloud.embedding import embed, make_probe_set
 from gmmcloud.model import (
     Gmm,
     PointCloud,
     centred_features,
     covariance_floor,
     feature_log_densities,
+    gmm_log_density,
     gmm_log_likelihood,
     softmax_columns,
 )
 from gmmcloud.sampling import generate_point_cloud, rng_stream
+from gmmcloud.selection import aic_score
 from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
 
 
@@ -455,15 +458,19 @@ FIT_LL_TOL = 1e7 * ULP  # relative, on a whole fit's final log-likelihood
 
 
 def assert_moments_match_loop_form(got, ref, pts):
-    """M-step arrays within MOMENT_TOL of the loop form's: weights
+    """M-step state within MOMENT_TOL of the loop form's arrays: weights
     relative, means relative to the cloud's spread, covariances in
-    relative Frobenius norm."""
-    (weights, means, covs), (ref_weights, ref_means, ref_covs) = got, ref
+    relative Frobenius norm; and the state's factor (lam, q) rebuilds
+    its covariances, q diag(lam) q^T, within MOMENT_TOL the same way."""
+    (weights, means, covs, (lam, q)), (ref_weights, ref_means, ref_covs) = got, ref
     spread = math.sqrt(float(np.trace(np.cov(pts.T))))
     assert np.all(np.abs(weights - ref_weights) <= MOMENT_TOL * ref_weights)
     assert np.all(np.abs(means - ref_means) <= MOMENT_TOL * spread)
     gap = np.linalg.norm(covs - ref_covs, axis=(1, 2))
     assert np.all(gap <= MOMENT_TOL * np.linalg.norm(ref_covs, axis=(1, 2)))
+    rebuilt = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
+    gap = np.linalg.norm(rebuilt - covs, axis=(1, 2))
+    assert np.all(gap <= MOMENT_TOL * np.linalg.norm(covs, axis=(1, 2)))
 
 
 def one_hot(codes, k):
@@ -477,9 +484,10 @@ def test_moment_core_matches_loop_oracle(n, k):
     model = fit_em(cloud, k, FitConfig(seed=0)).model
     pts = em._sorted_points(cloud.points)
     centre = pts.mean(axis=0)
-    args = (model.weights, model.means - centre, model.covariances)
-    oracle = loop_log_densities(pts - centre, *args)
-    got = feature_log_densities(centred_features(pts, centre), *args)
+    args = (model.weights, model.means - centre)
+    oracle = loop_log_densities(pts - centre, *args, model.covariances)
+    got = feature_log_densities(centred_features(pts, centre), *args,
+                                np.linalg.eigh(model.covariances))
     assert np.all(np.abs(got.T - oracle) <= LOG_DENSITY_TOL * (1.0 + np.abs(oracle)))
 
     gamma = loop_gamma(oracle, loop_log_sum_exp_rows(oracle))
@@ -639,6 +647,24 @@ def test_fit_evaluates_each_state_once(monkeypatch):
     assert counts["e"] == counts["m"] + counts["candidates"]
 
 
+def test_fit_and_scoring_use_no_cholesky_or_inverse(monkeypatch):
+    # the M-step's eigendecomposition is the E-step's factor, and a fixed
+    # model is factored by one eigh per evaluation
+    cloud = make_bent_tube(tube_spec_for_class("demented", n_points=600), seed=0)
+    probes = make_probe_set([cloud], seed=0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Cholesky or inverse called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    model = fit_em(cloud, 8, FitConfig(seed=0)).model
+    assert np.all(np.isfinite(gmm_log_density(cloud.points, model)))
+    assert e_step(cloud, model).gamma.shape == (600, 8)
+    assert np.all(np.isfinite(embed(model, probes).coords))
+    assert math.isfinite(aic_score(cloud, model))
+
+
 def test_fit_sorts_floors_and_builds_features_once(monkeypatch):
     counts = {}
 
@@ -690,6 +716,13 @@ def test_extrapolate_rejects_non_spd_covariances():
     states = squarem_states([[0.5, 0.5]] * 3, [1.0, 0.9, 0.8])
     alpha, moved = em._extrapolate(*states, step_max=16.0)
     assert alpha == 16.0 and moved is None
+
+
+def test_extrapolate_rejects_nan_covariances():
+    # a NaN makes |v| NaN, so alpha = step_max, and a NaN eigenvalue is not > 0
+    states = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
+    states[2][2][1, 0, 0] = np.nan
+    assert em._extrapolate(*states, step_max=4.0) == (4.0, None)
 
 
 def test_fit_is_permutation_equivariant():

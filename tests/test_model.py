@@ -265,6 +265,15 @@ def test_density_rejects_degenerate_covariance():
                                np.diag([1.0, 1.0, 0.0])[None])
 
 
+def test_density_rejects_nan_covariance():
+    # np.linalg.cholesky does not raise on a NaN; a NaN eigenvalue is not > 0
+    covs = np.stack([np.eye(3)] * 2)
+    covs[1, 0, 0] = np.nan
+    with pytest.raises(DegenerateCovarianceError,
+                       match=r"^covariance must be finite \(component 1\)$"):
+        weighted_log_densities(np.zeros((4, 3)), np.array([0.5, 0.5]), np.zeros((2, 3)), covs)
+
+
 def test_rotation_invariance():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -448,8 +457,10 @@ def test_covariance_floor_degenerate_data():
 
 
 def test_floor_spd_clamps_eigenvalues():
-    floored = floor_spd(np.diag([4.0, 1e-18, 0.0]), 1e-6)
+    floored, (factor_lam, q) = floor_spd(np.diag([4.0, 1e-18, 0.0]), 1e-6)
     lam = np.linalg.eigvalsh(floored)
     assert lam.min() >= 1e-6 * (1.0 - 1e-12)
     assert math.isclose(lam.max(), 4.0, rel_tol=1e-12)
     assert np.array_equal(floored, floored.T)
+    assert np.all(factor_lam >= 1e-6)
+    np.testing.assert_allclose(q.T @ q, np.eye(3), rtol=0.0, atol=1e-15)
