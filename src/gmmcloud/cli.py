@@ -13,7 +13,8 @@ import warnings
 import click
 
 from .em import FitConfig, FitError
-from .embedding import inflated_bounds, make_probe_set
+from .embedding import embed as embed_model
+from .embedding import evaluate, inflated_bounds, knn_classify, make_probe_set
 from .geodesics import DEFAULT_TS, interpolate_point_clouds
 from .io import (
     FitMetadata,
@@ -36,8 +37,9 @@ from .pipeline import (
 from .sampling import generate_point_cloud, rng_stream
 from .selection import build_ensemble, default_candidate_ks
 from .shapes import CLASS_PARAMETERS, add_outliers, make_bent_tube, tube_spec_for_class
-from .embedding import embed as embed_model
-from .embedding import evaluate, knn_classify
+
+# the paper's experiment, whose settings eval-paper-pipeline's defaults show
+STOCK = ExperimentConfig()
 
 
 class FloatRange(click.FloatRange):
@@ -278,18 +280,19 @@ def classify(train_path, test_path, positive):
 
 
 @main.command("eval-paper-pipeline")
-@click.option("--seeds", default="0,1,2,3,4", show_default=True, type=CommaList(click.INT),
-              help="Comma-separated probe-set seeds to average over.")
-@click.option("--seed", default=0, show_default=True,
+@click.option("--seeds", default=",".join(map(str, STOCK.probe_seeds)), show_default=True,
+              type=CommaList(click.INT), help="Comma-separated probe-set seeds to average over.")
+@click.option("--seed", default=STOCK.seed, show_default=True,
               help="Base seed for shapes, fits, and generation.")
-@click.option("--bases", default=5, show_default=True, type=click.IntRange(min=1),
-              help="Base shapes per class.")
-@click.option("--counts", default="33,36", show_default=True, type=POSITIVE_INTS,
-              help="Generated cloud counts: demented,nondemented.")
-@click.option("--n-points", default=600, show_default=True, type=click.IntRange(min=1),
-              help="Points per cloud.")
-@click.option("--ks", default="2,4,8", show_default=True, type=POSITIVE_INTS,
-              help="Comma-separated candidate component counts.")
+@click.option("--bases", default=STOCK.base_shapes_per_class, show_default=True,
+              type=click.IntRange(min=1), help="Base shapes per class.")
+@click.option("--counts", default=",".join(map(str, STOCK.generated_counts.values())),
+              show_default=True, type=POSITIVE_INTS,
+              help=f"Generated cloud counts: {','.join(STOCK.generated_counts)}.")
+@click.option("--n-points", default=STOCK.n_points, show_default=True,
+              type=click.IntRange(min=1), help="Points per cloud.")
+@click.option("--ks", default=",".join(map(str, STOCK.candidate_ks)), show_default=True,
+              type=POSITIVE_INTS, help="Comma-separated candidate component counts.")
 def eval_paper_pipeline(seeds, seed, bases, counts, n_points, ks):
     """Run the synthetic generate-then-classify benchmark end to end."""
     if len(counts) != 2:
@@ -297,15 +300,9 @@ def eval_paper_pipeline(seeds, seed, bases, counts, n_points, ks):
             f"expected two integers demented,nondemented, got {len(counts)}",
             param_hint="'--counts'")
     _check_ks(ks, n_points)
-    demented_count, nondemented_count = counts
     config = ExperimentConfig(
-        base_shapes_per_class=bases,
-        generated_counts={"demented": demented_count, "nondemented": nondemented_count},
-        n_points=n_points,
-        candidate_ks=ks,
-        seed=seed,
-        probe_seeds=seeds,
-    )
+        base_shapes_per_class=bases, generated_counts=dict(zip(STOCK.generated_counts, counts)),
+        n_points=n_points, candidate_ks=ks, seed=seed, probe_seeds=seeds)
     click.echo(format_report(_fit(run_generation_classification, config)))
 
 

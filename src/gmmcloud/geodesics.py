@@ -129,14 +129,10 @@ def sphere_distance(w1: np.ndarray, w2: np.ndarray) -> float:
     return math.acos(float(np.clip(np.asarray(w1) @ np.asarray(w2), -1.0, 1.0)))
 
 
-def _spd_eigh(mat: np.ndarray):
-    return np.linalg.eigh(checked_spd(mat))
-
-
 def spd_power(mat: np.ndarray, t: float) -> np.ndarray:
     """Symmetric matrix power through the eigendecomposition, over a
     (3, 3) matrix or a (K, 3, 3) stack."""
-    lam, q = _spd_eigh(mat)
+    _, (lam, q) = checked_spd(mat)
     out = (q * (lam ** t)[..., None, :]) @ _transposed(q)
     return 0.5 * (out + _transposed(out))
 
@@ -145,7 +141,7 @@ def spd_geodesic(s1: np.ndarray, s2: np.ndarray, t: float) -> np.ndarray:
     """Affine-invariant geodesic between SPD matrices, or between two
     equally long (K, 3, 3) stacks of them, slot by slot."""
     _check_t(t)
-    lam, q = _spd_eigh(s1)
+    _, (lam, q) = checked_spd(s1)
     root = np.sqrt(lam)[..., None, :]
     half = (q * root) @ _transposed(q)
     inv_half = (q / root) @ _transposed(q)
@@ -156,10 +152,10 @@ def spd_geodesic(s1: np.ndarray, s2: np.ndarray, t: float) -> np.ndarray:
 
 def spd_distance(s1: np.ndarray, s2: np.ndarray) -> float:
     """Affine-invariant distance ||log(S1^(-1/2) S2 S1^(-1/2))||_F."""
-    lam, q = _spd_eigh(s1)
+    _, (lam, q) = checked_spd(s1)
     inv_half = (q / np.sqrt(lam)) @ q.T
     inner = inv_half @ np.asarray(s2, dtype=float) @ inv_half
-    ev, _ = _spd_eigh(0.5 * (inner + inner.T))
+    _, (ev, _) = checked_spd(0.5 * (inner + inner.T))
     return float(np.linalg.norm(np.log(ev)))
 
 

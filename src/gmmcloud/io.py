@@ -174,9 +174,7 @@ def _gmm_to_obj(model: Gmm):
 
 def _gmm_from_obj(obj, offset) -> Gmm:
     model = Gmm(obj["weights"], obj["means"], obj["covariances"])
-    if offset is None:
-        return model
-    return Gmm(model.weights, model.means + offset, model.covariances)
+    return model if offset is None else Gmm(model.weights, model.means + offset, model.covariances)
 
 
 def _center_offset(meta, path: str) -> np.ndarray | None:
@@ -259,13 +257,23 @@ def load_model(path: str) -> ModelFile:
         table = AicTable(tuple(
             AicRow(r["k"], r["aic"], r["normalized"], r["kept"]) for r in obj["aic_table"]
         ))
-        metadata = FitMetadata(
-            seed=meta["seed"],
-            candidate_ks=tuple(meta["candidate_ks"]),
-            training_n=meta["training_n"],
-            label=meta.get("label"),
-        )
-    return ModelFile(obj["schema_version"], ensemble, table, metadata)
+        return ModelFile(obj["schema_version"], ensemble, table, _fit_metadata(meta, path))
+
+
+def _fit_metadata(meta, path: str) -> FitMetadata:
+    """A model file's FitMetadata, each field's type checked; type(x) is
+    int turns bools away."""
+    seed, ks, n = meta["seed"], meta["candidate_ks"], meta["training_n"]
+    label = meta.get("label")
+    for name, ok, expected in (
+            ("seed", type(seed) is int, "an integer"),
+            ("candidate_ks", type(ks) is list and ks != [] and all(
+                type(k) is int and k >= 1 for k in ks), "a non-empty list of integers >= 1"),
+            ("training_n", type(n) is int and n >= 1, "an integer >= 1"),
+            ("label", label is None or type(label) is str, "a string or null")):
+        if not ok:
+            raise FileFormatError(f"{path}: metadata field {name!r} must be {expected}")
+    return FitMetadata(seed, tuple(ks), n, label)
 
 
 def save_probe_set(path: str, probes: ProbeSet):

@@ -14,14 +14,16 @@ built from its precision P, P mu and a constant. Those come from the
 eigendecomposition (lam, q) of the covariances, P = q diag(1 / lam) q^T
 and log det = sum log lam: an EM M-step gets that factor from floor_spd,
 which floors the covariances with it, and a fixed mixture from one
-batched eigh per evaluation. All K log-densities at
-all N points are then one (K, 10) by (10, N) product, and the moments
-an M-step needs are one (K, N) by (N, 10) product. softmax_columns
-normalises the log-density table in place into the responsibilities and
-each point's log density together. The expanded form
-cancels when the points sit far from the origin next to a component's
-scale, so every table is built from centred points: a fit centres on
-the mean of its points, an evaluation on the mean of the mixture.
+checked_spd per evaluation: the package's one test of positive
+definiteness, whose eigh also samples and interpolates a mixture. All K
+log-densities at all N points are then one (K, 10) by (10, N) product,
+and the moments an M-step needs are one (K, N) by (N, 10) product.
+softmax_columns normalises the log-density table in place into the
+responsibilities and each point's log density together. The expanded
+form cancels when the points sit far from the origin next to a
+component's scale, so every table is built from centred points: a fit
+centres on the mean of its points, an evaluation on the mean of the
+mixture.
 
 This module also holds point clouds and AIC-weighted mixture ensembles.
 An ensemble is sampled, scored and embedded as its flat mixture, the
@@ -59,8 +61,9 @@ def _transposed(mats: np.ndarray) -> np.ndarray:
     return np.swapaxes(mats, -1, -2)
 
 
-def checked_spd(matrices) -> np.ndarray:
-    """Symmetrized read-only copy of one SPD matrix or a stack of them.
+def checked_spd(matrices) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Symmetrized read-only copy of one SPD matrix or a stack of them,
+    and its eigendecomposition (lam, q), every lam > 0.
 
     Takes a (3, 3) matrix or a (K, 3, 3) stack. Every matrix must be
     finite, symmetric to SYMMETRY_TOL and positive definite; for a stack
@@ -85,13 +88,14 @@ def checked_spd(matrices) -> np.ndarray:
         raise DegenerateCovarianceError(
             f"covariance asymmetry {asym[j]:.3e} exceeds {SYMMETRY_TOL:.0e}{where(j)}")
     sym = 0.5 * (mats + _transposed(mats))
-    smallest = np.linalg.eigvalsh(sym.reshape(-1, 3, 3))[:, 0]
+    lam, q = np.linalg.eigh(sym)
+    smallest = lam.reshape(-1, 3)[:, 0]
     j = int(np.argmax(smallest <= 0.0))
     if smallest[j] <= 0.0:
         raise DegenerateCovarianceError(
             f"degenerate covariance: smallest eigenvalue {smallest[j]:.6e}{where(j)}")
     sym.setflags(write=False)
-    return sym
+    return sym, (lam, q)
 
 
 def reduce_through_constructor(obj):
@@ -155,7 +159,7 @@ class Gmm:
         covs = np.asarray(self.covariances, dtype=float)
         if covs.shape != w.shape + (3, 3):
             raise ValueError(f"covariances must have shape {w.shape + (3, 3)}, got {covs.shape}")
-        covs = checked_spd(covs)
+        covs, _ = checked_spd(covs)
         total = math.fsum(w.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"component weights sum to {total!r}, expected 1")
@@ -300,20 +304,15 @@ def weighted_log_densities(points: np.ndarray, weights: np.ndarray, means: np.nd
                            covariances: np.ndarray) -> np.ndarray:
     """(K, N) matrix of log(w_j) + log f_j(x_i). Zero weights map to -inf.
 
-    The covariances are factored once, by one batched eigh; a stack with
-    an eigenvalue that is not > 0 raises DegenerateCovarianceError
-    naming the first failing component. Points and means are taken
+    The covariances are validated and factored by one checked_spd, which
+    names the first failing component. Points and means are taken
     relative to the mixture's own mean, the weighted mean of its
     components, so the moment form stays accurate near the mixture
     however far it sits from the origin.
     """
-    lam, q = np.linalg.eigh(covariances)
-    if not np.all(lam > 0.0):
-        checked_spd(covariances)
-        raise DegenerateCovarianceError("degenerate covariance: eigenvalue not > 0")
+    _, factor = checked_spd(covariances)
     centre = weights @ means
-    return feature_log_densities(centred_features(points, centre), weights, means - centre,
-                                 (lam, q))
+    return feature_log_densities(centred_features(points, centre), weights, means - centre, factor)
 
 
 def softmax_columns(lwd: np.ndarray) -> np.ndarray:

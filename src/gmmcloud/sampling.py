@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Gmm, GmmEnsemble, PointCloud, flat_mixture
+from .model import Gmm, GmmEnsemble, PointCloud, checked_spd, flat_mixture
 
 
 def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -26,9 +26,9 @@ def generate_point_cloud(model: Gmm | GmmEnsemble, n: int, rng: np.random.Genera
     """Sample an n-point cloud from a mixture or an ensemble.
 
     Each point takes component j of the flat mixture (flat_mixture) with
-    probability w_j, by inverse CDF over all n points at once, then a
-    Gaussian draw from it. Identical models and identically built
-    streams yield bit-identical clouds.
+    probability w_j, by inverse CDF over all n points at once, then the
+    draw mu_j + q_j diag(sqrt(lam_j)) z through checked_spd's factor.
+    Identical models and identically built streams give bit-identical clouds.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -37,8 +37,8 @@ def generate_point_cloud(model: Gmm | GmmEnsemble, n: int, rng: np.random.Genera
     # last component, also where the flat weights sum to just below one
     idx = np.searchsorted(np.cumsum(weights)[:-1], rng.random(n), side="right")
     z = rng.standard_normal((n, 3))
-    chols = np.linalg.cholesky(covariances)
-    out = means[idx] + np.einsum("nij,nj->ni", chols[idx], z)
+    _, (lam, q) = checked_spd(covariances)
+    out = means[idx] + np.einsum("nij,nj->ni", q[idx], np.sqrt(lam)[idx] * z)
     return PointCloud(out, label=label)
 
 

@@ -57,6 +57,16 @@ def random_rotation(rng):
     return q * np.sign(np.diag(r))
 
 
+def near_singular_spd(rng):
+    """A random rotation of the eigenvalues +-10^u (u uniform in -20..-13),
+    1 and one uniform in 0.5..2, symmetrized: whether rounding leaves it
+    positive definite is down to its last bits."""
+    smallest = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-20.0, -13.0)
+    rot = random_rotation(rng)
+    mat = (rot * [smallest, 1.0, rng.uniform(0.5, 2.0)]) @ rot.T
+    return 0.5 * (mat + mat.T)
+
+
 def random_gmm(rng, k, spread=4.0, scale=1.0):
     w = rng.dirichlet(np.ones(k))
     # draw order per component: its mean, then its covariance

@@ -13,7 +13,9 @@ import pytest
 from click.testing import CliRunner
 
 import gmmcloud
+from conftest import near_singular_spd
 from gmmcloud.cli import main
+from gmmcloud.embedding import ClassificationMetrics
 from gmmcloud.io import (
     load_embeddings,
     load_model,
@@ -22,6 +24,7 @@ from gmmcloud.io import (
     write_point_cloud,
 )
 from gmmcloud.model import PointCloud
+from gmmcloud.pipeline import ExperimentConfig, ExperimentReport
 
 runner = CliRunner()
 
@@ -346,6 +349,18 @@ def test_eval_paper_pipeline_reduced_run():
     assert "(positive class: demented)" in result.output
 
 
+def test_eval_paper_pipeline_defaults_are_the_stock_config(monkeypatch):
+    seen = []
+
+    def run(config):
+        seen.append(config)
+        return ExperimentReport((ClassificationMetrics(1.0, 1.0, 1.0, 1, 0, 1, 0),), (0,))
+
+    monkeypatch.setattr("gmmcloud.cli.run_generation_classification", run)
+    run_cli(["eval-paper-pipeline"])
+    assert seen == [ExperimentConfig()]
+
+
 def test_cli_rejects_malformed_lists(workspace, tmp_path):
     result = runner.invoke(main, ["fit", workspace["dem0"], "--ks", "2;4",
                                   "-o", str(tmp_path / "m.json")])
@@ -364,6 +379,13 @@ def _degenerate_model(workspace, path):
         json.dump(obj, handle)
 
 
+def _zero_training_n_model(workspace, path):
+    obj = json.load(open(workspace["dem0_model"]))
+    obj["metadata"]["training_n"] = 0
+    with open(path, "w") as handle:
+        json.dump(obj, handle)
+
+
 @pytest.mark.parametrize("loader, write, args, message", [
     ("read_point_cloud", lambda ws, p: open(p, "w").write("1.0 2.0\n"),
      lambda ws, bad: ["fit", bad, "--ks", "1", "-o", bad + ".model.json"],
@@ -374,14 +396,17 @@ def _degenerate_model(workspace, path):
     ("load_model", _degenerate_model,
      lambda ws, bad: ["embed", bad, "--probes", ws["probes"], "-o", bad + ".emb.json"],
      "degenerate covariance: smallest eigenvalue"),
+    ("load_model", _zero_training_n_model,
+     lambda ws, bad: ["sample", bad, "-o", bad + ".xyz"],
+     "metadata field 'training_n' must be an integer >= 1"),
     ("load_probe_set", lambda ws, p: open(p, "w").write("{not json"),
      lambda ws, bad: ["embed", ws["dem0_model"], "--probes", bad, "-o", bad + ".emb.json"],
      "not valid JSON"),
     ("load_embeddings", lambda ws, p: open(p, "w").write('{"schema_version": "2"}'),
      lambda ws, bad: ["classify", "--train", bad, "--test", ws["test_emb"]],
      "schema_version '2' not supported"),
-], ids=["read_point_cloud", "load_model", "load_model-degenerate", "load_probe_set",
-        "load_embeddings"])
+], ids=["read_point_cloud", "load_model", "load_model-degenerate",
+        "load_model-training-n-zero", "load_probe_set", "load_embeddings"])
 def test_rejected_input_file_is_a_one_line_error(workspace, tmp_path, loader, write, args,
                                                  message):
     bad = str(tmp_path / ("bad.xyz" if loader == "read_point_cloud" else "bad.json"))
@@ -393,6 +418,26 @@ def test_rejected_input_file_is_a_one_line_error(workspace, tmp_path, loader, wr
     assert f"Error: {bad}" in combined
     assert message in combined
     assert "Traceback" not in combined
+
+
+def test_near_singular_model_file_samples_and_embeds_or_is_one_error(workspace, tmp_path):
+    # a model file that loads is one that samples and embeds; one that does
+    # not load is a one-line error naming the file
+    rng = np.random.default_rng(3)
+    for case in range(10):
+        obj = json.load(open(workspace["dem0_model"]))
+        obj["ensemble"][0]["model"]["covariances"][1] = near_singular_spd(rng).tolist()
+        path = str(tmp_path / f"near_singular_{case}.json")
+        with open(path, "w") as handle:
+            json.dump(obj, handle)
+        for args in (["sample", path, "-o", path + ".xyz"],
+                     ["embed", path, "--probes", workspace["probes"], "-o", path + ".emb"]):
+            result = runner.invoke(main, args, catch_exceptions=False)
+            if result.exit_code != 0:
+                assert result.exit_code == 1
+                assert result.stdout == ""
+                assert len(result.stderr.splitlines()) == 1
+                assert result.stderr.startswith(f"Error: {path}: "), result.stderr
 
 
 @pytest.mark.parametrize("args, option", [

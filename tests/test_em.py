@@ -33,6 +33,7 @@ from gmmcloud.em import (
     m_step,
 )
 from gmmcloud.embedding import embed, make_probe_set
+from gmmcloud.geodesics import interpolate_point_clouds, product_geodesic
 from gmmcloud.model import (
     Gmm,
     PointCloud,
@@ -647,22 +648,30 @@ def test_fit_evaluates_each_state_once(monkeypatch):
     assert counts["e"] == counts["m"] + counts["candidates"]
 
 
-def test_fit_and_scoring_use_no_cholesky_or_inverse(monkeypatch):
+def test_fit_scoring_sampling_and_geodesics_factor_only_by_eigh(monkeypatch):
     # the M-step's eigendecomposition is the E-step's factor, and a fixed
-    # model is factored by one eigh per evaluation
+    # model is validated and factored by checked_spd's one eigh, which
+    # scores, samples and interpolates it
     cloud = make_bent_tube(tube_spec_for_class("demented", n_points=600), seed=0)
+    other = make_bent_tube(tube_spec_for_class("nondemented", n_points=200), seed=1)
     probes = make_probe_set([cloud], seed=0)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("Cholesky or inverse called")
+        raise AssertionError("Cholesky, inverse or eigvalsh called")
 
-    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
-    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    for name in ("cholesky", "inv", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
     model = fit_em(cloud, 8, FitConfig(seed=0)).model
     assert np.all(np.isfinite(gmm_log_density(cloud.points, model)))
     assert e_step(cloud, model).gamma.shape == (600, 8)
     assert np.all(np.isfinite(embed(model, probes).coords))
     assert math.isfinite(aic_score(cloud, model))
+    assert len(generate_point_cloud(model, 100, rng_stream(0))) == 100
+    target = fit_em(other, 8, FitConfig(seed=0)).model
+    assert product_geodesic(model, target, 0.5).k == 8
+    result = interpolate_point_clouds(cloud, other, ts=(0.0, 0.5), n_out=50,
+                                      candidate_ks=(1, 2))
+    assert len(result.frames) == 2
 
 
 def test_fit_sorts_floors_and_builds_features_once(monkeypatch):

@@ -276,6 +276,10 @@ def _without_means(obj):
     return obj
 
 
+def _with_metadata(**fields):
+    return lambda obj: {**obj, "metadata": {**obj["metadata"], **fields}}
+
+
 @pytest.mark.parametrize("change, message", [
     (_without_ensemble, "missing field 'ensemble'"),
     (_without_means, "missing field 'means'"),
@@ -285,8 +289,23 @@ def _without_means(obj):
     (lambda obj: json.dumps(obj)[:-9], "not valid JSON"),
     (lambda obj: {**obj, "metadata": {**obj["metadata"], "center_offset": [1.0, 2.0]}},
      "center_offset must be three finite numbers"),
+    (_with_metadata(seed="0"), "metadata field 'seed' must be an integer"),
+    (_with_metadata(seed=1.5), "metadata field 'seed' must be an integer"),
+    (_with_metadata(candidate_ks="1"),
+     "metadata field 'candidate_ks' must be a non-empty list of integers >= 1"),
+    (_with_metadata(candidate_ks=[]), "metadata field 'candidate_ks' must be"),
+    (_with_metadata(candidate_ks=[1, 0]), "metadata field 'candidate_ks' must be"),
+    (_with_metadata(candidate_ks=[1, 2.0]), "metadata field 'candidate_ks' must be"),
+    (_with_metadata(training_n=0), "metadata field 'training_n' must be an integer >= 1"),
+    (_with_metadata(training_n="10"), "metadata field 'training_n' must be an integer >= 1"),
+    (_with_metadata(training_n=2.5), "metadata field 'training_n' must be an integer >= 1"),
+    (_with_metadata(training_n=True), "metadata field 'training_n' must be an integer >= 1"),
+    (_with_metadata(label=5), "metadata field 'label' must be a string or null"),
 ], ids=["no-ensemble", "model-without-means", "top-level-list", "ensemble-not-a-list",
-        "metadata-not-an-object", "truncated", "short-center-offset"])
+        "metadata-not-an-object", "truncated", "short-center-offset", "seed-string",
+        "seed-float", "candidate-ks-string", "candidate-ks-empty", "candidate-ks-zero",
+        "candidate-ks-float", "training-n-zero", "training-n-string", "training-n-float",
+        "training-n-bool", "label-number"])
 def test_model_file_malformed_json_raises_file_format_error(tmp_path, change, message):
     path = str(tmp_path / "model.json")
     ensemble, table = two_member_ensemble()

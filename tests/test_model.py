@@ -12,9 +12,17 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
-from conftest import random_gmm, random_rotation, random_spd, sample_mixture, unit_gmm
+from conftest import (
+    near_singular_spd,
+    random_gmm,
+    random_rotation,
+    random_spd,
+    sample_mixture,
+    unit_gmm,
+)
 from gmmcloud.em import Responsibilities
-from gmmcloud.embedding import SphereEmbedding, make_probe_set
+from gmmcloud.embedding import SphereEmbedding, embed, make_probe_set
+from gmmcloud.geodesics import spd_power
 from gmmcloud.model import (
     LOG_TWO_PI,
     DegenerateCovarianceError,
@@ -31,6 +39,7 @@ from gmmcloud.model import (
     softmax_columns,
     weighted_log_densities,
 )
+from gmmcloud.sampling import generate_point_cloud, rng_stream
 
 STANDARD_PEAK = (2.0 * math.pi) ** -1.5
 
@@ -272,6 +281,27 @@ def test_density_rejects_nan_covariance():
     with pytest.raises(DegenerateCovarianceError,
                        match=r"^covariance must be finite \(component 1\)$"):
         weighted_log_densities(np.zeros((4, 3)), np.array([0.5, 0.5]), np.zeros((2, 3)), covs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_near_singular_covariance_is_rejected_or_usable(seed):
+    # the eigenvalues that validate a covariance are the ones its
+    # consumers use: a mixture Gmm accepts scores, embeds, samples and
+    # takes powers without NaN, and one it rejects names the component
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(50, 3))
+    probes = make_probe_set([PointCloud(points)], seed=0, count=64)
+    for case in range(60):
+        covs = np.stack([np.eye(3), near_singular_spd(rng)])
+        try:
+            model = Gmm([0.5, 0.5], np.zeros((2, 3)), covs)
+        except DegenerateCovarianceError as exc:
+            assert str(exc).endswith("(component 1)"), str(exc)
+            continue
+        assert not np.isnan(gmm_log_density(points, model)).any()
+        assert not np.isnan(embed(model, probes).coords).any()
+        assert not np.isnan(generate_point_cloud(model, 100, rng_stream(case)).points).any()
+        assert np.all(np.isfinite(spd_power(model.covariances[1], 0.5)))
 
 
 def test_rotation_invariance():
