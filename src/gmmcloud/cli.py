@@ -234,8 +234,11 @@ def embed(model_paths, probes_path, out):
     entries = []
     for path in model_paths:
         loaded = _load(load_model, path)
-        entries.append((embed_model(loaded.ensemble, probe_set),
-                        loaded.metadata.label, os.path.basename(path)))
+        try:
+            embedding = embed_model(loaded.ensemble, probe_set)
+        except ValueError as exc:
+            raise click.ClickException(f"{path}: {exc}") from None
+        entries.append((embedding, loaded.metadata.label, os.path.basename(path)))
     save_embeddings(out, entries)
     click.echo(f"wrote {len(entries)} embeddings to {out}")
 

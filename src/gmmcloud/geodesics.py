@@ -4,15 +4,13 @@ A K-component mixture maps to a point on S^(K-1) x R^(3xK) x SPD(3)^K:
 the square roots of the weights live on the unit sphere, the means in a
 flat Euclidean slot, and each covariance on the SPD manifold with the
 affine-invariant metric. The geodesic between two mixtures is the slerp
-on the sphere slot, the straight line on the mean slot, and
-
-    S1^(1/2) (S1^(-1/2) S2 S1^(-1/2))^t S1^(1/2)
-
-on every covariance slot. product_geodesic maps two mixtures (Gmm) to
-the mixture at t and does the square-root lift of the weights itself.
-Mixtures of unequal size are first reduced to a common K by
-moment-preserving merges and then aligned by an optimal component
-matching on mean distances.
+on the sphere slot, the straight line on the mean slot, and on every
+covariance slot S1^(1/2) (S1^(-1/2) S2 S1^(-1/2))^t S1^(1/2) = C diag(mu^t) C^T,
+from one simultaneous diagonalisation S1 = C C^T, S2 = C diag(mu) C^T.
+product_geodesic maps two mixtures (Gmm) to the mixture at t and does
+the square-root lift of the weights itself. Mixtures of unequal size
+are first reduced to a common K by moment-preserving merges and then
+aligned by an optimal component matching on mean distances.
 """
 
 from __future__ import annotations
@@ -129,34 +127,32 @@ def sphere_distance(w1: np.ndarray, w2: np.ndarray) -> float:
     return math.acos(float(np.clip(np.asarray(w1) @ np.asarray(w2), -1.0, 1.0)))
 
 
-def spd_power(mat: np.ndarray, t: float) -> np.ndarray:
-    """Symmetric matrix power through the eigendecomposition, over a
-    (3, 3) matrix or a (K, 3, 3) stack."""
-    _, (lam, q) = checked_spd(mat)
-    out = (q * (lam ** t)[..., None, :]) @ _transposed(q)
-    return 0.5 * (out + _transposed(out))
+def _pencil(s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, C) with S1 = C C^T and S2 = C diag(mu) C^T, slot by slot for stacks.
+    S2 is whitened in S1's own eigenbasis (lam, q), where a near-singular S1
+    stays diagonal; the eigenvectors W of that give C = q diag(sqrt(lam)) W."""
+    _, (lam, q) = checked_spd(s1)
+    root = np.sqrt(lam)[..., None, :]
+    white = q / root
+    inner = _transposed(white) @ np.asarray(s2, dtype=float) @ white
+    _, (mu, w) = checked_spd(0.5 * (inner + _transposed(inner)))
+    return mu, (q * root) @ w
 
 
 def spd_geodesic(s1: np.ndarray, s2: np.ndarray, t: float) -> np.ndarray:
-    """Affine-invariant geodesic between SPD matrices, or between two
-    equally long (K, 3, 3) stacks of them, slot by slot."""
+    """Affine-invariant geodesic C diag(mu^t) C^T between SPD matrices, or
+    between two equally long (K, 3, 3) stacks of them, slot by slot."""
     _check_t(t)
-    _, (lam, q) = checked_spd(s1)
-    root = np.sqrt(lam)[..., None, :]
-    half = (q * root) @ _transposed(q)
-    inv_half = (q / root) @ _transposed(q)
-    inner = inv_half @ np.asarray(s2, dtype=float) @ inv_half
-    out = half @ spd_power(0.5 * (inner + _transposed(inner)), t) @ half
+    mu, c = _pencil(s1, s2)
+    out = (c * (mu ** t)[..., None, :]) @ _transposed(c)
     return 0.5 * (out + _transposed(out))
 
 
 def spd_distance(s1: np.ndarray, s2: np.ndarray) -> float:
-    """Affine-invariant distance ||log(S1^(-1/2) S2 S1^(-1/2))||_F."""
-    _, (lam, q) = checked_spd(s1)
-    inv_half = (q / np.sqrt(lam)) @ q.T
-    inner = inv_half @ np.asarray(s2, dtype=float) @ inv_half
-    _, (ev, _) = checked_spd(0.5 * (inner + inner.T))
-    return float(np.linalg.norm(np.log(ev)))
+    """Affine-invariant distance ||log mu||, mu the eigenvalues of S1^(-1) S2;
+    between (K, 3, 3) stacks, the root of the summed squared slot distances."""
+    mu, _ = _pencil(s1, s2)
+    return float(np.linalg.norm(np.log(mu)))
 
 
 def _sphere_point(model: Gmm) -> np.ndarray:

@@ -440,6 +440,22 @@ def test_near_singular_model_file_samples_and_embeds_or_is_one_error(workspace, 
                 assert result.stderr.startswith(f"Error: {path}: "), result.stderr
 
 
+def test_embed_on_a_probe_set_that_misses_the_model_is_a_one_line_error(workspace, tmp_path):
+    # probes ~1e170 along x: every density is exactly zero there
+    far = str(tmp_path / "far.xyz")
+    write_point_cloud(PointCloud([[1e170, 0.0, 0.0], [2e170, 0.0, 0.0]]), far)
+    probes = str(tmp_path / "far_probes.json")
+    run_cli(["probes", far, "--count", "50", "-o", probes])
+    model = workspace["dem0_model"]
+    out = str(tmp_path / "far.emb")
+    result = runner.invoke(main, ["embed", model, "--probes", probes, "-o", out],
+                           catch_exceptions=False)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"Error: {model}: probe set does not cover the model support\n"
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("args, option", [
     (lambda ws, out: ["fit", ws["dem0"], "--ks", "0", "-o", out], "--ks"),
     (lambda ws, out: ["fit", ws["dem0"], "--ks", "1000", "-o", out], "--ks"),

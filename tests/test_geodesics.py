@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assert_moments_close, random_gmm, random_spd, unit_gmm
+from conftest import assert_moments_close, near_singular_spd, random_gmm, random_spd, unit_gmm
 from gmmcloud.embedding import arc_distance, embed, make_probe_set
 from gmmcloud.geodesics import (
     DEFAULT_TS,
@@ -22,7 +22,6 @@ from gmmcloud.geodesics import (
     sphere_geodesic,
     spd_distance,
     spd_geodesic,
-    spd_power,
 )
 from gmmcloud.model import (
     DegenerateCovarianceError,
@@ -263,13 +262,46 @@ def test_spd_outputs_stay_positive():
         assert np.all(lam > 0.0)
 
 
-def test_spd_power_and_distance_basics():
+def test_spd_geodesic_from_identity_and_distance_basics():
+    # from the identity the geodesic is the matrix power, checked against
+    # numpy's own eigendecomposition
     s = random_spd(np.random.default_rng(18))
-    np.testing.assert_allclose(spd_power(s, 1.0), s, atol=1e-12)
-    np.testing.assert_allclose(spd_power(s, 0.5) @ spd_power(s, 0.5), s, atol=1e-10)
+    lam, q = np.linalg.eigh(s)
+    for t, atol in ((1.0, 1e-12), (0.5, 1e-10)):
+        oracle = (q * lam ** t) @ q.T
+        np.testing.assert_allclose(spd_geodesic(np.eye(3), s, t), oracle, atol=atol)
+    half = spd_geodesic(np.eye(3), s, 0.5)
+    np.testing.assert_allclose(half @ half, s, atol=1e-10)
     assert spd_distance(s, s) < 1e-12
     s2 = random_spd(np.random.default_rng(19))
     assert abs(spd_distance(s, s2) - spd_distance(s2, s)) < 1e-12
+
+
+def test_spd_distance_of_stacks_is_the_product_distance():
+    rng = np.random.default_rng(21)
+    for k in (2, 3):
+        s1 = np.stack([random_spd(rng) for _ in range(k)])
+        s2 = np.stack([random_spd(rng) for _ in range(k)])
+        slots = [spd_distance(a, b) for a, b in zip(s1, s2)]
+        assert math.isclose(spd_distance(s1, s2), math.sqrt(sum(d * d for d in slots)),
+                            rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spd_geodesic_from_near_singular_covariance_is_finite(seed):
+    # a near-singular covariance Gmm accepts beside the identity whitens
+    # in its own eigenbasis, so the walk from it to the identity and the
+    # distance between them stay finite
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        s = near_singular_spd(rng)
+        try:
+            Gmm([0.5, 0.5], np.zeros((2, 3)), np.stack([np.eye(3), s]))
+        except DegenerateCovarianceError:
+            continue
+        for t in DEFAULT_TS:
+            assert np.all(np.isfinite(spd_geodesic(s, np.eye(3), t)))
+        assert math.isfinite(spd_distance(s, np.eye(3)))
 
 
 def test_spd_rejects_non_spd_input():

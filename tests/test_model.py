@@ -22,7 +22,7 @@ from conftest import (
 )
 from gmmcloud.em import Responsibilities
 from gmmcloud.embedding import SphereEmbedding, embed, make_probe_set
-from gmmcloud.geodesics import spd_power
+from gmmcloud.geodesics import spd_geodesic
 from gmmcloud.model import (
     LOG_TWO_PI,
     DegenerateCovarianceError,
@@ -287,7 +287,8 @@ def test_density_rejects_nan_covariance():
 def test_near_singular_covariance_is_rejected_or_usable(seed):
     # the eigenvalues that validate a covariance are the ones its
     # consumers use: a mixture Gmm accepts scores, embeds, samples and
-    # takes powers without NaN, and one it rejects names the component
+    # walks the geodesic from the identity without NaN, and one it rejects
+    # names the component
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(50, 3))
     probes = make_probe_set([PointCloud(points)], seed=0, count=64)
@@ -301,7 +302,7 @@ def test_near_singular_covariance_is_rejected_or_usable(seed):
         assert not np.isnan(gmm_log_density(points, model)).any()
         assert not np.isnan(embed(model, probes).coords).any()
         assert not np.isnan(generate_point_cloud(model, 100, rng_stream(case)).points).any()
-        assert np.all(np.isfinite(spd_power(model.covariances[1], 0.5)))
+        assert np.all(np.isfinite(spd_geodesic(np.eye(3), model.covariances[1], 0.5)))
 
 
 def test_rotation_invariance():
