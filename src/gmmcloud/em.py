@@ -7,14 +7,11 @@ order reproduces the same parameters bit for bit under the same seed.
 EM starts from its own M-step on the one-hot partition of the points by
 their nearest k-means++ seed (Arthur & Vassilvitskii 2007); no Lloyd
 pass refines it, since EM refines the same partition anyway (seeding
-as a GMM start: Blömer & Bujna 2016). The partition comes from SciPy's
-compiled scipy.cluster.vq.vq. It adds the three squared coordinate
-differences left to right and keeps the first of equal minima, as the
-NumPy column form (x - cx)**2 + (y - cy)**2 + (z - cz)**2 followed by
-argmin does, so the assignments are the same bit for bit. Every seed
-is a point at a new position, so it is its own strict nearest seed and
-no cluster is empty; a cloud with fewer than K distinct points raises
-FitError.
+as a GMM start: Blömer & Bujna 2016). The seeding builds the partition
+as it goes: a new seed takes the points strictly closer to it, so ties
+stay with the earlier seed. Every seed is a point at a new position, so
+it is its own strict nearest seed and no cluster is empty; a cloud with
+fewer than K distinct points raises FitError.
 
 Both EM steps use the moment form of model.py: the E-step is one
 product of coefficients with the feature table Phi of the points and
@@ -36,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.vq import vq
 
 from .model import (
     SECOND_MOMENT_ROWS,
@@ -130,16 +126,15 @@ def _squared_distances(x: np.ndarray, y: np.ndarray, z: np.ndarray, c: np.ndarra
     return (x - c[..., 0]) ** 2 + (y - c[..., 1]) ** 2 + (z - c[..., 2]) ** 2
 
 
-def _kmeans_pp_centers(pts: np.ndarray, k: int, rng: np.random.Generator
-                       ) -> tuple[np.ndarray, float]:
-    """k-means++ seeds and their potential: the sum over points of the
-    squared distance to the nearest seed, the within-cluster sum of
-    squares of the nearest-seed partition."""
+def _kmeans_pp_partition(pts: np.ndarray, k: int, rng: np.random.Generator
+                         ) -> tuple[np.ndarray, float]:
+    """The codes (N,) of each point's nearest k-means++ seed, the first on
+    ties, and the seeding's potential: the sum over points of the squared
+    distance to the nearest seed."""
     n = pts.shape[0]
     x, y, z = np.ascontiguousarray(pts.T)
-    centers = np.empty((k, 3))
-    centers[0] = pts[int(rng.integers(n))]
-    d2 = _squared_distances(x, y, z, centers[0])
+    codes = np.zeros(n, dtype=np.intp)
+    d2 = _squared_distances(x, y, z, pts[int(rng.integers(n))])
     for j in range(1, k):
         total = float(d2.sum())
         if total == 0.0:
@@ -148,27 +143,24 @@ def _kmeans_pp_centers(pts: np.ndarray, k: int, rng: np.random.Generator
         idx = int(np.searchsorted(np.cumsum(d2) / total, rng.random(), side="right"))
         if idx == n:  # the draw fell past the rounded end of the cdf
             idx = int(np.flatnonzero(d2)[-1])
-        centers[j] = pts[idx]
-        d2 = np.minimum(d2, _squared_distances(x, y, z, centers[j]))
-    return centers, float(d2.sum())
+        dj = _squared_distances(x, y, z, pts[idx])
+        codes[dj < d2] = j
+        d2 = np.minimum(d2, dj)
+    return codes, float(d2.sum())
 
 
 def kmeans_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Nearest-seed codes (N,) of the best k-means++ seeding of the points.
 
     Of KMEANS_RESTARTS seedings, one stream each, the one with the
-    lowest potential wins, the first on ties; each point gets the index
-    of its nearest seed (see the module docstring).
+    lowest potential wins, the first on ties (see the module docstring).
     """
-    n = points.shape[0]
-    if k > n:
-        raise ValueError(f"more components than points: K={k}, N={n}")
+    if k > len(points):
+        raise ValueError(f"more components than points: K={k}, N={len(points)}")
     if k < 1:
         raise ValueError(f"component count must be >= 1, got {k}")
-    centers, _ = min((_kmeans_pp_centers(points, k, rng_stream(seed, r))
-                      for r in range(KMEANS_RESTARTS)), key=lambda seeding: seeding[1])
-    # fit_em passes a PointCloud's points, which are finite
-    return vq(points, centers, check_finite=False)[0]
+    return min((_kmeans_pp_partition(points, k, rng_stream(seed, r))
+                for r in range(KMEANS_RESTARTS)), key=lambda seeding: seeding[1])[0]
 
 
 def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:

@@ -6,7 +6,8 @@ flat Euclidean slot, and each covariance on the SPD manifold with the
 affine-invariant metric. The geodesic between two mixtures is the slerp
 on the sphere slot, the straight line on the mean slot, and on every
 covariance slot S1^(1/2) (S1^(-1/2) S2 S1^(-1/2))^t S1^(1/2) = C diag(mu^t) C^T,
-from one simultaneous diagonalisation S1 = C C^T, S2 = C diag(mu) C^T.
+from one simultaneous diagonalisation S1 = C C^T, S2 = C diag(mu) C^T
+of the validated endpoints, which t = 0 and 1 return as they are.
 product_geodesic maps two mixtures (Gmm) to the mixture at t and does
 the square-root lift of the weights itself. Mixtures of unequal size
 are first reduced to a common K by moment-preserving merges and then
@@ -127,23 +128,29 @@ def sphere_distance(w1: np.ndarray, w2: np.ndarray) -> float:
     return math.acos(float(np.clip(np.asarray(w1) @ np.asarray(w2), -1.0, 1.0)))
 
 
-def _pencil(s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pencil(factor, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mu, C) with S1 = C C^T and S2 = C diag(mu) C^T, slot by slot for stacks.
-    S2 is whitened in S1's own eigenbasis (lam, q), where a near-singular S1
-    stays diagonal; the eigenvectors W of that give C = q diag(sqrt(lam)) W."""
-    _, (lam, q) = checked_spd(s1)
+    S2 is whitened in S1's own eigenbasis, its factor (lam, q), where a near-singular
+    S1 stays diagonal; the eigenvectors W of that give C = q diag(sqrt(lam)) W."""
+    lam, q = factor
     root = np.sqrt(lam)[..., None, :]
     white = q / root
-    inner = _transposed(white) @ np.asarray(s2, dtype=float) @ white
+    inner = _transposed(white) @ s2 @ white
     _, (mu, w) = checked_spd(0.5 * (inner + _transposed(inner)))
     return mu, (q * root) @ w
 
 
 def spd_geodesic(s1: np.ndarray, s2: np.ndarray, t: float) -> np.ndarray:
     """Affine-invariant geodesic C diag(mu^t) C^T between SPD matrices, or
-    between two equally long (K, 3, 3) stacks of them, slot by slot."""
+    between two equally long (K, 3, 3) stacks of them, slot by slot. Both
+    endpoints are validated by checked_spd; t = 0 and 1 return copies of them."""
     _check_t(t)
-    mu, c = _pencil(s1, s2)
+    (s1, factor), (s2, _) = checked_spd(s1), checked_spd(s2)
+    if s1.shape != s2.shape:
+        raise ValueError(f"covariance shapes differ: {s1.shape} vs {s2.shape}")
+    if t in (0.0, 1.0):
+        return (s2 if t else s1).copy()
+    mu, c = _pencil(factor, s2)
     out = (c * (mu ** t)[..., None, :]) @ _transposed(c)
     return 0.5 * (out + _transposed(out))
 
@@ -151,7 +158,8 @@ def spd_geodesic(s1: np.ndarray, s2: np.ndarray, t: float) -> np.ndarray:
 def spd_distance(s1: np.ndarray, s2: np.ndarray) -> float:
     """Affine-invariant distance ||log mu||, mu the eigenvalues of S1^(-1) S2;
     between (K, 3, 3) stacks, the root of the summed squared slot distances."""
-    mu, _ = _pencil(s1, s2)
+    (_, factor), (s2, _) = checked_spd(s1), checked_spd(s2)
+    mu, _ = _pencil(factor, s2)
     return float(np.linalg.norm(np.log(mu)))
 
 
@@ -168,12 +176,10 @@ def product_geodesic(a: Gmm, b: Gmm, t: float) -> Gmm:
     vectors (squared and renormalized on the way back), the means the
     straight line, and each covariance its affine-invariant geodesic.
     """
-    if a.k != b.k:
-        raise ValueError(f"component counts differ: {a.k} vs {b.k}")
-    _check_t(t)
+    covs = spd_geodesic(a.covariances, b.covariances, t)  # checks t and that the Ks agree
     w = sphere_geodesic(_sphere_point(a), _sphere_point(b), t) ** 2
     means = (1.0 - t) * a.means + t * b.means
-    return Gmm(w / w.sum(), means, spd_geodesic(a.covariances, b.covariances, t))
+    return Gmm(w / w.sum(), means, covs)
 
 
 @dataclass(frozen=True)

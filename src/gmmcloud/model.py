@@ -312,7 +312,9 @@ def weighted_log_densities(points: np.ndarray, weights: np.ndarray, means: np.nd
     """
     _, factor = checked_spd(covariances)
     centre = weights @ means
-    return feature_log_densities(centred_features(points, centre), weights, means - centre, factor)
+    phi = centred_features(points, centre)
+    with np.errstate(invalid="ignore"):  # inf features of far points: NaN, a dead column
+        return feature_log_densities(phi, weights, means - centre, factor)
 
 
 def softmax_columns(lwd: np.ndarray) -> np.ndarray:

@@ -440,10 +440,16 @@ def test_near_singular_model_file_samples_and_embeds_or_is_one_error(workspace, 
                 assert result.stderr.startswith(f"Error: {path}: "), result.stderr
 
 
-def test_embed_on_a_probe_set_that_misses_the_model_is_a_one_line_error(workspace, tmp_path):
-    # probes ~1e170 along x: every density is exactly zero there
+@pytest.mark.parametrize("far_points", [
+    [[1e170, 0.0, 0.0], [2e170, 0.0, 0.0]],
+    [[1e170, 1e170, 1e170], [2e170, 2e170, 2e170]],
+], ids=["axis", "diagonal"])
+def test_embed_on_a_probe_set_that_misses_the_model_is_a_one_line_error(workspace, tmp_path,
+                                                                        far_points):
+    # probes ~1e170 along x, or along the diagonal where their squares and
+    # cross products overflow: every density is exactly zero there
     far = str(tmp_path / "far.xyz")
-    write_point_cloud(PointCloud([[1e170, 0.0, 0.0], [2e170, 0.0, 0.0]]), far)
+    write_point_cloud(PointCloud(far_points), far)
     probes = str(tmp_path / "far_probes.json")
     run_cli(["probes", far, "--count", "50", "-o", probes])
     model = workspace["dem0_model"]

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.cluster.vq import vq
 
 from conftest import (
     RECOVERY_COVS,
@@ -104,9 +103,9 @@ def test_kmeans_rejects_more_components_than_points():
 
 def kmeans_pp_reference(pts, k, rng):
     """k-means++ seeding in its row form, np.sum((pts - c) ** 2, axis=1),
-    which em._kmeans_pp_centers must reproduce bit for bit: the seeds and
-    the potential, the final d2.sum(), or the FitError when the points
-    run out before the K-th seed."""
+    which em._kmeans_pp_partition must reproduce bit for bit: the seeds'
+    partition and the potential, the final d2.sum(), or the FitError when
+    the points run out before the K-th seed."""
     n = pts.shape[0]
     centers = np.empty((k, 3))
     centers[0] = pts[int(rng.integers(n))]
@@ -187,10 +186,10 @@ def test_kmeans_init_matches_reference_on_repeated_points(seed, k, extra):
 
 
 @pytest.mark.parametrize("distinct, copies, k", SHORT_CASES)
-def test_kmeans_init_matches_reference_when_clusters_steal(distinct, copies, k):
-    # the clouds where an empty cluster once stole a point: every K up to
-    # the distinct count matches the reference bit for bit, and at K above
-    # it both refuse with the same error instead of leaving a cluster empty
+def test_kmeans_init_matches_reference_up_to_the_distinct_count(distinct, copies, k):
+    # clouds of repeated positions: every K up to the distinct count matches
+    # the reference bit for bit, and at K above it both refuse with the
+    # same error instead of leaving a cluster empty
     pts = duplicate_points(distinct, copies)
     for seed in range(3):
         for fewer in range(1, distinct + 1):
@@ -249,8 +248,26 @@ def test_kmeans_pp_draw_past_the_rounded_cdf_end_takes_the_last_point_off_the_se
     pts[-1] = pts[-2]  # the first seed, the last point, has a twin before it
     d2 = np.sum((pts - pts[-1]) ** 2, axis=1)
     assert float((np.cumsum(d2) / d2.sum())[-1]) < EdgeDraws().random()
-    centers, _ = em._kmeans_pp_centers(pts, 2, EdgeDraws())
-    np.testing.assert_array_equal(centers, [pts[-1], pts[-3]])
+    codes, _ = em._kmeans_pp_partition(pts, 2, EdgeDraws())
+    # the second seed is pts[-3], the last point off the first seed
+    assert codes[-3] == 1 and codes[-2:].tolist() == [0, 0]
+    np.testing.assert_array_equal(codes, partition_reference(pts, pts[[-1, -3]]))
+
+
+class TieDraws:
+    """Stand-in generator for k-means++ on the nine-point tie cloud: the
+    first seed is point 5, and each draw falls in the cdf step of the next
+    of points 6, 7 and 8 (the step [7/15, 11/15), then [3/7, 5/7), then
+    [3/5, 1))."""
+
+    def __init__(self):
+        self.draws = [0.6, 0.5, 0.8]
+
+    def integers(self, n):
+        return 5
+
+    def random(self):
+        return self.draws.pop(0)
 
 
 def test_nearest_seed_partition_breaks_exact_ties_to_the_lowest_index():
@@ -262,11 +279,13 @@ def test_nearest_seed_partition_breaks_exact_ties_to_the_lowest_index():
     d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
     ties = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1)
     assert ties.tolist() == [4, 2, 2, 2, 2, 1, 1, 1, 1]
-    # kmeans_init partitions with vq, which must keep the first minimum
-    assign = vq(pts, centers, check_finite=False)[0]
-    assert assign.tolist() == [0, 0, 1, 1, 0, 0, 1, 2, 3]
-    np.testing.assert_array_equal(assign, np.argmin(d2, axis=1))
-    np.testing.assert_array_equal(assign, partition_reference(pts, centers))
+    draws = TieDraws()
+    codes, potential = em._kmeans_pp_partition(pts, 4, draws)
+    assert draws.draws == []
+    # the seeding's own codes keep the first of equal minima
+    assert codes.tolist() == [0, 0, 1, 1, 0, 0, 1, 2, 3]
+    np.testing.assert_array_equal(codes, np.argmin(d2, axis=1))
+    assert potential == float(d2.min(axis=1).sum())
 
 
 def assert_kmeans_pp_matches_reference(pts, k):
@@ -280,12 +299,12 @@ def assert_kmeans_pp_matches_reference(pts, k):
             ref_centers, ref_potential = kmeans_pp_reference(pts, k, ref_rng)
         except FitError as exc:
             with pytest.raises(FitError) as same:
-                em._kmeans_pp_centers(pts, k, rng)
+                em._kmeans_pp_partition(pts, k, rng)
             assert str(same.value) == str(exc)
             raised += 1
         else:
-            centers, potential = em._kmeans_pp_centers(pts, k, rng)
-            assert centers.tobytes() == ref_centers.tobytes()
+            codes, potential = em._kmeans_pp_partition(pts, k, rng)
+            assert codes.tolist() == partition_reference(pts, ref_centers).tolist()
             assert potential.hex() == ref_potential.hex()
         # both consumed the same draws
         assert rng.random() == ref_rng.random()

@@ -304,11 +304,47 @@ def test_spd_geodesic_from_near_singular_covariance_is_finite(seed):
         assert math.isfinite(spd_distance(s, np.eye(3)))
 
 
+def accepted_beside_the_identity(s):
+    try:
+        Gmm([0.5, 0.5], np.zeros((2, 3)), np.stack([np.eye(3), s]))
+    except DegenerateCovarianceError:
+        return False
+    return True
+
+
+def test_spd_geodesic_returns_its_endpoints_and_stays_valid_beside_the_identity():
+    # of 3 000 near-singular covariances, the 1 534 that Gmm accepts beside
+    # the identity stay acceptable at every t of the walk to and from it:
+    # t = 0 and 1 return the endpoints themselves, not their products
+    # C C^T and C diag(mu) C^T
+    rng = np.random.default_rng(2024)
+    stack = np.stack([s for s in (near_singular_spd(rng) for _ in range(3000))
+                      if accepted_beside_the_identity(s)])
+    assert len(stack) == 1534
+    eyes = np.broadcast_to(np.eye(3), stack.shape)
+    weights = np.full(len(stack), 1.0 / len(stack))
+    for s1, s2 in ((stack, eyes), (eyes, stack)):
+        assert spd_geodesic(s1, s2, 0.0).tobytes() == s1.tobytes()
+        assert spd_geodesic(s1, s2, 1.0).tobytes() == s2.tobytes()
+        for t in DEFAULT_TS:
+            Gmm(weights, np.zeros((len(stack), 3)), spd_geodesic(s1, s2, t))
+
+
 def test_spd_rejects_non_spd_input():
     with pytest.raises(DegenerateCovarianceError):
         spd_geodesic(np.diag([1.0, 1.0, -1.0]), np.eye(3), 0.5)
     with pytest.raises(DegenerateCovarianceError):
         spd_distance(np.eye(3), np.diag([1.0, 0.0, 1.0]))
+    # S2 is validated like S1, in either argument order
+    skew = np.eye(3)
+    skew[0, 1] = 0.3
+    message = "^covariance asymmetry 3.000e-01 exceeds 1e-12$"
+    for s1, s2 in ((np.eye(3), skew), (skew, np.eye(3))):
+        for t in (0.0, 0.5, 1.0):
+            with pytest.raises(DegenerateCovarianceError, match=message):
+                spd_geodesic(s1, s2, t)
+        with pytest.raises(DegenerateCovarianceError, match=message):
+            spd_distance(s1, s2)
 
 
 # --------------------------------------------------------- product path
@@ -340,8 +376,14 @@ def test_product_geodesic_constant_path():
 
 def test_product_geodesic_rejects_mismatched_k():
     rng = np.random.default_rng(22)
-    with pytest.raises(ValueError, match="differ"):
-        product_geodesic(random_gmm(rng, 2), random_gmm(rng, 3), 0.5)
+    a, b = random_gmm(rng, 2), random_gmm(rng, 3)
+    shapes = r"^covariance shapes differ: \(2, 3, 3\) vs \(3, 3, 3\)$"
+    # the endpoints too, where spd_geodesic returns a stack without a pencil
+    for t in (0.0, 0.5, 1.0):
+        with pytest.raises(ValueError, match=shapes):
+            product_geodesic(a, b, t)
+        with pytest.raises(ValueError, match=shapes):
+            spd_geodesic(a.covariances, b.covariances, t)
 
 
 # -------------------------------------------------------- interpolation

@@ -3,7 +3,9 @@ the benchmark hooks."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -50,6 +52,18 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names) - {"gmmcloud"}
     assert {"numpy", "scipy", "click"} <= third_party
     assert third_party <= declared
+
+
+def test_importing_the_cli_loads_no_scipy_cluster():
+    # the k-means++ seeding partitions the points itself; checked in a new
+    # interpreter, where no other test has imported anything yet
+    src = os.path.dirname(os.path.dirname(gmmcloud.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gmmcloud.cli; print('scipy.cluster' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout == "False\n"
 
 
 def hooked_sites():

@@ -1,6 +1,7 @@
 """AIC scoring, Akaike weights, and ensemble assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import recovery_cloud
 from gmmcloud.em import FitConfig, FitError
+from gmmcloud.embedding import embed, inflated_bounds, make_probe_set
 from gmmcloud.model import Gmm, PointCloud
+from gmmcloud.sampling import generate_point_cloud, rng_stream
 from gmmcloud.selection import (
     AicRow,
     AicTable,
@@ -22,6 +25,7 @@ from gmmcloud.selection import (
     ensemble_from_scored_models,
     parameter_count,
 )
+from gmmcloud.shapes import add_outliers, make_bent_tube, tube_spec_for_class
 
 
 def point_model(x, k=1):
@@ -169,3 +173,40 @@ def test_build_ensemble_drops_failing_candidate(monkeypatch):
         with pytest.raises(FitError, match="^every candidate fit failed: K=1: fit failed at "
                                            "iteration 1: injected; K=2: fit failed"):
             selection.build_ensemble(cloud, (1, 2), FitConfig(seed=0))
+
+
+def outlier_tube():
+    tube = make_bent_tube(tube_spec_for_class("demented", n_points=600), 0)
+    return add_outliers(tube, 0.3, inflated_bounds([tube]), seed=1).points
+
+
+DEGENERATE_CLOUDS = {
+    "identical": lambda rng: np.tile([[0.3, -1.2, 5.0]], (20, 1)),
+    "collinear": lambda rng: np.linspace(-1.0, 1.0, 40)[:, None] * [1.0, 2.0, -3.0] + 4.0,
+    "coplanar": lambda rng: rng.normal(size=(60, 2)) @ [[1.0, 0.5, -0.25], [0.0, 1.0, 2.0]],
+    "one-point": lambda rng: np.array([[1.0, 2.0, 3.0]]),
+    "five-points": lambda rng: rng.normal(size=(5, 3)),
+    "outliers-30pct": lambda rng: outlier_tube(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_CLOUDS))
+def test_degenerate_clouds_fit_sample_and_embed(name):
+    # the k-means++ partition starts every fit; the only candidate that may
+    # fail is a K above the distinct count, dropped with its named warning
+    cloud = PointCloud(DEGENERATE_CLOUDS[name](np.random.default_rng(0)))
+    distinct = len(np.unique(cloud.points, axis=0))
+    ks = [k for k in (1, 2, 4, 8) if k <= len(cloud)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ensemble, table = build_ensemble(cloud, ks, FitConfig(seed=0))
+    dropped = [k for k in ks if k > distinct]
+    assert [str(w.message) for w in caught] == [
+        f"candidate K={k} dropped: K={k} needs {k} distinct points, the cloud has {distinct}"
+        for k in dropped]
+    assert [row.k for row in table.rows] == [k for k in ks if k not in dropped]
+    sample = generate_point_cloud(ensemble, 50, rng_stream(0))
+    assert np.all(np.isfinite(sample.points))
+    emb = embed(ensemble, make_probe_set([cloud], seed=0, count=100))
+    assert np.all(np.isfinite(emb.coords))
+    assert math.isclose(float(np.linalg.norm(emb.coords)), 1.0, rel_tol=1e-9)
