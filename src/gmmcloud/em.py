@@ -97,7 +97,8 @@ class Responsibilities:
 @dataclass(frozen=True)
 class FitResult:
     """Fitted mixture plus the log-likelihood trace of its accepted EM
-    states, one entry per iteration.
+    states, one entry per iteration; iterations and converged are read
+    from the trace.
 
     The trace is non-decreasing by construction where fit_em can choose:
     an extrapolated SQUAREM state enters it only when its log-likelihood
@@ -109,8 +110,14 @@ class FitResult:
 
     model: Gmm
     log_likelihood_trace: tuple[float, ...]
-    iterations: int
-    converged: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log_likelihood_trace)
+
+    @property
+    def converged(self) -> bool:
+        return _converged(self.log_likelihood_trace)
 
 
 def _sorted_points(points: np.ndarray) -> np.ndarray:
@@ -167,7 +174,7 @@ def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
     """Posterior membership of every point in every component, normalised
     by softmax_columns; a point whose log-sum-exp is not finite (every
     density underflowed) gets 1/K and counts in underflow_rows."""
-    lwd = weighted_log_densities(cloud.points, model.weights, model.means, model.covariances)
+    lwd = weighted_log_densities(cloud.points, model)
     log_sum = softmax_columns(lwd)
     return Responsibilities(lwd.T, int(np.count_nonzero(~np.isfinite(log_sum))))
 
@@ -221,7 +228,7 @@ def _em_map(phi: np.ndarray, gamma: np.ndarray, eps: float) -> tuple[tuple, np.n
     return params, gamma, ll
 
 
-def _converged(trace: list[float]) -> bool:
+def _converged(trace: list[float] | tuple[float, ...]) -> bool:
     """Whether the last two log-likelihoods differ by less than
     REL_TOLERANCE relative to |L| + 1."""
     return len(trace) >= 2 and abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0) < REL_TOLERANCE
@@ -337,4 +344,4 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
         model = Gmm(weights, means + centre, covs)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise FitError(f"fit failed at iteration {m_steps}: {exc}") from exc
-    return FitResult(model, tuple(trace), len(trace), _converged(trace))
+    return FitResult(model, tuple(trace))

@@ -3,15 +3,20 @@
 A K-component mixture maps to a point on S^(K-1) x R^(3xK) x SPD(3)^K:
 the square roots of the weights live on the unit sphere, the means in a
 flat Euclidean slot, and each covariance on the SPD manifold with the
-affine-invariant metric. The geodesic between two mixtures is the slerp
-on the sphere slot, the straight line on the mean slot, and on every
-covariance slot S1^(1/2) (S1^(-1/2) S2 S1^(-1/2))^t S1^(1/2) = C diag(mu^t) C^T,
-from one simultaneous diagonalisation S1 = C C^T, S2 = C diag(mu) C^T
-of the validated endpoints, which t = 0 and 1 return as they are.
-product_geodesic maps two mixtures (Gmm) to the mixture at t and does
-the square-root lift of the weights itself. Mixtures of unequal size
-are first reduced to a common K by moment-preserving merges and then
-aligned by an optimal component matching on mean distances.
+affine-invariant metric (Pennec, Fillard & Ayache 2006). The geodesic
+between two mixtures is the slerp on the sphere slot, the straight line
+on the mean slot, and on every covariance slot
+S1^(1/2) (S1^(-1/2) S2 S1^(-1/2))^t S1^(1/2). It is built from the two
+endpoints' eigendecompositions S_i = A_i A_i^T, A_i = q_i diag(sqrt(lam_i)),
+and one SVD U diag(sigma) V^T of B = A1^(-1) A2, which needs no whitened
+matrix: the walk is A1 U diag(sigma^(2t)) (A1 U)^T from S1's side for
+t <= 1/2 and A2 V diag(sigma^(2t-2)) (A2 V)^T from S2's side beyond, the
+distance 2 ||log sigma||. t = 0 and 1 return the endpoints as they are.
+product_geodesic maps two mixtures (Gmm) to the mixture at t, reading
+the factors they keep (Gmm.factor), and does the square-root lift of the
+weights itself. Mixtures of unequal size are first reduced to a common K
+by moment-preserving merges and then aligned by an optimal component
+matching on mean distances.
 """
 
 from __future__ import annotations
@@ -128,39 +133,54 @@ def sphere_distance(w1: np.ndarray, w2: np.ndarray) -> float:
     return math.acos(float(np.clip(np.asarray(w1) @ np.asarray(w2), -1.0, 1.0)))
 
 
-def _pencil(factor, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, C) with S1 = C C^T and S2 = C diag(mu) C^T, slot by slot for stacks.
-    S2 is whitened in S1's own eigenbasis, its factor (lam, q), where a near-singular
-    S1 stays diagonal; the eigenvectors W of that give C = q diag(sqrt(lam)) W."""
-    lam, q = factor
-    root = np.sqrt(lam)[..., None, :]
-    white = q / root
-    inner = _transposed(white) @ s2 @ white
-    _, (mu, w) = checked_spd(0.5 * (inner + _transposed(inner)))
-    return mu, (q * root) @ w
-
-
-def spd_geodesic(s1: np.ndarray, s2: np.ndarray, t: float) -> np.ndarray:
-    """Affine-invariant geodesic C diag(mu^t) C^T between SPD matrices, or
-    between two equally long (K, 3, 3) stacks of them, slot by slot. Both
-    endpoints are validated by checked_spd; t = 0 and 1 return copies of them."""
-    _check_t(t)
-    (s1, factor), (s2, _) = checked_spd(s1), checked_spd(s2)
+def _check_shapes(s1: np.ndarray, s2: np.ndarray):
     if s1.shape != s2.shape:
         raise ValueError(f"covariance shapes differ: {s1.shape} vs {s2.shape}")
+
+
+def _pencil(factor1, factor2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A1 U, A2 V, sigma) from the endpoints' factors (lam_i, q_i), slot by
+    slot for stacks: U diag(sigma) V^T is the SVD of B = A1^(-1) A2 with
+    A_i = q_i diag(sqrt(lam_i)), so S1 = (A1 U)(A1 U)^T, S2 = (A2 V)(A2 V)^T
+    and A2 V = A1 U diag(sigma). Each side's matrices come from its own
+    factor, so a near-singular endpoint needs no whitened matrix."""
+    (lam1, q1), (lam2, q2) = factor1, factor2
+    root1 = np.sqrt(lam1)[..., None, :]
+    a2 = q2 * np.sqrt(lam2)[..., None, :]
+    u, sigma, vt = np.linalg.svd(_transposed(q1 / root1) @ a2)
+    return (q1 * root1) @ u, a2 @ _transposed(vt), sigma
+
+
+def _covariance_geodesic(s1: np.ndarray, factor1, s2: np.ndarray, factor2,
+                         t: float) -> np.ndarray:
+    """The walk between validated covariances (or equal stacks) and their
+    factors: from S1's side up to t = 1/2, from S2's side beyond."""
+    _check_t(t)
+    _check_shapes(s1, s2)
     if t in (0.0, 1.0):
         return (s2 if t else s1).copy()
-    mu, c = _pencil(factor, s2)
-    out = (c * (mu ** t)[..., None, :]) @ _transposed(c)
+    c1, c2, sigma = _pencil(factor1, factor2)
+    c, power = (c1, 2.0 * t) if t <= 0.5 else (c2, 2.0 * t - 2.0)
+    out = (c * (sigma ** power)[..., None, :]) @ _transposed(c)
     return 0.5 * (out + _transposed(out))
 
 
+def spd_geodesic(s1: np.ndarray, s2: np.ndarray, t: float) -> np.ndarray:
+    """Affine-invariant geodesic between SPD matrices, or between two equally
+    long (K, 3, 3) stacks of them, slot by slot. Both endpoints are validated
+    by checked_spd; t = 0 and 1 return copies of them."""
+    (s1, factor1), (s2, factor2) = checked_spd(s1), checked_spd(s2)
+    return _covariance_geodesic(s1, factor1, s2, factor2, t)
+
+
 def spd_distance(s1: np.ndarray, s2: np.ndarray) -> float:
-    """Affine-invariant distance ||log mu||, mu the eigenvalues of S1^(-1) S2;
-    between (K, 3, 3) stacks, the root of the summed squared slot distances."""
-    (_, factor), (s2, _) = checked_spd(s1), checked_spd(s2)
-    mu, _ = _pencil(factor, s2)
-    return float(np.linalg.norm(np.log(mu)))
+    """Affine-invariant distance ||log mu||, mu = sigma^2 the eigenvalues of
+    S1^(-1) S2; between (K, 3, 3) stacks, the root of the summed squared slot
+    distances."""
+    (s1, factor1), (s2, factor2) = checked_spd(s1), checked_spd(s2)
+    _check_shapes(s1, s2)
+    _, _, sigma = _pencil(factor1, factor2)
+    return 2.0 * float(np.linalg.norm(np.log(sigma)))
 
 
 def _sphere_point(model: Gmm) -> np.ndarray:
@@ -176,7 +196,8 @@ def product_geodesic(a: Gmm, b: Gmm, t: float) -> Gmm:
     vectors (squared and renormalized on the way back), the means the
     straight line, and each covariance its affine-invariant geodesic.
     """
-    covs = spd_geodesic(a.covariances, b.covariances, t)  # checks t and that the Ks agree
+    # checks t and that the Ks agree
+    covs = _covariance_geodesic(a.covariances, a.factor, b.covariances, b.factor, t)
     w = sphere_geodesic(_sphere_point(a), _sphere_point(b), t) ** 2
     means = (1.0 - t) * a.means + t * b.means
     return Gmm(w / w.sum(), means, covs)

@@ -13,11 +13,12 @@ once each), and each weighted component becomes a row of coefficients
 built from its precision P, P mu and a constant. Those come from the
 eigendecomposition (lam, q) of the covariances, P = q diag(1 / lam) q^T
 and log det = sum log lam: an EM M-step gets that factor from floor_spd,
-which floors the covariances with it, and a fixed mixture from one
-checked_spd per evaluation: the package's one test of positive
-definiteness, whose eigh also samples and interpolates a mixture. All K
-log-densities at all N points are then one (K, 10) by (10, N) product,
-and the moments an M-step needs are one (K, N) by (N, 10) product.
+which floors the covariances with it, and a Gmm keeps the one that
+checked_spd, the package's one test of positive definiteness, returned
+when it was built, as Gmm.factor: scoring, sampling and geodesics read
+it and validate nothing again. All K log-densities at all N points are
+then one (K, 10) by (10, N) product, and the moments an M-step needs
+are one (K, N) by (N, 10) product.
 softmax_columns normalises the log-density table in place into the
 responsibilities and each point's log density together. The expanded
 form cancels when the points sit far from the origin next to a
@@ -137,7 +138,9 @@ class Gmm:
 
     weights (K,) must be finite, >= 0 and sum to one; means (K, 3)
     finite; covariances (K, 3, 3) SPD (see checked_spd). The input is
-    validated and copied once, here.
+    validated and copied once, here, and factor keeps the covariances'
+    read-only eigendecomposition (lam, q) that validated them. factor is
+    not a field, so a pickled copy computes it again in its constructor.
     """
 
     weights: np.ndarray
@@ -159,13 +162,16 @@ class Gmm:
         covs = np.asarray(self.covariances, dtype=float)
         if covs.shape != w.shape + (3, 3):
             raise ValueError(f"covariances must have shape {w.shape + (3, 3)}, got {covs.shape}")
-        covs, _ = checked_spd(covs)
+        covs, factor = checked_spd(covs)
         total = math.fsum(w.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"component weights sum to {total!r}, expected 1")
+        for arr in factor:
+            arr.setflags(write=False)
         for name, arr in (("weights", w), ("means", m), ("covariances", covs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "factor", factor)
 
     __reduce__ = reduce_through_constructor
 
@@ -300,17 +306,16 @@ def feature_log_densities(phi: np.ndarray, weights: np.ndarray, means: np.ndarra
     return lwd
 
 
-def weighted_log_densities(points: np.ndarray, weights: np.ndarray, means: np.ndarray,
-                           covariances: np.ndarray) -> np.ndarray:
-    """(K, N) matrix of log(w_j) + log f_j(x_i). Zero weights map to -inf.
+def weighted_log_densities(points: np.ndarray, model: Gmm | GmmEnsemble) -> np.ndarray:
+    """(K, N) matrix of log(w_j) + log f_j(x_i) of a mixture, or of an
+    ensemble's flat mixture. Zero weights map to -inf.
 
-    The covariances are validated and factored by one checked_spd, which
-    names the first failing component. Points and means are taken
-    relative to the mixture's own mean, the weighted mean of its
-    components, so the moment form stays accurate near the mixture
+    The precisions come from the mixture's own factor. Points and means
+    are taken relative to the mixture's own mean, the weighted mean of
+    its components, so the moment form stays accurate near the mixture
     however far it sits from the origin.
     """
-    _, factor = checked_spd(covariances)
+    weights, means, _, factor = flat_mixture(model)
     centre = weights @ means
     phi = centred_features(points, centre)
     with np.errstate(invalid="ignore"):  # inf features of far points: NaN, a dead column
@@ -340,20 +345,23 @@ def softmax_columns(lwd: np.ndarray) -> np.ndarray:
     return log_sum
 
 
-def flat_mixture(model: Gmm | GmmEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(weights, means, covariances) of a mixture, or of an ensemble as
-    the one mixture whose components are every member's, weighted p_k w_kj.
+def flat_mixture(model: Gmm | GmmEnsemble
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """(weights, means, covariances, factor) of a mixture, or of an
+    ensemble as the one mixture whose components are every member's,
+    weighted p_k w_kj, and factor the members' factors concatenated.
 
     The flat weights are neither checked nor renormalised: they sum to
     one only within the two constructors' tolerances, which together can
     exceed Gmm's own.
     """
     if isinstance(model, Gmm):
-        return model.weights, model.means, model.covariances
+        return model.weights, model.means, model.covariances, model.factor
     members = model.members
     return (np.concatenate([m.weight * m.model.weights for m in members]),
             np.concatenate([m.model.means for m in members]),
-            np.concatenate([m.model.covariances for m in members]))
+            np.concatenate([m.model.covariances for m in members]),
+            tuple(np.concatenate(arrays) for arrays in zip(*(m.model.factor for m in members))))
 
 
 def gmm_log_density(points: np.ndarray, model: Gmm | GmmEnsemble) -> np.ndarray:
@@ -365,7 +373,7 @@ def gmm_log_density(points: np.ndarray, model: Gmm | GmmEnsemble) -> np.ndarray:
     larger one to gemm, and the two round differently. The value is
     softmax_columns' log-sum-exp: -inf where every density underflowed.
     """
-    return softmax_columns(weighted_log_densities(points, *flat_mixture(model)))
+    return softmax_columns(weighted_log_densities(points, model))
 
 
 def ensemble_log_density(points: np.ndarray, ensemble: GmmEnsemble) -> np.ndarray:

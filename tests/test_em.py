@@ -668,9 +668,9 @@ def test_fit_evaluates_each_state_once(monkeypatch):
 
 
 def test_fit_scoring_sampling_and_geodesics_factor_only_by_eigh(monkeypatch):
-    # the M-step's eigendecomposition is the E-step's factor, and a fixed
-    # model is validated and factored by checked_spd's one eigh, which
-    # scores, samples and interpolates it
+    # the M-step's eigendecomposition is the E-step's factor, and a Gmm
+    # keeps the one eigh that validated it, which scores, samples and
+    # interpolates it: once built, only a new mixture runs eigh again
     cloud = make_bent_tube(tube_spec_for_class("demented", n_points=600), seed=0)
     other = make_bent_tube(tube_spec_for_class("nondemented", n_points=200), seed=1)
     probes = make_probe_set([cloud], seed=0)
@@ -680,14 +680,36 @@ def test_fit_scoring_sampling_and_geodesics_factor_only_by_eigh(monkeypatch):
 
     for name in ("cholesky", "inv", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, forbidden)
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted_eigh(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    def eigh_calls(result):
+        """result and the eigh calls made since the last count"""
+        count = len(calls)
+        calls.clear()
+        return result, count
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     model = fit_em(cloud, 8, FitConfig(seed=0)).model
-    assert np.all(np.isfinite(gmm_log_density(cloud.points, model)))
-    assert e_step(cloud, model).gamma.shape == (600, 8)
-    assert np.all(np.isfinite(embed(model, probes).coords))
-    assert math.isfinite(aic_score(cloud, model))
-    assert len(generate_point_cloud(model, 100, rng_stream(0))) == 100
     target = fit_em(other, 8, FitConfig(seed=0)).model
-    assert product_geodesic(model, target, 0.5).k == 8
+    calls.clear()
+    log_density, n = eigh_calls(gmm_log_density(cloud.points, model))
+    assert np.all(np.isfinite(log_density)) and n == 0
+    resp, n = eigh_calls(e_step(cloud, model))
+    assert resp.gamma.shape == (600, 8) and n == 0
+    embedding, n = eigh_calls(embed(model, probes))
+    assert np.all(np.isfinite(embedding.coords)) and n == 0
+    aic, n = eigh_calls(aic_score(cloud, model))
+    assert math.isfinite(aic) and n == 0
+    sample, n = eigh_calls(generate_point_cloud(model, 100, rng_stream(0)))
+    assert len(sample) == 100 and n == 0
+    # the one eigh validates the new mixture at t
+    mid, n = eigh_calls(product_geodesic(model, target, 0.5))
+    assert mid.k == 8 and n == 1
     result = interpolate_point_clouds(cloud, other, ts=(0.0, 0.5), n_out=50,
                                       candidate_ks=(1, 2))
     assert len(result.frames) == 2

@@ -314,20 +314,21 @@ def accepted_beside_the_identity(s):
 
 def test_spd_geodesic_returns_its_endpoints_and_stays_valid_beside_the_identity():
     # of 3 000 near-singular covariances, the 1 534 that Gmm accepts beside
-    # the identity stay acceptable at every t of the walk to and from it:
-    # t = 0 and 1 return the endpoints themselves, not their products
-    # C C^T and C diag(mu) C^T
+    # the identity stay acceptable at every t of the walk to and from it,
+    # and on the walks between consecutive ones: t = 0 and 1 return the
+    # endpoints themselves, not products of their factors, and no
+    # whitened matrix of a near-singular pair is formed or validated
     rng = np.random.default_rng(2024)
     stack = np.stack([s for s in (near_singular_spd(rng) for _ in range(3000))
                       if accepted_beside_the_identity(s)])
     assert len(stack) == 1534
     eyes = np.broadcast_to(np.eye(3), stack.shape)
-    weights = np.full(len(stack), 1.0 / len(stack))
-    for s1, s2 in ((stack, eyes), (eyes, stack)):
+    for s1, s2 in ((stack, eyes), (eyes, stack), (stack[:-1], stack[1:])):
         assert spd_geodesic(s1, s2, 0.0).tobytes() == s1.tobytes()
         assert spd_geodesic(s1, s2, 1.0).tobytes() == s2.tobytes()
+        weights = np.full(len(s1), 1.0 / len(s1))
         for t in DEFAULT_TS:
-            Gmm(weights, np.zeros((len(stack), 3)), spd_geodesic(s1, s2, t))
+            Gmm(weights, np.zeros((len(s1), 3)), spd_geodesic(s1, s2, t))
 
 
 def test_spd_rejects_non_spd_input():
@@ -384,6 +385,11 @@ def test_product_geodesic_rejects_mismatched_k():
             product_geodesic(a, b, t)
         with pytest.raises(ValueError, match=shapes):
             spd_geodesic(a.covariances, b.covariances, t)
+    with pytest.raises(ValueError, match=shapes):
+        spd_distance(a.covariances, b.covariances)
+    # a single matrix is not broadcast against a stack
+    with pytest.raises(ValueError, match=r"^covariance shapes differ: \(3, 3\) vs \(2, 3, 3\)$"):
+        spd_distance(np.eye(3), np.stack([np.eye(3), 2.0 * np.eye(3)]))
 
 
 # -------------------------------------------------------- interpolation

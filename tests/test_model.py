@@ -37,7 +37,6 @@ from gmmcloud.model import (
     gmm_log_density,
     gmm_log_likelihood,
     softmax_columns,
-    weighted_log_densities,
 )
 from gmmcloud.sampling import generate_point_cloud, rng_stream
 
@@ -208,6 +207,11 @@ def test_pickle_round_trip_keeps_arrays_read_only(make):
             assert not got.flags.writeable, f.name
         else:
             assert got == expected
+    if isinstance(original, Gmm):
+        # the factor is no field: the copy's constructor computes it again
+        for got, expected in zip(copy.factor, original.factor, strict=True):
+            np.testing.assert_array_equal(got, expected)
+            assert not got.flags.writeable
 
 
 @ARRAY_TYPES
@@ -269,9 +273,10 @@ def test_diagonal_density_matches_univariate_product():
 
 
 def test_density_rejects_degenerate_covariance():
+    # densities read the factor a Gmm keeps, so the mixture is where the
+    # covariance is rejected
     with pytest.raises(DegenerateCovarianceError, match="degenerate covariance"):
-        weighted_log_densities(np.zeros((1, 3)), np.ones(1), np.zeros((1, 3)),
-                               np.diag([1.0, 1.0, 0.0])[None])
+        Gmm(np.ones(1), np.zeros((1, 3)), np.diag([1.0, 1.0, 0.0])[None])
 
 
 def test_density_rejects_nan_covariance():
@@ -280,7 +285,7 @@ def test_density_rejects_nan_covariance():
     covs[1, 0, 0] = np.nan
     with pytest.raises(DegenerateCovarianceError,
                        match=r"^covariance must be finite \(component 1\)$"):
-        weighted_log_densities(np.zeros((4, 3)), np.array([0.5, 0.5]), np.zeros((2, 3)), covs)
+        Gmm(np.array([0.5, 0.5]), np.zeros((2, 3)), covs)
 
 
 @pytest.mark.parametrize("seed", range(4))
