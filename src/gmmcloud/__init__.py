@@ -5,7 +5,16 @@ morph between shapes along closed-form product-manifold geodesics, and
 classify shapes through density-probe embeddings on a unit hypersphere.
 """
 
-from .em import FitConfig, FitError, FitResult, Responsibilities, e_step, fit_em, m_step
+from .em import (
+    FitConfig,
+    FitError,
+    FitResult,
+    Responsibilities,
+    e_step,
+    fit_em,
+    fit_em_batch,
+    m_step,
+)
 from .embedding import (
     ClassificationMetrics,
     ProbeSet,
@@ -34,7 +43,14 @@ from .model import (
     gmm_log_likelihood,
 )
 from .sampling import generate_point_cloud, rng_stream
-from .selection import AicTable, aic_score, akaike_weights, build_ensemble, default_candidate_ks
+from .selection import (
+    AicTable,
+    aic_score,
+    akaike_weights,
+    build_ensemble,
+    build_ensembles,
+    default_candidate_ks,
+)
 from .shapes import TubeSpec, add_outliers, make_bent_tube, tube_spec_for_class
 
 __version__ = "0.1.0"
@@ -60,11 +76,13 @@ __all__ = [
     "akaike_weights",
     "arc_distance",
     "build_ensemble",
+    "build_ensembles",
     "default_candidate_ks",
     "e_step",
     "embed",
     "evaluate",
     "fit_em",
+    "fit_em_batch",
     "generate_point_cloud",
     "gmm_log_likelihood",
     "interpolate_point_clouds",

@@ -1,17 +1,18 @@
 """Maximum-likelihood mixture fitting: k-means++ initialization plus EM.
 
-fit_em sorts the points lexicographically before doing anything else, so
-the whole fit is a function of the point multiset: permuting the input
+fit_em_batch fits one K to many clouds at once, and fit_em is its batch
+of one. A fit sorts the points lexicographically before doing anything
+else, so it is a function of the point multiset: permuting the input
 order reproduces the same parameters bit for bit under the same seed.
 
 EM starts from its own M-step on the one-hot partition of the points by
 their nearest k-means++ seed (Arthur & Vassilvitskii 2007); no Lloyd
 pass refines it, since EM refines the same partition anyway (seeding
-as a GMM start: Blömer & Bujna 2016). The seeding builds the partition
-as it goes: a new seed takes the points strictly closer to it, so ties
-stay with the earlier seed. Every seed is a point at a new position, so
-it is its own strict nearest seed and no cluster is empty; a cloud with
-fewer than K distinct points raises FitError.
+as a GMM start: Blömer & Bujna 2016). Of the restarts, only the winning
+seeding partitions the points: a new seed takes the points strictly
+closer to it, so ties stay with the earlier seed. Every seed is a point
+at a new position, so it is its own strict nearest seed and no cluster
+is empty; a cloud with fewer than K distinct points fails with FitError.
 
 Both EM steps use the moment form of model.py: the E-step is one
 product of coefficients with the feature table Phi of the points and
@@ -20,11 +21,20 @@ responsibilities with Phi^T. An EM state is (weights, means,
 covariances, factor): the eigendecomposition with which the M-step
 floors the covariances is also the factor the next E-step takes its
 precisions and log-determinants from, so each EM map runs one eigh and
-no Cholesky or inverse. fit_em
-accelerates the EM map with SQUAREM and falls back to the plain map
-whenever an extrapolated state would lower the log-likelihood; only
-the covariance floor can lower it otherwise. A component that
-collapses raises FitError; nothing is reseeded.
+no Cholesky or inverse. The EM map is accelerated with SQUAREM, which
+falls back to the plain map whenever an extrapolated state would lower
+the log-likelihood; only the covariance floor can lower it otherwise. A
+component that collapses fails the fit; nothing is reseeded.
+
+The fits of clouds of one size N run in lockstep: every array of a
+batch has a leading axis over its fits, the feature tables (B, 10, N),
+the responsibilities (B, K, N) and the EM states (B, K, ...), and each
+step is one NumPy call over the batch. Products and eigh work slice by
+slice, so each fit gets the bits it gets alone; step lengths,
+acceptance, convergence, the cap and failures are decided fit by fit.
+A batch holds at most BATCH_FITS fits. A fit that finishes or fails
+leaves at once, and the next cloud joins at the start of a SQUAREM
+cycle.
 """
 
 from __future__ import annotations
@@ -55,6 +65,9 @@ KMEANS_RESTARTS = 4
 # SQUAREM step cap: the factor it grows by after an accepted step at the
 # cap and shrinks by, not below 1, after a rejected one
 STEP_GROWTH = 4.0
+# the most fits a lockstep batch holds: enough to share NumPy's overhead
+# per call, few enough that its arrays stay small
+BATCH_FITS = 16
 
 
 class FitError(RuntimeError):
@@ -133,27 +146,45 @@ def _squared_distances(x: np.ndarray, y: np.ndarray, z: np.ndarray, c: np.ndarra
     return (x - c[..., 0]) ** 2 + (y - c[..., 1]) ** 2 + (z - c[..., 2]) ** 2
 
 
-def _kmeans_pp_partition(pts: np.ndarray, k: int, rng: np.random.Generator
-                         ) -> tuple[np.ndarray, float]:
-    """The codes (N,) of each point's nearest k-means++ seed, the first on
-    ties, and the seeding's potential: the sum over points of the squared
-    distance to the nearest seed."""
+def _kmeans_pp_seeds(pts: np.ndarray, k: int, rng: np.random.Generator
+                     ) -> tuple[list[int], float]:
+    """The indices of a k-means++ seeding's K seeds and its potential:
+    the sum over points of the squared distance to the nearest seed."""
     n = pts.shape[0]
     x, y, z = np.ascontiguousarray(pts.T)
-    codes = np.zeros(n, dtype=np.intp)
-    d2 = _squared_distances(x, y, z, pts[int(rng.integers(n))])
+    seeds = [int(rng.integers(n))]
+    d2 = _squared_distances(x, y, z, pts[seeds[0]])
     for j in range(1, k):
         total = float(d2.sum())
         if total == 0.0:
             raise FitError(f"K={k} needs {k} distinct points, the cloud has {j}")
         # side="right" skips the flat cdf steps of points on a seed
-        idx = int(np.searchsorted(np.cumsum(d2) / total, rng.random(), side="right"))
+        idx = int((d2.cumsum() / total).searchsorted(rng.random(), side="right"))
         if idx == n:  # the draw fell past the rounded end of the cdf
             idx = int(np.flatnonzero(d2)[-1])
+        seeds.append(idx)
+        d2 = np.minimum(d2, _squared_distances(x, y, z, pts[idx]))
+    return seeds, float(d2.sum())
+
+
+def _nearest_seed_codes(pts: np.ndarray, seeds: list[int]) -> np.ndarray:
+    """The codes (N,) of each point's nearest seed, the first on ties: in
+    seeding order, each seed takes the points strictly closer to it."""
+    x, y, z = np.ascontiguousarray(pts.T)
+    codes = np.zeros(pts.shape[0], dtype=np.intp)
+    d2 = _squared_distances(x, y, z, pts[seeds[0]])
+    for j, idx in enumerate(seeds[1:], start=1):
         dj = _squared_distances(x, y, z, pts[idx])
         codes[dj < d2] = j
-        d2 = np.minimum(d2, dj)
-    return codes, float(d2.sum())
+        np.minimum(d2, dj, out=d2)
+    return codes
+
+
+def _check_component_count(k: int, n: int):
+    if k > n:
+        raise ValueError(f"more components than points: K={k}, N={n}")
+    if k < 1:
+        raise ValueError(f"component count must be >= 1, got {k}")
 
 
 def kmeans_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -162,12 +193,10 @@ def kmeans_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     Of KMEANS_RESTARTS seedings, one stream each, the one with the
     lowest potential wins, the first on ties (see the module docstring).
     """
-    if k > len(points):
-        raise ValueError(f"more components than points: K={k}, N={len(points)}")
-    if k < 1:
-        raise ValueError(f"component count must be >= 1, got {k}")
-    return min((_kmeans_pp_partition(points, k, rng_stream(seed, r))
-                for r in range(KMEANS_RESTARTS)), key=lambda seeding: seeding[1])[0]
+    _check_component_count(k, len(points))
+    seedings = [_kmeans_pp_seeds(points, k, rng_stream(seed, r))
+                for r in range(KMEANS_RESTARTS)]
+    return _nearest_seed_codes(points, min(seedings, key=lambda seeding: seeding[1])[0])
 
 
 def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
@@ -179,23 +208,69 @@ def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
     return Responsibilities(lwd.T, int(np.count_nonzero(~np.isfinite(log_sum))))
 
 
-def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: float) -> tuple:
-    """The EM state (weights, means, covariances, factor) from (K, N)
-    responsibilities and the feature table Phi, means in Phi's frame:
-    the covariances floored by floor_spd, and factor its (lam, q). A
-    component whose mass is below COLLAPSE_MASS has no mean to estimate:
-    ValueError."""
-    moments = gamma @ phi.T
-    mass = moments[:, 0]
+def _take(arrays: tuple, rows: np.ndarray) -> tuple:
+    """The given rows of each of a batch's arrays, such as an EM state;
+    when the rows are all of them, the arrays themselves."""
+    if len(rows) == len(arrays[0]):
+        return arrays
+    return tuple(a[rows] for a in arrays)
+
+
+def _stacked(parts: list):
+    """Per-fit results stacked into a batch's arrays, over nested tuples."""
+    if isinstance(parts[0], tuple):
+        return tuple(_stacked(list(group)) for group in zip(*parts))
+    return np.stack(parts)
+
+
+def _per_fit(fn, covs: np.ndarray, failed: dict, *args):
+    """fn(covs, *args) over a batch of covariance stacks (B, K, 3, 3). Its
+    eigh raises LinAlgError for the whole batch when one matrix fails;
+    then fn runs fit by fit, a failing fit's error goes to failed under
+    its position, and identities stand in for its covariances."""
+    try:
+        return fn(covs, *args)
+    except np.linalg.LinAlgError:
+        pass
+    parts = []
+    for b in range(covs.shape[0]):
+        own = [arg[b] for arg in args]
+        try:
+            parts.append(fn(covs[b], *own))
+        except np.linalg.LinAlgError as exc:
+            failed.setdefault(b, exc)
+            parts.append(fn(np.broadcast_to(np.eye(3), covs.shape[1:]), *own))
+    return _stacked(parts)
+
+
+def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray) -> tuple[tuple, dict]:
+    """The EM states (weights, means, covariances, lam, q) of a batch of
+    fits from their (B, K, N) responsibilities and (B, 10, N) feature
+    tables, means in Phi's frame: the covariances floored at each fit's
+    eps (B,) by floor_spd, and (lam, q) its factor.
+
+    Returns the states and the fits that failed, each error under its
+    batch position: a component whose mass is below COLLAPSE_MASS has no
+    mean to estimate (ValueError), or eigh failed (LinAlgError). A failed
+    fit's slice of the states is a placeholder.
+    """
+    moments = gamma @ phi.swapaxes(-1, -2)
+    mass = moments[..., 0]
     alive = mass >= COLLAPSE_MASS
+    failed = {}
     if not alive.all():
-        j = int(np.argmin(alive))
-        raise ValueError(f"component {j} collapsed: mass {mass[j]:.3g} < {COLLAPSE_MASS:g}")
-    scaled = moments / mass[:, None]
-    means = scaled[:, 1:4]
-    covs = scaled[:, SECOND_MOMENT_ROWS] - means[:, :, None] * means[:, None, :]
-    covs, factor = floor_spd(covs, eps)
-    return mass / mass.sum(), means, covs, factor
+        for b in np.flatnonzero(~alive.all(axis=1)).tolist():
+            j = int(np.argmin(alive[b]))
+            failed[b] = ValueError(
+                f"component {j} collapsed: mass {mass[b, j]:.3g} < {COLLAPSE_MASS:g}")
+        mass = np.where(alive, mass, 1.0)
+    scaled = moments / mass[..., None]
+    means = scaled[..., 1:4]
+    # exactly symmetric, as floor_spd needs: SECOND_MOMENT_ROWS is, and
+    # mu_i mu_j = mu_j mu_i
+    covs = scaled[..., SECOND_MOMENT_ROWS] - means[..., :, None] * means[..., None, :]
+    covs, (lam, q) = _per_fit(floor_spd, covs, failed, eps[:, None, None])
+    return (mass / mass.sum(axis=-1, keepdims=True), means, covs, lam, q), failed
 
 
 def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
@@ -204,28 +279,40 @@ def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
         raise ValueError(
             f"responsibilities cover {resp.gamma.shape[0]} points, cloud has {len(cloud)}")
     centre = cloud.points.mean(axis=0)
-    weights, means, covs, _ = _m_step_arrays(centred_features(cloud.points, centre),
-                                             resp.gamma.T, covariance_floor(cloud.points))
-    return Gmm(weights, means + centre, covs)
+    (weights, means, covs, _, _), failed = _m_step_arrays(
+        centred_features(cloud.points, centre)[None], resp.gamma.T[None],
+        np.array([covariance_floor(cloud.points)]))
+    if failed:
+        raise failed[0]
+    return Gmm(weights[0], means[0] + centre, covs[0])
 
 
-def _responsibilities(phi: np.ndarray, params, out: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, float]:
-    """The E-step of the fit: (K, N) responsibilities of the EM state
-    params, written to out when given, and the log-likelihood of the
-    points."""
-    weights, means, _, factor = params
-    gamma = feature_log_densities(phi, weights, means, factor, out=out)
-    return gamma, float(np.sum(softmax_columns(gamma)))
+def _responsibilities(phi: np.ndarray, state, out: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The E-step of a batch of fits: the (B, K, N) responsibilities of
+    their EM states, written to out when given, and the log-likelihoods
+    (B,) of their points."""
+    weights, means, _, lam, q = state
+    gamma = feature_log_densities(phi, weights, means, (lam, q), out=out)
+    return gamma, softmax_columns(gamma).sum(axis=-1)
 
 
-def _em_map(phi: np.ndarray, gamma: np.ndarray, eps: float) -> tuple[tuple, np.ndarray, float]:
-    """One EM map: the M-step from the (K, N) responsibilities in gamma,
-    then the E-step of its result written over gamma. Returns the new
-    EM state, its responsibilities and its log-likelihood."""
-    params = _m_step_arrays(phi, gamma, eps)
-    gamma, ll = _responsibilities(phi, params, out=gamma)
-    return params, gamma, ll
+def _em_map(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray):
+    """One EM map of a batch of fits: the M-step from the (B, K, N)
+    responsibilities in gamma, then the E-step of its result written over
+    gamma. A fit whose M-step fails leaves before the E-step.
+
+    Returns the positions of the fits that remain (None for all of
+    them), their new EM states, responsibilities and log-likelihoods,
+    and the errors of the others by position.
+    """
+    state, failed = _m_step_arrays(phi, gamma, eps)
+    rows = None
+    if failed:
+        rows = np.array([b for b in range(len(phi)) if b not in failed], dtype=np.intp)
+        phi, gamma, state = phi[rows], gamma[rows], _take(state, rows)
+    gamma, ll = _responsibilities(phi, state, out=gamma)
+    return rows, state, gamma, ll, failed
 
 
 def _converged(trace: list[float] | tuple[float, ...]) -> bool:
@@ -234,39 +321,284 @@ def _converged(trace: list[float] | tuple[float, ...]) -> bool:
     return len(trace) >= 2 and abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0) < REL_TOLERANCE
 
 
-def _extrapolate(theta0, theta1, theta2, step_max: float):
-    """S3 SQUAREM step (Varadhan & Roland 2008) from three consecutive EM
-    states, each beginning (weights, means, covariances).
+def _extrapolate(theta0, theta1, theta2, step_max):
+    """S3 SQUAREM steps (Varadhan & Roland 2008) of a batch of fits from
+    three consecutive EM states, each beginning (weights, means,
+    covariances) over the fits, and each fit's step cap in step_max.
 
     With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0 over
-    those three arrays, the step is alpha = min(step_max, |r| / |v|) and
-    the extrapolated state theta0 + 2 alpha r + alpha^2 v (alpha = 1
-    gives theta2). Returns alpha and that state with its own eigh as its
-    factor, or None in its place when alpha <= 1 or the state is
-    infeasible: a weight below zero, or a covariance with an eigenvalue
-    that is not > 0, NaN included.
+    those three arrays, a fit's step is alpha = min(step_max, |r| / |v|),
+    the norms summed from np.vdot over the fit's own slices, and its
+    extrapolated state theta0 + 2 alpha r + alpha^2 v (alpha = 1 gives
+    theta2). A state is infeasible with a weight below zero, or a
+    covariance with an eigenvalue that is not > 0, NaN included.
+
+    Returns the list of steps alpha, one per fit, the positions of the
+    fits whose alpha > 1 gives a feasible state, those states with their
+    own eigh as factor, and the fits whose eigh failed, each error under
+    its position.
     """
     theta0, theta1, theta2 = (theta[:3] for theta in (theta0, theta1, theta2))
     r = [b - a for a, b in zip(theta0, theta1)]
     v = [c - 2.0 * b + a for a, b, c in zip(theta0, theta1, theta2)]
-    sv2 = sum(float(np.vdot(x, x)) for x in v)
-    ratio = math.sqrt(sum(float(np.vdot(x, x)) for x in r) / sv2) if sv2 > 0.0 else math.inf
-    alpha = min(step_max, ratio)
-    if not alpha > 1.0:
-        return alpha, None
-    weights, means, covs = (a + 2.0 * alpha * x + alpha * alpha * y
-                            for a, x, y in zip(theta0, r, v))
-    if not np.all(weights >= 0.0):
-        return alpha, None
-    lam, q = np.linalg.eigh(covs)
-    if not np.all(lam > 0.0):
-        return alpha, None
-    return alpha, (weights, means, covs, (lam, q))
+    alpha = []
+    for i, cap in enumerate(step_max):
+        sv2 = sum(float(np.vdot(x[i], x[i])) for x in v)
+        ratio = (math.sqrt(sum(float(np.vdot(x[i], x[i])) for x in r) / sv2) if sv2 > 0.0
+                 else math.inf)
+        alpha.append(min(cap, ratio))
+    rows = [i for i, step in enumerate(alpha) if step > 1.0]
+    failed = {}
+    if not rows:
+        return alpha, np.array(rows, dtype=np.intp), None, failed
+    step = np.array([alpha[i] for i in rows])[:, None, None, None]
+    rows = np.array(rows)
+    two, square = 2.0 * step, step * step
+    # each fit's factors broadcast over its weights, means and covariances
+    weights, means, covs = (a + two[(...,) + tail] * x + square[(...,) + tail] * y
+                            for a, x, y, tail in zip(*(_take(tuple(t), rows)
+                                                       for t in (theta0, r, v)),
+                                                     ((0, 0), (0,), ())))
+    feasible = (weights >= 0.0).all(axis=-1)
+    if not feasible.all():
+        rows, weights, means, covs = _take((rows, weights, means, covs),
+                                           np.flatnonzero(feasible))
+    lam, q = _per_fit(np.linalg.eigh, covs, failed)
+    feasible = (lam > 0.0).all(axis=(-2, -1))
+    if failed:
+        feasible[list(failed)] = False
+        failed = {int(rows[b]): exc for b, exc in failed.items()}
+    state = (weights, means, covs, lam, q)
+    if not feasible.all():
+        rows, *state = _take((rows,) + state, np.flatnonzero(feasible))
+    return alpha, rows, tuple(state), failed
+
+
+def _replaced(state: tuple, rows: np.ndarray, new: tuple) -> tuple:
+    """A copy of a batch's EM state with the given rows taken from new."""
+    state = tuple(a.copy() for a in state)
+    for a, b in zip(state, new):
+        a[rows] = b
+    return state
+
+
+@dataclass(eq=False)
+class _Fit:
+    """A fit's own part of a lockstep batch: its cloud's position in the
+    input, the centre of its frame, its trace, its EM maps so far and its
+    SQUAREM step cap."""
+
+    index: int
+    centre: np.ndarray
+    trace: list
+    m_steps: int = 0
+    step_max: float = 1.0
+
+
+class _Lockstep:
+    """The fits of one lockstep batch, at one K over clouds of one size N.
+
+    Every array has a leading axis over the fits, in the order of fits:
+    the feature tables phi (B, 10, N), the covariance floors eps (B,),
+    the responsibilities gamma (B, K, N) of the latest accepted states,
+    and states, the EM states of the current SQUAREM cycle. Finished and
+    failed fits go to done as (input position, FitResult or FitError).
+    """
+
+    def __init__(self, k: int, seed: int, size: int):
+        self.k, self.seed, self.size = k, seed, size
+        self.fits: list[_Fit] = []
+        self.phi = self.eps = self.gamma = None
+        self.states: list[tuple] = []
+        self.spare = None  # the SQUAREM candidates' responsibilities, made on first use
+        self.done: list[tuple[int, FitResult | FitError]] = []
+
+    def join(self, clouds: list[tuple[int, PointCloud]]):
+        """Start the fits of new clouds, the M-step on each cloud's
+        k-means++ partition and its E-step, and add them to the batch at
+        the start of a SQUAREM cycle."""
+        fits, phis, floors, codes = [], [], [], []
+        for index, cloud in clouds:
+            pts = _sorted_points(cloud.points)
+            try:
+                codes.append(kmeans_init(pts, self.k, self.seed))
+            except FitError as exc:
+                self.done.append((index, exc))
+                continue
+            floors.append(covariance_floor(pts))
+            fits.append(_Fit(index, pts.mean(axis=0), []))
+            phis.append(centred_features(pts, fits[-1].centre))
+        if not fits:
+            return
+        phi, eps = np.stack(phis), np.array(floors)
+        # the partitions, one-hot
+        gamma = (np.arange(self.k)[:, None] == np.stack(codes)[:, None, :]).astype(float)
+        rows, state, gamma, _, failed = _em_map(phi, gamma, eps)
+        for b, exc in failed.items():
+            self._fail(fits[b], exc)
+        if rows is not None:
+            fits, phi, eps = [fits[b] for b in rows], phi[rows], eps[rows]
+        if self.fits:
+            phi, eps, gamma = (np.concatenate(pair) for pair in
+                               zip((self.phi, self.eps, self.gamma), (phi, eps, gamma)))
+            state = tuple(np.concatenate(pair) for pair in zip(self.states[0], state))
+        self.fits += fits
+        self.phi, self.eps, self.gamma, self.states = phi, eps, gamma, [state]
+
+    def cycle(self):
+        """One SQUAREM cycle of every fit (see fit_em): two EM maps, then
+        the extrapolation. A fit that finishes or fails leaves."""
+        for _ in range(2):
+            if not self.fits:
+                return
+            ll = self._map()
+        if self.fits:
+            self._squarem(ll)
+
+    def _keep(self, rows):
+        """Drop every fit but those at the given positions."""
+        self.fits = [self.fits[b] for b in rows]
+        if not self.fits:  # empty until the next clouds join
+            self.phi = self.eps = self.gamma = None
+            self.states = []
+            return
+        self.phi, self.eps, self.gamma = _take((self.phi, self.eps, self.gamma), rows)
+        self.states = [_take(state, rows) for state in self.states]
+
+    def _fail(self, fit: _Fit, exc: Exception):
+        error = FitError(f"fit failed at iteration {fit.m_steps}: {exc}")
+        error.__cause__ = exc
+        self.done.append((fit.index, error))
+
+    def _finish(self, fit: _Fit, state, b: int):
+        weights, means, covs, _, _ = state
+        try:
+            model = Gmm(weights[b], means[b] + fit.centre, covs[b])
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            self._fail(fit, exc)
+        else:
+            self.done.append((fit.index, FitResult(model, tuple(fit.trace))))
+
+    def _map(self) -> np.ndarray:
+        """One EM map of every fit. A fit that fails, converges or reaches
+        MAX_ITERATIONS leaves; returns the log-likelihoods of the rest."""
+        for fit in self.fits:
+            fit.m_steps += 1
+        rows, state, gamma, ll, failed = _em_map(self.phi, self.gamma, self.eps)
+        for b, exc in failed.items():
+            self._fail(self.fits[b], exc)
+        if rows is not None:
+            self._keep(rows)
+        self.gamma = gamma
+        self.states.append(state)
+        stay = []
+        for b, (fit, value) in enumerate(zip(self.fits, ll.tolist())):
+            if not math.isfinite(value):
+                self.done.append((fit.index, FitError(
+                    f"non-finite log-likelihood at iteration {fit.m_steps}")))
+                continue
+            fit.trace.append(value)
+            if _converged(fit.trace) or fit.m_steps == MAX_ITERATIONS:
+                self._finish(fit, state, b)
+            else:
+                stay.append(b)
+        if len(stay) < len(self.fits):
+            self._keep(stay)
+            ll = ll[stay]
+        return ll
+
+    def _squarem(self, ll: np.ndarray):
+        """Every fit's SQUAREM step from the cycle's three states, the
+        candidate's E-step, its stabilising map where the candidate does
+        not score below theta2, and the step cap's update. A fit that
+        fails, converges or reaches MAX_ITERATIONS leaves."""
+        fits, state = self.fits, self.states[-1]
+        alpha, rows, candidate, failed = _extrapolate(*self.states,
+                                                      [fit.step_max for fit in fits])
+        accepted = [not step > 1.0 for step in alpha]
+        stopped = [False] * len(fits)
+        if len(rows):
+            if self.spare is None:
+                self.spare = np.empty((self.size,) + self.gamma.shape[1:])
+            phi, ll = _take((self.phi, ll), rows)
+            # gamma keeps theta2's responsibilities unless the candidate wins
+            spare, candidate_ll = _responsibilities(phi, candidate, out=self.spare[:len(rows)])
+            better = np.flatnonzero(candidate_ll >= ll)
+            stable, ll = _take((rows, ll), better)
+            for b in stable.tolist():
+                fits[b].m_steps += 1
+            if len(stable):
+                eps, = _take((self.eps,), stable)
+                kept, stabilised, gamma, stabilised_ll, lost = _em_map(
+                    *_take((phi, spare), better), eps)
+                failed.update((int(stable[b]), exc) for b, exc in lost.items())
+                if kept is not None:
+                    stable, ll = stable[kept], ll[kept]
+                won = np.flatnonzero(stabilised_ll >= ll)
+                winners, = _take((stable,), won)
+                if len(winners) == len(fits) == len(self.spare):
+                    # every fit won in the whole second buffer: swap the buffers
+                    state, self.gamma, self.spare = stabilised, self.spare, self.gamma
+                elif len(winners):
+                    state = _replaced(state, winners, _take(stabilised, won))
+                    self.gamma[winners] = _take((gamma,), won)[0]
+                for b, value in zip(winners.tolist(), stabilised_ll[won].tolist()):
+                    accepted[b] = True
+                    fits[b].trace.append(value)
+                    stopped[b] = _converged(fits[b].trace)
+            for b in rows.tolist():
+                stopped[b] = stopped[b] or fits[b].m_steps == MAX_ITERATIONS
+        for fit, step, ok in zip(fits, alpha, accepted):
+            if step == fit.step_max:
+                fit.step_max = (fit.step_max * STEP_GROWTH if ok
+                                else max(1.0, fit.step_max / STEP_GROWTH))
+        self.states = [state]
+        stay = []
+        for b, fit in enumerate(fits):
+            if b in failed:
+                self._fail(fit, failed[b])
+            elif stopped[b]:
+                self._finish(fit, state, b)
+            else:
+                stay.append(b)
+        if len(stay) < len(fits):
+            self._keep(stay)
+
+
+def fit_em_batch(clouds, k: int, config: FitConfig = FitConfig()
+                 ) -> list[FitResult | FitError]:
+    """fit_em of every cloud at one K, as lockstep batches: the result of
+    each cloud, in input order, or the FitError its fit_em would raise.
+
+    Clouds are grouped by size, and each group runs as one batch of at
+    most BATCH_FITS fits at once, the next cloud joining when a fit
+    leaves (see the module docstring). Every fit is bit-identical to its
+    fit_em. A K outside 1..N of some cloud raises ValueError before any
+    fit starts.
+    """
+    clouds = list(clouds)
+    for cloud in clouds:
+        _check_component_count(k, len(cloud))
+    groups: dict[int, list[tuple[int, PointCloud]]] = {}
+    for index, cloud in enumerate(clouds):
+        groups.setdefault(len(cloud), []).append((index, cloud))
+    results: list = [None] * len(clouds)
+    for queue in groups.values():
+        batch = _Lockstep(k, config.seed, min(BATCH_FITS, len(queue)))
+        while queue or batch.fits:
+            room = BATCH_FITS - len(batch.fits)
+            batch.join(queue[:room])
+            del queue[:room]
+            batch.cycle()
+        for index, result in batch.done:
+            results[index] = result
+    return results
 
 
 def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitResult:
     """Fit a K-component mixture by SQUAREM-accelerated EM from the best
-    k-means++ seeding.
+    k-means++ seeding: fit_em_batch of one cloud, whose FitError it
+    raises.
 
     The points are sorted, then centred on their mean, and the feature
     table of the centred points and the covariance floor are computed
@@ -296,52 +628,7 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
     non-finite log-likelihood raises FitError naming the iteration, 0
     for the start.
     """
-    pts = _sorted_points(cloud.points)
-    codes = kmeans_init(pts, k, config.seed)
-    eps = covariance_floor(pts)
-    centre = pts.mean(axis=0)
-    phi = centred_features(pts, centre)
-    del pts  # Phi holds the centred points for the rest of the fit
-    gamma = (np.arange(k)[:, None] == codes).astype(float)  # the partition, one-hot
-    spare = None  # the SQUAREM candidate's responsibilities, made on first use
-    trace: list[float] = []
-    step_max = 1.0
-    m_steps = 0
-    stopped = False
-    try:
-        params = _m_step_arrays(phi, gamma, eps)
-        gamma, _ = _responsibilities(phi, params, out=gamma)
-        cycle = [params]  # the EM states of the current SQUAREM cycle
-        while not stopped:
-            m_steps += 1
-            params, gamma, ll = _em_map(phi, gamma, eps)
-            if not np.isfinite(ll):
-                raise FitError(f"non-finite log-likelihood at iteration {m_steps}")
-            trace.append(ll)
-            stopped = _converged(trace) or m_steps == MAX_ITERATIONS
-            cycle.append(params)
-            if len(cycle) < 3 or stopped:
-                continue
-            alpha, candidate = _extrapolate(*cycle, step_max)
-            accepted = not alpha > 1.0
-            if candidate is not None:
-                # gamma keeps theta2's responsibilities unless the candidate wins
-                spare, candidate_ll = _responsibilities(phi, candidate, out=spare)
-                if candidate_ll >= ll:
-                    m_steps += 1
-                    stabilised, spare, stabilised_ll = _em_map(phi, spare, eps)
-                    accepted = stabilised_ll >= ll
-                if accepted:
-                    params = stabilised
-                    gamma, spare = spare, gamma
-                    trace.append(stabilised_ll)
-                    stopped = _converged(trace)
-                stopped = stopped or m_steps == MAX_ITERATIONS
-            if alpha == step_max:
-                step_max = step_max * STEP_GROWTH if accepted else max(1.0, step_max / STEP_GROWTH)
-            cycle = [params]
-        weights, means, covs, _ = params
-        model = Gmm(weights, means + centre, covs)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise FitError(f"fit failed at iteration {m_steps}: {exc}") from exc
-    return FitResult(model, tuple(trace))
+    result, = fit_em_batch([cloud], k, config)
+    if isinstance(result, FitError):
+        raise result
+    return result

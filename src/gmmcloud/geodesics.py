@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .em import FitConfig
 from .model import Gmm, GmmEnsemble, PointCloud, _transposed, checked_spd
@@ -80,6 +79,10 @@ def match_components(a: Gmm, b: Gmm) -> np.ndarray:
     Returns perm such that component j of a pairs with component perm[j]
     of b, from the optimal (Hungarian) assignment.
     """
+    # imported here: scipy.optimize is most of the package's import time,
+    # and only interpolation needs it
+    from scipy.optimize import linear_sum_assignment
+
     if a.k != b.k:
         raise ValueError(f"component counts differ: {a.k} vs {b.k}")
     cost = np.sum((a.means[:, None, :] - b.means[None, :, :]) ** 2, axis=2)

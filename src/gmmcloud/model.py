@@ -59,7 +59,7 @@ class DegenerateCovarianceError(ValueError):
 
 
 def _transposed(mats: np.ndarray) -> np.ndarray:
-    return np.swapaxes(mats, -1, -2)
+    return mats.swapaxes(-1, -2)
 
 
 def checked_spd(matrices) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -233,11 +233,12 @@ def covariance_floor(points: np.ndarray) -> float:
 def floor_spd(cov: np.ndarray, eps: float
               ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Clamp the eigenvalues of symmetric 3x3 matrices at eps, over any
-    leading axes. Returns the resymmetrized floored matrices and their
-    factor (lam, q): the eigenvalues, already clamped, and the
-    eigenvectors as columns, so that q diag(lam) q^T is the floored
-    matrix before resymmetrization."""
-    lam, q = np.linalg.eigh(0.5 * (cov + _transposed(cov)))
+    leading axes; eigh reads only their lower triangles, so the matrices
+    must be exactly symmetric, as an M-step's are. Returns the
+    resymmetrized floored matrices and their factor (lam, q): the
+    eigenvalues, already clamped, and the eigenvectors as columns, so
+    that q diag(lam) q^T is the floored matrix before resymmetrization."""
+    lam, q = np.linalg.eigh(cov)
     lam = np.maximum(lam, eps)
     out = (q * lam[..., None, :]) @ _transposed(q)
     return 0.5 * (out + _transposed(out)), (lam, q)
@@ -273,7 +274,8 @@ def feature_log_densities(phi: np.ndarray, weights: np.ndarray, means: np.ndarra
                           factor: tuple[np.ndarray, np.ndarray],
                           out: np.ndarray | None = None) -> np.ndarray:
     """(K, N) matrix of log(w_j) + log f_j(x_i) from the feature table of
-    the points. Zero weights map to -inf.
+    the points. Zero weights map to -inf. Every argument may carry the
+    same leading axes, one mixture and table per index: a batch of fits.
 
     means are in Phi's frame, the same centre subtracted. factor is the
     eigendecomposition (lam, q) of the covariances, every lam > 0, as
@@ -288,20 +290,21 @@ def feature_log_densities(phi: np.ndarray, weights: np.ndarray, means: np.ndarra
     given.
     """
     lam, q = factor
-    rotated = (means[:, None, :] @ q)[:, 0]  # q^T mu
+    rotated = (means[..., None, :] @ q)[..., 0, :]  # q^T mu
     scaled = rotated / lam
-    precision = (q / lam[:, None, :]) @ _transposed(q)
+    precision = (q / lam[..., None, :]) @ _transposed(q)
     alive = weights > 0.0
-    coef = np.empty((weights.shape[0], N_FEATURES))
-    coef[:, 0] = (np.log(np.where(alive, weights, 1.0))
-                  - 0.5 * (3.0 * LOG_TWO_PI + np.sum(np.log(lam), axis=1)
-                           + np.sum(rotated * scaled, axis=1)))
-    coef[:, 1:4] = (q @ scaled[:, :, None])[:, :, 0]
-    coef[:, 4:7] = -0.5 * np.diagonal(precision, axis1=1, axis2=2)
-    coef[:, 7:10] = -precision[:, [0, 0, 1], [1, 2, 2]]
+    all_alive = alive.all()
+    coef = np.empty(weights.shape + (N_FEATURES,))
+    coef[..., 0] = (np.log(weights if all_alive else np.where(alive, weights, 1.0))
+                    - 0.5 * (3.0 * LOG_TWO_PI + np.log(lam).sum(axis=-1)
+                             + (rotated * scaled).sum(axis=-1)))
+    coef[..., 1:4] = (q @ scaled[..., None])[..., 0]
+    coef[..., 4:7] = -0.5 * precision.diagonal(axis1=-2, axis2=-1)
+    coef[..., 7:10] = -precision[..., [0, 0, 1], [1, 2, 2]]
     # -inf stays out of the product, where BLAS could meet it with a zero
     lwd = np.matmul(coef, phi, out=out)
-    if not alive.all():
+    if not all_alive:
         lwd[~alive] = -np.inf
     return lwd
 
@@ -326,18 +329,19 @@ def softmax_columns(lwd: np.ndarray) -> np.ndarray:
     """Turn a (K, N) log-density table into responsibilities in place,
     each column exp(lwd - peak) / sum, and return each column's
     log-sum-exp, peak + log(sum). A column with no finite peak, where
-    every density underflowed, gets 1/K and -inf, without warnings."""
-    peak = np.max(lwd, axis=0)
+    every density underflowed, gets 1/K and -inf, without warnings.
+    Leading axes, a batch of tables, are kept."""
+    peak = lwd.max(axis=-2)
     dead = ~np.isfinite(peak)
     any_dead = dead.any()
     if any_dead:
         # zeros exponentiate to ones, which divide to exactly 1/K
-        lwd[:, dead] = 0.0
+        _transposed(lwd)[dead] = 0.0
         peak[dead] = 0.0
-    np.subtract(lwd, peak, out=lwd)
+    np.subtract(lwd, peak[..., None, :], out=lwd)
     np.exp(lwd, out=lwd)
-    total = np.sum(lwd, axis=0)
-    lwd /= total
+    total = lwd.sum(axis=-2)
+    lwd /= total[..., None, :]
     log_sum = np.log(total, out=total)
     log_sum += peak
     if any_dead:

@@ -6,8 +6,10 @@ class and 36 of the other. A handful of base tubes per class stand in
 for real scans; each base cloud gets an AIC ensemble, new clouds are
 sampled from those ensembles, every generated cloud is refitted, and
 the refit embeddings are classified 1-NN against the base-model
-embeddings. Probe placement is the only stochastic part that varies
-between evaluation rounds, so accuracy is averaged over probe seeds.
+embeddings. The generated clouds depend only on the base ensembles, so
+they are all drawn first and refitted together by build_ensembles.
+Probe placement is the only stochastic part that varies between
+evaluation rounds, so accuracy is averaged over probe seeds.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .em import FitConfig
 from .embedding import ClassificationMetrics, embed, evaluate, knn_classify, make_probe_set
 from .sampling import generate_point_cloud, rng_stream
-from .selection import build_ensemble
+from .selection import build_ensemble, build_ensembles
 from .shapes import DEMENTED, NONDEMENTED, make_bent_tube, tube_spec_for_class
 
 GENERATED_COUNTS = {DEMENTED: 33, NONDEMENTED: 36}
@@ -70,18 +72,17 @@ def run_generation_classification(config: ExperimentConfig = ExperimentConfig()
             base_ensembles.append((ensemble, label))
 
     generated_clouds = []
-    generated_ensembles = []
     stream_id = 0
     for ci, label in enumerate(labels):
         members = [(e, l) for e, l in base_ensembles if l == label]
         for i in range(config.generated_counts[label]):
             source, _ = members[i % len(members)]
             stream_id += 1
-            cloud = generate_point_cloud(
-                source, config.n_points, rng_stream(config.seed, stream_id), label=label)
-            ensemble, _ = build_ensemble(cloud, config.candidate_ks, fit)
-            generated_clouds.append(cloud)
-            generated_ensembles.append((ensemble, label))
+            generated_clouds.append(generate_point_cloud(
+                source, config.n_points, rng_stream(config.seed, stream_id), label=label))
+    refits = build_ensembles(generated_clouds, config.candidate_ks, fit)
+    generated_ensembles = [(ensemble, cloud.label)
+                           for cloud, (ensemble, _) in zip(generated_clouds, refits)]
 
     all_clouds = base_clouds + generated_clouds
     per_seed = []

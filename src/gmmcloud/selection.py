@@ -3,7 +3,10 @@
 Candidate component counts are fitted independently, scored with AIC,
 and converted to Akaike weights. Candidates whose normalized weight
 clears a fixed threshold form the ensemble; their weights renormalize to
-the selection probabilities p_k.
+the selection probabilities p_k. build_ensemble fits one cloud's
+candidates one K at a time with fit_em; build_ensembles fits many clouds
+with one fit_em_batch per K, and both score, warn and assemble through
+the same code, so each cloud gets the same ensemble either way.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .em import FitConfig, FitError, fit_em
+from .em import FitConfig, FitError, fit_em, fit_em_batch
 from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud, gmm_log_likelihood
 
 KEEP_THRESHOLD = 0.01
@@ -102,6 +105,36 @@ def ensemble_from_scored_models(scored) -> tuple[GmmEnsemble, AicTable]:
     return GmmEnsemble(members), table
 
 
+def _checked_ks(candidate_ks, clouds) -> list[int]:
+    ks = sorted(set(int(k) for k in candidate_ks))
+    if not ks:
+        raise ValueError("need at least one candidate component count")
+    for cloud in clouds:
+        n = len(cloud)
+        for k in ks:
+            if not 1 <= k <= n:
+                raise ValueError(f"candidate K={k} outside valid range 1..{n}")
+    return ks
+
+
+def _ensemble_from_fits(cloud: PointCloud, fits) -> tuple[GmmEnsemble, AicTable]:
+    """Score one cloud's (K, FitResult or FitError) pairs and assemble
+    the ensemble. A failed candidate is dropped with a warning, attributed
+    to the caller of build_ensemble or build_ensembles; if every
+    candidate failed, FitError gives each candidate's reason."""
+    scored = []
+    failures = []
+    for k, result in fits:
+        if isinstance(result, FitError):
+            warnings.warn(f"candidate K={k} dropped: {result}", stacklevel=3)
+            failures.append(f"K={k}: {result}")
+        else:
+            scored.append((k, aic_score(cloud, result.model), result.model))
+    if not scored:
+        raise FitError(f"every candidate fit failed: {'; '.join(failures)}")
+    return ensemble_from_scored_models(scored)
+
+
 def build_ensemble(cloud: PointCloud, candidate_ks, config: FitConfig = FitConfig()
                    ) -> tuple[GmmEnsemble, AicTable]:
     """Fit every candidate K, score with AIC, and keep the plausible ones.
@@ -109,23 +142,27 @@ def build_ensemble(cloud: PointCloud, candidate_ks, config: FitConfig = FitConfi
     A candidate whose fit fails is dropped with a warning; if every
     candidate fails, FitError gives each candidate's reason.
     """
-    ks = sorted(set(int(k) for k in candidate_ks))
-    if not ks:
-        raise ValueError("need at least one candidate component count")
-    n = len(cloud)
-    for k in ks:
-        if not 1 <= k <= n:
-            raise ValueError(f"candidate K={k} outside valid range 1..{n}")
-    scored = []
-    failures = []
-    for k in ks:
+    fits = []
+    for k in _checked_ks(candidate_ks, [cloud]):
         try:
-            result = fit_em(cloud, k, config)
+            fits.append((k, fit_em(cloud, k, config)))
         except FitError as exc:
-            warnings.warn(f"candidate K={k} dropped: {exc}", stacklevel=2)
-            failures.append(f"K={k}: {exc}")
-            continue
-        scored.append((k, aic_score(cloud, result.model), result.model))
-    if not scored:
-        raise FitError(f"every candidate fit failed: {'; '.join(failures)}")
-    return ensemble_from_scored_models(scored)
+            fits.append((k, exc))
+    return _ensemble_from_fits(cloud, fits)
+
+
+def build_ensembles(clouds, candidate_ks, config: FitConfig = FitConfig()
+                    ) -> list[tuple[GmmEnsemble, AicTable]]:
+    """build_ensemble of every cloud, in input order, with each candidate
+    K fitted for all clouds at once by fit_em_batch, so the ensembles,
+    tables and drop warnings are those of build_ensemble bit for bit.
+    Every cloud's candidates are checked before any fit starts; a cloud
+    whose every candidate fails raises its FitError once the clouds
+    before it are assembled."""
+    clouds = list(clouds)
+    ks = _checked_ks(candidate_ks, clouds)
+    fits = [fit_em_batch(clouds, k, config) for k in ks]
+    ensembles = []
+    for cloud, results in zip(clouds, zip(*fits)):
+        ensembles.append(_ensemble_from_fits(cloud, zip(ks, results)))
+    return ensembles

@@ -180,7 +180,36 @@ def loop_m_step(pts, gamma, eps):
     for j in range(k):
         diff = pts - means[j]
         covs[j] = (gamma[:, j] * diff.T) @ diff / mass[j]
-    return mass / mass.sum(), means, floor_spd(covs, eps)[0]
+    return mass / mass.sum(), means, floor_spd(0.5 * (covs + covs.swapaxes(1, 2)), eps)[0]
+
+
+def counted_steps(monkeypatch):
+    """Count, per fit, the E-steps, M-steps and SQUAREM candidates of the
+    fits that follow (each call adds its batch size, so in a batch of one
+    they count calls), and the E-step and M-step calls themselves."""
+    counts = dict.fromkeys(("e", "m", "candidates", "e_calls", "m_calls"), 0)
+    feature_log_densities, m_step_arrays, extrapolate = (
+        em.feature_log_densities, em._m_step_arrays, em._extrapolate)
+
+    def e_counted(phi, *args, **kwargs):
+        counts["e"] += phi.shape[0]
+        counts["e_calls"] += 1
+        return feature_log_densities(phi, *args, **kwargs)
+
+    def m_counted(phi, *args):
+        counts["m"] += phi.shape[0]
+        counts["m_calls"] += 1
+        return m_step_arrays(phi, *args)
+
+    def extrapolate_counted(*args):
+        alpha, rows, state, failed = extrapolate(*args)
+        counts["candidates"] += len(rows)
+        return alpha, rows, state, failed
+
+    monkeypatch.setattr(em, "feature_log_densities", e_counted)
+    monkeypatch.setattr(em, "_m_step_arrays", m_counted)
+    monkeypatch.setattr(em, "_extrapolate", extrapolate_counted)
+    return counts
 
 
 def loop_gamma(lwd, norm):

@@ -1,0 +1,307 @@
+"""Lockstep batches: fit_em_batch and build_ensembles against one-by-one
+fits, bit for bit, with the failures, call counts and thread counts that
+must not tell the two apart."""
+
+import os
+import subprocess
+import sys
+import warnings
+
+import numpy as np
+import pytest
+
+from conftest import counted_steps
+
+import gmmcloud
+from gmmcloud import em
+from gmmcloud.em import FitConfig, FitError, fit_em, fit_em_batch
+from gmmcloud.model import PointCloud
+from gmmcloud.sampling import generate_point_cloud, rng_stream
+from gmmcloud.selection import build_ensemble, build_ensembles
+from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
+
+
+def tube(seed, n=600):
+    label = "demented" if seed % 2 else "nondemented"
+    return make_bent_tube(tube_spec_for_class(label, n_points=n), seed)
+
+
+def fit_bytes(result):
+    """A fit's model arrays and trace as bytes, or its error's message."""
+    if isinstance(result, FitError):
+        return f"FitError: {result}"
+    model = result.model
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in (
+        model.weights, model.means, model.covariances,
+        np.array(result.log_likelihood_trace)))
+
+
+def one_by_one(clouds, k, config):
+    results = []
+    for cloud in clouds:
+        try:
+            results.append(fit_em(cloud, k, config))
+        except FitError as exc:
+            results.append(exc)
+    return results
+
+
+def ensemble_bytes(ensemble, table):
+    """An ensemble's member weights and model arrays and its AIC table."""
+    return (tuple((m.weight, m.model.weights.tobytes(), m.model.means.tobytes(),
+                   m.model.covariances.tobytes()) for m in ensemble.members),
+            tuple((row.k, row.aic.hex(), row.normalized.hex(), row.kept) for row in table.rows))
+
+
+def caught(fn, *args):
+    """fn's result and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in seen]
+
+
+def mixed_clouds():
+    """Tubes of two sizes, a cloud of six distinct points (every K above
+    six fails) and a cloud drawn from a fitted ensemble, as the pipeline
+    draws them."""
+    short = np.repeat(np.random.default_rng(6).normal(size=(6, 3)), 100, axis=0)
+    drawn = generate_point_cloud(build_ensemble(tube(9), (2, 4))[0], 600, rng_stream(0, 1))
+    return ([tube(s) for s in range(5)] + [tube(s, n=300) for s in (5, 6, 7)]
+            + [PointCloud(short), drawn])
+
+
+@pytest.fixture
+def small_batches(monkeypatch):
+    """Batches of at most three fits, so the clouds of mixed_clouds join
+    batches that are already running."""
+    monkeypatch.setattr(em, "BATCH_FITS", 3)
+
+
+def squarem_outcomes(monkeypatch):
+    """Record the step cap's moves in every lockstep SQUAREM step: "grew"
+    after an accepted step at the cap, "shrank" after a rejected one."""
+    moves = set()
+    squarem = em._Lockstep._squarem
+
+    def recorded(self, ll):
+        before = [fit.step_max for fit in self.fits]
+        fits = list(self.fits)
+        squarem(self, ll)
+        for fit, cap in zip(fits, before):
+            if fit.step_max != cap:
+                moves.add("grew" if fit.step_max > cap else "shrank")
+    monkeypatch.setattr(em._Lockstep, "_squarem", recorded)
+    return moves
+
+
+def test_build_ensembles_equals_build_ensemble_cloud_by_cloud(monkeypatch, small_batches):
+    # at most 40 maps a fit, so some fits converge and others stop at the cap
+    monkeypatch.setattr(em, "MAX_ITERATIONS", 40)
+    clouds = mixed_clouds()
+    config = FitConfig(seed=3)
+    ks = (2, 4, 8)
+    serial, serial_warnings = caught(lambda: [build_ensemble(c, ks, config) for c in clouds])
+    moves = squarem_outcomes(monkeypatch)
+    batched, batch_warnings = caught(build_ensembles, clouds, ks, config)
+    assert moves == {"grew", "shrank"}
+    assert [ensemble_bytes(*pair) for pair in batched] == [
+        ensemble_bytes(*pair) for pair in serial]
+    assert batch_warnings == serial_warnings == [
+        "candidate K=8 dropped: K=8 needs 8 distinct points, the cloud has 6"]
+    fits = [fit_em_batch(clouds, k, config) for k in ks]
+    done = [r for results in fits for r in results if not isinstance(r, FitError)]
+    assert {r.converged for r in done} == {True, False}
+    assert max(r.iterations for r in done) <= 40
+
+
+def test_build_ensembles_follows_the_input_order(small_batches):
+    clouds = mixed_clouds()[:6]
+    forward = build_ensembles(clouds, (2, 4), FitConfig(seed=1))
+    backward = build_ensembles(clouds[::-1], (2, 4), FitConfig(seed=1))
+    assert [ensemble_bytes(*pair) for pair in backward[::-1]] == [
+        ensemble_bytes(*pair) for pair in forward]
+
+
+def test_build_ensembles_checks_every_cloud_before_fitting():
+    with pytest.raises(ValueError, match="outside valid range 1..20"):
+        build_ensembles([tube(0), PointCloud(np.zeros((20, 3)))], (2, 32))
+    assert build_ensembles([], (2, 4)) == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_fit_em_batch_equals_fit_em_at_the_iteration_cap(monkeypatch, k):
+    # no relative change is below 1e-300, so a fit runs MAX_ITERATIONS
+    # maps unless its log-likelihood stops changing exactly, as every fit
+    # here does at K = 1 and 2 and two of four do at K = 8
+    monkeypatch.setattr(em, "REL_TOLERANCE", 1e-300)
+    clouds = [tube(s, n=300) for s in range(3)] + [tube(3, n=200)]
+    batched = fit_em_batch(clouds, k, FitConfig(seed=0))
+    assert [fit_bytes(r) for r in batched] == [
+        fit_bytes(r) for r in one_by_one(clouds, k, FitConfig(seed=0))]
+    if k == 8:
+        assert [r.converged for r in batched] == [False, True, True, False]
+    assert all(r.iterations <= em.MAX_ITERATIONS for r in batched)
+
+
+def test_fit_em_batch_rejects_a_k_outside_any_cloud_before_fitting():
+    with pytest.raises(ValueError, match="more components than points: K=8, N=5"):
+        fit_em_batch([tube(0), PointCloud(np.zeros((5, 3)))], 8)
+    with pytest.raises(ValueError, match="component count must be >= 1"):
+        fit_em_batch([tube(0)], 0)
+    assert fit_em_batch([], 4) == []
+
+
+def test_a_batch_of_copies_steps_once_per_lockstep_map(monkeypatch):
+    # copies of one cloud take the same steps in lockstep: one M-step call
+    # per map of the batch, start included, and one E-step call per M-step
+    # and per candidate step, each over every copy
+    counts = counted_steps(monkeypatch)
+    cloud = tube(0)
+    alone = fit_em(cloud, 8, FitConfig(seed=0))
+    single = dict(counts)
+    assert single["candidates"] > 0 and single["e"] == single["m"] + single["candidates"]
+    for key in counts:
+        counts[key] = 0
+    results = fit_em_batch([cloud] * 4, 8, FitConfig(seed=0))
+    assert {fit_bytes(r) for r in results} == {fit_bytes(alone)}
+    assert counts == {"e": 4 * single["e"], "m": 4 * single["m"],
+                      "candidates": 4 * single["candidates"],
+                      "e_calls": single["e_calls"], "m_calls": single["m_calls"]}
+
+
+def test_a_mixed_batch_steps_each_fit_as_fit_em_does(monkeypatch, small_batches):
+    # per fit, the batch runs the M-steps, E-steps and candidates that
+    # fit_em runs, E-steps = M-steps + candidates, and fewer calls
+    clouds = mixed_clouds()
+    counts = counted_steps(monkeypatch)
+    one_by_one(clouds, 4, FitConfig(seed=2))
+    serial = dict(counts)
+    for key in counts:
+        counts[key] = 0
+    fit_em_batch(clouds, 4, FitConfig(seed=2))
+    for key in ("e", "m", "candidates"):
+        assert counts[key] == serial[key]
+    assert counts["e"] == counts["m"] + counts["candidates"]
+    assert counts["m_calls"] < serial["m_calls"]
+
+
+def test_a_batch_sorts_floors_and_builds_features_once_per_cloud(monkeypatch, small_batches):
+    counts = {}
+
+    def counted(name):
+        real = getattr(em, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+        return wrapper
+
+    clouds = mixed_clouds()
+    for name in ("_sorted_points", "covariance_floor", "centred_features", "kmeans_init"):
+        monkeypatch.setattr(em, name, counted(name))
+    fit_em_batch(clouds, 4, FitConfig(seed=0))
+    assert counts == dict.fromkeys(
+        ("_sorted_points", "covariance_floor", "centred_features", "kmeans_init"), len(clouds))
+
+
+def poisoned(monkeypatch, target: PointCloud):
+    """Patch the steps so that the target cloud's fit can fail, and return
+    arm(mode), which chooses how and restarts the count: "collapse" gives
+    component 1 no point of its k-means++ start, "nan" poisons its second
+    E-step (a non-finite log-likelihood), and "eigh" puts NaN into the
+    covariances of its fourth M-step and after, so the stacked eigh fails.
+    The fit's slice is found by its points, its first feature column or
+    its covariance floor."""
+    kmeans_init, feature_log_densities, floor_spd = (
+        em.kmeans_init, em.feature_log_densities, em.floor_spd)
+    pts = em._sorted_points(target.points)
+    eps = em.covariance_floor(pts)
+    x0 = pts[0, 0] - pts.mean(axis=0)[0]
+    seen = {"e": 0, "m": 0}
+    modes = set()
+
+    def bad_kmeans(points, k, seed):
+        codes = kmeans_init(points, k, seed)
+        if "collapse" in modes and np.array_equal(points, pts):
+            codes[codes == 1] = 0
+        return codes
+
+    def bad_e(phi, *args, **kwargs):
+        lwd = feature_log_densities(phi, *args, **kwargs)
+        for b in np.flatnonzero(phi[:, 1, 0] == x0):
+            seen["e"] += 1
+            if "nan" in modes and seen["e"] == 2:
+                lwd[b] = np.nan
+        return lwd
+
+    def bad_floor(covs, floors):
+        mine = floors.reshape(-1) == eps
+        # identities stand in for a fit whose eigh failed: leave them be
+        if mine.any() and not (covs == np.eye(3)).all():
+            seen["m"] += 1
+            if "eigh" in modes and seen["m"] >= 4:
+                covs = covs.copy()
+                covs.reshape((-1,) + covs.shape[-3:])[mine] = np.nan
+        return floor_spd(covs, floors)
+
+    monkeypatch.setattr(em, "kmeans_init", bad_kmeans)
+    monkeypatch.setattr(em, "feature_log_densities", bad_e)
+    monkeypatch.setattr(em, "floor_spd", bad_floor)
+
+    def arm(mode):
+        modes.clear()
+        modes.add(mode)
+        seen.update(e=0, m=0)
+    return arm
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("collapse", r"^fit failed at iteration 0: component 1 collapsed: mass 0 < 1e-12$"),
+    ("nan", r"^non-finite log-likelihood at iteration 1$"),
+    ("eigh", r"^fit failed at iteration 3: Eigenvalues did not converge$"),
+])
+def test_a_failing_fit_fails_only_itself(monkeypatch, mode, message):
+    clouds = [tube(s) for s in range(4)]
+    target = clouds[2]
+    arm = poisoned(monkeypatch, target)
+    config = FitConfig(seed=0)
+    arm(mode)
+    with pytest.raises(FitError, match=message) as alone:
+        fit_em(target, 4, config)
+    arm(mode)
+    batched = fit_em_batch(clouds, 4, config)
+    assert isinstance(batched[2], FitError) and str(batched[2]) == str(alone.value)
+    monkeypatch.undo()
+    others = [fit_bytes(r) for i, r in enumerate(batched) if i != 2]
+    assert others == [fit_bytes(fit_em(c, 4, config)) for i, c in enumerate(clouds) if i != 2]
+
+
+THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+from gmmcloud.em import FitConfig, fit_em_batch
+from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
+clouds = [make_bent_tube(tube_spec_for_class("demented", n_points=n), s)
+          for s, n in ((0, 600), (1, 600), (2, 600), (3, 6000), (4, 6000))]
+h = hashlib.sha256()
+for k in (2, 8):
+    for r in fit_em_batch(clouds, k, FitConfig(seed=0)):
+        for a in (r.model.weights, r.model.means, r.model.covariances,
+                  np.array(r.log_likelihood_trace)):
+            h.update(np.ascontiguousarray(a).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_batched_fits_do_not_depend_on_the_blas_thread_count():
+    # a batched product has a new shape, which BLAS could split over
+    # threads in a new way; checked in new interpreters, one single-threaded
+    src = os.path.dirname(os.path.dirname(gmmcloud.__file__))
+    env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    digests = [subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=dict(env, **extra),
+                              capture_output=True, text=True, timeout=300, check=True).stdout
+               for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})]
+    assert len(digests[0]) == 65 and digests[0] == digests[1]

@@ -13,6 +13,7 @@ from conftest import (
     RECOVERY_MEANS,
     RECOVERY_WEIGHTS,
     best_match,
+    counted_steps,
     loop_fit,
     loop_gamma,
     loop_log_densities,
@@ -103,9 +104,10 @@ def test_kmeans_rejects_more_components_than_points():
 
 def kmeans_pp_reference(pts, k, rng):
     """k-means++ seeding in its row form, np.sum((pts - c) ** 2, axis=1),
-    which em._kmeans_pp_partition must reproduce bit for bit: the seeds'
-    partition and the potential, the final d2.sum(), or the FitError when
-    the points run out before the K-th seed."""
+    which em._kmeans_pp_seeds and em._nearest_seed_codes must reproduce
+    bit for bit: the seeds, their partition and the potential, the final
+    d2.sum(), or the FitError when the points run out before the K-th
+    seed."""
     n = pts.shape[0]
     centers = np.empty((k, 3))
     centers[0] = pts[int(rng.integers(n))]
@@ -232,6 +234,13 @@ def test_fit_em_fails_on_a_start_with_a_zero_weight_component(monkeypatch):
         fit_em(cloud, 3, FitConfig(seed=0))
 
 
+def kmeans_pp_partition(pts, k, rng):
+    """One k-means++ seeding's codes and potential: its seeds, partitioned
+    the way kmeans_init partitions the winning seeding."""
+    seeds, potential = em._kmeans_pp_seeds(pts, k, rng)
+    return em._nearest_seed_codes(pts, seeds), potential
+
+
 class EdgeDraws:
     """Stand-in generator for k-means++: the last index first, then the
     largest double below 1."""
@@ -248,7 +257,7 @@ def test_kmeans_pp_draw_past_the_rounded_cdf_end_takes_the_last_point_off_the_se
     pts[-1] = pts[-2]  # the first seed, the last point, has a twin before it
     d2 = np.sum((pts - pts[-1]) ** 2, axis=1)
     assert float((np.cumsum(d2) / d2.sum())[-1]) < EdgeDraws().random()
-    codes, _ = em._kmeans_pp_partition(pts, 2, EdgeDraws())
+    codes, _ = kmeans_pp_partition(pts, 2, EdgeDraws())
     # the second seed is pts[-3], the last point off the first seed
     assert codes[-3] == 1 and codes[-2:].tolist() == [0, 0]
     np.testing.assert_array_equal(codes, partition_reference(pts, pts[[-1, -3]]))
@@ -280,8 +289,9 @@ def test_nearest_seed_partition_breaks_exact_ties_to_the_lowest_index():
     ties = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1)
     assert ties.tolist() == [4, 2, 2, 2, 2, 1, 1, 1, 1]
     draws = TieDraws()
-    codes, potential = em._kmeans_pp_partition(pts, 4, draws)
-    assert draws.draws == []
+    seeds, potential = em._kmeans_pp_seeds(pts, 4, draws)
+    assert draws.draws == [] and seeds == [5, 6, 7, 8]
+    codes = em._nearest_seed_codes(pts, seeds)
     # the seeding's own codes keep the first of equal minima
     assert codes.tolist() == [0, 0, 1, 1, 0, 0, 1, 2, 3]
     np.testing.assert_array_equal(codes, np.argmin(d2, axis=1))
@@ -299,11 +309,13 @@ def assert_kmeans_pp_matches_reference(pts, k):
             ref_centers, ref_potential = kmeans_pp_reference(pts, k, ref_rng)
         except FitError as exc:
             with pytest.raises(FitError) as same:
-                em._kmeans_pp_partition(pts, k, rng)
+                em._kmeans_pp_seeds(pts, k, rng)
             assert str(same.value) == str(exc)
             raised += 1
         else:
-            codes, potential = em._kmeans_pp_partition(pts, k, rng)
+            seeds, potential = em._kmeans_pp_seeds(pts, k, rng)
+            assert pts[seeds].tobytes() == ref_centers.tobytes()
+            codes = em._nearest_seed_codes(pts, seeds)
             assert codes.tolist() == partition_reference(pts, ref_centers).tolist()
             assert potential.hex() == ref_potential.hex()
         # both consumed the same draws
@@ -482,7 +494,7 @@ def assert_moments_match_loop_form(got, ref, pts):
     relative, means relative to the cloud's spread, covariances in
     relative Frobenius norm; and the state's factor (lam, q) rebuilds
     its covariances, q diag(lam) q^T, within MOMENT_TOL the same way."""
-    (weights, means, covs, (lam, q)), (ref_weights, ref_means, ref_covs) = got, ref
+    (weights, means, covs, lam, q), (ref_weights, ref_means, ref_covs) = got, ref
     spread = math.sqrt(float(np.trace(np.cov(pts.T))))
     assert np.all(np.abs(weights - ref_weights) <= MOMENT_TOL * ref_weights)
     assert np.all(np.abs(means - ref_means) <= MOMENT_TOL * spread)
@@ -491,6 +503,13 @@ def assert_moments_match_loop_form(got, ref, pts):
     rebuilt = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
     gap = np.linalg.norm(rebuilt - covs, axis=(1, 2))
     assert np.all(gap <= MOMENT_TOL * np.linalg.norm(covs, axis=(1, 2)))
+
+
+def m_step_one(phi, gamma, eps):
+    """em._m_step_arrays on a batch of one fit: its EM state."""
+    state, failed = em._m_step_arrays(phi[None], gamma[None], np.array([eps]))
+    assert failed == {}
+    return tuple(a[0] for a in state)
 
 
 def one_hot(codes, k):
@@ -513,7 +532,7 @@ def test_moment_core_matches_loop_oracle(n, k):
     gamma = loop_gamma(oracle, loop_log_sum_exp_rows(oracle))
     eps = covariance_floor(pts)
     assert_moments_match_loop_form(
-        em._m_step_arrays(centred_features(pts, centre), np.ascontiguousarray(gamma.T), eps),
+        m_step_one(centred_features(pts, centre), np.ascontiguousarray(gamma.T), eps),
         loop_m_step(pts - centre, gamma, eps), pts)
 
 
@@ -533,8 +552,10 @@ def test_fit_start_is_the_loop_m_step_on_the_partition(monkeypatch, n, k, seed):
     fit_em(PointCloud(pts), k, FitConfig(seed=seed))
     pts = em._sorted_points(pts)
     codes = assert_kmeans_init_matches_reference(pts, k, seed)
+    state, failed = starts[0]
+    assert failed == {}
     assert_moments_match_loop_form(
-        starts[0], loop_m_step(pts - pts.mean(axis=0), one_hot(codes, k),
+        tuple(a[0] for a in state), loop_m_step(pts - pts.mean(axis=0), one_hot(codes, k),
                                covariance_floor(pts)), pts)
 
 
@@ -641,26 +662,7 @@ def test_fit_evaluates_each_state_once(monkeypatch):
     # one E-step per M-step, the start's included, and one per SQUAREM
     # candidate; a rejected candidate leaves theta2's responsibilities
     # in place rather than recomputing them
-    counts = {"e": 0, "m": 0, "candidates": 0}
-    feature_log_densities_, m_step_arrays, extrapolate = (
-        em.feature_log_densities, em._m_step_arrays, em._extrapolate)
-
-    def e_counted(*args, **kwargs):
-        counts["e"] += 1
-        return feature_log_densities_(*args, **kwargs)
-
-    def m_counted(*args):
-        counts["m"] += 1
-        return m_step_arrays(*args)
-
-    def extrapolate_counted(*args):
-        alpha, candidate = extrapolate(*args)
-        counts["candidates"] += candidate is not None
-        return alpha, candidate
-
-    monkeypatch.setattr(em, "feature_log_densities", e_counted)
-    monkeypatch.setattr(em, "_m_step_arrays", m_counted)
-    monkeypatch.setattr(em, "_extrapolate", extrapolate_counted)
+    counts = counted_steps(monkeypatch)
     cloud = make_bent_tube(tube_spec_for_class("demented", n_points=600), seed=0)
     fit_em(cloud, 8, FitConfig(seed=0))
     assert counts["candidates"] > 0
@@ -741,30 +743,39 @@ def squarem_states(weights, covariance_scales):
             for w, s in zip(weights, covariance_scales)]
 
 
+def extrapolate_one(states, step_max):
+    """em._extrapolate on a batch of one fit: its step alpha and its
+    extrapolated state, or None."""
+    alpha, rows, state, failed = em._extrapolate(
+        *(tuple(a[None] for a in s) for s in states), [step_max])
+    assert failed == {}
+    return alpha[0], (tuple(a[0] for a in state) if len(rows) else None)
+
+
 def test_extrapolate_takes_a_feasible_step():
     states = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
     # |r|^2 = 2 * 0.05^2 + 6 * 0.1^2, |v|^2 = 2 * 0.02^2 + 6 * 0.05^2
-    alpha, _ = em._extrapolate(*states, step_max=4.0)
+    alpha, _ = extrapolate_one(states, step_max=4.0)
     assert alpha == pytest.approx(math.sqrt(0.065 / 0.0158))
-    alpha, moved = em._extrapolate(*states, step_max=2.0)
+    alpha, moved = extrapolate_one(states, step_max=2.0)
     assert alpha == 2.0
     # theta0 + 4 r + 4 v
     np.testing.assert_allclose(moved[0], [0.38, 0.62])
     np.testing.assert_allclose(moved[2], np.stack([1.2 * np.eye(3)] * 2))
     # a step no longer than 1 is theta2 itself: nothing to extrapolate
-    assert em._extrapolate(*states, step_max=1.0) == (1.0, None)
+    assert extrapolate_one(states, step_max=1.0) == (1.0, None)
 
 
 def test_extrapolate_rejects_negative_weights():
     # v = 0, so alpha = step_max and theta' = theta0 + 2 alpha r
     states = squarem_states([[0.5, 0.5], [0.4, 0.6], [0.3, 0.7]], [1.0, 1.0, 1.0])
-    alpha, moved = em._extrapolate(*states, step_max=4.0)
+    alpha, moved = extrapolate_one(states, step_max=4.0)
     assert alpha == 4.0 and moved is None
 
 
 def test_extrapolate_rejects_non_spd_covariances():
     states = squarem_states([[0.5, 0.5]] * 3, [1.0, 0.9, 0.8])
-    alpha, moved = em._extrapolate(*states, step_max=16.0)
+    alpha, moved = extrapolate_one(states, step_max=16.0)
     assert alpha == 16.0 and moved is None
 
 
@@ -772,7 +783,24 @@ def test_extrapolate_rejects_nan_covariances():
     # a NaN makes |v| NaN, so alpha = step_max, and a NaN eigenvalue is not > 0
     states = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
     states[2][2][1, 0, 0] = np.nan
-    assert em._extrapolate(*states, step_max=4.0) == (4.0, None)
+    assert extrapolate_one(states, step_max=4.0) == (4.0, None)
+
+
+def test_extrapolate_decides_fit_by_fit_in_a_batch():
+    # the four cases above as one batch: each fit gets its own step and
+    # feasibility, the same as alone, and only the feasible one moves
+    cases = [(squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15]), 2.0),
+             (squarem_states([[0.5, 0.5], [0.4, 0.6], [0.3, 0.7]], [1.0, 1.0, 1.0]), 4.0),
+             (squarem_states([[0.5, 0.5]] * 3, [1.0, 0.9, 0.8]), 16.0),
+             (squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15]), 1.0)]
+    batch = [tuple(np.stack(arrays) for arrays in zip(*(states[i] for states, _ in cases)))
+             for i in range(3)]
+    alpha, rows, state, failed = em._extrapolate(*batch, [cap for _, cap in cases])
+    assert alpha == [extrapolate_one(states, cap)[0] for states, cap in cases]
+    assert rows.tolist() == [0] and failed == {}
+    _, moved = extrapolate_one(*cases[0])
+    for got, want in zip(state, moved):
+        assert got[0].tobytes() == want.tobytes()
 
 
 def test_fit_is_permutation_equivariant():

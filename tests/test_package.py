@@ -54,16 +54,26 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert third_party <= declared
 
 
-def test_importing_the_cli_loads_no_scipy_cluster():
-    # the k-means++ seeding partitions the points itself; checked in a new
-    # interpreter, where no other test has imported anything yet
+def loaded_by_importing_the_cli(module: str) -> bool:
+    """Whether `import gmmcloud.cli` loads the module, checked in a new
+    interpreter, where no other test has imported anything yet."""
     src = os.path.dirname(os.path.dirname(gmmcloud.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, gmmcloud.cli; print('scipy.cluster' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, gmmcloud.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout == "False\n"
+    return {"True\n": True, "False\n": False}[proc.stdout]
+
+
+def test_importing_the_cli_loads_no_scipy_cluster():
+    # the k-means++ seeding partitions the points itself
+    assert not loaded_by_importing_the_cli("scipy.cluster")
+
+
+def test_importing_the_cli_loads_no_scipy_optimize():
+    # only match_components uses it, and imports it when first called
+    assert not loaded_by_importing_the_cli("scipy.optimize")
 
 
 def hooked_sites():
