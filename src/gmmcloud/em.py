@@ -32,9 +32,9 @@ the responsibilities (B, K, N) and the EM states (B, K, ...), and each
 step is one NumPy call over the batch. Products and eigh work slice by
 slice, so each fit gets the bits it gets alone; step lengths,
 acceptance, convergence, the cap and failures are decided fit by fit.
-A batch holds at most BATCH_FITS fits. A fit that finishes or fails
-leaves at once, and the next cloud joins at the start of a SQUAREM
-cycle.
+A batch holds at most BATCH_FITS fits, which all start together. A fit
+that finishes or fails leaves at once, and the batch ends with its last
+fit: no cloud joins a running batch.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ KMEANS_RESTARTS = 4
 # cap and shrinks by, not below 1, after a rejected one
 STEP_GROWTH = 4.0
 # the most fits a lockstep batch holds: enough to share NumPy's overhead
-# per call, few enough that its arrays stay small
+# per call, few enough that its arrays stay small (one batch of all 69
+# refits of eval-paper-pipeline raised its peak RSS by about 30 %)
 BATCH_FITS = 16
 
 
@@ -185,6 +186,16 @@ def _check_component_count(k: int, n: int):
         raise ValueError(f"more components than points: K={k}, N={n}")
     if k < 1:
         raise ValueError(f"component count must be >= 1, got {k}")
+
+
+def _check_extent(pts: np.ndarray):
+    """Raise FitError for points whose squared distances could overflow:
+    their extent, squared and summed over the coordinates and the points,
+    is not finite. Python floats give inf here without a warning."""
+    extent = [hi - lo for lo, hi in zip(pts.min(axis=0).tolist(), pts.max(axis=0).tolist())]
+    if not math.isfinite(len(pts) * sum(e * e for e in extent)):
+        raise FitError(f"coordinate extent {max(extent):.3g} too large: the squared "
+                       f"distances of {len(pts)} points overflow")
 
 
 def kmeans_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -401,49 +412,43 @@ class _Lockstep:
     Every array has a leading axis over the fits, in the order of fits:
     the feature tables phi (B, 10, N), the covariance floors eps (B,),
     the responsibilities gamma (B, K, N) of the latest accepted states,
-    and states, the EM states of the current SQUAREM cycle. Finished and
-    failed fits go to done as (input position, FitResult or FitError).
+    and states, the EM states of the current SQUAREM cycle; spare is a
+    second buffer like gamma. The fits all start in the constructor and
+    leave as they finish or fail, to done as (input position, FitResult
+    or FitError); none joins later.
     """
 
-    def __init__(self, k: int, seed: int, size: int):
-        self.k, self.seed, self.size = k, seed, size
+    def __init__(self, clouds: list[tuple[int, PointCloud]], k: int, seed: int):
+        """Start the fit of every cloud, given with its input position:
+        the M-step on its k-means++ partition and the E-step."""
         self.fits: list[_Fit] = []
-        self.phi = self.eps = self.gamma = None
-        self.states: list[tuple] = []
-        self.spare = None  # the SQUAREM candidates' responsibilities, made on first use
         self.done: list[tuple[int, FitResult | FitError]] = []
-
-    def join(self, clouds: list[tuple[int, PointCloud]]):
-        """Start the fits of new clouds, the M-step on each cloud's
-        k-means++ partition and its E-step, and add them to the batch at
-        the start of a SQUAREM cycle."""
-        fits, phis, floors, codes = [], [], [], []
+        phis, floors, codes = [], [], []
         for index, cloud in clouds:
             pts = _sorted_points(cloud.points)
             try:
-                codes.append(kmeans_init(pts, self.k, self.seed))
+                _check_extent(pts)
+                codes.append(kmeans_init(pts, k, seed))
             except FitError as exc:
                 self.done.append((index, exc))
                 continue
             floors.append(covariance_floor(pts))
-            fits.append(_Fit(index, pts.mean(axis=0), []))
-            phis.append(centred_features(pts, fits[-1].centre))
-        if not fits:
+            self.fits.append(_Fit(index, pts.mean(axis=0), []))
+            phis.append(centred_features(pts, self.fits[-1].centre))
+        if not self.fits:
             return
         phi, eps = np.stack(phis), np.array(floors)
         # the partitions, one-hot
-        gamma = (np.arange(self.k)[:, None] == np.stack(codes)[:, None, :]).astype(float)
-        rows, state, gamma, _, failed = _em_map(phi, gamma, eps)
+        gamma = (np.arange(k)[:, None] == np.stack(codes)[:, None, :]).astype(float)
+        rows, state, self.gamma, _, failed = _em_map(phi, gamma, eps)
         for b, exc in failed.items():
-            self._fail(fits[b], exc)
+            self._fail(self.fits[b], exc)
         if rows is not None:
-            fits, phi, eps = [fits[b] for b in rows], phi[rows], eps[rows]
-        if self.fits:
-            phi, eps, gamma = (np.concatenate(pair) for pair in
-                               zip((self.phi, self.eps, self.gamma), (phi, eps, gamma)))
-            state = tuple(np.concatenate(pair) for pair in zip(self.states[0], state))
-        self.fits += fits
-        self.phi, self.eps, self.gamma, self.states = phi, eps, gamma, [state]
+            self.fits, phi, eps = [self.fits[b] for b in rows], phi[rows], eps[rows]
+        self.phi, self.eps, self.states = phi, eps, [state]
+        # the SQUAREM candidates' responsibilities, made on first use:
+        # allocated here, it raised the peak RSS of a 60 000-point fit 0.8 MB
+        self.spare = None
 
     def cycle(self):
         """One SQUAREM cycle of every fit (see fit_em): two EM maps, then
@@ -458,10 +463,6 @@ class _Lockstep:
     def _keep(self, rows):
         """Drop every fit but those at the given positions."""
         self.fits = [self.fits[b] for b in rows]
-        if not self.fits:  # empty until the next clouds join
-            self.phi = self.eps = self.gamma = None
-            self.states = []
-            return
         self.phi, self.eps, self.gamma = _take((self.phi, self.eps, self.gamma), rows)
         self.states = [_take(state, rows) for state in self.states]
 
@@ -519,7 +520,7 @@ class _Lockstep:
         stopped = [False] * len(fits)
         if len(rows):
             if self.spare is None:
-                self.spare = np.empty((self.size,) + self.gamma.shape[1:])
+                self.spare = np.empty_like(self.gamma)
             phi, ll = _take((self.phi, ll), rows)
             # gamma keeps theta2's responsibilities unless the candidate wins
             spare, candidate_ll = _responsibilities(phi, candidate, out=self.spare[:len(rows)])
@@ -570,11 +571,11 @@ def fit_em_batch(clouds, k: int, config: FitConfig = FitConfig()
     """fit_em of every cloud at one K, as lockstep batches: the result of
     each cloud, in input order, or the FitError its fit_em would raise.
 
-    Clouds are grouped by size, and each group runs as one batch of at
-    most BATCH_FITS fits at once, the next cloud joining when a fit
-    leaves (see the module docstring). Every fit is bit-identical to its
-    fit_em. A K outside 1..N of some cloud raises ValueError before any
-    fit starts.
+    Clouds are grouped by size, and each group runs in batches of at
+    most BATCH_FITS fits, in input order: a batch's fits start together
+    and it runs until its last fit leaves (see the module docstring).
+    Every fit is bit-identical to its fit_em. A K outside 1..N of some
+    cloud raises ValueError before any fit starts.
     """
     clouds = list(clouds)
     for cloud in clouds:
@@ -583,15 +584,13 @@ def fit_em_batch(clouds, k: int, config: FitConfig = FitConfig()
     for index, cloud in enumerate(clouds):
         groups.setdefault(len(cloud), []).append((index, cloud))
     results: list = [None] * len(clouds)
-    for queue in groups.values():
-        batch = _Lockstep(k, config.seed, min(BATCH_FITS, len(queue)))
-        while queue or batch.fits:
-            room = BATCH_FITS - len(batch.fits)
-            batch.join(queue[:room])
-            del queue[:room]
-            batch.cycle()
-        for index, result in batch.done:
-            results[index] = result
+    for group in groups.values():
+        for start in range(0, len(group), BATCH_FITS):
+            batch = _Lockstep(group[start:start + BATCH_FITS], k, config.seed)
+            while batch.fits:
+                batch.cycle()
+            for index, result in batch.done:
+                results[index] = result
     return results
 
 

@@ -73,8 +73,8 @@ def mixed_clouds():
 
 @pytest.fixture
 def small_batches(monkeypatch):
-    """Batches of at most three fits, so the clouds of mixed_clouds join
-    batches that are already running."""
+    """Batches of at most three fits, so the seven 600-point clouds of
+    mixed_clouds run as three batches, each ending with its last fit."""
     monkeypatch.setattr(em, "BATCH_FITS", 3)
 
 
@@ -142,6 +142,48 @@ def test_fit_em_batch_equals_fit_em_at_the_iteration_cap(monkeypatch, k):
     if k == 8:
         assert [r.converged for r in batched] == [False, True, True, False]
     assert all(r.iterations <= em.MAX_ITERATIONS for r in batched)
+
+
+def test_a_batch_starts_its_fits_together_and_takes_no_more(monkeypatch, small_batches):
+    # seven clouds of one size make batches of 3 + 3 + 1, built with all
+    # their fits, whose fit count never grows between cycles
+    built, counts = [], {}
+    init, cycle = em._Lockstep.__init__, em._Lockstep.cycle
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        built.append(len(self.fits) + len(self.done))
+
+    def recorded_cycle(self):
+        seen = counts.setdefault(id(self), [])
+        seen.append(len(self.fits))
+        cycle(self)
+        seen.append(len(self.fits))
+    monkeypatch.setattr(em._Lockstep, "__init__", recorded_init)
+    monkeypatch.setattr(em._Lockstep, "cycle", recorded_cycle)
+    fit_em_batch([tube(s, n=300) for s in range(7)], 4, FitConfig(seed=0))
+    assert built == [3, 3, 1]
+    assert len(counts) == 3
+    assert all(seen == sorted(seen, reverse=True) for seen in counts.values())
+
+
+def test_a_cloud_too_wide_to_square_fails_only_itself():
+    # with one point at 1e155, a squared distance to it overflows; the fit
+    # fails before any arithmetic, without a warning and whatever the seed
+    pts = np.random.default_rng(0).normal(size=(600, 3))
+    pts[-1] = (1e155, 0.0, 0.0)
+    wide = PointCloud(pts)
+    message = "coordinate extent 1e+155 too large: the squared distances of 600 points overflow"
+    clouds = [tube(0), wide, tube(1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError) as alone:
+            fit_em(wide, 2)
+        batched = fit_em_batch(clouds, 2)
+    assert str(alone.value) == message
+    assert isinstance(batched[1], FitError) and str(batched[1]) == message
+    assert [fit_bytes(batched[i]) for i in (0, 2)] == [
+        fit_bytes(fit_em(clouds[i], 2)) for i in (0, 2)]
 
 
 def test_fit_em_batch_rejects_a_k_outside_any_cloud_before_fitting():

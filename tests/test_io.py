@@ -102,6 +102,23 @@ def test_xyz_reports_offending_line(tmp_path, body, lineno):
         read_point_cloud(str(path))
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_xyz_line_ends_give_the_same_points_and_line_numbers(tmp_path, end):
+    lines = ["# label: demented", "", "0.5 -1 2e-3", "3 4 5"]
+    good = tmp_path / "good.xyz"
+    good.write_bytes(end.join(lines + [""]).encode())
+    cloud = read_point_cloud(str(good))
+    np.testing.assert_array_equal(cloud.points, [[0.5, -1.0, 2e-3], [3.0, 4.0, 5.0]])
+    assert cloud.label == "demented"
+    bad = tmp_path / "bad.xyz"
+    for line, message in (("1 2", "expected 3 coordinates, got 2"),
+                          ("a b c", "non-numeric coordinate in 'a b c'")):
+        bad.write_bytes(end.join(lines[:3] + [line] + lines[3:] + [""]).encode())
+        with pytest.raises(FileFormatError) as error:
+            read_point_cloud(str(bad))
+        assert str(error.value) == f"{bad}: line 4: {message}"
+
+
 def test_xyz_empty_file_is_an_error(tmp_path):
     path = tmp_path / "empty.xyz"
     path.write_text("# only a comment\n")
