@@ -20,7 +20,11 @@ it and validate nothing again. All K log-densities at all N points are
 then one (K, 10) by (10, N) product, and the moments an M-step needs
 are one (K, N) by (N, 10) product.
 softmax_columns normalises the log-density table in place into the
-responsibilities and each point's log density together. The expanded
+responsibilities and each point's log density together. There a
+log-density more than 700 nats (EXP_FLOOR) below its column's peak gives
+a responsibility of exactly 0, not a subnormal or near-subnormal number,
+on which np.exp, the division and the M-step's product leave their fast
+paths; the log density keeps its bits. The expanded
 form cancels when the points sit far from the origin next to a
 component's scale, so every table is built from centred points: a fit
 centres on the mean of its points, an evaluation on the mean of the
@@ -47,6 +51,12 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 # Tolerances used by constructor validation.
 WEIGHT_SUM_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
+
+# Shifted log-densities below this exponentiate to exactly 0 in
+# softmax_columns. It sits a margin above log(DBL_MIN) = -708.4, where
+# np.exp leaves its vector fast path on x86, so no responsibility is
+# subnormal.
+EXP_FLOOR = -700.0
 
 # Fallback eigenvalue floor when the data covariance itself is degenerate
 # (for example a cloud of identical points), where the scale-aware floor
@@ -330,7 +340,16 @@ def softmax_columns(lwd: np.ndarray) -> np.ndarray:
     each column exp(lwd - peak) / sum, and return each column's
     log-sum-exp, peak + log(sum). A column with no finite peak, where
     every density underflowed, gets 1/K and -inf, without warnings.
-    Leading axes, a batch of tables, are kept."""
+    Leading axes, a batch of tables, are kept.
+
+    A shifted entry lwd - peak below EXP_FLOOR exponentiates to exactly
+    0, not to a number below e^-700 that is subnormal, or nearly so.
+    np.exp (20 to 100 times), the division by the sum and the M-step's
+    BLAS product leave their fast paths on such numbers, and a fifth or
+    more of a mid-fit table at K = 32 is below the floor. The log-sum-exp
+    keeps its bits: every column's sum holds exp(0) = 1, so a term below
+    e^-700 changes none of them. A table with no entry below the floor
+    pays one min reduction for the rule."""
     peak = lwd.max(axis=-2)
     dead = ~np.isfinite(peak)
     any_dead = dead.any()
@@ -339,7 +358,14 @@ def softmax_columns(lwd: np.ndarray) -> np.ndarray:
         _transposed(lwd)[dead] = 0.0
         peak[dead] = 0.0
     np.subtract(lwd, peak[..., None, :], out=lwd)
-    np.exp(lwd, out=lwd)
+    if lwd.min(initial=0.0) < EXP_FLOOR:
+        # clamped, exp stays on its vector path; the clamped entries are 0
+        flushed = lwd < EXP_FLOOR
+        np.maximum(lwd, EXP_FLOOR, out=lwd)
+        np.exp(lwd, out=lwd)
+        lwd[flushed] = 0.0
+    else:
+        np.exp(lwd, out=lwd)
     total = lwd.sum(axis=-2)
     lwd /= total[..., None, :]
     log_sum = np.log(total, out=total)

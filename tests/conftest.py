@@ -7,6 +7,7 @@ validate itself.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,19 @@ from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
 
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
+
+# When a property test fails, Hypothesis' pytest plugin imports this module
+# to print a patch, and it imports libcst, which raises a DeprecationWarning
+# from mypy_extensions on import. Under the suite's warnings-as-errors that
+# ends the session in INTERNALERROR, and later tests never run. Import it
+# once here with only DeprecationWarning ignored; without libcst there is
+# nothing to import.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # Generating parameters for the two-component recovery benchmark.
 RECOVERY_WEIGHTS = np.array([0.6, 0.4])

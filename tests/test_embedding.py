@@ -23,6 +23,7 @@ from gmmcloud.embedding import (
     make_probe_set,
 )
 from gmmcloud.model import (
+    EXP_FLOOR,
     EnsembleMember,
     Gmm,
     GmmEnsemble,
@@ -137,9 +138,11 @@ def test_embedding_handles_extreme_log_range():
 
 
 def peak_normalised_embedding(logp):
-    """The embedding formula spelled out: exp(logp - peak), divided by its
-    sum, square-rooted."""
-    q = np.exp(logp - np.max(logp))
+    """The embedding formula spelled out: exp(logp - peak), exactly 0
+    where logp - peak is below EXP_FLOOR, divided by its sum,
+    square-rooted."""
+    shifted = logp - np.max(logp)
+    q = np.where(shifted < EXP_FLOOR, 0.0, np.exp(shifted))
     return np.sqrt(q / q.sum())
 
 

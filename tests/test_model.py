@@ -24,6 +24,7 @@ from gmmcloud.em import Responsibilities
 from gmmcloud.embedding import SphereEmbedding, embed, make_probe_set
 from gmmcloud.geodesics import spd_geodesic
 from gmmcloud.model import (
+    EXP_FLOOR,
     LOG_TWO_PI,
     DegenerateCovarianceError,
     EnsembleMember,
@@ -462,6 +463,69 @@ def test_log_sum_exp_handles_dead_rows():
     out = log_sum_exp_columns(cols)
     assert math.isclose(out[0], math.log(2.0), rel_tol=1e-15)
     assert out[1] == -np.inf
+
+
+# Shifted values at and about the floor, where exp is subnormal (below
+# -708.4), the smallest subnormal (-745) and 0.
+FLOOR_EDGES = (EXP_FLOOR, np.nextafter(EXP_FLOOR, -np.inf), np.nextafter(EXP_FLOOR, 0.0),
+               -708.0, -708.5, -745.0, -746.0, -1e4)
+
+
+def floor_crossing_table(seed, scale, k):
+    """A (K, N) table of normal draws at the scale, with a zero-weight row
+    and dead columns. When K > 1 its first columns peak at exactly 0 and
+    hold one of FLOOR_EDGES each, so their shifted values are exact."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(len(FLOOR_EDGES) + 1, 300))
+    table = np.ascontiguousarray(rng.normal(scale=scale, size=(n, k)).T)
+    dead = rng.random(n) < 0.1
+    dead[:len(FLOOR_EDGES)] = False
+    table[:, dead] = -np.inf
+    if k > 1:
+        table[0] = -np.inf
+        table[:, :len(FLOOR_EDGES)] = FLOOR_EDGES
+        table[-1, :len(FLOOR_EDGES)] = 0.0
+    return table
+
+
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1.0, 2000.0), k=st.integers(1, 40))
+def test_log_sum_exp_keeps_its_bits_past_the_exp_floor(seed, scale, k):
+    table = floor_crossing_table(seed, scale, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = log_sum_exp_columns(table)
+    assert out.tobytes() == masked_log_sum_exp_columns(table).tobytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1.0, 2000.0), k=st.integers(1, 40))
+def test_responsibilities_are_exactly_zero_below_the_exp_floor(seed, scale, k):
+    table = floor_crossing_table(seed, scale, k)
+    peak = np.max(table, axis=0)
+    live = np.isfinite(peak)
+    shifted = table[:, live] - peak[live]
+    terms = np.exp(shifted)
+    expected = np.empty_like(table)
+    # every term in the sum, subnormals too, in the order of a (K, N) C-order sum
+    expected[:, live] = np.where(shifted < EXP_FLOOR, 0.0,
+                                 terms / sum(terms[1:], start=terms[0]))
+    expected[:, ~live] = 1.0 / k
+    gamma = table.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        softmax_columns(gamma)
+    assert gamma.tobytes() == expected.tobytes()
+    assert not np.any((gamma != 0.0) & (gamma < np.finfo(float).tiny))
+
+
+def test_softmax_columns_takes_an_empty_batch_and_an_embedding_column():
+    empty = np.empty((0, 8, 600))
+    column = np.array([[-3.0], [0.0], [EXP_FLOOR], [-701.0], [-800.0], [-np.inf]])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert softmax_columns(empty).shape == (0, 600)
+        log_sum = softmax_columns(column)
+    assert log_sum.shape == (1,) and math.isfinite(log_sum[0])
+    assert np.all(column[:3] > 0.0) and np.all(column[3:] == 0.0)
 
 
 def test_ensemble_log_density_blends_members():
