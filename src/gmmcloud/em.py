@@ -22,8 +22,9 @@ covariances, factor): the eigendecomposition with which the M-step
 floors the covariances is also the factor the next E-step takes its
 precisions and log-determinants from, so each EM map runs one eigh and
 no Cholesky or inverse. The EM map is accelerated with SQUAREM, which
-falls back to the plain map whenever an extrapolated state would lower
-the log-likelihood; only the covariance floor can lower it otherwise. A
+falls back to the plain map whenever an extrapolated state is
+infeasible, its eigh failing included, or would lower the
+log-likelihood; only the covariance floor can lower it otherwise. A
 component that collapses fails the fit; nothing is reseeded.
 
 The fits of clouds of one size N run in lockstep: every array of a
@@ -32,9 +33,10 @@ the responsibilities (B, K, N) and the EM states (B, K, ...), and each
 step is one NumPy call over the batch. Products and eigh work slice by
 slice, so each fit gets the bits it gets alone; step lengths,
 acceptance, convergence, the cap and failures are decided fit by fit.
-A batch holds at most BATCH_FITS fits, which all start together. A fit
-that finishes or fails leaves at once, and the batch ends with its last
-fit: no cloud joins a running batch.
+A batch holds at most BATCH_FITS fits, which all start together. Each
+step runs over every fit, and the fits that finished or failed in it
+leave together at its end; the batch ends with its last fit, and no
+cloud joins a running batch.
 """
 
 from __future__ import annotations
@@ -311,19 +313,15 @@ def _responsibilities(phi: np.ndarray, state, out: np.ndarray | None = None
 def _em_map(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray):
     """One EM map of a batch of fits: the M-step from the (B, K, N)
     responsibilities in gamma, then the E-step of its result written over
-    gamma. A fit whose M-step fails leaves before the E-step.
+    gamma. Every fit takes both steps; one whose M-step fails is evaluated
+    at its placeholder state, which its caller discards.
 
-    Returns the positions of the fits that remain (None for all of
-    them), their new EM states, responsibilities and log-likelihoods,
-    and the errors of the others by position.
+    Returns the new EM states, responsibilities and log-likelihoods, and
+    the errors of the failed fits by position.
     """
     state, failed = _m_step_arrays(phi, gamma, eps)
-    rows = None
-    if failed:
-        rows = np.array([b for b in range(len(phi)) if b not in failed], dtype=np.intp)
-        phi, gamma, state = phi[rows], gamma[rows], _take(state, rows)
     gamma, ll = _responsibilities(phi, state, out=gamma)
-    return rows, state, gamma, ll, failed
+    return state, gamma, ll, failed
 
 
 def _converged(trace: list[float] | tuple[float, ...]) -> bool:
@@ -342,12 +340,12 @@ def _extrapolate(theta0, theta1, theta2, step_max):
     the norms summed from np.vdot over the fit's own slices, and its
     extrapolated state theta0 + 2 alpha r + alpha^2 v (alpha = 1 gives
     theta2). A state is infeasible with a weight below zero, or a
-    covariance with an eigenvalue that is not > 0, NaN included.
+    covariance with an eigenvalue that is not > 0, NaN included, or
+    whose eigh fails.
 
     Returns the list of steps alpha, one per fit, the positions of the
-    fits whose alpha > 1 gives a feasible state, those states with their
-    own eigh as factor, and the fits whose eigh failed, each error under
-    its position.
+    fits whose alpha > 1 gives a feasible state, and those states with
+    their own eigh as factor.
     """
     theta0, theta1, theta2 = (theta[:3] for theta in (theta0, theta1, theta2))
     r = [b - a for a, b in zip(theta0, theta1)]
@@ -359,9 +357,8 @@ def _extrapolate(theta0, theta1, theta2, step_max):
                  else math.inf)
         alpha.append(min(cap, ratio))
     rows = [i for i, step in enumerate(alpha) if step > 1.0]
-    failed = {}
     if not rows:
-        return alpha, np.array(rows, dtype=np.intp), None, failed
+        return alpha, np.array(rows, dtype=np.intp), None
     step = np.array([alpha[i] for i in rows])[:, None, None, None]
     rows = np.array(rows)
     two, square = 2.0 * step, step * step
@@ -374,23 +371,14 @@ def _extrapolate(theta0, theta1, theta2, step_max):
     if not feasible.all():
         rows, weights, means, covs = _take((rows, weights, means, covs),
                                            np.flatnonzero(feasible))
-    lam, q = _per_fit(np.linalg.eigh, covs, failed)
+    unfactorable = {}
+    lam, q = _per_fit(np.linalg.eigh, covs, unfactorable)
     feasible = (lam > 0.0).all(axis=(-2, -1))
-    if failed:
-        feasible[list(failed)] = False
-        failed = {int(rows[b]): exc for b, exc in failed.items()}
+    feasible[list(unfactorable)] = False
     state = (weights, means, covs, lam, q)
     if not feasible.all():
         rows, *state = _take((rows,) + state, np.flatnonzero(feasible))
-    return alpha, rows, tuple(state), failed
-
-
-def _replaced(state: tuple, rows: np.ndarray, new: tuple) -> tuple:
-    """A copy of a batch's EM state with the given rows taken from new."""
-    state = tuple(a.copy() for a in state)
-    for a, b in zip(state, new):
-        a[rows] = b
-    return state
+    return alpha, rows, tuple(state)
 
 
 @dataclass(eq=False)
@@ -412,10 +400,10 @@ class _Lockstep:
     Every array has a leading axis over the fits, in the order of fits:
     the feature tables phi (B, 10, N), the covariance floors eps (B,),
     the responsibilities gamma (B, K, N) of the latest accepted states,
-    and states, the EM states of the current SQUAREM cycle; spare is a
-    second buffer like gamma. The fits all start in the constructor and
-    leave as they finish or fail, to done as (input position, FitResult
-    or FitError); none joins later.
+    and states, the EM states of the current SQUAREM cycle. The fits all
+    start in the constructor and none joins later. Every step ends in
+    _settle, where the fits that finished or failed leave together, to
+    done as (input position, FitResult or FitError).
     """
 
     def __init__(self, clouds: list[tuple[int, PointCloud]], k: int, seed: int):
@@ -437,18 +425,12 @@ class _Lockstep:
             phis.append(centred_features(pts, self.fits[-1].centre))
         if not self.fits:
             return
-        phi, eps = np.stack(phis), np.array(floors)
+        self.phi, self.eps = np.stack(phis), np.array(floors)
         # the partitions, one-hot
         gamma = (np.arange(k)[:, None] == np.stack(codes)[:, None, :]).astype(float)
-        rows, state, self.gamma, _, failed = _em_map(phi, gamma, eps)
-        for b, exc in failed.items():
-            self._fail(self.fits[b], exc)
-        if rows is not None:
-            self.fits, phi, eps = [self.fits[b] for b in rows], phi[rows], eps[rows]
-        self.phi, self.eps, self.states = phi, eps, [state]
-        # the SQUAREM candidates' responsibilities, made on first use:
-        # allocated here, it raised the peak RSS of a 60 000-point fit 0.8 MB
-        self.spare = None
+        state, self.gamma, _, failed = _em_map(self.phi, gamma, self.eps)
+        self.states = [state]
+        self._settle(failed, set())
 
     def cycle(self):
         """One SQUAREM cycle of every fit (see fit_em): two EM maps, then
@@ -460,53 +442,53 @@ class _Lockstep:
         if self.fits:
             self._squarem(ll)
 
-    def _keep(self, rows):
-        """Drop every fit but those at the given positions."""
-        self.fits = [self.fits[b] for b in rows]
-        self.phi, self.eps, self.gamma = _take((self.phi, self.eps, self.gamma), rows)
-        self.states = [_take(state, rows) for state in self.states]
-
-    def _fail(self, fit: _Fit, exc: Exception):
-        error = FitError(f"fit failed at iteration {fit.m_steps}: {exc}")
-        error.__cause__ = exc
-        self.done.append((fit.index, error))
-
-    def _finish(self, fit: _Fit, state, b: int):
-        weights, means, covs, _, _ = state
-        try:
-            model = Gmm(weights[b], means[b] + fit.centre, covs[b])
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            self._fail(fit, exc)
-        else:
-            self.done.append((fit.index, FitResult(model, tuple(fit.trace))))
+    def _settle(self, failed: dict, stopped: set):
+        """End a step: a stopped fit finishes at the latest state, unless
+        Gmm rejects it; a fit with an error in failed fails, with a
+        FitError as it is and any other error as one naming the map; the
+        rest stay."""
+        weights, means, covs, _, _ = state = self.states[-1]
+        stay = []
+        for b, fit in enumerate(self.fits):
+            if b in stopped and b not in failed:
+                try:
+                    model = Gmm(weights[b], means[b] + fit.centre, covs[b])
+                except (ValueError, np.linalg.LinAlgError) as exc:
+                    failed[b] = exc
+                else:
+                    self.done.append((fit.index, FitResult(model, tuple(fit.trace))))
+            if b in failed:
+                error = failed[b]
+                if not isinstance(error, FitError):
+                    error = FitError(f"fit failed at iteration {fit.m_steps}: {error}")
+                    error.__cause__ = failed[b]
+                self.done.append((fit.index, error))
+            elif b not in stopped:
+                stay.append(b)
+        if len(stay) < len(self.fits):
+            self.fits = [self.fits[b] for b in stay]
+            self.phi, self.eps, self.gamma = _take((self.phi, self.eps, self.gamma), stay)
+            self.states = [_take(state, stay) for state in self.states]
 
     def _map(self) -> np.ndarray:
         """One EM map of every fit. A fit that fails, converges or reaches
         MAX_ITERATIONS leaves; returns the log-likelihoods of the rest."""
         for fit in self.fits:
             fit.m_steps += 1
-        rows, state, gamma, ll, failed = _em_map(self.phi, self.gamma, self.eps)
-        for b, exc in failed.items():
-            self._fail(self.fits[b], exc)
-        if rows is not None:
-            self._keep(rows)
-        self.gamma = gamma
+        state, self.gamma, ll, failed = _em_map(self.phi, self.gamma, self.eps)
         self.states.append(state)
-        stay = []
+        stopped = set()
         for b, (fit, value) in enumerate(zip(self.fits, ll.tolist())):
             if not math.isfinite(value):
-                self.done.append((fit.index, FitError(
-                    f"non-finite log-likelihood at iteration {fit.m_steps}")))
-                continue
-            fit.trace.append(value)
-            if _converged(fit.trace) or fit.m_steps == MAX_ITERATIONS:
-                self._finish(fit, state, b)
-            else:
-                stay.append(b)
-        if len(stay) < len(self.fits):
-            self._keep(stay)
-            ll = ll[stay]
-        return ll
+                # a fit whose M-step failed keeps that error
+                failed.setdefault(b, FitError(
+                    f"non-finite log-likelihood at iteration {fit.m_steps}"))
+            elif b not in failed:
+                fit.trace.append(value)
+                if _converged(fit.trace) or fit.m_steps == MAX_ITERATIONS:
+                    stopped.add(b)
+        self._settle(failed, stopped)
+        return np.array([fit.trace[-1] for fit in self.fits])
 
     def _squarem(self, ll: np.ndarray):
         """Every fit's SQUAREM step from the cycle's three states, the
@@ -514,56 +496,43 @@ class _Lockstep:
         not score below theta2, and the step cap's update. A fit that
         fails, converges or reaches MAX_ITERATIONS leaves."""
         fits, state = self.fits, self.states[-1]
-        alpha, rows, candidate, failed = _extrapolate(*self.states,
-                                                      [fit.step_max for fit in fits])
+        alpha, rows, candidate = _extrapolate(*self.states, [fit.step_max for fit in fits])
         accepted = [not step > 1.0 for step in alpha]
-        stopped = [False] * len(fits)
+        failed, stopped = {}, set()
         if len(rows):
-            if self.spare is None:
-                self.spare = np.empty_like(self.gamma)
             phi, ll = _take((self.phi, ll), rows)
-            # gamma keeps theta2's responsibilities unless the candidate wins
-            spare, candidate_ll = _responsibilities(phi, candidate, out=self.spare[:len(rows)])
+            # the candidates' responsibilities in a fresh array: self.gamma
+            # keeps theta2's unless a candidate wins
+            gamma, candidate_ll = _responsibilities(phi, candidate)
             better = np.flatnonzero(candidate_ll >= ll)
             stable, ll = _take((rows, ll), better)
             for b in stable.tolist():
                 fits[b].m_steps += 1
+                if fits[b].m_steps == MAX_ITERATIONS:
+                    stopped.add(b)
             if len(stable):
-                eps, = _take((self.eps,), stable)
-                kept, stabilised, gamma, stabilised_ll, lost = _em_map(
-                    *_take((phi, spare), better), eps)
-                failed.update((int(stable[b]), exc) for b, exc in lost.items())
-                if kept is not None:
-                    stable, ll = stable[kept], ll[kept]
+                stabilised, gamma, stabilised_ll, lost = _em_map(
+                    *_take((phi, gamma), better), self.eps[stable])
+                failed = {int(stable[b]): exc for b, exc in lost.items()}
                 won = np.flatnonzero(stabilised_ll >= ll)
-                winners, = _take((stable,), won)
-                if len(winners) == len(fits) == len(self.spare):
-                    # every fit won in the whole second buffer: swap the buffers
-                    state, self.gamma, self.spare = stabilised, self.spare, self.gamma
-                elif len(winners):
-                    state = _replaced(state, winners, _take(stabilised, won))
-                    self.gamma[winners] = _take((gamma,), won)[0]
+                winners = stable[won]
+                if len(winners) == len(fits):
+                    # every fit won: the batch adopts the candidates' arrays
+                    state, self.gamma = stabilised, gamma
+                elif len(winners):  # the winners' rows, in place
+                    for a, new in zip(state + (self.gamma,), _take(stabilised + (gamma,), won)):
+                        a[winners] = new
                 for b, value in zip(winners.tolist(), stabilised_ll[won].tolist()):
                     accepted[b] = True
                     fits[b].trace.append(value)
-                    stopped[b] = _converged(fits[b].trace)
-            for b in rows.tolist():
-                stopped[b] = stopped[b] or fits[b].m_steps == MAX_ITERATIONS
+                    if _converged(fits[b].trace):
+                        stopped.add(b)
         for fit, step, ok in zip(fits, alpha, accepted):
             if step == fit.step_max:
                 fit.step_max = (fit.step_max * STEP_GROWTH if ok
                                 else max(1.0, fit.step_max / STEP_GROWTH))
         self.states = [state]
-        stay = []
-        for b, fit in enumerate(fits):
-            if b in failed:
-                self._fail(fit, failed[b])
-            elif stopped[b]:
-                self._finish(fit, state, b)
-            else:
-                stay.append(b)
-        if len(stay) < len(fits):
-            self._keep(stay)
+        self._settle(failed, stopped)
 
 
 def fit_em_batch(clouds, k: int, config: FitConfig = FitConfig()
@@ -615,7 +584,9 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
     theta', and its result ends the cycle unless theta' is infeasible,
     or theta' or the stabilised state has a lower log-likelihood than
     theta2; then the cycle ends at theta2, whose responsibilities stay
-    in place: theta' is evaluated in a second buffer.
+    in place: theta' is evaluated in a fresh array, which the batch
+    adopts whole when every fit's stabilised state wins, and no second
+    buffer is kept.
 
     The trace holds the log-likelihood of every accepted EM-map output,
     and iterations is its length. Every EM map counts against

@@ -260,19 +260,25 @@ def load_model(path: str) -> ModelFile:
         return ModelFile(obj["schema_version"], ensemble, table, _fit_metadata(meta, path))
 
 
+def _check_fields(path: str, owner: str, checks):
+    """Raise FileFormatError for the first (name, ok, expected) check of
+    an owner's fields that fails, naming the field and its type."""
+    for name, ok, expected in checks:
+        if not ok:
+            raise FileFormatError(f"{path}: {owner}field {name!r} must be {expected}")
+
+
 def _fit_metadata(meta, path: str) -> FitMetadata:
     """A model file's FitMetadata, each field's type checked; type(x) is
     int turns bools away."""
     seed, ks, n = meta["seed"], meta["candidate_ks"], meta["training_n"]
     label = meta.get("label")
-    for name, ok, expected in (
-            ("seed", type(seed) is int, "an integer"),
-            ("candidate_ks", type(ks) is list and ks != [] and all(
-                type(k) is int and k >= 1 for k in ks), "a non-empty list of integers >= 1"),
-            ("training_n", type(n) is int and n >= 1, "an integer >= 1"),
-            ("label", label is None or type(label) is str, "a string or null")):
-        if not ok:
-            raise FileFormatError(f"{path}: metadata field {name!r} must be {expected}")
+    _check_fields(path, "metadata ", (
+        ("seed", type(seed) is int, "an integer"),
+        ("candidate_ks", type(ks) is list and ks != [] and all(
+            type(k) is int and k >= 1 for k in ks), "a non-empty list of integers >= 1"),
+        ("training_n", type(n) is int and n >= 1, "an integer >= 1"),
+        ("label", label is None or type(label) is str, "a string or null")))
     return FitMetadata(seed, tuple(ks), n, label)
 
 
@@ -291,7 +297,9 @@ def load_probe_set(path: str) -> ProbeSet:
     obj = _load_json(path, "probe_set")
     with _fields_of(path):
         bounds = np.array([obj["bounds"]["lo"], obj["bounds"]["hi"]])
-        return ProbeSet(np.array(obj["probes"]), bounds, obj["seed"])
+        seed = obj["seed"]
+        _check_fields(path, "", (("seed", type(seed) is int, "an integer"),))
+        return ProbeSet(np.array(obj["probes"]), bounds, seed)
 
 
 def save_embeddings(path: str, entries):
@@ -308,12 +316,18 @@ def save_embeddings(path: str, entries):
 
 
 def load_embeddings(path: str) -> list[tuple[SphereEmbedding, str | None, str]]:
+    """Read an embeddings file; each entry's label is a string or null, and
+    its source, when present, a string."""
     obj = _load_json(path, "embeddings")
+    entries = []
     with _fields_of(path):
-        return [
-            (SphereEmbedding(np.array(e["coords"])), e.get("label"), e.get("source", ""))
-            for e in obj["entries"]
-        ]
+        for i, e in enumerate(obj["entries"]):
+            label, source = e.get("label"), e.get("source", "")
+            _check_fields(path, f"entry {i} ", (
+                ("label", label is None or type(label) is str, "a string or null"),
+                ("source", type(source) is str, "a string")))
+            entries.append((SphereEmbedding(np.array(e["coords"])), label, source))
+    return entries
 
 
 def format_aic_table(table: AicTable) -> str:

@@ -216,9 +216,9 @@ def counted_steps(monkeypatch):
         return m_step_arrays(phi, *args)
 
     def extrapolate_counted(*args):
-        alpha, rows, state, failed = extrapolate(*args)
+        alpha, rows, state = extrapolate(*args)
         counts["candidates"] += len(rows)
-        return alpha, rows, state, failed
+        return alpha, rows, state
 
     monkeypatch.setattr(em, "feature_log_densities", e_counted)
     monkeypatch.setattr(em, "_m_step_arrays", m_counted)

@@ -319,6 +319,41 @@ def test_a_failing_fit_fails_only_itself(monkeypatch, mode, message):
     assert others == [fit_bytes(fit_em(c, 4, config)) for i, c in enumerate(clouds) if i != 2]
 
 
+def test_a_fit_whose_stabilising_map_fails_fails_only_itself(monkeypatch):
+    # NaN covariances in the target's first M-step inside a SQUAREM step,
+    # the stabilising map's, in the batch's eigh and in its own retry
+    clouds = [tube(s) for s in range(4)]
+    target = clouds[2]
+    eps = em.covariance_floor(em._sorted_points(target.points))
+    floor_spd, squarem = em.floor_spd, em._Lockstep._squarem
+    inside = []
+
+    def marked(self, ll):
+        inside.append(True)
+        squarem(self, ll)
+        inside.pop()
+
+    def bad_floor(covs, floors):
+        mine = floors.reshape(-1) == eps
+        # identities stand in for a fit whose eigh failed: leave them be
+        if inside and mine.any() and not (covs == np.eye(3)).all():
+            covs = covs.copy()
+            covs.reshape((-1,) + covs.shape[-3:])[mine] = np.nan
+        return floor_spd(covs, floors)
+
+    monkeypatch.setattr(em._Lockstep, "_squarem", marked)
+    monkeypatch.setattr(em, "floor_spd", bad_floor)
+    config = FitConfig(seed=0)
+    with pytest.raises(FitError, match=r"^fit failed at iteration 5: "
+                                       r"Eigenvalues did not converge$") as alone:
+        fit_em(target, 4, config)
+    batched = fit_em_batch(clouds, 4, config)
+    assert isinstance(batched[2], FitError) and str(batched[2]) == str(alone.value)
+    monkeypatch.undo()
+    others = [fit_bytes(r) for i, r in enumerate(batched) if i != 2]
+    assert others == [fit_bytes(fit_em(c, 4, config)) for i, c in enumerate(clouds) if i != 2]
+
+
 THREAD_SCRIPT = """
 import hashlib
 import numpy as np

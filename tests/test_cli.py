@@ -386,6 +386,13 @@ def _zero_training_n_model(workspace, path):
         json.dump(obj, handle)
 
 
+def _list_label_embeddings(workspace, path):
+    obj = json.load(open(workspace["train_emb"]))
+    obj["entries"][0]["label"] = ["nondemented"]
+    with open(path, "w") as handle:
+        json.dump(obj, handle)
+
+
 @pytest.mark.parametrize("loader, write, args, message", [
     ("read_point_cloud", lambda ws, p: open(p, "w").write("1.0 2.0\n"),
      lambda ws, bad: ["fit", bad, "--ks", "1", "-o", bad + ".model.json"],
@@ -405,8 +412,12 @@ def _zero_training_n_model(workspace, path):
     ("load_embeddings", lambda ws, p: open(p, "w").write('{"schema_version": "2"}'),
      lambda ws, bad: ["classify", "--train", bad, "--test", ws["test_emb"]],
      "schema_version '2' not supported"),
+    ("load_embeddings", _list_label_embeddings,
+     lambda ws, bad: ["classify", "--train", bad, "--test", ws["test_emb"]],
+     "entry 0 field 'label' must be a string or null"),
 ], ids=["read_point_cloud", "load_model", "load_model-degenerate",
-        "load_model-training-n-zero", "load_probe_set", "load_embeddings"])
+        "load_model-training-n-zero", "load_probe_set", "load_embeddings",
+        "load_embeddings-label-list"])
 def test_rejected_input_file_is_a_one_line_error(workspace, tmp_path, loader, write, args,
                                                  message):
     bad = str(tmp_path / ("bad.xyz" if loader == "read_point_cloud" else "bad.json"))

@@ -746,9 +746,8 @@ def squarem_states(weights, covariance_scales):
 def extrapolate_one(states, step_max):
     """em._extrapolate on a batch of one fit: its step alpha and its
     extrapolated state, or None."""
-    alpha, rows, state, failed = em._extrapolate(
+    alpha, rows, state = em._extrapolate(
         *(tuple(a[None] for a in s) for s in states), [step_max])
-    assert failed == {}
     return alpha[0], (tuple(a[0] for a in state) if len(rows) else None)
 
 
@@ -795,10 +794,28 @@ def test_extrapolate_decides_fit_by_fit_in_a_batch():
              (squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15]), 1.0)]
     batch = [tuple(np.stack(arrays) for arrays in zip(*(states[i] for states, _ in cases)))
              for i in range(3)]
-    alpha, rows, state, failed = em._extrapolate(*batch, [cap for _, cap in cases])
+    alpha, rows, state = em._extrapolate(*batch, [cap for _, cap in cases])
     assert alpha == [extrapolate_one(states, cap)[0] for states, cap in cases]
-    assert rows.tolist() == [0] and failed == {}
+    assert rows.tolist() == [0]
     _, moved = extrapolate_one(*cases[0])
+    for got, want in zip(state, moved):
+        assert got[0].tobytes() == want.tobytes()
+
+
+def test_extrapolate_rejects_a_state_whose_eigh_fails():
+    # all-NaN covariances at theta2 make the extrapolated ones all NaN too,
+    # so eigh raises for that fit: its state is infeasible like any other,
+    # and the other fit of the batch moves as it does alone
+    good = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
+    bad = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
+    bad[2][2][...] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(bad[2][2])
+    batch = [tuple(np.stack(pair) for pair in zip(b, g)) for b, g in zip(bad, good)]
+    alpha, rows, state = em._extrapolate(*batch, [2.0, 2.0])
+    assert alpha == [2.0, 2.0] and rows.tolist() == [1]
+    assert extrapolate_one(bad, 2.0) == (2.0, None)
+    _, moved = extrapolate_one(good, 2.0)
     for got, want in zip(state, moved):
         assert got[0].tobytes() == want.tobytes()
 

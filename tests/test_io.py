@@ -349,6 +349,37 @@ def test_probe_and_embedding_files_reject_malformed_json(tmp_path):
         load_embeddings(str(embeddings))
 
 
+@pytest.mark.parametrize("seed", [1.7, True, "12", None])
+def test_probe_set_seed_must_be_an_integer(tmp_path, seed):
+    path = str(tmp_path / "probes.json")
+    save_probe_set(path, make_probe_set([messy_cloud()], seed=1, count=8))
+    obj = json.load(open(path))
+    obj["seed"] = seed
+    open(path, "w").write(json.dumps(obj))
+    with pytest.raises(FileFormatError,
+                       match=re.escape(f"{path}: field 'seed' must be an integer")):
+        load_probe_set(path)
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("label", ["nondemented"], "a string or null"),
+    ("label", 5, "a string or null"),
+    ("source", 3, "a string"),
+    ("source", None, "a string"),
+])
+def test_embedding_entries_check_their_label_and_source(tmp_path, field, value, expected):
+    path = str(tmp_path / "emb.json")
+    v = np.full(4, 0.5)
+    save_embeddings(path, [(SphereEmbedding(v), "demented", "a.xyz"),
+                           (SphereEmbedding(v), None, "b.xyz")])
+    obj = json.load(open(path))
+    obj["entries"][1][field] = value
+    open(path, "w").write(json.dumps(obj))
+    with pytest.raises(FileFormatError,
+                       match=re.escape(f"{path}: entry 1 field {field!r} must be {expected}")):
+        load_embeddings(path)
+
+
 def test_probe_set_round_trip(tmp_path):
     path = str(tmp_path / "probes.json")
     probes = make_probe_set([messy_cloud()], seed=17, count=64)
