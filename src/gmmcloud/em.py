@@ -17,19 +17,19 @@ is empty; a cloud with fewer than K distinct points fails with FitError.
 Both EM steps use the moment form of model.py: the E-step is one
 product of coefficients with the feature table Phi of the points and
 one in-place softmax_columns, the M-step one product of the (K, N)
-responsibilities with Phi^T. An EM state is (weights, means,
-covariances, factor): the eigendecomposition with which the M-step
-floors the covariances is also the factor the next E-step takes its
-precisions and log-determinants from, so each EM map runs one eigh and
-no Cholesky or inverse. The EM map is accelerated with SQUAREM, which
-falls back to the plain map whenever an extrapolated state is
-infeasible, its eigh failing included, or would lower the
+responsibilities with Phi^T. An EM state is one row of 25K floats, the
+parameters theta (weights, means, covariances) and the covariances'
+factor: the eigendecomposition with which the M-step floors them gives
+the next E-step its precisions and log-determinants, so each EM map
+runs one eigh and no Cholesky or inverse. SQUAREM extrapolates theta as
+one vector and falls back to the plain map whenever an extrapolated
+state is infeasible, its eigh failing included, or would lower the
 log-likelihood; only the covariance floor can lower it otherwise. A
 component that collapses fails the fit; nothing is reseeded.
 
 The fits of clouds of one size N run in lockstep: every array of a
 batch has a leading axis over its fits, the feature tables (B, 10, N),
-the responsibilities (B, K, N) and the EM states (B, K, ...), and each
+the responsibilities (B, K, N) and the EM states (B, 25K), and each
 step is one NumPy call over the batch. Products and eigh work slice by
 slice, so each fit gets the bits it gets alone; step lengths,
 acceptance, convergence, the cap and failures are decided fit by fit.
@@ -221,51 +221,58 @@ def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
     return Responsibilities(lwd.T, int(np.count_nonzero(~np.isfinite(log_sum))))
 
 
-def _take(arrays: tuple, rows: np.ndarray) -> tuple:
-    """The given rows of each of a batch's arrays, such as an EM state;
-    when the rows are all of them, the arrays themselves."""
-    if len(rows) == len(arrays[0]):
-        return arrays
-    return tuple(a[rows] for a in arrays)
+def _parts(state: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The views (weights, means, covariances, lam, q) of EM states, one
+    per row of state (..., 25K): [weights K | means 3K | covariances 9K |
+    lam 3K | q 9K]. The first 13K columns are the parameters theta, the
+    last 12K the factor (lam, q) of the covariances."""
+    k, lead = state.shape[-1] // 25, state.shape[:-1]
+    return (state[..., :k], state[..., k:4 * k].reshape(lead + (k, 3)),
+            state[..., 4 * k:13 * k].reshape(lead + (k, 3, 3)),
+            state[..., 13 * k:16 * k].reshape(lead + (k, 3)),
+            state[..., 16 * k:].reshape(lead + (k, 3, 3)))
 
 
-def _stacked(parts: list):
-    """Per-fit results stacked into a batch's arrays, over nested tuples."""
-    if isinstance(parts[0], tuple):
-        return tuple(_stacked(list(group)) for group in zip(*parts))
-    return np.stack(parts)
+def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The given rows of a batch's array, or the array itself when they are all."""
+    return a if len(rows) == len(a) else a[rows]
 
 
-def _per_fit(fn, covs: np.ndarray, failed: dict, *args):
-    """fn(covs, *args) over a batch of covariance stacks (B, K, 3, 3). Its
-    eigh raises LinAlgError for the whole batch when one matrix fails;
-    then fn runs fit by fit, a failing fit's error goes to failed under
-    its position, and identities stand in for its covariances."""
+def _factor(state: np.ndarray, failed: dict, eps: np.ndarray | None = None):
+    """Write the factor (lam, q) of its covariances into each row of EM
+    states (B, 25K): eigh's, or with floors eps (B,) floor_spd's, which
+    floors the covariances too. eigh raises LinAlgError for the whole
+    batch when one matrix fails; then the rows go one by one, and a
+    failing row's error goes to failed under its position and the row
+    becomes NaN, which scores -inf and is never a feasible step."""
+    def factor(rows: slice):
+        _, _, covs, lam, q = _parts(state[rows])
+        if eps is None:
+            lam[...], q[...] = np.linalg.eigh(covs)
+        else:
+            covs[...], (lam[...], q[...]) = floor_spd(covs, eps[rows, None, None])
+
     try:
-        return fn(covs, *args)
+        factor(slice(None))
     except np.linalg.LinAlgError:
-        pass
-    parts = []
-    for b in range(covs.shape[0]):
-        own = [arg[b] for arg in args]
-        try:
-            parts.append(fn(covs[b], *own))
-        except np.linalg.LinAlgError as exc:
-            failed.setdefault(b, exc)
-            parts.append(fn(np.broadcast_to(np.eye(3), covs.shape[1:]), *own))
-    return _stacked(parts)
+        for b in range(len(state)):
+            try:
+                factor(slice(b, b + 1))
+            except np.linalg.LinAlgError as exc:
+                failed.setdefault(b, exc)
+                state[b] = np.nan
 
 
-def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray) -> tuple[tuple, dict]:
-    """The EM states (weights, means, covariances, lam, q) of a batch of
-    fits from their (B, K, N) responsibilities and (B, 10, N) feature
+def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The EM states (B, 25K) of a batch of fits, one row each (see
+    _parts), from their (B, K, N) responsibilities and (B, 10, N) feature
     tables, means in Phi's frame: the covariances floored at each fit's
     eps (B,) by floor_spd, and (lam, q) its factor.
 
     Returns the states and the fits that failed, each error under its
     batch position: a component whose mass is below COLLAPSE_MASS has no
     mean to estimate (ValueError), or eigh failed (LinAlgError). A failed
-    fit's slice of the states is a placeholder.
+    fit's row is a placeholder.
     """
     moments = gamma @ phi.swapaxes(-1, -2)
     mass = moments[..., 0]
@@ -278,12 +285,15 @@ def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray) -> tuple
                 f"component {j} collapsed: mass {mass[b, j]:.3g} < {COLLAPSE_MASS:g}")
         mass = np.where(alive, mass, 1.0)
     scaled = moments / mass[..., None]
-    means = scaled[..., 1:4]
+    state = np.empty(mass.shape[:-1] + (25 * mass.shape[-1],))
+    weights, means, covs, _, _ = _parts(state)
+    weights[...] = mass / mass.sum(axis=-1, keepdims=True)
+    means[...] = scaled[..., 1:4]
     # exactly symmetric, as floor_spd needs: SECOND_MOMENT_ROWS is, and
     # mu_i mu_j = mu_j mu_i
-    covs = scaled[..., SECOND_MOMENT_ROWS] - means[..., :, None] * means[..., None, :]
-    covs, (lam, q) = _per_fit(floor_spd, covs, failed, eps[:, None, None])
-    return (mass / mass.sum(axis=-1, keepdims=True), means, covs, lam, q), failed
+    covs[...] = scaled[..., SECOND_MOMENT_ROWS] - means[..., :, None] * means[..., None, :]
+    _factor(state, failed, eps)
+    return state, failed
 
 
 def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
@@ -292,20 +302,21 @@ def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
         raise ValueError(
             f"responsibilities cover {resp.gamma.shape[0]} points, cloud has {len(cloud)}")
     centre = cloud.points.mean(axis=0)
-    (weights, means, covs, _, _), failed = _m_step_arrays(
+    state, failed = _m_step_arrays(
         centred_features(cloud.points, centre)[None], resp.gamma.T[None],
         np.array([covariance_floor(cloud.points)]))
     if failed:
         raise failed[0]
-    return Gmm(weights[0], means[0] + centre, covs[0])
+    weights, means, covs, _, _ = _parts(state[0])
+    return Gmm(weights, means + centre, covs)
 
 
-def _responsibilities(phi: np.ndarray, state, out: np.ndarray | None = None
+def _responsibilities(phi: np.ndarray, state: np.ndarray, out: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """The E-step of a batch of fits: the (B, K, N) responsibilities of
-    their EM states, written to out when given, and the log-likelihoods
-    (B,) of their points."""
-    weights, means, _, lam, q = state
+    their EM states (B, 25K), written to out when given, and the
+    log-likelihoods (B,) of their points."""
+    weights, means, _, lam, q = _parts(state)
     gamma = feature_log_densities(phi, weights, means, (lam, q), out=out)
     return gamma, softmax_columns(gamma).sum(axis=-1)
 
@@ -332,53 +343,37 @@ def _converged(trace: list[float] | tuple[float, ...]) -> bool:
 
 def _extrapolate(theta0, theta1, theta2, step_max):
     """S3 SQUAREM steps (Varadhan & Roland 2008) of a batch of fits from
-    three consecutive EM states, each beginning (weights, means,
-    covariances) over the fits, and each fit's step cap in step_max.
+    the parameters theta (see _parts) of three consecutive EM states
+    (B, 25K), and each fit's step cap in step_max.
 
-    With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0 over
-    those three arrays, a fit's step is alpha = min(step_max, |r| / |v|),
-    the norms summed from np.vdot over the fit's own slices, and its
-    extrapolated state theta0 + 2 alpha r + alpha^2 v (alpha = 1 gives
-    theta2). A state is infeasible with a weight below zero, or a
-    covariance with an eigenvalue that is not > 0, NaN included, or
-    whose eigh fails.
+    With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, a fit's
+    step is alpha = min(step_max, |r| / |v|), each norm the sum of
+    np.vdot over the fit's own weights, means and covariances, in that
+    order, and its extrapolated state theta0 + 2 alpha r + alpha^2 v
+    (alpha = 1 gives theta2). A state is infeasible with a weight below
+    zero, or a covariance with an eigenvalue that is not > 0, NaN
+    included, or whose eigh fails.
 
     Returns the list of steps alpha, one per fit, the positions of the
     fits whose alpha > 1 gives a feasible state, and those states with
     their own eigh as factor.
     """
-    theta0, theta1, theta2 = (theta[:3] for theta in (theta0, theta1, theta2))
-    r = [b - a for a, b in zip(theta0, theta1)]
-    v = [c - 2.0 * b + a for a, b, c in zip(theta0, theta1, theta2)]
+    k = theta0.shape[-1] // 25
+    theta0, theta1, theta2 = (theta[:, :13 * k] for theta in (theta0, theta1, theta2))
+    r, v = theta1 - theta0, theta2 - 2.0 * theta1 + theta0
+    blocks = (slice(0, k), slice(k, 4 * k), slice(4 * k, 13 * k))
     alpha = []
     for i, cap in enumerate(step_max):
-        sv2 = sum(float(np.vdot(x[i], x[i])) for x in v)
-        ratio = (math.sqrt(sum(float(np.vdot(x[i], x[i])) for x in r) / sv2) if sv2 > 0.0
-                 else math.inf)
-        alpha.append(min(cap, ratio))
-    rows = [i for i, step in enumerate(alpha) if step > 1.0]
-    if not rows:
-        return alpha, np.array(rows, dtype=np.intp), None
-    step = np.array([alpha[i] for i in rows])[:, None, None, None]
-    rows = np.array(rows)
-    two, square = 2.0 * step, step * step
-    # each fit's factors broadcast over its weights, means and covariances
-    weights, means, covs = (a + two[(...,) + tail] * x + square[(...,) + tail] * y
-                            for a, x, y, tail in zip(*(_take(tuple(t), rows)
-                                                       for t in (theta0, r, v)),
-                                                     ((0, 0), (0,), ())))
-    feasible = (weights >= 0.0).all(axis=-1)
-    if not feasible.all():
-        rows, weights, means, covs = _take((rows, weights, means, covs),
-                                           np.flatnonzero(feasible))
-    unfactorable = {}
-    lam, q = _per_fit(np.linalg.eigh, covs, unfactorable)
-    feasible = (lam > 0.0).all(axis=(-2, -1))
-    feasible[list(unfactorable)] = False
-    state = (weights, means, covs, lam, q)
-    if not feasible.all():
-        rows, *state = _take((rows,) + state, np.flatnonzero(feasible))
-    return alpha, rows, tuple(state)
+        sr2, sv2 = (sum(float(np.vdot(x[i, part], x[i, part])) for part in blocks) for x in (r, v))
+        alpha.append(min(cap, math.sqrt(sr2 / sv2) if sv2 > 0.0 else math.inf))
+    rows = np.array([i for i, step in enumerate(alpha) if step > 1.0], dtype=np.intp)
+    step = np.array(alpha)[rows, None]
+    candidate = np.empty((len(rows), 25 * k))
+    candidate[:, :13 * k] = theta0[rows] + 2.0 * step * r[rows] + step * step * v[rows]
+    _factor(candidate, {})
+    weights, _, _, lam, _ = _parts(candidate)
+    feasible = (weights >= 0.0).all(axis=-1) & (lam > 0.0).all(axis=(-2, -1))
+    return alpha, rows[feasible], candidate[feasible]
 
 
 @dataclass(eq=False)
@@ -400,10 +395,11 @@ class _Lockstep:
     Every array has a leading axis over the fits, in the order of fits:
     the feature tables phi (B, 10, N), the covariance floors eps (B,),
     the responsibilities gamma (B, K, N) of the latest accepted states,
-    and states, the EM states of the current SQUAREM cycle. The fits all
-    start in the constructor and none joins later. Every step ends in
-    _settle, where the fits that finished or failed leave together, to
-    done as (input position, FitResult or FitError).
+    and states, the EM states (B, 25K) of the current SQUAREM cycle, one
+    row per fit (see _parts). The fits all start in the constructor and
+    none joins later. Every step ends in _settle, where the fits that
+    finished or failed leave together, to done as (input position,
+    FitResult or FitError).
     """
 
     def __init__(self, clouds: list[tuple[int, PointCloud]], k: int, seed: int):
@@ -447,12 +443,12 @@ class _Lockstep:
         Gmm rejects it; a fit with an error in failed fails, with a
         FitError as it is and any other error as one naming the map; the
         rest stay."""
-        weights, means, covs, _, _ = state = self.states[-1]
         stay = []
         for b, fit in enumerate(self.fits):
             if b in stopped and b not in failed:
+                weights, means, covs, _, _ = _parts(self.states[-1][b])
                 try:
-                    model = Gmm(weights[b], means[b] + fit.centre, covs[b])
+                    model = Gmm(weights, means + fit.centre, covs)
                 except (ValueError, np.linalg.LinAlgError) as exc:
                     failed[b] = exc
                 else:
@@ -467,8 +463,8 @@ class _Lockstep:
                 stay.append(b)
         if len(stay) < len(self.fits):
             self.fits = [self.fits[b] for b in stay]
-            self.phi, self.eps, self.gamma = _take((self.phi, self.eps, self.gamma), stay)
-            self.states = [_take(state, stay) for state in self.states]
+            self.phi, self.eps, self.gamma = self.phi[stay], self.eps[stay], self.gamma[stay]
+            self.states = [state[stay] for state in self.states]
 
     def _map(self) -> np.ndarray:
         """One EM map of every fit. A fit that fails, converges or reaches
@@ -500,19 +496,19 @@ class _Lockstep:
         accepted = [not step > 1.0 for step in alpha]
         failed, stopped = {}, set()
         if len(rows):
-            phi, ll = _take((self.phi, ll), rows)
+            phi, ll = _take(self.phi, rows), ll[rows]
             # the candidates' responsibilities in a fresh array: self.gamma
             # keeps theta2's unless a candidate wins
             gamma, candidate_ll = _responsibilities(phi, candidate)
             better = np.flatnonzero(candidate_ll >= ll)
-            stable, ll = _take((rows, ll), better)
+            stable, ll = rows[better], ll[better]
             for b in stable.tolist():
                 fits[b].m_steps += 1
                 if fits[b].m_steps == MAX_ITERATIONS:
                     stopped.add(b)
             if len(stable):
                 stabilised, gamma, stabilised_ll, lost = _em_map(
-                    *_take((phi, gamma), better), self.eps[stable])
+                    _take(phi, better), _take(gamma, better), self.eps[stable])
                 failed = {int(stable[b]): exc for b, exc in lost.items()}
                 won = np.flatnonzero(stabilised_ll >= ll)
                 winners = stable[won]
@@ -520,8 +516,7 @@ class _Lockstep:
                     # every fit won: the batch adopts the candidates' arrays
                     state, self.gamma = stabilised, gamma
                 elif len(winners):  # the winners' rows, in place
-                    for a, new in zip(state + (self.gamma,), _take(stabilised + (gamma,), won)):
-                        a[winners] = new
+                    state[winners], self.gamma[winners] = stabilised[won], gamma[won]
                 for b, value in zip(winners.tolist(), stabilised_ll[won].tolist()):
                     accepted[b] = True
                     fits[b].trace.append(value)

@@ -47,6 +47,8 @@ class ProbeSet:
             raise ValueError("probes and bounds must be finite")
         if np.any(probes < bounds[0]) or np.any(probes > bounds[1]):
             raise ValueError("every probe must lie inside the bounds")
+        if not (type(self.seed) is int or isinstance(self.seed, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         probes.setflags(write=False)
         bounds.setflags(write=False)
         object.__setattr__(self, "probes", probes)
@@ -70,8 +72,9 @@ class SphereEmbedding:
         coords = np.array(self.coords, dtype=float)
         if coords.ndim != 1 or coords.size < 1:
             raise ValueError(f"coords must be a non-empty vector, got shape {coords.shape}")
-        if np.any(coords < 0.0) or not np.all(np.isfinite(coords)):
-            raise ValueError("coords must be finite and >= 0")
+        # no entry of a unit vector exceeds 1; larger ones could overflow the norm
+        if not np.all((coords >= 0.0) & (coords <= 1.0 + 1e-12)):
+            raise ValueError("coords must be finite, >= 0 and <= 1")
         norm = float(np.linalg.norm(coords))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"coords norm is {norm!r}, expected 1")

@@ -2,6 +2,7 @@
 fits, bit for bit, with the failures, call counts and thread counts that
 must not tell the two apart."""
 
+import math
 import os
 import subprocess
 import sys
@@ -245,6 +246,34 @@ def test_a_batch_sorts_floors_and_builds_features_once_per_cloud(monkeypatch, sm
     fit_em_batch(clouds, 4, FitConfig(seed=0))
     assert counts == dict.fromkeys(
         ("_sorted_points", "covariance_floor", "centred_features", "kmeans_init"), len(clouds))
+
+
+def test_each_fits_squarem_step_sums_its_own_norms_in_order(monkeypatch):
+    # a fit's step alpha = min(step_max, |r| / |v|) takes each norm as the
+    # three vdots over its own weights, means and covariances summed in
+    # that order: the bits it gets from its parts as arrays of their own
+    steps = []
+    extrapolate = em._extrapolate
+
+    def recorded(*args):
+        # copies: the winners' rows of theta2 are overwritten in place
+        steps.append(([em._parts(theta.copy()) for theta in args[:3]], list(args[3])))
+        alpha, rows, state = extrapolate(*args)
+        steps[-1] += (alpha,)
+        return alpha, rows, state
+
+    monkeypatch.setattr(em, "_extrapolate", recorded)
+    fit_em_batch(mixed_clouds(), 4, FitConfig(seed=2))
+    assert sum(len(caps) for _, caps, _ in steps) > 50
+    for thetas, caps, alpha in steps:
+        for i, cap in enumerate(caps):
+            p0, p1, p2 = ([np.array(part[i]) for part in theta[:3]] for theta in thetas)
+            r = [b - a for a, b in zip(p0, p1)]
+            v = [c - 2.0 * b + a for a, b, c in zip(p0, p1, p2)]
+            sv2 = sum(float(np.vdot(x, x)) for x in v)
+            ratio = (math.sqrt(sum(float(np.vdot(x, x)) for x in r) / sv2) if sv2 > 0.0
+                     else math.inf)
+            assert alpha[i] == min(cap, ratio)
 
 
 def poisoned(monkeypatch, target: PointCloud):

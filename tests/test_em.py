@@ -506,10 +506,10 @@ def assert_moments_match_loop_form(got, ref, pts):
 
 
 def m_step_one(phi, gamma, eps):
-    """em._m_step_arrays on a batch of one fit: its EM state."""
+    """em._m_step_arrays on a batch of one fit: the parts of its EM state."""
     state, failed = em._m_step_arrays(phi[None], gamma[None], np.array([eps]))
     assert failed == {}
-    return tuple(a[0] for a in state)
+    return em._parts(state[0])
 
 
 def one_hot(codes, k):
@@ -555,8 +555,8 @@ def test_fit_start_is_the_loop_m_step_on_the_partition(monkeypatch, n, k, seed):
     state, failed = starts[0]
     assert failed == {}
     assert_moments_match_loop_form(
-        tuple(a[0] for a in state), loop_m_step(pts - pts.mean(axis=0), one_hot(codes, k),
-                               covariance_floor(pts)), pts)
+        em._parts(state[0]), loop_m_step(pts - pts.mean(axis=0), one_hot(codes, k),
+                                         covariance_floor(pts)), pts)
 
 
 def far_cloud(name):
@@ -736,19 +736,18 @@ def test_fit_sorts_floors_and_builds_features_once(monkeypatch):
 
 
 def squarem_states(weights, covariance_scales):
-    """Three EM states with fixed means: the given weights and multiples
-    of the identity as covariances."""
-    means = np.zeros((2, 3))
-    return [(np.array(w), means, np.stack([s * np.eye(3)] * 2))
+    """Three EM states (50,) of two components with fixed means: the given
+    weights and multiples of the identity as covariances; their factor
+    columns are zero, since no step reads them."""
+    return [np.concatenate([w, np.zeros(6), np.ravel([s * np.eye(3)] * 2), np.zeros(24)])
             for w, s in zip(weights, covariance_scales)]
 
 
 def extrapolate_one(states, step_max):
-    """em._extrapolate on a batch of one fit: its step alpha and its
-    extrapolated state, or None."""
-    alpha, rows, state = em._extrapolate(
-        *(tuple(a[None] for a in s) for s in states), [step_max])
-    return alpha[0], (tuple(a[0] for a in state) if len(rows) else None)
+    """em._extrapolate on a batch of one fit: its step alpha and the parts
+    of its extrapolated state, or None."""
+    alpha, rows, state = em._extrapolate(*(s[None] for s in states), [step_max])
+    return alpha[0], (em._parts(state[0]) if len(rows) else None)
 
 
 def test_extrapolate_takes_a_feasible_step():
@@ -781,7 +780,7 @@ def test_extrapolate_rejects_non_spd_covariances():
 def test_extrapolate_rejects_nan_covariances():
     # a NaN makes |v| NaN, so alpha = step_max, and a NaN eigenvalue is not > 0
     states = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
-    states[2][2][1, 0, 0] = np.nan
+    em._parts(states[2])[2][1, 0, 0] = np.nan
     assert extrapolate_one(states, step_max=4.0) == (4.0, None)
 
 
@@ -792,14 +791,13 @@ def test_extrapolate_decides_fit_by_fit_in_a_batch():
              (squarem_states([[0.5, 0.5], [0.4, 0.6], [0.3, 0.7]], [1.0, 1.0, 1.0]), 4.0),
              (squarem_states([[0.5, 0.5]] * 3, [1.0, 0.9, 0.8]), 16.0),
              (squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15]), 1.0)]
-    batch = [tuple(np.stack(arrays) for arrays in zip(*(states[i] for states, _ in cases)))
-             for i in range(3)]
+    batch = [np.stack([states[i] for states, _ in cases]) for i in range(3)]
     alpha, rows, state = em._extrapolate(*batch, [cap for _, cap in cases])
     assert alpha == [extrapolate_one(states, cap)[0] for states, cap in cases]
     assert rows.tolist() == [0]
     _, moved = extrapolate_one(*cases[0])
-    for got, want in zip(state, moved):
-        assert got[0].tobytes() == want.tobytes()
+    for got, want in zip(em._parts(state[0]), moved):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_extrapolate_rejects_a_state_whose_eigh_fails():
@@ -808,16 +806,16 @@ def test_extrapolate_rejects_a_state_whose_eigh_fails():
     # and the other fit of the batch moves as it does alone
     good = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
     bad = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
-    bad[2][2][...] = np.nan
+    em._parts(bad[2])[2][...] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.eigh(bad[2][2])
-    batch = [tuple(np.stack(pair) for pair in zip(b, g)) for b, g in zip(bad, good)]
+        np.linalg.eigh(em._parts(bad[2])[2])
+    batch = [np.stack(pair) for pair in zip(bad, good)]
     alpha, rows, state = em._extrapolate(*batch, [2.0, 2.0])
     assert alpha == [2.0, 2.0] and rows.tolist() == [1]
     assert extrapolate_one(bad, 2.0) == (2.0, None)
     _, moved = extrapolate_one(good, 2.0)
-    for got, want in zip(state, moved):
-        assert got[0].tobytes() == want.tobytes()
+    for got, want in zip(em._parts(state[0]), moved):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fit_is_permutation_equivariant():

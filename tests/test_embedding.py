@@ -102,6 +102,17 @@ def test_probe_set_validation():
         make_probe_set([UNIT_BOX], seed=0, count=0)
 
 
+def test_probe_set_seed_is_an_integer():
+    # the rule of load_probe_set, type(seed) is int, turns a bool away;
+    # a NumPy integer is stored as an int
+    bounds = np.array([[-1.0] * 3, [1.0] * 3])
+    for seed in (1.7, True):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            ProbeSet(np.zeros((1, 3)), bounds, seed)
+    probe_set = ProbeSet(np.zeros((1, 3)), bounds, np.int64(3))
+    assert type(probe_set.seed) is int and probe_set.seed == 3
+
+
 def test_probe_set_arrays_read_only():
     probe_set = make_probe_set([UNIT_BOX], seed=0, count=10)
     with pytest.raises(ValueError):
@@ -195,6 +206,9 @@ def test_sphere_embedding_validation():
         SphereEmbedding(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         SphereEmbedding(np.array([[1.0]]))
+    # an entry above 1 is refused before the norm, which would overflow
+    with pytest.raises(ValueError, match="<= 1"):
+        SphereEmbedding(np.array([1e308, 1e308]))
 
 
 # ------------------------------------------------------------- distance

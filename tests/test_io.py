@@ -380,6 +380,17 @@ def test_embedding_entries_check_their_label_and_source(tmp_path, field, value, 
         load_embeddings(path)
 
 
+def test_embedding_entries_with_overflowing_coords_are_refused(tmp_path):
+    # their norm would overflow; the suite turns any RuntimeWarning into an error
+    path = str(tmp_path / "emb.json")
+    save_embeddings(path, [(SphereEmbedding(np.full(4, 0.5)), None, "a.xyz")])
+    obj = json.load(open(path))
+    obj["entries"][0]["coords"] = [1e308, 1e308]
+    open(path, "w").write(json.dumps(obj))
+    with pytest.raises(ValueError, match="coords must be finite, >= 0 and <= 1"):
+        load_embeddings(path)
+
+
 def test_probe_set_round_trip(tmp_path):
     path = str(tmp_path / "probes.json")
     probes = make_probe_set([messy_cloud()], seed=17, count=64)
