@@ -21,7 +21,12 @@ responsibilities with Phi^T. An EM state is one row of 25K floats, the
 parameters theta (weights, means, covariances) and the covariances'
 factor: the eigendecomposition with which the M-step floors them gives
 the next E-step its precisions and log-determinants, so each EM map
-runs one eigh and no Cholesky or inverse. SQUAREM extrapolates theta as
+runs one eigh and no Cholesky or inverse. The M-step computes the five
+parts of a state as contiguous arrays and writes the row from them in
+one copy (_joined), and the E-step of the same map reads those arrays,
+not views of the row: on the small arrays of a fit at N = 600 the
+cost of a map is the count of its NumPy calls, and a call on a view
+that strides over the batch costs more. SQUAREM extrapolates theta as
 one vector and falls back to the plain map whenever an extrapolated
 state is infeasible, its eigh failing included, or would lower the
 log-likelihood; only the covariance floor can lower it otherwise. A
@@ -225,7 +230,8 @@ def _parts(state: np.ndarray) -> tuple[np.ndarray, ...]:
     """The views (weights, means, covariances, lam, q) of EM states, one
     per row of state (..., 25K): [weights K | means 3K | covariances 9K |
     lam 3K | q 9K]. The first 13K columns are the parameters theta, the
-    last 12K the factor (lam, q) of the covariances."""
+    last 12K the factor (lam, q) of the covariances. _joined is the
+    inverse."""
     k, lead = state.shape[-1] // 25, state.shape[:-1]
     return (state[..., :k], state[..., k:4 * k].reshape(lead + (k, 3)),
             state[..., 4 * k:13 * k].reshape(lead + (k, 3, 3)),
@@ -233,46 +239,61 @@ def _parts(state: np.ndarray) -> tuple[np.ndarray, ...]:
             state[..., 16 * k:].reshape(lead + (k, 3, 3)))
 
 
+def _joined(*parts: np.ndarray) -> np.ndarray:
+    """The EM states (B, 25K) whose parts, each with a leading axis over
+    the B states, are given in _parts' order: the inverse of _parts, in
+    one copy."""
+    return np.concatenate([part.reshape(len(part), -1) for part in parts], axis=-1)
+
+
 def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The given rows of a batch's array, or the array itself when they are all."""
     return a if len(rows) == len(a) else a[rows]
 
 
-def _factor(state: np.ndarray, failed: dict, eps: np.ndarray | None = None):
-    """Write the factor (lam, q) of its covariances into each row of EM
-    states (B, 25K): eigh's, or with floors eps (B,) floor_spd's, which
-    floors the covariances too. eigh raises LinAlgError for the whole
-    batch when one matrix fails; then the rows go one by one, and a
-    failing row's error goes to failed under its position and the row
-    becomes NaN, which scores -inf and is never a feasible step."""
+def _factor(covs: np.ndarray, failed: dict, eps: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The covariances (B, K, 3, 3) of a batch and their factor (lam, q):
+    eigh's, or with floors eps (B,) floor_spd's, which floors the
+    covariances too. eigh raises LinAlgError for the whole batch when one
+    matrix fails; then the rows go one by one, and a failing row's error
+    goes to failed under its position and its covariances and factor
+    are NaN, which scores NaN and is never a feasible step."""
     def factor(rows: slice):
-        _, _, covs, lam, q = _parts(state[rows])
         if eps is None:
-            lam[...], q[...] = np.linalg.eigh(covs)
-        else:
-            covs[...], (lam[...], q[...]) = floor_spd(covs, eps[rows, None, None])
+            return (covs[rows],) + tuple(np.linalg.eigh(covs[rows]))
+        floored, (lam, q) = floor_spd(covs[rows], eps[rows, None, None])
+        return floored, lam, q
 
     try:
-        factor(slice(None))
+        return factor(slice(None))
     except np.linalg.LinAlgError:
-        for b in range(len(state)):
+        out = (np.full(covs.shape, np.nan), np.full(covs.shape[:-1], np.nan),
+               np.full(covs.shape, np.nan))
+        for b in range(len(covs)):
             try:
-                factor(slice(b, b + 1))
+                row = factor(slice(b, b + 1))
             except np.linalg.LinAlgError as exc:
                 failed.setdefault(b, exc)
-                state[b] = np.nan
+                continue
+            for part, value in zip(out, row):
+                part[b] = value[0]
+        return out
 
 
-def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, dict]:
+def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray
+                   ) -> tuple[np.ndarray, tuple[np.ndarray, ...], dict]:
     """The EM states (B, 25K) of a batch of fits, one row each (see
     _parts), from their (B, K, N) responsibilities and (B, 10, N) feature
     tables, means in Phi's frame: the covariances floored at each fit's
     eps (B,) by floor_spd, and (lam, q) its factor.
 
-    Returns the states and the fits that failed, each error under its
-    batch position: a component whose mass is below COLLAPSE_MASS has no
-    mean to estimate (ValueError), or eigh failed (LinAlgError). A failed
-    fit's row is a placeholder.
+    The parts are computed as contiguous arrays and joined into the rows
+    in one copy. Returns the states, those parts (weights, means,
+    covariances, lam, q), which the E-step reads, and the fits that
+    failed, each error under its batch position: a component whose mass
+    is below COLLAPSE_MASS has no mean to estimate (ValueError), or eigh
+    failed (LinAlgError). A failed fit's row is a placeholder.
     """
     moments = gamma @ phi.swapaxes(-1, -2)
     mass = moments[..., 0]
@@ -285,15 +306,13 @@ def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray) -> tuple
                 f"component {j} collapsed: mass {mass[b, j]:.3g} < {COLLAPSE_MASS:g}")
         mass = np.where(alive, mass, 1.0)
     scaled = moments / mass[..., None]
-    state = np.empty(mass.shape[:-1] + (25 * mass.shape[-1],))
-    weights, means, covs, _, _ = _parts(state)
-    weights[...] = mass / mass.sum(axis=-1, keepdims=True)
-    means[...] = scaled[..., 1:4]
+    weights = mass / mass.sum(axis=-1, keepdims=True)
+    means = np.ascontiguousarray(scaled[..., 1:4])
     # exactly symmetric, as floor_spd needs: SECOND_MOMENT_ROWS is, and
     # mu_i mu_j = mu_j mu_i
-    covs[...] = scaled[..., SECOND_MOMENT_ROWS] - means[..., :, None] * means[..., None, :]
-    _factor(state, failed, eps)
-    return state, failed
+    covs = scaled[..., SECOND_MOMENT_ROWS] - means[..., :, None] * means[..., None, :]
+    parts = (weights, means) + _factor(covs, failed, eps)
+    return _joined(*parts), parts, failed
 
 
 def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
@@ -302,21 +321,21 @@ def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
         raise ValueError(
             f"responsibilities cover {resp.gamma.shape[0]} points, cloud has {len(cloud)}")
     centre = cloud.points.mean(axis=0)
-    state, failed = _m_step_arrays(
+    _, (weights, means, covs, _, _), failed = _m_step_arrays(
         centred_features(cloud.points, centre)[None], resp.gamma.T[None],
         np.array([covariance_floor(cloud.points)]))
     if failed:
         raise failed[0]
-    weights, means, covs, _, _ = _parts(state[0])
-    return Gmm(weights, means + centre, covs)
+    return Gmm(weights[0], means[0] + centre, covs[0])
 
 
-def _responsibilities(phi: np.ndarray, state: np.ndarray, out: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def _responsibilities(phi: np.ndarray, parts: tuple[np.ndarray, ...],
+                      out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The E-step of a batch of fits: the (B, K, N) responsibilities of
-    their EM states (B, 25K), written to out when given, and the
-    log-likelihoods (B,) of their points."""
-    weights, means, _, lam, q = _parts(state)
+    their EM states, given by their parts (weights, means, covariances,
+    lam, q) as _parts or _m_step_arrays returns them, written to out when
+    given, and the log-likelihoods (B,) of their points."""
+    weights, means, _, lam, q = parts
     gamma = feature_log_densities(phi, weights, means, (lam, q), out=out)
     return gamma, softmax_columns(gamma).sum(axis=-1)
 
@@ -330,8 +349,8 @@ def _em_map(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray):
     Returns the new EM states, responsibilities and log-likelihoods, and
     the errors of the failed fits by position.
     """
-    state, failed = _m_step_arrays(phi, gamma, eps)
-    gamma, ll = _responsibilities(phi, state, out=gamma)
+    state, parts, failed = _m_step_arrays(phi, gamma, eps)
+    gamma, ll = _responsibilities(phi, parts, out=gamma)
     return state, gamma, ll, failed
 
 
@@ -355,8 +374,9 @@ def _extrapolate(theta0, theta1, theta2, step_max):
     included, or whose eigh fails.
 
     Returns the list of steps alpha, one per fit, the positions of the
-    fits whose alpha > 1 gives a feasible state, and those states with
-    their own eigh as factor.
+    fits whose alpha > 1 gives a feasible state, and those states' parts
+    (see _responsibilities), with their own eigh as factor: weights and
+    means are views of the extrapolated theta, lam and q eigh's arrays.
     """
     k = theta0.shape[-1] // 25
     theta0, theta1, theta2 = (theta[:, :13 * k] for theta in (theta0, theta1, theta2))
@@ -364,16 +384,20 @@ def _extrapolate(theta0, theta1, theta2, step_max):
     blocks = (slice(0, k), slice(k, 4 * k), slice(4 * k, 13 * k))
     alpha = []
     for i, cap in enumerate(step_max):
-        sr2, sv2 = (sum(float(np.vdot(x[i, part], x[i, part])) for part in blocks) for x in (r, v))
+        sr2, sv2 = (sum(float(np.vdot(y, y)) for y in (x[i, part] for part in blocks))
+                    for x in (r, v))
         alpha.append(min(cap, math.sqrt(sr2 / sv2) if sv2 > 0.0 else math.inf))
     rows = np.array([i for i, step in enumerate(alpha) if step > 1.0], dtype=np.intp)
     step = np.array(alpha)[rows, None]
+    # the factor columns stay unset: no candidate's are read
     candidate = np.empty((len(rows), 25 * k))
-    candidate[:, :13 * k] = theta0[rows] + 2.0 * step * r[rows] + step * step * v[rows]
-    _factor(candidate, {})
-    weights, _, _, lam, _ = _parts(candidate)
-    feasible = (weights >= 0.0).all(axis=-1) & (lam > 0.0).all(axis=(-2, -1))
-    return alpha, rows[feasible], candidate[feasible]
+    candidate[:, :13 * k] = (_take(theta0, rows) + 2.0 * step * _take(r, rows)
+                             + step * step * _take(v, rows))
+    weights, means, covs, _, _ = _parts(candidate)
+    covs, lam, q = _factor(covs, {})
+    feasible = np.flatnonzero((weights >= 0.0).all(axis=-1) & (lam > 0.0).all(axis=(-2, -1)))
+    return alpha, rows[feasible], tuple(_take(part, feasible)
+                                        for part in (weights, means, covs, lam, q))
 
 
 @dataclass(eq=False)
@@ -396,10 +420,12 @@ class _Lockstep:
     the feature tables phi (B, 10, N), the covariance floors eps (B,),
     the responsibilities gamma (B, K, N) of the latest accepted states,
     and states, the EM states (B, 25K) of the current SQUAREM cycle, one
-    row per fit (see _parts). The fits all start in the constructor and
-    none joins later. Every step ends in _settle, where the fits that
-    finished or failed leave together, to done as (input position,
-    FitResult or FitError).
+    row per fit (see _parts). The states are what SQUAREM extrapolates
+    and a finishing fit is read from; each E-step reads the arrays its
+    M-step or _extrapolate returned. The fits all start in the
+    constructor and none joins later. Every step ends in _settle, where
+    the fits that finished or failed leave together, to done as (input
+    position, FitResult or FitError).
     """
 
     def __init__(self, clouds: list[tuple[int, PointCloud]], k: int, seed: int):

@@ -346,7 +346,7 @@ def _fmt(v: float) -> str:
 
 def emit_svg_filmstrip(panels, path: str):
     """Side-by-side xy projections, one panel per (title, cloud), on a
-    shared scale."""
+    shared scale. Each title is written as XML text: &, < and > escaped."""
     panels = list(panels)
     if not panels:
         raise ValueError("need at least one panel to plot")
@@ -361,6 +361,7 @@ def emit_svg_filmstrip(panels, path: str):
     total_w = len(panels) * width + (len(panels) - 1) * gap
     caption = 0.08 * height
     radius = 0.006 * float(max(width, height))
+    circle_tail = f'" r="{_fmt(radius)}" fill="{FRAME_COLOR}"/>'
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {_fmt(total_w)} {_fmt(height + caption)}" '
@@ -368,13 +369,15 @@ def emit_svg_filmstrip(panels, path: str):
     ]
     for i, (pts, (title, _)) in enumerate(zip(planar, panels)):
         shift = i * (width + gap)
+        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         lines.append(
             f'<text x="{_fmt(shift + 0.02 * width)}" y="{_fmt(0.9 * caption)}" '
-            f'font-size="{_fmt(0.6 * caption)}" font-family="sans-serif">{title}</text>')
+            f'font-size="{_fmt(0.6 * caption)}" font-family="sans-serif">{text}</text>')
         lines.append(f'<g transform="translate(0,{_fmt(caption)})">')
-        for px, py in pts:
-            lines.append(f'<circle cx="{_fmt(shift + (px - lo[0]))}" cy="{_fmt(hi[1] - py)}" '
-                         f'r="{_fmt(radius)}" fill="{FRAME_COLOR}"/>')
+        # the same float64 arithmetic as point by point, formatted as _fmt does
+        cx = (shift + (pts[:, 0] - lo[0])).tolist()
+        cy = (hi[1] - pts[:, 1]).tolist()
+        lines.extend(f'<circle cx="{x:.6g}" cy="{y:.6g}{circle_tail}' for x, y in zip(cx, cy))
         lines.append("</g>")
     lines.append("</svg>")
     _atomic_write_text(path, "\n".join(lines) + "\n")

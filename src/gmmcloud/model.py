@@ -260,6 +260,10 @@ def floor_spd(cov: np.ndarray, eps: float
 N_FEATURES = 10
 SECOND_MOMENT_ROWS = np.array([[4, 7, 8], [7, 5, 9], [8, 9, 6]])
 _PRODUCTS = ((1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3))
+# the entries of a flattened 3x3 precision that give the coefficients of
+# rows 4-9 of Phi, and their factors: -P_xx / 2, ..., -P_xy, ...
+_PRECISION_ENTRIES = np.array([0, 4, 8, 1, 2, 5])
+_PRECISION_SCALE = np.array([-0.5, -0.5, -0.5, -1.0, -1.0, -1.0])
 
 
 def centred_features(points: np.ndarray, centre: np.ndarray) -> np.ndarray:
@@ -306,12 +310,12 @@ def feature_log_densities(phi: np.ndarray, weights: np.ndarray, means: np.ndarra
     alive = weights > 0.0
     all_alive = alive.all()
     coef = np.empty(weights.shape + (N_FEATURES,))
-    coef[..., 0] = (np.log(weights if all_alive else np.where(alive, weights, 1.0))
-                    - 0.5 * (3.0 * LOG_TWO_PI + np.log(lam).sum(axis=-1)
-                             + (rotated * scaled).sum(axis=-1)))
-    coef[..., 1:4] = (q @ scaled[..., None])[..., 0]
-    coef[..., 4:7] = -0.5 * precision.diagonal(axis1=-2, axis2=-1)
-    coef[..., 7:10] = -precision[..., [0, 0, 1], [1, 2, 2]]
+    np.subtract(np.log(weights if all_alive else np.where(alive, weights, 1.0)),
+                0.5 * (3.0 * LOG_TWO_PI + np.log(lam).sum(axis=-1)
+                       + (rotated * scaled).sum(axis=-1)), out=coef[..., 0])
+    np.matmul(q, scaled[..., None], out=coef[..., 1:4, None])
+    np.multiply(precision.reshape(weights.shape + (9,))[..., _PRECISION_ENTRIES],
+                _PRECISION_SCALE, out=coef[..., 4:])
     # -inf stays out of the product, where BLAS could meet it with a zero
     lwd = np.matmul(coef, phi, out=out)
     if not all_alive:
@@ -351,26 +355,28 @@ def softmax_columns(lwd: np.ndarray) -> np.ndarray:
     e^-700 changes none of them. A table with no entry below the floor
     pays one min reduction for the rule."""
     peak = lwd.max(axis=-2)
-    dead = ~np.isfinite(peak)
-    any_dead = dead.any()
-    if any_dead:
+    finite = np.isfinite(peak)
+    all_finite = finite.all()
+    if not all_finite:
+        dead = ~finite
         # zeros exponentiate to ones, which divide to exactly 1/K
         _transposed(lwd)[dead] = 0.0
         peak[dead] = 0.0
     np.subtract(lwd, peak[..., None, :], out=lwd)
     if lwd.min(initial=0.0) < EXP_FLOOR:
-        # clamped, exp stays on its vector path; the clamped entries are 0
-        flushed = lwd < EXP_FLOOR
+        # clamped, exp stays on its vector path; the clamped entries are
+        # then multiplied by False, which is 0
+        kept = lwd >= EXP_FLOOR
         np.maximum(lwd, EXP_FLOOR, out=lwd)
         np.exp(lwd, out=lwd)
-        lwd[flushed] = 0.0
+        np.multiply(lwd, kept, out=lwd)
     else:
         np.exp(lwd, out=lwd)
     total = lwd.sum(axis=-2)
     lwd /= total[..., None, :]
     log_sum = np.log(total, out=total)
     log_sum += peak
-    if any_dead:
+    if not all_finite:
         log_sum[dead] = -np.inf
     return log_sum
 

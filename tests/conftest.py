@@ -216,9 +216,9 @@ def counted_steps(monkeypatch):
         return m_step_arrays(phi, *args)
 
     def extrapolate_counted(*args):
-        alpha, rows, state = extrapolate(*args)
+        alpha, rows, parts = extrapolate(*args)
         counts["candidates"] += len(rows)
-        return alpha, rows, state
+        return alpha, rows, parts
 
     monkeypatch.setattr(em, "feature_log_densities", e_counted)
     monkeypatch.setattr(em, "_m_step_arrays", m_counted)

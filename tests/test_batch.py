@@ -156,7 +156,9 @@ def test_a_batch_starts_its_fits_together_and_takes_no_more(monkeypatch, small_b
         built.append(len(self.fits) + len(self.done))
 
     def recorded_cycle(self):
-        seen = counts.setdefault(id(self), [])
+        # keyed by the batch itself, which stays alive: a freed batch's
+        # id() can be reused by the next one
+        seen = counts.setdefault(self, [])
         seen.append(len(self.fits))
         cycle(self)
         seen.append(len(self.fits))
@@ -248,6 +250,44 @@ def test_a_batch_sorts_floors_and_builds_features_once_per_cloud(monkeypatch, sm
         ("_sorted_points", "covariance_floor", "centred_features", "kmeans_init"), len(clouds))
 
 
+@pytest.mark.parametrize("k", [4, 32])
+def test_each_e_step_equals_the_e_step_of_the_state_rows(monkeypatch, k):
+    # a map's E-step reads its M-step's arrays, and a SQUAREM candidate's
+    # reads its extrapolated theta and its eigh's arrays: either gives the
+    # bits of the E-step on the views of the state rows they stand for
+    em_map, extrapolate, responsibilities = em._em_map, em._extrapolate, em._responsibilities
+    candidates, batch_sizes, checked = [], [], {"maps": 0, "candidates": 0}
+
+    def assert_same(got, want):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def map_checked(phi, gamma, eps):
+        state, gamma, ll, failed = em_map(phi, gamma, eps)
+        assert_same((gamma, ll), responsibilities(phi, em._parts(state)))
+        checked["maps"] += 1
+        batch_sizes.append(len(phi))
+        return state, gamma, ll, failed
+
+    def extrapolate_recorded(*args):
+        alpha, rows, parts = extrapolate(*args)
+        candidates.append(parts)
+        return alpha, rows, parts
+
+    def responsibilities_checked(phi, parts, out=None):
+        gamma, ll = responsibilities(phi, parts, out=out)
+        if candidates and parts is candidates[-1]:
+            assert_same((gamma, ll), responsibilities(phi, em._parts(em._joined(*parts))))
+            checked["candidates"] += 1
+        return gamma, ll
+
+    monkeypatch.setattr(em, "_em_map", map_checked)
+    monkeypatch.setattr(em, "_extrapolate", extrapolate_recorded)
+    monkeypatch.setattr(em, "_responsibilities", responsibilities_checked)
+    fit_em_batch(mixed_clouds(), k, FitConfig(seed=0))
+    assert checked["maps"] > 20 and checked["candidates"] > 5
+    assert max(batch_sizes) > 1
+
+
 def test_each_fits_squarem_step_sums_its_own_norms_in_order(monkeypatch):
     # a fit's step alpha = min(step_max, |r| / |v|) takes each norm as the
     # three vdots over its own weights, means and covariances summed in
@@ -258,9 +298,9 @@ def test_each_fits_squarem_step_sums_its_own_norms_in_order(monkeypatch):
     def recorded(*args):
         # copies: the winners' rows of theta2 are overwritten in place
         steps.append(([em._parts(theta.copy()) for theta in args[:3]], list(args[3])))
-        alpha, rows, state = extrapolate(*args)
+        alpha, rows, parts = extrapolate(*args)
         steps[-1] += (alpha,)
-        return alpha, rows, state
+        return alpha, rows, parts
 
     monkeypatch.setattr(em, "_extrapolate", recorded)
     fit_em_batch(mixed_clouds(), 4, FitConfig(seed=2))

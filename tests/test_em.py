@@ -507,7 +507,7 @@ def assert_moments_match_loop_form(got, ref, pts):
 
 def m_step_one(phi, gamma, eps):
     """em._m_step_arrays on a batch of one fit: the parts of its EM state."""
-    state, failed = em._m_step_arrays(phi[None], gamma[None], np.array([eps]))
+    state, _, failed = em._m_step_arrays(phi[None], gamma[None], np.array([eps]))
     assert failed == {}
     return em._parts(state[0])
 
@@ -552,7 +552,7 @@ def test_fit_start_is_the_loop_m_step_on_the_partition(monkeypatch, n, k, seed):
     fit_em(PointCloud(pts), k, FitConfig(seed=seed))
     pts = em._sorted_points(pts)
     codes = assert_kmeans_init_matches_reference(pts, k, seed)
-    state, failed = starts[0]
+    state, _, failed = starts[0]
     assert failed == {}
     assert_moments_match_loop_form(
         em._parts(state[0]), loop_m_step(pts - pts.mean(axis=0), one_hot(codes, k),
@@ -746,8 +746,8 @@ def squarem_states(weights, covariance_scales):
 def extrapolate_one(states, step_max):
     """em._extrapolate on a batch of one fit: its step alpha and the parts
     of its extrapolated state, or None."""
-    alpha, rows, state = em._extrapolate(*(s[None] for s in states), [step_max])
-    return alpha[0], (em._parts(state[0]) if len(rows) else None)
+    alpha, rows, parts = em._extrapolate(*(s[None] for s in states), [step_max])
+    return alpha[0], (tuple(part[0] for part in parts) if len(rows) else None)
 
 
 def test_extrapolate_takes_a_feasible_step():
@@ -792,12 +792,13 @@ def test_extrapolate_decides_fit_by_fit_in_a_batch():
              (squarem_states([[0.5, 0.5]] * 3, [1.0, 0.9, 0.8]), 16.0),
              (squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15]), 1.0)]
     batch = [np.stack([states[i] for states, _ in cases]) for i in range(3)]
-    alpha, rows, state = em._extrapolate(*batch, [cap for _, cap in cases])
+    alpha, rows, parts = em._extrapolate(*batch, [cap for _, cap in cases])
     assert alpha == [extrapolate_one(states, cap)[0] for states, cap in cases]
     assert rows.tolist() == [0]
     _, moved = extrapolate_one(*cases[0])
-    for got, want in zip(em._parts(state[0]), moved):
-        assert got.tobytes() == want.tobytes()
+    for got, want in zip(parts, moved):
+        assert len(got) == 1
+        assert got[0].tobytes() == want.tobytes()
 
 
 def test_extrapolate_rejects_a_state_whose_eigh_fails():
@@ -810,12 +811,13 @@ def test_extrapolate_rejects_a_state_whose_eigh_fails():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.eigh(em._parts(bad[2])[2])
     batch = [np.stack(pair) for pair in zip(bad, good)]
-    alpha, rows, state = em._extrapolate(*batch, [2.0, 2.0])
+    alpha, rows, parts = em._extrapolate(*batch, [2.0, 2.0])
     assert alpha == [2.0, 2.0] and rows.tolist() == [1]
     assert extrapolate_one(bad, 2.0) == (2.0, None)
     _, moved = extrapolate_one(good, 2.0)
-    for got, want in zip(em._parts(state[0]), moved):
-        assert got.tobytes() == want.tobytes()
+    for got, want in zip(parts, moved):
+        assert len(got) == 1
+        assert got[0].tobytes() == want.tobytes()
 
 
 def test_fit_is_permutation_equivariant():

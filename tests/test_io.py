@@ -5,6 +5,7 @@ import math
 import os
 import re
 import stat
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -472,6 +473,62 @@ def test_svg_input_checks(tmp_path):
     path = str(tmp_path / "plot.svg")
     with pytest.raises(ValueError, match="at least one"):
         emit_svg_filmstrip([], path)
+
+
+def reference_filmstrip(panels) -> str:
+    """The filmstrip text written point by point: each coordinate a NumPy
+    scalar of the panel's rows, formatted on its own."""
+    def fmt(v):
+        return f"{v:.6g}"
+
+    planar = [cloud.points[:, :2] for _, cloud in panels]
+    stacked = np.vstack(planar)
+    lo, hi = stacked.min(axis=0), stacked.max(axis=0)
+    span = float(max(hi - lo))
+    pad = 0.04 * span if span > 0.0 else 1.0
+    lo, hi = lo - pad, hi + pad
+    width, height = hi[0] - lo[0], hi[1] - lo[1]
+    gap = 0.05 * width
+    total_w = len(panels) * width + (len(panels) - 1) * gap
+    caption = 0.08 * height
+    radius = 0.006 * float(max(width, height))
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="0 0 {fmt(total_w)} {fmt(height + caption)}" '
+        f'width="960" height="{fmt(960.0 * (height + caption) / total_w)}">',
+    ]
+    for i, (pts, (title, _)) in enumerate(zip(planar, panels)):
+        shift = i * (width + gap)
+        lines.append(
+            f'<text x="{fmt(shift + 0.02 * width)}" y="{fmt(0.9 * caption)}" '
+            f'font-size="{fmt(0.6 * caption)}" font-family="sans-serif">{title}</text>')
+        lines.append(f'<g transform="translate(0,{fmt(caption)})">')
+        for px, py in pts:
+            lines.append(f'<circle cx="{fmt(shift + (px - lo[0]))}" cy="{fmt(hi[1] - py)}" '
+                         f'r="{fmt(radius)}" fill="{FRAME_COLOR}"/>')
+        lines.append("</g>")
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 7.3, 1e4, 1e8])
+@pytest.mark.parametrize("offset", [0.0, -31.7, 1e5])
+def test_filmstrip_bytes_match_the_point_by_point_reference(tmp_path, scale, offset):
+    rng = np.random.default_rng(round(abs(offset) + 1e3 * math.log10(scale)) % 9973)
+    panels = [(f"t={t:g}", PointCloud(offset + scale * (rng.normal(size=(60, 3)) + 3.0 * t)))
+              for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    path = tmp_path / "strip.svg"
+    emit_svg_filmstrip(panels, str(path))
+    assert path.read_bytes() == reference_filmstrip(panels).encode()
+
+
+def test_filmstrip_titles_are_xml_text(tmp_path):
+    path = tmp_path / "strip.svg"
+    title = "a<b & c>d"
+    emit_svg_filmstrip([(title, PointCloud(np.eye(3))), ("t=1", PointCloud(np.eye(3)))],
+                       str(path))
+    texts = ET.parse(path).getroot().findall("{http://www.w3.org/2000/svg}text")
+    assert [t.text for t in texts] == [title, "t=1"]
 
 
 def test_filmstrip_panels_and_determinism(tmp_path):
