@@ -258,7 +258,7 @@ def _factor(covs: np.ndarray, failed: dict, eps: np.ndarray | None = None
     covariances too. eigh raises LinAlgError for the whole batch when one
     matrix fails; then the rows go one by one, and a failing row's error
     goes to failed under its position and its covariances and factor
-    are NaN, which scores NaN and is never a feasible step."""
+    are NaN, which scores -inf and is never a feasible step."""
     def factor(rows: slice):
         if eps is None:
             return (covs[rows],) + tuple(np.linalg.eigh(covs[rows]))
