@@ -17,31 +17,36 @@ is empty; a cloud with fewer than K distinct points fails with FitError.
 Both EM steps use the moment form of model.py: the E-step is one
 product of coefficients with the feature table Phi of the points and
 one in-place softmax_columns, the M-step one product of the (K, N)
-responsibilities with Phi^T. An EM state is one row of 25K floats, the
-parameters theta (weights, means, covariances) and the covariances'
-factor: the eigendecomposition with which the M-step floors them gives
-the next E-step its precisions and log-determinants, so each EM map
-runs one eigh and no Cholesky or inverse. The M-step computes the five
-parts of a state as contiguous arrays and writes the row from them in
-one copy (_joined), and the E-step of the same map reads those arrays,
-not views of the row: on the small arrays of a fit at N = 600 the
-cost of a map is the count of its NumPy calls, and a call on a view
-that strides over the batch costs more. SQUAREM extrapolates theta as
-one vector and falls back to the plain map whenever an extrapolated
-state is infeasible, its eigh failing included, or would lower the
-log-likelihood; only the covariance floor can lower it otherwise. A
-component that collapses fails the fit; nothing is reseeded.
+responsibilities with Phi^T. An EM state is one row of 13K floats, the
+parameters theta (weights, means, covariances). The E-step reads each
+covariance's precision and log-determinant, which the M-step computes in
+closed form from the adjugate and determinant of the 3x3 (_closed_form):
+a fixed number of NumPy calls at any batch size and K. The same
+arithmetic tests whether S - eps I is positive definite, and only the
+covariances that fail that floor test go through floor_spd's eigh
+(_floor), so a map runs no eigh unless the floor binds. The M-step
+computes the parts of a state as contiguous arrays and writes the row
+from them in one copy (_joined), and the E-step of the same map reads
+those arrays, not views of the row: on the small arrays of a fit at
+N = 600 the cost of a map is the count of its NumPy calls, and a call on
+a view that strides over the batch costs more. SQUAREM extrapolates
+theta as one vector and falls back to the plain map whenever an
+extrapolated state is infeasible (a weight below zero, or a covariance
+that fails the closed form's test of positive definiteness) or would
+lower the log-likelihood; only the covariance floor can lower it
+otherwise. A component that collapses fails the fit; nothing is
+reseeded.
 
 The fits of clouds of one size N run in lockstep: every array of a
 batch has a leading axis over its fits, the feature tables (B, 10, N),
-the responsibilities (B, K, N) and the EM states (B, 25K), and each
-step is one NumPy call over the batch. Products and eigh work slice by
-slice, so each fit gets the bits it gets alone; step lengths,
-acceptance, convergence, the cap and failures are decided fit by fit.
-A batch holds at most BATCH_FITS fits, which all start together. Each
-step runs over every fit, and the fits that finished or failed in it
-leave together at its end; the batch ends with its last fit, and no
-cloud joins a running batch.
+the responsibilities (B, K, N) and the EM states (B, 13K), and each
+step is one NumPy call over the batch. Products work slice by slice,
+and the closed form and eigh matrix by matrix, so each fit gets the
+bits it gets alone; step lengths, acceptance, convergence, the cap and
+failures are decided fit by fit. A batch holds at most BATCH_FITS
+fits, which all start together. Each step runs over every fit, and the
+fits that finished or failed in it leave together at its end; the batch
+ends with its last fit, and no cloud joins a running batch.
 """
 
 from __future__ import annotations
@@ -53,10 +58,12 @@ import numpy as np
 
 from .model import (
     SECOND_MOMENT_ROWS,
+    SYMMETRIC_ENTRIES,
     Gmm,
     PointCloud,
     centred_features,
     covariance_floor,
+    factor_precisions,
     feature_log_densities,
     floor_spd,
     reduce_through_constructor,
@@ -227,20 +234,16 @@ def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
 
 
 def _parts(state: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The views (weights, means, covariances, lam, q) of EM states, one
-    per row of state (..., 25K): [weights K | means 3K | covariances 9K |
-    lam 3K | q 9K]. The first 13K columns are the parameters theta, the
-    last 12K the factor (lam, q) of the covariances. _joined is the
-    inverse."""
-    k, lead = state.shape[-1] // 25, state.shape[:-1]
+    """The views (weights, means, covariances) of EM states, one per row
+    of state (..., 13K): [weights K | means 3K | covariances 9K], the
+    parameters theta. _joined is the inverse."""
+    k, lead = state.shape[-1] // 13, state.shape[:-1]
     return (state[..., :k], state[..., k:4 * k].reshape(lead + (k, 3)),
-            state[..., 4 * k:13 * k].reshape(lead + (k, 3, 3)),
-            state[..., 13 * k:16 * k].reshape(lead + (k, 3)),
-            state[..., 16 * k:].reshape(lead + (k, 3, 3)))
+            state[..., 4 * k:].reshape(lead + (k, 3, 3)))
 
 
 def _joined(*parts: np.ndarray) -> np.ndarray:
-    """The EM states (B, 25K) whose parts, each with a leading axis over
+    """The EM states (B, 13K) whose parts, each with a leading axis over
     the B states, are given in _parts' order: the inverse of _parts, in
     one copy."""
     return np.concatenate([part.reshape(len(part), -1) for part in parts], axis=-1)
@@ -251,55 +254,139 @@ def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return a if len(rows) == len(a) else a[rows]
 
 
-def _factor(covs: np.ndarray, failed: dict, eps: np.ndarray | None = None
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The covariances (B, K, 3, 3) of a batch and their factor (lam, q):
-    eigh's, or with floors eps (B,) floor_spd's, which floors the
-    covariances too. eigh raises LinAlgError for the whole batch when one
-    matrix fails; then the rows go one by one, and a failing row's error
-    goes to failed under its position and its covariances and factor
-    are NaN, which scores -inf and is never a feasible step."""
-    def factor(rows: slice):
-        if eps is None:
-            return (covs[rows],) + tuple(np.linalg.eigh(covs[rows]))
-        floored, (lam, q) = floor_spd(covs[rows], eps[rows, None, None])
-        return floored, lam, q
+# The closed form of a symmetric 3x3 S. Its six distinct entries in
+# Phi's order (SYMMETRIC_ENTRIES) are v = (a, b, c, f, e, d) for
+# S_xx, S_yy, S_zz, S_yz, S_xz and S_xy, and its adjugate A has, in the
+# same order, bc - ff, ac - ee, ab - dd, ed - af, fd - be and fe - cd:
+# the products of the entries of v that _ADJUGATE_FACTORS picks, the
+# first six less the last six. The diagonal of adj(A) = det S * S is
+# A_yy A_zz - A_yz^2 and so on: the products that _TRACE_FACTORS picks
+# from A, the first three less the last three, sum to N = tr adj(A).
+_ADJUGATE_FACTORS = np.array([1, 0, 0, 4, 3, 3, 3, 4, 5, 0, 1, 2,
+                              2, 2, 1, 5, 5, 4, 3, 4, 5, 3, 4, 5])
+_TRACE_FACTORS = np.array([1, 2, 0, 3, 4, 5, 2, 0, 1, 3, 4, 5])
+# where _closed_form gathers v and the factors from a flattened matrix
+_ENTRIES = np.concatenate([SYMMETRIC_ENTRIES, SYMMETRIC_ENTRIES[_ADJUGATE_FACTORS]])
 
+
+def _shift_test(shift: float) -> np.ndarray:
+    """The (43, 6) matrix that takes a row of _closed_form's buffer,
+    [v | the factors of A | A | the products that sum to N | 1], to
+
+        t1 = e1 - 3 s,  t2 = e2 - 2 s e1 + 3 s^2,  0,  e1,  N,
+        s e2 - s^2 e1 + s^3,
+
+    for s = shift, e1 = tr S and e2 = tr A. With e3 = det S = N / e1,
+    t1, t2 and t3 = e3 - s e2 + s^2 e1 - s^3 are the elementary
+    symmetric polynomials of the eigenvalues of S - shift I. Those are
+    real, so the three are > 0 exactly when S - shift I is positive
+    definite; once t1 > 0 makes e1 > 0, e1 t3 = N - e1 (s e2 - s^2 e1 +
+    s^3) has t3's sign, and _closed_form writes it to the zero column."""
+    test = np.zeros((43, 6))
+    test[0:3] = [1.0, -2.0 * shift, 0.0, 1.0, 0.0, -shift ** 2]  # a, b, c: e1
+    test[30:33] = [0.0, 1.0, 0.0, 0.0, 0.0, shift]  # A_xx, A_yy, A_zz: e2
+    test[36:39, 4], test[39:42, 4] = 1.0, -1.0
+    test[42] = [-3.0 * shift, 3.0 * shift ** 2, 0.0, 0.0, 0.0, shift ** 3]
+    return test
+
+
+# in units of the floor eps: S - eps I, the floor test, and S itself,
+# the test of a SQUAREM candidate
+_FLOOR_TEST, _SPD_TEST = _shift_test(1.0), _shift_test(0.0)
+
+
+def _closed_form(covs: np.ndarray, eps: np.ndarray, test: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Precisions (B, K, 6), as feature_log_densities reads them, and
+    log-determinants (B, K) of the covariances (B, K, 3, 3) of a batch of
+    fits, each matrix taken in units of its fit's floor eps (B,): the
+    closed form costs the same few NumPy calls at any B and K, and in
+    those units it neither overflows nor depends on the cloud's scale.
+
+    The precision is A / det S, from the adjugate A, and det S =
+    tr adj(A) / tr S (see _ADJUGATE_FACTORS). Unlike the cofactor
+    expansion along a row, whose error grows with the product of two
+    condition numbers when two eigenvalues are small, that determinant
+    is as accurate as eigh's: adj(A) = det S * S, and the sum of its
+    diagonal is dominated by the largest entry.
+
+    test is _FLOOR_TEST or _SPD_TEST, and the third value is None when
+    every matrix passes it, else the (B, K) mask of those that fail; a
+    failing matrix's precision and log-determinant are placeholders.
+    Shifted by eps, the floor test is robust: eps is far above the
+    rounding of the polynomials, so no matrix whose smallest eigenvalue
+    is below eps by more than that rounding passes it.
+    """
+    lead = covs.shape[:-2]
+    row = np.ones(lead + (43,))
+    np.divide(covs.reshape(lead + (9,))[..., _ENTRIES], eps.reshape(eps.shape + (1, 1)),
+              out=row[..., :30])
+    products = row[..., 6:18] * row[..., 18:30]
+    adjugate = np.subtract(products[..., :6], products[..., 6:], out=row[..., 30:36])
+    factors = adjugate[..., _TRACE_FACTORS]
+    np.multiply(factors[..., :6], factors[..., 6:], out=row[..., 36:42])
+    values = row @ test
+    trace, n = values[..., 3], values[..., 4]
+    e1t3 = np.multiply(trace, values[..., 5], out=values[..., 2])
+    np.subtract(n, e1t3, out=e1t3)
+    failing = None
+    if not values[..., :3].min() > 0.0:  # NaN included
+        failing = ~(values[..., :3] > 0.0).all(axis=-1)
+        trace[failing] = n[failing] = 1.0
+    det = n / trace
+    precision = adjugate / (det * eps[..., None])[..., None]
+    log_det = np.log(det)
+    log_det += 3.0 * np.log(eps)[..., None]
+    return precision, log_det, failing
+
+
+def _floor(covs: np.ndarray, eps: np.ndarray, binding: np.ndarray, precision: np.ndarray,
+           log_det: np.ndarray, failed: dict):
+    """Floor the covariances (B, K, 3, 3) of a batch of fits that the
+    mask binding (B, K) selects at their fits' eps (B,) with floor_spd,
+    in place, with their precisions and log-determinants from its factor.
+    eigh raises LinAlgError for the whole stack when one matrix fails;
+    then the matrices go one by one, and a failing matrix's error goes
+    to failed under its fit's position and its values are NaN, which
+    scores -inf."""
+    fits = np.nonzero(binding)[0]
+    stack, floors = covs[binding], eps[fits, None]
     try:
-        return factor(slice(None))
+        floored, (lam, q) = floor_spd(stack, floors)
     except np.linalg.LinAlgError:
-        out = (np.full(covs.shape, np.nan), np.full(covs.shape[:-1], np.nan),
-               np.full(covs.shape, np.nan))
-        for b in range(len(covs)):
+        floored, lam, q = (np.full(stack.shape, np.nan), np.full(stack.shape[:-1], np.nan),
+                           np.full(stack.shape, np.nan))
+        for i, b in enumerate(fits.tolist()):
             try:
-                row = factor(slice(b, b + 1))
+                one, (lam[i:i + 1], q[i:i + 1]) = floor_spd(stack[i:i + 1], floors[i:i + 1])
             except np.linalg.LinAlgError as exc:
                 failed.setdefault(b, exc)
                 continue
-            for part, value in zip(out, row):
-                part[b] = value[0]
-        return out
+            floored[i] = one[0]
+    covs[binding] = floored
+    precision[binding], log_det[binding] = factor_precisions(lam, q)
 
 
 def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray
                    ) -> tuple[np.ndarray, tuple[np.ndarray, ...], dict]:
-    """The EM states (B, 25K) of a batch of fits, one row each (see
+    """The EM states (B, 13K) of a batch of fits, one row each (see
     _parts), from their (B, K, N) responsibilities and (B, 10, N) feature
     tables, means in Phi's frame: the covariances floored at each fit's
-    eps (B,) by floor_spd, and (lam, q) its factor.
+    eps (B,). Only the matrices that fail the floor test of _closed_form
+    go through floor_spd (_floor); the others keep their moments.
 
     The parts are computed as contiguous arrays and joined into the rows
-    in one copy. Returns the states, those parts (weights, means,
-    covariances, lam, q), which the E-step reads, and the fits that
-    failed, each error under its batch position: a component whose mass
-    is below COLLAPSE_MASS has no mean to estimate (ValueError), or eigh
-    failed (LinAlgError). A failed fit's row is a placeholder.
+    in one copy. Returns the states, the E-step's parts (weights, means,
+    precisions, log-determinants) and the fits that failed, each error
+    under its batch position: a component whose mass is below
+    COLLAPSE_MASS has no mean to estimate (ValueError), or the floor's
+    eigh failed (LinAlgError). A failed fit's row is a placeholder.
     """
     moments = gamma @ phi.swapaxes(-1, -2)
     mass = moments[..., 0]
-    alive = mass >= COLLAPSE_MASS
     failed = {}
-    if not alive.all():
+    if not mass.min() >= COLLAPSE_MASS:  # NaN included
+        alive = mass >= COLLAPSE_MASS
         for b in np.flatnonzero(~alive.all(axis=1)).tolist():
             j = int(np.argmin(alive[b]))
             failed[b] = ValueError(
@@ -311,8 +398,10 @@ def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray
     # exactly symmetric, as floor_spd needs: SECOND_MOMENT_ROWS is, and
     # mu_i mu_j = mu_j mu_i
     covs = scaled[..., SECOND_MOMENT_ROWS] - means[..., :, None] * means[..., None, :]
-    parts = (weights, means) + _factor(covs, failed, eps)
-    return _joined(*parts), parts, failed
+    precision, log_det, binding = _closed_form(covs, eps, _FLOOR_TEST)
+    if binding is not None:
+        _floor(covs, eps, binding, precision, log_det, failed)
+    return _joined(weights, means, covs), (weights, means, precision, log_det), failed
 
 
 def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
@@ -321,22 +410,23 @@ def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
         raise ValueError(
             f"responsibilities cover {resp.gamma.shape[0]} points, cloud has {len(cloud)}")
     centre = cloud.points.mean(axis=0)
-    _, (weights, means, covs, _, _), failed = _m_step_arrays(
+    state, _, failed = _m_step_arrays(
         centred_features(cloud.points, centre)[None], resp.gamma.T[None],
         np.array([covariance_floor(cloud.points)]))
     if failed:
         raise failed[0]
-    return Gmm(weights[0], means[0] + centre, covs[0])
+    weights, means, covs = _parts(state[0])
+    return Gmm(weights, means + centre, covs)
 
 
 def _responsibilities(phi: np.ndarray, parts: tuple[np.ndarray, ...],
                       out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The E-step of a batch of fits: the (B, K, N) responsibilities of
-    their EM states, given by their parts (weights, means, covariances,
-    lam, q) as _parts or _m_step_arrays returns them, written to out when
-    given, and the log-likelihoods (B,) of their points."""
-    weights, means, _, lam, q = parts
-    gamma = feature_log_densities(phi, weights, means, (lam, q), out=out)
+    their EM states, given by their parts (weights, means, precisions,
+    log-determinants) as _m_step_arrays or _extrapolate returns them,
+    written to out when given, and the log-likelihoods (B,) of their
+    points."""
+    gamma = feature_log_densities(phi, *parts, out=out)
     return gamma, softmax_columns(gamma).sum(axis=-1)
 
 
@@ -360,26 +450,25 @@ def _converged(trace: list[float] | tuple[float, ...]) -> bool:
     return len(trace) >= 2 and abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0) < REL_TOLERANCE
 
 
-def _extrapolate(theta0, theta1, theta2, step_max):
+def _extrapolate(theta0, theta1, theta2, step_max, eps):
     """S3 SQUAREM steps (Varadhan & Roland 2008) of a batch of fits from
-    the parameters theta (see _parts) of three consecutive EM states
-    (B, 25K), and each fit's step cap in step_max.
+    three consecutive EM states (B, 13K) (see _parts), each fit's step
+    cap in step_max and its covariance floor in eps (B,).
 
     With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, a fit's
     step is alpha = min(step_max, |r| / |v|), each norm the sum of
     np.vdot over the fit's own weights, means and covariances, in that
     order, and its extrapolated state theta0 + 2 alpha r + alpha^2 v
     (alpha = 1 gives theta2). A state is infeasible with a weight below
-    zero, or a covariance with an eigenvalue that is not > 0, NaN
-    included, or whose eigh fails.
+    zero, or a covariance that is not positive definite by the closed
+    form's test (_SPD_TEST), NaN included.
 
     Returns the list of steps alpha, one per fit, the positions of the
     fits whose alpha > 1 gives a feasible state, and those states' parts
-    (see _responsibilities), with their own eigh as factor: weights and
-    means are views of the extrapolated theta, lam and q eigh's arrays.
+    (see _responsibilities): weights and means are views of the
+    extrapolated theta, precisions and log-determinants its closed form.
     """
-    k = theta0.shape[-1] // 25
-    theta0, theta1, theta2 = (theta[:, :13 * k] for theta in (theta0, theta1, theta2))
+    k = theta0.shape[-1] // 13
     r, v = theta1 - theta0, theta2 - 2.0 * theta1 + theta0
     blocks = (slice(0, k), slice(k, 4 * k), slice(4 * k, 13 * k))
     alpha = []
@@ -388,16 +477,18 @@ def _extrapolate(theta0, theta1, theta2, step_max):
                     for x in (r, v))
         alpha.append(min(cap, math.sqrt(sr2 / sv2) if sv2 > 0.0 else math.inf))
     rows = np.array([i for i, step in enumerate(alpha) if step > 1.0], dtype=np.intp)
+    if not len(rows):
+        return alpha, rows, ()
     step = np.array(alpha)[rows, None]
-    # the factor columns stay unset: no candidate's are read
-    candidate = np.empty((len(rows), 25 * k))
-    candidate[:, :13 * k] = (_take(theta0, rows) + 2.0 * step * _take(r, rows)
-                             + step * step * _take(v, rows))
-    weights, means, covs, _, _ = _parts(candidate)
-    covs, lam, q = _factor(covs, {})
-    feasible = np.flatnonzero((weights >= 0.0).all(axis=-1) & (lam > 0.0).all(axis=(-2, -1)))
+    weights, means, covs = _parts(_take(theta0, rows) + 2.0 * step * _take(r, rows)
+                                  + step * step * _take(v, rows))
+    precision, log_det, failing = _closed_form(covs, _take(eps, rows), _SPD_TEST)
+    feasible = (weights >= 0.0).all(axis=-1)
+    if failing is not None:
+        feasible &= ~failing.any(axis=-1)
+    feasible = np.flatnonzero(feasible)
     return alpha, rows[feasible], tuple(_take(part, feasible)
-                                        for part in (weights, means, covs, lam, q))
+                                        for part in (weights, means, precision, log_det))
 
 
 @dataclass(eq=False)
@@ -419,10 +510,10 @@ class _Lockstep:
     Every array has a leading axis over the fits, in the order of fits:
     the feature tables phi (B, 10, N), the covariance floors eps (B,),
     the responsibilities gamma (B, K, N) of the latest accepted states,
-    and states, the EM states (B, 25K) of the current SQUAREM cycle, one
+    and states, the EM states (B, 13K) of the current SQUAREM cycle, one
     row per fit (see _parts). The states are what SQUAREM extrapolates
-    and a finishing fit is read from; each E-step reads the arrays its
-    M-step or _extrapolate returned. The fits all start in the
+    and a finishing fit is read from; each E-step reads the precisions
+    and log-determinants its M-step or _extrapolate returned. The fits all start in the
     constructor and none joins later. Every step ends in _settle, where
     the fits that finished or failed leave together, to done as (input
     position, FitResult or FitError).
@@ -472,7 +563,7 @@ class _Lockstep:
         stay = []
         for b, fit in enumerate(self.fits):
             if b in stopped and b not in failed:
-                weights, means, covs, _, _ = _parts(self.states[-1][b])
+                weights, means, covs = _parts(self.states[-1][b])
                 try:
                     model = Gmm(weights, means + fit.centre, covs)
                 except (ValueError, np.linalg.LinAlgError) as exc:
@@ -518,7 +609,8 @@ class _Lockstep:
         not score below theta2, and the step cap's update. A fit that
         fails, converges or reaches MAX_ITERATIONS leaves."""
         fits, state = self.fits, self.states[-1]
-        alpha, rows, candidate = _extrapolate(*self.states, [fit.step_max for fit in fits])
+        alpha, rows, candidate = _extrapolate(*self.states, [fit.step_max for fit in fits],
+                                              self.eps)
         accepted = [not step > 1.0 for step in alpha]
         failed, stopped = {}, set()
         if len(rows):

@@ -10,15 +10,16 @@ Densities use the moment (exponential-family) form of a Gaussian
 (Bishop, PRML 2.3-2.4 and 9.2). Each point x becomes a column of a
 feature table Phi = [1, x, x x^T] (10 rows, the second moments taken
 once each), and each weighted component becomes a row of coefficients
-built from its precision P, P mu and a constant. Those come from the
-eigendecomposition (lam, q) of the covariances, P = q diag(1 / lam) q^T
-and log det = sum log lam: an EM M-step gets that factor from floor_spd,
-which floors the covariances with it, and a Gmm keeps the one that
-checked_spd, the package's one test of positive definiteness, returned
-when it was built, as Gmm.factor: scoring, sampling and geodesics read
-it and validate nothing again. All K log-densities at all N points are
-then one (K, 10) by (10, N) product, and the moments an M-step needs
-are one (K, N) by (N, 10) product.
+built from its precision P, P mu, its log-determinant and a constant.
+feature_log_densities takes the precisions and log-determinants: an EM
+fit computes them in closed form from its covariances (em.py), and
+scoring derives them from the eigendecomposition (lam, q) that a Gmm
+keeps from checked_spd, the package's one test of positive
+definiteness, as Gmm.factor: P = q diag(1 / lam) q^T and
+log det = sum log lam (factor_precisions). Scoring, sampling and
+geodesics read that factor and validate nothing again. All K
+log-densities at all N points are then one (K, 10) by (10, N) product,
+and the moments an M-step needs are one (K, N) by (N, 10) product.
 softmax_columns normalises the log-density table in place into the
 responsibilities and each point's log density together. There a
 log-density more than 700 nats (EXP_FLOOR) below its column's peak gives
@@ -255,14 +256,18 @@ def floor_spd(cov: np.ndarray, eps: float
 
 
 # Rows of the feature table Phi: 1, the coordinates x, y, z, then the
-# second moments xx, yy, zz, xy, xz, yz. SECOND_MOMENT_ROWS maps a 3x3
-# second-moment matrix onto those rows.
+# second moments: the squares xx, yy, zz, and the cross products yz, xz,
+# xy, each in the place of the coordinate it leaves out. A symmetric 3x3
+# matrix, a precision among them, is given by its six distinct entries in
+# that order: SYMMETRIC_ENTRIES are their places in the flattened matrix,
+# and SECOND_MOMENT_ROWS maps the matrix onto Phi's rows.
 N_FEATURES = 10
-SECOND_MOMENT_ROWS = np.array([[4, 7, 8], [7, 5, 9], [8, 9, 6]])
-_PRODUCTS = ((1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3))
-# the entries of a flattened 3x3 precision that give the coefficients of
-# rows 4-9 of Phi, and their factors: -P_xx / 2, ..., -P_xy, ...
-_PRECISION_ENTRIES = np.array([0, 4, 8, 1, 2, 5])
+SECOND_MOMENT_ROWS = np.array([[4, 9, 8], [9, 5, 7], [8, 7, 6]])
+SYMMETRIC_ENTRIES = np.array([0, 4, 8, 5, 2, 1])
+_SYMMETRIC_MATRIX = SECOND_MOMENT_ROWS - 4  # the six entries' places in the matrix
+_PRODUCTS = ((1, 1), (2, 2), (3, 3), (2, 3), (1, 3), (1, 2))
+# the factors that take the six precision entries to the coefficients of
+# rows 4-9 of Phi: -P_xx / 2, -P_yy / 2, -P_zz / 2, -P_yz, -P_xz, -P_xy
 _PRECISION_SCALE = np.array([-0.5, -0.5, -0.5, -1.0, -1.0, -1.0])
 
 
@@ -284,38 +289,43 @@ def centred_features(points: np.ndarray, centre: np.ndarray) -> np.ndarray:
     return phi
 
 
+def factor_precisions(lam: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Precisions (..., 6), each as its six distinct entries in Phi's
+    order (see SYMMETRIC_ENTRIES), and log-determinants (...,) of the
+    covariances whose eigendecomposition is (lam, q), every lam > 0:
+    P = q diag(1 / lam) q^T and log det S = sum log lam."""
+    precision = (q / lam[..., None, :]) @ _transposed(q)
+    return (precision.reshape(lam.shape[:-1] + (9,))[..., SYMMETRIC_ENTRIES],
+            np.log(lam).sum(axis=-1))
+
+
 def feature_log_densities(phi: np.ndarray, weights: np.ndarray, means: np.ndarray,
-                          factor: tuple[np.ndarray, np.ndarray],
+                          precision: np.ndarray, log_det: np.ndarray,
                           out: np.ndarray | None = None) -> np.ndarray:
     """(K, N) matrix of log(w_j) + log f_j(x_i) from the feature table of
     the points. Zero weights map to -inf. Every argument may carry the
     same leading axes, one mixture and table per index: a batch of fits.
 
-    means are in Phi's frame, the same centre subtracted. factor is the
-    eigendecomposition (lam, q) of the covariances, every lam > 0, as
-    floor_spd returns it: the precision is P = q diag(1 / lam) q^T,
-    P mu = q (q^T mu / lam), mu^T P mu = sum (q^T mu)^2 / lam and
-    log det S = sum log lam. Row j of the coefficients is
+    means are in Phi's frame, the same centre subtracted; precision
+    (K, 6) holds each component's precision P as its six distinct
+    entries in Phi's order (see SYMMETRIC_ENTRIES), and log_det (K,) the
+    log-determinants of the covariances. Row j of the coefficients is
 
         [log w_j - (3 log 2 pi + log det S_j + mu^T P mu) / 2,  P mu,
-         -P_xx / 2, -P_yy / 2, -P_zz / 2, -P_xy, -P_xz, -P_yz]
+         -P_xx / 2, -P_yy / 2, -P_zz / 2, -P_yz, -P_xz, -P_xy]
 
     and the log-densities are coefficients @ Phi, written to out when
     given.
     """
-    lam, q = factor
-    rotated = (means[..., None, :] @ q)[..., 0, :]  # q^T mu
-    scaled = rotated / lam
-    precision = (q / lam[..., None, :]) @ _transposed(q)
-    alive = weights > 0.0
-    all_alive = alive.all()
     coef = np.empty(weights.shape + (N_FEATURES,))
+    p_mu = np.matmul(precision[..., _SYMMETRIC_MATRIX], means[..., None],
+                     out=coef[..., 1:4, None])
+    np.multiply(precision, _PRECISION_SCALE, out=coef[..., 4:])
+    all_alive = weights.min() > 0.0
+    alive = None if all_alive else weights > 0.0
     np.subtract(np.log(weights if all_alive else np.where(alive, weights, 1.0)),
-                0.5 * (3.0 * LOG_TWO_PI + np.log(lam).sum(axis=-1)
-                       + (rotated * scaled).sum(axis=-1)), out=coef[..., 0])
-    np.matmul(q, scaled[..., None], out=coef[..., 1:4, None])
-    np.multiply(precision.reshape(weights.shape + (9,))[..., _PRECISION_ENTRIES],
-                _PRECISION_SCALE, out=coef[..., 4:])
+                0.5 * (3.0 * LOG_TWO_PI + log_det + (means[..., None, :] @ p_mu)[..., 0, 0]),
+                out=coef[..., 0])
     # -inf stays out of the product, where BLAS could meet it with a zero
     lwd = np.matmul(coef, phi, out=out)
     if not all_alive:
@@ -327,16 +337,16 @@ def weighted_log_densities(points: np.ndarray, model: Gmm | GmmEnsemble) -> np.n
     """(K, N) matrix of log(w_j) + log f_j(x_i) of a mixture, or of an
     ensemble's flat mixture. Zero weights map to -inf.
 
-    The precisions come from the mixture's own factor. Points and means
-    are taken relative to the mixture's own mean, the weighted mean of
-    its components, so the moment form stays accurate near the mixture
-    however far it sits from the origin.
+    The precisions come from the mixture's own factor (factor_precisions).
+    Points and means are taken relative to the mixture's own mean, the
+    weighted mean of its components, so the moment form stays accurate
+    near the mixture however far it sits from the origin.
     """
     weights, means, _, factor = flat_mixture(model)
     centre = weights @ means
     phi = centred_features(points, centre)
     with np.errstate(invalid="ignore"):  # inf features of far points: NaN, a dead column
-        return feature_log_densities(phi, weights, means - centre, factor)
+        return feature_log_densities(phi, weights, means - centre, *factor_precisions(*factor))
 
 
 def softmax_columns(lwd: np.ndarray) -> np.ndarray:

@@ -15,7 +15,15 @@ from hypothesis import settings
 
 from gmmcloud import em
 from gmmcloud.em import FitConfig, fit_em
-from gmmcloud.model import LOG_TWO_PI, EnsembleMember, Gmm, GmmEnsemble, PointCloud, floor_spd
+from gmmcloud.model import (
+    LOG_TWO_PI,
+    SYMMETRIC_ENTRIES,
+    EnsembleMember,
+    Gmm,
+    GmmEnsemble,
+    PointCloud,
+    floor_spd,
+)
 from gmmcloud.sampling import generate_point_cloud, rng_stream
 from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
 
@@ -176,6 +184,35 @@ def loop_log_densities(points, weights, means, covariances):
         cols[:, j] = (math.log(weights[j]) - 0.5 * (3.0 * LOG_TWO_PI + log_det[j])
                       - 0.5 * np.einsum("ij,ij->i", y, y))
     return cols
+
+
+# A covariance's precision and log-determinant, computed in closed form
+# (em._closed_form), by eigh (model.factor_precisions) or by LU
+# (np.linalg.inv, slogdet), all lose digits in proportion to its
+# condition number kappa: each agrees with the others within
+# PRECISION_TOL * kappa, relative to the largest precision entry and
+# absolutely on the log-determinant.
+PRECISION_TOL = 256 * np.finfo(float).eps
+
+
+# The rounding up to which the floor holds: a covariance S that an M-step
+# floored at eps, or that passed its floor test, has its eigvalsh minimum
+# at least eps - FLOOR_TEST_TOL * |S|_2.
+FLOOR_TEST_TOL = 16 * np.finfo(float).eps
+
+
+def assert_precisions_match(precision, log_det, covs):
+    """precision (..., 6), in Phi's order (model.SYMMETRIC_ENTRIES), and
+    log_det (...,) of the covariances (..., 3, 3) within PRECISION_TOL
+    times each one's condition number of np.linalg.inv and slogdet."""
+    lam = np.linalg.eigvalsh(covs)
+    kappa = lam[..., -1] / lam[..., 0]
+    inverse = np.linalg.inv(covs).reshape(covs.shape[:-2] + (9,))[..., SYMMETRIC_ENTRIES]
+    sign, oracle = np.linalg.slogdet(covs)
+    assert np.all(sign == 1.0)
+    gap = np.abs(precision - inverse).max(axis=-1)
+    assert np.all(gap <= PRECISION_TOL * kappa * np.abs(inverse).max(axis=-1))
+    assert np.all(np.abs(log_det - oracle) <= PRECISION_TOL * kappa)
 
 
 def loop_log_sum_exp_rows(matrix):

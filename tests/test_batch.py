@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import counted_steps
+from conftest import assert_precisions_match, counted_steps
 
 import gmmcloud
 from gmmcloud import em
@@ -134,15 +134,35 @@ def test_build_ensembles_checks_every_cloud_before_fitting():
 def test_fit_em_batch_equals_fit_em_at_the_iteration_cap(monkeypatch, k):
     # no relative change is below 1e-300, so a fit runs MAX_ITERATIONS
     # maps unless its log-likelihood stops changing exactly, as every fit
-    # here does at K = 1 and 2 and two of four do at K = 8
+    # here does at K = 1 and 2 and three of four do at K = 8
     monkeypatch.setattr(em, "REL_TOLERANCE", 1e-300)
     clouds = [tube(s, n=300) for s in range(3)] + [tube(3, n=200)]
-    batched = fit_em_batch(clouds, k, FitConfig(seed=0))
+    batched = fit_em_batch(clouds, k, FitConfig(seed=2))
     assert [fit_bytes(r) for r in batched] == [
-        fit_bytes(r) for r in one_by_one(clouds, k, FitConfig(seed=0))]
+        fit_bytes(r) for r in one_by_one(clouds, k, FitConfig(seed=2))]
     if k == 8:
-        assert [r.converged for r in batched] == [False, True, True, False]
+        assert [r.converged for r in batched] == [False, True, True, True]
     assert all(r.iterations <= em.MAX_ITERATIONS for r in batched)
+
+
+def test_a_batch_whose_fits_floor_different_matrices_equals_them_one_by_one(monkeypatch):
+    # at K = 32 the floor binds on a few covariances of some tubes' fits,
+    # different ones in each: floor_spd runs on those alone, gathered
+    # over the batch, and every fit keeps the bits it gets alone
+    clouds = [tube(s) for s in (5, 6, 8, 11)]
+    config = FitConfig(seed=0)
+    alone = one_by_one(clouds, 32, config)
+    floor, bound = em._floor, []
+
+    def recorded(covs, eps, binding, *args):
+        bound.append(binding.copy())
+        return floor(covs, eps, binding, *args)
+
+    monkeypatch.setattr(em, "_floor", recorded)
+    batched = fit_em_batch(clouds, 32, config)
+    assert [fit_bytes(r) for r in batched] == [fit_bytes(r) for r in alone]
+    assert any(len(mask) > 1 and len({row.tobytes() for row in mask}) > 1 for mask in bound)
+    assert all(mask.sum() < mask.size for mask in bound)
 
 
 def test_a_batch_starts_its_fits_together_and_takes_no_more(monkeypatch, small_batches):
@@ -252,39 +272,53 @@ def test_a_batch_sorts_floors_and_builds_features_once_per_cloud(monkeypatch, sm
 
 @pytest.mark.parametrize("k", [4, 32])
 def test_each_e_step_equals_the_e_step_of_the_state_rows(monkeypatch, k):
-    # a map's E-step reads its M-step's arrays, and a SQUAREM candidate's
-    # reads its extrapolated theta and its eigh's arrays: either gives the
-    # bits of the E-step on the views of the state rows they stand for
-    em_map, extrapolate, responsibilities = em._em_map, em._extrapolate, em._responsibilities
-    candidates, batch_sizes, checked = [], [], {"maps": 0, "candidates": 0}
+    # a map's E-step reads its M-step's precisions and log-determinants,
+    # and a SQUAREM candidate's those of its extrapolated theta: each is
+    # the closed form of the covariances in the state rows it stands for,
+    # bit for bit, but where the M-step floored a covariance; there they
+    # come from floor_spd's factor and match the floored row's
+    m_step_arrays, extrapolate, floor = em._m_step_arrays, em._extrapolate, em._floor
+    floored, batch_sizes = [], []
+    checked = {"maps": 0, "candidates": 0, "floored": 0}
 
     def assert_same(got, want):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
-    def map_checked(phi, gamma, eps):
-        state, gamma, ll, failed = em_map(phi, gamma, eps)
-        assert_same((gamma, ll), responsibilities(phi, em._parts(state)))
-        checked["maps"] += 1
-        batch_sizes.append(len(phi))
-        return state, gamma, ll, failed
+    def floor_recorded(covs, eps, binding, *args):
+        floored.append(binding.copy())
+        return floor(covs, eps, binding, *args)
 
-    def extrapolate_recorded(*args):
-        alpha, rows, parts = extrapolate(*args)
-        candidates.append(parts)
+    def m_step_checked(phi, gamma, eps):
+        floored.clear()
+        state, parts, failed = m_step_arrays(phi, gamma, eps)
+        weights, means, covs = em._parts(state)
+        precision, log_det, _ = em._closed_form(covs, eps, em._FLOOR_TEST)
+        bound = floored[0] if floored else np.zeros(weights.shape, dtype=bool)
+        assert_same(parts[:2], (weights, means))
+        assert_same((parts[2][~bound], parts[3][~bound]), (precision[~bound], log_det[~bound]))
+        if bound.any():
+            assert_precisions_match(parts[2][bound], parts[3][bound], covs[bound])
+        checked["maps"] += 1
+        checked["floored"] += int(bound.sum())
+        batch_sizes.append(len(phi))
+        return state, parts, failed
+
+    def extrapolate_checked(theta0, theta1, theta2, step_max, eps):
+        alpha, rows, parts = extrapolate(theta0, theta1, theta2, step_max, eps)
+        if len(rows):
+            step = np.array(alpha)[rows, None]
+            r, v = theta1[rows] - theta0[rows], theta2[rows] - 2.0 * theta1[rows] + theta0[rows]
+            weights, means, covs = em._parts(theta0[rows] + 2.0 * step * r + step * step * v)
+            assert_same(parts, (weights, means) + em._closed_form(covs, eps[rows],
+                                                                  em._SPD_TEST)[:2])
+            checked["candidates"] += len(rows)
         return alpha, rows, parts
 
-    def responsibilities_checked(phi, parts, out=None):
-        gamma, ll = responsibilities(phi, parts, out=out)
-        if candidates and parts is candidates[-1]:
-            assert_same((gamma, ll), responsibilities(phi, em._parts(em._joined(*parts))))
-            checked["candidates"] += 1
-        return gamma, ll
-
-    monkeypatch.setattr(em, "_em_map", map_checked)
-    monkeypatch.setattr(em, "_extrapolate", extrapolate_recorded)
-    monkeypatch.setattr(em, "_responsibilities", responsibilities_checked)
+    monkeypatch.setattr(em, "_floor", floor_recorded)
+    monkeypatch.setattr(em, "_m_step_arrays", m_step_checked)
+    monkeypatch.setattr(em, "_extrapolate", extrapolate_checked)
     fit_em_batch(mixed_clouds(), k, FitConfig(seed=0))
-    assert checked["maps"] > 20 and checked["candidates"] > 5
+    assert checked["maps"] > 20 and checked["candidates"] > 5 and checked["floored"] > 0
     assert max(batch_sizes) > 1
 
 
@@ -316,14 +350,22 @@ def test_each_fits_squarem_step_sums_its_own_norms_in_order(monkeypatch):
             assert alpha[i] == min(cap, ratio)
 
 
+def planar(cloud: PointCloud) -> PointCloud:
+    """The cloud flattened onto z = 0: the floor binds on every covariance
+    of its fits, so each of its M-steps runs floor_spd's eigh."""
+    pts = cloud.points.copy()
+    pts[:, 2] = 0.0
+    return PointCloud(pts)
+
+
 def poisoned(monkeypatch, target: PointCloud):
     """Patch the steps so that the target cloud's fit can fail, and return
     arm(mode), which chooses how and restarts the count: "collapse" gives
     component 1 no point of its k-means++ start, "nan" poisons its second
-    E-step (a non-finite log-likelihood), and "eigh" puts NaN into the
-    covariances of its fourth M-step and after, so the stacked eigh fails.
-    The fit's slice is found by its points, its first feature column or
-    its covariance floor."""
+    E-step (a non-finite log-likelihood), and "eigh" puts NaN into its
+    binding covariances from the fourth of its floor_spd calls on, so the
+    floor's eigh fails. The fit's slice is found by its points, its first
+    feature column or its covariance floor."""
     kmeans_init, feature_log_densities, floor_spd = (
         em.kmeans_init, em.feature_log_densities, em.floor_spd)
     pts = em._sorted_points(target.points)
@@ -348,12 +390,11 @@ def poisoned(monkeypatch, target: PointCloud):
 
     def bad_floor(covs, floors):
         mine = floors.reshape(-1) == eps
-        # identities stand in for a fit whose eigh failed: leave them be
-        if mine.any() and not (covs == np.eye(3)).all():
+        if mine.any():
             seen["m"] += 1
             if "eigh" in modes and seen["m"] >= 4:
                 covs = covs.copy()
-                covs.reshape((-1,) + covs.shape[-3:])[mine] = np.nan
+                covs[mine] = np.nan
         return floor_spd(covs, floors)
 
     monkeypatch.setattr(em, "kmeans_init", bad_kmeans)
@@ -374,7 +415,7 @@ def poisoned(monkeypatch, target: PointCloud):
 ])
 def test_a_failing_fit_fails_only_itself(monkeypatch, mode, message):
     clouds = [tube(s) for s in range(4)]
-    target = clouds[2]
+    clouds[2] = target = planar(clouds[2])
     arm = poisoned(monkeypatch, target)
     config = FitConfig(seed=0)
     arm(mode)
@@ -390,9 +431,10 @@ def test_a_failing_fit_fails_only_itself(monkeypatch, mode, message):
 
 def test_a_fit_whose_stabilising_map_fails_fails_only_itself(monkeypatch):
     # NaN covariances in the target's first M-step inside a SQUAREM step,
-    # the stabilising map's, in the batch's eigh and in its own retry
+    # the stabilising map's, in the floor's eigh of the binding matrices
+    # and in its retry one matrix at a time
     clouds = [tube(s) for s in range(4)]
-    target = clouds[2]
+    clouds[2] = target = planar(clouds[2])
     eps = em.covariance_floor(em._sorted_points(target.points))
     floor_spd, squarem = em.floor_spd, em._Lockstep._squarem
     inside = []
@@ -404,10 +446,9 @@ def test_a_fit_whose_stabilising_map_fails_fails_only_itself(monkeypatch):
 
     def bad_floor(covs, floors):
         mine = floors.reshape(-1) == eps
-        # identities stand in for a fit whose eigh failed: leave them be
-        if inside and mine.any() and not (covs == np.eye(3)).all():
+        if inside and mine.any():
             covs = covs.copy()
-            covs.reshape((-1,) + covs.shape[-3:])[mine] = np.nan
+            covs[mine] = np.nan
         return floor_spd(covs, floors)
 
     monkeypatch.setattr(em._Lockstep, "_squarem", marked)

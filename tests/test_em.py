@@ -5,13 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
+    FLOOR_TEST_TOL,
     RECOVERY_COVS,
     RECOVERY_MEANS,
     RECOVERY_WEIGHTS,
+    assert_precisions_match,
     best_match,
     counted_steps,
     loop_fit,
@@ -35,10 +37,12 @@ from gmmcloud.em import (
 from gmmcloud.embedding import embed, make_probe_set
 from gmmcloud.geodesics import interpolate_point_clouds, product_geodesic
 from gmmcloud.model import (
+    SECOND_MOMENT_ROWS,
     Gmm,
     PointCloud,
     centred_features,
     covariance_floor,
+    factor_precisions,
     feature_log_densities,
     gmm_log_density,
     gmm_log_likelihood,
@@ -492,24 +496,28 @@ FIT_LL_TOL = 1e7 * ULP  # relative, on a whole fit's final log-likelihood
 def assert_moments_match_loop_form(got, ref, pts):
     """M-step state within MOMENT_TOL of the loop form's arrays: weights
     relative, means relative to the cloud's spread, covariances in
-    relative Frobenius norm; and the state's factor (lam, q) rebuilds
-    its covariances, q diag(lam) q^T, within MOMENT_TOL the same way."""
-    (weights, means, covs, lam, q), (ref_weights, ref_means, ref_covs) = got, ref
+    relative Frobenius norm; and the precisions and log-determinants its
+    E-step reads are its covariances' (assert_precisions_match)."""
+    (weights, means, covs, precision, log_det), (ref_weights, ref_means, ref_covs) = got, ref
     spread = math.sqrt(float(np.trace(np.cov(pts.T))))
     assert np.all(np.abs(weights - ref_weights) <= MOMENT_TOL * ref_weights)
     assert np.all(np.abs(means - ref_means) <= MOMENT_TOL * spread)
     gap = np.linalg.norm(covs - ref_covs, axis=(1, 2))
     assert np.all(gap <= MOMENT_TOL * np.linalg.norm(ref_covs, axis=(1, 2)))
-    rebuilt = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
-    gap = np.linalg.norm(rebuilt - covs, axis=(1, 2))
-    assert np.all(gap <= MOMENT_TOL * np.linalg.norm(covs, axis=(1, 2)))
+    assert_precisions_match(precision, log_det, covs)
+
+
+def state_and_precisions(m_step_result):
+    """The parts of the one EM state in an _m_step_arrays result, then
+    the precisions and log-determinants its E-step reads."""
+    state, (_, _, precision, log_det), failed = m_step_result
+    assert failed == {}
+    return em._parts(state[0]) + (precision[0], log_det[0])
 
 
 def m_step_one(phi, gamma, eps):
-    """em._m_step_arrays on a batch of one fit: the parts of its EM state."""
-    state, _, failed = em._m_step_arrays(phi[None], gamma[None], np.array([eps]))
-    assert failed == {}
-    return em._parts(state[0])
+    """em._m_step_arrays on a batch of one fit: state_and_precisions."""
+    return state_and_precisions(em._m_step_arrays(phi[None], gamma[None], np.array([eps])))
 
 
 def one_hot(codes, k):
@@ -526,7 +534,7 @@ def test_moment_core_matches_loop_oracle(n, k):
     args = (model.weights, model.means - centre)
     oracle = loop_log_densities(pts - centre, *args, model.covariances)
     got = feature_log_densities(centred_features(pts, centre), *args,
-                                np.linalg.eigh(model.covariances))
+                                *factor_precisions(*model.factor))
     assert np.all(np.abs(got.T - oracle) <= LOG_DENSITY_TOL * (1.0 + np.abs(oracle)))
 
     gamma = loop_gamma(oracle, loop_log_sum_exp_rows(oracle))
@@ -552,11 +560,9 @@ def test_fit_start_is_the_loop_m_step_on_the_partition(monkeypatch, n, k, seed):
     fit_em(PointCloud(pts), k, FitConfig(seed=seed))
     pts = em._sorted_points(pts)
     codes = assert_kmeans_init_matches_reference(pts, k, seed)
-    state, _, failed = starts[0]
-    assert failed == {}
     assert_moments_match_loop_form(
-        em._parts(state[0]), loop_m_step(pts - pts.mean(axis=0), one_hot(codes, k),
-                                         covariance_floor(pts)), pts)
+        state_and_precisions(starts[0]),
+        loop_m_step(pts - pts.mean(axis=0), one_hot(codes, k), covariance_floor(pts)), pts)
 
 
 def far_cloud(name):
@@ -591,6 +597,88 @@ def test_fit_far_from_origin_matches_loop_oracle(name, k):
     assert result.iterations == len(trace)
     final = result.log_likelihood_trace[-1]
     assert abs(final - trace[-1]) <= FIT_LL_TOL * abs(trace[-1])
+
+
+# --------------------------------------------- closed-form precisions
+#
+# An EM map computes each covariance's precision and log-determinant in
+# closed form (em._closed_form) and runs floor_spd's eigh only on the
+# matrices that fail the floor test, S - eps I positive definite.
+
+
+def random_spd(rng, k):
+    """(k, 3, 3) symmetric positive definite matrices: random rotations
+    of eigenvalues 1 >= l2 >= l3 with condition numbers up to 1e7, the
+    floor's, half of them with l2 within 3x of l3, at scales 1e-3 to 1e3."""
+    q, _ = np.linalg.qr(rng.normal(size=(k, 3, 3)))
+    small = 10.0 ** -rng.uniform(0.0, 7.0, size=k)
+    middle = np.where(rng.random(k) < 0.5, small * rng.uniform(1.0, 3.0, size=k),
+                      small ** rng.uniform(0.0, 1.0, size=k))
+    lam = np.stack([np.ones(k), middle, small], axis=-1) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+    covs = (q * lam[:, None, :]) @ q.swapaxes(1, 2)
+    return 0.5 * (covs + covs.swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_precisions_match_inv_and_slogdet(seed):
+    # within PRECISION_TOL times the condition number, which the cofactor
+    # expansion of the determinant along a row misses by up to 1e5 when
+    # two eigenvalues are small
+    rng = np.random.default_rng(seed)
+    covs = random_spd(rng, 512).reshape(16, 32, 3, 3)
+    # floors from 1 to 1e3 below each fit's smallest eigenvalue
+    eps = np.linalg.eigvalsh(covs)[..., 0].min(axis=-1) / 10.0 ** rng.uniform(0, 3, size=16)
+    for test in (em._FLOOR_TEST, em._SPD_TEST):
+        precision, log_det, failing = em._closed_form(covs, eps, test)
+        assert failing is None
+        assert_precisions_match(precision, log_det, covs)
+
+
+def scatter_matrices(seed, n, k, rank):
+    """The unfloored (K, 3, 3) covariances of an M-step, by its formula,
+    for n points with normal coordinates, on a line or a plane for rank 1
+    or 2, and Dirichlet responsibilities; and the points."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(scale=2.0, size=(n, 3))
+    if rank < 3:
+        basis, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        pts = rng.normal(size=3) + (pts @ basis[:, :rank]) @ basis[:, :rank].T
+    gamma = rng.dirichlet(np.ones(k), size=n)
+    moments = gamma.T @ centred_features(pts, pts.mean(axis=0)).T
+    scaled = moments / moments[:, :1]
+    means = scaled[:, 1:4]
+    return scaled[:, SECOND_MOMENT_ROWS] - means[:, :, None] * means[:, None, :], pts
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), k=st.integers(1, 4),
+       rank=st.integers(1, 3), shift=st.floats(-1e-9, 1e-9))
+@example(seed=947, n=2, k=1, rank=3, shift=0.0)
+def test_the_floor_test_passes_no_matrix_below_the_floor(seed, n, k, rank, shift):
+    # at the cloud's own floor, and at floors within 1e-9 of each
+    # matrix's smallest eigenvalue, where a test of S alone would pass a
+    # singular matrix by rounding
+    covs, pts = scatter_matrices(seed, n, k, rank)
+    lam = np.linalg.eigvalsh(covs)
+    floors = [covariance_floor(pts)] + [(1.0 + shift) * x for x in lam[:, 0] if x > 0.0]
+    for eps in floors:
+        _, _, failing = em._closed_form(covs[None], np.array([eps]), em._FLOOR_TEST)
+        ok = np.ones(k, dtype=bool) if failing is None else ~failing[0]
+        assert np.all(lam[ok, 0] >= eps - FLOOR_TEST_TOL * lam[ok, -1])
+
+
+def test_the_floor_binds_on_the_two_point_cloud():
+    # the M-step covariance of test_m_step_weights_sum_to_one's seed 947
+    # at K = 1 is singular, and eigvalsh puts its smallest eigenvalue at
+    # -1.1e-16; the floor test fails it, so floor_spd floors it
+    rng = np.random.default_rng(947)
+    n = int(rng.integers(2, 30))
+    pts = rng.normal(scale=2.0, size=(n, 3))
+    covs, _ = scatter_matrices(947, n, 1, 3)
+    assert n == 2 and np.linalg.eigvalsh(covs)[0, 0] < 0.0
+    _, _, failing = em._closed_form(covs[None], np.array([covariance_floor(pts)]), em._FLOOR_TEST)
+    assert failing.tolist() == [[True]]
+    lam = np.linalg.eigvalsh(m_step(PointCloud(pts), Responsibilities(np.ones((n, 1)))).covariances)
+    assert lam[0, 0] >= covariance_floor(pts) - FLOOR_TEST_TOL * lam[0, -1]
 
 
 # ------------------------------------------------------------- full EM
@@ -670,9 +758,10 @@ def test_fit_evaluates_each_state_once(monkeypatch):
 
 
 def test_fit_scoring_sampling_and_geodesics_factor_only_by_eigh(monkeypatch):
-    # the M-step's eigendecomposition is the E-step's factor, and a Gmm
-    # keeps the one eigh that validated it, which scores, samples and
-    # interpolates it: once built, only a new mixture runs eigh again
+    # an EM map runs no eigh where the floor binds nowhere, as at K = 8
+    # here: a fit's one eigh validates its final Gmm, which keeps it to
+    # score, sample and interpolate; once built, only a new mixture runs
+    # eigh again
     cloud = make_bent_tube(tube_spec_for_class("demented", n_points=600), seed=0)
     other = make_bent_tube(tube_spec_for_class("nondemented", n_points=200), seed=1)
     probes = make_probe_set([cloud], seed=0)
@@ -696,9 +785,9 @@ def test_fit_scoring_sampling_and_geodesics_factor_only_by_eigh(monkeypatch):
         return result, count
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    model = fit_em(cloud, 8, FitConfig(seed=0)).model
-    target = fit_em(other, 8, FitConfig(seed=0)).model
-    calls.clear()
+    (model, n), (target, m) = (eigh_calls(fit_em(c, 8, FitConfig(seed=0)).model)
+                               for c in (cloud, other))
+    assert n == m == 1
     log_density, n = eigh_calls(gmm_log_density(cloud.points, model))
     assert np.all(np.isfinite(log_density)) and n == 0
     resp, n = eigh_calls(e_step(cloud, model))
@@ -715,6 +804,34 @@ def test_fit_scoring_sampling_and_geodesics_factor_only_by_eigh(monkeypatch):
     result = interpolate_point_clouds(cloud, other, ts=(0.0, 0.5), n_out=50,
                                       candidate_ks=(1, 2))
     assert len(result.frames) == 2
+
+
+def test_an_em_map_runs_eigh_only_on_the_matrices_the_floor_binds(monkeypatch):
+    # at K = 32 the floor binds on a few covariances of this tube's fit:
+    # eigh receives those, none above the floor, and last the final
+    # Gmm's covariances
+    cloud = make_bent_tube(tube_spec_for_class("demented", n_points=600), seed=5)
+    eps = covariance_floor(em._sorted_points(cloud.points))
+    eigh, floor = np.linalg.eigh, em._floor
+    received, bound = [], []
+
+    def recorded_eigh(a, *args, **kwargs):
+        received.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    def recorded_floor(covs, floors, binding, *args):
+        bound.append(int(binding.sum()))
+        return floor(covs, floors, binding, *args)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+    monkeypatch.setattr(em, "_floor", recorded_floor)
+    model = fit_em(cloud, 32, FitConfig(seed=0)).model
+    *maps, last = received
+    assert len(maps) == len(bound) and sum(bound) > 0
+    assert [len(m) for m in maps] == bound
+    lam = np.linalg.eigvalsh(np.concatenate(maps))
+    assert np.all(lam[:, 0] <= eps + FLOOR_TEST_TOL * lam[:, -1])
+    np.testing.assert_array_equal(last, model.covariances)
 
 
 def test_fit_sorts_floors_and_builds_features_once(monkeypatch):
@@ -736,17 +853,16 @@ def test_fit_sorts_floors_and_builds_features_once(monkeypatch):
 
 
 def squarem_states(weights, covariance_scales):
-    """Three EM states (50,) of two components with fixed means: the given
-    weights and multiples of the identity as covariances; their factor
-    columns are zero, since no step reads them."""
-    return [np.concatenate([w, np.zeros(6), np.ravel([s * np.eye(3)] * 2), np.zeros(24)])
+    """Three EM states (26,) of two components with fixed means: the given
+    weights and multiples of the identity as covariances."""
+    return [np.concatenate([w, np.zeros(6), np.ravel([s * np.eye(3)] * 2)])
             for w, s in zip(weights, covariance_scales)]
 
 
 def extrapolate_one(states, step_max):
-    """em._extrapolate on a batch of one fit: its step alpha and the parts
-    of its extrapolated state, or None."""
-    alpha, rows, parts = em._extrapolate(*(s[None] for s in states), [step_max])
+    """em._extrapolate on a batch of one fit, at floor 1: its step alpha
+    and the parts of its extrapolated state, or None."""
+    alpha, rows, parts = em._extrapolate(*(s[None] for s in states), [step_max], np.ones(1))
     return alpha[0], (tuple(part[0] for part in parts) if len(rows) else None)
 
 
@@ -757,9 +873,13 @@ def test_extrapolate_takes_a_feasible_step():
     assert alpha == pytest.approx(math.sqrt(0.065 / 0.0158))
     alpha, moved = extrapolate_one(states, step_max=2.0)
     assert alpha == 2.0
-    # theta0 + 4 r + 4 v
-    np.testing.assert_allclose(moved[0], [0.38, 0.62])
-    np.testing.assert_allclose(moved[2], np.stack([1.2 * np.eye(3)] * 2))
+    # theta0 + 4 r + 4 v: weights (0.38, 0.62), covariances 1.2 I, whose
+    # precision entries are 1 / 1.2 on the diagonal and 0 off it
+    weights, means, precision, log_det = moved
+    np.testing.assert_allclose(weights, [0.38, 0.62])
+    np.testing.assert_array_equal(means, np.zeros((2, 3)))
+    np.testing.assert_allclose(precision, [[1 / 1.2] * 3 + [0.0] * 3] * 2, atol=1e-15)
+    np.testing.assert_allclose(log_det, [3.0 * math.log(1.2)] * 2)
     # a step no longer than 1 is theta2 itself: nothing to extrapolate
     assert extrapolate_one(states, step_max=1.0) == (1.0, None)
 
@@ -778,7 +898,7 @@ def test_extrapolate_rejects_non_spd_covariances():
 
 
 def test_extrapolate_rejects_nan_covariances():
-    # a NaN makes |v| NaN, so alpha = step_max, and a NaN eigenvalue is not > 0
+    # a NaN makes |v| NaN, so alpha = step_max, and fails every test
     states = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
     em._parts(states[2])[2][1, 0, 0] = np.nan
     assert extrapolate_one(states, step_max=4.0) == (4.0, None)
@@ -792,7 +912,7 @@ def test_extrapolate_decides_fit_by_fit_in_a_batch():
              (squarem_states([[0.5, 0.5]] * 3, [1.0, 0.9, 0.8]), 16.0),
              (squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15]), 1.0)]
     batch = [np.stack([states[i] for states, _ in cases]) for i in range(3)]
-    alpha, rows, parts = em._extrapolate(*batch, [cap for _, cap in cases])
+    alpha, rows, parts = em._extrapolate(*batch, [cap for _, cap in cases], np.ones(4))
     assert alpha == [extrapolate_one(states, cap)[0] for states, cap in cases]
     assert rows.tolist() == [0]
     _, moved = extrapolate_one(*cases[0])
@@ -801,19 +921,25 @@ def test_extrapolate_decides_fit_by_fit_in_a_batch():
         assert got[0].tobytes() == want.tobytes()
 
 
-def test_extrapolate_rejects_a_state_whose_eigh_fails():
-    # all-NaN covariances at theta2 make the extrapolated ones all NaN too,
-    # so eigh raises for that fit: its state is infeasible like any other,
-    # and the other fit of the batch moves as it does alone
+@pytest.mark.parametrize("bad", [
+    np.full((3, 3), np.nan),
+    # trace 1 and determinant 3 > 0, yet two eigenvalues are -1
+    np.diag([3.0, -1.0, -1.0]),
+    # singular: the scatter of points on a line
+    np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+], ids=["nan", "indefinite", "rank-1"])
+def test_extrapolate_rejects_a_non_finite_or_indefinite_covariance(bad):
+    # the same covariance in the three states makes the extrapolated one
+    # that covariance: its state is infeasible like any other, and the
+    # other fit of the batch moves as it does alone
     good = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
-    bad = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
-    em._parts(bad[2])[2][...] = np.nan
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.eigh(em._parts(bad[2])[2])
-    batch = [np.stack(pair) for pair in zip(bad, good)]
-    alpha, rows, parts = em._extrapolate(*batch, [2.0, 2.0])
-    assert alpha == [2.0, 2.0] and rows.tolist() == [1]
-    assert extrapolate_one(bad, 2.0) == (2.0, None)
+    states = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
+    for state in states:
+        em._parts(state)[2][1] = bad
+    batch = [np.stack(pair) for pair in zip(states, good)]
+    alpha, rows, parts = em._extrapolate(*batch, [2.0, 2.0], np.ones(2))
+    assert alpha[1] == 2.0 and rows.tolist() == [1]
+    assert extrapolate_one(states, 2.0)[1] is None
     _, moved = extrapolate_one(good, 2.0)
     for got, want in zip(parts, moved):
         assert len(got) == 1

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import recovery_cloud
-from gmmcloud.em import FitConfig, FitError
+from conftest import FLOOR_TEST_TOL, recovery_cloud
+from gmmcloud.em import FitConfig, FitError, _sorted_points
 from gmmcloud.embedding import embed, inflated_bounds, make_probe_set
-from gmmcloud.model import Gmm, PointCloud
+from gmmcloud.model import Gmm, PointCloud, covariance_floor
 from gmmcloud.sampling import generate_point_cloud, rng_stream
 from gmmcloud.selection import (
     AicRow,
@@ -205,6 +205,10 @@ def test_degenerate_clouds_fit_sample_and_embed(name):
         f"candidate K={k} dropped: K={k} needs {k} distinct points, the cloud has {distinct}"
         for k in dropped]
     assert [row.k for row in table.rows] == [k for k in ks if k not in dropped]
+    eps = covariance_floor(_sorted_points(cloud.points))
+    for member in ensemble.members:
+        lam = np.linalg.eigvalsh(member.model.covariances)
+        assert np.all(lam[:, 0] >= eps - FLOOR_TEST_TOL * lam[:, -1])
     sample = generate_point_cloud(ensemble, 50, rng_stream(0))
     assert np.all(np.isfinite(sample.points))
     emb = embed(ensemble, make_probe_set([cloud], seed=0, count=100))
