@@ -1,9 +1,10 @@
 """Maximum-likelihood mixture fitting: k-means++ initialization plus EM.
 
-fit_em_batch fits one K to many clouds at once, and fit_em is its batch
-of one. A fit sorts the points lexicographically before doing anything
-else, so it is a function of the point multiset: permuting the input
-order reproduces the same parameters bit for bit under the same seed.
+fit_em_candidates fits many Ks to many clouds at once, fit_em_batch is
+its call at one K and fit_em its batch of one. A fit sorts the points
+lexicographically before doing anything else, so it is a function of the
+point multiset: permuting the input order reproduces the same parameters
+bit for bit under the same seed.
 
 EM starts from its own M-step on the one-hot partition of the points by
 their nearest k-means++ seed (Arthur & Vassilvitskii 2007); no Lloyd
@@ -13,6 +14,9 @@ seeding partitions the points: a new seed takes the points strictly
 closer to it, so ties stay with the earlier seed. Every seed is a point
 at a new position, so it is its own strict nearest seed and no cluster
 is empty; a cloud with fewer than K distinct points fails with FitError.
+The first K seeds of a seeding from a stream are the K-seed seeding from
+it, and the seeding loop computes each prefix's potential anyway, so one
+seeding per restart to the largest K seeds every smaller K.
 
 Both EM steps use the moment form of model.py: the E-step is one
 product of coefficients with the feature table Phi of the points and
@@ -46,7 +50,9 @@ bits it gets alone; step lengths, acceptance, convergence, the cap and
 failures are decided fit by fit. A batch holds at most BATCH_FITS
 fits, which all start together. Each step runs over every fit, and the
 fits that finished or failed in it leave together at its end; the batch
-ends with its last fit, and no cloud joins a running batch.
+ends with its last fit, and no cloud joins a running batch. A cloud is
+prepared once for all its Ks: its sort, floor, feature table and
+seedings serve one batch per K.
 """
 
 from __future__ import annotations
@@ -149,7 +155,14 @@ class FitResult:
 
 
 def _sorted_points(points: np.ndarray) -> np.ndarray:
-    order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
+    """The points in lexicographic order. A stable sort on x alone gives
+    that order when no two x are equal (-0.0 == 0.0 counts as equal), and
+    costs a fraction of np.lexsort, which then orders the ties."""
+    x = points[:, 0]
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.lexsort((points[:, 2], points[:, 1], x))
     return points[order]
 
 
@@ -162,24 +175,32 @@ def _squared_distances(x: np.ndarray, y: np.ndarray, z: np.ndarray, c: np.ndarra
 
 
 def _kmeans_pp_seeds(pts: np.ndarray, k: int, rng: np.random.Generator
-                     ) -> tuple[list[int], float]:
-    """The indices of a k-means++ seeding's K seeds and its potential:
-    the sum over points of the squared distance to the nearest seed."""
+                     ) -> tuple[list[int], list[float]]:
+    """The indices of a k-means++ seeding's first K seeds and the
+    potential of each prefix: potentials[j] is the sum over points of the
+    squared distance to the nearest of the first j + 1 seeds. The first
+    K seeds of a longer seeding from the same stream are the K-seed
+    seeding, so one seeding to the largest K serves every smaller K. The
+    seeding stops early, with fewer than K seeds, once every point lies
+    on a seed."""
     n = pts.shape[0]
     x, y, z = np.ascontiguousarray(pts.T)
     seeds = [int(rng.integers(n))]
     d2 = _squared_distances(x, y, z, pts[seeds[0]])
-    for j in range(1, k):
+    potentials = []
+    for _ in range(1, k):
         total = float(d2.sum())
+        potentials.append(total)
         if total == 0.0:
-            raise FitError(f"K={k} needs {k} distinct points, the cloud has {j}")
+            return seeds, potentials
         # side="right" skips the flat cdf steps of points on a seed
         idx = int((d2.cumsum() / total).searchsorted(rng.random(), side="right"))
         if idx == n:  # the draw fell past the rounded end of the cdf
             idx = int(np.flatnonzero(d2)[-1])
         seeds.append(idx)
         d2 = np.minimum(d2, _squared_distances(x, y, z, pts[idx]))
-    return seeds, float(d2.sum())
+    potentials.append(float(d2.sum()))
+    return seeds, potentials
 
 
 def _nearest_seed_codes(pts: np.ndarray, seeds: list[int]) -> np.ndarray:
@@ -212,16 +233,35 @@ def _check_extent(pts: np.ndarray):
                        f"distances of {len(pts)} points overflow")
 
 
-def kmeans_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Nearest-seed codes (N,) of the best k-means++ seeding of the points.
+def kmeans_init(points: np.ndarray, k, seed: int):
+    """Nearest-seed codes (N,) of the best k-means++ seeding of the points
+    at K = k. For a sequence of Ks, a list with each K's codes, or its
+    FitError when the points run out of distinct positions before K.
 
-    Of KMEANS_RESTARTS seedings, one stream each, the one with the
-    lowest potential wins, the first on ties (see the module docstring).
+    Each of KMEANS_RESTARTS streams draws one seeding to the largest K. A
+    K takes the first K seeds of the restart whose K-seed potential is
+    lowest, the first on ties (see the module docstring), and fails when
+    a restart stops short of K seeds, naming the seeds it drew.
     """
-    _check_component_count(k, len(points))
-    seedings = [_kmeans_pp_seeds(points, k, rng_stream(seed, r))
+    ks = [k] if np.ndim(k) == 0 else list(k)
+    for one in ks:
+        _check_component_count(one, len(points))
+    seedings = [_kmeans_pp_seeds(points, max(ks), rng_stream(seed, r))
                 for r in range(KMEANS_RESTARTS)]
-    return _nearest_seed_codes(points, min(seedings, key=lambda seeding: seeding[1])[0])
+    results = []
+    for one in ks:
+        short = [len(seeds) for seeds, _ in seedings if len(seeds) < one]
+        if short:
+            results.append(FitError(
+                f"K={one} needs {one} distinct points, the cloud has {short[0]}"))
+        else:
+            seeds, _ = min(seedings, key=lambda seeding: seeding[1][one - 1])
+            results.append(_nearest_seed_codes(points, seeds[:one]))
+    if np.ndim(k) > 0:
+        return results
+    if isinstance(results[0], FitError):
+        raise results[0]
+    return results[0]
 
 
 def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
@@ -519,29 +559,15 @@ class _Lockstep:
     position, FitResult or FitError).
     """
 
-    def __init__(self, clouds: list[tuple[int, PointCloud]], k: int, seed: int):
-        """Start the fit of every cloud, given with its input position:
-        the M-step on its k-means++ partition and the E-step."""
-        self.fits: list[_Fit] = []
+    def __init__(self, fits: list[_Fit], phi: np.ndarray, eps: np.ndarray, codes: np.ndarray,
+                 k: int):
+        """Start the fits, given with their feature tables phi, floors eps
+        and k-means++ codes (B, N): the M-step on each one-hot partition
+        and the E-step."""
+        self.fits, self.phi, self.eps = fits, phi, eps
         self.done: list[tuple[int, FitResult | FitError]] = []
-        phis, floors, codes = [], [], []
-        for index, cloud in clouds:
-            pts = _sorted_points(cloud.points)
-            try:
-                _check_extent(pts)
-                codes.append(kmeans_init(pts, k, seed))
-            except FitError as exc:
-                self.done.append((index, exc))
-                continue
-            floors.append(covariance_floor(pts))
-            self.fits.append(_Fit(index, pts.mean(axis=0), []))
-            phis.append(centred_features(pts, self.fits[-1].centre))
-        if not self.fits:
-            return
-        self.phi, self.eps = np.stack(phis), np.array(floors)
-        # the partitions, one-hot
-        gamma = (np.arange(k)[:, None] == np.stack(codes)[:, None, :]).astype(float)
-        state, self.gamma, _, failed = _em_map(self.phi, gamma, self.eps)
+        gamma = (np.arange(k)[:, None] == codes[:, None, :]).astype(float)
+        state, self.gamma, _, failed = _em_map(phi, gamma, eps)
         self.states = [state]
         self._settle(failed, set())
 
@@ -648,31 +674,87 @@ class _Lockstep:
         self._settle(failed, stopped)
 
 
+def _prepared(chunk: list[tuple[int, PointCloud]], ks: list[int], seed: int):
+    """What every K shares of the fits of a chunk of clouds, given with
+    their input positions: each cloud is sorted and its extent checked,
+    then its centre, floor and feature table computed and its seedings
+    drawn by one kmeans_init call for all of ks.
+
+    Returns the (position, FitError) pairs of the clouds that fail the
+    extent check and, for the others, their (position, centre) pairs,
+    stacked feature tables (B, 10, N) and floors (B,), and each one's
+    list of codes or FitError per K."""
+    failed, starts, phis, floors, seeded = [], [], [], [], []
+    for index, cloud in chunk:
+        pts = _sorted_points(cloud.points)
+        try:
+            _check_extent(pts)
+        except FitError as exc:
+            failed.append((index, exc))
+            continue
+        starts.append((index, pts.mean(axis=0)))
+        floors.append(covariance_floor(pts))
+        phis.append(centred_features(pts, starts[-1][1]))
+        seeded.append(kmeans_init(pts, ks, seed))
+    return failed, starts, np.stack(phis) if phis else None, np.array(floors), seeded
+
+
+def fit_em_candidates(clouds, ks, config: FitConfig = FitConfig()
+                      ) -> list[list[FitResult | FitError]]:
+    """fit_em of every cloud at every K of ks: per K, in the order of ks,
+    the result of each cloud in input order, or the FitError its fit_em
+    would raise.
+
+    Clouds are grouped by size, and each group is taken in chunks of at
+    most BATCH_FITS clouds, in input order. A chunk's clouds are
+    prepared once for all Ks (_prepared): one sort, floor and feature
+    table per cloud, and one seeding per restart to the largest K. Then
+    each K runs one lockstep batch of the chunk's clouds whose seeding
+    reached K, on their rows of the chunk's tables: its fits start
+    together and it runs until its last fit leaves (see the module
+    docstring). Every fit is bit-identical to its fit_em. A K outside
+    1..N of some cloud raises ValueError before any fit starts.
+    """
+    clouds, ks = list(clouds), list(ks)
+    for cloud in clouds:
+        for k in ks:
+            _check_component_count(k, len(cloud))
+    groups: dict[int, list[tuple[int, PointCloud]]] = {}
+    for index, cloud in enumerate(clouds):
+        groups.setdefault(len(cloud), []).append((index, cloud))
+    results: list[list] = [[None] * len(clouds) for _ in ks]
+    for group in groups.values():
+        for start in range(0, len(group), BATCH_FITS):
+            failed, starts, phi, eps, seeded = _prepared(
+                group[start:start + BATCH_FITS], ks, config.seed)
+            for i, k in enumerate(ks):
+                # each K takes its entries off the clouds' lists of codes
+                codes = [one.pop(0) for one in seeded]
+                done = failed + [(index, c) for (index, _), c in zip(starts, codes)
+                                 if isinstance(c, FitError)]
+                rows = np.array([row for row, c in enumerate(codes)
+                                 if not isinstance(c, FitError)], dtype=np.intp)
+                if len(rows):
+                    batch = _Lockstep([_Fit(*starts[row], []) for row in rows], _take(phi, rows),
+                                      _take(eps, rows), np.stack([codes[row] for row in rows]), k)
+                    if i == len(ks) - 1:
+                        # the last batch owns the chunk's tables: its
+                        # fits leaving free them, as in a batch of one K
+                        del phi
+                    while batch.fits:
+                        batch.cycle()
+                    done += batch.done
+                for index, result in done:
+                    results[i][index] = result
+    return results
+
+
 def fit_em_batch(clouds, k: int, config: FitConfig = FitConfig()
                  ) -> list[FitResult | FitError]:
     """fit_em of every cloud at one K, as lockstep batches: the result of
     each cloud, in input order, or the FitError its fit_em would raise.
-
-    Clouds are grouped by size, and each group runs in batches of at
-    most BATCH_FITS fits, in input order: a batch's fits start together
-    and it runs until its last fit leaves (see the module docstring).
-    Every fit is bit-identical to its fit_em. A K outside 1..N of some
-    cloud raises ValueError before any fit starts.
-    """
-    clouds = list(clouds)
-    for cloud in clouds:
-        _check_component_count(k, len(cloud))
-    groups: dict[int, list[tuple[int, PointCloud]]] = {}
-    for index, cloud in enumerate(clouds):
-        groups.setdefault(len(cloud), []).append((index, cloud))
-    results: list = [None] * len(clouds)
-    for group in groups.values():
-        for start in range(0, len(group), BATCH_FITS):
-            batch = _Lockstep(group[start:start + BATCH_FITS], k, config.seed)
-            while batch.fits:
-                batch.cycle()
-            for index, result in batch.done:
-                results[index] = result
+    It is fit_em_candidates at that K alone."""
+    results, = fit_em_candidates(clouds, (k,), config)
     return results
 
 

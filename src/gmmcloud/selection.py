@@ -5,8 +5,9 @@ and converted to Akaike weights. Candidates whose normalized weight
 clears a fixed threshold form the ensemble; their weights renormalize to
 the selection probabilities p_k. build_ensemble fits one cloud's
 candidates one K at a time with fit_em; build_ensembles fits many clouds
-with one fit_em_batch per K, and both score, warn and assemble through
-the same code, so each cloud gets the same ensemble either way.
+at all their Ks with one fit_em_candidates call, which prepares each
+cloud once for every K. Both score, warn and assemble through the same
+code, so each cloud gets the same ensemble either way.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .em import FitConfig, FitError, fit_em, fit_em_batch
+from .em import FitConfig, FitError, fit_em, fit_em_candidates
 from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud, gmm_log_likelihood
 
 KEEP_THRESHOLD = 0.01
@@ -153,15 +154,16 @@ def build_ensemble(cloud: PointCloud, candidate_ks, config: FitConfig = FitConfi
 
 def build_ensembles(clouds, candidate_ks, config: FitConfig = FitConfig()
                     ) -> list[tuple[GmmEnsemble, AicTable]]:
-    """build_ensemble of every cloud, in input order, with each candidate
-    K fitted for all clouds at once by fit_em_batch, so the ensembles,
-    tables and drop warnings are those of build_ensemble bit for bit.
+    """build_ensemble of every cloud, in input order, with every candidate
+    K of every cloud fitted by one fit_em_candidates call, so the
+    ensembles, tables and drop warnings are those of build_ensemble bit
+    for bit.
     Every cloud's candidates are checked before any fit starts; a cloud
     whose every candidate fails raises its FitError once the clouds
     before it are assembled."""
     clouds = list(clouds)
     ks = _checked_ks(candidate_ks, clouds)
-    fits = [fit_em_batch(clouds, k, config) for k in ks]
+    fits = fit_em_candidates(clouds, ks, config)
     ensembles = []
     for cloud, results in zip(clouds, zip(*fits)):
         ensembles.append(_ensemble_from_fits(cloud, zip(ks, results)))

@@ -101,7 +101,7 @@ def test_build_ensembles_equals_build_ensemble_cloud_by_cloud(monkeypatch, small
     monkeypatch.setattr(em, "MAX_ITERATIONS", 40)
     clouds = mixed_clouds()
     config = FitConfig(seed=3)
-    ks = (2, 4, 8)
+    ks = (1, 2, 4, 8, 16, 32)
     serial, serial_warnings = caught(lambda: [build_ensemble(c, ks, config) for c in clouds])
     moves = squarem_outcomes(monkeypatch)
     batched, batch_warnings = caught(build_ensembles, clouds, ks, config)
@@ -109,7 +109,8 @@ def test_build_ensembles_equals_build_ensemble_cloud_by_cloud(monkeypatch, small
     assert [ensemble_bytes(*pair) for pair in batched] == [
         ensemble_bytes(*pair) for pair in serial]
     assert batch_warnings == serial_warnings == [
-        "candidate K=8 dropped: K=8 needs 8 distinct points, the cloud has 6"]
+        f"candidate K={k} dropped: K={k} needs {k} distinct points, the cloud has 6"
+        for k in (8, 16, 32)]
     fits = [fit_em_batch(clouds, k, config) for k in ks]
     done = [r for results in fits for r in results if not isinstance(r, FitError)]
     assert {r.converged for r in done} == {True, False}
@@ -251,7 +252,12 @@ def test_a_mixed_batch_steps_each_fit_as_fit_em_does(monkeypatch, small_batches)
     assert counts["m_calls"] < serial["m_calls"]
 
 
-def test_a_batch_sorts_floors_and_builds_features_once_per_cloud(monkeypatch, small_batches):
+PREPARATION = ("_sorted_points", "covariance_floor", "centred_features", "kmeans_init")
+
+
+def counted_preparation(monkeypatch):
+    """Count the calls of each step of a cloud's preparation and of
+    rng_stream, through the em attributes a fit looks them up by."""
     counts = {}
 
     def counted(name):
@@ -262,12 +268,30 @@ def test_a_batch_sorts_floors_and_builds_features_once_per_cloud(monkeypatch, sm
             return real(*args)
         return wrapper
 
-    clouds = mixed_clouds()
-    for name in ("_sorted_points", "covariance_floor", "centred_features", "kmeans_init"):
+    for name in PREPARATION + ("rng_stream",):
         monkeypatch.setattr(em, name, counted(name))
+    return counts
+
+
+def test_a_batch_sorts_floors_and_builds_features_once_per_cloud(monkeypatch, small_batches):
+    clouds = mixed_clouds()
+    counts = counted_preparation(monkeypatch)
     fit_em_batch(clouds, 4, FitConfig(seed=0))
-    assert counts == dict.fromkeys(
-        ("_sorted_points", "covariance_floor", "centred_features", "kmeans_init"), len(clouds))
+    assert counts == dict(dict.fromkeys(PREPARATION, len(clouds)),
+                          rng_stream=em.KMEANS_RESTARTS * len(clouds))
+
+
+def test_build_ensembles_prepares_each_cloud_once_for_all_its_ks(monkeypatch, small_batches):
+    # one sort, floor, feature table and kmeans_init call per cloud, and
+    # one seeding stream per restart, whatever the number of Ks
+    monkeypatch.setattr(em, "MAX_ITERATIONS", 4)
+    clouds = mixed_clouds()
+    counts = counted_preparation(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        build_ensembles(clouds, (1, 2, 4, 8, 16, 32), FitConfig(seed=0))
+    assert counts == dict(dict.fromkeys(PREPARATION, len(clouds)),
+                          rng_stream=em.KMEANS_RESTARTS * len(clouds))
 
 
 @pytest.mark.parametrize("k", [4, 32])
@@ -374,11 +398,12 @@ def poisoned(monkeypatch, target: PointCloud):
     seen = {"e": 0, "m": 0}
     modes = set()
 
-    def bad_kmeans(points, k, seed):
-        codes = kmeans_init(points, k, seed)
+    def bad_kmeans(points, ks, seed):
+        seeded = kmeans_init(points, ks, seed)
         if "collapse" in modes and np.array_equal(points, pts):
-            codes[codes == 1] = 0
-        return codes
+            for codes in seeded:
+                codes[codes == 1] = 0
+        return seeded
 
     def bad_e(phi, *args, **kwargs):
         lwd = feature_log_densities(phi, *args, **kwargs)

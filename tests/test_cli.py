@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,31 +374,31 @@ def test_cli_rejects_malformed_lists(workspace, tmp_path):
 
 def _degenerate_model(workspace, path):
     import json
-    obj = json.load(open(workspace["dem0_model"]))
+    obj = json.loads(Path(workspace["dem0_model"]).read_text())
     obj["ensemble"][0]["model"]["covariances"][0] = np.diag([1.0, 0.0, 1.0]).tolist()
     with open(path, "w") as handle:
         json.dump(obj, handle)
 
 
 def _zero_training_n_model(workspace, path):
-    obj = json.load(open(workspace["dem0_model"]))
+    obj = json.loads(Path(workspace["dem0_model"]).read_text())
     obj["metadata"]["training_n"] = 0
     with open(path, "w") as handle:
         json.dump(obj, handle)
 
 
 def _list_label_embeddings(workspace, path):
-    obj = json.load(open(workspace["train_emb"]))
+    obj = json.loads(Path(workspace["train_emb"]).read_text())
     obj["entries"][0]["label"] = ["nondemented"]
     with open(path, "w") as handle:
         json.dump(obj, handle)
 
 
 @pytest.mark.parametrize("loader, write, args, message", [
-    ("read_point_cloud", lambda ws, p: open(p, "w").write("1.0 2.0\n"),
+    ("read_point_cloud", lambda ws, p: Path(p).write_text("1.0 2.0\n"),
      lambda ws, bad: ["fit", bad, "--ks", "1", "-o", bad + ".model.json"],
      "line 1: expected 3 coordinates, got 2"),
-    ("load_model", lambda ws, p: open(p, "w").write("[]"),
+    ("load_model", lambda ws, p: Path(p).write_text("[]"),
      lambda ws, bad: ["sample", bad, "-o", bad + ".xyz"],
      "expected a JSON object, got list"),
     ("load_model", _degenerate_model,
@@ -406,10 +407,10 @@ def _list_label_embeddings(workspace, path):
     ("load_model", _zero_training_n_model,
      lambda ws, bad: ["sample", bad, "-o", bad + ".xyz"],
      "metadata field 'training_n' must be an integer >= 1"),
-    ("load_probe_set", lambda ws, p: open(p, "w").write("{not json"),
+    ("load_probe_set", lambda ws, p: Path(p).write_text("{not json"),
      lambda ws, bad: ["embed", ws["dem0_model"], "--probes", bad, "-o", bad + ".emb.json"],
      "not valid JSON"),
-    ("load_embeddings", lambda ws, p: open(p, "w").write('{"schema_version": "2"}'),
+    ("load_embeddings", lambda ws, p: Path(p).write_text('{"schema_version": "2"}'),
      lambda ws, bad: ["classify", "--train", bad, "--test", ws["test_emb"]],
      "schema_version '2' not supported"),
     ("load_embeddings", _list_label_embeddings,
@@ -436,7 +437,7 @@ def test_near_singular_model_file_samples_and_embeds_or_is_one_error(workspace, 
     # not load is a one-line error naming the file
     rng = np.random.default_rng(3)
     for case in range(10):
-        obj = json.load(open(workspace["dem0_model"]))
+        obj = json.loads(Path(workspace["dem0_model"]).read_text())
         obj["ensemble"][0]["model"]["covariances"][1] = near_singular_spd(rng).tolist()
         path = str(tmp_path / f"near_singular_{case}.json")
         with open(path, "w") as handle:

@@ -207,6 +207,36 @@ def test_kmeans_init_matches_reference_up_to_the_distinct_count(distinct, copies
         assert str(raised.value) == str(expected.value)
 
 
+# the candidate Ks of an interpolate or fit command on 600-point tubes
+ALL_KS = (1, 2, 4, 8, 16, 32)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kmeans_init_gives_each_of_many_ks_its_one_k_codes(seed):
+    # one seeding per restart to the largest K serves every K: the draw
+    # of K seeds is a prefix of the longer draw from the same stream
+    pts = em._sorted_points(tube_points(seed))
+    for k, codes in zip(ALL_KS, kmeans_init(pts, ALL_KS, seed)):
+        assert codes.tolist() == kmeans_init(pts, k, seed).tolist()
+        assert codes.tolist() == kmeans_init_reference(pts, k, seed).tolist()
+
+
+@pytest.mark.parametrize("distinct, copies, k", SHORT_CASES)
+def test_kmeans_init_of_many_ks_fails_only_the_ks_above_the_distinct_count(
+        distinct, copies, k):
+    pts = em._sorted_points(duplicate_points(distinct, copies))
+    ks = [1, 2, distinct - 1, distinct, distinct + 1, k]
+    for seed in range(4):
+        for one, result in zip(ks, kmeans_init(pts, ks, seed)):
+            if one <= distinct:
+                assert result.tolist() == kmeans_init(pts, one, seed).tolist()
+                assert result.tolist() == kmeans_init_reference(pts, one, seed).tolist()
+            else:
+                assert isinstance(result, FitError)
+                assert str(result) == (
+                    f"K={one} needs {one} distinct points, the cloud has {distinct}")
+
+
 @pytest.mark.parametrize("distinct, copies, k", SHORT_CASES)
 def test_kmeans_init_leaves_no_zero_weight_component(distinct, copies, k):
     # K up to the distinct count puts one position in each cluster; above
@@ -233,7 +263,7 @@ def test_fit_em_fails_on_a_start_with_a_zero_weight_component(monkeypatch):
     # an empty cluster has no mass in the start's M-step
     cloud, _, _ = two_blob_cloud()
     codes = np.repeat([0, 1], 50)
-    monkeypatch.setattr(em, "kmeans_init", lambda *args: codes)
+    monkeypatch.setattr(em, "kmeans_init", lambda points, ks, seed: [codes for _ in ks])
     with pytest.raises(FitError, match="^fit failed at iteration 0: component 2 collapsed"):
         fit_em(cloud, 3, FitConfig(seed=0))
 
@@ -241,8 +271,8 @@ def test_fit_em_fails_on_a_start_with_a_zero_weight_component(monkeypatch):
 def kmeans_pp_partition(pts, k, rng):
     """One k-means++ seeding's codes and potential: its seeds, partitioned
     the way kmeans_init partitions the winning seeding."""
-    seeds, potential = em._kmeans_pp_seeds(pts, k, rng)
-    return em._nearest_seed_codes(pts, seeds), potential
+    seeds, potentials = em._kmeans_pp_seeds(pts, k, rng)
+    return em._nearest_seed_codes(pts, seeds), potentials[-1]
 
 
 class EdgeDraws:
@@ -293,38 +323,42 @@ def test_nearest_seed_partition_breaks_exact_ties_to_the_lowest_index():
     ties = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1)
     assert ties.tolist() == [4, 2, 2, 2, 2, 1, 1, 1, 1]
     draws = TieDraws()
-    seeds, potential = em._kmeans_pp_seeds(pts, 4, draws)
+    seeds, potentials = em._kmeans_pp_seeds(pts, 4, draws)
     assert draws.draws == [] and seeds == [5, 6, 7, 8]
     codes = em._nearest_seed_codes(pts, seeds)
     # the seeding's own codes keep the first of equal minima
     assert codes.tolist() == [0, 0, 1, 1, 0, 0, 1, 2, 3]
     np.testing.assert_array_equal(codes, np.argmin(d2, axis=1))
-    assert potential == float(d2.min(axis=1).sum())
+    assert potentials[-1] == float(d2.min(axis=1).sum())
 
 
 def assert_kmeans_pp_matches_reference(pts, k):
-    """The seeding and its row form agree bit for bit, or raise the same
-    FitError; returns how many of the three seeds raised."""
+    """The seeding and its row form agree bit for bit: the seeds, their
+    partition and the potential of every prefix. Where the row form
+    raises FitError, the seeding stops short of K at the distinct count
+    it names. Returns how many of the three seeds fell short."""
     pts = em._sorted_points(pts)
-    raised = 0
+    short = 0
     for seed in range(3):
         rng, ref_rng = rng_stream(seed), rng_stream(seed)
+        seeds, potentials = em._kmeans_pp_seeds(pts, k, rng)
         try:
             ref_centers, ref_potential = kmeans_pp_reference(pts, k, ref_rng)
         except FitError as exc:
-            with pytest.raises(FitError) as same:
-                em._kmeans_pp_seeds(pts, k, rng)
-            assert str(same.value) == str(exc)
-            raised += 1
+            assert len(seeds) < k
+            assert str(exc) == f"K={k} needs {k} distinct points, the cloud has {len(seeds)}"
+            short += 1
         else:
-            seeds, potential = em._kmeans_pp_seeds(pts, k, rng)
             assert pts[seeds].tobytes() == ref_centers.tobytes()
             codes = em._nearest_seed_codes(pts, seeds)
             assert codes.tolist() == partition_reference(pts, ref_centers).tolist()
-            assert potential.hex() == ref_potential.hex()
+            assert potentials[-1].hex() == ref_potential.hex()
         # both consumed the same draws
         assert rng.random() == ref_rng.random()
-    return raised
+        assert len(potentials) == len(seeds)
+        for j, potential in enumerate(potentials, start=1):
+            assert potential.hex() == kmeans_pp_reference(pts, j, rng_stream(seed))[1].hex()
+    return short
 
 
 @pytest.mark.parametrize("k", [1, 2, 8, 32])
@@ -944,6 +978,22 @@ def test_extrapolate_rejects_a_non_finite_or_indefinite_covariance(bad):
     for got, want in zip(parts, moved):
         assert len(got) == 1
         assert got[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["distinct", "tied x", "signed zeros", "duplicates"])
+def test_sorted_points_are_in_lexsort_order(case):
+    # sorting on x alone gives the lexicographic order only without ties
+    # in x, and -0.0 == 0.0 is a tie that y must break
+    rng = np.random.default_rng(12)
+    pts = rng.normal(size=(300, 3))
+    if case == "tied x":
+        pts[:, 0] = rng.integers(0, 6, size=300)
+    elif case == "signed zeros":
+        pts[::3, 0] = rng.choice([0.0, -0.0], size=100)
+    elif case == "duplicates":
+        pts = np.repeat(pts[:30], 10, axis=0)[rng.permutation(300)]
+    expected = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
+    assert em._sorted_points(pts).tobytes() == expected.tobytes()
 
 
 def test_fit_is_permutation_equivariant():

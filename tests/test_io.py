@@ -6,6 +6,7 @@ import os
 import re
 import stat
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_xyz_label_round_trip(tmp_path):
     # no label, no comment line
     bare = str(tmp_path / "bare.xyz")
     write_point_cloud(messy_cloud(), bare)
-    assert "#" not in open(bare).read()
+    assert "#" not in Path(bare).read_text()
 
 
 @pytest.mark.parametrize("body,lineno", [
@@ -133,7 +134,7 @@ def test_xyz_empty_file_is_an_error(tmp_path):
 def test_csv_round_trip_with_header(tmp_path):
     path = str(tmp_path / "cloud.csv")
     write_point_cloud(messy_cloud(), path)
-    assert open(path).readline().strip() == "x,y,z"
+    assert Path(path).read_text().splitlines()[0].strip() == "x,y,z"
     np.testing.assert_array_equal(read_point_cloud(path).points, messy_cloud().points)
 
 
@@ -174,7 +175,7 @@ def test_writer_is_byte_deterministic(tmp_path):
     a, b = str(tmp_path / "a.xyz"), str(tmp_path / "b.xyz")
     write_point_cloud(messy_cloud(label="demented"), a)
     write_point_cloud(messy_cloud(label="demented"), b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_writer_overwrites_and_leaves_no_temp_files(tmp_path):
@@ -215,7 +216,7 @@ def test_model_file_round_trip_is_exact(tmp_path):
     assert loaded.schema_version == SCHEMA_VERSION == "1"
     assert loaded.metadata == metadata
     # the fit constants come from em, in the order schema "1" files have them
-    assert list(json.load(open(path))["metadata"].items()) == [
+    assert list(json.loads(Path(path).read_text())["metadata"].items()) == [
         ("seed", 11), ("rel_tolerance", 1e-6), ("max_iterations", 200),
         ("kmeans_restarts", 4), ("candidate_ks", [1, 2]), ("training_n", 321),
         ("label", "demented")]
@@ -235,7 +236,7 @@ def test_model_file_optional_fields_default_to_none(tmp_path):
     loaded = load_model(path)
     assert loaded.metadata.label is None
     # a model file is always in the cloud's own frame
-    assert "center_offset" not in json.load(open(path))["metadata"]
+    assert "center_offset" not in json.loads(Path(path).read_text())["metadata"]
 
 
 def test_model_file_center_offset_shifts_every_member(tmp_path):
@@ -244,10 +245,10 @@ def test_model_file_center_offset_shifts_every_member(tmp_path):
     path = str(tmp_path / "model.json")
     ensemble, table = two_member_ensemble()
     save_model(path, ensemble, table, FitMetadata(0, (1, 2), 5))
-    obj = json.load(open(path))
+    obj = json.loads(Path(path).read_text())
     offset = [1000.0, -math.pi, 0.1]
     obj["metadata"]["center_offset"] = offset
-    open(path, "w").write(json.dumps(obj))
+    Path(path).write_text(json.dumps(obj))
     loaded = load_model(path)
     assert not hasattr(loaded.metadata, "center_offset")
     for got, expected in zip(loaded.ensemble.members, ensemble.members):
@@ -266,9 +267,9 @@ def test_model_file_rejects_wrong_kind_and_schema(tmp_path):
     ensemble, table = two_member_ensemble()
     metadata = FitMetadata(0, (1,), 5)
     save_model(model_path, ensemble, table, metadata)
-    obj = json.load(open(model_path))
+    obj = json.loads(Path(model_path).read_text())
     obj["schema_version"] = "999"
-    open(model_path, "w").write(json.dumps(obj))
+    Path(model_path).write_text(json.dumps(obj))
     with pytest.raises(FileFormatError, match="not supported"):
         load_model(model_path)
 
@@ -277,9 +278,9 @@ def test_model_file_rejects_degenerate_covariance(tmp_path):
     model_path = str(tmp_path / "model.json")
     ensemble, table = two_member_ensemble()
     save_model(model_path, ensemble, table, FitMetadata(0, (1, 2), 5))
-    obj = json.load(open(model_path))
+    obj = json.loads(Path(model_path).read_text())
     obj["ensemble"][1]["model"]["covariances"][1] = np.diag([1.0, 0.0, 1.0]).tolist()
-    open(model_path, "w").write(json.dumps(obj))
+    Path(model_path).write_text(json.dumps(obj))
     with pytest.raises(DegenerateCovarianceError, match="degenerate covariance"):
         load_model(model_path)
 
@@ -328,8 +329,8 @@ def test_model_file_malformed_json_raises_file_format_error(tmp_path, change, me
     path = str(tmp_path / "model.json")
     ensemble, table = two_member_ensemble()
     save_model(path, ensemble, table, FitMetadata(0, (1, 2), 5))
-    obj = change(json.load(open(path)))
-    open(path, "w").write(obj if isinstance(obj, str) else json.dumps(obj))
+    obj = change(json.loads(Path(path).read_text()))
+    Path(path).write_text(obj if isinstance(obj, str) else json.dumps(obj))
     with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
         load_model(path)
 
@@ -354,9 +355,9 @@ def test_probe_and_embedding_files_reject_malformed_json(tmp_path):
 def test_probe_set_seed_must_be_an_integer(tmp_path, seed):
     path = str(tmp_path / "probes.json")
     save_probe_set(path, make_probe_set([messy_cloud()], seed=1, count=8))
-    obj = json.load(open(path))
+    obj = json.loads(Path(path).read_text())
     obj["seed"] = seed
-    open(path, "w").write(json.dumps(obj))
+    Path(path).write_text(json.dumps(obj))
     with pytest.raises(FileFormatError,
                        match=re.escape(f"{path}: field 'seed' must be an integer")):
         load_probe_set(path)
@@ -373,9 +374,9 @@ def test_embedding_entries_check_their_label_and_source(tmp_path, field, value, 
     v = np.full(4, 0.5)
     save_embeddings(path, [(SphereEmbedding(v), "demented", "a.xyz"),
                            (SphereEmbedding(v), None, "b.xyz")])
-    obj = json.load(open(path))
+    obj = json.loads(Path(path).read_text())
     obj["entries"][1][field] = value
-    open(path, "w").write(json.dumps(obj))
+    Path(path).write_text(json.dumps(obj))
     with pytest.raises(FileFormatError,
                        match=re.escape(f"{path}: entry 1 field {field!r} must be {expected}")):
         load_embeddings(path)
@@ -385,9 +386,9 @@ def test_embedding_entries_with_overflowing_coords_are_refused(tmp_path):
     # their norm would overflow; the suite turns any RuntimeWarning into an error
     path = str(tmp_path / "emb.json")
     save_embeddings(path, [(SphereEmbedding(np.full(4, 0.5)), None, "a.xyz")])
-    obj = json.load(open(path))
+    obj = json.loads(Path(path).read_text())
     obj["entries"][0]["coords"] = [1e308, 1e308]
-    open(path, "w").write(json.dumps(obj))
+    Path(path).write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="coords must be finite, >= 0 and <= 1"):
         load_embeddings(path)
 
@@ -441,7 +442,7 @@ def test_format_aic_table():
 def test_svg_one_marker_per_point(tmp_path):
     path = str(tmp_path / "plot.svg")
     emit_svg_filmstrip([("t=0", PointCloud(np.array([[0.0, 0.0, 0.0]])))], path)
-    text = open(path).read()
+    text = Path(path).read_text()
     assert text.count("<circle") == 1
     assert f'fill="{FRAME_COLOR}"' in text
     assert text.startswith("<svg ")
@@ -456,7 +457,7 @@ def test_svg_projection_drops_the_third_axis(tmp_path):
     a, b = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
     emit_svg_filmstrip([("t=0", PointCloud(base))], a)
     emit_svg_filmstrip([("t=0", PointCloud(shifted))], b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_svg_is_byte_deterministic(tmp_path):
@@ -466,7 +467,7 @@ def test_svg_is_byte_deterministic(tmp_path):
     panel = ("t=0", PointCloud(np.vstack([cloud.points, messy_cloud().points])))
     emit_svg_filmstrip([panel], a)
     emit_svg_filmstrip([panel], b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_svg_input_checks(tmp_path):
@@ -538,11 +539,11 @@ def test_filmstrip_panels_and_determinism(tmp_path):
     a, b = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
     emit_svg_filmstrip(panels, a)
     emit_svg_filmstrip(panels, b)
-    text = open(a).read()
+    text = Path(a).read_text()
     assert text.count("<text") == 3
     assert text.count("<g ") == 3
     assert text.count("<circle") == 36
     assert "t=0.5" in text
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     with pytest.raises(ValueError, match="at least one"):
         emit_svg_filmstrip([], str(tmp_path / "c.svg"))

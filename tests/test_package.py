@@ -108,7 +108,8 @@ def test_fit_em_calls_kmeans_init_through_the_module_attribute(monkeypatch):
     monkeypatch.setattr(em, "kmeans_init", recorded)
     cloud = gmmcloud.PointCloud(np.random.default_rng(0).normal(size=(40, 3)))
     em.fit_em(cloud, 2, em.FitConfig(seed=3))
-    assert calls == [(2, 3)]
+    # one call per cloud, for every K the call fits
+    assert [(list(ks), seed) for ks, seed in calls] == [([2], 3)]
 
 
 def benchmark_gmmcloud_names():
