@@ -12,7 +12,7 @@ from .em import (
     Responsibilities,
     e_step,
     fit_em,
-    fit_em_batch,
+    fit_em_candidates,
     m_step,
 )
 from .embedding import (
@@ -82,7 +82,7 @@ __all__ = [
     "embed",
     "evaluate",
     "fit_em",
-    "fit_em_batch",
+    "fit_em_candidates",
     "generate_point_cloud",
     "gmm_log_likelihood",
     "interpolate_point_clouds",

@@ -1,10 +1,10 @@
 """Maximum-likelihood mixture fitting: k-means++ initialization plus EM.
 
-fit_em_candidates fits many Ks to many clouds at once, fit_em_batch is
-its call at one K and fit_em its batch of one. A fit sorts the points
-lexicographically before doing anything else, so it is a function of the
-point multiset: permuting the input order reproduces the same parameters
-bit for bit under the same seed.
+fit_em_candidates fits many Ks to many clouds at once, and fit_em is its
+call for one cloud at one K. A fit sorts the points lexicographically
+before doing anything else, so it is a function of the point multiset:
+permuting the input order reproduces the same parameters bit for bit
+under the same seed.
 
 EM starts from its own M-step on the one-hot partition of the points by
 their nearest k-means++ seed (Arthur & Vassilvitskii 2007); no Lloyd
@@ -224,26 +224,29 @@ def _check_component_count(k: int, n: int):
 
 
 def _check_extent(pts: np.ndarray):
-    """Raise FitError for points whose squared distances could overflow:
-    their extent, squared and summed over the coordinates and the points,
-    is not finite. Python floats give inf here without a warning."""
-    extent = [hi - lo for lo, hi in zip(pts.min(axis=0).tolist(), pts.max(axis=0).tolist())]
+    """Raise FitError for sorted points whose squared distances could
+    overflow: their extent, squared and summed over the coordinates and
+    the points, is not finite. The x extent is the first and last rows',
+    y's and z's their columns'. Python floats give inf here without a
+    warning."""
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    extent = [x[-1].item() - x[0].item()] + [c.max().item() - c.min().item() for c in (y, z)]
     if not math.isfinite(len(pts) * sum(e * e for e in extent)):
         raise FitError(f"coordinate extent {max(extent):.3g} too large: the squared "
                        f"distances of {len(pts)} points overflow")
 
 
-def kmeans_init(points: np.ndarray, k, seed: int):
-    """Nearest-seed codes (N,) of the best k-means++ seeding of the points
-    at K = k. For a sequence of Ks, a list with each K's codes, or its
-    FitError when the points run out of distinct positions before K.
+def kmeans_init(points: np.ndarray, ks, seed: int) -> list[np.ndarray | FitError]:
+    """For each K of the sequence ks, the nearest-seed codes (N,) of the
+    best k-means++ seeding of the points at that K, or its FitError when
+    the points run out of distinct positions before K.
 
     Each of KMEANS_RESTARTS streams draws one seeding to the largest K. A
     K takes the first K seeds of the restart whose K-seed potential is
     lowest, the first on ties (see the module docstring), and fails when
-    a restart stops short of K seeds, naming the seeds it drew.
+    a restart stops short of K seeds, naming the seeds it drew. A K
+    outside 1..N raises ValueError before any seeding.
     """
-    ks = [k] if np.ndim(k) == 0 else list(k)
     for one in ks:
         _check_component_count(one, len(points))
     seedings = [_kmeans_pp_seeds(points, max(ks), rng_stream(seed, r))
@@ -257,11 +260,7 @@ def kmeans_init(points: np.ndarray, k, seed: int):
         else:
             seeds, _ = min(seedings, key=lambda seeding: seeding[1][one - 1])
             results.append(_nearest_seed_codes(points, seeds[:one]))
-    if np.ndim(k) > 0:
-        return results
-    if isinstance(results[0], FitError):
-        raise results[0]
-    return results[0]
+    return results
 
 
 def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
@@ -749,26 +748,18 @@ def fit_em_candidates(clouds, ks, config: FitConfig = FitConfig()
     return results
 
 
-def fit_em_batch(clouds, k: int, config: FitConfig = FitConfig()
-                 ) -> list[FitResult | FitError]:
-    """fit_em of every cloud at one K, as lockstep batches: the result of
-    each cloud, in input order, or the FitError its fit_em would raise.
-    It is fit_em_candidates at that K alone."""
-    results, = fit_em_candidates(clouds, (k,), config)
-    return results
-
-
 def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitResult:
     """Fit a K-component mixture by SQUAREM-accelerated EM from the best
-    k-means++ seeding: fit_em_batch of one cloud, whose FitError it
-    raises.
+    k-means++ seeding: fit_em_candidates of one cloud at one K, whose
+    FitError it raises.
 
     The points are sorted, then centred on their mean, and the feature
     table of the centred points and the covariance floor are computed
     once for the fit; the means are fitted in that frame and the centre
     is added back to the final means. Sorting comes first, so the centre
     and the fit do not depend on the input order. The start is the
-    M-step on the one-hot partition by kmeans_init's codes.
+    M-step on the one-hot partition by the codes that kmeans_init gives
+    for K; a cloud with fewer than K distinct points fails there.
 
     Each cycle takes two EM maps, theta0 -> theta1 -> theta2, and then
     the S3 SQUAREM step (see _extrapolate) with the step cap of the
@@ -793,7 +784,7 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
     non-finite log-likelihood raises FitError naming the iteration, 0
     for the start.
     """
-    result, = fit_em_batch([cloud], k, config)
+    (result,), = fit_em_candidates([cloud], (k,), config)
     if isinstance(result, FitError):
         raise result
     return result

@@ -131,11 +131,6 @@ def _check_t(t: float):
         raise ValueError(f"interpolation parameter must lie in [0, 1], got {t}")
 
 
-def sphere_distance(w1: np.ndarray, w2: np.ndarray) -> float:
-    """Great-circle angle between two unit vectors."""
-    return math.acos(float(np.clip(np.asarray(w1) @ np.asarray(w2), -1.0, 1.0)))
-
-
 def _check_shapes(s1: np.ndarray, s2: np.ndarray):
     if s1.shape != s2.shape:
         raise ValueError(f"covariance shapes differ: {s1.shape} vs {s2.shape}")
@@ -174,16 +169,6 @@ def spd_geodesic(s1: np.ndarray, s2: np.ndarray, t: float) -> np.ndarray:
     by checked_spd; t = 0 and 1 return copies of them."""
     (s1, factor1), (s2, factor2) = checked_spd(s1), checked_spd(s2)
     return _covariance_geodesic(s1, factor1, s2, factor2, t)
-
-
-def spd_distance(s1: np.ndarray, s2: np.ndarray) -> float:
-    """Affine-invariant distance ||log mu||, mu = sigma^2 the eigenvalues of
-    S1^(-1) S2; between (K, 3, 3) stacks, the root of the summed squared slot
-    distances."""
-    (s1, factor1), (s2, factor2) = checked_spd(s1), checked_spd(s2)
-    _check_shapes(s1, s2)
-    _, _, sigma = _pencil(factor1, factor2)
-    return 2.0 * float(np.linalg.norm(np.log(sigma)))
 
 
 def _sphere_point(model: Gmm) -> np.ndarray:

@@ -191,9 +191,7 @@ def _center_offset(meta, path: str) -> np.ndarray | None:
 
 def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
                metadata: FitMetadata):
-    obj = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "model_file",
+    _save_json(path, "model_file", {
         "ensemble": [
             {"p": m.weight, "model": _gmm_to_obj(m.model)} for m in ensemble.members
         ],
@@ -210,7 +208,13 @@ def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
             "training_n": metadata.training_n,
             "label": metadata.label,
         },
-    }
+    })
+
+
+def _save_json(path: str, kind: str, body: dict):
+    """Write a JSON file of the given kind: schema_version, kind, then the
+    fields of body in their order."""
+    obj = {"schema_version": SCHEMA_VERSION, "kind": kind, **body}
     _atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
@@ -283,14 +287,11 @@ def _fit_metadata(meta, path: str) -> FitMetadata:
 
 
 def save_probe_set(path: str, probes: ProbeSet):
-    obj = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "probe_set",
+    _save_json(path, "probe_set", {
         "seed": probes.seed,
         "bounds": {"lo": probes.bounds[0].tolist(), "hi": probes.bounds[1].tolist()},
         "probes": probes.probes.tolist(),
-    }
-    _atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    })
 
 
 def load_probe_set(path: str) -> ProbeSet:
@@ -304,15 +305,10 @@ def load_probe_set(path: str) -> ProbeSet:
 
 def save_embeddings(path: str, entries):
     """entries: sequence of (SphereEmbedding, label or None, source name)."""
-    obj = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "embeddings",
-        "entries": [
-            {"label": label, "source": source, "coords": emb.coords.tolist()}
-            for emb, label, source in entries
-        ],
-    }
-    _atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    _save_json(path, "embeddings", {"entries": [
+        {"label": label, "source": source, "coords": emb.coords.tolist()}
+        for emb, label, source in entries
+    ]})
 
 
 def load_embeddings(path: str) -> list[tuple[SphereEmbedding, str | None, str]]:

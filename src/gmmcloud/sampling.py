@@ -42,13 +42,3 @@ def generate_point_cloud(model: Gmm | GmmEnsemble, n: int, rng: np.random.Genera
     z = rng.standard_normal((n, 3))
     out = means[idx] + np.einsum("nij,nj->ni", q[idx], np.sqrt(lam)[idx] * z)
     return PointCloud(out, label=label)
-
-
-def mixture_moments(model: Gmm | GmmEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic mean and covariance of a mixture, or of an ensemble's flat
-    mixture sum_k p_k f_k."""
-    w, means, covs, _ = flat_mixture(model)
-    mean = w @ means
-    second = np.einsum("k,kij->ij", w, covs)
-    second += np.einsum("k,ki,kj->ij", w, means, means)
-    return mean, second - np.outer(mean, mean)

@@ -15,6 +15,7 @@ from hypothesis import settings
 
 from gmmcloud import em
 from gmmcloud.em import FitConfig, fit_em
+from gmmcloud.geodesics import _check_shapes, _pencil
 from gmmcloud.model import (
     LOG_TWO_PI,
     SYMMETRIC_ENTRIES,
@@ -22,6 +23,8 @@ from gmmcloud.model import (
     Gmm,
     GmmEnsemble,
     PointCloud,
+    checked_spd,
+    flat_mixture,
     floor_spd,
 )
 from gmmcloud.sampling import generate_point_cloud, rng_stream
@@ -132,6 +135,32 @@ def best_match(fitted_means, true_means):
         if cost < best_cost:
             best, best_cost = perm, cost
     return best
+
+
+def mixture_moments(model):
+    """Analytic mean and covariance of a mixture, or of an ensemble's flat
+    mixture sum_k p_k f_k."""
+    w, means, covs, _ = flat_mixture(model)
+    mean = w @ means
+    second = np.einsum("k,kij->ij", w, covs)
+    second += np.einsum("k,ki,kj->ij", w, means, means)
+    return mean, second - np.outer(mean, mean)
+
+
+def sphere_distance(w1, w2):
+    """Great-circle angle between two unit vectors."""
+    return math.acos(float(np.clip(np.asarray(w1) @ np.asarray(w2), -1.0, 1.0)))
+
+
+def spd_distance(s1, s2):
+    """Affine-invariant distance ||log mu||, mu = sigma^2 the eigenvalues of
+    S1^(-1) S2, from the geodesic's own pencil; between (K, 3, 3) stacks,
+    the root of the summed squared slot distances. Both endpoints are
+    validated as spd_geodesic validates them."""
+    (s1, factor1), (s2, factor2) = checked_spd(s1), checked_spd(s2)
+    _check_shapes(s1, s2)
+    _, _, sigma = _pencil(factor1, factor2)
+    return 2.0 * float(np.linalg.norm(np.log(sigma)))
 
 
 def cloud_moments(points):

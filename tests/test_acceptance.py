@@ -16,10 +16,13 @@ from conftest import (
     cloud_moments,
     drawn_indices,
     grid_ensemble,
+    mixture_moments,
     random_gmm,
     random_spd,
     recovery_cloud,
     sample_mixture,
+    spd_distance,
+    sphere_distance,
 )
 from gmmcloud.cli import main as cli_main
 from gmmcloud.em import FitConfig, FitError, fit_em
@@ -27,14 +30,12 @@ from gmmcloud.embedding import arc_distance, embed, inflated_bounds, make_probe_
 from gmmcloud.geodesics import (
     interpolate_point_clouds,
     product_geodesic,
-    sphere_distance,
     sphere_geodesic,
-    spd_distance,
     spd_geodesic,
 )
 from gmmcloud.model import PointCloud
 from gmmcloud.pipeline import ExperimentConfig, run_generation_classification
-from gmmcloud.sampling import generate_point_cloud, mixture_moments, rng_stream
+from gmmcloud.sampling import generate_point_cloud, rng_stream
 from gmmcloud.selection import aic_score, akaike_weights, build_ensemble
 from gmmcloud.shapes import add_outliers, make_bent_tube, tube_spec_for_class
 

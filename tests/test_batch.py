@@ -1,4 +1,4 @@
-"""Lockstep batches: fit_em_batch and build_ensembles against one-by-one
+"""Lockstep batches: fit_em_candidates and build_ensembles against one-by-one
 fits, bit for bit, with the failures, call counts and thread counts that
 must not tell the two apart."""
 
@@ -15,7 +15,7 @@ from conftest import assert_precisions_match, counted_steps
 
 import gmmcloud
 from gmmcloud import em
-from gmmcloud.em import FitConfig, FitError, fit_em, fit_em_batch
+from gmmcloud.em import FitConfig, FitError, fit_em, fit_em_candidates
 from gmmcloud.model import PointCloud
 from gmmcloud.sampling import generate_point_cloud, rng_stream
 from gmmcloud.selection import build_ensemble, build_ensembles
@@ -111,7 +111,7 @@ def test_build_ensembles_equals_build_ensemble_cloud_by_cloud(monkeypatch, small
     assert batch_warnings == serial_warnings == [
         f"candidate K={k} dropped: K={k} needs {k} distinct points, the cloud has 6"
         for k in (8, 16, 32)]
-    fits = [fit_em_batch(clouds, k, config) for k in ks]
+    fits = fit_em_candidates(clouds, ks, config)
     done = [r for results in fits for r in results if not isinstance(r, FitError)]
     assert {r.converged for r in done} == {True, False}
     assert max(r.iterations for r in done) <= 40
@@ -138,7 +138,7 @@ def test_fit_em_batch_equals_fit_em_at_the_iteration_cap(monkeypatch, k):
     # here does at K = 1 and 2 and three of four do at K = 8
     monkeypatch.setattr(em, "REL_TOLERANCE", 1e-300)
     clouds = [tube(s, n=300) for s in range(3)] + [tube(3, n=200)]
-    batched = fit_em_batch(clouds, k, FitConfig(seed=2))
+    batched = fit_em_candidates(clouds, [k], FitConfig(seed=2))[0]
     assert [fit_bytes(r) for r in batched] == [
         fit_bytes(r) for r in one_by_one(clouds, k, FitConfig(seed=2))]
     if k == 8:
@@ -160,7 +160,7 @@ def test_a_batch_whose_fits_floor_different_matrices_equals_them_one_by_one(monk
         return floor(covs, eps, binding, *args)
 
     monkeypatch.setattr(em, "_floor", recorded)
-    batched = fit_em_batch(clouds, 32, config)
+    batched = fit_em_candidates(clouds, [32], config)[0]
     assert [fit_bytes(r) for r in batched] == [fit_bytes(r) for r in alone]
     assert any(len(mask) > 1 and len({row.tobytes() for row in mask}) > 1 for mask in bound)
     assert all(mask.sum() < mask.size for mask in bound)
@@ -185,17 +185,21 @@ def test_a_batch_starts_its_fits_together_and_takes_no_more(monkeypatch, small_b
         seen.append(len(self.fits))
     monkeypatch.setattr(em._Lockstep, "__init__", recorded_init)
     monkeypatch.setattr(em._Lockstep, "cycle", recorded_cycle)
-    fit_em_batch([tube(s, n=300) for s in range(7)], 4, FitConfig(seed=0))
+    fit_em_candidates([tube(s, n=300) for s in range(7)], [4], FitConfig(seed=0))
     assert built == [3, 3, 1]
     assert len(counts) == 3
     assert all(seen == sorted(seen, reverse=True) for seen in counts.values())
 
 
-def test_a_cloud_too_wide_to_square_fails_only_itself():
-    # with one point at 1e155, a squared distance to it overflows; the fit
-    # fails before any arithmetic, without a warning and whatever the seed
+@pytest.mark.parametrize("far", [(1e155, 0.0, 0.0), (-1e155, 0.0, 0.0), (0.0, 1e155, 0.0),
+                                 (0.0, 0.0, 1e155)], ids=["x+", "x-", "y", "z"])
+def test_a_cloud_too_wide_to_square_fails_only_itself(far):
+    # with one point 1e155 out on any axis, a squared distance to it
+    # overflows; the fit fails before any arithmetic, without a warning
+    # and whatever the seed. Sorted, the point is the last row, the first
+    # or neither, where the extent of x or of y and z is taken.
     pts = np.random.default_rng(0).normal(size=(600, 3))
-    pts[-1] = (1e155, 0.0, 0.0)
+    pts[-1] = far
     wide = PointCloud(pts)
     message = "coordinate extent 1e+155 too large: the squared distances of 600 points overflow"
     clouds = [tube(0), wide, tube(1)]
@@ -203,7 +207,7 @@ def test_a_cloud_too_wide_to_square_fails_only_itself():
         warnings.simplefilter("error")
         with pytest.raises(FitError) as alone:
             fit_em(wide, 2)
-        batched = fit_em_batch(clouds, 2)
+        batched = fit_em_candidates(clouds, [2])[0]
     assert str(alone.value) == message
     assert isinstance(batched[1], FitError) and str(batched[1]) == message
     assert [fit_bytes(batched[i]) for i in (0, 2)] == [
@@ -212,10 +216,10 @@ def test_a_cloud_too_wide_to_square_fails_only_itself():
 
 def test_fit_em_batch_rejects_a_k_outside_any_cloud_before_fitting():
     with pytest.raises(ValueError, match="more components than points: K=8, N=5"):
-        fit_em_batch([tube(0), PointCloud(np.zeros((5, 3)))], 8)
+        fit_em_candidates([tube(0), PointCloud(np.zeros((5, 3)))], [8])
     with pytest.raises(ValueError, match="component count must be >= 1"):
-        fit_em_batch([tube(0)], 0)
-    assert fit_em_batch([], 4) == []
+        fit_em_candidates([tube(0)], [0])
+    assert fit_em_candidates([], [4])[0] == []
 
 
 def test_a_batch_of_copies_steps_once_per_lockstep_map(monkeypatch):
@@ -229,7 +233,7 @@ def test_a_batch_of_copies_steps_once_per_lockstep_map(monkeypatch):
     assert single["candidates"] > 0 and single["e"] == single["m"] + single["candidates"]
     for key in counts:
         counts[key] = 0
-    results = fit_em_batch([cloud] * 4, 8, FitConfig(seed=0))
+    results = fit_em_candidates([cloud] * 4, [8], FitConfig(seed=0))[0]
     assert {fit_bytes(r) for r in results} == {fit_bytes(alone)}
     assert counts == {"e": 4 * single["e"], "m": 4 * single["m"],
                       "candidates": 4 * single["candidates"],
@@ -245,7 +249,7 @@ def test_a_mixed_batch_steps_each_fit_as_fit_em_does(monkeypatch, small_batches)
     serial = dict(counts)
     for key in counts:
         counts[key] = 0
-    fit_em_batch(clouds, 4, FitConfig(seed=2))
+    fit_em_candidates(clouds, [4], FitConfig(seed=2))
     for key in ("e", "m", "candidates"):
         assert counts[key] == serial[key]
     assert counts["e"] == counts["m"] + counts["candidates"]
@@ -276,7 +280,7 @@ def counted_preparation(monkeypatch):
 def test_a_batch_sorts_floors_and_builds_features_once_per_cloud(monkeypatch, small_batches):
     clouds = mixed_clouds()
     counts = counted_preparation(monkeypatch)
-    fit_em_batch(clouds, 4, FitConfig(seed=0))
+    fit_em_candidates(clouds, [4], FitConfig(seed=0))
     assert counts == dict(dict.fromkeys(PREPARATION, len(clouds)),
                           rng_stream=em.KMEANS_RESTARTS * len(clouds))
 
@@ -341,7 +345,7 @@ def test_each_e_step_equals_the_e_step_of_the_state_rows(monkeypatch, k):
     monkeypatch.setattr(em, "_floor", floor_recorded)
     monkeypatch.setattr(em, "_m_step_arrays", m_step_checked)
     monkeypatch.setattr(em, "_extrapolate", extrapolate_checked)
-    fit_em_batch(mixed_clouds(), k, FitConfig(seed=0))
+    fit_em_candidates(mixed_clouds(), [k], FitConfig(seed=0))
     assert checked["maps"] > 20 and checked["candidates"] > 5 and checked["floored"] > 0
     assert max(batch_sizes) > 1
 
@@ -361,7 +365,7 @@ def test_each_fits_squarem_step_sums_its_own_norms_in_order(monkeypatch):
         return alpha, rows, parts
 
     monkeypatch.setattr(em, "_extrapolate", recorded)
-    fit_em_batch(mixed_clouds(), 4, FitConfig(seed=2))
+    fit_em_candidates(mixed_clouds(), [4], FitConfig(seed=2))
     assert sum(len(caps) for _, caps, _ in steps) > 50
     for thetas, caps, alpha in steps:
         for i, cap in enumerate(caps):
@@ -447,7 +451,7 @@ def test_a_failing_fit_fails_only_itself(monkeypatch, mode, message):
     with pytest.raises(FitError, match=message) as alone:
         fit_em(target, 4, config)
     arm(mode)
-    batched = fit_em_batch(clouds, 4, config)
+    batched = fit_em_candidates(clouds, [4], config)[0]
     assert isinstance(batched[2], FitError) and str(batched[2]) == str(alone.value)
     monkeypatch.undo()
     others = [fit_bytes(r) for i, r in enumerate(batched) if i != 2]
@@ -482,7 +486,7 @@ def test_a_fit_whose_stabilising_map_fails_fails_only_itself(monkeypatch):
     with pytest.raises(FitError, match=r"^fit failed at iteration 5: "
                                        r"Eigenvalues did not converge$") as alone:
         fit_em(target, 4, config)
-    batched = fit_em_batch(clouds, 4, config)
+    batched = fit_em_candidates(clouds, [4], config)[0]
     assert isinstance(batched[2], FitError) and str(batched[2]) == str(alone.value)
     monkeypatch.undo()
     others = [fit_bytes(r) for i, r in enumerate(batched) if i != 2]
@@ -492,13 +496,13 @@ def test_a_fit_whose_stabilising_map_fails_fails_only_itself(monkeypatch):
 THREAD_SCRIPT = """
 import hashlib
 import numpy as np
-from gmmcloud.em import FitConfig, fit_em_batch
+from gmmcloud.em import FitConfig, fit_em_candidates
 from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
 clouds = [make_bent_tube(tube_spec_for_class("demented", n_points=n), s)
           for s, n in ((0, 600), (1, 600), (2, 600), (3, 6000), (4, 6000))]
 h = hashlib.sha256()
 for k in (2, 8):
-    for r in fit_em_batch(clouds, k, FitConfig(seed=0)):
+    for r in fit_em_candidates(clouds, [k], FitConfig(seed=0))[0]:
         for a in (r.model.weights, r.model.means, r.model.covariances,
                   np.array(r.log_likelihood_trace)):
             h.update(np.ascontiguousarray(a).tobytes())

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assert_moments_close, near_singular_spd, random_gmm, random_spd, unit_gmm
+from conftest import (
+    assert_moments_close,
+    mixture_moments,
+    near_singular_spd,
+    random_gmm,
+    random_spd,
+    spd_distance,
+    sphere_distance,
+    unit_gmm,
+)
 from gmmcloud.embedding import arc_distance, embed, make_probe_set
 from gmmcloud.geodesics import (
     DEFAULT_TS,
@@ -18,9 +27,7 @@ from gmmcloud.geodesics import (
     product_geodesic,
     project_to_k,
     reorder_components,
-    sphere_distance,
     sphere_geodesic,
-    spd_distance,
     spd_geodesic,
 )
 from gmmcloud.model import (
@@ -30,7 +37,6 @@ from gmmcloud.model import (
     GmmEnsemble,
     PointCloud,
 )
-from gmmcloud.sampling import mixture_moments
 from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
 
 

@@ -10,6 +10,7 @@ import sys
 import types
 from pathlib import Path
 
+import click
 import pytest
 
 import numpy as np
@@ -21,6 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 BENCH = ROOT / "bench"
 BENCH_SPANS = BENCH / "spans.py"
+SRC = Path(gmmcloud.__file__).parent
 
 
 def test_every_exported_name_resolves_once():
@@ -157,3 +159,46 @@ def test_every_name_the_benchmark_imports_resolves():
     assert missing == []
     # bench/workloads.py builds its fit settings this way
     assert resolve("gmmcloud.em.FitConfig")(seed=1).seed == 1
+
+
+def named_references(paths):
+    """For each name, the (path, owner) pairs that refer to it by an AST
+    Name, Attribute or import alias; owner is the module-level function or
+    class the reference sits in, None elsewhere."""
+    references = {}
+    for path in paths:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name.rpartition(".")[2]
+                else:
+                    continue
+                references.setdefault(name, set()).add((path, owner))
+    return references
+
+
+def test_every_public_definition_is_used_exported_or_a_command():
+    # a module-level function or class that the package and the benchmark
+    # never name outside its own definition, that gmmcloud does not export
+    # and that is no click command is code only the tests run: it belongs
+    # in tests/, next to the tests that use it
+    modules = sorted(SRC.glob("*.py"))
+    references = named_references(modules + sorted(BENCH.rglob("*.py")))
+    unused = []
+    for path in modules:
+        module = (gmmcloud if path.stem == "__init__"
+                  else importlib.import_module(f"gmmcloud.{path.stem}"))
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if (not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    or stmt.name.startswith("_")):
+                continue
+            used = references.get(stmt.name, set()) - {(path, stmt.name)}
+            if not (used or stmt.name in gmmcloud.__all__
+                    or isinstance(getattr(module, stmt.name), click.Command)):
+                unused.append(f"{path.stem}.{stmt.name}")
+    assert unused == []

@@ -1,11 +1,15 @@
-"""The README's Python quickstart runs as written, and its shell lines use
-only options the CLI has."""
+"""The README's Python quickstart runs as written, its shell lines use
+only options the CLI has, and its backticked calls name what the package
+has."""
 
 import contextlib
+import importlib
 import io
 import pathlib
+import pkgutil
 import re
 
+import gmmcloud
 from gmmcloud.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -43,3 +47,28 @@ def test_readme_command_lines_use_existing_options():
                  for opt in param.opts + param.secondary_opts}
         for option in options:
             assert option in known, f"README passes gmmcloud {name} unknown option {option}"
+
+
+def readme_calls():
+    """The name of every backticked call `name(` in the README."""
+    return re.findall(r"`([A-Za-z_][\w.]*)\(", README.read_text())
+
+
+def resolves(dotted):
+    """Whether the dotted name is an attribute of gmmcloud or of one of its
+    submodules."""
+    modules = [gmmcloud] + [importlib.import_module(f"gmmcloud.{info.name}")
+                            for info in pkgutil.iter_modules(gmmcloud.__path__)]
+    for obj in modules:
+        for part in dotted.split("."):
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_readme_calls_name_what_the_package_has():
+    calls = readme_calls()
+    assert len(calls) > 5
+    stale = [name for name in calls if not resolves(name)]
+    assert stale == [], f"README calls names the package lacks: {stale}"

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_moments_close, drawn_indices, grid_ensemble, sample_mixture
+from conftest import (
+    assert_moments_close,
+    drawn_indices,
+    grid_ensemble,
+    mixture_moments,
+    sample_mixture,
+)
 from gmmcloud.embedding import embed, make_probe_set
 from gmmcloud.model import (
     EnsembleMember,
@@ -13,11 +19,7 @@ from gmmcloud.model import (
     GmmEnsemble,
     PointCloud,
 )
-from gmmcloud.sampling import (
-    generate_point_cloud,
-    mixture_moments,
-    rng_stream,
-)
+from gmmcloud.sampling import generate_point_cloud, rng_stream
 
 
 def uniform_gmm(k, spacing=3.0):
