@@ -73,21 +73,69 @@ def project_to_k(model: Gmm, k_target: int) -> Gmm:
     return Gmm(w / total, m, 0.5 * (s + _transposed(s)))
 
 
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost perfect matching of a square
+    cost matrix: shortest augmenting paths with row and column potentials
+    (Kuhn 1955, Munkres 1957; the form of Jonker & Volgenant 1987).
+
+    Rows join in index order. Each grows a Dijkstra tree over the columns
+    in reduced costs: the open column nearest the tree is settled next,
+    the lowest index first among equal distances, and a column keeps the
+    row that first reached it unless another row reaches it strictly
+    nearer. The first free column settled ends the augmenting path.
+    """
+    k = len(cost)
+    u, v = np.zeros(k), np.zeros(k)
+    row_of = np.full(k, -1)
+    col_of = np.full(k, -1)
+    for start in range(k):
+        dist = np.full(k, np.inf)
+        via = np.zeros(k, dtype=int)
+        settled = np.zeros(k, dtype=bool)
+        i, reach = start, 0.0
+        while True:
+            reduced = reach + cost[i] - u[i] - v
+            nearer = (reduced < dist) & ~settled
+            dist[nearer] = reduced[nearer]
+            via[nearer] = i
+            open_dist = np.where(settled, np.inf, dist)
+            j = int(np.argmin(open_dist))
+            reach = open_dist[j]
+            if reach == np.inf:
+                raise ValueError("no assignment of finite cost")
+            settled[j] = True
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        # shift the potentials so that reduced costs stay >= 0 and the
+        # settled tree's edges, the new path among them, cost 0
+        cols = np.flatnonzero(settled)
+        v[cols] -= reach - dist[cols]
+        held = cols[row_of[cols] >= 0]
+        u[row_of[held]] += reach - dist[held]
+        u[start] += reach
+        while True:
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return col_of
+
+
 def match_components(a: Gmm, b: Gmm) -> np.ndarray:
     """Permutation aligning b's components to a's by squared mean distance.
 
     Returns perm such that component j of a pairs with component perm[j]
-    of b, from the optimal (Hungarian) assignment.
+    of b, from a minimum-cost assignment. Where several assignments cost
+    the least, the solver's order picks one: a's components join in index
+    order, and each one's augmenting path visits b's components nearest
+    first in reduced cost, the lowest index first among equal ones.
     """
-    # imported here: scipy.optimize is most of the package's import time,
-    # and only interpolation needs it
-    from scipy.optimize import linear_sum_assignment
-
     if a.k != b.k:
         raise ValueError(f"component counts differ: {a.k} vs {b.k}")
     cost = np.sum((a.means[:, None, :] - b.means[None, :, :]) ** 2, axis=2)
-    _, perm = linear_sum_assignment(cost)
-    return perm
+    return _min_cost_assignment(cost)
 
 
 def reorder_components(model: Gmm, perm) -> Gmm:

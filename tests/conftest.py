@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import settings
 
 from gmmcloud import em
@@ -153,14 +154,33 @@ def sphere_distance(w1, w2):
 
 
 def spd_distance(s1, s2):
-    """Affine-invariant distance ||log mu||, mu = sigma^2 the eigenvalues of
-    S1^(-1) S2, from the geodesic's own pencil; between (K, 3, 3) stacks,
-    the root of the summed squared slot distances. Both endpoints are
-    validated as spd_geodesic validates them."""
+    """The walk's own affine-invariant distance 2 ||log sigma||, from the
+    SVD of its pencil (geodesics._pencil); between (K, 3, 3) stacks, the
+    root of the summed squared slot distances. Both endpoints are
+    validated as spd_geodesic validates them. eigh_spd_distance is the
+    independent oracle it is checked against. Near-singular endpoints
+    are tested with this one: a matrix that checked_spd accepts can be
+    singular or indefinite as stored, where an exact distance is not
+    finite, but the walk's, from the accepted eigenvalues, is."""
     (s1, factor1), (s2, factor2) = checked_spd(s1), checked_spd(s2)
     _check_shapes(s1, s2)
     _, _, sigma = _pencil(factor1, factor2)
     return 2.0 * float(np.linalg.norm(np.log(sigma)))
+
+
+def eigh_spd_distance(s1, s2):
+    """Affine-invariant distance ||log mu|| from the generalized eigenvalues
+    mu of each slot's pair (scipy.linalg.eigh), independent of the walk's
+    SVD. The distance is symmetric, so the better-conditioned endpoint is
+    the one factored. Stacks as in spd_distance."""
+    s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
+    assert s1.shape == s2.shape
+    squares = 0.0
+    for a, b in zip(s1.reshape(-1, 3, 3), s2.reshape(-1, 3, 3)):
+        if np.linalg.cond(a) < np.linalg.cond(b):
+            a, b = b, a
+        squares += float(np.sum(np.log(scipy.linalg.eigh(a, b, eigvals_only=True)) ** 2))
+    return math.sqrt(squares)
 
 
 def cloud_moments(points):

@@ -15,13 +15,13 @@ from conftest import (
     best_match,
     cloud_moments,
     drawn_indices,
+    eigh_spd_distance,
     grid_ensemble,
     mixture_moments,
     random_gmm,
     random_spd,
     recovery_cloud,
     sample_mixture,
-    spd_distance,
     sphere_distance,
 )
 from gmmcloud.cli import main as cli_main
@@ -129,10 +129,10 @@ def test_criterion_05_geodesic_laws():
         end_dev = max(end_dev,
                       float(np.max(np.abs(spd_geodesic(s1, s2, 0.0) - s1))),
                       float(np.max(np.abs(spd_geodesic(s1, s2, 1.0) - s2))))
-        total = spd_distance(s1, s2)
+        total = eigh_spd_distance(s1, s2)
         for s in (0.25, 0.5, 0.75):
             gamma = spd_geodesic(s1, s2, s)
-            add_dev = max(add_dev, abs(spd_distance(s1, gamma) - s * total))
+            add_dev = max(add_dev, abs(eigh_spd_distance(s1, gamma) - s * total))
         # commuting pair: shared eigenbasis, scalar-power closed form
         q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         a = rng.uniform(0.2, 5.0, size=3)

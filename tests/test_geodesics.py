@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from conftest import (
     assert_moments_close,
+    eigh_spd_distance,
     mixture_moments,
     near_singular_spd,
     random_gmm,
@@ -156,6 +158,69 @@ def test_match_equals_brute_force(k):
     assert math.isclose(float(cost[np.arange(k), got].sum()), best_cost, rel_tol=1e-10)
 
 
+def mean_cost(a, b):
+    return np.sum((a.means[:, None, :] - b.means[None, :, :]) ** 2, axis=2)
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_match_equals_scipy_on_tie_free_costs(k):
+    rng = np.random.default_rng(100 + k)
+    a, b = random_gmm(rng, k), random_gmm(rng, k)
+    np.testing.assert_array_equal(match_components(a, b),
+                                  linear_sum_assignment(mean_cost(a, b))[1])
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_match_reaches_scipy_total_cost_on_tied_costs(k):
+    # means on a coarse integer lattice: the squared distances are small
+    # integers, summed exactly, with many ties and duplicate components
+    rng = np.random.default_rng(200 + k)
+    a, b = (unit_gmm(np.full(k, 1.0 / k), rng.integers(0, 3, size=(k, 3)))
+            for _ in range(2))
+    cost = mean_cost(a, b)
+    rows, cols = linear_sum_assignment(cost)
+    perm = match_components(a, b)
+    assert sorted(perm.tolist()) == list(range(k))
+    assert cost[np.arange(k), perm].sum() == cost[rows, cols].sum()
+
+
+X, Y, Z = [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("means_a, means_b, expected", [
+    # every reduced cost ties at every step: component i's path visits
+    # b's components 0, 1, ... and ends at i, the first one free
+    ([X] * 4, [X] * 4, [0, 1, 2, 3]),
+    ([X] * 4, [Y] * 4, [0, 1, 2, 3]),
+    # a's duplicates: the first takes b's nearer component while it is
+    # free, the second the other
+    ([X, X], [Y, Z], [0, 1]),
+    ([X, X], [Z, Y], [1, 0]),
+    # a = (1, 1, 0), b = (0, 0, 1) on the x axis: 0 takes b's 2 at cost 0;
+    # 1 reaches 2 (held) at 0, then 0 and 1 at 1 through it, and takes 0,
+    # the lower; 2 reaches 0 and 1 at 0, visits 0 first (held by 1), and
+    # through it takes 1, the lower free one at that distance. Pairing
+    # 2 with 0 and 1 with 1 would cost the same.
+    ([Y, Y, X], [X, X, Y], [2, 0, 1]),
+])
+def test_match_breaks_ties_by_its_stated_rule(means_a, means_b, expected):
+    a = unit_gmm(np.full(len(means_a), 1.0 / len(means_a)), means_a)
+    b = unit_gmm(np.full(len(means_b), 1.0 / len(means_b)), means_b)
+    for _ in range(3):
+        np.testing.assert_array_equal(match_components(a, b), expected)
+
+
+def test_match_without_a_finite_cost_assignment_raises():
+    near = unit_gmm([0.5, 0.5], [[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]])
+    far = unit_gmm([0.5, 0.5], [[-1e200, 0.0, 0.0], [-2e200, 0.0, 0.0]])
+    with np.errstate(over="ignore"):
+        # squared distances of 1e400 overflow to inf: off the diagonal only,
+        # then everywhere
+        np.testing.assert_array_equal(match_components(near, near), [0, 1])
+        with pytest.raises(ValueError, match="finite cost"):
+            match_components(far, near)
+
+
 def test_match_requires_equal_counts():
     rng = np.random.default_rng(10)
     with pytest.raises(ValueError, match="differ"):
@@ -241,10 +306,19 @@ def test_spd_commuting_pair_matches_scalar_powers():
 def test_spd_geodesic_additivity():
     rng = np.random.default_rng(15)
     s1, s2 = random_spd(rng), random_spd(rng)
-    total = spd_distance(s1, s2)
+    total = eigh_spd_distance(s1, s2)
     for s in (0.25, 0.5, 0.75):
         gamma = spd_geodesic(s1, s2, s)
-        assert abs(spd_distance(s1, gamma) - s * total) < 1e-8
+        assert abs(eigh_spd_distance(s1, gamma) - s * total) < 1e-8
+
+
+def test_spd_distance_of_the_pencil_equals_the_generalized_eigenvalue_oracle():
+    rng = np.random.default_rng(23)
+    for shape in ((3, 3), (1, 3, 3), (4, 3, 3)):
+        count = math.prod(shape[:-2])
+        s1 = np.reshape([random_spd(rng) for _ in range(count)], shape)
+        s2 = np.reshape([random_spd(rng, scale=10.0) for _ in range(count)], shape)
+        assert math.isclose(spd_distance(s1, s2), eigh_spd_distance(s1, s2), rel_tol=1e-10)
 
 
 def test_spd_gl_invariance():

@@ -17,6 +17,8 @@ import numpy as np
 
 import gmmcloud
 from gmmcloud import em
+from gmmcloud.io import write_point_cloud
+from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -42,40 +44,62 @@ def imported_top_level_names(path):
     return names
 
 
-def test_every_third_party_import_is_a_declared_dependency():
+def declared_requirements():
+    """Distribution names in pyproject.toml's dependencies and in its test
+    extra, lower-cased with '-' as '_'."""
     tomllib = pytest.importorskip("tomllib")
     with PYPROJECT.open("rb") as f:
-        requirements = tomllib.load(f)["project"]["dependencies"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
+        project = tomllib.load(f)["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
                 for req in requirements}
+
+    return names(project["dependencies"]), names(project["optional-dependencies"]["test"])
+
+
+def third_party_imports(paths):
+    """Top-level modules the files import that are neither the standard
+    library, gmmcloud nor one of the files themselves."""
+    paths = list(paths)
     imported = set()
-    for module in Path(gmmcloud.__file__).parent.rglob("*.py"):
-        imported |= imported_top_level_names(module)
-    third_party = imported - set(sys.stdlib_module_names) - {"gmmcloud"}
-    assert {"numpy", "scipy", "click"} <= third_party
-    assert third_party <= declared
+    for path in paths:
+        imported |= imported_top_level_names(path)
+    return imported - set(sys.stdlib_module_names) - {"gmmcloud"} - {p.stem for p in paths}
 
 
-def loaded_by_importing_the_cli(module: str) -> bool:
-    """Whether `import gmmcloud.cli` loads the module, checked in a new
-    interpreter, where no other test has imported anything yet."""
+def test_every_third_party_import_is_a_declared_dependency():
+    runtime, _ = declared_requirements()
+    third_party = third_party_imports(SRC.rglob("*.py"))
+    assert third_party == {"numpy", "click"}
+    assert third_party <= runtime
+
+
+def test_every_third_party_import_of_the_tests_is_declared():
+    runtime, test_extra = declared_requirements()
+    third_party = third_party_imports(Path(__file__).parent.glob("*.py"))
+    assert {"numpy", "scipy", "pytest", "hypothesis"} <= third_party
+    assert third_party <= runtime | test_extra
+
+
+def test_an_interpolate_command_loads_no_scipy(tmp_path):
+    # in a new interpreter, where no other test has imported anything yet
+    for seed, label in enumerate(("nondemented", "demented")):
+        cloud = make_bent_tube(tube_spec_for_class(label, n_points=200), seed=seed)
+        write_point_cloud(cloud, str(tmp_path / f"{label}.xyz"))
+    args = ["interpolate", str(tmp_path / "nondemented.xyz"), str(tmp_path / "demented.xyz"),
+            "--ks", "1,2,4", "-o", str(tmp_path / "morph")]
+    code = ("import sys\n"
+            "from gmmcloud.cli import main\n"
+            f"main({args!r}, standalone_mode=False)\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
     src = os.path.dirname(os.path.dirname(gmmcloud.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, gmmcloud.cli; print({module!r} in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    return {"True\n": True, "False\n": False}[proc.stdout]
-
-
-def test_importing_the_cli_loads_no_scipy_cluster():
-    # the k-means++ seeding partitions the points itself
-    assert not loaded_by_importing_the_cli("scipy.cluster")
-
-
-def test_importing_the_cli_loads_no_scipy_optimize():
-    # only match_components uses it, and imports it when first called
-    assert not loaded_by_importing_the_cli("scipy.optimize")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert (tmp_path / "morph" / "filmstrip.svg").is_file()
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def hooked_sites():
