@@ -82,6 +82,32 @@ def test_every_third_party_import_of_the_tests_is_declared():
     assert third_party <= runtime | test_extra
 
 
+def package_env() -> dict:
+    """The environment for a new interpreter that imports this checkout's
+    gmmcloud, where no other test has imported anything yet."""
+    src = os.path.dirname(os.path.dirname(gmmcloud.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+def loaded_by_importing_the_cli(module: str) -> bool:
+    """Whether `import gmmcloud.cli` loads the module, checked in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, gmmcloud.cli; print({module!r} in sys.modules)"],
+        env=package_env(), capture_output=True, text=True, timeout=120, check=True)
+    return {"True\n": True, "False\n": False}[proc.stdout]
+
+
+def test_importing_the_cli_loads_no_scipy_cluster():
+    # the k-means++ seeding partitions the points itself
+    assert not loaded_by_importing_the_cli("scipy.cluster")
+
+
+def test_importing_the_cli_loads_no_scipy_optimize():
+    # match_components solves its assignment in NumPy
+    assert not loaded_by_importing_the_cli("scipy.optimize")
+
+
 def test_an_interpolate_command_loads_no_scipy(tmp_path):
     # in a new interpreter, where no other test has imported anything yet
     for seed, label in enumerate(("nondemented", "demented")):
@@ -93,11 +119,8 @@ def test_an_interpolate_command_loads_no_scipy(tmp_path):
             "from gmmcloud.cli import main\n"
             f"main({args!r}, standalone_mode=False)\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
-    src = os.path.dirname(os.path.dirname(gmmcloud.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
     assert (tmp_path / "morph" / "filmstrip.svg").is_file()
     assert proc.stdout.splitlines()[-1] == "[]"
 
