@@ -308,33 +308,7 @@ _TRACE_FACTORS = np.array([1, 2, 0, 3, 4, 5, 2, 0, 1, 3, 4, 5])
 _ENTRIES = np.concatenate([SYMMETRIC_ENTRIES, SYMMETRIC_ENTRIES[_ADJUGATE_FACTORS]])
 
 
-def _shift_test(shift: float) -> np.ndarray:
-    """The (43, 6) matrix that takes a row of _closed_form's buffer,
-    [v | the factors of A | A | the products that sum to N | 1], to
-
-        t1 = e1 - 3 s,  t2 = e2 - 2 s e1 + 3 s^2,  0,  e1,  N,
-        s e2 - s^2 e1 + s^3,
-
-    for s = shift, e1 = tr S and e2 = tr A. With e3 = det S = N / e1,
-    t1, t2 and t3 = e3 - s e2 + s^2 e1 - s^3 are the elementary
-    symmetric polynomials of the eigenvalues of S - shift I. Those are
-    real, so the three are > 0 exactly when S - shift I is positive
-    definite; once t1 > 0 makes e1 > 0, e1 t3 = N - e1 (s e2 - s^2 e1 +
-    s^3) has t3's sign, and _closed_form writes it to the zero column."""
-    test = np.zeros((43, 6))
-    test[0:3] = [1.0, -2.0 * shift, 0.0, 1.0, 0.0, -shift ** 2]  # a, b, c: e1
-    test[30:33] = [0.0, 1.0, 0.0, 0.0, 0.0, shift]  # A_xx, A_yy, A_zz: e2
-    test[36:39, 4], test[39:42, 4] = 1.0, -1.0
-    test[42] = [-3.0 * shift, 3.0 * shift ** 2, 0.0, 0.0, 0.0, shift ** 3]
-    return test
-
-
-# in units of the floor eps: S - eps I, the floor test, and S itself,
-# the test of a SQUAREM candidate
-_FLOOR_TEST, _SPD_TEST = _shift_test(1.0), _shift_test(0.0)
-
-
-def _closed_form(covs: np.ndarray, eps: np.ndarray, test: np.ndarray
+def _closed_form(covs: np.ndarray, eps: np.ndarray, shift: float
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Precisions (B, K, 6), as feature_log_densities reads them, and
     log-determinants (B, K) of the covariances (B, K, 3, 3) of a batch of
@@ -349,30 +323,38 @@ def _closed_form(covs: np.ndarray, eps: np.ndarray, test: np.ndarray
     is as accurate as eigh's: adj(A) = det S * S, and the sum of its
     diagonal is dominated by the largest entry.
 
-    test is _FLOOR_TEST or _SPD_TEST, and the third value is None when
-    every matrix passes it, else the (B, K) mask of those that fail; a
-    failing matrix's precision and log-determinant are placeholders.
-    Shifted by eps, the floor test is robust: eps is far above the
-    rounding of the polynomials, so no matrix whose smallest eigenvalue
-    is below eps by more than that rounding passes it.
+    The third value is None when every S - shift I is positive definite,
+    else the (B, K) mask of the matrices that fail that test, whose
+    precisions and log-determinants are placeholders: shift is 1.0 for
+    the M-step's floor test, 0.0 for a SQUAREM candidate's. With e1 =
+    tr S, e2 = tr A and e3 = N / e1, the real eigenvalues of S - s I have
+    the elementary symmetric polynomials t1 = e1 - 3 s, t2 = e2 - 2 s e1
+    + 3 s^2 and t3 = e3 - s e2 + s^2 e1 - s^3, all > 0 exactly when S - s I
+    is positive definite; once t1 > 0, e1 t3 = N - e1 s (e2 - s e1 + s^2)
+    has t3's sign. Each sum runs left to right, e1 as (a + b) + c, in one
+    formula for both shifts, so a NaN fails either test, as does a matrix
+    whose N is not finite. Shifted by eps, the floor test is robust: eps
+    is far above the rounding of the polynomials, so no matrix whose
+    smallest eigenvalue is below eps by more than that rounding passes.
     """
     lead = covs.shape[:-2]
-    row = np.ones(lead + (43,))
-    np.divide(covs.reshape(lead + (9,))[..., _ENTRIES], eps.reshape(eps.shape + (1, 1)),
-              out=row[..., :30])
-    products = row[..., 6:18] * row[..., 18:30]
-    adjugate = np.subtract(products[..., :6], products[..., 6:], out=row[..., 30:36])
+    v = covs.reshape(lead + (9,))[..., _ENTRIES] / eps.reshape(eps.shape + (1, 1))
+    products = v[..., 6:18] * v[..., 18:30]
+    adjugate = products[..., :6] - products[..., 6:]
     factors = adjugate[..., _TRACE_FACTORS]
-    np.multiply(factors[..., :6], factors[..., 6:], out=row[..., 36:42])
-    values = row @ test
-    trace, n = values[..., 3], values[..., 4]
-    e1t3 = np.multiply(trace, values[..., 5], out=values[..., 2])
-    np.subtract(n, e1t3, out=e1t3)
+    p = factors[..., :6] * factors[..., 6:]
+    a_xx, a_yy, a_zz = adjugate[..., 0], adjugate[..., 1], adjugate[..., 2]
+    e1 = v[..., 0] + v[..., 1] + v[..., 2]
+    n = p[..., 0] + p[..., 1] + p[..., 2] - p[..., 3] - p[..., 4] - p[..., 5]
+    t1 = e1 - 3.0 * shift
+    t2 = -2.0 * shift * e1 + a_xx + a_yy + a_zz + 3.0 * shift ** 2
+    e1t3 = n - e1 * (shift * (-shift * e1 + a_xx + a_yy + a_zz + shift ** 2))
+    lowest = np.minimum(np.minimum(t1, t2), e1t3)
     failing = None
-    if not values[..., :3].min() > 0.0:  # NaN included
-        failing = ~(values[..., :3] > 0.0).all(axis=-1)
-        trace[failing] = n[failing] = 1.0
-    det = n / trace
+    if not (lowest.min() > 0.0 and n.max() < math.inf):  # NaN included
+        failing = ~((lowest > 0.0) & (n < math.inf))
+        e1[failing] = n[failing] = 1.0
+    det = n / e1
     precision = adjugate / (det * eps[..., None])[..., None]
     log_det = np.log(det)
     log_det += 3.0 * np.log(eps)[..., None]
@@ -437,7 +419,7 @@ def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray
     # exactly symmetric, as floor_spd needs: SECOND_MOMENT_ROWS is, and
     # mu_i mu_j = mu_j mu_i
     covs = scaled[..., SECOND_MOMENT_ROWS] - means[..., :, None] * means[..., None, :]
-    precision, log_det, binding = _closed_form(covs, eps, _FLOOR_TEST)
+    precision, log_det, binding = _closed_form(covs, eps, 1.0)
     if binding is not None:
         _floor(covs, eps, binding, precision, log_det, failed)
     return _joined(weights, means, covs), (weights, means, precision, log_det), failed
@@ -500,7 +482,7 @@ def _extrapolate(theta0, theta1, theta2, step_max, eps):
     order, and its extrapolated state theta0 + 2 alpha r + alpha^2 v
     (alpha = 1 gives theta2). A state is infeasible with a weight below
     zero, or a covariance that is not positive definite by the closed
-    form's test (_SPD_TEST), NaN included.
+    form's test at shift 0, NaN included.
 
     Returns the list of steps alpha, one per fit, the positions of the
     fits whose alpha > 1 gives a feasible state, and those states' parts
@@ -521,7 +503,7 @@ def _extrapolate(theta0, theta1, theta2, step_max, eps):
     step = np.array(alpha)[rows, None]
     weights, means, covs = _parts(_take(theta0, rows) + 2.0 * step * _take(r, rows)
                                   + step * step * _take(v, rows))
-    precision, log_det, failing = _closed_form(covs, _take(eps, rows), _SPD_TEST)
+    precision, log_det, failing = _closed_form(covs, _take(eps, rows), 0.0)
     feasible = (weights >= 0.0).all(axis=-1)
     if failing is not None:
         feasible &= ~failing.any(axis=-1)

@@ -56,6 +56,11 @@ def _atomic_write_text(path: str, text: str):
         raise
 
 
+def _is_one_line(text: str) -> bool:
+    """Whether text fits the one comment line of an XYZ label."""
+    return "\n" not in text and "\r" not in text
+
+
 def _is_csv(path: str) -> bool:
     return os.path.splitext(path)[1].lower() == ".csv"
 
@@ -130,7 +135,9 @@ def _parse_csv(text: str, path: str) -> PointCloud:
 
 def write_point_cloud(cloud: PointCloud, path: str):
     """Write a cloud as CSV (suffix .csv) or XYZ (any other suffix),
-    atomically and byte-deterministically."""
+    atomically and byte-deterministically. An XYZ file keeps the label
+    in one comment line, so a label with a line break raises ValueError
+    before anything is written."""
     lines = []
     # native floats repr as the shortest decimal that parses back exactly
     if _is_csv(path):
@@ -139,6 +146,9 @@ def write_point_cloud(cloud: PointCloud, path: str):
             lines.append(f"{x!r},{y!r},{z!r}")
     else:
         if cloud.label is not None:
+            if not _is_one_line(cloud.label):
+                raise ValueError(f"label {cloud.label!r} has a line break: an XYZ file "
+                                 "cannot hold it")
             lines.append(f"{_LABEL_COMMENT} {cloud.label}")
         for x, y, z in cloud.points.tolist():
             lines.append(f"{x!r} {y!r} {z!r}")
@@ -274,7 +284,7 @@ def _check_fields(path: str, owner: str, checks):
 
 def _fit_metadata(meta, path: str) -> FitMetadata:
     """A model file's FitMetadata, each field's type checked; type(x) is
-    int turns bools away."""
+    int turns bools away. sample writes the label to an XYZ comment line."""
     seed, ks, n = meta["seed"], meta["candidate_ks"], meta["training_n"]
     label = meta.get("label")
     _check_fields(path, "metadata ", (
@@ -282,7 +292,8 @@ def _fit_metadata(meta, path: str) -> FitMetadata:
         ("candidate_ks", type(ks) is list and ks != [] and all(
             type(k) is int and k >= 1 for k in ks), "a non-empty list of integers >= 1"),
         ("training_n", type(n) is int and n >= 1, "an integer >= 1"),
-        ("label", label is None or type(label) is str, "a string or null")))
+        ("label", label is None or (type(label) is str and _is_one_line(label)),
+         "a string or null without a line break")))
     return FitMetadata(seed, tuple(ks), n, label)
 
 

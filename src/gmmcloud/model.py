@@ -12,10 +12,11 @@ feature table Phi = [1, x, x x^T] (10 rows, the second moments taken
 once each), and each weighted component becomes a row of coefficients
 built from its precision P, P mu, its log-determinant and a constant.
 feature_log_densities takes the precisions and log-determinants: an EM
-fit computes them in closed form from its covariances (em.py), and
-scoring derives them from the eigendecomposition (lam, q) that a Gmm
-keeps from checked_spd, the package's one test of positive
-definiteness, as Gmm.factor: P = q diag(1 / lam) q^T and
+fit computes them in closed form from its covariances, and tests
+positive definiteness with the same closed form's polynomials in units
+of the floor (em.py); scoring derives them from the eigendecomposition
+(lam, q) that a Gmm keeps from checked_spd's eigh, which validates
+every Gmm, as Gmm.factor: P = q diag(1 / lam) q^T and
 log det = sum log lam (factor_precisions). Scoring, sampling and
 geodesics read that factor and validate nothing again. All K
 log-densities at all N points are then one (K, 10) by (10, N) product,
@@ -342,7 +343,7 @@ def weighted_log_densities(points: np.ndarray, model: Gmm | GmmEnsemble) -> np.n
     weighted mean of its components, so the moment form stays accurate
     near the mixture however far it sits from the origin.
     """
-    weights, means, _, factor = flat_mixture(model)
+    weights, means, factor = flat_mixture(model)
     centre = weights @ means
     phi = centred_features(points, centre)
     with np.errstate(invalid="ignore"):  # inf features of far points: NaN, a dead column
@@ -392,21 +393,20 @@ def softmax_columns(lwd: np.ndarray) -> np.ndarray:
 
 
 def flat_mixture(model: Gmm | GmmEnsemble
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """(weights, means, covariances, factor) of a mixture, or of an
-    ensemble as the one mixture whose components are every member's,
-    weighted p_k w_kj, and factor the members' factors concatenated.
+                 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """(weights, means, factor) of a mixture, or of an ensemble as the
+    one mixture whose components are every member's, weighted p_k w_kj,
+    and factor the members' factors concatenated.
 
     The flat weights are neither checked nor renormalised: they sum to
     one only within the two constructors' tolerances, which together can
     exceed Gmm's own.
     """
     if isinstance(model, Gmm):
-        return model.weights, model.means, model.covariances, model.factor
+        return model.weights, model.means, model.factor
     members = model.members
     return (np.concatenate([m.weight * m.model.weights for m in members]),
             np.concatenate([m.model.means for m in members]),
-            np.concatenate([m.model.covariances for m in members]),
             tuple(np.concatenate(arrays) for arrays in zip(*(m.model.factor for m in members))))
 
 

@@ -35,7 +35,7 @@ def generate_point_cloud(model: Gmm | GmmEnsemble, n: int, rng: np.random.Genera
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    weights, means, _, (lam, q) = flat_mixture(model)
+    weights, means, (lam, q) = flat_mixture(model)
     # a draw at or above the second-to-last cumulative weight takes the
     # last component, also where the flat weights sum to just below one
     idx = np.searchsorted(np.cumsum(weights)[:-1], rng.random(n), side="right")

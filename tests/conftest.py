@@ -140,8 +140,10 @@ def best_match(fitted_means, true_means):
 
 def mixture_moments(model):
     """Analytic mean and covariance of a mixture, or of an ensemble's flat
-    mixture sum_k p_k f_k."""
-    w, means, covs, _ = flat_mixture(model)
+    mixture sum_k p_k f_k, its covariances stacked in flat_mixture's order."""
+    w, means, _ = flat_mixture(model)
+    members = [model] if isinstance(model, Gmm) else [m.model for m in model.members]
+    covs = np.concatenate([member.covariances for member in members])
     mean = w @ means
     second = np.einsum("k,kij->ij", w, covs)
     second += np.einsum("k,ki,kj->ij", w, means, means)

@@ -320,7 +320,7 @@ def test_each_e_step_equals_the_e_step_of_the_state_rows(monkeypatch, k):
         floored.clear()
         state, parts, failed = m_step_arrays(phi, gamma, eps)
         weights, means, covs = em._parts(state)
-        precision, log_det, _ = em._closed_form(covs, eps, em._FLOOR_TEST)
+        precision, log_det, _ = em._closed_form(covs, eps, 1.0)
         bound = floored[0] if floored else np.zeros(weights.shape, dtype=bool)
         assert_same(parts[:2], (weights, means))
         assert_same((parts[2][~bound], parts[3][~bound]), (precision[~bound], log_det[~bound]))
@@ -337,8 +337,7 @@ def test_each_e_step_equals_the_e_step_of_the_state_rows(monkeypatch, k):
             step = np.array(alpha)[rows, None]
             r, v = theta1[rows] - theta0[rows], theta2[rows] - 2.0 * theta1[rows] + theta0[rows]
             weights, means, covs = em._parts(theta0[rows] + 2.0 * step * r + step * step * v)
-            assert_same(parts, (weights, means) + em._closed_form(covs, eps[rows],
-                                                                  em._SPD_TEST)[:2])
+            assert_same(parts, (weights, means) + em._closed_form(covs, eps[rows], 0.0)[:2])
             checked["candidates"] += len(rows)
         return alpha, rows, parts
 

@@ -662,10 +662,35 @@ def test_closed_form_precisions_match_inv_and_slogdet(seed):
     covs = random_spd(rng, 512).reshape(16, 32, 3, 3)
     # floors from 1 to 1e3 below each fit's smallest eigenvalue
     eps = np.linalg.eigvalsh(covs)[..., 0].min(axis=-1) / 10.0 ** rng.uniform(0, 3, size=16)
-    for test in (em._FLOOR_TEST, em._SPD_TEST):
-        precision, log_det, failing = em._closed_form(covs, eps, test)
+    for shift in (1.0, 0.0):
+        precision, log_det, failing = em._closed_form(covs, eps, shift)
         assert failing is None
         assert_precisions_match(precision, log_det, covs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_shift_zero_test_agrees_with_the_sign_of_eigvalsh(seed):
+    # random rotations of eigenvalues of either sign, the smallest in
+    # magnitude down to 1e-16 of the largest, at scales 1e-3 to 1e3;
+    # checked only where eigvalsh's sign of the smallest eigenvalue is
+    # beyond rounding, |lam_min| > FLOOR_TEST_TOL * |S|_2
+    rng = np.random.default_rng(seed)
+    shape = (16, 32)
+    q, _ = np.linalg.qr(rng.normal(size=shape + (3, 3)))
+    lam = 10.0 ** rng.uniform(-16.0, 0.0, size=shape + (3,)) * 10.0 ** rng.uniform(
+        -3.0, 3.0, size=shape + (1,))
+    lam *= np.where(rng.random(shape + (3,)) < 0.3, -1.0, 1.0)
+    covs = (q * lam[..., None, :]) @ q.swapaxes(-1, -2)
+    covs = 0.5 * (covs + covs.swapaxes(-1, -2))
+    eps = 10.0 ** rng.uniform(-6.0, 0.0, size=shape[0]) * np.abs(lam).max(axis=(1, 2))
+    _, _, failing = em._closed_form(covs, eps, 0.0)
+    failing = np.zeros(shape, dtype=bool) if failing is None else failing
+    eigenvalues = np.linalg.eigvalsh(covs)
+    lowest, norm = eigenvalues[..., 0], np.abs(eigenvalues).max(axis=-1)
+    checked = np.abs(lowest) > FLOOR_TEST_TOL * norm
+    assert checked.mean() > 0.9
+    assert 0.2 < (lowest[checked] <= 0.0).mean() < 0.8
+    assert np.array_equal(failing[checked], lowest[checked] <= 0.0)
 
 
 def scatter_matrices(seed, n, k, rank):
@@ -695,7 +720,7 @@ def test_the_floor_test_passes_no_matrix_below_the_floor(seed, n, k, rank, shift
     lam = np.linalg.eigvalsh(covs)
     floors = [covariance_floor(pts)] + [(1.0 + shift) * x for x in lam[:, 0] if x > 0.0]
     for eps in floors:
-        _, _, failing = em._closed_form(covs[None], np.array([eps]), em._FLOOR_TEST)
+        _, _, failing = em._closed_form(covs[None], np.array([eps]), 1.0)
         ok = np.ones(k, dtype=bool) if failing is None else ~failing[0]
         assert np.all(lam[ok, 0] >= eps - FLOOR_TEST_TOL * lam[ok, -1])
 
@@ -709,7 +734,7 @@ def test_the_floor_binds_on_the_two_point_cloud():
     pts = rng.normal(scale=2.0, size=(n, 3))
     covs, _ = scatter_matrices(947, n, 1, 3)
     assert n == 2 and np.linalg.eigvalsh(covs)[0, 0] < 0.0
-    _, _, failing = em._closed_form(covs[None], np.array([covariance_floor(pts)]), em._FLOOR_TEST)
+    _, _, failing = em._closed_form(covs[None], np.array([covariance_floor(pts)]), 1.0)
     assert failing.tolist() == [[True]]
     lam = np.linalg.eigvalsh(m_step(PointCloud(pts), Responsibilities(np.ones((n, 1)))).covariances)
     assert lam[0, 0] >= covariance_floor(pts) - FLOOR_TEST_TOL * lam[0, -1]

@@ -92,6 +92,17 @@ def test_xyz_label_round_trip(tmp_path):
     assert "#" not in Path(bare).read_text()
 
 
+@pytest.mark.parametrize("label", ["x\ny", "x\ry", "x\r\n", "\n"])
+def test_xyz_writer_rejects_a_label_with_a_line_break(tmp_path, label):
+    # the reader would take the text after the break for a data line
+    path = tmp_path / "tube.xyz"
+    with pytest.raises(ValueError, match="line break"):
+        write_point_cloud(messy_cloud(label=label), str(path))
+    assert list(tmp_path.iterdir()) == []
+    # a CSV file holds no label
+    write_point_cloud(messy_cloud(label=label), str(tmp_path / "tube.csv"))
+
+
 @pytest.mark.parametrize("body,lineno", [
     ("1 2\n3 4 5\n", 1),
     ("3 4 5\n1 2 3 4\n", 2),
@@ -332,6 +343,17 @@ def test_model_file_malformed_json_raises_file_format_error(tmp_path, change, me
     obj = change(json.loads(Path(path).read_text()))
     Path(path).write_text(obj if isinstance(obj, str) else json.dumps(obj))
     with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
+        load_model(path)
+
+
+@pytest.mark.parametrize("label", ["x\ny", "x\ry", "x\n"])
+def test_model_file_rejects_a_label_with_a_line_break(tmp_path, label):
+    # sample writes the label to an XYZ comment line, where it cannot break
+    path = str(tmp_path / "model.json")
+    ensemble, table = two_member_ensemble()
+    save_model(path, ensemble, table, FitMetadata(0, (1, 2), 5, label=label))
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"{path}: metadata field 'label' must be a string or null without a line break")):
         load_model(path)
 
 

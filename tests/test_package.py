@@ -208,14 +208,28 @@ def test_every_name_the_benchmark_imports_resolves():
     assert resolve("gmmcloud.em.FitConfig")(seed=1).seed == 1
 
 
+def module_definitions(path):
+    """The (statement, name) pairs of a module's top-level definitions:
+    each function and class, and each name an assignment binds, every
+    name of a tuple target included."""
+    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt, stmt.name
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for node in (node for target in targets for node in ast.walk(target)):
+                if isinstance(node, ast.Name):
+                    yield stmt, node.id
+
+
 def named_references(paths):
-    """For each name, the (path, owner) pairs that refer to it by an AST
-    Name, Attribute or import alias; owner is the module-level function or
-    class the reference sits in, None elsewhere."""
+    """For each name, the (path, line) pairs that refer to it by an AST
+    Name, Attribute or import alias; line is that of the top-level
+    statement the reference sits in, so a definition's own statement can
+    be told apart."""
     references = {}
     for path in paths:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            owner = getattr(stmt, "name", None)
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -225,8 +239,29 @@ def named_references(paths):
                     name = node.name.rpartition(".")[2]
                 else:
                     continue
-                references.setdefault(name, set()).add((path, owner))
+                references.setdefault(name, set()).add((path, stmt.lineno))
     return references
+
+
+def unreferenced_definitions(selected):
+    """module.name of each top-level definition in src/ that
+    selected(statement, name) picks, that the package and the benchmark
+    never name outside its own statement, that gmmcloud does not export
+    and that is no click command."""
+    modules = sorted(SRC.glob("*.py"))
+    references = named_references(modules + sorted(BENCH.rglob("*.py")))
+    unused = []
+    for path in modules:
+        module = (gmmcloud if path.stem == "__init__"
+                  else importlib.import_module(f"gmmcloud.{path.stem}"))
+        for stmt, name in module_definitions(path):
+            if not selected(stmt, name):
+                continue
+            used = references.get(name, set()) - {(path, stmt.lineno)}
+            if not (used or name in gmmcloud.__all__
+                    or isinstance(getattr(module, name), click.Command)):
+                unused.append(f"{path.stem}.{name}")
+    return unused
 
 
 def test_every_public_definition_is_used_exported_or_a_command():
@@ -234,18 +269,16 @@ def test_every_public_definition_is_used_exported_or_a_command():
     # never name outside its own definition, that gmmcloud does not export
     # and that is no click command is code only the tests run: it belongs
     # in tests/, next to the tests that use it
-    modules = sorted(SRC.glob("*.py"))
-    references = named_references(modules + sorted(BENCH.rglob("*.py")))
-    unused = []
-    for path in modules:
-        module = (gmmcloud if path.stem == "__init__"
-                  else importlib.import_module(f"gmmcloud.{path.stem}"))
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            if (not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    or stmt.name.startswith("_")):
-                continue
-            used = references.get(stmt.name, set()) - {(path, stmt.name)}
-            if not (used or stmt.name in gmmcloud.__all__
-                    or isinstance(getattr(module, stmt.name), click.Command)):
-                unused.append(f"{path.stem}.{stmt.name}")
-    assert unused == []
+    assert unreferenced_definitions(
+        lambda stmt, name: isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not name.startswith("_")) == []
+
+
+def test_every_private_definition_and_constant_is_used():
+    # a private function or class, or a constant, public or private and
+    # tuple targets included, that nothing in the package or the
+    # benchmark names outside its own statement is dead code or a
+    # test-only name; dunders such as __all__ are the language's
+    assert unreferenced_definitions(
+        lambda stmt, name: not (name.startswith("__") and name.endswith("__"))
+        and (name.startswith("_") or isinstance(stmt, (ast.Assign, ast.AnnAssign)))) == []
