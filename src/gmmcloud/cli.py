@@ -14,7 +14,7 @@ import click
 
 from .em import FitConfig, FitError
 from .embedding import embed as embed_model
-from .embedding import evaluate, inflated_bounds, knn_classify, make_probe_set
+from .embedding import PROBE_COUNT, evaluate, inflated_bounds, knn_classify, make_probe_set
 from .geodesics import DEFAULT_TS, interpolate_point_clouds
 from .io import (
     FitMetadata,
@@ -36,7 +36,7 @@ from .pipeline import (
 )
 from .sampling import generate_point_cloud, rng_stream
 from .selection import build_ensemble, default_candidate_ks
-from .shapes import CLASS_PARAMETERS, add_outliers, make_bent_tube, tube_spec_for_class
+from .shapes import CLASS_PARAMETERS, DEMENTED, add_outliers, make_bent_tube, tube_spec_for_class
 
 # the paper's experiment, whose settings eval-paper-pipeline's defaults show
 STOCK = ExperimentConfig()
@@ -188,7 +188,7 @@ def interpolate(cloud_a, cloud_b, ts, n, ks, seed, out):
 @click.option("--class", "class_label", required=True,
               type=click.Choice(sorted(CLASS_PARAMETERS)),
               help="Which stock shape class to draw.")
-@click.option("--n", default=600, show_default=True, type=click.IntRange(min=1),
+@click.option("--n", default=STOCK.n_points, show_default=True, type=click.IntRange(min=1),
               help="Points per cloud.")
 @click.option("--seed", default=0, show_default=True, help="Shape sampling seed.")
 @click.option("--outliers", default=0.0, show_default=True,
@@ -210,7 +210,7 @@ def synth(class_label, n, seed, outliers, out):
 @click.argument("cloud_paths", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", default=0, show_default=True, help="Probe placement seed.")
-@click.option("--count", default=1000, show_default=True, type=click.IntRange(min=1),
+@click.option("--count", default=PROBE_COUNT, show_default=True, type=click.IntRange(min=1),
               help="Number of probes.")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False),
               help="Output probe-set file (JSON).")
@@ -250,7 +250,7 @@ def embed(model_paths, probes_path, out):
 @click.option("--test", "test_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Embeddings file to classify.")
-@click.option("--positive", default="demented", show_default=True,
+@click.option("--positive", default=DEMENTED, show_default=True,
               help="Label treated as the positive class in the metrics.")
 def classify(train_path, test_path, positive):
     """1-NN classify embeddings and report accuracy per class."""

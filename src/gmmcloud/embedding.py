@@ -57,10 +57,6 @@ class ProbeSet:
 
     __reduce__ = reduce_through_constructor
 
-    @property
-    def count(self) -> int:
-        return self.probes.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class SphereEmbedding:

@@ -6,8 +6,8 @@ CSV holds an optional header row and takes the first three numeric
 columns. Model, probe-set, and embedding files are JSON trees with an
 explicit schema_version; floats serialize with the shortest decimal
 representation that parses back to the identical double, so every
-round-trip is exact. All writers replace the target atomically and are
-byte-deterministic for identical inputs.
+round-trip is exact. Writers refuse, before writing, what their readers
+would refuse, replace the target atomically, and are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .selection import AicRow, AicTable
 SCHEMA_VERSION = "1"
 
 _LABEL_COMMENT = "# label:"
+_LABEL_RULE = "without a line break, non-empty and without surrounding whitespace"
 
 
 class FileFormatError(ValueError):
@@ -56,9 +57,10 @@ def _atomic_write_text(path: str, text: str):
         raise
 
 
-def _is_one_line(text: str) -> bool:
-    """Whether text fits the one comment line of an XYZ label."""
-    return "\n" not in text and "\r" not in text
+def _is_label(label) -> bool:
+    """Whether label reads back unchanged from an XYZ "# label:" line."""
+    return (type(label) is str and label != "" and label == label.strip()
+            and "\n" not in label and "\r" not in label)
 
 
 def _is_csv(path: str) -> bool:
@@ -136,22 +138,19 @@ def _parse_csv(text: str, path: str) -> PointCloud:
 def write_point_cloud(cloud: PointCloud, path: str):
     """Write a cloud as CSV (suffix .csv) or XYZ (any other suffix),
     atomically and byte-deterministically. An XYZ file keeps the label
-    in one comment line, so a label with a line break raises ValueError
-    before anything is written."""
-    lines = []
-    # native floats repr as the shortest decimal that parses back exactly
+    in one comment line, so a label that would not read back the same
+    (see _is_label) raises ValueError before anything is written."""
     if _is_csv(path):
-        lines.append("x,y,z")
-        for x, y, z in cloud.points.tolist():
-            lines.append(f"{x!r},{y!r},{z!r}")
+        lines, sep = ["x,y,z"], ","
     else:
+        lines, sep = [], " "
         if cloud.label is not None:
-            if not _is_one_line(cloud.label):
-                raise ValueError(f"label {cloud.label!r} has a line break: an XYZ file "
-                                 "cannot hold it")
+            if not _is_label(cloud.label):
+                raise ValueError(f"an XYZ label must be a string {_LABEL_RULE}, "
+                                 f"got {cloud.label!r}")
             lines.append(f"{_LABEL_COMMENT} {cloud.label}")
-        for x, y, z in cloud.points.tolist():
-            lines.append(f"{x!r} {y!r} {z!r}")
+    # native floats repr as the shortest decimal that parses back exactly
+    lines.extend(f"{x!r}{sep}{y!r}{sep}{z!r}" for x, y, z in cloud.points.tolist())
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -201,6 +200,18 @@ def _center_offset(meta, path: str) -> np.ndarray | None:
 
 def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
                metadata: FitMetadata):
+    """Write a model file. Metadata load_model would refuse, a label that
+    fails _is_label included, raises its error; nothing is written."""
+    meta = {
+        "seed": metadata.seed,
+        "rel_tolerance": em.REL_TOLERANCE,
+        "max_iterations": em.MAX_ITERATIONS,
+        "kmeans_restarts": em.KMEANS_RESTARTS,
+        "candidate_ks": list(metadata.candidate_ks),
+        "training_n": metadata.training_n,
+        "label": metadata.label,
+    }
+    _fit_metadata(meta, path)
     _save_json(path, "model_file", {
         "ensemble": [
             {"p": m.weight, "model": _gmm_to_obj(m.model)} for m in ensemble.members
@@ -209,15 +220,7 @@ def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
             {"k": r.k, "aic": r.aic, "normalized": r.normalized, "kept": r.kept}
             for r in aic_table.rows
         ],
-        "metadata": {
-            "seed": metadata.seed,
-            "rel_tolerance": em.REL_TOLERANCE,
-            "max_iterations": em.MAX_ITERATIONS,
-            "kmeans_restarts": em.KMEANS_RESTARTS,
-            "candidate_ks": list(metadata.candidate_ks),
-            "training_n": metadata.training_n,
-            "label": metadata.label,
-        },
+        "metadata": meta,
     })
 
 
@@ -292,8 +295,7 @@ def _fit_metadata(meta, path: str) -> FitMetadata:
         ("candidate_ks", type(ks) is list and ks != [] and all(
             type(k) is int and k >= 1 for k in ks), "a non-empty list of integers >= 1"),
         ("training_n", type(n) is int and n >= 1, "an integer >= 1"),
-        ("label", label is None or (type(label) is str and _is_one_line(label)),
-         "a string or null without a line break")))
+        ("label", label is None or _is_label(label), f"a string or null {_LABEL_RULE}")))
     return FitMetadata(seed, tuple(ks), n, label)
 
 
@@ -314,25 +316,32 @@ def load_probe_set(path: str) -> ProbeSet:
         return ProbeSet(np.array(obj["probes"]), bounds, seed)
 
 
+def _check_entry(path: str, i: int, label, source):
+    """An embeddings entry's label is a string or null and its source a
+    string, as save_embeddings and load_embeddings both check."""
+    _check_fields(path, f"entry {i} ", (
+        ("label", label is None or type(label) is str, "a string or null"),
+        ("source", type(source) is str, "a string")))
+
+
 def save_embeddings(path: str, entries):
-    """entries: sequence of (SphereEmbedding, label or None, source name)."""
-    _save_json(path, "embeddings", {"entries": [
-        {"label": label, "source": source, "coords": emb.coords.tolist()}
-        for emb, label, source in entries
-    ]})
+    """entries: sequence of (SphereEmbedding, label or None, source name).
+    An entry load_embeddings would refuse raises its error; nothing is written."""
+    body = [{"label": label, "source": source, "coords": emb.coords.tolist()}
+            for emb, label, source in entries]
+    for i, entry in enumerate(body):
+        _check_entry(path, i, entry["label"], entry["source"])
+    _save_json(path, "embeddings", {"entries": body})
 
 
 def load_embeddings(path: str) -> list[tuple[SphereEmbedding, str | None, str]]:
-    """Read an embeddings file; each entry's label is a string or null, and
-    its source, when present, a string."""
+    """Read an embeddings file, each entry checked by _check_entry."""
     obj = _load_json(path, "embeddings")
     entries = []
     with _fields_of(path):
         for i, e in enumerate(obj["entries"]):
             label, source = e.get("label"), e.get("source", "")
-            _check_fields(path, f"entry {i} ", (
-                ("label", label is None or type(label) is str, "a string or null"),
-                ("source", type(source) is str, "a string")))
+            _check_entry(path, i, label, source)
             entries.append((SphereEmbedding(np.array(e["coords"])), label, source))
     return entries
 

@@ -134,12 +134,8 @@ class PointCloud:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
     def __len__(self) -> int:
-        return self.n
+        return self.points.shape[0]
 
     __reduce__ = reduce_through_constructor
 
@@ -422,9 +418,8 @@ def gmm_log_density(points: np.ndarray, model: Gmm | GmmEnsemble) -> np.ndarray:
     return softmax_columns(weighted_log_densities(points, model))
 
 
-def ensemble_log_density(points: np.ndarray, ensemble: GmmEnsemble) -> np.ndarray:
-    """Log density of the ensemble mixture sum_k p_k f_k at each point."""
-    return gmm_log_density(points, ensemble)
+# the name the benchmark's nll_per_point imports; gmm_log_density scores ensembles
+ensemble_log_density = gmm_log_density
 
 
 def gmm_log_likelihood(cloud: PointCloud, model: Gmm) -> float:

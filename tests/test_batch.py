@@ -16,7 +16,7 @@ from conftest import assert_precisions_match, counted_steps
 import gmmcloud
 from gmmcloud import em
 from gmmcloud.em import FitConfig, FitError, fit_em, fit_em_candidates
-from gmmcloud.model import PointCloud
+from gmmcloud.model import DegenerateCovarianceError, PointCloud
 from gmmcloud.sampling import generate_point_cloud, rng_stream
 from gmmcloud.selection import build_ensemble, build_ensembles
 from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
@@ -132,7 +132,7 @@ def test_build_ensembles_checks_every_cloud_before_fitting():
 
 
 @pytest.mark.parametrize("k", [1, 2, 8])
-def test_fit_em_batch_equals_fit_em_at_the_iteration_cap(monkeypatch, k):
+def test_fit_em_candidates_equals_fit_em_at_the_iteration_cap(monkeypatch, k):
     # no relative change is below 1e-300, so a fit runs MAX_ITERATIONS
     # maps unless its log-likelihood stops changing exactly, as every fit
     # here does at K = 1 and 2 and three of four do at K = 8
@@ -214,7 +214,7 @@ def test_a_cloud_too_wide_to_square_fails_only_itself(far):
         fit_bytes(fit_em(clouds[i], 2)) for i in (0, 2)]
 
 
-def test_fit_em_batch_rejects_a_k_outside_any_cloud_before_fitting():
+def test_fit_em_candidates_rejects_a_k_outside_any_cloud_before_fitting():
     with pytest.raises(ValueError, match="more components than points: K=8, N=5"):
         fit_em_candidates([tube(0), PointCloud(np.zeros((5, 3)))], [8])
     with pytest.raises(ValueError, match="component count must be >= 1"):
@@ -455,6 +455,45 @@ def test_a_failing_fit_fails_only_itself(monkeypatch, mode, message):
     monkeypatch.undo()
     others = [fit_bytes(r) for i, r in enumerate(batched) if i != 2]
     assert others == [fit_bytes(fit_em(c, 4, config)) for i, c in enumerate(clouds) if i != 2]
+
+
+def test_a_failing_floor_retries_its_batch_mates_one_by_one(monkeypatch):
+    # both clouds are planar, so their binding covariances share each
+    # floor_spd call; when the target's poisoned eigh fails the stack, the
+    # other fit's matrices are floored again one by one, with their bits
+    clouds = [planar(tube(0)), planar(tube(2))]
+    arm = poisoned(monkeypatch, clouds[1])
+    config = FitConfig(seed=0)
+    arm("eigh")
+    with pytest.raises(FitError, match=r"^fit failed at iteration 3: ") as alone:
+        fit_em(clouds[1], 4, config)
+    arm("eigh")
+    batched = fit_em_candidates(clouds, [4], config)[0]
+    assert isinstance(batched[1], FitError) and str(batched[1]) == str(alone.value)
+    monkeypatch.undo()
+    assert fit_bytes(batched[0]) == fit_bytes(fit_em(clouds[0], 4, config))
+
+
+def test_a_fit_whose_final_mixture_is_refused_fails_only_itself(monkeypatch):
+    clouds = [tube(s) for s in range(3)]
+    config = FitConfig(seed=0)
+    fits = [fit_em(c, 4, config) for c in clouds]
+    refused = fits[1].model.means
+    gmm = em.Gmm
+
+    def picky(weights, means, covariances):
+        if np.array_equal(means, refused):
+            raise DegenerateCovarianceError("refused for the test")
+        return gmm(weights, means, covariances)
+
+    monkeypatch.setattr(em, "Gmm", picky)
+    message = f"fit failed at iteration {fits[1].iterations}: refused for the test"
+    with pytest.raises(FitError, match=f"^{message}$") as alone:
+        fit_em(clouds[1], 4, config)
+    assert isinstance(alone.value.__cause__, DegenerateCovarianceError)
+    batched = fit_em_candidates(clouds, [4], config)[0]
+    assert isinstance(batched[1], FitError) and str(batched[1]) == message
+    assert [fit_bytes(batched[i]) for i in (0, 2)] == [fit_bytes(fits[i]) for i in (0, 2)]
 
 
 def test_a_fit_whose_stabilising_map_fails_fails_only_itself(monkeypatch):

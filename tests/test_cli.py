@@ -22,6 +22,7 @@ from gmmcloud.io import (
     load_model,
     load_probe_set,
     read_point_cloud,
+    save_embeddings,
     write_point_cloud,
 )
 from gmmcloud.model import PointCloud
@@ -282,7 +283,7 @@ def test_interpolate_writes_frames_and_filmstrip(workspace, tmp_path):
 
 def test_probes_cover_every_input_cloud(workspace):
     probe_set = load_probe_set(workspace["probes"])
-    assert probe_set.count == 400
+    assert len(probe_set.probes) == 400
     assert probe_set.seed == 1
     for name in ("dem0", "dem1", "non0", "non1"):
         pts = read_point_cloud(workspace[name]).points
@@ -324,6 +325,17 @@ def test_classify_requires_labeled_training_data(workspace, tmp_path):
     assert result.exit_code != 0
     combined = result.output + (result.stderr or "")
     assert "no labels" in combined
+
+
+def test_classify_without_test_labels_predicts_and_skips_metrics(workspace, tmp_path):
+    test = str(tmp_path / "unlabeled.json")
+    save_embeddings(test, [(emb, None, source)
+                           for emb, _, source in load_embeddings(workspace["test_emb"])])
+    result = run_cli(["classify", "--train", workspace["train_emb"], "--test", test])
+    assert result.output.splitlines() == [
+        f"{os.path.basename(workspace['dem1_model'])}: predicted demented",
+        f"{os.path.basename(workspace['non1_model'])}: predicted nondemented",
+        "no labeled test embeddings; metrics skipped"]
 
 
 def test_classify_rejects_embeddings_of_different_sizes(workspace, tmp_path):

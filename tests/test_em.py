@@ -76,6 +76,9 @@ def test_responsibilities_validation():
         Responsibilities(np.array([[0.6, 0.5]]))
     with pytest.raises(ValueError):
         Responsibilities(np.array([[1.2, -0.2]]))
+    for gamma in (np.ones(3), np.ones((0, 2)), np.ones((2, 0)), np.ones((1, 1, 1))):
+        with pytest.raises(ValueError, match=r"gamma must be a non-empty \(N, K\) array"):
+            Responsibilities(gamma)
 
 
 # ------------------------------------------------------------- k-means

@@ -74,7 +74,7 @@ def test_probe_set_is_seed_deterministic():
     first = make_probe_set([UNIT_BOX], seed=7)
     second = make_probe_set([UNIT_BOX], seed=7)
     np.testing.assert_array_equal(first.probes, second.probes)
-    assert first.count == PROBE_COUNT
+    assert len(first.probes) == PROBE_COUNT
     assert first.seed == 7
     assert not np.array_equal(first.probes, make_probe_set([UNIT_BOX], seed=8).probes)
 

@@ -115,6 +115,19 @@ def test_project_preserves_mixture_moments():
         np.testing.assert_allclose(cov_after, cov_before, atol=1e-10)
 
 
+def test_project_merging_two_dead_components_keeps_the_mixture():
+    rng = np.random.default_rng(8)
+    model = Gmm([0.0, 0.0, 0.25, 0.75], rng.normal(size=(4, 3)),
+                [random_spd(rng) for _ in range(4)])
+    reduced = project_to_k(model, 3)
+    # the two dead components are merged first, into one dead component
+    np.testing.assert_array_equal(reduced.weights, [0.0, 0.25, 0.75])
+    np.testing.assert_array_equal(reduced.means[1:], model.means[2:])
+    np.testing.assert_array_equal(reduced.covariances[1:], model.covariances[2:])
+    for after, before in zip(mixture_moments(reduced), mixture_moments(model)):
+        np.testing.assert_allclose(after, before, rtol=0.0, atol=1e-14)
+
+
 def test_project_merges_nearest_pair_first():
     model = unit_gmm([0.25, 0.25, 0.5], [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [50.0, 0.0, 0.0]])
     reduced = project_to_k(model, 2)

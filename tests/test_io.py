@@ -5,11 +5,14 @@ import math
 import os
 import re
 import stat
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gmmcloud.embedding import SphereEmbedding, make_probe_set
 from gmmcloud.io import (
@@ -103,6 +106,42 @@ def test_xyz_writer_rejects_a_label_with_a_line_break(tmp_path, label):
     write_point_cloud(messy_cloud(label=label), str(tmp_path / "tube.csv"))
 
 
+def label_read_from(directory, label):
+    """The label the XYZ reader takes from a "# label:" line holding label,
+    written by hand; a line break can make the rest a bad data line."""
+    path = os.path.join(directory, "by_hand.xyz")
+    with open(path, "w") as handle:
+        handle.write(f"# label: {label}\n0 0 0\n")
+    try:
+        return read_point_cloud(path).label
+    except FileFormatError as exc:
+        return exc
+
+
+@example("")
+@example(" x")
+@example("x ")
+@example("\tx")
+@example("x\ny")
+@example("x\r\n")
+@example("x\x0bx")
+@example("x \u2028 y")
+@given(label=st.text(st.sampled_from("ax #:\t\n\r\x0b\x1c\x85\u2028\u00e9")) | st.text())
+def test_xyz_writer_accepts_exactly_the_labels_that_read_back(label):
+    with tempfile.TemporaryDirectory() as written, tempfile.TemporaryDirectory() as by_hand:
+        path = os.path.join(written, "tube.xyz")
+        if label_read_from(by_hand, label) == label:
+            write_point_cloud(messy_cloud(label=label), path)
+            back = read_point_cloud(path)
+            assert back.label == label
+            np.testing.assert_array_equal(back.points, messy_cloud().points)
+        else:
+            with pytest.raises(ValueError, match="an XYZ label must be a string without a "
+                               "line break, non-empty and without surrounding whitespace"):
+                write_point_cloud(messy_cloud(label=label), path)
+            assert os.listdir(written) == []
+
+
 @pytest.mark.parametrize("body,lineno", [
     ("1 2\n3 4 5\n", 1),
     ("3 4 5\n1 2 3 4\n", 2),
@@ -152,6 +191,13 @@ def test_csv_round_trip_with_header(tmp_path):
 def test_csv_takes_first_three_numeric_columns(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text("name,x,y,z,score\nfoo,1,2,3,bad\nbar,4,5,6,worse\n")
+    cloud = read_point_cloud(str(path))
+    np.testing.assert_array_equal(cloud.points, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+
+def test_csv_skips_blank_rows(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("\nx,y,z\n\n1,2,3\n,,\n , ,\n4,5,6\n\n")
     cloud = read_point_cloud(str(path))
     np.testing.assert_array_equal(cloud.points, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
@@ -208,6 +254,15 @@ def test_written_file_mode_follows_umask(tmp_path, umask, mode):
     finally:
         os.umask(previous)
     assert stat.S_IMODE(os.stat(path).st_mode) == mode
+
+
+def test_a_failed_replace_leaves_no_temp_file(tmp_path):
+    # the target is a directory, so os.replace fails after the write
+    target = tmp_path / "cloud.xyz"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_point_cloud(messy_cloud(), str(target))
+    assert os.listdir(tmp_path) == ["cloud.xyz"] and os.listdir(target) == []
 
 
 def test_writer_rejects_empty_path():
@@ -351,10 +406,39 @@ def test_model_file_rejects_a_label_with_a_line_break(tmp_path, label):
     # sample writes the label to an XYZ comment line, where it cannot break
     path = str(tmp_path / "model.json")
     ensemble, table = two_member_ensemble()
-    save_model(path, ensemble, table, FitMetadata(0, (1, 2), 5, label=label))
+    save_model(path, ensemble, table, FitMetadata(0, (1, 2), 5))
+    obj = json.loads(Path(path).read_text())
+    obj["metadata"]["label"] = label
+    Path(path).write_text(json.dumps(obj))
     with pytest.raises(FileFormatError, match=re.escape(
             f"{path}: metadata field 'label' must be a string or null without a line break")):
         load_model(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("label", "x\ny"), ("label", "x\r"), ("label", ""), ("label", " x"), ("label", "x "),
+    ("label", "\tx"), ("label", 5), ("seed", True), ("seed", 1.5), ("seed", "0"),
+    ("candidate_ks", ()), ("candidate_ks", (0,)), ("candidate_ks", (1, 2.0)),
+    ("training_n", 0), ("training_n", True), ("training_n", 2.5),
+])
+def test_save_model_refuses_what_load_model_refuses(tmp_path, field, value):
+    ensemble, table = two_member_ensemble()
+    # load_model's error for a file that holds the value
+    stored = str(tmp_path / "stored.json")
+    save_model(stored, ensemble, table, FitMetadata(0, (1, 2), 5))
+    obj = json.loads(Path(stored).read_text())
+    obj["metadata"][field] = list(value) if field == "candidate_ks" else value
+    Path(stored).write_text(json.dumps(obj))
+    with pytest.raises(FileFormatError) as on_load:
+        load_model(stored)
+    out = tmp_path / "out"
+    out.mkdir()
+    path = str(out / "model.json")
+    metadata = FitMetadata(**{**dict(seed=0, candidate_ks=(1, 2), training_n=5), field: value})
+    with pytest.raises(FileFormatError) as on_save:
+        save_model(path, ensemble, table, metadata)
+    assert str(on_save.value) == str(on_load.value).replace(stored, path)
+    assert list(out.iterdir()) == []
 
 
 def test_probe_and_embedding_files_reject_malformed_json(tmp_path):
@@ -402,6 +486,24 @@ def test_embedding_entries_check_their_label_and_source(tmp_path, field, value, 
     with pytest.raises(FileFormatError,
                        match=re.escape(f"{path}: entry 1 field {field!r} must be {expected}")):
         load_embeddings(path)
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("label", ["nondemented"], "a string or null"),
+    ("label", 5, "a string or null"),
+    ("source", 3, "a string"),
+    ("source", None, "a string"),
+])
+def test_save_embeddings_refuses_the_entries_load_embeddings_refuses(
+        tmp_path, field, value, expected):
+    v = SphereEmbedding(np.full(4, 0.5))
+    entries = [(v, "demented", "a.xyz"), (v, None, "b.xyz")]
+    entries[1] = (v, value, "b.xyz") if field == "label" else (v, None, value)
+    path = str(tmp_path / "emb.json")
+    with pytest.raises(FileFormatError,
+                       match=re.escape(f"{path}: entry 1 field {field!r} must be {expected}")):
+        save_embeddings(path, entries)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_embedding_entries_with_overflowing_coords_are_refused(tmp_path):

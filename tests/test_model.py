@@ -32,6 +32,7 @@ from gmmcloud.model import (
     GmmEnsemble,
     WEIGHT_SUM_TOL,
     PointCloud,
+    checked_spd,
     covariance_floor,
     ensemble_log_density,
     floor_spd,
@@ -81,7 +82,6 @@ def univariate(x, mu, var):
 
 def test_point_cloud_holds_points_and_label():
     cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]), label="demented")
-    assert cloud.n == 2
     assert len(cloud) == 2
     assert cloud.label == "demented"
     assert not cloud.points.flags.writeable
@@ -125,6 +125,9 @@ def test_component_rejects_large_asymmetry():
 def test_component_rejects_non_spd_with_eigenvalue():
     with pytest.raises(DegenerateCovarianceError, match="degenerate covariance"):
         Gmm([1.0], np.zeros((1, 3)), np.diag([1.0, 1.0, 0.0])[None])
+    for shape in ((2, 2), (3,), (2, 3, 4), (1, 1, 3, 3)):
+        with pytest.raises(ValueError, match="covariance must be 3x3 or a stack of 3x3"):
+            checked_spd(np.ones(shape))
 
 
 def test_gmm_requires_normalized_weights():
@@ -167,12 +170,16 @@ def _not_spd_at_one(covs):
 
 
 @pytest.mark.parametrize("change, error, match", [
+    (lambda w, m, c: (w[None], m, c), ValueError, r"weights must be a non-empty \(K,\)"),
+    (lambda w, m, c: (w[:0], m[:0], c[:0]), ValueError, r"weights must be a non-empty \(K,\)"),
     (lambda w, m, c: (w, m[:, :2], c), ValueError, "means"),
+    (lambda w, m, c: (w, np.where(m == 4.0, np.inf, m), c), ValueError, "means must be finite"),
     (lambda w, m, c: (w, m, c[:-1]), ValueError, "covariances"),
     (lambda w, m, c: (w + 2.0 * WEIGHT_SUM_TOL, m, c), ValueError, "sum"),
     (lambda w, m, c: (w, m, _not_spd_at_one(c)), DegenerateCovarianceError,
      r"degenerate covariance.*\(component 1\)"),
-], ids=["means-k-by-2", "covariances-k-minus-1", "weight-sum", "one-not-spd"])
+], ids=["weights-2d", "weights-empty", "means-k-by-2", "means-inf", "covariances-k-minus-1",
+        "weight-sum", "one-not-spd"])
 def test_gmm_from_arrays_rejects_bad_input(change, error, match):
     with pytest.raises(error, match=match):
         Gmm(*change(*stacked_arrays()))
@@ -250,6 +257,8 @@ def test_ensemble_requires_positive_normalized_weights():
         EnsembleMember(0.0, m1)
     with pytest.raises(ValueError, match="sum"):
         GmmEnsemble((EnsembleMember(0.5, m1),))
+    with pytest.raises(ValueError, match="an ensemble needs at least one member"):
+        GmmEnsemble(())
 
 
 # ------------------------------------------------------------- densities
@@ -526,6 +535,29 @@ def test_softmax_columns_takes_an_empty_batch_and_an_embedding_column():
         log_sum = softmax_columns(column)
     assert log_sum.shape == (1,) and math.isfinite(log_sum[0])
     assert np.all(column[:3] > 0.0) and np.all(column[3:] == 0.0)
+
+
+def test_a_dead_component_scores_draws_and_embeds_as_its_live_one_alone():
+    # a zero weight gives its row -inf; the dead component's parameters
+    # change no bit, and the one-row product of the live component alone
+    # differs only in BLAS rounding (gemv against gemm)
+    rng = np.random.default_rng(5)
+    live_mean, live_cov = np.array([1.0, 2.0, 3.0]), random_spd(rng, 0.5)
+    dead = Gmm([0.0, 1.0], [[40.0, -3.0, 2.0], live_mean], [random_spd(rng), live_cov])
+    other_dead = Gmm([0.0, 1.0], [[-7.0, 0.0, 0.0], live_mean], [9.0 * np.eye(3), live_cov])
+    alone = Gmm([1.0], [live_mean], [live_cov])
+    x = live_mean + 3.0 * rng.normal(size=(600, 3))
+    score = gmm_log_density(x, dead)
+    assert np.all(np.isfinite(score))
+    np.testing.assert_array_equal(score, gmm_log_density(x, other_dead))
+    np.testing.assert_array_max_ulp(score, gmm_log_density(x, alone), maxulp=8)
+    drawn = generate_point_cloud(dead, 1000, rng_stream(3))
+    np.testing.assert_array_equal(drawn.points,
+                                  generate_point_cloud(alone, 1000, rng_stream(3)).points)
+    probes = make_probe_set([drawn], seed=0)
+    coords = embed(dead, probes).coords
+    assert np.all(np.isfinite(coords))
+    np.testing.assert_allclose(coords, embed(alone, probes).coords, rtol=1e-12)
 
 
 def test_ensemble_log_density_blends_members():

@@ -96,6 +96,8 @@ def test_akaike_weights_rejects_bad_input():
 
 
 def test_aic_table_validation():
+    with pytest.raises(ValueError, match="an AIC table needs at least one row"):
+        AicTable(())
     with pytest.raises(ValueError, match="minimum"):
         AicTable((AicRow(1, 100.0, 0.9, True),))
     with pytest.raises(ValueError, match="kept"):
