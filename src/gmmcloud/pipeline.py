@@ -22,7 +22,8 @@ from .em import FitConfig
 from .embedding import ClassificationMetrics, embed, evaluate, knn_classify, make_probe_set
 from .sampling import generate_point_cloud, rng_stream
 from .selection import build_ensemble, build_ensembles
-from .shapes import DEMENTED, NONDEMENTED, make_bent_tube, tube_spec_for_class
+from .shapes import (DEMENTED, NONDEMENTED, STOCK_N_POINTS, make_bent_tube,
+                     tube_spec_for_class)
 
 GENERATED_COUNTS = {DEMENTED: 33, NONDEMENTED: 36}
 
@@ -31,7 +32,7 @@ GENERATED_COUNTS = {DEMENTED: 33, NONDEMENTED: 36}
 class ExperimentConfig:
     base_shapes_per_class: int = 5
     generated_counts: dict = field(default_factory=lambda: dict(GENERATED_COUNTS))
-    n_points: int = 600
+    n_points: int = STOCK_N_POINTS
     candidate_ks: tuple[int, ...] = (2, 4, 8)
     seed: int = 0
     probe_seeds: tuple[int, ...] = (0, 1, 2, 3, 4)

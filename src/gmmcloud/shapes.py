@@ -19,6 +19,9 @@ from .sampling import rng_stream
 DEMENTED = "demented"
 NONDEMENTED = "nondemented"
 
+# points per stock cloud, for tube_spec_for_class and the pipeline's ExperimentConfig
+STOCK_N_POINTS = 600
+
 CLASS_PARAMETERS = {
     NONDEMENTED: dict(arc_radius=10.0, bend_angle=0.8 * math.pi, tube_radius=1.0,
                       noise_sigma=0.15),
@@ -50,7 +53,7 @@ class TubeSpec:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
 
 
-def tube_spec_for_class(label: str, n_points: int = 600) -> TubeSpec:
+def tube_spec_for_class(label: str, n_points: int = STOCK_N_POINTS) -> TubeSpec:
     """Stock parameters for the two benchmark classes."""
     if label not in CLASS_PARAMETERS:
         raise ValueError(f"unknown class {label!r}, expected one of {sorted(CLASS_PARAMETERS)}")

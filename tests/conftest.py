@@ -390,3 +390,19 @@ def loop_fit(pts, start, eps, rel_tolerance=em.REL_TOLERANCE):
         if stops():
             break
     return trace
+
+
+# ------------------------------------------- whole-text point-cloud oracle
+
+
+def whole_text_point_cloud(cloud, csv):
+    """A cloud's CSV or XYZ file text built as one string, every line of
+    it at once, as write_point_cloud built it before it wrote in blocks."""
+    if csv:
+        lines, sep = ["x,y,z"], ","
+    else:
+        lines, sep = [], " "
+        if cloud.label is not None:
+            lines.append(f"# label: {cloud.label}")
+    lines.extend(f"{x!r}{sep}{y!r}{sep}{z!r}" for x, y, z in cloud.points.tolist())
+    return "\n".join(lines) + "\n"

@@ -1,11 +1,13 @@
 """Point-cloud files, JSON model files, table formatting, SVG emission."""
 
+import errno
 import json
 import math
 import os
 import re
 import stat
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,12 +16,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import whole_text_point_cloud
 from gmmcloud.embedding import SphereEmbedding, make_probe_set
 from gmmcloud.io import (
     FRAME_COLOR,
     FileFormatError,
     FitMetadata,
     SCHEMA_VERSION,
+    WRITE_BLOCK_ROWS,
     emit_svg_filmstrip,
     format_aic_table,
     load_embeddings,
@@ -39,6 +43,9 @@ from gmmcloud.model import (
     PointCloud,
 )
 from gmmcloud.selection import AicRow, AicTable
+from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
+
+BLOCK = WRITE_BLOCK_ROWS
 
 
 def messy_cloud(label=None):
@@ -268,6 +275,67 @@ def test_a_failed_replace_leaves_no_temp_file(tmp_path):
 def test_writer_rejects_empty_path():
     with pytest.raises(ValueError, match="non-empty"):
         write_point_cloud(messy_cloud(), "")
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("suffix, label", [(".xyz", None), (".xyz", "demented"),
+                                           (".csv", None)])
+def test_point_cloud_bytes_match_the_whole_text_form(tmp_path, n, suffix, label):
+    rng = np.random.default_rng(n)
+    # magnitudes from 1e-20 to 1e20, and the messy rows at the end
+    points = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-20, 21, size=(n, 3))
+    points[-3:] = messy_cloud().points[-min(n, 3):]
+    cloud = PointCloud(points, label=label)
+    path = tmp_path / f"cloud{suffix}"
+    write_point_cloud(cloud, str(path))
+    assert path.read_bytes() == whole_text_point_cloud(cloud, suffix == ".csv").encode()
+
+
+def test_a_write_failing_mid_stream_leaves_the_target_and_no_temp_file(tmp_path,
+                                                                      monkeypatch):
+    target = tmp_path / "cloud.xyz"
+    target.write_bytes(b"1.0 2.0 3.0\n")
+    writes = []
+    fdopen = os.fdopen
+
+    class FullDisk:
+        """The temp file's handle, its write failing on the second block."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.handle.__exit__(*exc)
+
+        def write(self, chunk):
+            writes.append(chunk)
+            if len(writes) == 3:  # the label line, the first block, the second
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.handle.write(chunk)
+
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: FullDisk(fdopen(fd, mode)))
+    cloud = PointCloud(np.ones((2 * BLOCK + 1, 3)), label="demented")
+    with pytest.raises(OSError, match="No space left"):
+        write_point_cloud(cloud, str(target))
+    assert [len(chunk.splitlines()) for chunk in writes] == [1, BLOCK, BLOCK]
+    assert os.listdir(tmp_path) == ["cloud.xyz"]
+    assert target.read_bytes() == b"1.0 2.0 3.0\n"
+
+
+@pytest.mark.parametrize("suffix", [".xyz", ".csv"])
+def test_point_cloud_writer_traces_less_than_half_the_file(tmp_path, suffix):
+    cloud = make_bent_tube(tube_spec_for_class("demented", n_points=60_000), seed=0)
+    path = tmp_path / f"big{suffix}"
+    tracemalloc.start()
+    try:
+        write_point_cloud(cloud, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
 
 
 # ----------------------------------------------------------- model file
@@ -642,6 +710,15 @@ def test_filmstrip_bytes_match_the_point_by_point_reference(tmp_path, scale, off
     rng = np.random.default_rng(round(abs(offset) + 1e3 * math.log10(scale)) % 9973)
     panels = [(f"t={t:g}", PointCloud(offset + scale * (rng.normal(size=(60, 3)) + 3.0 * t)))
               for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    path = tmp_path / "strip.svg"
+    emit_svg_filmstrip(panels, str(path))
+    assert path.read_bytes() == reference_filmstrip(panels).encode()
+
+
+def test_filmstrip_bytes_with_a_panel_larger_than_a_block(tmp_path):
+    rng = np.random.default_rng(12)
+    panels = [("t=0", PointCloud(rng.normal(size=(2 * BLOCK + 1, 3)))),
+              ("t=1", PointCloud(rng.normal(size=(5, 3)) + 2.0))]
     path = tmp_path / "strip.svg"
     emit_svg_filmstrip(panels, str(path))
     assert path.read_bytes() == reference_filmstrip(panels).encode()

@@ -1,5 +1,6 @@
 """Bent-tube generator and outlier contamination."""
 
+import inspect
 import itertools
 import math
 
@@ -8,10 +9,12 @@ import pytest
 
 from gmmcloud.em import FitConfig, fit_em
 from gmmcloud.embedding import arc_distance, embed, make_probe_set
+from gmmcloud.pipeline import ExperimentConfig
 from gmmcloud.shapes import (
     CLASS_PARAMETERS,
     DEMENTED,
     NONDEMENTED,
+    STOCK_N_POINTS,
     TubeSpec,
     add_outliers,
     make_bent_tube,
@@ -52,6 +55,11 @@ def test_stock_class_parameters():
     assert spec.bend_angle == 0.6 * math.pi
     with pytest.raises(ValueError, match="unknown class"):
         tube_spec_for_class("severe")
+
+
+def test_stock_cloud_size_is_one_default():
+    default = inspect.signature(tube_spec_for_class).parameters["n_points"].default
+    assert default == ExperimentConfig().n_points == STOCK_N_POINTS
 
 
 # ------------------------------------------------------------ generator
