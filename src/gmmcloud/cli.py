@@ -12,7 +12,7 @@ import warnings
 
 import click
 
-from .em import FitConfig, FitError
+from .em import FitConfig, FitError, _check_component_count
 from .embedding import embed as embed_model
 from .embedding import PROBE_COUNT, evaluate, inflated_bounds, knn_classify, make_probe_set
 from .geodesics import DEFAULT_TS, interpolate_point_clouds
@@ -74,10 +74,14 @@ POSITIVE_INTS = CommaList(click.IntRange(min=1))
 
 
 def _check_ks(ks, n: int):
-    """Reject a candidate K above the n points it would be fitted to."""
-    if ks is not None and max(ks) > n:
-        raise click.BadParameter(f"K={max(ks)} exceeds the {n} points to fit",
-                                 param_hint="'--ks'")
+    """Reject a candidate K above the n points it would be fitted to, by
+    em's rule, as a --ks usage error."""
+    if ks is None:
+        return
+    try:
+        _check_component_count(max(ks), n)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--ks'") from None
 
 
 def _load(loader, path):

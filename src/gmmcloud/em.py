@@ -76,7 +76,7 @@ from .model import (
     softmax_columns,
     weighted_log_densities,
 )
-from .sampling import rng_stream
+from .sampling import is_seed, rng_stream
 
 COLLAPSE_MASS = 1e-12
 REL_TOLERANCE = 1e-6
@@ -97,9 +97,13 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """The settable part of fit_em: the k-means++ seed."""
+    """The settable part of fit_em: the k-means++ seed, an integer."""
 
     seed: int = 0
+
+    def __post_init__(self):
+        if not is_seed(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)

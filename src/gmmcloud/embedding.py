@@ -21,7 +21,7 @@ from .model import (
     reduce_through_constructor,
     softmax_columns,
 )
-from .sampling import rng_stream
+from .sampling import is_seed, rng_stream
 
 PROBE_COUNT = 1000
 INFLATE_FRACTION = 0.05
@@ -47,7 +47,7 @@ class ProbeSet:
             raise ValueError("probes and bounds must be finite")
         if np.any(probes < bounds[0]) or np.any(probes > bounds[1]):
             raise ValueError("every probe must lie inside the bounds")
-        if not (type(self.seed) is int or isinstance(self.seed, np.integer)):
+        if not is_seed(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         probes.setflags(write=False)
         bounds.setflags(write=False)

@@ -8,8 +8,8 @@ explicit schema_version; floats serialize with the shortest decimal
 representation that parses back to the identical double, so every
 round-trip is exact. Writers refuse, before writing, what their readers
 would refuse, replace the target atomically, and are byte-deterministic.
-Point clouds and filmstrips are written WRITE_BLOCK_ROWS points at a
-time, so a writer's memory does not grow with the cloud.
+Both point-cloud readers go row by row into one flat array; clouds and
+filmstrips are written WRITE_BLOCK_ROWS points at a time, never whole.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 from . import em
 from .embedding import ProbeSet, SphereEmbedding
 from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud
+from .sampling import is_seed
 from .selection import AicRow, AicTable
 
 SCHEMA_VERSION = "1"
@@ -85,15 +86,18 @@ def _is_csv(path: str) -> bool:
 
 def read_point_cloud(path: str) -> PointCloud:
     """Load a cloud from a CSV file (suffix .csv) or an XYZ file (any
-    other suffix)."""
-    with open(path, "r") as handle:
-        if _is_csv(path):
-            return _parse_csv(handle.read(), path)
-        return _parse_xyz(handle, path)
+    other suffix), read row by row into one flat array."""
+    parse = _parse_csv if _is_csv(path) else _parse_xyz
+    # newline="" leaves line ends inside quoted CSV fields to the csv module
+    with open(path, "r", newline="" if parse is _parse_csv else None) as handle:
+        coords, label = parse(handle, path)
+    if not coords:
+        raise FileFormatError(f"{path}: no points found")
+    return PointCloud(np.frombuffer(coords).reshape(-1, 3), label=label)
 
 
-def _parse_xyz(lines: Iterable[str], path: str) -> PointCloud:
-    """Points of an XYZ file, read line by line into one flat array."""
+def _parse_xyz(lines: Iterable[str], path: str) -> tuple[array, str | None]:
+    """The coordinates of an XYZ file's lines, flat, and its label."""
     coords = array("d")
     label = None
     for lineno, raw in enumerate(lines, start=1):
@@ -113,18 +117,16 @@ def _parse_xyz(lines: Iterable[str], path: str) -> PointCloud:
         except ValueError:
             raise FileFormatError(
                 f"{path}: line {lineno}: non-numeric coordinate in {line!r}") from None
-    if not coords:
-        raise FileFormatError(f"{path}: no points found")
-    return PointCloud(np.frombuffer(coords).reshape(-1, 3), label=label)
+    return coords, label
 
 
-def _parse_csv(text: str, path: str) -> PointCloud:
-    reader = list(csv.reader(text.splitlines()))
-    rows = []
-    numeric_cols = None
-    first = True
-    for lineno, record in enumerate(reader, start=1):
-        if not record or all(not f.strip() for f in record):
+def _parse_csv(lines: Iterable[str], path: str) -> tuple[array, None]:
+    """The first three numeric columns of a CSV file's rows, flat, and no label."""
+    coords = array("d")
+    numeric_cols, first = None, True
+    reader = csv.reader(lines)
+    for record in reader:
+        if not any(f.strip() for f in record):
             continue
         if numeric_cols is None:
             cols = []
@@ -136,19 +138,17 @@ def _parse_csv(text: str, path: str) -> PointCloud:
                     pass
             if len(cols) < 3:
                 if not first:
-                    raise FileFormatError(
-                        f"{path}: line {lineno}: expected 3 numeric columns, got {len(cols)}")
+                    raise FileFormatError(f"{path}: line {reader.line_num}: "
+                                          f"expected 3 numeric columns, got {len(cols)}")
                 first = False
-                continue  # the header, only ever the first non-empty row
+                continue  # the header
             numeric_cols = cols[:3]
         try:
-            rows.append([float(record[i]) for i in numeric_cols])
+            coords.extend([float(record[i]) for i in numeric_cols])
         except (ValueError, IndexError):
-            raise FileFormatError(
-                f"{path}: line {lineno}: expected numeric columns {numeric_cols}") from None
-    if not rows:
-        raise FileFormatError(f"{path}: no points found")
-    return PointCloud(np.array(rows))
+            raise FileFormatError(f"{path}: line {reader.line_num}: "
+                                  f"expected numeric columns {numeric_cols}") from None
+    return coords, None
 
 
 def write_point_cloud(cloud: PointCloud, path: str):
@@ -222,8 +222,8 @@ def _center_offset(meta, path: str) -> np.ndarray | None:
 
 def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
                metadata: FitMetadata):
-    """Write a model file. Metadata load_model would refuse, a label that
-    fails _is_label included, raises its error; nothing is written."""
+    """Write a model file, a NumPy integer seed as an int. Metadata that
+    load_model would refuse raises its error; nothing is written."""
     meta = {
         "seed": metadata.seed,
         "rel_tolerance": em.REL_TOLERANCE,
@@ -233,7 +233,7 @@ def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
         "training_n": metadata.training_n,
         "label": metadata.label,
     }
-    _fit_metadata(meta, path)
+    meta["seed"] = _fit_metadata(meta, path).seed
     _save_json(path, "model_file", {
         "ensemble": [
             {"p": m.weight, "model": _gmm_to_obj(m.model)} for m in ensemble.members
@@ -308,17 +308,17 @@ def _check_fields(path: str, owner: str, checks):
 
 
 def _fit_metadata(meta, path: str) -> FitMetadata:
-    """A model file's FitMetadata, each field's type checked; type(x) is
-    int turns bools away. sample writes the label to an XYZ comment line."""
+    """A model file's FitMetadata, each field's type checked; bools are
+    no integers here. sample writes the label to an XYZ comment line."""
     seed, ks, n = meta["seed"], meta["candidate_ks"], meta["training_n"]
     label = meta.get("label")
     _check_fields(path, "metadata ", (
-        ("seed", type(seed) is int, "an integer"),
+        ("seed", is_seed(seed), "an integer"),
         ("candidate_ks", type(ks) is list and ks != [] and all(
             type(k) is int and k >= 1 for k in ks), "a non-empty list of integers >= 1"),
         ("training_n", type(n) is int and n >= 1, "an integer >= 1"),
         ("label", label is None or _is_label(label), f"a string or null {_LABEL_RULE}")))
-    return FitMetadata(seed, tuple(ks), n, label)
+    return FitMetadata(int(seed), tuple(ks), n, label)
 
 
 def save_probe_set(path: str, probes: ProbeSet):
@@ -333,9 +333,8 @@ def load_probe_set(path: str) -> ProbeSet:
     obj = _load_json(path, "probe_set")
     with _fields_of(path):
         bounds = np.array([obj["bounds"]["lo"], obj["bounds"]["hi"]])
-        seed = obj["seed"]
-        _check_fields(path, "", (("seed", type(seed) is int, "an integer"),))
-        return ProbeSet(np.array(obj["probes"]), bounds, seed)
+        _check_fields(path, "", (("seed", is_seed(obj["seed"]), "an integer"),))
+        return ProbeSet(np.array(obj["probes"]), bounds, obj["seed"])
 
 
 def _check_entry(path: str, i: int, label, source):

@@ -16,9 +16,17 @@ import numpy as np
 from .model import Gmm, GmmEnsemble, PointCloud, flat_mixture
 
 
+def is_seed(seed) -> bool:
+    """Whether seed is an integer seed: an int or a NumPy integer, not a bool."""
+    return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+
+
 def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """The random stream identified by (seed, stream_id), each taken
-    modulo 2**64 as one word of the Philox key."""
+    modulo 2**64 as one word of the Philox key; a seed that is_seed
+    refuses raises ValueError."""
+    if not is_seed(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     key = np.array([int(seed) % 2**64, int(stream_id) % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

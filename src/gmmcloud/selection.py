@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .em import FitConfig, FitError, fit_em, fit_em_candidates
+from .em import FitConfig, FitError, _check_component_count, fit_em, fit_em_candidates
 from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud, gmm_log_likelihood
 
 KEEP_THRESHOLD = 0.01
@@ -111,10 +111,8 @@ def _checked_ks(candidate_ks, clouds) -> list[int]:
     if not ks:
         raise ValueError("need at least one candidate component count")
     for cloud in clouds:
-        n = len(cloud)
         for k in ks:
-            if not 1 <= k <= n:
-                raise ValueError(f"candidate K={k} outside valid range 1..{n}")
+            _check_component_count(k, len(cloud))
     return ks
 
 

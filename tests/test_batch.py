@@ -126,7 +126,7 @@ def test_build_ensembles_follows_the_input_order(small_batches):
 
 
 def test_build_ensembles_checks_every_cloud_before_fitting():
-    with pytest.raises(ValueError, match="outside valid range 1..20"):
+    with pytest.raises(ValueError, match="more components than points: K=32, N=20"):
         build_ensembles([tube(0), PointCloud(np.zeros((20, 3)))], (2, 32))
     assert build_ensembles([], (2, 4)) == []
 

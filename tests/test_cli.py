@@ -520,3 +520,11 @@ def test_out_of_range_option_is_a_one_line_error(workspace, tmp_path, args, opti
     assert f"Invalid value for '{option}'" in combined
     assert "Traceback" not in combined
     assert not os.path.exists(out)
+
+
+def test_a_k_above_the_points_gives_ems_message(workspace, tmp_path):
+    # the --ks error is em's rule for a component count, worded as em words it
+    out = str(tmp_path / "out")
+    result = runner.invoke(main, ["fit", workspace["dem0"], "--ks", "1000,2", "-o", out])
+    assert result.exit_code == 2
+    assert "Invalid value for '--ks': more components than points: K=1000, N=150" in result.stderr

@@ -70,6 +70,14 @@ def test_fit_config_defaults():
     assert em.KMEANS_RESTARTS == 4
 
 
+@pytest.mark.parametrize("seed", [1.9, "1", True, None])
+def test_fit_config_seed_must_be_an_integer(seed):
+    # int(seed) would give each of these exactly the fit of an integer seed
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        FitConfig(seed=seed)
+    assert FitConfig(seed=np.int64(3)).seed == 3
+
+
 def test_responsibilities_validation():
     Responsibilities(np.array([[0.5, 0.5], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="sum"):

@@ -216,6 +216,23 @@ def test_csv_reports_offending_line(tmp_path):
         read_point_cloud(str(path))
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_csv_line_ends_give_the_same_points_and_line_numbers(tmp_path, end):
+    lines = ["x,y,z", "", "0.5,-1,2e-3", "3,4,5"]
+    good = tmp_path / "good.csv"
+    good.write_bytes(end.join(lines + [""]).encode())
+    np.testing.assert_array_equal(read_point_cloud(str(good)).points,
+                                  [[0.5, -1.0, 2e-3], [3.0, 4.0, 5.0]])
+    bad = tmp_path / "bad.csv"
+    for rows, message in ((lines[:3] + ["1,2"], "expected numeric columns [0, 1, 2]"),
+                          (lines[:3] + ["a,b,c"], "expected numeric columns [0, 1, 2]"),
+                          (lines[:2] + ["", "1,2"], "expected 3 numeric columns, got 2")):
+        bad.write_bytes(end.join(rows + lines[3:] + [""]).encode())
+        with pytest.raises(FileFormatError) as error:
+            read_point_cloud(str(bad))
+        assert str(error.value) == f"{bad}: line 4: {message}"
+
+
 def test_csv_short_row_after_header_is_an_error(tmp_path):
     # only the first non-empty row may be a header; a short data row is
     # an error, not a second header
@@ -336,6 +353,23 @@ def test_point_cloud_writer_traces_less_than_half_the_file(tmp_path, suffix):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 2
+
+
+@pytest.mark.parametrize("suffix", [".xyz", ".csv"])
+def test_point_cloud_reader_traces_less_than_the_file(tmp_path, suffix):
+    cloud = make_bent_tube(tube_spec_for_class("demented", n_points=60_000), seed=0)
+    path = tmp_path / f"big{suffix}"
+    write_point_cloud(cloud, str(path))
+    tracemalloc.start()
+    try:
+        back = read_point_cloud(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.points, cloud.points)
+    # the parsed doubles and the cloud's own copy take 48 bytes a point,
+    # the text about 57: a reader that held the text would trace more
+    assert peak < path.stat().st_size
 
 
 # ----------------------------------------------------------- model file
@@ -507,6 +541,15 @@ def test_save_model_refuses_what_load_model_refuses(tmp_path, field, value):
         save_model(path, ensemble, table, metadata)
     assert str(on_save.value) == str(on_load.value).replace(stored, path)
     assert list(out.iterdir()) == []
+
+
+def test_save_model_writes_a_numpy_integer_seed_as_an_int(tmp_path):
+    path = str(tmp_path / "model.json")
+    ensemble, table = two_member_ensemble()
+    save_model(path, ensemble, table, FitMetadata(np.int64(7), (1, 2), 5))
+    assert json.loads(Path(path).read_text())["metadata"]["seed"] == 7
+    seed = load_model(path).metadata.seed
+    assert type(seed) is int and seed == 7
 
 
 def test_probe_and_embedding_files_reject_malformed_json(tmp_path):

@@ -1,6 +1,7 @@
 """Random streams, member and Gaussian draws, cloud generation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ def test_stream_wraps_large_keys():
     np.testing.assert_array_equal(rng_stream(2**64 + 5, 3).random(4),
                                   np.random.Generator(philox).random(4))
     np.testing.assert_array_equal(rng_stream(2**64 + 5).random(4), rng_stream(5).random(4))
+
+
+@pytest.mark.parametrize("seed", [1.9, "1", True, None, np.float64(1.0), np.bool_(True)])
+def test_stream_seed_must_be_an_integer(seed):
+    # int(seed) would key each of these as a valid seed
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        rng_stream(seed)
+
+
+def test_stream_takes_numpy_integer_seeds():
+    for seed in (np.int64(7), np.uint8(7)):
+        np.testing.assert_array_equal(rng_stream(seed, 2).random(4), rng_stream(7, 2).random(4))
 
 
 # ------------------------------------------------------- member draws

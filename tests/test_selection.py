@@ -146,8 +146,11 @@ def test_build_ensemble_validates_candidates():
     cloud = PointCloud(np.random.default_rng(0).normal(size=(20, 3)))
     with pytest.raises(ValueError, match="candidate"):
         build_ensemble(cloud, (), FitConfig(seed=0))
-    with pytest.raises(ValueError, match="outside"):
+    # em's rule for a component count, checked before any fit starts
+    with pytest.raises(ValueError, match="more components than points: K=40, N=20"):
         build_ensemble(cloud, (1, 40), FitConfig(seed=0))
+    with pytest.raises(ValueError, match="component count must be >= 1, got 0"):
+        build_ensemble(cloud, (0, 2), FitConfig(seed=0))
 
 
 def test_build_ensemble_drops_failing_candidate(monkeypatch):
