@@ -76,7 +76,7 @@ from .model import (
     softmax_columns,
     weighted_log_densities,
 )
-from .sampling import is_seed, rng_stream
+from .sampling import checked_integer, rng_stream
 
 COLLAPSE_MASS = 1e-12
 REL_TOLERANCE = 1e-6
@@ -102,8 +102,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not is_seed(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        checked_integer("seed", self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,10 +220,8 @@ def _nearest_seed_codes(pts: np.ndarray, seeds: list[int]) -> np.ndarray:
 
 
 def _check_component_count(k: int, n: int):
-    if k > n:
+    if checked_integer("component count", k, 1) > n:
         raise ValueError(f"more components than points: K={k}, N={n}")
-    if k < 1:
-        raise ValueError(f"component count must be >= 1, got {k}")
 
 
 def _check_extent(pts: np.ndarray):

@@ -21,7 +21,7 @@ from .model import (
     reduce_through_constructor,
     softmax_columns,
 )
-from .sampling import is_seed, rng_stream
+from .sampling import checked_integer, rng_stream
 
 PROBE_COUNT = 1000
 INFLATE_FRACTION = 0.05
@@ -47,13 +47,12 @@ class ProbeSet:
             raise ValueError("probes and bounds must be finite")
         if np.any(probes < bounds[0]) or np.any(probes > bounds[1]):
             raise ValueError("every probe must lie inside the bounds")
-        if not is_seed(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        seed = checked_integer("seed", self.seed)
         probes.setflags(write=False)
         bounds.setflags(write=False)
         object.__setattr__(self, "probes", probes)
         object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
     __reduce__ = reduce_through_constructor
 
@@ -93,8 +92,7 @@ def inflated_bounds(clouds, margin_fraction: float = INFLATE_FRACTION) -> np.nda
 
 def make_probe_set(clouds, seed: int, count: int = PROBE_COUNT) -> ProbeSet:
     """Uniform probe draws over the inflated joint bounding box."""
-    if count < 1:
-        raise ValueError(f"probe count must be >= 1, got {count}")
+    count = checked_integer("probe count", count, 1)
     bounds = inflated_bounds(clouds)
     rng = rng_stream(seed)
     probes = bounds[0] + rng.random((count, 3)) * (bounds[1] - bounds[0])

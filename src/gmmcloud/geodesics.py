@@ -28,7 +28,7 @@ import numpy as np
 
 from .em import FitConfig
 from .model import Gmm, GmmEnsemble, PointCloud, _transposed, checked_spd
-from .sampling import generate_point_cloud, rng_stream
+from .sampling import checked_integer, generate_point_cloud, rng_stream
 from .selection import build_ensemble, default_candidate_ks
 
 COLINEAR_THETA = 1e-8
@@ -56,8 +56,7 @@ def project_to_k(model: Gmm, k_target: int) -> Gmm:
     the squared mean distance, so the overall mixture mean and covariance
     are preserved throughout. Ties go to the first pair in (i, j) order.
     """
-    if k_target < 1:
-        raise ValueError(f"target component count must be >= 1, got {k_target}")
+    k_target = checked_integer("target component count", k_target, 1)
     if k_target > model.k:
         raise ValueError(f"cannot project K={model.k} up to K={k_target}")
     w, m, s = model.weights.copy(), model.means.copy(), model.covariances.copy()
@@ -272,10 +271,7 @@ def interpolate_point_clouds(x: PointCloud, y: PointCloud, ts=DEFAULT_TS,
         raise ValueError("need at least one interpolation parameter")
     for t in ts:
         _check_t(t)
-    if n_out is None:
-        n_out = len(x)
-    if n_out < 1:
-        raise ValueError(f"output cloud size must be >= 1, got {n_out}")
+    n_out = checked_integer("output cloud size", len(x) if n_out is None else n_out, 1)
     fit = FitConfig(seed=seed)
     ks_x = default_candidate_ks(len(x)) if candidate_ks is None else candidate_ks
     ks_y = default_candidate_ks(len(y)) if candidate_ks is None else candidate_ks

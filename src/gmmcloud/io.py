@@ -28,7 +28,7 @@ import numpy as np
 from . import em
 from .embedding import ProbeSet, SphereEmbedding
 from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud
-from .sampling import is_seed
+from .sampling import is_integer
 from .selection import AicRow, AicTable
 
 SCHEMA_VERSION = "1"
@@ -313,7 +313,7 @@ def _fit_metadata(meta, path: str) -> FitMetadata:
     seed, ks, n = meta["seed"], meta["candidate_ks"], meta["training_n"]
     label = meta.get("label")
     _check_fields(path, "metadata ", (
-        ("seed", is_seed(seed), "an integer"),
+        ("seed", is_integer(seed), "an integer"),
         ("candidate_ks", type(ks) is list and ks != [] and all(
             type(k) is int and k >= 1 for k in ks), "a non-empty list of integers >= 1"),
         ("training_n", type(n) is int and n >= 1, "an integer >= 1"),
@@ -333,7 +333,7 @@ def load_probe_set(path: str) -> ProbeSet:
     obj = _load_json(path, "probe_set")
     with _fields_of(path):
         bounds = np.array([obj["bounds"]["lo"], obj["bounds"]["hi"]])
-        _check_fields(path, "", (("seed", is_seed(obj["seed"]), "an integer"),))
+        _check_fields(path, "", (("seed", is_integer(obj["seed"]), "an integer"),))
         return ProbeSet(np.array(obj["probes"]), bounds, obj["seed"])
 
 

@@ -16,18 +16,27 @@ import numpy as np
 from .model import Gmm, GmmEnsemble, PointCloud, flat_mixture
 
 
-def is_seed(seed) -> bool:
-    """Whether seed is an integer seed: an int or a NumPy integer, not a bool."""
-    return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+def is_integer(value) -> bool:
+    """Whether value is an int or a NumPy integer, not a bool: the rule
+    for seeds, stream ids, counts and component counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def checked_integer(name: str, value, least: int | None = None) -> int:
+    """value as an int, if is_integer holds and it is at least least
+    (when given); otherwise ValueError naming it."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
-    """The random stream identified by (seed, stream_id), each taken
-    modulo 2**64 as one word of the Philox key; a seed that is_seed
-    refuses raises ValueError."""
-    if not is_seed(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    key = np.array([int(seed) % 2**64, int(stream_id) % 2**64], dtype=np.uint64)
+    """The random stream identified by (seed, stream_id), each an integer
+    (checked_integer) taken modulo 2**64 as one word of the Philox key."""
+    key = np.array([checked_integer("seed", seed) % 2**64,
+                    checked_integer("stream id", stream_id) % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -41,8 +50,7 @@ def generate_point_cloud(model: Gmm | GmmEnsemble, n: int, rng: np.random.Genera
     the mixture keeps from its validation (Gmm.factor).
     Identical models and identically built streams give bit-identical clouds.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    n = checked_integer("sample count", n, 1)
     weights, means, (lam, q) = flat_mixture(model)
     # a draw at or above the second-to-last cumulative weight takes the
     # last component, also where the flat weights sum to just below one

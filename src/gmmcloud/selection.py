@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .em import FitConfig, FitError, _check_component_count, fit_em, fit_em_candidates
 from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud, gmm_log_likelihood
+from .sampling import checked_integer
 
 KEEP_THRESHOLD = 0.01
 DEFAULT_CANDIDATE_KS = (1, 2, 4, 8, 16, 32)
@@ -73,7 +74,7 @@ def akaike_weights(scores) -> AicTable:
 
     scores: iterable of (K, aic) pairs.
     """
-    pairs = [(int(k), float(a)) for k, a in scores]
+    pairs = [(checked_integer("component count", k, 1), float(a)) for k, a in scores]
     if not pairs:
         raise ValueError("need at least one (K, AIC) pair")
     if any(not math.isfinite(a) for _, a in pairs):
@@ -107,7 +108,7 @@ def ensemble_from_scored_models(scored) -> tuple[GmmEnsemble, AicTable]:
 
 
 def _checked_ks(candidate_ks, clouds) -> list[int]:
-    ks = sorted(set(int(k) for k in candidate_ks))
+    ks = sorted({checked_integer("component count", k) for k in candidate_ks})
     if not ks:
         raise ValueError("need at least one candidate component count")
     for cloud in clouds:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PointCloud
-from .sampling import rng_stream
+from .sampling import checked_integer, rng_stream
 
 DEMENTED = "demented"
 NONDEMENTED = "nondemented"
@@ -49,8 +49,7 @@ class TubeSpec:
                 f"tube_radius must satisfy 0 <= r < arc_radius, got {self.tube_radius}")
         if self.noise_sigma < 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.n_points < 1:
-            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
+        checked_integer("n_points", self.n_points, 1)
 
 
 def tube_spec_for_class(label: str, n_points: int = STOCK_N_POINTS) -> TubeSpec:

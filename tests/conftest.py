@@ -29,7 +29,15 @@ from gmmcloud.model import (
     floor_spd,
 )
 from gmmcloud.sampling import generate_point_cloud, rng_stream
-from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
+from gmmcloud.shapes import (
+    CLASS_PARAMETERS,
+    DEMENTED,
+    NONDEMENTED,
+    STOCK_N_POINTS,
+    TubeSpec,
+    make_bent_tube,
+    tube_spec_for_class,
+)
 
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
@@ -406,3 +414,17 @@ def whole_text_point_cloud(cloud, csv):
             lines.append(f"# label: {cloud.label}")
     lines.extend(f"{x!r}{sep}{y!r}{sep}{z!r}" for x, y, z in cloud.points.tolist())
     return "\n".join(lines) + "\n"
+
+
+# ------------------------------------------------ reduced-separation tubes
+
+
+def blended_spec(label, sep):
+    """The TubeSpec of a class moved toward the other: each parameter at
+    mid + sep * (class - mid), where mid is the mean of the two stock
+    classes; sep 1 is the stock class and sep 0 the midpoint of both."""
+    params = {}
+    for name, value in CLASS_PARAMETERS[label].items():
+        mid = (CLASS_PARAMETERS[DEMENTED][name] + CLASS_PARAMETERS[NONDEMENTED][name]) / 2.0
+        params[name] = mid + sep * (value - mid)
+    return TubeSpec(n_points=STOCK_N_POINTS, class_label=label, **params)

@@ -27,6 +27,7 @@ from gmmcloud.io import (
 )
 from gmmcloud.model import PointCloud
 from gmmcloud.pipeline import ExperimentConfig, ExperimentReport
+from gmmcloud.selection import default_candidate_ks
 
 runner = CliRunner()
 
@@ -279,6 +280,35 @@ def test_interpolate_writes_frames_and_filmstrip(workspace, tmp_path):
         assert len(read_point_cloud(os.path.join(out, name))) == 50
     assert result.output.count("wrote ") == 4
     assert "filmstrip.svg" in result.output
+
+
+@pytest.fixture(scope="module")
+def small_pair(tmp_path_factory):
+    """Two 120-point tubes: the default candidate Ks of each are 1, 2, 4, 8."""
+    root = tmp_path_factory.mktemp("small_pair")
+    paths = [str(root / "a.xyz"), str(root / "b.xyz")]
+    for path, label, seed in zip(paths, ["nondemented", "demented"], [0, 1]):
+        run_cli(["synth", "--class", label, "--n", "120", "--seed", str(seed), "-o", path])
+    assert default_candidate_ks(120) == (1, 2, 4, 8)
+    return paths
+
+
+def test_fit_without_ks_fits_the_default_ks(small_pair, tmp_path):
+    default, given = str(tmp_path / "default.json"), str(tmp_path / "given.json")
+    run_cli(["fit", small_pair[0], "-o", default])
+    run_cli(["fit", small_pair[0], "--ks", "1,2,4,8", "-o", given])
+    assert load_model(default).metadata.candidate_ks == (1, 2, 4, 8)
+    assert read_bytes(default) == read_bytes(given)
+
+
+def test_interpolate_without_ks_fits_the_default_ks(small_pair, tmp_path):
+    default, given = str(tmp_path / "default"), str(tmp_path / "given")
+    run_cli(["interpolate", *small_pair, "-o", default])
+    run_cli(["interpolate", *small_pair, "--ks", "1,2,4,8", "-o", given])
+    names = sorted(os.listdir(default))
+    assert names == sorted(os.listdir(given)) and "filmstrip.svg" in names
+    for name in names:
+        assert read_bytes(os.path.join(default, name)) == read_bytes(os.path.join(given, name))
 
 
 def test_probes_cover_every_input_cloud(workspace):

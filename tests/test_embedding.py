@@ -103,8 +103,8 @@ def test_probe_set_validation():
 
 
 def test_probe_set_seed_is_an_integer():
-    # sampling.is_seed, the rule of rng_stream and load_probe_set, turns a
-    # bool away; a NumPy integer is stored as an int
+    # sampling.checked_integer, the rule of rng_stream and every count,
+    # turns a bool away; a NumPy integer is stored as an int
     bounds = np.array([[-1.0] * 3, [1.0] * 3])
     for seed in (1.7, True):
         with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):

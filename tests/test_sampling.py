@@ -13,7 +13,9 @@ from conftest import (
     mixture_moments,
     sample_mixture,
 )
+from gmmcloud.em import FitConfig, fit_em
 from gmmcloud.embedding import embed, make_probe_set
+from gmmcloud.geodesics import interpolate_point_clouds, project_to_k
 from gmmcloud.model import (
     EnsembleMember,
     Gmm,
@@ -21,6 +23,8 @@ from gmmcloud.model import (
     PointCloud,
 )
 from gmmcloud.sampling import generate_point_cloud, rng_stream
+from gmmcloud.selection import akaike_weights, build_ensemble, build_ensembles
+from gmmcloud.shapes import TubeSpec, make_bent_tube, tube_spec_for_class
 
 
 def uniform_gmm(k, spacing=3.0):
@@ -63,6 +67,54 @@ def test_stream_seed_must_be_an_integer(seed):
 def test_stream_takes_numpy_integer_seeds():
     for seed in (np.int64(7), np.uint8(7)):
         np.testing.assert_array_equal(rng_stream(seed, 2).random(4), rng_stream(7, 2).random(4))
+
+
+# ---------------------------------------------------- integer arguments
+
+SMALL_TUBE = make_bent_tube(tube_spec_for_class("demented", n_points=40), seed=0)
+OTHER_TUBE = make_bent_tube(tube_spec_for_class("nondemented", n_points=40), seed=1)
+
+# every integer argument beside the seeds, each checked by
+# sampling.checked_integer: (the name its message gives, a call that
+# passes the argument on and returns a value whose repr shows its bits
+# and types)
+INTEGER_ARGUMENTS = {
+    "stream_id": ("stream id", lambda v: rng_stream(0, v).random(3).tolist()),
+    "fit_em_k": ("component count", lambda v: fit_em(SMALL_TUBE, v).model.means.tolist()),
+    "build_ensemble_ks": ("component count",
+                          lambda v: build_ensemble(SMALL_TUBE, (v,))[1].rows),
+    "build_ensembles_ks": ("component count",
+                           lambda v: build_ensembles([SMALL_TUBE], (1, v))[0][1].rows),
+    "akaike_weights_k": ("component count", lambda v: akaike_weights([(v, 1.0)]).rows),
+    "project_to_k": ("target component count",
+                     lambda v: project_to_k(uniform_gmm(3), v).means.tolist()),
+    "generate_point_cloud_n": ("sample count", lambda v: generate_point_cloud(
+        uniform_gmm(2), v, rng_stream(0)).points.tolist()),
+    "make_probe_set_count": ("probe count",
+                             lambda v: make_probe_set([SMALL_TUBE], 0, v).probes.tolist()),
+    "interpolate_n_out": ("output cloud size", lambda v: interpolate_point_clouds(
+        SMALL_TUBE, OTHER_TUBE, ts=(0.5,), n_out=v, candidate_ks=(1,)
+    ).frames[0].points.tolist()),
+    "tube_n_points": ("n_points", lambda v: make_bent_tube(
+        TubeSpec(10.0, 1.0, 1.0, 0.1, v), seed=0).points.tolist()),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.float64(2.0), np.bool_(True), "2"])
+@pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_refuse_what_is_not_an_integer(argument, value):
+    # int() or a bare comparison took each of these as a count or a K, or
+    # failed later with NumPy's TypeError
+    name, call = INTEGER_ARGUMENTS[argument]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        call(value)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint8])
+@pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_take_numpy_integers(argument, kind):
+    _, call = INTEGER_ARGUMENTS[argument]
+    assert repr(call(kind(2))) == repr(call(2))
 
 
 # ------------------------------------------------------- member draws
