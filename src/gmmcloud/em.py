@@ -68,6 +68,7 @@ from .model import (
     Gmm,
     PointCloud,
     centred_features,
+    checked_array,
     covariance_floor,
     factor_precisions,
     feature_log_densities,
@@ -117,15 +118,12 @@ class Responsibilities:
     underflow_rows: int = 0
 
     def __post_init__(self):
-        g = np.array(self.gamma, dtype=float)
-        if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
-            raise ValueError(f"gamma must be a non-empty (N, K) array, got shape {g.shape}")
+        g = checked_array("gamma", self.gamma, (None, None), "a non-empty (N, K) array")
         if np.any(g < 0.0) or np.any(g > 1.0 + 1e-12):
             raise ValueError("responsibilities must lie in [0, 1]")
         rows = g.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-9:
             raise ValueError("responsibility rows must sum to 1")
-        g.setflags(write=False)
         object.__setattr__(self, "gamma", g)
 
     __reduce__ = reduce_through_constructor

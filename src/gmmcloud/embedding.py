@@ -17,6 +17,7 @@ import numpy as np
 from .model import (
     Gmm,
     GmmEnsemble,
+    checked_array,
     gmm_log_density,
     reduce_through_constructor,
     softmax_columns,
@@ -37,22 +38,13 @@ class ProbeSet:
     seed: int
 
     def __post_init__(self):
-        probes = np.array(self.probes, dtype=float)
-        bounds = np.array(self.bounds, dtype=float)
-        if probes.ndim != 2 or probes.shape[1] != 3 or probes.shape[0] < 1:
-            raise ValueError(f"probes must be (M, 3) with M >= 1, got shape {probes.shape}")
-        if bounds.shape != (2, 3):
-            raise ValueError(f"bounds must be (2, 3) lo/hi rows, got shape {bounds.shape}")
-        if not (np.all(np.isfinite(probes)) and np.all(np.isfinite(bounds))):
-            raise ValueError("probes and bounds must be finite")
+        probes = checked_array("probes", self.probes, (None, 3), "(M, 3) with M >= 1")
+        bounds = checked_array("bounds", self.bounds, (2, 3), "(2, 3) lo/hi rows")
         if np.any(probes < bounds[0]) or np.any(probes > bounds[1]):
             raise ValueError("every probe must lie inside the bounds")
         seed = checked_integer("seed", self.seed)
-        probes.setflags(write=False)
-        bounds.setflags(write=False)
-        object.__setattr__(self, "probes", probes)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "seed", seed)
+        for name, value in (("probes", probes), ("bounds", bounds), ("seed", seed)):
+            object.__setattr__(self, name, value)
 
     __reduce__ = reduce_through_constructor
 
@@ -64,16 +56,13 @@ class SphereEmbedding:
     coords: np.ndarray
 
     def __post_init__(self):
-        coords = np.array(self.coords, dtype=float)
-        if coords.ndim != 1 or coords.size < 1:
-            raise ValueError(f"coords must be a non-empty vector, got shape {coords.shape}")
+        coords = checked_array("coords", self.coords, (None,), "a non-empty vector")
         # no entry of a unit vector exceeds 1; larger ones could overflow the norm
         if not np.all((coords >= 0.0) & (coords <= 1.0 + 1e-12)):
             raise ValueError("coords must be finite, >= 0 and <= 1")
         norm = float(np.linalg.norm(coords))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"coords norm is {norm!r}, expected 1")
-        coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
     __reduce__ = reduce_through_constructor

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import FitConfig
-from .model import Gmm, GmmEnsemble, PointCloud, _transposed, checked_spd
+from .model import Gmm, GmmEnsemble, PointCloud, _transposed, checked_array, checked_spd
 from .sampling import checked_integer, generate_point_cloud, rng_stream
 from .selection import build_ensemble, default_candidate_ks
 
@@ -151,10 +151,8 @@ def sphere_geodesic(w1: np.ndarray, w2: np.ndarray, t: float) -> np.ndarray:
     Nearly colinear endpoints (angle below 1e-8) fall back to a
     renormalized linear blend.
     """
-    u = np.asarray(w1, dtype=float)
-    v = np.asarray(w2, dtype=float)
-    _check_unit(u, "w1")
-    _check_unit(v, "w2")
+    u = _checked_unit(w1, "w1")
+    v = _checked_unit(w2, "w2")
     _check_t(t)
     dot = float(np.clip(u @ v, -1.0, 1.0))
     if dot < 0.0:
@@ -167,10 +165,12 @@ def sphere_geodesic(w1: np.ndarray, w2: np.ndarray, t: float) -> np.ndarray:
     return (math.sin((1.0 - t) * theta) * u + math.sin(t * theta) * v) / s
 
 
-def _check_unit(vec: np.ndarray, name: str):
+def _checked_unit(value, name: str) -> np.ndarray:
+    vec = checked_array(name, value, (None,), "a non-empty vector")
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"{name} must be a unit vector, norm is {norm!r}")
+    return vec
 
 
 def _check_t(t: float):

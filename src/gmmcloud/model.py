@@ -111,6 +111,21 @@ def checked_spd(matrices) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     return sym, (lam, q)
 
 
+def checked_array(name: str, value, shape: tuple, expected: str) -> np.ndarray:
+    """Read-only float copy of value, if its shape matches shape, where
+    None stands for any length >= 1, and every entry is finite; otherwise
+    ValueError naming it as "<name> must be <expected>, got shape ..." or
+    "<name> must be finite". The rule for every array the library takes."""
+    arr = np.array(value, dtype=float)
+    if arr.ndim != len(shape) or any(
+            n < 1 if want is None else n != want for n, want in zip(arr.shape, shape)):
+        raise ValueError(f"{name} must be {expected}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 def reduce_through_constructor(obj):
     """__reduce__ for the frozen array types: unpickling calls the
     constructor again, so the copy is validated and its arrays are
@@ -126,13 +141,8 @@ class PointCloud:
     label: str | None = None
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-            raise ValueError(f"points must be an (N, 3) array with N >= 1, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("point coordinates must be finite")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", checked_array(
+            "points", self.points, (None, 3), "an (N, 3) array with N >= 1"))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -145,10 +155,10 @@ class Gmm:
     """A Gaussian mixture as stacked read-only arrays.
 
     weights (K,) must be finite, >= 0 and sum to one; means (K, 3)
-    finite; covariances (K, 3, 3) SPD (see checked_spd). The input is
-    validated and copied once, here, and factor keeps the covariances'
-    read-only eigendecomposition (lam, q) that validated them. factor is
-    not a field, so a pickled copy computes it again in its constructor.
+    finite (checked_array); covariances (K, 3, 3) SPD (checked_spd).
+    The input is validated and copied once, here. factor keeps the
+    covariances' read-only eigendecomposition (lam, q) from checked_spd;
+    it is not a field, so a pickled copy computes it again.
     """
 
     weights: np.ndarray
@@ -156,30 +166,22 @@ class Gmm:
     covariances: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError(f"weights must be a non-empty (K,) vector, got shape {w.shape}")
-        bad = ~(np.isfinite(w) & (w >= 0.0))
-        if np.any(bad):
-            raise ValueError(f"component weight must be finite and >= 0, got {float(w[bad][0])}")
-        m = np.array(self.means, dtype=float)
-        if m.shape != w.shape + (3,):
-            raise ValueError(f"means must have shape {w.shape + (3,)}, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("means must be finite")
+        w = checked_array("weights", self.weights, (None,), "a non-empty (K,) vector")
+        if w.min() < 0.0:
+            raise ValueError(f"component weight must be >= 0, got {float(w.min())}")
+        k = w.shape[0]
+        m = checked_array("means", self.means, (k, 3), f"a ({k}, 3) array")
         covs = np.asarray(self.covariances, dtype=float)
-        if covs.shape != w.shape + (3, 3):
-            raise ValueError(f"covariances must have shape {w.shape + (3, 3)}, got {covs.shape}")
+        if covs.shape != (k, 3, 3):
+            raise ValueError(f"covariances must have shape {(k, 3, 3)}, got {covs.shape}")
         covs, factor = checked_spd(covs)
         total = math.fsum(w.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"component weights sum to {total!r}, expected 1")
         for arr in factor:
             arr.setflags(write=False)
-        for name, arr in (("weights", w), ("means", m), ("covariances", covs)):
-            arr.setflags(write=False)
+        for name, arr in (("weights", w), ("means", m), ("covariances", covs), ("factor", factor)):
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "factor", factor)
 
     __reduce__ = reduce_through_constructor
 

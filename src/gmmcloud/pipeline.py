@@ -20,7 +20,7 @@ import numpy as np
 
 from .em import FitConfig
 from .embedding import ClassificationMetrics, embed, evaluate, knn_classify, make_probe_set
-from .sampling import generate_point_cloud, rng_stream
+from .sampling import checked_integer, generate_point_cloud, rng_stream
 from .selection import build_ensemble, build_ensembles
 from .shapes import (DEMENTED, NONDEMENTED, STOCK_N_POINTS, make_bent_tube,
                      tube_spec_for_class)
@@ -36,6 +36,17 @@ class ExperimentConfig:
     candidate_ks: tuple[int, ...] = (2, 4, 8)
     seed: int = 0
     probe_seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+
+    def __post_init__(self):
+        checked_integer("base_shapes_per_class", self.base_shapes_per_class, 1)
+        checked_integer("n_points", self.n_points, 1)
+        for label, count in self.generated_counts.items():
+            checked_integer(f"generated_counts[{label!r}]", count, 1)
+        if not self.probe_seeds:
+            raise ValueError("probe_seeds must not be empty")
+        checked_integer("seed", self.seed)
+        for i, seed in enumerate(self.probe_seeds):
+            checked_integer(f"probe_seeds[{i}]", seed)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PointCloud
+from .model import PointCloud, checked_array
 from .sampling import checked_integer, rng_stream
 
 DEMENTED = "demented"
@@ -84,8 +84,8 @@ def add_outliers(cloud: PointCloud, fraction: float, bounds: np.ndarray,
     """Replace floor(fraction * N) random points with uniform box draws."""
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"outlier fraction must lie in [0, 1), got {fraction}")
-    box = np.asarray(bounds, dtype=float)
-    if box.shape != (2, 3) or np.any(box[1] < box[0]):
+    box = checked_array("bounds", bounds, (2, 3), "(2, 3) lo/hi rows")
+    if np.any(box[1] < box[0]):
         raise ValueError("bounds must be (2, 3) lo/hi rows with lo <= hi")
     n = len(cloud)
     count = int(fraction * n)

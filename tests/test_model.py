@@ -21,8 +21,8 @@ from conftest import (
     unit_gmm,
 )
 from gmmcloud.em import Responsibilities
-from gmmcloud.embedding import SphereEmbedding, embed, make_probe_set
-from gmmcloud.geodesics import spd_geodesic
+from gmmcloud.embedding import ProbeSet, SphereEmbedding, embed, make_probe_set
+from gmmcloud.geodesics import spd_geodesic, sphere_geodesic
 from gmmcloud.model import (
     EXP_FLOOR,
     LOG_TWO_PI,
@@ -32,6 +32,7 @@ from gmmcloud.model import (
     GmmEnsemble,
     WEIGHT_SUM_TOL,
     PointCloud,
+    checked_array,
     checked_spd,
     covariance_floor,
     ensemble_log_density,
@@ -41,6 +42,7 @@ from gmmcloud.model import (
     softmax_columns,
 )
 from gmmcloud.sampling import generate_point_cloud, rng_stream
+from gmmcloud.shapes import add_outliers
 
 STANDARD_PEAK = (2.0 * math.pi) ** -1.5
 
@@ -230,6 +232,63 @@ def test_array_types_hash_and_compare_by_identity(make):
     assert (a == a) is True
     assert (a == b) is False
     assert (a != b) is True
+
+
+def test_checked_array_returns_a_read_only_float_copy():
+    value = np.array([[1, 2, 3]])
+    arr = checked_array("points", value, (None, 3), "an (N, 3) array")
+    assert arr.dtype == float and not arr.flags.writeable
+    value[0, 0] = 7
+    np.testing.assert_array_equal(arr, [[1.0, 2.0, 3.0]])
+
+
+_UNIT_BOX = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+_TWO_COVS = np.stack([np.eye(3)] * 2)
+
+# every site that takes an array through checked_array: (the argument's
+# name, a valid value, a call that passes a value in its place)
+ARRAY_SITES = {
+    "PointCloud.points": ("points", np.eye(3), PointCloud),
+    "Gmm.weights": ("weights", np.array([0.5, 0.5]),
+                    lambda w: Gmm(w, np.zeros((2, 3)), _TWO_COVS)),
+    "Gmm.means": ("means", np.zeros((2, 3)),
+                  lambda m: Gmm(np.array([0.5, 0.5]), m, _TWO_COVS)),
+    "ProbeSet.probes": ("probes", np.full((4, 3), 0.5), lambda p: ProbeSet(p, _UNIT_BOX, 0)),
+    "ProbeSet.bounds": ("bounds", _UNIT_BOX, lambda b: ProbeSet(np.full((4, 3), 0.5), b, 0)),
+    "SphereEmbedding.coords": ("coords", np.full(4, 0.5), SphereEmbedding),
+    "Responsibilities.gamma": ("gamma", np.array([[0.5, 0.5], [1.0, 0.0]]), Responsibilities),
+    "add_outliers.bounds": ("bounds", _UNIT_BOX,
+                            lambda b: add_outliers(PointCloud(np.eye(3)), 0.5, b, 0)),
+    "sphere_geodesic.w1": ("w1", np.array([1.0, 0.0]),
+                           lambda w: sphere_geodesic(w, np.array([1.0, 0.0]), 0.5)),
+    "sphere_geodesic.w2": ("w2", np.array([1.0, 0.0]),
+                           lambda w: sphere_geodesic(np.array([1.0, 0.0]), w, 0.5)),
+}
+
+
+def _with_first(value, entry):
+    out = value.copy()
+    out.flat[0] = entry
+    return out
+
+
+# each bad value made from a site's valid one, and the message it gets
+BAD_ARRAYS = {
+    "nan": (lambda v: _with_first(v, np.nan), "finite$"),
+    "inf": (lambda v: _with_first(v, -np.inf), "finite$"),
+    "extra-axis": (lambda v: v[None], r".+, got shape \(1, "),
+    "zero-length": (lambda v: v[:0], r".+, got shape \(0"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ARRAYS)
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_every_array_site_refuses_a_bad_array_by_name(site, bad):
+    name, good, call = ARRAY_SITES[site]
+    call(good)
+    change, message = BAD_ARRAYS[bad]
+    with pytest.raises(ValueError, match=rf"^{name} must be {message}"):
+        call(change(good))
 
 
 def test_ensembles_hash_through_their_members():

@@ -1,10 +1,15 @@
-"""Held-out yardsticks of two of the paper's claims, built from library
-calls through build_ensembles at fit seed 0.
+"""Held-out yardsticks of the paper's three claims, built from library
+calls through build_ensembles or interpolate_point_clouds at fit seed 0.
 
 - Generation: the mean NLL per point that the base ensembles give fresh
   tubes of their class's stock spec. The base tubes are those of
   eval-paper-pipeline at seed 0; the fresh tubes' seeds are not the
-  pipeline's.
+  pipeline's. Also K = 8 fits of three 60 000-point demented tubes, each
+  scored on a fresh tube of the same spec, as a large fit.
+- Interpolation: interpolate_point_clouds from a nondemented to a
+  demented tube, and the mean NLL per point that each interior model, at
+  t, gives fresh tubes of the blended spec (1 - t) nondemented + t
+  demented, that is blended_spec(DEMENTED, 2t - 1).
 - Classification: 1-NN in the probe embedding between two classes moved
   toward each other (blended_spec), 5 training tubes and 30 test tubes
   per class, with clean test clouds and with 10 % of each test cloud's
@@ -29,6 +34,7 @@ import pytest
 from conftest import blended_spec
 from gmmcloud.em import FitConfig
 from gmmcloud.embedding import arc_distance, embed, knn_classify, make_probe_set
+from gmmcloud.geodesics import interpolate_point_clouds
 from gmmcloud.model import gmm_log_density
 from gmmcloud.selection import DEFAULT_CANDIDATE_KS, build_ensembles
 from gmmcloud.shapes import (DEMENTED, NONDEMENTED, add_outliers, make_bent_tube,
@@ -52,6 +58,13 @@ MARGIN_TOLERANCE = 0.01
 
 # Ks -> held-out NLL per point
 GENERATION_NLL = {PIPELINE_KS: 4.9644, DEFAULT_CANDIDATE_KS: 5.2373}
+LARGE_N_POINTS = 60_000
+LARGE_FIT_NLL = 4.9750
+INTERPOLATION_TS = (0.25, 0.5, 0.75)
+INTERPOLATION_PAIRS = 4
+# fit seeds 1 and 2 score 5.2286 and 5.4882: the EM optima move it more
+# than NLL_TOLERANCE either way
+INTERPOLATION_NLL = 5.4404
 # (sep, test outliers) -> (accuracy, median relative margin)
 CLASSIFICATION = {
     (0.15, False): (0.8367, 0.0596),
@@ -77,6 +90,33 @@ def test_generation_held_out_nll(ks):
            for tube in fresh if tube.label == cloud.label]
     mean = float(np.mean(nll))
     assert mean <= GENERATION_NLL[ks] + NLL_TOLERANCE, mean
+
+
+def test_large_fit_held_out_nll():
+    # tube seeds 8500-8502 fitted, 8600-8602 scored
+    spec = tube_spec_for_class(DEMENTED, n_points=LARGE_N_POINTS)
+    fits = build_ensembles([make_bent_tube(spec, 8500 + s) for s in range(3)], (8,), FIT)
+    mean = float(np.mean([-np.mean(gmm_log_density(make_bent_tube(spec, 8600 + s).points, e))
+                          for s, (e, _) in enumerate(fits)]))
+    assert mean <= LARGE_FIT_NLL + NLL_TOLERANCE, mean
+
+
+def test_interpolation_held_out_nll():
+    # pair p: tube seeds 8000 + p and 8100 + p; the fresh tubes of its
+    # i-th t: 8200 + 100p + 10i + j. The interpolate workload's pairs take
+    # tube seeds 2s and 2s + 1, 7000-7279 at the seeds its records use.
+    nll = []
+    for p in range(INTERPOLATION_PAIRS):
+        x = make_bent_tube(tube_spec_for_class(NONDEMENTED), 8000 + p)
+        y = make_bent_tube(tube_spec_for_class(DEMENTED), 8100 + p)
+        result = interpolate_point_clouds(x, y, ts=INTERPOLATION_TS, seed=0)
+        for i, (t, model) in enumerate(zip(result.ts, result.models)):
+            spec = blended_spec(DEMENTED, 2.0 * t - 1.0)
+            nll.extend(-float(np.mean(gmm_log_density(
+                make_bent_tube(spec, 8200 + 100 * p + 10 * i + j).points, model)))
+                for j in range(5))
+    mean = float(np.mean(nll))
+    assert mean <= INTERPOLATION_NLL + NLL_TOLERANCE, mean
 
 
 def classification_figures(train, train_ensembles, test, test_ensembles):
