@@ -22,7 +22,7 @@ from .model import (
     reduce_through_constructor,
     softmax_columns,
 )
-from .sampling import checked_integer, rng_stream
+from .sampling import checked_integer, checked_real, rng_stream
 
 PROBE_COUNT = 1000
 INFLATE_FRACTION = 0.05
@@ -70,7 +70,9 @@ class SphereEmbedding:
 
 def inflated_bounds(clouds, margin_fraction: float = INFLATE_FRACTION) -> np.ndarray:
     """Joint bounding box of the clouds, padded per side by a fraction of
-    each axis extent. A zero-extent axis is padded half a unit per side."""
+    each axis extent, finite and >= 0. A zero-extent axis is padded half a
+    unit per side."""
+    margin_fraction = checked_real("margin_fraction", margin_fraction, 0.0)
     pts = np.vstack([c.points for c in clouds])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)

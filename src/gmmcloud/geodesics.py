@@ -28,7 +28,7 @@ import numpy as np
 
 from .em import FitConfig
 from .model import Gmm, GmmEnsemble, PointCloud, _transposed, checked_array, checked_spd
-from .sampling import checked_integer, generate_point_cloud, rng_stream
+from .sampling import checked_integer, generate_point_cloud, is_real, rng_stream
 from .selection import build_ensemble, default_candidate_ks
 
 COLINEAR_THETA = 1e-8
@@ -153,7 +153,7 @@ def sphere_geodesic(w1: np.ndarray, w2: np.ndarray, t: float) -> np.ndarray:
     """
     u = _checked_unit(w1, "w1")
     v = _checked_unit(w2, "w2")
-    _check_t(t)
+    t = _check_t(t)
     dot = float(np.clip(u @ v, -1.0, 1.0))
     if dot < 0.0:
         raise ValueError(f"endpoints must satisfy w1 . w2 >= 0, got {dot!r}")
@@ -173,9 +173,11 @@ def _checked_unit(value, name: str) -> np.ndarray:
     return vec
 
 
-def _check_t(t: float):
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"interpolation parameter must lie in [0, 1], got {t}")
+def _check_t(t) -> float:
+    """t as a float, if it is a real number (is_real) in [0, 1]."""
+    if not (is_real(t) and 0.0 <= t <= 1.0):
+        raise ValueError(f"interpolation parameter must lie in [0, 1], got {t!r}")
+    return float(t)
 
 
 def _check_shapes(s1: np.ndarray, s2: np.ndarray):
@@ -200,7 +202,7 @@ def _covariance_geodesic(s1: np.ndarray, factor1, s2: np.ndarray, factor2,
                          t: float) -> np.ndarray:
     """The walk between validated covariances (or equal stacks) and their
     factors: from S1's side up to t = 1/2, from S2's side beyond."""
-    _check_t(t)
+    t = _check_t(t)
     _check_shapes(s1, s2)
     if t in (0.0, 1.0):
         return (s2 if t else s1).copy()
@@ -266,11 +268,9 @@ def interpolate_point_clouds(x: PointCloud, y: PointCloud, ts=DEFAULT_TS,
     mean distances, and one cloud is sampled per requested t with an
     independent stream per frame. seed drives the fits and the frames.
     """
-    ts = tuple(float(t) for t in ts)
+    ts = tuple(_check_t(t) for t in ts)
     if not ts:
         raise ValueError("need at least one interpolation parameter")
-    for t in ts:
-        _check_t(t)
     n_out = checked_integer("output cloud size", len(x) if n_out is None else n_out, 1)
     fit = FitConfig(seed=seed)
     ks_x = default_candidate_ks(len(x)) if candidate_ks is None else candidate_ks

@@ -21,7 +21,8 @@ import tempfile
 from array import array
 from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from . import em
 from .embedding import ProbeSet, SphereEmbedding
 from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud
 from .sampling import is_integer
-from .selection import AicRow, AicTable
+from .selection import AicTable, akaike_weights, member_probabilities
 
 SCHEMA_VERSION = "1"
 
@@ -204,8 +205,15 @@ def _gmm_to_obj(model: Gmm):
 
 
 def _gmm_from_obj(obj, offset) -> Gmm:
-    model = Gmm(obj["weights"], obj["means"], obj["covariances"])
-    return model if offset is None else Gmm(model.weights, model.means + offset, model.covariances)
+    """A stored mixture, built once, its means shifted by offset when
+    given; means of another shape than (K, 3) reach Gmm unshifted, and
+    its message names them."""
+    means = obj["means"]
+    if offset is not None:
+        means = np.array(means, dtype=float)
+        if means.ndim == 2 and means.shape[1] == 3:
+            means = means + offset
+    return Gmm(obj["weights"], means, obj["covariances"])
 
 
 def _center_offset(meta, path: str) -> np.ndarray | None:
@@ -222,8 +230,9 @@ def _center_offset(meta, path: str) -> np.ndarray | None:
 
 def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
                metadata: FitMetadata):
-    """Write a model file, a NumPy integer seed as an int. Metadata that
-    load_model would refuse raises its error; nothing is written."""
+    """Write a model file, a NumPy integer seed as an int. Metadata, a
+    table or member probabilities that load_model would refuse raise its
+    error; nothing is written."""
     meta = {
         "seed": metadata.seed,
         "rel_tolerance": em.REL_TOLERANCE,
@@ -234,6 +243,8 @@ def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
         "label": metadata.label,
     }
     meta["seed"] = _fit_metadata(meta, path).seed
+    _checked_table(path, [astuple(r) for r in aic_table.rows],
+                   [(m.model.k, m.weight) for m in ensemble.members])
     _save_json(path, "model_file", {
         "ensemble": [
             {"p": m.weight, "model": _gmm_to_obj(m.model)} for m in ensemble.members
@@ -285,18 +296,38 @@ def _fields_of(path: str):
 
 def load_model(path: str) -> ModelFile:
     """Read a model file; every member's means come back in the cloud's
-    own frame, with a stored center_offset added to them."""
+    own frame, with a stored center_offset added to them. Its table and
+    member probabilities are checked against their recomputation from
+    its AIC scores (_checked_table)."""
     obj = _load_json(path, "model_file")
     with _fields_of(path):
         meta = obj["metadata"]
         offset = _center_offset(meta, path)
-        ensemble = GmmEnsemble(tuple(
-            EnsembleMember(m["p"], _gmm_from_obj(m["model"], offset)) for m in obj["ensemble"]
-        ))
-        table = AicTable(tuple(
-            AicRow(r["k"], r["aic"], r["normalized"], r["kept"]) for r in obj["aic_table"]
-        ))
+        members = [(m["p"], _gmm_from_obj(m["model"], offset)) for m in obj["ensemble"]]
+        table = _checked_table(path, [(r["k"], r["aic"], r["normalized"], r["kept"])
+                                      for r in obj["aic_table"]], [(g.k, p) for p, g in members])
+        ensemble = GmmEnsemble(tuple(EnsembleMember(p, g) for p, g in members))
         return ModelFile(obj["schema_version"], ensemble, table, _fit_metadata(meta, path))
+
+
+def _checked_table(path: str, rows, members) -> AicTable:
+    """akaike_weights of the rows' (k, aic) pairs, if every row (k, aic,
+    normalized, kept) is the one it computes and the members' (K, p) are
+    its member_probabilities, in order; otherwise FileFormatError naming
+    the row or member. A stored value is a bool exactly where the computed
+    one is: True == 1.0 in Python, not in a model file."""
+    try:
+        table = akaike_weights((k, aic) for k, aic, _, _ in rows)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: aic_table: {exc}") from None
+    for what, stored, computed in (
+            ("aic_table row {} (k, aic, normalized, kept)", rows, map(astuple, table.rows)),
+            ("member {} (K, p)", members, member_probabilities(table))):
+        for i, (got, want) in enumerate(zip_longest(stored, computed, fillvalue=())):
+            if [(type(v) is bool, v) for v in got] != [(type(v) is bool, v) for v in want]:
+                raise FileFormatError(f"{path}: {what.format(i)} is {got or 'absent'}, "
+                                      f"but the AIC scores give {want or 'none'}")
+    return table
 
 
 def _check_fields(path: str, owner: str, checks):

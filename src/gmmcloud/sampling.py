@@ -11,6 +11,8 @@ runs no eigh and validates nothing again.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import Gmm, GmmEnsemble, PointCloud, flat_mixture
@@ -30,6 +32,22 @@ def checked_integer(name: str, value, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def is_real(value) -> bool:
+    """Whether value is an int, a float or a NumPy integer or float, not
+    a bool: the rule for real arguments."""
+    return is_integer(value) or isinstance(value, (float, np.floating))
+
+
+def checked_real(name: str, value, least: float | None = None) -> float:
+    """value as a float, if is_real holds, it is finite and it is at
+    least least (when given); otherwise ValueError naming it."""
+    if not (is_real(value) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return float(value)
 
 
 def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:

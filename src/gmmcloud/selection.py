@@ -7,7 +7,9 @@ the selection probabilities p_k. build_ensemble fits one cloud's
 candidates one K at a time with fit_em; build_ensembles fits many clouds
 at all their Ks with one fit_em_candidates call, which prepares each
 cloud once for every K. Both score, warn and assemble through the same
-code, so each cloud gets the same ensemble either way.
+code, so each cloud gets the same ensemble either way. akaike_weights
+and member_probabilities are the only code that derives weights, keep
+flags and p_k from AIC scores; io checks every model file against them.
 """
 
 from __future__ import annotations
@@ -34,21 +36,9 @@ class AicRow:
 
 @dataclass(frozen=True)
 class AicTable:
-    """Per-candidate AIC scores and normalized Akaike weights."""
+    """Per-candidate AIC scores and normalized Akaike weights, unchecked."""
 
     rows: tuple[AicRow, ...]
-
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        if len(rows) < 1:
-            raise ValueError("an AIC table needs at least one row")
-        best = min(r.aic for r in rows)
-        for r in rows:
-            if r.aic == best and r.normalized != 1.0:
-                raise ValueError("the minimum-AIC row must have normalized weight 1")
-            if r.kept != (r.normalized > KEEP_THRESHOLD):
-                raise ValueError(f"kept flag inconsistent with threshold for K={r.k}")
-        object.__setattr__(self, "rows", rows)
 
 
 def parameter_count(k: int) -> int:
@@ -80,11 +70,14 @@ def akaike_weights(scores) -> AicTable:
     if any(not math.isfinite(a) for _, a in pairs):
         raise ValueError("AIC scores must be finite")
     best = min(a for _, a in pairs)
-    rows = []
-    for k, a in pairs:
-        normalized = math.exp((best - a) / 2.0)
-        rows.append(AicRow(k, a, normalized, normalized > KEEP_THRESHOLD))
-    return AicTable(tuple(rows))
+    weighted = [(k, a, math.exp((best - a) / 2.0)) for k, a in pairs]
+    return AicTable(tuple(AicRow(k, a, w, w > KEEP_THRESHOLD) for k, a, w in weighted))
+
+
+def member_probabilities(table: AicTable) -> list[tuple[int, float]]:
+    """(K, p_K) of the kept rows, in order: their weights renormalized."""
+    total = math.fsum(r.normalized for r in table.rows if r.kept)
+    return [(r.k, r.normalized / total) for r in table.rows if r.kept]
 
 
 def default_candidate_ks(n: int) -> tuple[int, ...]:
@@ -101,10 +94,9 @@ def ensemble_from_scored_models(scored) -> tuple[GmmEnsemble, AicTable]:
     """
     triples = sorted(scored, key=lambda t: t[0])
     table = akaike_weights([(k, a) for k, a, _ in triples])
-    kept = [(row, model) for row, (_, _, model) in zip(table.rows, triples) if row.kept]
-    total = math.fsum(row.normalized for row, _ in kept)
-    members = tuple(EnsembleMember(row.normalized / total, model) for row, model in kept)
-    return GmmEnsemble(members), table
+    kept = [model for row, (_, _, model) in zip(table.rows, triples) if row.kept]
+    return GmmEnsemble(tuple(EnsembleMember(p, model) for (_, p), model
+                             in zip(member_probabilities(table), kept))), table
 
 
 def _checked_ks(candidate_ks, clouds) -> list[int]:

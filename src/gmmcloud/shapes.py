@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PointCloud, checked_array
-from .sampling import checked_integer, rng_stream
+from .sampling import checked_integer, checked_real, rng_stream
 
 DEMENTED = "demented"
 NONDEMENTED = "nondemented"
@@ -40,6 +40,9 @@ class TubeSpec:
     class_label: str | None = None
 
     def __post_init__(self):
+        for name in ("arc_radius", "bend_angle", "tube_radius"):
+            checked_real(name, getattr(self, name))
+        checked_real("noise_sigma", self.noise_sigma, 0.0)
         if not self.arc_radius > 0.0:
             raise ValueError(f"arc_radius must be > 0, got {self.arc_radius}")
         if not 0.0 < self.bend_angle <= 2.0 * math.pi:
@@ -47,8 +50,6 @@ class TubeSpec:
         if not 0.0 <= self.tube_radius < self.arc_radius:
             raise ValueError(
                 f"tube_radius must satisfy 0 <= r < arc_radius, got {self.tube_radius}")
-        if self.noise_sigma < 0.0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         checked_integer("n_points", self.n_points, 1)
 
 

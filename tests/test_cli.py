@@ -209,11 +209,14 @@ def test_fit_in_a_shell_prints_one_stderr_line(six_point_cloud, tmp_path, ks, ex
 
 
 OFFSET = [1000.0, -5.0, 20.0]
-# members K = 1 (p 0.4) and K = 2 (p 0.6), means relative to OFFSET
+# members K = 1 and K = 2 at AIC 100 and 100.8, means relative to OFFSET
 CENTRED_MEANS = ([[0.5, -1.0, 0.25]], [[-2.0, 0.0, 1.0], [1.5, 0.5, -0.75]])
+# K = 2's Akaike weight, and the members' p: the two weights renormalized
+NORMALIZED_2 = math.exp((100.0 - 100.8) / 2.0)
+PS = tuple(w / math.fsum([1.0, NORMALIZED_2]) for w in (1.0, NORMALIZED_2))
 
 
-def write_schema_1_model(path, means, center_offset):
+def write_schema_1_model(path, means, center_offset, normalized_2=NORMALIZED_2, ps=PS):
     """A hand-written schema "1" model file whose member means are stored
     relative to center_offset (None: in the cloud's own frame)."""
     covariances = ([np.diag([1.0, 2.0, 0.5]).tolist()],
@@ -222,10 +225,9 @@ def write_schema_1_model(path, means, center_offset):
         "schema_version": "1",
         "kind": "model_file",
         "ensemble": [{"p": p, "model": {"weights": w, "means": m, "covariances": c}}
-                     for p, w, m, c in zip((0.4, 0.6), ([1.0], [0.25, 0.75]), means,
-                                           covariances)],
+                     for p, w, m, c in zip(ps, ([1.0], [0.25, 0.75]), means, covariances)],
         "aic_table": [{"k": 1, "aic": 100.0, "normalized": 1.0, "kept": True},
-                      {"k": 2, "aic": 100.8, "normalized": 0.67, "kept": True}],
+                      {"k": 2, "aic": 100.8, "normalized": normalized_2, "kept": True}],
         "metadata": {"seed": 0, "rel_tolerance": 1e-6, "max_iterations": 200,
                      "kmeans_restarts": 4, "candidate_ks": [1, 2], "training_n": 300,
                      "label": "demented", "center_offset": center_offset},
@@ -267,6 +269,19 @@ def test_centred_model_file_samples_in_its_cloud_frame(centred_and_plain_models,
     points = read_point_cloud(outs[0]).points
     assert np.all(np.abs(points.mean(axis=0) - OFFSET) < 2.0)
     assert read_bytes(outs[0]) == read_bytes(outs[1])
+
+
+def test_model_file_with_weights_off_its_aics_is_a_one_line_error(tmp_path):
+    # 0.67 and p 0.4 / 0.6 where the AICs give 0.6703 and 0.5987 / 0.4013
+    path = str(tmp_path / "off.json")
+    write_schema_1_model(path, CENTRED_MEANS, OFFSET, normalized_2=0.67, ps=(0.4, 0.6))
+    out = str(tmp_path / "out.xyz")
+    result = runner.invoke(main, ["sample", path, "-o", out], catch_exceptions=False)
+    assert result.exit_code == 1
+    assert result.stderr == (
+        f"Error: {path}: aic_table row 1 (k, aic, normalized, kept) is (2, 100.8, 0.67, True), "
+        f"but the AIC scores give (2, 100.8, {NORMALIZED_2!r}, True)\n")
+    assert not os.path.exists(out)
 
 
 def test_interpolate_writes_frames_and_filmstrip(workspace, tmp_path):

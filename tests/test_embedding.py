@@ -62,6 +62,14 @@ def test_inflated_bounds_joint_over_clouds():
     np.testing.assert_allclose(bounds[1], [3.15, 1.05, 1.05], atol=1e-15)
 
 
+def test_inflated_bounds_margin_is_a_finite_real_at_least_zero():
+    np.testing.assert_array_equal(inflated_bounds([UNIT_BOX], margin_fraction=0.0),
+                                  [[0.0] * 3, [1.0] * 3])
+    for bad in (math.nan, math.inf, -0.01, True, "0.05", None):
+        with pytest.raises(ValueError, match="^margin_fraction must be "):
+            inflated_bounds([UNIT_BOX], margin_fraction=bad)
+
+
 def test_degenerate_axis_padded_half_unit():
     flat = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
     bounds = inflated_bounds([flat])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -485,6 +486,28 @@ def test_product_geodesic_rejects_mismatched_k():
         spd_distance(np.eye(3), np.stack([np.eye(3), 2.0 * np.eye(3)]))
 
 
+@pytest.mark.parametrize("t", ["0.5", True, False, None, np.bool_(True), [0.5]],
+                         ids=["string", "true", "false", "none", "numpy-bool", "list"])
+def test_geodesics_refuse_a_t_that_is_no_real_number(t):
+    rng = np.random.default_rng(23)
+    a, b = random_gmm(rng, 2), random_gmm(rng, 2)
+    message = re.escape(f"interpolation parameter must lie in [0, 1], got {t!r}")
+    with pytest.raises(ValueError, match=message):
+        product_geodesic(a, b, t)
+    with pytest.raises(ValueError, match=message):
+        spd_geodesic(a.covariances, b.covariances, t)
+
+
+def test_geodesics_take_a_numpy_t_as_its_float():
+    rng = np.random.default_rng(24)
+    a, b = random_gmm(rng, 2), random_gmm(rng, 2)
+    for t in (np.float64(0.3), np.float32(0.3), np.float16(0.5)):
+        got, want = product_geodesic(a, b, t), product_geodesic(a, b, float(t))
+        for name in ("weights", "means", "covariances"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == np.float64
+
+
 # -------------------------------------------------------- interpolation
 
 
@@ -537,3 +560,8 @@ def test_interpolate_validates_arguments():
         interpolate_point_clouds(cloud, cloud, ts=(0.5,), n_out=0, candidate_ks=(2,))
     with pytest.raises(ValueError, match="at least one candidate"):
         interpolate_point_clouds(cloud, cloud, ts=(0.5,), candidate_ks=())
+    # a t is a real number, never coerced: not a string, not a bool
+    for ts, bad in [(("0.5", True), "'0.5'"), ((0.5, True), "True")]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"interpolation parameter must lie in [0, 1], got {bad}")):
+            interpolate_point_clouds(cloud, cloud, ts=ts, candidate_ks=(2,))

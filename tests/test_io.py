@@ -9,6 +9,7 @@ import stat
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +427,36 @@ def test_model_file_center_offset_shifts_every_member(tmp_path):
         np.testing.assert_array_equal(got.model.covariances, expected.model.covariances)
 
 
+@pytest.mark.parametrize("means, message", [
+    (None, None),
+    ([[0.0, 0.0], [1.0, 1.0]], "means must be a (2, 3) array, got shape (2, 2)"),
+    ([[0.0, 0.0, 0.0]], "means must be a (2, 3) array, got shape (1, 3)"),
+    ([0.0, 0.0, 0.0], "means must be a (2, 3) array, got shape (3,)"),
+    ([[math.inf, 0.0, 0.0], [0.0, 0.0, 0.0]], "means must be finite"),
+], ids=["well-formed", "two-columns", "one-row", "flat", "infinite"])
+def test_model_file_center_offset_builds_each_member_once(tmp_path, monkeypatch, means,
+                                                          message):
+    path = str(tmp_path / "model.json")
+    ensemble, table = two_member_ensemble()
+    save_model(path, ensemble, table, FitMetadata(0, (1, 2), 5))
+    obj = json.loads(Path(path).read_text())
+    offset = [1000.0, -math.pi, 0.1]
+    obj["metadata"]["center_offset"] = offset
+    if means is not None:
+        obj["ensemble"][1]["model"]["means"] = means
+    Path(path).write_text(json.dumps(obj))
+    built = []
+    monkeypatch.setattr("gmmcloud.io.Gmm", lambda *args: built.append(args) or Gmm(*args))
+    if message is None:
+        loaded = load_model(path)
+        assert len(built) == 2
+        for got, expected in zip(loaded.ensemble.members, ensemble.members):
+            np.testing.assert_array_equal(got.model.means, expected.model.means + offset)
+    else:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(path)
+
+
 def test_model_file_rejects_wrong_kind_and_schema(tmp_path):
     probe_path = str(tmp_path / "probes.json")
     save_probe_set(probe_path, make_probe_set([messy_cloud()], seed=0, count=5))
@@ -550,6 +581,116 @@ def test_save_model_writes_a_numpy_integer_seed_as_an_int(tmp_path):
     assert json.loads(Path(path).read_text())["metadata"]["seed"] == 7
     seed = load_model(path).metadata.seed
     assert type(seed) is int and seed == 7
+
+
+def _with_row(**fields):
+    """Set fields of a model file's aic_table rows, each given as {index: value}."""
+    def change(obj):
+        for name, values in fields.items():
+            for i, value in values.items():
+                obj["aic_table"][i][name] = value
+        return obj
+    return change
+
+
+def _with_p(*ps):
+    def change(obj):
+        for member, p in zip(obj["ensemble"], ps):
+            member["p"] = p
+        return obj
+    return change
+
+
+def _with_dropped_row(normalized):
+    """A third row, K = 4 at AIC 120, whose weight exp(-10) is dropped."""
+    def change(obj):
+        obj["aic_table"].append({"k": 4, "aic": 120.0, "normalized": normalized, "kept": False})
+        return obj
+    return change
+
+
+def _with_members(order):
+    return lambda obj: {**obj, "ensemble": [obj["ensemble"][i] for i in order]}
+
+
+P1 = 1.0 / (1.0 + math.exp(-1.0))
+
+
+@pytest.mark.parametrize("change, message", [
+    (_with_dropped_row(0.005), "aic_table row 2 (k, aic, normalized, kept) is (4, 120.0, 0.005, "
+                               f"False), but the AIC scores give (4, 120.0, {math.exp(-10.0)!r}"),
+    (_with_row(normalized={1: 0.37}), "aic_table row 1 (k, aic, normalized, kept) is "
+                                      "(2, 102.0, 0.37, True)"),
+    (_with_row(normalized={0: True}), "aic_table row 0"),
+    (_with_row(normalized={0: "1.0"}), "aic_table row 0"),
+    (_with_row(kept={0: 1}), "aic_table row 0 (k, aic, normalized, kept) is (1, 100.0, 1.0, 1)"),
+    (_with_row(kept={1: False}), "aic_table row 1"),
+    (_with_row(aic={1: "102.0"}), "aic_table row 1"),
+    (_with_row(aic={0: True, 1: 3.0}), "aic_table row 0 (k, aic, normalized, kept) is "
+                                       "(1, True, 1.0, True)"),
+    (_with_row(aic={1: float("nan")}), "aic_table: AIC scores must be finite"),
+    (_with_row(k={1: True}), "aic_table: component count must be an integer, got True"),
+    (lambda obj: {**obj, "aic_table": []}, "aic_table: need at least one (K, AIC) pair"),
+    (_with_p(True), "member 0 (K, p) is (1, True), but the AIC scores give "
+                    f"(1, {P1!r})"),
+    (_with_p(1.0 - P1, P1), f"member 0 (K, p) is (1, {1.0 - P1!r})"),
+    (_with_p(0.5, 0.5), "member 0"),
+    (_with_members([1, 0]), "member 0 (K, p) is (2, "),
+    (_with_members([0]), "member 1 (K, p) is absent, but the AIC scores give "
+                         f"(2, {1.0 - P1!r})"),
+    (_with_row(aic={1: 100.0}), "aic_table row 1 (k, aic, normalized, kept) is (2, 100.0, "
+                                f"{math.exp(-1.0)!r}, True), but the AIC scores give "
+                                "(2, 100.0, 1.0, True)"),
+], ids=["dropped-normalized", "kept-normalized", "normalized-true", "normalized-string",
+        "kept-one", "kept-flipped", "aic-string", "aic-true", "aic-nan", "k-true",
+        "no-rows", "p-true", "p-swapped", "p-uneven", "members-swapped", "member-missing",
+        "aic-changed"])
+def test_model_file_refuses_weights_that_do_not_follow_from_its_aics(tmp_path, change, message):
+    path = str(tmp_path / "model.json")
+    ensemble, table = two_member_ensemble()
+    save_model(path, ensemble, table, FitMetadata(0, (1, 2), 5))
+    obj = change(json.loads(Path(path).read_text()))
+    Path(path).write_text(json.dumps(obj))
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
+        load_model(path)
+
+
+def test_model_file_loads_a_dropped_row_and_number_types(tmp_path):
+    # what the check allows: an int where a float is computed, and a row
+    # below the threshold whose weight is exp(-10)
+    path = str(tmp_path / "model.json")
+    ensemble, table = two_member_ensemble()
+    save_model(path, ensemble, table, FitMetadata(0, (1, 2), 5))
+    obj = _with_dropped_row(math.exp(-10.0))(json.loads(Path(path).read_text()))
+    obj["aic_table"][0].update(aic=100, normalized=1)
+    Path(path).write_text(json.dumps(obj))
+    loaded = load_model(path)
+    assert [astuple(r) for r in loaded.aic_table.rows] == [
+        (1, 100.0, 1.0, True), (2, 102.0, math.exp(-1.0), True),
+        (4, 120.0, math.exp(-10.0), False)]
+    assert type(loaded.aic_table.rows[0].aic) is float
+    assert [m.weight for m in loaded.ensemble.members] == [m.weight for m in ensemble.members]
+
+
+@pytest.mark.parametrize("rows, weights, message", [
+    ([(1, 100.0, 1.0, True), (2, 102.0, 0.37, True)], None, "aic_table row 1"),
+    ([(1, 100.0, 1.0, True), (4, 102.0, math.exp(-1.0), True)], None,
+     "member 1 (K, p) is (2, "),
+    ([(1, 100.0, 1.0, True), (2, 102.0, math.exp(-1.0), True)], (0.5, 0.5), "member 0"),
+    ([(1, 100.0, 1.0, True), (2, 102.0, math.exp(-1.0), True), (4, 101.0, 0.0, False)],
+     None, "aic_table row 2"),
+], ids=["normalized", "member-ks-1-2-kept-ks-1-4", "p", "row-stored-as-dropped"])
+def test_save_model_refuses_an_ensemble_its_table_does_not_give(tmp_path, rows, weights,
+                                                                 message):
+    ensemble, _ = two_member_ensemble()
+    if weights is not None:
+        ensemble = GmmEnsemble(tuple(EnsembleMember(w, m.model)
+                                     for w, m in zip(weights, ensemble.members)))
+    path = str(tmp_path / "model.json")
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
+        save_model(path, ensemble, AicTable(tuple(AicRow(*r) for r in rows)),
+                   FitMetadata(0, (1, 2), 5))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_probe_and_embedding_files_reject_malformed_json(tmp_path):

@@ -1,7 +1,12 @@
 """AIC scoring, Akaike weights, and ensemble assembly."""
 
+import json
 import math
+import os
+import re
 import warnings
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import FLOOR_TEST_TOL, recovery_cloud
 from gmmcloud.em import FitConfig, FitError, _sorted_points
 from gmmcloud.embedding import embed, inflated_bounds, make_probe_set
+from gmmcloud.io import FileFormatError, FitMetadata, load_model, save_model
 from gmmcloud.model import Gmm, PointCloud, covariance_floor
 from gmmcloud.sampling import generate_point_cloud, rng_stream
 from gmmcloud.selection import (
@@ -95,13 +101,28 @@ def test_akaike_weights_rejects_bad_input():
         akaike_weights([(1, math.nan)])
 
 
-def test_aic_table_validation():
-    with pytest.raises(ValueError, match="an AIC table needs at least one row"):
-        AicTable(())
-    with pytest.raises(ValueError, match="minimum"):
-        AicTable((AicRow(1, 100.0, 0.9, True),))
-    with pytest.raises(ValueError, match="kept"):
-        AicTable((AicRow(1, 100.0, 1.0, True), AicRow(2, 102.0, math.exp(-1.0), False)))
+def test_aic_table_validation(tmp_path):
+    # AicTable checks nothing itself: a model file's table must be the one
+    # akaike_weights computes from its AICs, when written and when read
+    ensemble, good = ensemble_from_scored_models([(1, 100.0, point_model(0.0))])
+    metadata = FitMetadata(0, (1, 2), 5)
+    for case, (rows, message) in enumerate([
+        ((), "aic_table: need at least one (K, AIC) pair"),
+        ((AicRow(1, 100.0, 0.9, True),), "aic_table row 0"),
+        ((AicRow(1, 100.0, 1.0, True), AicRow(2, 102.0, math.exp(-1.0), False)),
+         "aic_table row 1"),
+    ]):
+        path = str(tmp_path / f"model_{case}.json")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
+            save_model(path, ensemble, AicTable(rows), metadata)
+        assert not os.path.exists(path)
+        save_model(path, ensemble, good, metadata)
+        obj = json.loads(Path(path).read_text())
+        obj["aic_table"] = [dict(zip(("k", "aic", "normalized", "kept"), astuple(r)))
+                            for r in rows]
+        Path(path).write_text(json.dumps(obj))
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
 
 
 def test_ensemble_from_scored_models_renormalizes():

@@ -37,9 +37,14 @@ def test_tube_spec_validation():
     for field, bad in [("arc_radius", 0.0), ("bend_angle", 0.0),
                        ("bend_angle", 2.0 * math.pi + 1e-9),
                        ("tube_radius", -0.1), ("tube_radius", 10.0),
-                       ("noise_sigma", -0.01), ("n_points", 0)]:
-        with pytest.raises(ValueError):
+                       ("noise_sigma", -0.01), ("n_points", 0),
+                       ("noise_sigma", math.nan), ("noise_sigma", math.inf),
+                       ("arc_radius", math.inf), ("arc_radius", True), ("bend_angle", True),
+                       ("tube_radius", False), ("noise_sigma", "0.1"), ("n_points", True)]:
+        with pytest.raises(ValueError, match=f"^{field} must "):
             TubeSpec(**{**good, field: bad})
+    # NumPy reals are reals
+    TubeSpec(**{**good, "arc_radius": np.float32(10.0), "noise_sigma": np.int64(0)})
     # a degenerate centerline arc is a valid shape
     TubeSpec(**{**good, "tube_radius": 0.0, "noise_sigma": 0.0})
 
