@@ -31,8 +31,6 @@ from .geodesics import (
     match_components,
     product_geodesic,
     project_to_k,
-    spd_geodesic,
-    sphere_geodesic,
 )
 from .model import (
     DegenerateCovarianceError,
@@ -94,7 +92,5 @@ __all__ = [
     "product_geodesic",
     "project_to_k",
     "rng_stream",
-    "spd_geodesic",
-    "sphere_geodesic",
     "tube_spec_for_class",
 ]

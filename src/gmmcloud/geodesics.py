@@ -12,11 +12,11 @@ and one SVD U diag(sigma) V^T of B = A1^(-1) A2, which needs no whitened
 matrix: the walk is A1 U diag(sigma^(2t)) (A1 U)^T from S1's side for
 t <= 1/2 and A2 V diag(sigma^(2t-2)) (A2 V)^T from S2's side beyond, the
 distance 2 ||log sigma||. t = 0 and 1 return the endpoints as they are.
-product_geodesic maps two mixtures (Gmm) to the mixture at t, reading
-the factors they keep (Gmm.factor), and does the square-root lift of the
-weights itself. Mixtures of unequal size are first reduced to a common K
-by moment-preserving merges and then aligned by an optimal component
-matching on mean distances.
+product_geodesic, the one geodesic, maps two mixtures (Gmm) of equal K
+to the mixture at t, reading the factors they keep (Gmm.factor), and
+does the square-root lift of the weights itself. Mixtures of unequal
+size are first reduced to a common K by moment-preserving merges and
+then aligned by an optimal component matching on mean distances.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import FitConfig
-from .model import Gmm, GmmEnsemble, PointCloud, _transposed, checked_array, checked_spd
+from .model import Gmm, GmmEnsemble, PointCloud, _transposed
 from .sampling import checked_integer, generate_point_cloud, is_real, rng_stream
 from .selection import build_ensemble, default_candidate_ks
 
@@ -145,44 +145,11 @@ def reorder_components(model: Gmm, perm) -> Gmm:
     return Gmm(model.weights[perm], model.means[perm], model.covariances[perm])
 
 
-def sphere_geodesic(w1: np.ndarray, w2: np.ndarray, t: float) -> np.ndarray:
-    """Slerp between two unit vectors with non-negative dot product.
-
-    Nearly colinear endpoints (angle below 1e-8) fall back to a
-    renormalized linear blend.
-    """
-    u = _checked_unit(w1, "w1")
-    v = _checked_unit(w2, "w2")
-    t = _check_t(t)
-    dot = float(np.clip(u @ v, -1.0, 1.0))
-    if dot < 0.0:
-        raise ValueError(f"endpoints must satisfy w1 . w2 >= 0, got {dot!r}")
-    theta = math.acos(dot)
-    if theta < COLINEAR_THETA:
-        blend = (1.0 - t) * u + t * v
-        return blend / np.linalg.norm(blend)
-    s = math.sin(theta)
-    return (math.sin((1.0 - t) * theta) * u + math.sin(t * theta) * v) / s
-
-
-def _checked_unit(value, name: str) -> np.ndarray:
-    vec = checked_array(name, value, (None,), "a non-empty vector")
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be a unit vector, norm is {norm!r}")
-    return vec
-
-
 def _check_t(t) -> float:
     """t as a float, if it is a real number (is_real) in [0, 1]."""
     if not (is_real(t) and 0.0 <= t <= 1.0):
         raise ValueError(f"interpolation parameter must lie in [0, 1], got {t!r}")
     return float(t)
-
-
-def _check_shapes(s1: np.ndarray, s2: np.ndarray):
-    if s1.shape != s2.shape:
-        raise ValueError(f"covariance shapes differ: {s1.shape} vs {s2.shape}")
 
 
 def _pencil(factor1, factor2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,28 +165,6 @@ def _pencil(factor1, factor2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (q1 * root1) @ u, a2 @ _transposed(vt), sigma
 
 
-def _covariance_geodesic(s1: np.ndarray, factor1, s2: np.ndarray, factor2,
-                         t: float) -> np.ndarray:
-    """The walk between validated covariances (or equal stacks) and their
-    factors: from S1's side up to t = 1/2, from S2's side beyond."""
-    t = _check_t(t)
-    _check_shapes(s1, s2)
-    if t in (0.0, 1.0):
-        return (s2 if t else s1).copy()
-    c1, c2, sigma = _pencil(factor1, factor2)
-    c, power = (c1, 2.0 * t) if t <= 0.5 else (c2, 2.0 * t - 2.0)
-    out = (c * (sigma ** power)[..., None, :]) @ _transposed(c)
-    return 0.5 * (out + _transposed(out))
-
-
-def spd_geodesic(s1: np.ndarray, s2: np.ndarray, t: float) -> np.ndarray:
-    """Affine-invariant geodesic between SPD matrices, or between two equally
-    long (K, 3, 3) stacks of them, slot by slot. Both endpoints are validated
-    by checked_spd; t = 0 and 1 return copies of them."""
-    (s1, factor1), (s2, factor2) = checked_spd(s1), checked_spd(s2)
-    return _covariance_geodesic(s1, factor1, s2, factor2, t)
-
-
 def _sphere_point(model: Gmm) -> np.ndarray:
     """The mixture's weights lifted onto the unit sphere S^(K-1)."""
     sq = np.sqrt(model.weights)
@@ -230,14 +175,29 @@ def product_geodesic(a: Gmm, b: Gmm, t: float) -> Gmm:
     """Mixture at t on the product-manifold geodesic from a to b.
 
     The weights follow the great circle between the square-root weight
-    vectors (squared and renormalized on the way back), the means the
-    straight line, and each covariance its affine-invariant geodesic.
+    vectors (squared and renormalized on the way back), a renormalized
+    linear blend where these lie closer than COLINEAR_THETA; the means
+    the straight line, and each covariance its affine-invariant geodesic.
     """
-    # checks t and that the Ks agree
-    covs = _covariance_geodesic(a.covariances, a.factor, b.covariances, b.factor, t)
-    w = sphere_geodesic(_sphere_point(a), _sphere_point(b), t) ** 2
-    means = (1.0 - t) * a.means + t * b.means
-    return Gmm(w / w.sum(), means, covs)
+    t = _check_t(t)
+    if a.k != b.k:
+        raise ValueError(f"component counts differ: {a.k} vs {b.k}")
+    u, v = _sphere_point(a), _sphere_point(b)
+    theta = math.acos(float(np.clip(u @ v, -1.0, 1.0)))
+    if theta < COLINEAR_THETA:
+        root = (1.0 - t) * u + t * v
+        root = root / np.linalg.norm(root)
+    else:
+        root = (math.sin((1.0 - t) * theta) * u + math.sin(t * theta) * v) / math.sin(theta)
+    if t in (0.0, 1.0):
+        covs = (b if t else a).covariances
+    else:
+        c1, c2, sigma = _pencil(a.factor, b.factor)
+        c, power = (c1, 2.0 * t) if t <= 0.5 else (c2, 2.0 * t - 2.0)
+        covs = (c * (sigma ** power)[..., None, :]) @ _transposed(c)
+        covs = 0.5 * (covs + _transposed(covs))
+    w = root ** 2
+    return Gmm(w / w.sum(), (1.0 - t) * a.means + t * b.means, covs)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import em
 from .embedding import ProbeSet, SphereEmbedding
-from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud
+from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud, float_array
 from .sampling import is_integer
 from .selection import AicTable, akaike_weights, member_probabilities
 
@@ -210,7 +210,7 @@ def _gmm_from_obj(obj, offset) -> Gmm:
     its message names them."""
     means = obj["means"]
     if offset is not None:
-        means = np.array(means, dtype=float)
+        means = float_array("means", means)
         if means.ndim == 2 and means.shape[1] == 3:
             means = means + offset
     return Gmm(obj["weights"], means, obj["covariances"])

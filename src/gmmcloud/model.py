@@ -74,49 +74,53 @@ def _transposed(mats: np.ndarray) -> np.ndarray:
     return mats.swapaxes(-1, -2)
 
 
-def checked_spd(matrices) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Symmetrized read-only copy of one SPD matrix or a stack of them,
-    and its eigendecomposition (lam, q), every lam > 0.
+def float_array(name: str, value) -> np.ndarray:
+    """value as a float array, copied, if its entries are integers or
+    floats; a bool, string or object array is refused by name, not read
+    as numbers."""
+    arr = np.array(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
 
-    Takes a (3, 3) matrix or a (K, 3, 3) stack. Every matrix must be
-    finite, symmetric to SYMMETRY_TOL and positive definite; for a stack
-    the error names the first failing component.
+
+def checked_spd(matrices, k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Symmetrized read-only copy of a (k, 3, 3) stack of SPD matrices and
+    its eigendecomposition (lam, q), every lam > 0.
+
+    Every matrix must be finite, symmetric to SYMMETRY_TOL and positive
+    definite; the error names the first failing component.
     """
-    mats = np.array(matrices, dtype=float)
-    if mats.ndim not in (2, 3) or mats.shape[-2:] != (3, 3):
-        raise ValueError(f"covariance must be 3x3 or a stack of 3x3, got shape {mats.shape}")
-    stack = mats.reshape(-1, 3, 3)
-
-    def where(j: int) -> str:
-        return f" (component {j})" if mats.ndim == 3 else ""
-
+    stack = float_array("covariances", matrices)
+    if stack.shape != (k, 3, 3):
+        raise ValueError(f"covariances must have shape {(k, 3, 3)}, got {stack.shape}")
     # np.argmax over a boolean vector finds the first failing matrix
     bad = ~np.isfinite(stack).all(axis=(1, 2))
     j = int(np.argmax(bad))
     if bad[j]:
-        raise DegenerateCovarianceError(f"covariance must be finite{where(j)}")
+        raise DegenerateCovarianceError(f"covariance must be finite (component {j})")
     asym = np.abs(stack - _transposed(stack)).max(axis=(1, 2))
     j = int(np.argmax(asym > SYMMETRY_TOL))
     if asym[j] > SYMMETRY_TOL:
         raise DegenerateCovarianceError(
-            f"covariance asymmetry {asym[j]:.3e} exceeds {SYMMETRY_TOL:.0e}{where(j)}")
-    sym = 0.5 * (mats + _transposed(mats))
+            f"covariance asymmetry {asym[j]:.3e} exceeds {SYMMETRY_TOL:.0e} (component {j})")
+    sym = 0.5 * (stack + _transposed(stack))
     lam, q = np.linalg.eigh(sym)
-    smallest = lam.reshape(-1, 3)[:, 0]
-    j = int(np.argmax(smallest <= 0.0))
-    if smallest[j] <= 0.0:
+    j = int(np.argmax(lam[:, 0] <= 0.0))
+    if lam[j, 0] <= 0.0:
         raise DegenerateCovarianceError(
-            f"degenerate covariance: smallest eigenvalue {smallest[j]:.6e}{where(j)}")
+            f"degenerate covariance: smallest eigenvalue {lam[j, 0]:.6e} (component {j})")
     sym.setflags(write=False)
     return sym, (lam, q)
 
 
 def checked_array(name: str, value, shape: tuple, expected: str) -> np.ndarray:
-    """Read-only float copy of value, if its shape matches shape, where
-    None stands for any length >= 1, and every entry is finite; otherwise
-    ValueError naming it as "<name> must be <expected>, got shape ..." or
-    "<name> must be finite". The rule for every array the library takes."""
-    arr = np.array(value, dtype=float)
+    """Read-only float copy of value (float_array), if its shape matches
+    shape, where None stands for any length >= 1, and every entry is
+    finite; otherwise ValueError naming it as "<name> must be <expected>,
+    got shape ..." or "<name> must be finite". The rule for every array
+    the library takes."""
+    arr = float_array(name, value)
     if arr.ndim != len(shape) or any(
             n < 1 if want is None else n != want for n, want in zip(arr.shape, shape)):
         raise ValueError(f"{name} must be {expected}, got shape {arr.shape}")
@@ -171,10 +175,7 @@ class Gmm:
             raise ValueError(f"component weight must be >= 0, got {float(w.min())}")
         k = w.shape[0]
         m = checked_array("means", self.means, (k, 3), f"a ({k}, 3) array")
-        covs = np.asarray(self.covariances, dtype=float)
-        if covs.shape != (k, 3, 3):
-            raise ValueError(f"covariances must have shape {(k, 3, 3)}, got {covs.shape}")
-        covs, factor = checked_spd(covs)
+        covs, factor = checked_spd(self.covariances, k)
         total = math.fsum(w.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"component weights sum to {total!r}, expected 1")

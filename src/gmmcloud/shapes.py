@@ -83,7 +83,8 @@ def make_bent_tube(spec: TubeSpec, seed: int) -> PointCloud:
 def add_outliers(cloud: PointCloud, fraction: float, bounds: np.ndarray,
                  seed: int) -> PointCloud:
     """Replace floor(fraction * N) random points with uniform box draws."""
-    if not 0.0 <= fraction < 1.0:
+    fraction = checked_real("outlier fraction", fraction, 0.0)
+    if fraction >= 1.0:
         raise ValueError(f"outlier fraction must lie in [0, 1), got {fraction}")
     box = checked_array("bounds", bounds, (2, 3), "(2, 3) lo/hi rows")
     if np.any(box[1] < box[0]):

@@ -16,7 +16,7 @@ from hypothesis import settings
 
 from gmmcloud import em
 from gmmcloud.em import FitConfig, fit_em
-from gmmcloud.geodesics import _check_shapes, _pencil
+from gmmcloud.geodesics import _pencil
 from gmmcloud.model import (
     LOG_TWO_PI,
     SYMMETRIC_ENTRIES,
@@ -24,7 +24,6 @@ from gmmcloud.model import (
     Gmm,
     GmmEnsemble,
     PointCloud,
-    checked_spd,
     flat_mixture,
     floor_spd,
 )
@@ -163,18 +162,31 @@ def sphere_distance(w1, w2):
     return math.acos(float(np.clip(np.asarray(w1) @ np.asarray(w2), -1.0, 1.0)))
 
 
+def slot_gmm(slot):
+    """The mixture that holds slot in one slot of the product manifold,
+    its means zero: a (K, 3, 3) stack of covariances at equal weights, or
+    a (K,) weight vector over identity covariances. product_geodesic
+    between two of them walks that slot alone."""
+    slot = np.asarray(slot, dtype=float)
+    k = len(slot)
+    if slot.ndim == 3:
+        return Gmm(np.full(k, 1.0 / k), np.zeros((k, 3)), slot)
+    return Gmm(slot, np.zeros((k, 3)), np.broadcast_to(np.eye(3), (k, 3, 3)))
+
+
 def spd_distance(s1, s2):
-    """The walk's own affine-invariant distance 2 ||log sigma||, from the
-    SVD of its pencil (geodesics._pencil); between (K, 3, 3) stacks, the
-    root of the summed squared slot distances. Both endpoints are
-    validated as spd_geodesic validates them. eigh_spd_distance is the
-    independent oracle it is checked against. Near-singular endpoints
-    are tested with this one: a matrix that checked_spd accepts can be
-    singular or indefinite as stored, where an exact distance is not
-    finite, but the walk's, from the accepted eigenvalues, is."""
-    (s1, factor1), (s2, factor2) = checked_spd(s1), checked_spd(s2)
-    _check_shapes(s1, s2)
-    _, _, sigma = _pencil(factor1, factor2)
+    """The walk's own affine-invariant distance 2 ||log sigma|| between two
+    (K, 3, 3) stacks, from the SVD of its pencil (geodesics._pencil): the
+    root of the summed squared slot distances. Both stacks are validated
+    as product_geodesic's mixtures are, by Gmm (slot_gmm).
+    eigh_spd_distance is the independent oracle it is checked against.
+    Near-singular endpoints are tested with this one: a matrix that Gmm
+    accepts can be singular or indefinite as stored, where an exact
+    distance is not finite, but the walk's, from the accepted
+    eigenvalues, is."""
+    a, b = slot_gmm(s1), slot_gmm(s2)
+    assert a.k == b.k
+    _, _, sigma = _pencil(a.factor, b.factor)
     return 2.0 * float(np.linalg.norm(np.log(sigma)))
 
 

@@ -22,6 +22,7 @@ from conftest import (
     random_spd,
     recovery_cloud,
     sample_mixture,
+    slot_gmm,
     sphere_distance,
 )
 from gmmcloud.cli import main as cli_main
@@ -30,8 +31,6 @@ from gmmcloud.embedding import arc_distance, embed, inflated_bounds, make_probe_
 from gmmcloud.geodesics import (
     interpolate_point_clouds,
     product_geodesic,
-    sphere_geodesic,
-    spd_geodesic,
 )
 from gmmcloud.model import PointCloud
 from gmmcloud.pipeline import ExperimentConfig, run_generation_classification
@@ -124,14 +123,17 @@ def test_criterion_05_geodesic_laws():
     rng = np.random.default_rng(55)
     end_dev = add_dev = commute_dev = gl_dev = 0.0
     for _ in range(20):
+        # each slot's laws on product_geodesic between mixtures that differ
+        # in that slot alone (slot_gmm)
         s1, s2 = random_spd(rng), random_spd(rng)
+        p1, p2 = slot_gmm([s1]), slot_gmm([s2])
         t = float(rng.uniform())
         end_dev = max(end_dev,
-                      float(np.max(np.abs(spd_geodesic(s1, s2, 0.0) - s1))),
-                      float(np.max(np.abs(spd_geodesic(s1, s2, 1.0) - s2))))
+                      float(np.max(np.abs(product_geodesic(p1, p2, 0.0).covariances[0] - s1))),
+                      float(np.max(np.abs(product_geodesic(p1, p2, 1.0).covariances[0] - s2))))
         total = eigh_spd_distance(s1, s2)
         for s in (0.25, 0.5, 0.75):
-            gamma = spd_geodesic(s1, s2, s)
+            gamma = product_geodesic(p1, p2, s).covariances[0]
             add_dev = max(add_dev, abs(eigh_spd_distance(s1, gamma) - s * total))
         # commuting pair: shared eigenbasis, scalar-power closed form
         q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
@@ -139,11 +141,12 @@ def test_criterion_05_geodesic_laws():
         b = rng.uniform(0.2, 5.0, size=3)
         c1, c2 = (q * a) @ q.T, (q * b) @ q.T
         closed = (q * (a ** (1.0 - t) * b ** t)) @ q.T
-        commute_dev = max(commute_dev,
-                          float(np.max(np.abs(spd_geodesic(c1, c2, t) - closed))))
+        walked = product_geodesic(slot_gmm([c1]), slot_gmm([c2]), t).covariances[0]
+        commute_dev = max(commute_dev, float(np.max(np.abs(walked - closed))))
         mat = rng.normal(size=(3, 3))
-        direct = mat @ spd_geodesic(s1, s2, t) @ mat.T
-        congruent = spd_geodesic(mat @ s1 @ mat.T, mat @ s2 @ mat.T, t)
+        direct = mat @ product_geodesic(p1, p2, t).covariances[0] @ mat.T
+        congruent = product_geodesic(slot_gmm([mat @ s1 @ mat.T]), slot_gmm([mat @ s2 @ mat.T]),
+                                     t).covariances[0]
         gl_dev = max(gl_dev, float(np.linalg.norm(direct - congruent)
                                    / np.linalg.norm(direct)))
         # full product path: endpoints across all three slots, the sphere
@@ -162,7 +165,8 @@ def test_criterion_05_geodesic_laws():
         theta = sphere_distance(w1, w2)
         for s in (0.25, 0.5, 0.75):
             add_dev = max(add_dev, abs(
-                sphere_distance(w1, sphere_geodesic(w1, w2, s)) - s * theta))
+                sphere_distance(w1, np.sqrt(product_geodesic(
+                    slot_gmm(w1 ** 2), slot_gmm(w2 ** 2), s).weights)) - s * theta))
     ok = end_dev <= 1e-10 and add_dev <= 1e-8 and commute_dev <= 1e-10 and gl_dev <= 1e-8
     _report(5, ok, f"20 random draws: endpoints {end_dev:.2e}, additivity {add_dev:.2e}, "
                    f"commuting closed form {commute_dev:.2e}, congruence {gl_dev:.2e}")

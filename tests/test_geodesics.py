@@ -17,6 +17,7 @@ from conftest import (
     near_singular_spd,
     random_gmm,
     random_spd,
+    slot_gmm,
     spd_distance,
     sphere_distance,
     unit_gmm,
@@ -30,8 +31,6 @@ from gmmcloud.geodesics import (
     product_geodesic,
     project_to_k,
     reorder_components,
-    sphere_geodesic,
-    spd_geodesic,
 )
 from gmmcloud.model import (
     DegenerateCovarianceError,
@@ -252,25 +251,31 @@ def test_reorder_components():
 
 
 # ---------------------------------------------------------- sphere slot
+#
+# Each law of a slot is checked on product_geodesic between two mixtures
+# that differ in that slot alone (slot_gmm); the sphere slot is read off
+# the square roots of the weights.
 
 
 def test_sphere_geodesic_endpoints():
     rng = np.random.default_rng(12)
     w1, w2 = random_unit_nonneg(rng, 4), random_unit_nonneg(rng, 4)
-    np.testing.assert_allclose(sphere_geodesic(w1, w2, 0.0), w1, atol=1e-14)
-    np.testing.assert_allclose(sphere_geodesic(w1, w2, 1.0), w2, atol=1e-14)
+    a, b = slot_gmm(w1 ** 2), slot_gmm(w2 ** 2)
+    np.testing.assert_allclose(np.sqrt(product_geodesic(a, b, 0.0).weights), w1, atol=1e-14)
+    np.testing.assert_allclose(np.sqrt(product_geodesic(a, b, 1.0).weights), w2, atol=1e-14)
 
 
 def test_sphere_geodesic_quarter_circle_midpoint():
-    mid = sphere_geodesic(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5)
-    np.testing.assert_allclose(mid, np.full(2, 1.0 / math.sqrt(2.0)), atol=1e-15)
+    mid = product_geodesic(slot_gmm([1.0, 0.0]), slot_gmm([0.0, 1.0]), 0.5)
+    np.testing.assert_allclose(np.sqrt(mid.weights), np.full(2, 1.0 / math.sqrt(2.0)),
+                               atol=1e-15)
 
 
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 1.0))
 def test_sphere_geodesic_stays_unit_and_additive(seed, t):
     rng = np.random.default_rng(seed)
     w1, w2 = random_unit_nonneg(rng, 5), random_unit_nonneg(rng, 5)
-    out = sphere_geodesic(w1, w2, t)
+    out = np.sqrt(product_geodesic(slot_gmm(w1 ** 2), slot_gmm(w2 ** 2), t).weights)
     assert abs(float(np.linalg.norm(out)) - 1.0) < 1e-12
     theta = sphere_distance(w1, w2)
     # arccos is ill-conditioned next to the start point, so only check
@@ -281,57 +286,52 @@ def test_sphere_geodesic_stays_unit_and_additive(seed, t):
 
 def test_sphere_geodesic_degenerate_pair():
     w = random_unit_nonneg(np.random.default_rng(13), 3)
-    np.testing.assert_allclose(sphere_geodesic(w, w, 0.37), w, atol=1e-12)
-
-
-def test_sphere_geodesic_input_checks():
-    w = np.array([1.0, 0.0])
-    with pytest.raises(ValueError, match="unit"):
-        sphere_geodesic(np.array([2.0, 0.0]), w, 0.5)
-    with pytest.raises(ValueError, match="0, 1"):
-        sphere_geodesic(w, w, 1.5)
-    with pytest.raises(ValueError, match=">= 0"):
-        sphere_geodesic(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), 0.5)
+    mid = product_geodesic(slot_gmm(w ** 2), slot_gmm(w ** 2), 0.37)
+    np.testing.assert_allclose(np.sqrt(mid.weights), w, atol=1e-12)
 
 
 # ------------------------------------------------------------- SPD slot
+#
+# The covariance slot, between equal-weight mixtures of one matrix each
+# or of (K, 3, 3) stacks.
 
 
 def test_spd_geodesic_endpoints():
     rng = np.random.default_rng(14)
     s1, s2 = random_spd(rng), random_spd(rng)
-    np.testing.assert_allclose(spd_geodesic(s1, s2, 0.0), s1, atol=1e-10)
-    np.testing.assert_allclose(spd_geodesic(s1, s2, 1.0), s2, atol=1e-10)
+    a, b = slot_gmm([s1]), slot_gmm([s2])
+    np.testing.assert_allclose(product_geodesic(a, b, 0.0).covariances[0], s1, atol=1e-10)
+    np.testing.assert_allclose(product_geodesic(a, b, 1.0).covariances[0], s2, atol=1e-10)
 
 
 def test_spd_geometric_mean_of_commuting_pair():
-    mid = spd_geodesic(np.eye(3), np.diag([4.0, 1.0, 1.0]), 0.5)
-    np.testing.assert_allclose(mid, np.diag([2.0, 1.0, 1.0]), atol=1e-12)
+    mid = product_geodesic(slot_gmm([np.eye(3)]), slot_gmm([np.diag([4.0, 1.0, 1.0])]), 0.5)
+    np.testing.assert_allclose(mid.covariances[0], np.diag([2.0, 1.0, 1.0]), atol=1e-12)
 
 
 def test_spd_commuting_pair_matches_scalar_powers():
     a = np.array([2.0, 0.5, 1.0])
     b = np.array([8.0, 4.5, 0.2])
     for t in (0.25, 0.5, 0.75):
-        out = spd_geodesic(np.diag(a), np.diag(b), t)
-        np.testing.assert_allclose(out, np.diag(a ** (1 - t) * b ** t), atol=1e-10)
+        out = product_geodesic(slot_gmm([np.diag(a)]), slot_gmm([np.diag(b)]), t)
+        np.testing.assert_allclose(out.covariances[0], np.diag(a ** (1 - t) * b ** t),
+                                   atol=1e-10)
 
 
 def test_spd_geodesic_additivity():
     rng = np.random.default_rng(15)
-    s1, s2 = random_spd(rng), random_spd(rng)
+    s1, s2 = [random_spd(rng)], [random_spd(rng)]
     total = eigh_spd_distance(s1, s2)
     for s in (0.25, 0.5, 0.75):
-        gamma = spd_geodesic(s1, s2, s)
+        gamma = product_geodesic(slot_gmm(s1), slot_gmm(s2), s).covariances
         assert abs(eigh_spd_distance(s1, gamma) - s * total) < 1e-8
 
 
 def test_spd_distance_of_the_pencil_equals_the_generalized_eigenvalue_oracle():
     rng = np.random.default_rng(23)
-    for shape in ((3, 3), (1, 3, 3), (4, 3, 3)):
-        count = math.prod(shape[:-2])
-        s1 = np.reshape([random_spd(rng) for _ in range(count)], shape)
-        s2 = np.reshape([random_spd(rng, scale=10.0) for _ in range(count)], shape)
+    for k in (1, 4):
+        s1 = [random_spd(rng) for _ in range(k)]
+        s2 = [random_spd(rng, scale=10.0) for _ in range(k)]
         assert math.isclose(spd_distance(s1, s2), eigh_spd_distance(s1, s2), rel_tol=1e-10)
 
 
@@ -341,18 +341,19 @@ def test_spd_gl_invariance():
         a = rng.normal(size=(3, 3))
         s1, s2 = random_spd(rng), random_spd(rng)
         t = float(rng.uniform())
-        direct = a @ spd_geodesic(s1, s2, t) @ a.T
-        congruent = spd_geodesic(a @ s1 @ a.T, a @ s2 @ a.T, t)
+        direct = a @ product_geodesic(slot_gmm([s1]), slot_gmm([s2]), t).covariances[0] @ a.T
+        congruent = product_geodesic(slot_gmm([a @ s1 @ a.T]), slot_gmm([a @ s2 @ a.T]),
+                                     t).covariances[0]
         rel = np.linalg.norm(direct - congruent) / np.linalg.norm(direct)
         assert rel < 1e-8
 
 
 def test_spd_outputs_stay_positive():
     rng = np.random.default_rng(17)
-    s1 = random_spd(rng, scale=1e-3)
-    s2 = random_spd(rng, scale=1e3)
+    a = slot_gmm([random_spd(rng, scale=1e-3)])
+    b = slot_gmm([random_spd(rng, scale=1e3)])
     for t in np.linspace(0.0, 1.0, 7):
-        lam = np.linalg.eigvalsh(spd_geodesic(s1, s2, float(t)))
+        lam = np.linalg.eigvalsh(product_geodesic(a, b, float(t)).covariances)
         assert np.all(lam > 0.0)
 
 
@@ -361,14 +362,16 @@ def test_spd_geodesic_from_identity_and_distance_basics():
     # numpy's own eigendecomposition
     s = random_spd(np.random.default_rng(18))
     lam, q = np.linalg.eigh(s)
+    eye, end = slot_gmm([np.eye(3)]), slot_gmm([s])
     for t, atol in ((1.0, 1e-12), (0.5, 1e-10)):
         oracle = (q * lam ** t) @ q.T
-        np.testing.assert_allclose(spd_geodesic(np.eye(3), s, t), oracle, atol=atol)
-    half = spd_geodesic(np.eye(3), s, 0.5)
+        np.testing.assert_allclose(product_geodesic(eye, end, t).covariances[0], oracle,
+                                   atol=atol)
+    half = product_geodesic(eye, end, 0.5).covariances[0]
     np.testing.assert_allclose(half @ half, s, atol=1e-10)
-    assert spd_distance(s, s) < 1e-12
+    assert spd_distance([s], [s]) < 1e-12
     s2 = random_spd(np.random.default_rng(19))
-    assert abs(spd_distance(s, s2) - spd_distance(s2, s)) < 1e-12
+    assert abs(spd_distance([s], [s2]) - spd_distance([s2], [s])) < 1e-12
 
 
 def test_spd_distance_of_stacks_is_the_product_distance():
@@ -376,7 +379,7 @@ def test_spd_distance_of_stacks_is_the_product_distance():
     for k in (2, 3):
         s1 = np.stack([random_spd(rng) for _ in range(k)])
         s2 = np.stack([random_spd(rng) for _ in range(k)])
-        slots = [spd_distance(a, b) for a, b in zip(s1, s2)]
+        slots = [spd_distance([a], [b]) for a, b in zip(s1, s2)]
         assert math.isclose(spd_distance(s1, s2), math.sqrt(sum(d * d for d in slots)),
                             rel_tol=1e-12)
 
@@ -394,8 +397,9 @@ def test_spd_geodesic_from_near_singular_covariance_is_finite(seed):
         except DegenerateCovarianceError:
             continue
         for t in DEFAULT_TS:
-            assert np.all(np.isfinite(spd_geodesic(s, np.eye(3), t)))
-        assert math.isfinite(spd_distance(s, np.eye(3)))
+            walk = product_geodesic(slot_gmm([s]), slot_gmm([np.eye(3)]), t)
+            assert np.all(np.isfinite(walk.covariances))
+        assert math.isfinite(spd_distance([s], [np.eye(3)]))
 
 
 def accepted_beside_the_identity(s):
@@ -418,26 +422,24 @@ def test_spd_geodesic_returns_its_endpoints_and_stays_valid_beside_the_identity(
     assert len(stack) == 1534
     eyes = np.broadcast_to(np.eye(3), stack.shape)
     for s1, s2 in ((stack, eyes), (eyes, stack), (stack[:-1], stack[1:])):
-        assert spd_geodesic(s1, s2, 0.0).tobytes() == s1.tobytes()
-        assert spd_geodesic(s1, s2, 1.0).tobytes() == s2.tobytes()
-        weights = np.full(len(s1), 1.0 / len(s1))
+        a, b = slot_gmm(s1), slot_gmm(s2)
+        assert product_geodesic(a, b, 0.0).covariances.tobytes() == s1.tobytes()
+        assert product_geodesic(a, b, 1.0).covariances.tobytes() == s2.tobytes()
+        # each mixture on the walk is a Gmm, so it is validated as it is built
         for t in DEFAULT_TS:
-            Gmm(weights, np.zeros((len(s1), 3)), spd_geodesic(s1, s2, t))
+            product_geodesic(a, b, t)
 
 
 def test_spd_rejects_non_spd_input():
+    # product_geodesic walks between mixtures, whose covariances Gmm
+    # validated; spd_distance validates its stacks the same way, S2 like
+    # S1, in either argument order
     with pytest.raises(DegenerateCovarianceError):
-        spd_geodesic(np.diag([1.0, 1.0, -1.0]), np.eye(3), 0.5)
-    with pytest.raises(DegenerateCovarianceError):
-        spd_distance(np.eye(3), np.diag([1.0, 0.0, 1.0]))
-    # S2 is validated like S1, in either argument order
+        spd_distance([np.eye(3)], [np.diag([1.0, 0.0, 1.0])])
     skew = np.eye(3)
     skew[0, 1] = 0.3
-    message = "^covariance asymmetry 3.000e-01 exceeds 1e-12$"
-    for s1, s2 in ((np.eye(3), skew), (skew, np.eye(3))):
-        for t in (0.0, 0.5, 1.0):
-            with pytest.raises(DegenerateCovarianceError, match=message):
-                spd_geodesic(s1, s2, t)
+    message = r"^covariance asymmetry 3.000e-01 exceeds 1e-12 \(component 0\)$"
+    for s1, s2 in (([np.eye(3)], [skew]), ([skew], [np.eye(3)])):
         with pytest.raises(DegenerateCovarianceError, match=message):
             spd_distance(s1, s2)
 
@@ -472,18 +474,12 @@ def test_product_geodesic_constant_path():
 def test_product_geodesic_rejects_mismatched_k():
     rng = np.random.default_rng(22)
     a, b = random_gmm(rng, 2), random_gmm(rng, 3)
-    shapes = r"^covariance shapes differ: \(2, 3, 3\) vs \(3, 3, 3\)$"
-    # the endpoints too, where spd_geodesic returns a stack without a pencil
+    # the endpoints too, where the walk needs no pencil
     for t in (0.0, 0.5, 1.0):
-        with pytest.raises(ValueError, match=shapes):
+        with pytest.raises(ValueError, match=r"^component counts differ: 2 vs 3$"):
             product_geodesic(a, b, t)
-        with pytest.raises(ValueError, match=shapes):
-            spd_geodesic(a.covariances, b.covariances, t)
-    with pytest.raises(ValueError, match=shapes):
-        spd_distance(a.covariances, b.covariances)
-    # a single matrix is not broadcast against a stack
-    with pytest.raises(ValueError, match=r"^covariance shapes differ: \(3, 3\) vs \(2, 3, 3\)$"):
-        spd_distance(np.eye(3), np.stack([np.eye(3), 2.0 * np.eye(3)]))
+        with pytest.raises(ValueError, match=r"^component counts differ: 3 vs 2$"):
+            product_geodesic(b, a, t)
 
 
 @pytest.mark.parametrize("t", ["0.5", True, False, None, np.bool_(True), [0.5]],
@@ -494,8 +490,6 @@ def test_geodesics_refuse_a_t_that_is_no_real_number(t):
     message = re.escape(f"interpolation parameter must lie in [0, 1], got {t!r}")
     with pytest.raises(ValueError, match=message):
         product_geodesic(a, b, t)
-    with pytest.raises(ValueError, match=message):
-        spd_geodesic(a.covariances, b.covariances, t)
 
 
 def test_geodesics_take_a_numpy_t_as_its_float():

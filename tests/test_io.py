@@ -457,6 +457,24 @@ def test_model_file_center_offset_builds_each_member_once(tmp_path, monkeypatch,
             load_model(path)
 
 
+@pytest.mark.parametrize("offset", [None, [1000.0, -math.pi, 0.1]],
+                         ids=["own-frame", "center-offset"])
+@pytest.mark.parametrize("field", ["weights", "means", "covariances"])
+def test_model_file_refuses_numbers_stored_as_strings(tmp_path, field, offset):
+    # "0.5" in a model file is no number, with a center_offset to add to
+    # the means or without
+    path = str(tmp_path / "model.json")
+    ensemble, table = two_member_ensemble()
+    save_model(path, ensemble, table, FitMetadata(0, (1, 2), 5))
+    obj = json.loads(Path(path).read_text())
+    model = obj["ensemble"][1]["model"]
+    model[field] = np.array(model[field]).astype(str).tolist()
+    obj["metadata"]["center_offset"] = offset
+    Path(path).write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=rf"^{field} must be numbers, got dtype <U"):
+        load_model(path)
+
+
 def test_model_file_rejects_wrong_kind_and_schema(tmp_path):
     probe_path = str(tmp_path / "probes.json")
     save_probe_set(probe_path, make_probe_set([messy_cloud()], seed=0, count=5))

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import warnings
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from conftest import (
 )
 from gmmcloud.em import Responsibilities
 from gmmcloud.embedding import ProbeSet, SphereEmbedding, embed, make_probe_set
-from gmmcloud.geodesics import spd_geodesic, sphere_geodesic
+from gmmcloud.geodesics import product_geodesic
 from gmmcloud.model import (
     EXP_FLOOR,
     LOG_TWO_PI,
@@ -33,7 +34,6 @@ from gmmcloud.model import (
     WEIGHT_SUM_TOL,
     PointCloud,
     checked_array,
-    checked_spd,
     covariance_floor,
     ensemble_log_density,
     floor_spd,
@@ -127,9 +127,11 @@ def test_component_rejects_large_asymmetry():
 def test_component_rejects_non_spd_with_eigenvalue():
     with pytest.raises(DegenerateCovarianceError, match="degenerate covariance"):
         Gmm([1.0], np.zeros((1, 3)), np.diag([1.0, 1.0, 0.0])[None])
-    for shape in ((2, 2), (3,), (2, 3, 4), (1, 1, 3, 3)):
-        with pytest.raises(ValueError, match="covariance must be 3x3 or a stack of 3x3"):
-            checked_spd(np.ones(shape))
+    # covariances come as a (K, 3, 3) stack, a single matrix too
+    for shape in ((3, 3), (2, 2), (3,), (2, 3, 4), (1, 1, 3, 3)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"covariances must have shape (1, 3, 3), got {shape}")):
+            Gmm([1.0], np.zeros((1, 3)), np.ones(shape))
 
 
 def test_gmm_requires_normalized_weights():
@@ -259,10 +261,6 @@ ARRAY_SITES = {
     "Responsibilities.gamma": ("gamma", np.array([[0.5, 0.5], [1.0, 0.0]]), Responsibilities),
     "add_outliers.bounds": ("bounds", _UNIT_BOX,
                             lambda b: add_outliers(PointCloud(np.eye(3)), 0.5, b, 0)),
-    "sphere_geodesic.w1": ("w1", np.array([1.0, 0.0]),
-                           lambda w: sphere_geodesic(w, np.array([1.0, 0.0]), 0.5)),
-    "sphere_geodesic.w2": ("w2", np.array([1.0, 0.0]),
-                           lambda w: sphere_geodesic(np.array([1.0, 0.0]), w, 0.5)),
 }
 
 
@@ -278,6 +276,11 @@ BAD_ARRAYS = {
     "inf": (lambda v: _with_first(v, -np.inf), "finite$"),
     "extra-axis": (lambda v: v[None], r".+, got shape \(1, "),
     "zero-length": (lambda v: v[:0], r".+, got shape \(0"),
+    # no entry is read as a number unless it is one: not True as 1.0, nor
+    # "0.5" as 0.5
+    "bool": (lambda v: v != 0.0, "numbers, got dtype bool$"),
+    "string": (lambda v: v.astype(str), "numbers, got dtype <U"),
+    "object": (lambda v: v.astype(object), "numbers, got dtype object$"),
 }
 
 
@@ -289,6 +292,15 @@ def test_every_array_site_refuses_a_bad_array_by_name(site, bad):
     change, message = BAD_ARRAYS[bad]
     with pytest.raises(ValueError, match=rf"^{name} must be {message}"):
         call(change(good))
+
+
+@pytest.mark.parametrize("bad", ["bool", "string", "object"])
+def test_gmm_refuses_covariances_that_are_not_numbers(bad):
+    # the covariances pass checked_spd, not checked_array, by the same
+    # conversion
+    change, message = BAD_ARRAYS[bad]
+    with pytest.raises(ValueError, match=rf"^covariances must be {message}"):
+        Gmm([0.5, 0.5], np.zeros((2, 3)), change(_TWO_COVS))
 
 
 def test_ensembles_hash_through_their_members():
@@ -376,7 +388,8 @@ def test_near_singular_covariance_is_rejected_or_usable(seed):
         assert not np.isnan(gmm_log_density(points, model)).any()
         assert not np.isnan(embed(model, probes).coords).any()
         assert not np.isnan(generate_point_cloud(model, 100, rng_stream(case)).points).any()
-        assert np.all(np.isfinite(spd_geodesic(np.eye(3), model.covariances[1], 0.5)))
+        walk = product_geodesic(unit_gmm([0.5, 0.5], np.zeros((2, 3))), model, 0.5)
+        assert np.all(np.isfinite(walk.covariances))
 
 
 def test_rotation_invariance():

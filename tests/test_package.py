@@ -274,6 +274,15 @@ def test_every_public_definition_is_used_exported_or_a_command():
         and not name.startswith("_")) == []
 
 
+def test_every_exported_name_is_used_by_the_package_or_the_benchmark():
+    # an export that no module but __init__.py and nothing in the
+    # benchmark names is an entry point for callers that do not exist
+    references = named_references(
+        [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+        + sorted(BENCH.rglob("*.py")))
+    assert [name for name in gmmcloud.__all__ if name not in references] == []
+
+
 def test_every_private_definition_and_constant_is_used():
     # a private function or class, or a constant, public or private and
     # tuple targets included, that nothing in the package or the

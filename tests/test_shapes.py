@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,10 +169,16 @@ def test_add_outliers_is_seed_deterministic():
 
 def test_add_outliers_validation():
     cloud = make_bent_tube(tube_spec_for_class(DEMENTED, n_points=20), seed=10)
-    with pytest.raises(ValueError, match="fraction"):
-        add_outliers(cloud, fraction=1.0, bounds=FAR_BOX, seed=0)
-    with pytest.raises(ValueError, match="fraction"):
-        add_outliers(cloud, fraction=-0.1, bounds=FAR_BOX, seed=0)
+    # a fraction is a finite real number in [0, 1): False is no 0, and
+    # "0.1" no number
+    for fraction, message in (
+            (1.0, "outlier fraction must lie in [0, 1), got 1.0"),
+            (-0.1, "outlier fraction must be >= 0.0, got -0.1"),
+            (False, "outlier fraction must be a finite number, got False"),
+            ("0.1", "outlier fraction must be a finite number, got '0.1'"),
+            (math.nan, "outlier fraction must be a finite number, got nan")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            add_outliers(cloud, fraction=fraction, bounds=FAR_BOX, seed=0)
     with pytest.raises(ValueError, match="lo/hi"):
         add_outliers(cloud, fraction=0.5, bounds=np.zeros((3, 3)), seed=0)
     with pytest.raises(ValueError, match="lo/hi"):
