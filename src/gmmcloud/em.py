@@ -21,30 +21,31 @@ seeding per restart to the largest K seeds every smaller K.
 Both EM steps use the moment form of model.py: the E-step is one
 product of coefficients with the feature table Phi of the points and
 one in-place softmax_columns, the M-step one product of the (K, N)
-responsibilities with Phi^T. An EM state is one row of 13K floats, the
-parameters theta (weights, means, covariances). The E-step reads each
-covariance's precision and log-determinant, which the M-step computes in
-closed form from the adjugate and determinant of the 3x3 (_closed_form):
-a fixed number of NumPy calls at any batch size and K. The same
-arithmetic tests whether S - eps I is positive definite, and only the
-covariances that fail that floor test go through floor_spd's eigh
-(_floor), so a map runs no eigh unless the floor binds. The M-step
-computes the parts of a state as contiguous arrays and writes the row
-from them in one copy (_joined), and the E-step of the same map reads
-those arrays, not views of the row: on the small arrays of a fit at
-N = 600 the cost of a map is the count of its NumPy calls, and a call on
-a view that strides over the batch costs more. SQUAREM extrapolates
-theta as one vector and falls back to the plain map whenever an
-extrapolated state is infeasible (a weight below zero, or a covariance
-that fails the closed form's test of positive definiteness) or would
-lower the log-likelihood; only the covariance floor can lower it
-otherwise. A component that collapses fails the fit; nothing is
+responsibilities with Phi^T. An EM state is the mixture's own three
+arrays, the parameters theta: weights (K,), means (K, 3) and covariances
+(K, 3, 3). The E-step reads each covariance's precision and
+log-determinant, which the M-step computes in closed form from the
+adjugate and determinant of the 3x3 (_closed_form): a fixed number of
+NumPy calls at any batch size and K. The same arithmetic tests whether
+S - eps I is positive definite, and only the covariances that fail that
+floor test go through floor_spd's eigh (_floor), so a map runs no eigh
+unless the floor binds. The M-step computes the parts of a state as
+contiguous arrays, and the E-step of the same map reads them: on the
+small arrays of a fit at N = 600 the cost of a map is the count of its
+NumPy calls, and a call on a view that strides over the batch costs
+more. SQUAREM extrapolates theta part by part, its step length from the
+norms of the three parts together, and falls back to the plain map
+whenever an extrapolated state is infeasible (a weight below zero, or a
+covariance that fails the closed form's test of positive definiteness)
+or would lower the log-likelihood; only the covariance floor can lower
+it otherwise. A component that collapses fails the fit; nothing is
 reseeded.
 
 The fits of clouds of one size N run in lockstep: every array of a
 batch has a leading axis over its fits, the feature tables (B, 10, N),
-the responsibilities (B, K, N) and the EM states (B, 13K), and each
-step is one NumPy call over the batch. Products work slice by slice,
+the responsibilities (B, K, N) and the parts of the EM states, weights
+(B, K), means (B, K, 3) and covariances (B, K, 3, 3), and each step is
+one NumPy call over the batch. Products work slice by slice,
 and the closed form and eigh matrix by matrix, so each fit gets the
 bits it gets alone; step lengths, acceptance, convergence, the cap and
 failures are decided fit by fit. A batch holds at most BATCH_FITS
@@ -271,22 +272,6 @@ def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
     return Responsibilities(lwd.T, int(np.count_nonzero(~np.isfinite(log_sum))))
 
 
-def _parts(state: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The views (weights, means, covariances) of EM states, one per row
-    of state (..., 13K): [weights K | means 3K | covariances 9K], the
-    parameters theta. _joined is the inverse."""
-    k, lead = state.shape[-1] // 13, state.shape[:-1]
-    return (state[..., :k], state[..., k:4 * k].reshape(lead + (k, 3)),
-            state[..., 4 * k:].reshape(lead + (k, 3, 3)))
-
-
-def _joined(*parts: np.ndarray) -> np.ndarray:
-    """The EM states (B, 13K) whose parts, each with a leading axis over
-    the B states, are given in _parts' order: the inverse of _parts, in
-    one copy."""
-    return np.concatenate([part.reshape(len(part), -1) for part in parts], axis=-1)
-
-
 def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The given rows of a batch's array, or the array itself when they are all."""
     return a if len(rows) == len(a) else a[rows]
@@ -388,19 +373,19 @@ def _floor(covs: np.ndarray, eps: np.ndarray, binding: np.ndarray, precision: np
 
 
 def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray
-                   ) -> tuple[np.ndarray, tuple[np.ndarray, ...], dict]:
-    """The EM states (B, 13K) of a batch of fits, one row each (see
-    _parts), from their (B, K, N) responsibilities and (B, 10, N) feature
-    tables, means in Phi's frame: the covariances floored at each fit's
-    eps (B,). Only the matrices that fail the floor test of _closed_form
-    go through floor_spd (_floor); the others keep their moments.
+                   ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], dict]:
+    """The EM states of a batch of fits, as contiguous arrays weights
+    (B, K), means (B, K, 3) and covariances (B, K, 3, 3), from their
+    (B, K, N) responsibilities and (B, 10, N) feature tables, means in
+    Phi's frame: the covariances floored at each fit's eps (B,). Only the
+    matrices that fail the floor test of _closed_form go through
+    floor_spd (_floor); the others keep their moments.
 
-    The parts are computed as contiguous arrays and joined into the rows
-    in one copy. Returns the states, the E-step's parts (weights, means,
-    precisions, log-determinants) and the fits that failed, each error
-    under its batch position: a component whose mass is below
-    COLLAPSE_MASS has no mean to estimate (ValueError), or the floor's
-    eigh failed (LinAlgError). A failed fit's row is a placeholder.
+    Returns the states, the E-step's parts (weights, means, precisions,
+    log-determinants) and the fits that failed, each error under its
+    batch position: a component whose mass is below COLLAPSE_MASS has no
+    mean to estimate (ValueError), or the floor's eigh failed
+    (LinAlgError). A failed fit's rows are placeholders.
     """
     moments = gamma @ phi.swapaxes(-1, -2)
     mass = moments[..., 0]
@@ -421,7 +406,7 @@ def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray
     precision, log_det, binding = _closed_form(covs, eps, 1.0)
     if binding is not None:
         _floor(covs, eps, binding, precision, log_det, failed)
-    return _joined(weights, means, covs), (weights, means, precision, log_det), failed
+    return (weights, means, covs), (weights, means, precision, log_det), failed
 
 
 def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
@@ -430,13 +415,12 @@ def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
         raise ValueError(
             f"responsibilities cover {resp.gamma.shape[0]} points, cloud has {len(cloud)}")
     centre = cloud.points.mean(axis=0)
-    state, _, failed = _m_step_arrays(
+    (weights, means, covs), _, failed = _m_step_arrays(
         centred_features(cloud.points, centre)[None], resp.gamma.T[None],
         np.array([covariance_floor(cloud.points)]))
     if failed:
         raise failed[0]
-    weights, means, covs = _parts(state[0])
-    return Gmm(weights, means + centre, covs)
+    return Gmm(weights[0], means[0] + centre, covs[0])
 
 
 def _responsibilities(phi: np.ndarray, parts: tuple[np.ndarray, ...],
@@ -472,36 +456,39 @@ def _converged(trace: list[float] | tuple[float, ...]) -> bool:
 
 def _extrapolate(theta0, theta1, theta2, step_max, eps):
     """S3 SQUAREM steps (Varadhan & Roland 2008) of a batch of fits from
-    three consecutive EM states (B, 13K) (see _parts), each fit's step
-    cap in step_max and its covariance floor in eps (B,).
+    three consecutive EM states, each the triple (weights, means,
+    covariances) that _m_step_arrays returns, each fit's step cap in
+    step_max and its covariance floor in eps (B,).
 
     With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, a fit's
     step is alpha = min(step_max, |r| / |v|), each norm the sum of
     np.vdot over the fit's own weights, means and covariances, in that
     order, and its extrapolated state theta0 + 2 alpha r + alpha^2 v
-    (alpha = 1 gives theta2). A state is infeasible with a weight below
-    zero, or a covariance that is not positive definite by the closed
-    form's test at shift 0, NaN included.
+    (alpha = 1 gives theta2); r, v and the state are formed part by part.
+    A state is infeasible with a weight below zero, or a covariance that
+    is not positive definite by the closed form's test at shift 0, NaN
+    included.
 
     Returns the list of steps alpha, one per fit, the positions of the
     fits whose alpha > 1 gives a feasible state, and those states' parts
-    (see _responsibilities): weights and means are views of the
-    extrapolated theta, precisions and log-determinants its closed form.
+    (see _responsibilities): weights and means are the extrapolated
+    theta's, precisions and log-determinants its closed form.
     """
-    k = theta0.shape[-1] // 13
-    r, v = theta1 - theta0, theta2 - 2.0 * theta1 + theta0
-    blocks = (slice(0, k), slice(k, 4 * k), slice(4 * k, 13 * k))
+    r = [b - a for a, b in zip(theta0, theta1)]
+    v = [c - 2.0 * b + a for a, b, c in zip(theta0, theta1, theta2)]
     alpha = []
     for i, cap in enumerate(step_max):
-        sr2, sv2 = (sum(float(np.vdot(y, y)) for y in (x[i, part] for part in blocks))
-                    for x in (r, v))
+        sr2, sv2 = (sum(float(np.vdot(part[i], part[i])) for part in x) for x in (r, v))
         alpha.append(min(cap, math.sqrt(sr2 / sv2) if sv2 > 0.0 else math.inf))
     rows = np.array([i for i, step in enumerate(alpha) if step > 1.0], dtype=np.intp)
     if not len(rows):
         return alpha, rows, ()
-    step = np.array(alpha)[rows, None]
-    weights, means, covs = _parts(_take(theta0, rows) + 2.0 * step * _take(r, rows)
-                                  + step * step * _take(v, rows))
+    steps, candidate = np.array(alpha)[rows], []
+    for a, b, c in zip(theta0, r, v):
+        step = steps.reshape(steps.shape + (1,) * (a.ndim - 1))
+        candidate.append(_take(a, rows) + 2.0 * step * _take(b, rows)
+                         + step * step * _take(c, rows))
+    weights, means, covs = candidate
     precision, log_det, failing = _closed_form(covs, _take(eps, rows), 0.0)
     feasible = (weights >= 0.0).all(axis=-1)
     if failing is not None:
@@ -530,13 +517,14 @@ class _Lockstep:
     Every array has a leading axis over the fits, in the order of fits:
     the feature tables phi (B, 10, N), the covariance floors eps (B,),
     the responsibilities gamma (B, K, N) of the latest accepted states,
-    and states, the EM states (B, 13K) of the current SQUAREM cycle, one
-    row per fit (see _parts). The states are what SQUAREM extrapolates
-    and a finishing fit is read from; each E-step reads the precisions
-    and log-determinants its M-step or _extrapolate returned. The fits all start in the
-    constructor and none joins later. Every step ends in _settle, where
-    the fits that finished or failed leave together, to done as (input
-    position, FitResult or FitError).
+    and states, the EM states of the current SQUAREM cycle, each the
+    triple (weights, means, covariances) of _m_step_arrays. The states
+    are what SQUAREM extrapolates and a finishing fit is read from; each
+    E-step reads the precisions and log-determinants its M-step or
+    _extrapolate returned. The fits all start in the constructor and none
+    joins later. Every step ends in _settle, where the fits that finished
+    or failed leave together, to done as (input position, FitResult or
+    FitError).
     """
 
     def __init__(self, fits: list[_Fit], phi: np.ndarray, eps: np.ndarray, codes: np.ndarray,
@@ -569,7 +557,7 @@ class _Lockstep:
         stay = []
         for b, fit in enumerate(self.fits):
             if b in stopped and b not in failed:
-                weights, means, covs = _parts(self.states[-1][b])
+                weights, means, covs = (part[b] for part in self.states[-1])
                 try:
                     model = Gmm(weights, means + fit.centre, covs)
                 except (ValueError, np.linalg.LinAlgError) as exc:
@@ -587,7 +575,7 @@ class _Lockstep:
         if len(stay) < len(self.fits):
             self.fits = [self.fits[b] for b in stay]
             self.phi, self.eps, self.gamma = self.phi[stay], self.eps[stay], self.gamma[stay]
-            self.states = [state[stay] for state in self.states]
+            self.states = [tuple(part[stay] for part in state) for state in self.states]
 
     def _map(self) -> np.ndarray:
         """One EM map of every fit. A fit that fails, converges or reaches
@@ -640,7 +628,8 @@ class _Lockstep:
                     # every fit won: the batch adopts the candidates' arrays
                     state, self.gamma = stabilised, gamma
                 elif len(winners):  # the winners' rows, in place
-                    state[winners], self.gamma[winners] = stabilised[won], gamma[won]
+                    for part, new in zip(state + (self.gamma,), stabilised + (gamma,)):
+                        part[winners] = new[won]
                 for b, value in zip(winners.tolist(), stabilised_ll[won].tolist()):
                     accepted[b] = True
                     fits[b].trace.append(value)

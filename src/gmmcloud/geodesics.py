@@ -233,8 +233,9 @@ def interpolate_point_clouds(x: PointCloud, y: PointCloud, ts=DEFAULT_TS,
         raise ValueError("need at least one interpolation parameter")
     n_out = checked_integer("output cloud size", len(x) if n_out is None else n_out, 1)
     fit = FitConfig(seed=seed)
-    ks_x = default_candidate_ks(len(x)) if candidate_ks is None else candidate_ks
-    ks_y = default_candidate_ks(len(y)) if candidate_ks is None else candidate_ks
+    ks = None if candidate_ks is None else tuple(candidate_ks)  # read once, for both clouds
+    ks_x = default_candidate_ks(len(x)) if ks is None else ks
+    ks_y = default_candidate_ks(len(y)) if ks is None else ks
     ensemble_x, _ = build_ensemble(x, ks_x, fit)
     ensemble_y, _ = build_ensemble(y, ks_y, fit)
     gx = dominant_member(ensemble_x)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import em
 from .embedding import ProbeSet, SphereEmbedding
-from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud, float_array
+from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud, checked_array, float_array
 from .sampling import is_integer
 from .selection import AicTable, akaike_weights, member_probabilities
 
@@ -222,10 +222,10 @@ def _center_offset(meta, path: str) -> np.ndarray | None:
     value = meta.get("center_offset")
     if value is None:
         return None
-    offset = np.array(value, dtype=float)
-    if offset.shape != (3,) or not np.all(np.isfinite(offset)):
-        raise FileFormatError(f"{path}: center_offset must be three finite numbers")
-    return offset
+    try:
+        return checked_array("center_offset", value, (3,), "three numbers")
+    except ValueError:
+        raise FileFormatError(f"{path}: center_offset must be three finite numbers") from None
 
 
 def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
@@ -363,9 +363,9 @@ def save_probe_set(path: str, probes: ProbeSet):
 def load_probe_set(path: str) -> ProbeSet:
     obj = _load_json(path, "probe_set")
     with _fields_of(path):
-        bounds = np.array([obj["bounds"]["lo"], obj["bounds"]["hi"]])
+        bounds = [obj["bounds"]["lo"], obj["bounds"]["hi"]]
         _check_fields(path, "", (("seed", is_integer(obj["seed"]), "an integer"),))
-        return ProbeSet(np.array(obj["probes"]), bounds, obj["seed"])
+        return ProbeSet(obj["probes"], bounds, obj["seed"])
 
 
 def _check_entry(path: str, i: int, label, source):
@@ -394,7 +394,7 @@ def load_embeddings(path: str) -> list[tuple[SphereEmbedding, str | None, str]]:
         for i, e in enumerate(obj["entries"]):
             label, source = e.get("label"), e.get("source", "")
             _check_entry(path, i, label, source)
-            entries.append((SphereEmbedding(np.array(e["coords"])), label, source))
+            entries.append((SphereEmbedding(e["coords"]), label, source))
     return entries
 
 

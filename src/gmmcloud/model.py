@@ -76,9 +76,12 @@ def _transposed(mats: np.ndarray) -> np.ndarray:
 
 def float_array(name: str, value) -> np.ndarray:
     """value as a float array, copied, if its entries are integers or
-    floats; a bool, string or object array is refused by name, not read
-    as numbers."""
-    arr = np.array(value)
+    floats; a ragged nesting, or a bool, string or object array, is
+    refused by name, not read as numbers."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # NumPy's "inhomogeneous shape", which names no field
+        raise ValueError(f"{name} must be a rectangular array of numbers") from None
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be numbers, got dtype {arr.dtype}")
     return arr.astype(float, copy=False)

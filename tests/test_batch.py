@@ -319,7 +319,7 @@ def test_each_e_step_equals_the_e_step_of_the_state_rows(monkeypatch, k):
     def m_step_checked(phi, gamma, eps):
         floored.clear()
         state, parts, failed = m_step_arrays(phi, gamma, eps)
-        weights, means, covs = em._parts(state)
+        weights, means, covs = state
         precision, log_det, _ = em._closed_form(covs, eps, 1.0)
         bound = floored[0] if floored else np.zeros(weights.shape, dtype=bool)
         assert_same(parts[:2], (weights, means))
@@ -334,9 +334,12 @@ def test_each_e_step_equals_the_e_step_of_the_state_rows(monkeypatch, k):
     def extrapolate_checked(theta0, theta1, theta2, step_max, eps):
         alpha, rows, parts = extrapolate(theta0, theta1, theta2, step_max, eps)
         if len(rows):
-            step = np.array(alpha)[rows, None]
-            r, v = theta1[rows] - theta0[rows], theta2[rows] - 2.0 * theta1[rows] + theta0[rows]
-            weights, means, covs = em._parts(theta0[rows] + 2.0 * step * r + step * step * v)
+            steps, candidate = np.array(alpha)[rows], []
+            for a, b, c in zip(theta0, theta1, theta2):
+                step = steps.reshape(steps.shape + (1,) * (a.ndim - 1))
+                r, v = b[rows] - a[rows], c[rows] - 2.0 * b[rows] + a[rows]
+                candidate.append(a[rows] + 2.0 * step * r + step * step * v)
+            weights, means, covs = candidate
             assert_same(parts, (weights, means) + em._closed_form(covs, eps[rows], 0.0)[:2])
             checked["candidates"] += len(rows)
         return alpha, rows, parts
@@ -358,7 +361,8 @@ def test_each_fits_squarem_step_sums_its_own_norms_in_order(monkeypatch):
 
     def recorded(*args):
         # copies: the winners' rows of theta2 are overwritten in place
-        steps.append(([em._parts(theta.copy()) for theta in args[:3]], list(args[3])))
+        steps.append(([tuple(part.copy() for part in theta) for theta in args[:3]],
+                      list(args[3])))
         alpha, rows, parts = extrapolate(*args)
         steps[-1] += (alpha,)
         return alpha, rows, parts

@@ -557,7 +557,7 @@ def state_and_precisions(m_step_result):
     the precisions and log-determinants its E-step reads."""
     state, (_, _, precision, log_det), failed = m_step_result
     assert failed == {}
-    return em._parts(state[0]) + (precision[0], log_det[0])
+    return tuple(part[0] for part in state) + (precision[0], log_det[0])
 
 
 def m_step_one(phi, gamma, eps):
@@ -923,16 +923,23 @@ def test_fit_sorts_floors_and_builds_features_once(monkeypatch):
 
 
 def squarem_states(weights, covariance_scales):
-    """Three EM states (26,) of two components with fixed means: the given
-    weights and multiples of the identity as covariances."""
-    return [np.concatenate([w, np.zeros(6), np.ravel([s * np.eye(3)] * 2)])
+    """Three EM states (weights, means, covariances) of two components
+    with fixed means: the given weights and multiples of the identity as
+    covariances."""
+    return [(np.array(w, dtype=float), np.zeros((2, 3)), np.array([s * np.eye(3)] * 2))
             for w, s in zip(weights, covariance_scales)]
+
+
+def batch_of(*fits):
+    """The three EM states of a batch of fits, each fit given by its
+    three states: every part stacked over the fits."""
+    return [tuple(np.stack(parts) for parts in zip(*states)) for states in zip(*fits)]
 
 
 def extrapolate_one(states, step_max):
     """em._extrapolate on a batch of one fit, at floor 1: its step alpha
     and the parts of its extrapolated state, or None."""
-    alpha, rows, parts = em._extrapolate(*(s[None] for s in states), [step_max], np.ones(1))
+    alpha, rows, parts = em._extrapolate(*batch_of(states), [step_max], np.ones(1))
     return alpha[0], (tuple(part[0] for part in parts) if len(rows) else None)
 
 
@@ -970,7 +977,7 @@ def test_extrapolate_rejects_non_spd_covariances():
 def test_extrapolate_rejects_nan_covariances():
     # a NaN makes |v| NaN, so alpha = step_max, and fails every test
     states = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
-    em._parts(states[2])[2][1, 0, 0] = np.nan
+    states[2][2][1, 0, 0] = np.nan
     assert extrapolate_one(states, step_max=4.0) == (4.0, None)
 
 
@@ -981,7 +988,7 @@ def test_extrapolate_decides_fit_by_fit_in_a_batch():
              (squarem_states([[0.5, 0.5], [0.4, 0.6], [0.3, 0.7]], [1.0, 1.0, 1.0]), 4.0),
              (squarem_states([[0.5, 0.5]] * 3, [1.0, 0.9, 0.8]), 16.0),
              (squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15]), 1.0)]
-    batch = [np.stack([states[i] for states, _ in cases]) for i in range(3)]
+    batch = batch_of(*(states for states, _ in cases))
     alpha, rows, parts = em._extrapolate(*batch, [cap for _, cap in cases], np.ones(4))
     assert alpha == [extrapolate_one(states, cap)[0] for states, cap in cases]
     assert rows.tolist() == [0]
@@ -1005,8 +1012,8 @@ def test_extrapolate_rejects_a_non_finite_or_indefinite_covariance(bad):
     good = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
     states = squarem_states([[0.5, 0.5], [0.45, 0.55], [0.42, 0.58]], [1.0, 1.1, 1.15])
     for state in states:
-        em._parts(state)[2][1] = bad
-    batch = [np.stack(pair) for pair in zip(states, good)]
+        state[2][1] = bad
+    batch = batch_of(states, good)
     alpha, rows, parts = em._extrapolate(*batch, [2.0, 2.0], np.ones(2))
     assert alpha[1] == 2.0 and rows.tolist() == [1]
     assert extrapolate_one(states, 2.0)[1] is None

@@ -540,6 +540,19 @@ def test_interpolate_identical_clouds_stay_close():
         assert arc_distance(e1, e2) < cross
 
 
+def test_interpolate_reads_candidate_ks_once():
+    # a generator of Ks gives both clouds the same candidates as a tuple
+    x = make_bent_tube(tube_spec_for_class("nondemented", n_points=100), seed=0)
+    y = make_bent_tube(tube_spec_for_class("demented", n_points=100), seed=1)
+    from_tuple = interpolate_point_clouds(x, y, ts=(0.5,), candidate_ks=(1, 2), seed=0)
+    from_generator = interpolate_point_clouds(x, y, ts=(0.5,),
+                                              candidate_ks=(k for k in (1, 2)), seed=0)
+    for got, want in ((from_generator.source, from_tuple.source),
+                      (from_generator.target, from_tuple.target)):
+        assert got.covariances.tobytes() == want.covariances.tobytes()
+    assert from_generator.frames[0].points.tobytes() == from_tuple.frames[0].points.tobytes()
+
+
 def test_interpolate_default_grid():
     assert DEFAULT_TS == (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 

@@ -525,6 +525,11 @@ def _with_metadata(**fields):
     (lambda obj: json.dumps(obj)[:-9], "not valid JSON"),
     (lambda obj: {**obj, "metadata": {**obj["metadata"], "center_offset": [1.0, 2.0]}},
      "center_offset must be three finite numbers"),
+    # no entry is read as a number unless it is one
+    (_with_metadata(center_offset=["1.0", "2.0", "3.0"]),
+     "center_offset must be three finite numbers"),
+    (_with_metadata(center_offset=[True, False, True]),
+     "center_offset must be three finite numbers"),
     (_with_metadata(seed="0"), "metadata field 'seed' must be an integer"),
     (_with_metadata(seed=1.5), "metadata field 'seed' must be an integer"),
     (_with_metadata(candidate_ks="1"),
@@ -538,7 +543,8 @@ def _with_metadata(**fields):
     (_with_metadata(training_n=True), "metadata field 'training_n' must be an integer >= 1"),
     (_with_metadata(label=5), "metadata field 'label' must be a string or null"),
 ], ids=["no-ensemble", "model-without-means", "top-level-list", "ensemble-not-a-list",
-        "metadata-not-an-object", "truncated", "short-center-offset", "seed-string",
+        "metadata-not-an-object", "truncated", "short-center-offset",
+        "center-offset-strings", "center-offset-bools", "seed-string",
         "seed-float", "candidate-ks-string", "candidate-ks-empty", "candidate-ks-zero",
         "candidate-ks-float", "training-n-zero", "training-n-string", "training-n-float",
         "training-n-bool", "label-number"])
@@ -725,6 +731,38 @@ def test_probe_and_embedding_files_reject_malformed_json(tmp_path):
     embeddings.write_text(json.dumps({"schema_version": "1", "kind": "embeddings"}))
     with pytest.raises(FileFormatError, match="missing field 'entries'"):
         load_embeddings(str(embeddings))
+
+
+def _saved(path: str, kind: str):
+    """A model, probe set or embeddings file written to path: its JSON
+    object and its loader."""
+    if kind == "model":
+        ensemble, table = two_member_ensemble()
+        save_model(path, ensemble, table, FitMetadata(0, (1, 2), 5))
+        load = load_model
+    elif kind == "probe_set":
+        save_probe_set(path, make_probe_set([messy_cloud()], seed=1, count=8))
+        load = load_probe_set
+    else:
+        save_embeddings(path, [(SphereEmbedding(np.full(4, 0.5)), None, "a.xyz")])
+        load = load_embeddings
+    return json.loads(Path(path).read_text()), load
+
+
+@pytest.mark.parametrize("kind, field, make_ragged", [
+    ("model", "means", lambda obj: obj["ensemble"][1]["model"]["means"][0].pop()),
+    ("probe_set", "bounds", lambda obj: obj["bounds"]["hi"].pop()),
+    ("probe_set", "probes", lambda obj: obj["probes"][0].pop()),
+    ("embeddings", "coords", lambda obj: obj["entries"][0]["coords"].append([0.5])),
+], ids=["model-means", "probe-bounds", "probes", "embedding-coords"])
+def test_a_ragged_array_in_a_file_is_refused_by_name(tmp_path, kind, field, make_ragged):
+    # not with NumPy's "inhomogeneous shape", which names no field
+    path = str(tmp_path / "file.json")
+    obj, load = _saved(path, kind)
+    make_ragged(obj)
+    Path(path).write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=rf"^{field} must be a rectangular array of numbers$"):
+        load(path)
 
 
 @pytest.mark.parametrize("seed", [1.7, True, "12", None])

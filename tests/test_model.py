@@ -270,6 +270,14 @@ def _with_first(value, entry):
     return out
 
 
+def _ragged(value):
+    """value as nested lists whose first row is one entry short, or whose
+    first entry is a list"""
+    out = value.tolist()
+    out[0] = out[0][:-1] if value.ndim > 1 else [out[0]]
+    return out
+
+
 # each bad value made from a site's valid one, and the message it gets
 BAD_ARRAYS = {
     "nan": (lambda v: _with_first(v, np.nan), "finite$"),
@@ -281,6 +289,8 @@ BAD_ARRAYS = {
     "bool": (lambda v: v != 0.0, "numbers, got dtype bool$"),
     "string": (lambda v: v.astype(str), "numbers, got dtype <U"),
     "object": (lambda v: v.astype(object), "numbers, got dtype object$"),
+    # not NumPy's "inhomogeneous shape", which names no field
+    "ragged": (_ragged, "a rectangular array of numbers$"),
 }
 
 
@@ -294,7 +304,7 @@ def test_every_array_site_refuses_a_bad_array_by_name(site, bad):
         call(change(good))
 
 
-@pytest.mark.parametrize("bad", ["bool", "string", "object"])
+@pytest.mark.parametrize("bad", ["bool", "string", "object", "ragged"])
 def test_gmm_refuses_covariances_that_are_not_numbers(bad):
     # the covariances pass checked_spd, not checked_array, by the same
     # conversion
