@@ -38,7 +38,6 @@ from .model import (
     Gmm,
     GmmEnsemble,
     PointCloud,
-    gmm_log_likelihood,
 )
 from .sampling import generate_point_cloud, rng_stream
 from .selection import (
@@ -82,7 +81,6 @@ __all__ = [
     "fit_em",
     "fit_em_candidates",
     "generate_point_cloud",
-    "gmm_log_likelihood",
     "interpolate_point_clouds",
     "knn_classify",
     "m_step",

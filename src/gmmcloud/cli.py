@@ -111,7 +111,20 @@ def _fit(fitter, *args, **kwargs):
     return result
 
 
-@click.group()
+class Commands(click.Group):
+    """The command group. A file a command cannot open, read or write is
+    one "Error: <path>: <reason>" line, not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OSError as exc:
+            if exc.filename is None:
+                raise
+            raise click.ClickException(f"{exc.filename}: {exc.strerror}") from None
+
+
+@click.group(cls=Commands)
 def main():
     """Fit, sample, interpolate, embed, and classify 3D point-cloud shapes."""
 

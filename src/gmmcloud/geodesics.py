@@ -137,14 +137,6 @@ def match_components(a: Gmm, b: Gmm) -> np.ndarray:
     return _min_cost_assignment(cost)
 
 
-def reorder_components(model: Gmm, perm) -> Gmm:
-    """Mixture with components listed in the order perm."""
-    perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(model.k)):
-        raise ValueError(f"not a permutation of 0..{model.k - 1}: {perm.tolist()}")
-    return Gmm(model.weights[perm], model.means[perm], model.covariances[perm])
-
-
 def _check_t(t) -> float:
     """t as a float, if it is a real number (is_real) in [0, 1]."""
     if not (is_real(t) and 0.0 <= t <= 1.0):
@@ -243,7 +235,8 @@ def interpolate_point_clouds(x: PointCloud, y: PointCloud, ts=DEFAULT_TS,
     k = min(gx.k, gy.k)
     source = project_to_k(gx, k)
     target = project_to_k(gy, k)
-    target = reorder_components(target, match_components(source, target))
+    perm = match_components(source, target)
+    target = Gmm(target.weights[perm], target.means[perm], target.covariances[perm])
     models = tuple(product_geodesic(source, target, t) for t in ts)
     frames = tuple(
         generate_point_cloud(m, n_out, rng_stream(seed, i))

@@ -49,12 +49,13 @@ class FileFormatError(ValueError):
 def _atomic_write_text(path: str, chunks: Iterable[str]):
     """Write the chunks of text, in order, to a temp file beside path and
     replace path with it; on any error the temp file is removed and path
-    keeps what it held."""
+    keeps what it held. An OSError names path, not the temp file."""
     if not path:
         raise ValueError("output path must be non-empty")
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         # mkstemp creates 0600; give the file the mode open(path, "w") would
         umask = os.umask(0)
         os.umask(umask)
@@ -63,9 +64,11 @@ def _atomic_write_text(path: str, chunks: Iterable[str]):
             for chunk in chunks:
                 handle.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -196,14 +199,6 @@ class ModelFile:
     metadata: FitMetadata
 
 
-def _gmm_to_obj(model: Gmm):
-    return {
-        "weights": model.weights.tolist(),
-        "means": model.means.tolist(),
-        "covariances": model.covariances.tolist(),
-    }
-
-
 def _gmm_from_obj(obj, offset) -> Gmm:
     """A stored mixture, built once, its means shifted by offset when
     given; means of another shape than (K, 3) reach Gmm unshifted, and
@@ -247,7 +242,10 @@ def save_model(path: str, ensemble: GmmEnsemble, aic_table: AicTable,
                    [(m.model.k, m.weight) for m in ensemble.members])
     _save_json(path, "model_file", {
         "ensemble": [
-            {"p": m.weight, "model": _gmm_to_obj(m.model)} for m in ensemble.members
+            {"p": m.weight, "model": {"weights": m.model.weights.tolist(),
+                                      "means": m.model.means.tolist(),
+                                      "covariances": m.model.covariances.tolist()}}
+            for m in ensemble.members
         ],
         "aic_table": [
             {"k": r.k, "aic": r.aic, "normalized": r.normalized, "kept": r.kept}
@@ -341,8 +339,7 @@ def _check_fields(path: str, owner: str, checks):
 def _fit_metadata(meta, path: str) -> FitMetadata:
     """A model file's FitMetadata, each field's type checked; bools are
     no integers here. sample writes the label to an XYZ comment line."""
-    seed, ks, n = meta["seed"], meta["candidate_ks"], meta["training_n"]
-    label = meta.get("label")
+    seed, ks, n, label = meta["seed"], meta["candidate_ks"], meta["training_n"], meta["label"]
     _check_fields(path, "metadata ", (
         ("seed", is_integer(seed), "an integer"),
         ("candidate_ks", type(ks) is list and ks != [] and all(
@@ -392,7 +389,7 @@ def load_embeddings(path: str) -> list[tuple[SphereEmbedding, str | None, str]]:
     entries = []
     with _fields_of(path):
         for i, e in enumerate(obj["entries"]):
-            label, source = e.get("label"), e.get("source", "")
+            label, source = e["label"], e["source"]
             _check_entry(path, i, label, source)
             entries.append((SphereEmbedding(e["coords"]), label, source))
     return entries

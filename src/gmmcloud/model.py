@@ -426,13 +426,3 @@ def gmm_log_density(points: np.ndarray, model: Gmm | GmmEnsemble) -> np.ndarray:
 
 # the name the benchmark's nll_per_point imports; gmm_log_density scores ensembles
 ensemble_log_density = gmm_log_density
-
-
-def gmm_log_likelihood(cloud: PointCloud, model: Gmm) -> float:
-    """Total log-likelihood of a cloud under a mixture.
-
-    Per-point contributions go through log-sum-exp, so far-outlying
-    points underflow to -inf only when the density is exactly zero in
-    exact arithmetic.
-    """
-    return float(np.sum(gmm_log_density(cloud.points, model)))

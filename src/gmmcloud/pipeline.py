@@ -39,9 +39,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         checked_integer("base_shapes_per_class", self.base_shapes_per_class, 1)
-        checked_integer("n_points", self.n_points, 1)
+        n_points = checked_integer("n_points", self.n_points, 1)
+        if set(self.generated_counts) != set(GENERATED_COUNTS):
+            raise ValueError(f"generated_counts must count the classes {sorted(GENERATED_COUNTS)}, "
+                             f"got {list(self.generated_counts)}")
         for label, count in self.generated_counts.items():
             checked_integer(f"generated_counts[{label!r}]", count, 1)
+        if not self.candidate_ks:
+            raise ValueError("candidate_ks must not be empty")
+        for i, k in enumerate(self.candidate_ks):
+            if checked_integer(f"candidate_ks[{i}]", k, 1) > n_points:
+                raise ValueError(f"candidate_ks[{i}] must be <= n_points ({n_points}), got {k}")
         if not self.probe_seeds:
             raise ValueError("probe_seeds must not be empty")
         checked_integer("seed", self.seed)

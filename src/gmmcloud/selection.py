@@ -18,8 +18,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .em import FitConfig, FitError, _check_component_count, fit_em, fit_em_candidates
-from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud, gmm_log_likelihood
+from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud, gmm_log_density
 from .sampling import checked_integer
 
 KEEP_THRESHOLD = 0.01
@@ -50,13 +52,10 @@ def parameter_count(k: int) -> int:
     return 10 * k - 1
 
 
-def aic_from_log_likelihood(k: int, log_likelihood: float) -> float:
-    return 2.0 * parameter_count(k) - 2.0 * log_likelihood
-
-
 def aic_score(cloud: PointCloud, model: Gmm) -> float:
     """AIC of a fitted mixture on the cloud it was fitted to."""
-    return aic_from_log_likelihood(model.k, gmm_log_likelihood(cloud, model))
+    log_likelihood = float(np.sum(gmm_log_density(cloud.points, model)))
+    return 2.0 * parameter_count(model.k) - 2.0 * log_likelihood
 
 
 def akaike_weights(scores) -> AicTable:

@@ -1,5 +1,6 @@
 """End-to-end command-line interface checks."""
 
+import errno
 import json
 import math
 import os
@@ -295,6 +296,45 @@ def test_interpolate_writes_frames_and_filmstrip(workspace, tmp_path):
         assert len(read_point_cloud(os.path.join(out, name))) == 50
     assert result.output.count("wrote ") == 4
     assert "filmstrip.svg" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--class", "demented", "--n", "50"],
+    ["fit", "{cloud}", "--ks", "1"],
+    ["sample", "{model}", "--n", "10"],
+    ["probes", "{cloud}", "--count", "10"],
+    ["embed", "{model}", "--probes", "{probes}"],
+], ids=["synth", "fit", "sample", "probes", "embed"])
+def test_a_write_into_a_missing_directory_is_a_one_line_error(workspace, tmp_path, command):
+    out = str(tmp_path / "missing" / "out")
+    args = [arg.format(cloud=workspace["dem0"], model=workspace["dem0_model"],
+                       probes=workspace["probes"]) for arg in command]
+    result = runner.invoke(main, args + ["-o", out], catch_exceptions=False)
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"Error: {out}: {os.strerror(errno.ENOENT)}"]
+    assert result.stdout == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_interpolate_that_cannot_write_is_a_one_line_error(workspace, tmp_path):
+    def interpolate(out):
+        return runner.invoke(main, ["interpolate", workspace["dem0"], workspace["non0"],
+                                    "--ts", "0,1", "--ks", "1", "--n", "20", "-o", out],
+                             catch_exceptions=False)
+    # a file as the output directory's parent
+    out = os.path.join(workspace["dem0"], "morph")
+    result = interpolate(out)
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"Error: {out}: {os.strerror(errno.ENOTDIR)}"]
+    # a directory where the first frame goes: its temp file is written, then
+    # cannot replace the frame, and is removed
+    out = str(tmp_path / "morph")
+    frame = os.path.join(out, "frame_00_t0.xyz")
+    os.makedirs(frame)
+    result = interpolate(out)
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"Error: {frame}: {os.strerror(errno.EISDIR)}"]
+    assert os.listdir(out) == ["frame_00_t0.xyz"] and os.listdir(frame) == []
 
 
 @pytest.fixture(scope="module")

@@ -22,6 +22,7 @@ from conftest import (
     sphere_distance,
     unit_gmm,
 )
+from gmmcloud.em import FitConfig
 from gmmcloud.embedding import arc_distance, embed, make_probe_set
 from gmmcloud.geodesics import (
     DEFAULT_TS,
@@ -30,7 +31,6 @@ from gmmcloud.geodesics import (
     match_components,
     product_geodesic,
     project_to_k,
-    reorder_components,
 )
 from gmmcloud.model import (
     DegenerateCovarianceError,
@@ -39,6 +39,7 @@ from gmmcloud.model import (
     GmmEnsemble,
     PointCloud,
 )
+from gmmcloud.selection import build_ensemble
 from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
 
 
@@ -238,16 +239,6 @@ def test_match_requires_equal_counts():
     rng = np.random.default_rng(10)
     with pytest.raises(ValueError, match="differ"):
         match_components(random_gmm(rng, 2), random_gmm(rng, 3))
-
-
-def test_reorder_components():
-    model = random_gmm(np.random.default_rng(11), 3)
-    swapped = reorder_components(model, [2, 0, 1])
-    for got, original in ((swapped.weights, model.weights), (swapped.means, model.means),
-                          (swapped.covariances, model.covariances)):
-        np.testing.assert_array_equal(got, original[[2, 0, 1]])
-    with pytest.raises(ValueError, match="permutation"):
-        reorder_components(model, [0, 0, 1])
 
 
 # ---------------------------------------------------------- sphere slot
@@ -551,6 +542,25 @@ def test_interpolate_reads_candidate_ks_once():
                       (from_generator.target, from_tuple.target)):
         assert got.covariances.tobytes() == want.covariances.tobytes()
     assert from_generator.frames[0].points.tobytes() == from_tuple.frames[0].points.tobytes()
+
+
+def test_interpolate_target_is_the_projected_target_in_matched_order():
+    x = make_bent_tube(tube_spec_for_class("nondemented", n_points=100), seed=0)
+    y = make_bent_tube(tube_spec_for_class("demented", n_points=100), seed=1)
+    result = interpolate_point_clouds(x, y, ts=(0.5,), candidate_ks=(2, 4), seed=0)
+    gx, gy = (dominant_member(build_ensemble(c, (2, 4), FitConfig(seed=0))[0]) for c in (x, y))
+    k = min(gx.k, gy.k)
+    source, target = project_to_k(gx, k), project_to_k(gy, k)
+    perm = match_components(source, target)
+    # the match reorders here, so an unpermuted target would fail
+    assert perm.tolist() != list(range(k))
+    for got, want in ((result.source.weights, source.weights),
+                      (result.source.means, source.means),
+                      (result.source.covariances, source.covariances),
+                      (result.target.weights, target.weights[perm]),
+                      (result.target.means, target.means[perm]),
+                      (result.target.covariances, target.covariances[perm])):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_interpolate_default_grid():

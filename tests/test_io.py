@@ -285,9 +285,19 @@ def test_a_failed_replace_leaves_no_temp_file(tmp_path):
     # the target is a directory, so os.replace fails after the write
     target = tmp_path / "cloud.xyz"
     target.mkdir()
-    with pytest.raises(IsADirectoryError):
+    with pytest.raises(IsADirectoryError) as caught:
         write_point_cloud(messy_cloud(), str(target))
+    # the error names the target, not the temp file beside it
+    assert caught.value.filename == str(target)
     assert os.listdir(tmp_path) == ["cloud.xyz"] and os.listdir(target) == []
+
+
+def test_a_write_into_a_missing_directory_names_the_target(tmp_path):
+    target = str(tmp_path / "missing" / "cloud.xyz")
+    with pytest.raises(FileNotFoundError) as caught:
+        write_point_cloud(messy_cloud(), target)
+    assert (caught.value.errno, caught.value.filename) == (errno.ENOENT, target)
+    assert os.listdir(tmp_path) == []
 
 
 def test_writer_rejects_empty_path():
@@ -516,6 +526,11 @@ def _with_metadata(**fields):
     return lambda obj: {**obj, "metadata": {**obj["metadata"], **fields}}
 
 
+def _without_label(obj):
+    del obj["metadata"]["label"]
+    return obj
+
+
 @pytest.mark.parametrize("change, message", [
     (_without_ensemble, "missing field 'ensemble'"),
     (_without_means, "missing field 'means'"),
@@ -542,12 +557,14 @@ def _with_metadata(**fields):
     (_with_metadata(training_n=2.5), "metadata field 'training_n' must be an integer >= 1"),
     (_with_metadata(training_n=True), "metadata field 'training_n' must be an integer >= 1"),
     (_with_metadata(label=5), "metadata field 'label' must be a string or null"),
+    # every writer has written the label, null when there is none
+    (_without_label, "missing field 'label'"),
 ], ids=["no-ensemble", "model-without-means", "top-level-list", "ensemble-not-a-list",
         "metadata-not-an-object", "truncated", "short-center-offset",
         "center-offset-strings", "center-offset-bools", "seed-string",
         "seed-float", "candidate-ks-string", "candidate-ks-empty", "candidate-ks-zero",
         "candidate-ks-float", "training-n-zero", "training-n-string", "training-n-float",
-        "training-n-bool", "label-number"])
+        "training-n-bool", "label-number", "no-label"])
 def test_model_file_malformed_json_raises_file_format_error(tmp_path, change, message):
     path = str(tmp_path / "model.json")
     ensemble, table = two_member_ensemble()
@@ -777,11 +794,17 @@ def test_probe_set_seed_must_be_an_integer(tmp_path, seed):
         load_probe_set(path)
 
 
+MISSING = object()
+
+
 @pytest.mark.parametrize("field, value, expected", [
     ("label", ["nondemented"], "a string or null"),
     ("label", 5, "a string or null"),
     ("source", 3, "a string"),
     ("source", None, "a string"),
+    # every writer has written both fields, the label null when there is none
+    pytest.param("label", MISSING, None, id="label-missing"),
+    pytest.param("source", MISSING, None, id="source-missing"),
 ])
 def test_embedding_entries_check_their_label_and_source(tmp_path, field, value, expected):
     path = str(tmp_path / "emb.json")
@@ -789,10 +812,14 @@ def test_embedding_entries_check_their_label_and_source(tmp_path, field, value, 
     save_embeddings(path, [(SphereEmbedding(v), "demented", "a.xyz"),
                            (SphereEmbedding(v), None, "b.xyz")])
     obj = json.loads(Path(path).read_text())
-    obj["entries"][1][field] = value
+    if value is MISSING:
+        del obj["entries"][1][field]
+        message = f"missing field {field!r}"
+    else:
+        obj["entries"][1][field] = value
+        message = f"entry 1 field {field!r} must be {expected}"
     Path(path).write_text(json.dumps(obj))
-    with pytest.raises(FileFormatError,
-                       match=re.escape(f"{path}: entry 1 field {field!r} must be {expected}")):
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
         load_embeddings(path)
 
 

@@ -17,8 +17,11 @@ def test_experiment_config_takes_numpy_integers():
 BAD_FIELDS = {
     "base_shapes_per_class": ([0, 1.5, True], r"^base_shapes_per_class must be "),
     "generated_counts": ([{**GENERATED_COUNTS, "demented": 0},
-                          {**GENERATED_COUNTS, "nondemented": 2.5}],
-                         r"^generated_counts\['(demented|nondemented)'\] must be "),
+                          {**GENERATED_COUNTS, "nondemented": 2.5},
+                          {"healthy": 2, "demented": 2}, {"demented": 2}],
+                         r"^generated_counts(\['(demented|nondemented)'\] must be "
+                         r"| must count the classes \['demented', 'nondemented'\], got )"),
+    "candidate_ks": ([(), (2.5,), (0,), (700,)], r"^candidate_ks(\[0\])? must "),
     "n_points": ([0, 600.0], r"^n_points must be "),
     "seed": ([1.5, None], r"^seed must be an integer"),
     "probe_seeds": ([(), (0, 1.5)], r"^probe_seeds(\[1\])? must "),
@@ -31,3 +34,9 @@ def test_experiment_config_refuses_a_bad_field_by_name(field):
     for value in values:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**{field: value})
+
+
+def test_experiment_config_refuses_a_k_above_n_points():
+    assert ExperimentConfig(n_points=100, candidate_ks=(2, 100)).candidate_ks == (2, 100)
+    with pytest.raises(ValueError, match=r"^candidate_ks\[1\] must be <= n_points \(100\), got 700$"):
+        ExperimentConfig(n_points=100, candidate_ks=(2, 700))

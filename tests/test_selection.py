@@ -17,13 +17,12 @@ from conftest import FLOOR_TEST_TOL, recovery_cloud
 from gmmcloud.em import FitConfig, FitError, _sorted_points
 from gmmcloud.embedding import embed, inflated_bounds, make_probe_set
 from gmmcloud.io import FileFormatError, FitMetadata, load_model, save_model
-from gmmcloud.model import Gmm, PointCloud, covariance_floor
+from gmmcloud.model import Gmm, PointCloud, covariance_floor, gmm_log_density
 from gmmcloud.sampling import generate_point_cloud, rng_stream
 from gmmcloud.selection import (
     AicRow,
     AicTable,
     KEEP_THRESHOLD,
-    aic_from_log_likelihood,
     aic_score,
     akaike_weights,
     build_ensemble,
@@ -45,8 +44,11 @@ def test_parameter_count():
 
 
 def test_aic_arithmetic():
-    assert aic_from_log_likelihood(1, -100.0) == 218.0
-    assert aic_from_log_likelihood(2, -100.0) == 238.0
+    # AIC = 2p - 2 log L, log L the sum of the cloud's log densities, bit for bit
+    cloud = PointCloud(np.random.default_rng(4).normal(size=(50, 3)))
+    model = point_model(0.5)
+    log_likelihood = float(np.sum(gmm_log_density(cloud.points, model)))
+    assert aic_score(cloud, model) == 2.0 * 9 - 2.0 * log_likelihood
 
 
 def test_aic_score_uses_fitted_likelihood():
