@@ -9,7 +9,6 @@ from .em import (
     FitConfig,
     FitError,
     FitResult,
-    Responsibilities,
     e_step,
     fit_em,
     fit_em_candidates,
@@ -65,7 +64,6 @@ __all__ = [
     "InterpolationResult",
     "PointCloud",
     "ProbeSet",
-    "Responsibilities",
     "SphereEmbedding",
     "TubeSpec",
     "add_outliers",

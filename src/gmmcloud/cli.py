@@ -84,6 +84,16 @@ def _check_ks(ks, n: int):
         raise click.BadParameter(str(exc), param_hint="'--ks'") from None
 
 
+def _check_directory(directory: str, out: str):
+    """Raise the OSError, naming out, that a write into directory would end
+    in when directory is missing or is no directory, so that a command
+    fails before its fits. Nothing is created; the write keeps its error."""
+    try:
+        os.stat(os.path.join(directory, ""))  # the trailing slash: ENOTDIR unless a directory
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from None
+
+
 def _load(loader, path):
     """Read a file with one of the io loaders; a file it rejects becomes a
     one-line CLI error that names the file, instead of a traceback."""
@@ -140,6 +150,7 @@ def fit(cloud_path, ks, seed, out):
     """Fit an AIC-weighted mixture ensemble to a point cloud."""
     cloud = _load(read_point_cloud, cloud_path)
     _check_ks(ks, len(cloud))
+    _check_directory(os.path.dirname(out) or os.curdir, out)
     candidate_ks = ks or default_candidate_ks(len(cloud))
     ensemble, table = _fit(build_ensemble, cloud, candidate_ks, FitConfig(seed=seed))
     metadata = FitMetadata(
@@ -188,6 +199,10 @@ def interpolate(cloud_a, cloud_b, ts, n, ks, seed, out):
     x = _load(read_point_cloud, cloud_a)
     y = _load(read_point_cloud, cloud_b)
     _check_ks(ks, min(len(x), len(y)))
+    existing = out  # os.makedirs makes what is missing below the nearest existing path
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing) or os.curdir
+    _check_directory(existing, out)
     result = _fit(interpolate_point_clouds, x, y, ts, n, candidate_ks=ks, seed=seed)
     os.makedirs(out, exist_ok=True)
     panels = []

@@ -74,7 +74,6 @@ from .model import (
     factor_precisions,
     feature_log_densities,
     floor_spd,
-    reduce_through_constructor,
     softmax_columns,
     weighted_log_densities,
 )
@@ -105,29 +104,6 @@ class FitConfig:
 
     def __post_init__(self):
         checked_integer("seed", self.seed)
-
-
-@dataclass(frozen=True, eq=False)
-class Responsibilities:
-    """Posterior component memberships, one row per point.
-
-    underflow_rows counts points whose density underflowed to zero under
-    every component; those rows were assigned uniform 1/K membership.
-    """
-
-    gamma: np.ndarray
-    underflow_rows: int = 0
-
-    def __post_init__(self):
-        g = checked_array("gamma", self.gamma, (None, None), "a non-empty (N, K) array")
-        if np.any(g < 0.0) or np.any(g > 1.0 + 1e-12):
-            raise ValueError("responsibilities must lie in [0, 1]")
-        rows = g.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > 1e-9:
-            raise ValueError("responsibility rows must sum to 1")
-        object.__setattr__(self, "gamma", g)
-
-    __reduce__ = reduce_through_constructor
 
 
 @dataclass(frozen=True)
@@ -244,11 +220,8 @@ def kmeans_init(points: np.ndarray, ks, seed: int) -> list[np.ndarray | FitError
     Each of KMEANS_RESTARTS streams draws one seeding to the largest K. A
     K takes the first K seeds of the restart whose K-seed potential is
     lowest, the first on ties (see the module docstring), and fails when
-    a restart stops short of K seeds, naming the seeds it drew. A K
-    outside 1..N raises ValueError before any seeding.
+    a restart stops short of K seeds, naming the seeds it drew.
     """
-    for one in ks:
-        _check_component_count(one, len(points))
     seedings = [_kmeans_pp_seeds(points, max(ks), rng_stream(seed, r))
                 for r in range(KMEANS_RESTARTS)]
     results = []
@@ -263,13 +236,14 @@ def kmeans_init(points: np.ndarray, ks, seed: int) -> list[np.ndarray | FitError
     return results
 
 
-def e_step(cloud: PointCloud, model: Gmm) -> Responsibilities:
-    """Posterior membership of every point in every component, normalised
-    by softmax_columns; a point whose log-sum-exp is not finite (every
-    density underflowed) gets 1/K and counts in underflow_rows."""
+def e_step(cloud: PointCloud, model: Gmm) -> np.ndarray:
+    """The (N, K) responsibilities: the posterior membership of every
+    point in every component, normalised by softmax_columns in a fresh
+    array that the caller owns; a point whose log-sum-exp is not finite
+    (every density underflowed) gets 1/K."""
     lwd = weighted_log_densities(cloud.points, model)
-    log_sum = softmax_columns(lwd)
-    return Responsibilities(lwd.T, int(np.count_nonzero(~np.isfinite(log_sum))))
+    softmax_columns(lwd)
+    return lwd.T
 
 
 def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -409,14 +383,19 @@ def _m_step_arrays(phi: np.ndarray, gamma: np.ndarray, eps: np.ndarray
     return (weights, means, covs), (weights, means, precision, log_det), failed
 
 
-def m_step(cloud: PointCloud, resp: Responsibilities) -> Gmm:
-    """Weighted-moment parameter update over all points."""
-    if resp.gamma.shape[0] != len(cloud):
-        raise ValueError(
-            f"responsibilities cover {resp.gamma.shape[0]} points, cloud has {len(cloud)}")
+def m_step(cloud: PointCloud, gamma) -> Gmm:
+    """Weighted-moment parameter update over all points from their (N, K)
+    responsibilities gamma, checked here as the library's input: finite
+    numbers (checked_array) in [0, 1], each row summing to 1."""
+    gamma = checked_array("responsibilities", gamma, (len(cloud), None),
+                          f"a ({len(cloud)}, K) array with K >= 1")
+    if np.any(gamma < 0.0) or np.any(gamma > 1.0 + 1e-12):
+        raise ValueError("responsibilities must lie in [0, 1]")
+    if np.max(np.abs(gamma.sum(axis=1) - 1.0)) > 1e-9:
+        raise ValueError("responsibility rows must sum to 1")
     centre = cloud.points.mean(axis=0)
     (weights, means, covs), _, failed = _m_step_arrays(
-        centred_features(cloud.points, centre)[None], resp.gamma.T[None],
+        centred_features(cloud.points, centre)[None], gamma.T[None],
         np.array([covariance_floor(cloud.points)]))
     if failed:
         raise failed[0]

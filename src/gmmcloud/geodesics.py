@@ -29,7 +29,7 @@ import numpy as np
 from .em import FitConfig
 from .model import Gmm, GmmEnsemble, PointCloud, _transposed
 from .sampling import checked_integer, generate_point_cloud, is_real, rng_stream
-from .selection import build_ensemble, default_candidate_ks
+from .selection import _checked_ks, build_ensemble, default_candidate_ks
 
 COLINEAR_THETA = 1e-8
 
@@ -215,7 +215,8 @@ def interpolate_point_clouds(x: PointCloud, y: PointCloud, ts=DEFAULT_TS,
     """Morph between two clouds along the product-manifold geodesic.
 
     Both clouds get an AIC ensemble over candidate_ks (None: the standard
-    candidates for each cloud's size); the dominant member of each is
+    candidates for each cloud's size; given ones are checked against both
+    clouds before either is fitted); the dominant member of each is
     reduced to the smaller component count, the components are matched on
     mean distances, and one cloud is sampled per requested t with an
     independent stream per frame. seed drives the fits and the frames.
@@ -225,7 +226,7 @@ def interpolate_point_clouds(x: PointCloud, y: PointCloud, ts=DEFAULT_TS,
         raise ValueError("need at least one interpolation parameter")
     n_out = checked_integer("output cloud size", len(x) if n_out is None else n_out, 1)
     fit = FitConfig(seed=seed)
-    ks = None if candidate_ks is None else tuple(candidate_ks)  # read once, for both clouds
+    ks = None if candidate_ks is None else _checked_ks(candidate_ks, [x, y])  # read once
     ks_x = default_candidate_ks(len(x)) if ks is None else ks
     ks_y = default_candidate_ks(len(y)) if ks is None else ks
     ensemble_x, _ = build_ensemble(x, ks_x, fit)

@@ -16,6 +16,7 @@ from click.testing import CliRunner
 
 import gmmcloud
 from conftest import near_singular_spd
+from gmmcloud import cli, geodesics
 from gmmcloud.cli import main
 from gmmcloud.embedding import ClassificationMetrics
 from gmmcloud.io import (
@@ -335,6 +336,30 @@ def test_interpolate_that_cannot_write_is_a_one_line_error(workspace, tmp_path):
     assert result.exit_code == 1
     assert result.stderr.splitlines() == [f"Error: {frame}: {os.strerror(errno.EISDIR)}"]
     assert os.listdir(out) == ["frame_00_t0.xyz"] and os.listdir(frame) == []
+
+
+@pytest.mark.parametrize("command, out, error", [
+    (["fit", "{a}"], "{tmp}/missing/model.json", errno.ENOENT),
+    (["fit", "{a}"], "{a}/model.json", errno.ENOTDIR),
+    (["interpolate", "{a}", "{b}"], "{a}/morph", errno.ENOTDIR),
+    (["interpolate", "{a}", "{b}"], "{a}/deeper/morph", errno.ENOTDIR),
+], ids=["fit-missing", "fit-file", "interpolate-file", "interpolate-file-above"])
+def test_an_output_that_cannot_be_written_fails_before_any_fit(workspace, tmp_path,
+                                                                monkeypatch, command, out,
+                                                                error):
+    def no_fit(*args):
+        pytest.fail("fitted before checking the output")
+
+    monkeypatch.setattr(cli, "build_ensemble", no_fit)
+    monkeypatch.setattr(geodesics, "build_ensemble", no_fit)
+    paths = {"a": workspace["dem0"], "b": workspace["non0"], "tmp": tmp_path}
+    out = out.format(**paths)
+    args = [arg.format(**paths) for arg in command] + ["--ks", "1", "-o", out]
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"Error: {out}: {os.strerror(error)}"]
+    assert result.stdout == ""
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.fixture(scope="module")

@@ -22,6 +22,7 @@ from conftest import (
     sphere_distance,
     unit_gmm,
 )
+from gmmcloud import selection
 from gmmcloud.em import FitConfig
 from gmmcloud.embedding import arc_distance, embed, make_probe_set
 from gmmcloud.geodesics import (
@@ -542,6 +543,22 @@ def test_interpolate_reads_candidate_ks_once():
                       (from_generator.target, from_tuple.target)):
         assert got.covariances.tobytes() == want.covariances.tobytes()
     assert from_generator.frames[0].points.tobytes() == from_tuple.frames[0].points.tobytes()
+
+
+def test_interpolate_checks_the_ks_against_both_clouds_before_fitting(monkeypatch):
+    # y cannot take K = 50, so x is fitted at no K either
+    x = make_bent_tube(tube_spec_for_class("nondemented", n_points=200), seed=0)
+    y = make_bent_tube(tube_spec_for_class("demented", n_points=40), seed=1)
+    fit_em, fitted = selection.fit_em, []
+
+    def counted(cloud, k, config):
+        fitted.append(k)
+        return fit_em(cloud, k, config)
+
+    monkeypatch.setattr(selection, "fit_em", counted)
+    with pytest.raises(ValueError, match="^more components than points: K=50, N=40$"):
+        interpolate_point_clouds(x, y, ts=(0.5,), candidate_ks=(2, 8, 50))
+    assert fitted == []
 
 
 def test_interpolate_target_is_the_projected_target_in_matched_order():

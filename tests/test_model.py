@@ -21,7 +21,7 @@ from conftest import (
     sample_mixture,
     unit_gmm,
 )
-from gmmcloud.em import Responsibilities
+from gmmcloud.em import m_step
 from gmmcloud.embedding import ProbeSet, SphereEmbedding, embed, make_probe_set
 from gmmcloud.geodesics import product_geodesic
 from gmmcloud.model import (
@@ -202,8 +202,7 @@ ARRAY_TYPES = pytest.mark.parametrize("make", [
     lambda: PointCloud(np.eye(3), label="demented"),
     lambda: make_probe_set([PointCloud(np.eye(3))], seed=0, count=8),
     lambda: SphereEmbedding(np.full(4, 0.5)),
-    lambda: Responsibilities(np.array([[0.25, 0.75], [1.0, 0.0]]), 1),
-], ids=["Gmm", "PointCloud", "ProbeSet", "SphereEmbedding", "Responsibilities"])
+], ids=["Gmm", "PointCloud", "ProbeSet", "SphereEmbedding"])
 
 
 @ARRAY_TYPES
@@ -257,7 +256,8 @@ ARRAY_SITES = {
     "ProbeSet.probes": ("probes", np.full((4, 3), 0.5), lambda p: ProbeSet(p, _UNIT_BOX, 0)),
     "ProbeSet.bounds": ("bounds", _UNIT_BOX, lambda b: ProbeSet(np.full((4, 3), 0.5), b, 0)),
     "SphereEmbedding.coords": ("coords", np.full(4, 0.5), SphereEmbedding),
-    "Responsibilities.gamma": ("gamma", np.array([[0.5, 0.5], [1.0, 0.0]]), Responsibilities),
+    "m_step.responsibilities": ("responsibilities", np.array([[0.5, 0.5], [1.0, 0.0]]),
+                                lambda g: m_step(PointCloud(np.eye(3)[:2]), g)),
     "add_outliers.bounds": ("bounds", _UNIT_BOX,
                             lambda b: add_outliers(PointCloud(np.eye(3)), 0.5, b, 0)),
 }
