@@ -231,9 +231,7 @@ def interpolate(cloud_a, cloud_b, ts, n, ks, seed, out):
 def synth(class_label, n, seed, outliers, out):
     """Generate a synthetic bent-tube cloud of a stock class."""
     cloud = make_bent_tube(tube_spec_for_class(class_label, n_points=n), seed)
-    if outliers > 0.0:
-        bounds = inflated_bounds([cloud], margin_fraction=0.0)
-        cloud = add_outliers(cloud, outliers, bounds, seed + 1)
+    cloud = add_outliers(cloud, outliers, inflated_bounds([cloud], margin_fraction=0.0), seed + 1)
     write_point_cloud(cloud, out)
     click.echo(f"wrote {len(cloud)} points to {out}")
 

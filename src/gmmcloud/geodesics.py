@@ -69,7 +69,7 @@ def project_to_k(model: Gmm, k_target: int) -> Gmm:
         w[i], m[i], s[i] = _merge_pair(w[i], m[i], s[i], w[j], m[j], s[j])
         w, m, s = (np.delete(a, j, axis=0) for a in (w, m, s))
     total = math.fsum(w.tolist())
-    return Gmm(w / total, m, 0.5 * (s + _transposed(s)))
+    return Gmm(w / total, m, s)
 
 
 def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:

@@ -315,7 +315,8 @@ def _checked_table(path: str, rows, members) -> AicTable:
     the row or member. A stored value is a bool exactly where the computed
     one is: True == 1.0 in Python, not in a model file."""
     try:
-        table = akaike_weights((k, aic) for k, aic, _, _ in rows)
+        # float(): an aic such as "102.0" or True fails its row's comparison
+        table = akaike_weights((k, float(aic)) for k, aic, _, _ in rows)
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: aic_table: {exc}") from None
     for what, stored, computed in (

@@ -235,8 +235,6 @@ def covariance_floor(points: np.ndarray) -> float:
     absolute floor.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 2:
-        return ABSOLUTE_COV_FLOOR
     var = pts.var(axis=0)
     eps = 1e-6 * float(var.sum()) / 3.0
     if not (eps > 0.0 and math.isfinite(eps)):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .em import FitConfig, FitError, _check_component_count, fit_em, fit_em_candidates
 from .model import EnsembleMember, Gmm, GmmEnsemble, PointCloud, gmm_log_density
-from .sampling import checked_integer
+from .sampling import checked_integer, is_real
 
 KEEP_THRESHOLD = 0.01
 DEFAULT_CANDIDATE_KS = (1, 2, 4, 8, 16, 32)
@@ -63,7 +63,12 @@ def akaike_weights(scores) -> AicTable:
 
     scores: iterable of (K, aic) pairs.
     """
-    pairs = [(checked_integer("component count", k, 1), float(a)) for k, a in scores]
+    pairs = []
+    for k, a in scores:
+        k = checked_integer("component count", k, 1)
+        if not is_real(a):
+            raise ValueError(f"AIC score must be a number, got {a!r}")
+        pairs.append((k, float(a)))
     if not pairs:
         raise ValueError("need at least one (K, AIC) pair")
     if any(not math.isfinite(a) for _, a in pairs):
@@ -81,6 +86,7 @@ def member_probabilities(table: AicTable) -> list[tuple[int, float]]:
 
 def default_candidate_ks(n: int) -> tuple[int, ...]:
     """Standard candidate set {1, 2, 4, 8, 16, 32} capped at floor(N/10)."""
+    n = checked_integer("point count", n, 1)
     ks = tuple(k for k in DEFAULT_CANDIDATE_KS if k <= n // 10)
     return ks if ks else (1,)
 

@@ -91,8 +91,6 @@ def add_outliers(cloud: PointCloud, fraction: float, bounds: np.ndarray,
         raise ValueError("bounds must be (2, 3) lo/hi rows with lo <= hi")
     n = len(cloud)
     count = int(fraction * n)
-    if count == 0:
-        return PointCloud(cloud.points, label=cloud.label)
     rng = rng_stream(seed)
     replace = rng.choice(n, size=count, replace=False)
     pts = cloud.points.copy()

@@ -112,6 +112,7 @@ def test_project_preserves_mixture_moments():
     for k_target in (4, 2, 1):
         reduced = project_to_k(model, k_target)
         assert reduced.k == k_target
+        np.testing.assert_array_equal(reduced.covariances, np.swapaxes(reduced.covariances, 1, 2))
         mean_after, cov_after = mixture_moments(reduced)
         np.testing.assert_allclose(mean_after, mean_before, atol=1e-10)
         np.testing.assert_allclose(cov_after, cov_before, atol=1e-10)

@@ -25,6 +25,7 @@ from gmmcloud.em import m_step
 from gmmcloud.embedding import ProbeSet, SphereEmbedding, embed, make_probe_set
 from gmmcloud.geodesics import product_geodesic
 from gmmcloud.model import (
+    ABSOLUTE_COV_FLOOR,
     EXP_FLOOR,
     LOG_TWO_PI,
     DegenerateCovarianceError,
@@ -664,6 +665,8 @@ def test_covariance_floor_tracks_data_scale():
 def test_covariance_floor_degenerate_data():
     assert covariance_floor(np.ones((5, 3))) == 1e-12
     assert covariance_floor(np.zeros((1, 3))) == 1e-12
+    # one point has variance 0 wherever it lies
+    assert covariance_floor(np.array([[1.5, -2.0, 3e8]])) == ABSOLUTE_COV_FLOOR
 
 
 def test_floor_spd_clamps_eigenvalues():

@@ -23,7 +23,8 @@ from gmmcloud.model import (
     PointCloud,
 )
 from gmmcloud.sampling import generate_point_cloud, rng_stream
-from gmmcloud.selection import akaike_weights, build_ensemble, build_ensembles
+from gmmcloud.selection import (akaike_weights, build_ensemble, build_ensembles,
+                                default_candidate_ks)
 from gmmcloud.shapes import TubeSpec, make_bent_tube, tube_spec_for_class
 
 
@@ -86,6 +87,7 @@ INTEGER_ARGUMENTS = {
     "build_ensembles_ks": ("component count",
                            lambda v: build_ensembles([SMALL_TUBE], (1, v))[0][1].rows),
     "akaike_weights_k": ("component count", lambda v: akaike_weights([(v, 1.0)]).rows),
+    "default_candidate_ks_n": ("point count", default_candidate_ks),
     "project_to_k": ("target component count",
                      lambda v: project_to_k(uniform_gmm(3), v).means.tolist()),
     "generate_point_cloud_n": ("sample count", lambda v: generate_point_cloud(

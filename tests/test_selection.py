@@ -101,6 +101,13 @@ def test_akaike_weights_rejects_bad_input():
         akaike_weights([])
     with pytest.raises(ValueError, match="finite"):
         akaike_weights([(1, math.nan)])
+    with pytest.raises(ValueError, match="^AIC scores must be finite$"):
+        akaike_weights([(1, 100.0), (2, math.inf)])
+    # float() read the string and the bools as scores
+    for score in ("102.0", True, np.bool_(False), None):
+        message = f"AIC score must be a number, got {score!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            akaike_weights([(2, 100.0), (4, score)])
 
 
 def test_aic_table_validation(tmp_path):
@@ -151,6 +158,13 @@ def test_default_candidate_ks():
     assert default_candidate_ks(25) == (1, 2)
     assert default_candidate_ks(10) == (1,)
     assert default_candidate_ks(9) == (1,)
+    assert default_candidate_ks(np.int64(100)) == (1, 2, 4, 8)
+    # n // 10 took 600.7 as 600 points and -5 as a cloud too small for K = 2
+    for n, message in ((600.7, "point count must be an integer, got 600.7"),
+                       (-5, "point count must be >= 1, got -5"),
+                       (0, "point count must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            default_candidate_ks(n)
 
 
 def test_build_ensemble_on_separated_data():

@@ -184,3 +184,7 @@ def test_add_outliers_validation():
     with pytest.raises(ValueError, match="lo/hi"):
         add_outliers(cloud, fraction=0.5,
                      bounds=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), seed=0)
+    # the seed is checked whether or not a point is replaced
+    for fraction in (0.0, 0.02, 0.5):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            add_outliers(cloud, fraction=fraction, bounds=FAR_BOX, seed=1.5)

@@ -6,6 +6,17 @@ calls through build_ensembles or interpolate_point_clouds at fit seed 0.
   eval-paper-pipeline at seed 0; the fresh tubes' seeds are not the
   pipeline's. Also K = 8 fits of three 60 000-point demented tubes, each
   scored on a fresh tube of the same spec, as a large fit.
+- Generated clouds against fresh ones: 20 clouds per class drawn from the
+  Ks 2,4,8 base ensembles, cloud i from the class's (i mod 5)-th base
+  ensemble, against 20 fresh tubes of the class, all of TWO_SAMPLE_N
+  points. The leave-one-out 1-NN two-sample accuracy (1-NNA) over
+  generated and fresh clouds under the Chamfer distance: 0.5 when the
+  two sets cannot be told apart, 1.0 when every cloud's nearest
+  neighbour is from its own set. And the memorisation ratio: the median
+  Chamfer distance from a generated cloud to its nearest base tube, over
+  the same for a fresh tube. Both are averaged over both classes and
+  SAMPLE_SEEDS. The tubes share a canonical pose, so no alignment is
+  needed.
 - Interpolation: interpolate_point_clouds from a nondemented to a
   demented tube, and the mean NLL per point that each interior model, at
   t, gives fresh tubes of the blended spec (1 - t) nondemented + t
@@ -30,12 +41,14 @@ import statistics
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import blended_spec
 from gmmcloud.em import FitConfig
 from gmmcloud.embedding import arc_distance, embed, knn_classify, make_probe_set
 from gmmcloud.geodesics import interpolate_point_clouds
 from gmmcloud.model import gmm_log_density
+from gmmcloud.sampling import generate_point_cloud, rng_stream
 from gmmcloud.selection import DEFAULT_CANDIDATE_KS, build_ensembles
 from gmmcloud.shapes import (DEMENTED, NONDEMENTED, add_outliers, make_bent_tube,
                              tube_spec_for_class)
@@ -58,6 +71,26 @@ MARGIN_TOLERANCE = 0.01
 
 # Ks -> held-out NLL per point
 GENERATION_NLL = {PIPELINE_KS: 4.9644, DEFAULT_CANDIDATE_KS: 5.2373}
+GENERATED_PER_CLASS = 20
+SAMPLE_SEEDS = (0, 1, 2)
+# Half the stock 600 points: the Chamfer distances cost a cKDTree query
+# per cloud and pair, 5 s at 600 points. There the 1-NNA read 0.7167 at
+# Ks 2,4,8 and 0.9792 at Ks 1..32.
+TWO_SAMPLE_N = 300
+# 1-NNA at Ks 2,4,8. Fit seeds 1 and 2 score 0.7417 and 0.7083. Ks 1..32
+# scores 0.9458 (0.8750 and 0.8833 at fit seeds 1 and 2), too near 1.0
+# for an upper bound to fail. Fresh tubes against fresh ones read
+# 0.35-0.63. A per-class figure moves in steps of 1/40. Drawing with the
+# covariances scaled by 0.9 reads 0.8958; by 1.1, 0.5750.
+TWO_SAMPLE_ACCURACY = 0.7083
+TWO_SAMPLE_TOLERANCE = 0.025
+# The memorisation ratio reads 1.1036 at Ks 2,4,8 (1.1137 and 1.1163 at
+# fit seeds 1 and 2) and 0.9466 at Ks 1..32. Below 1, generated clouds sit
+# nearer their base tube than fresh tubes do: the model copies its tube's
+# noise. Above 1, they blur it: covariances scaled by 1.1 read 1.1490, a
+# blur that the 1-NNA rewards.
+MEMORISATION_RATIO = 1.1036
+MEMORISATION_TOLERANCE = 0.01
 LARGE_N_POINTS = 60_000
 LARGE_FIT_NLL = 4.9750
 INTERPOLATION_TS = (0.25, 0.5, 0.75)
@@ -81,15 +114,71 @@ def tubes(spec_of, start, stride, count):
             for c, label in enumerate(LABELS) for j in range(count)]
 
 
-@pytest.mark.parametrize("ks", [PIPELINE_KS, DEFAULT_CANDIDATE_KS], ids=["ks2-8", "ks1-32"])
-def test_generation_held_out_nll(ks):
+@pytest.fixture(scope="module")
+def generation():
+    """The base tubes of the generation figures, 5 per class at tube seeds
+    101c + j, and {Ks: their ensembles} at both sets of Ks."""
     base = tubes(tube_spec_for_class, 0, 101, 5)
+    return base, {ks: [e for e, _ in build_ensembles(base, ks, FIT)]
+                  for ks in (PIPELINE_KS, DEFAULT_CANDIDATE_KS)}
+
+
+@pytest.mark.parametrize("ks", [PIPELINE_KS, DEFAULT_CANDIDATE_KS], ids=["ks2-8", "ks1-32"])
+def test_generation_held_out_nll(generation, ks):
+    base, ensembles = generation
     fresh = tubes(tube_spec_for_class, 9000, 101, 10)
     nll = [-float(np.mean(gmm_log_density(tube.points, ensemble)))
-           for (ensemble, _), cloud in zip(build_ensembles(base, ks, FIT), base)
+           for ensemble, cloud in zip(ensembles[ks], base)
            for tube in fresh if tube.label == cloud.label]
     mean = float(np.mean(nll))
     assert mean <= GENERATION_NLL[ks] + NLL_TOLERANCE, mean
+
+
+def nearest_squares(sources, targets):
+    """(i, j): the mean squared distance from a point of the i-th source to
+    the nearest point of the j-th target, each a cKDTree of a cloud."""
+    return np.array([[np.mean(t.query(s.data)[0] ** 2) for t in targets] for s in sources])
+
+
+def chamfer(a, b):
+    """(i, j): the Chamfer distance between the i-th of a and the j-th of b,
+    mean squared nearest-point distances summed over both ways."""
+    one_way = nearest_squares(a, b)
+    return one_way + (one_way if a is b else nearest_squares(b, a)).T
+
+
+def two_sample_accuracy(generated, fresh, fresh_distances):
+    """Leave-one-out 1-NN accuracy over generated + fresh under the
+    Chamfer distance, given that among the fresh clouds."""
+    across = chamfer(generated, fresh)
+    distances = np.block([[chamfer(generated, generated), across],
+                          [across.T, fresh_distances]])
+    np.fill_diagonal(distances, np.inf)
+    labels = np.repeat([0, 1], [len(generated), len(fresh)])
+    return float(np.mean(labels[np.argmin(distances, axis=1)] == labels))
+
+
+def test_generated_clouds_against_fresh_ones(generation):
+    # cloud i of the c-th class: rng_stream(seed, 1000c + i); the fresh
+    # tubes take the NLL figure's tube seeds, 9000 + 101c + j
+    base, ensembles = generation
+    fresh = tubes(functools.partial(tube_spec_for_class, n_points=TWO_SAMPLE_N),
+                  9000, 101, GENERATED_PER_CLASS)
+    accuracies, ratios = [], []
+    for c, label in enumerate(LABELS):
+        trees = [cKDTree(cloud.points) for cloud in fresh if cloud.label == label]
+        base_trees = [cKDTree(cloud.points) for cloud in base if cloud.label == label]
+        fresh_distances = chamfer(trees, trees)
+        fresh_to_base = np.median(chamfer(trees, base_trees).min(axis=1))
+        for seed in SAMPLE_SEEDS:
+            generated = [cKDTree(generate_point_cloud(
+                ensembles[PIPELINE_KS][5 * c + i % 5], TWO_SAMPLE_N,
+                rng_stream(seed, 1000 * c + i)).points) for i in range(GENERATED_PER_CLASS)]
+            accuracies.append(two_sample_accuracy(generated, trees, fresh_distances))
+            ratios.append(np.median(chamfer(generated, base_trees).min(axis=1)) / fresh_to_base)
+    accuracy, ratio = float(np.mean(accuracies)), float(np.mean(ratios))
+    assert accuracy <= TWO_SAMPLE_ACCURACY + TWO_SAMPLE_TOLERANCE, (accuracy, ratio)
+    assert 1.0 <= ratio <= MEMORISATION_RATIO + MEMORISATION_TOLERANCE, (accuracy, ratio)
 
 
 def test_large_fit_held_out_nll():
