@@ -18,6 +18,19 @@ The first K seeds of a seeding from a stream are the K-seed seeding from
 it, and the seeding loop computes each prefix's potential anyway, so one
 seeding per restart to the largest K seeds every smaller K.
 
+A cloud of more than SUBSAMPLE_ABOVE points starts elsewhere: its
+points take fewer EM maps from a start that is nearly fitted than from
+a partition, and a map on a subsample costs a fraction of one on the
+cloud (learning-curve sampling: Meek, Thiesson & Heckerman 2002).
+SUBSAMPLE_POINTS of its sorted points, drawn without replacement from
+rng_stream(seed, SUBSAMPLE_STREAM), are fitted as a cloud of their own,
+from k-means++; the E-step of that subsample's mixture on all the points
+is the cloud's start responsibilities, and no seeding of the cloud
+itself is drawn. The draw is from the sorted points, so the fit is still
+a function of the multiset. A K that the subsample's fit fails fails the
+cloud's fit with a FitError that says so. Either start is a (K, N)
+responsibility array, and EM starts from its own M-step on it.
+
 Both EM steps use the moment form of model.py: the E-step is one
 product of coefficients with the feature table Phi of the points and
 one in-place softmax_columns, the M-step one product of the (K, N)
@@ -53,7 +66,7 @@ fits, which all start together. Each step runs over every fit, and the
 fits that finished or failed in it leave together at its end; the batch
 ends with its last fit, and no cloud joins a running batch. A cloud is
 prepared once for all its Ks: its sort, floor, feature table and
-seedings serve one batch per K.
+seedings, or its subsample's fits, serve one batch per K.
 """
 
 from __future__ import annotations
@@ -90,6 +103,16 @@ STEP_GROWTH = 4.0
 # per call, few enough that its arrays stay small (one batch of all 69
 # refits of eval-paper-pipeline raised its peak RSS by about 30 %)
 BATCH_FITS = 16
+# a cloud of more than SUBSAMPLE_ABOVE points starts each fit from the
+# fit of SUBSAMPLE_POINTS of its points (see the module docstring), drawn
+# from the stream id SUBSAMPLE_STREAM, which rng_stream takes as 2**64 - 1:
+# every other draw counts its stream ids up from 0. At K = 8 the
+# subsample's start was already faster at 12 000 points (six tubes: 0.36
+# against 0.48 s); three subsamples' worth keeps the fits of smaller
+# clouds, every pipeline and interpolate fit among them, on k-means++
+SUBSAMPLE_POINTS = 6_000
+SUBSAMPLE_ABOVE = 3 * SUBSAMPLE_POINTS
+SUBSAMPLE_STREAM = -1
 
 
 class FitError(RuntimeError):
@@ -506,14 +529,12 @@ class _Lockstep:
     FitError).
     """
 
-    def __init__(self, fits: list[_Fit], phi: np.ndarray, eps: np.ndarray, codes: np.ndarray,
-                 k: int):
+    def __init__(self, fits: list[_Fit], phi: np.ndarray, eps: np.ndarray, gamma: np.ndarray):
         """Start the fits, given with their feature tables phi, floors eps
-        and k-means++ codes (B, N): the M-step on each one-hot partition
-        and the E-step."""
+        and start responsibilities gamma (B, K, N), which the batch takes
+        over: the M-step on them and the E-step, written over gamma."""
         self.fits, self.phi, self.eps = fits, phi, eps
         self.done: list[tuple[int, FitResult | FitError]] = []
-        gamma = (np.arange(k)[:, None] == codes[:, None, :]).astype(float)
         state, self.gamma, _, failed = _em_map(phi, gamma, eps)
         self.states = [state]
         self._settle(failed, set())
@@ -622,17 +643,48 @@ class _Lockstep:
         self._settle(failed, stopped)
 
 
-def _prepared(chunk: list[tuple[int, PointCloud]], ks: list[int], seed: int):
-    """What every K shares of the fits of a chunk of clouds, given with
-    their input positions: each cloud is sorted and its extent checked,
-    then its centre, floor and feature table computed and its seedings
-    drawn by one kmeans_init call for all of ks.
+def _subsample_starts(subsamples: list[PointCloud], ks: list[int], config: FitConfig
+                      ) -> list[list[Gmm | FitError]]:
+    """Each subsample's fitted mixture or FitError per K of ks, from one
+    fit_em_candidates call: a failed fit's error says that it was the
+    subsample's, and a K above SUBSAMPLE_POINTS fails without a fit."""
+    fitting = [k for k in ks if k <= SUBSAMPLE_POINTS]
+    fitted = iter(fit_em_candidates(subsamples, fitting, config) if fitting else ())
+    per_k = []
+    for k in ks:
+        if k > SUBSAMPLE_POINTS:
+            per_k.append([FitError(f"K={k} needs more than the {SUBSAMPLE_POINTS} points "
+                                   f"of the subsample that starts its fit")
+                          for _ in subsamples])
+            continue
+        per_k.append([])
+        for result in next(fitted):
+            if isinstance(result, FitResult):
+                per_k[-1].append(result.model)
+                continue
+            error = FitError(f"the fit of the {SUBSAMPLE_POINTS}-point subsample failed: "
+                             f"{result}")
+            error.__cause__ = result
+            per_k[-1].append(error)
+    return [list(starts) for starts in zip(*per_k)]
+
+
+def _prepared(chunk: list[tuple[int, PointCloud]], ks: list[int], config: FitConfig):
+    """What every K shares of the fits of a chunk of clouds of one size N,
+    given with their input positions: each cloud is sorted and its
+    extent checked, then its centre, floor and feature table computed.
+    Up to SUBSAMPLE_ABOVE points, its seedings are drawn by one
+    kmeans_init call for all of ks. Above, SUBSAMPLE_POINTS of its sorted
+    points are drawn from rng_stream(seed, SUBSAMPLE_STREAM), and the
+    subsamples of the chunk are fitted at every K by one fit_em_candidates
+    call (_subsample_starts).
 
     Returns the (position, FitError) pairs of the clouds that fail the
     extent check and, for the others, their (position, centre) pairs,
     stacked feature tables (B, 10, N) and floors (B,), and each one's
-    list of codes or FitError per K."""
-    failed, starts, phis, floors, seeded = [], [], [], [], []
+    list of starts per K: k-means++ codes (N,), the subsample's fitted
+    Gmm, or a FitError."""
+    failed, starts, phis, floors, seeded, subsamples = [], [], [], [], [], []
     for index, cloud in chunk:
         pts = _sorted_points(cloud.points)
         try:
@@ -643,8 +695,29 @@ def _prepared(chunk: list[tuple[int, PointCloud]], ks: list[int], seed: int):
         starts.append((index, pts.mean(axis=0)))
         floors.append(covariance_floor(pts))
         phis.append(centred_features(pts, starts[-1][1]))
-        seeded.append(kmeans_init(pts, ks, seed))
+        if len(pts) > SUBSAMPLE_ABOVE:
+            rows = rng_stream(config.seed, SUBSAMPLE_STREAM).choice(
+                len(pts), SUBSAMPLE_POINTS, replace=False, shuffle=False)
+            subsamples.append(PointCloud(pts[rows]))
+        else:
+            seeded.append(kmeans_init(pts, ks, config.seed))
+    if subsamples:
+        seeded = _subsample_starts(subsamples, ks, config)
     return failed, starts, np.stack(phis) if phis else None, np.array(floors), seeded
+
+
+def _start(phi: np.ndarray, centres: list[np.ndarray], begun: list, k: int) -> np.ndarray:
+    """The (B, K, N) start responsibilities of a batch of fits with the
+    feature tables phi, each fit's frame centred on its entry of centres,
+    from each fit's start in begun: the one-hot partition by its k-means++
+    codes, or its subsample's Gmm's E-step on all its points."""
+    if isinstance(begun[0], np.ndarray):
+        return (np.arange(k)[:, None] == np.stack(begun)[:, None, :]).astype(float)
+    lam, q = (np.stack(part) for part in zip(*(model.factor for model in begun)))
+    parts = (np.stack([model.weights for model in begun]),
+             np.stack([model.means - centre for model, centre in zip(begun, centres)]),
+             *factor_precisions(lam, q))
+    return _responsibilities(phi, parts)[0]
 
 
 def fit_em_candidates(clouds, ks, config: FitConfig = FitConfig()
@@ -656,14 +729,19 @@ def fit_em_candidates(clouds, ks, config: FitConfig = FitConfig()
     Clouds are grouped by size, and each group is taken in chunks of at
     most BATCH_FITS clouds, in input order. A chunk's clouds are
     prepared once for all Ks (_prepared): one sort, floor and feature
-    table per cloud, and one seeding per restart to the largest K. Then
-    each K runs one lockstep batch of the chunk's clouds whose seeding
-    reached K, on their rows of the chunk's tables: its fits start
-    together and it runs until its last fit leaves (see the module
-    docstring). Every fit is bit-identical to its fit_em. A K outside
-    1..N of some cloud raises ValueError before any fit starts.
+    table per cloud, and either one seeding per restart to the largest
+    K or, above SUBSAMPLE_ABOVE points, one fit of a subsample at every
+    K. Then each K runs one lockstep batch of the chunk's clouds whose
+    start at K exists, on their rows of the chunk's tables, from start
+    responsibilities built in the array the batch owns (_start): its
+    fits start together and it runs until its last fit leaves (see the
+    module docstring). Every fit is bit-identical to its fit_em. A K
+    outside 1..N of some cloud raises ValueError before any fit starts;
+    no Ks give no results.
     """
     clouds, ks = list(clouds), list(ks)
+    if not ks:
+        return []
     for cloud in clouds:
         for k in ks:
             _check_component_count(k, len(cloud))
@@ -674,20 +752,25 @@ def fit_em_candidates(clouds, ks, config: FitConfig = FitConfig()
     for group in groups.values():
         for start in range(0, len(group), BATCH_FITS):
             failed, starts, phi, eps, seeded = _prepared(
-                group[start:start + BATCH_FITS], ks, config.seed)
+                group[start:start + BATCH_FITS], ks, config)
             for i, k in enumerate(ks):
-                # each K takes its entries off the clouds' lists of codes
-                codes = [one.pop(0) for one in seeded]
-                done = failed + [(index, c) for (index, _), c in zip(starts, codes)
-                                 if isinstance(c, FitError)]
-                rows = np.array([row for row, c in enumerate(codes)
-                                 if not isinstance(c, FitError)], dtype=np.intp)
+                # each K takes its entries off the clouds' lists of starts
+                begun = [one.pop(0) for one in seeded]
+                done = failed + [(index, b) for (index, _), b in zip(starts, begun)
+                                 if isinstance(b, FitError)]
+                rows = np.array([row for row, b in enumerate(begun)
+                                 if not isinstance(b, FitError)], dtype=np.intp)
                 if len(rows):
-                    batch = _Lockstep([_Fit(*starts[row], []) for row in rows], _take(phi, rows),
-                                      _take(eps, rows), np.stack([codes[row] for row in rows]), k)
+                    tables = _take(phi, rows)
+                    batch = _Lockstep([_Fit(*starts[row], []) for row in rows], tables,
+                                      _take(eps, rows),
+                                      _start(tables, [starts[row][1] for row in rows],
+                                             [begun[row] for row in rows], k))
+                    # only the batch holds its tables, and the last batch
+                    # the chunk's: its fits leaving free them, as in a
+                    # batch of one K
+                    del tables
                     if i == len(ks) - 1:
-                        # the last batch owns the chunk's tables: its
-                        # fits leaving free them, as in a batch of one K
                         del phi
                     while batch.fits:
                         batch.cycle()
@@ -708,7 +791,11 @@ def fit_em(cloud: PointCloud, k: int, config: FitConfig = FitConfig()) -> FitRes
     is added back to the final means. Sorting comes first, so the centre
     and the fit do not depend on the input order. The start is the
     M-step on the one-hot partition by the codes that kmeans_init gives
-    for K; a cloud with fewer than K distinct points fails there.
+    for K; a cloud with fewer than K distinct points fails there. Above
+    SUBSAMPLE_ABOVE points it is the M-step on the E-step, on all the
+    points, of the K-component fit_em of SUBSAMPLE_POINTS of the sorted
+    points (see the module docstring), whose FitError fails the fit by
+    name; only that subsample is seeded by kmeans_init.
 
     Each cycle takes two EM maps, theta0 -> theta1 -> theta2, and then
     the S3 SQUAREM step (see _extrapolate) with the step cap of the

@@ -104,23 +104,23 @@ def _parse_xyz(lines: Iterable[str], path: str) -> tuple[array, str | None]:
     """The coordinates of an XYZ file's lines, flat, and its label."""
     coords = array("d")
     label = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
+    for lineno, line in enumerate(lines, start=1):
+        # each line is split once; a data line, three fields not starting
+        # a comment, is the common case and is tested first
+        fields = line.split()
+        if len(fields) == 3 and fields[0][0] != "#":
+            try:
+                coords.extend(map(float, fields))
+            except ValueError:
+                raise FileFormatError(f"{path}: line {lineno}: non-numeric coordinate "
+                                      f"in {line.strip()!r}") from None
+        elif fields and fields[0][0] == "#":
+            line = line.strip()
             if line.lower().startswith(_LABEL_COMMENT):
                 label = line[len(_LABEL_COMMENT):].strip() or None
-            continue
-        fields = line.split()
-        if len(fields) != 3:
+        elif fields:
             raise FileFormatError(
                 f"{path}: line {lineno}: expected 3 coordinates, got {len(fields)}")
-        try:
-            coords.extend(map(float, fields))
-        except ValueError:
-            raise FileFormatError(
-                f"{path}: line {lineno}: non-numeric coordinate in {line!r}") from None
     return coords, label
 
 

@@ -129,6 +129,8 @@ def test_build_ensembles_checks_every_cloud_before_fitting():
     with pytest.raises(ValueError, match="more components than points: K=32, N=20"):
         build_ensembles([tube(0), PointCloud(np.zeros((20, 3)))], (2, 32))
     assert build_ensembles([], (2, 4)) == []
+    # no Ks: no results, on either side of the subsample threshold
+    assert fit_em_candidates([tube(0), tube(1, n=em.SUBSAMPLE_ABOVE + 1)], []) == []
 
 
 @pytest.mark.parametrize("k", [1, 2, 8])
@@ -563,3 +565,63 @@ def test_batched_fits_do_not_depend_on_the_blas_thread_count():
                               capture_output=True, text=True, timeout=300, check=True).stdout
                for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})]
     assert len(digests[0]) == 65 and digests[0] == digests[1]
+
+
+# --------------------------------------------- above the subsample threshold
+
+
+def large_tube(seed, extra=1):
+    """A tube of extra points more than SUBSAMPLE_ABOVE, whose fits start
+    from the fit of a subsample."""
+    return tube(seed, n=em.SUBSAMPLE_ABOVE + extra)
+
+
+def test_above_the_threshold_fit_em_candidates_equals_fit_em():
+    # two clouds of one size share each K's batch; the third runs alone
+    clouds = [large_tube(1), large_tube(2), large_tube(3, extra=500)]
+    ks = (2, 8)
+    batched = fit_em_candidates(clouds, ks, FitConfig(seed=5))
+    for k, results in zip(ks, batched):
+        assert [fit_bytes(r) for r in results] == [
+            fit_bytes(r) for r in one_by_one(clouds, k, FitConfig(seed=5))]
+        for result in results:
+            assert np.all(np.diff(result.log_likelihood_trace) >= -1e-8)
+
+
+def test_above_the_threshold_kmeans_init_seeds_the_subsamples_only(monkeypatch):
+    # through em.kmeans_init, at every K at once, and the subsamples of a
+    # chunk are fitted by one call of fit_em_candidates
+    seeded, calls = [], []
+    kmeans_init, candidates = em.kmeans_init, em.fit_em_candidates
+
+    def recorded_seeding(points, ks, seed):
+        seeded.append((len(points), list(ks), seed))
+        return kmeans_init(points, ks, seed)
+
+    def recorded_fits(clouds, ks, config):
+        calls.append(sorted(len(cloud) for cloud in clouds))
+        return candidates(clouds, ks, config)
+
+    monkeypatch.setattr(em, "kmeans_init", recorded_seeding)
+    monkeypatch.setattr(em, "fit_em_candidates", recorded_fits)
+    em.fit_em_candidates([large_tube(1), tube(2), large_tube(3)], (2, 4), FitConfig(seed=6))
+    assert calls == [[600] + [em.SUBSAMPLE_ABOVE + 1] * 2, [em.SUBSAMPLE_POINTS] * 2]
+    assert sorted(seeded) == [(600, [2, 4], 6)] + [(em.SUBSAMPLE_POINTS, [2, 4], 6)] * 2
+
+
+def test_above_the_threshold_the_subsample_is_drawn_from_the_sorted_points(monkeypatch):
+    # rows of the sorted points from a stream that no other draw uses
+    clouds = []
+    candidates = em.fit_em_candidates
+
+    def recorded_fits(subsamples, ks, config):
+        clouds.extend(subsamples)
+        return candidates(subsamples, ks, config)
+
+    cloud = large_tube(4)
+    monkeypatch.setattr(em, "fit_em_candidates", recorded_fits)
+    em.fit_em_candidates([cloud], (3,), FitConfig(seed=9))
+    rows = rng_stream(9, em.SUBSAMPLE_STREAM).choice(
+        len(cloud), em.SUBSAMPLE_POINTS, replace=False, shuffle=False)
+    outer, subsample = clouds
+    np.testing.assert_array_equal(subsample.points, em._sorted_points(cloud.points)[rows])

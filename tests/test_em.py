@@ -1039,6 +1039,37 @@ def test_fit_is_permutation_equivariant():
     np.testing.assert_array_equal(direct.model.covariances, shuffled.model.covariances)
 
 
+def test_a_fit_above_the_subsample_threshold_is_permutation_equivariant():
+    pts = make_bent_tube(tube_spec_for_class("demented", n_points=em.SUBSAMPLE_ABOVE + 1),
+                         seed=3).points
+    config = FitConfig(seed=7)
+    direct = fit_em(PointCloud(pts), 4, config)
+    shuffled = fit_em(PointCloud(pts[np.random.default_rng(31).permutation(len(pts))]), 4,
+                      config)
+    np.testing.assert_array_equal(direct.model.weights, shuffled.model.weights)
+    np.testing.assert_array_equal(direct.model.means, shuffled.model.means)
+    np.testing.assert_array_equal(direct.model.covariances, shuffled.model.covariances)
+    assert direct.log_likelihood_trace == shuffled.log_likelihood_trace
+    assert np.all(np.diff(direct.log_likelihood_trace) >= -1e-8)
+
+
+def test_above_the_subsample_threshold_a_k_the_subsample_cannot_fit_fails_by_name():
+    # five distinct points, each repeated: every subsample holds all five
+    pts = np.repeat(np.random.default_rng(6).normal(size=(5, 3)),
+                    em.SUBSAMPLE_ABOVE // 5 + 1, axis=0)
+    cloud = PointCloud(pts)
+    with pytest.raises(FitError, match=f"^the fit of the {em.SUBSAMPLE_POINTS}-point "
+                                       "subsample failed: K=6 needs 6 distinct points, "
+                                       "the cloud has 5$") as error:
+        fit_em(cloud, 6)
+    assert isinstance(error.value.__cause__, FitError)
+    k = em.SUBSAMPLE_POINTS + 1
+    with pytest.raises(FitError, match=f"^K={k} needs more than the {em.SUBSAMPLE_POINTS} "
+                                       "points of the subsample that starts its fit$"):
+        fit_em(cloud, k)
+    assert fit_em(cloud, 5).model.k == 5
+
+
 def test_fit_rejects_bad_component_counts():
     cloud = PointCloud(np.zeros((4, 3)))
     with pytest.raises(ValueError, match="more components than points"):

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FLOOR_TEST_TOL, recovery_cloud
+from gmmcloud import em
 from gmmcloud.em import FitConfig, FitError, _sorted_points
 from gmmcloud.embedding import embed, inflated_bounds, make_probe_set
 from gmmcloud.io import FileFormatError, FitMetadata, load_model, save_model
@@ -232,20 +233,32 @@ DEGENERATE_CLOUDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DEGENERATE_CLOUDS))
-def test_degenerate_clouds_fit_sample_and_embed(name):
-    # the k-means++ partition starts every fit; the only candidate that may
-    # fail is a K above the distinct count, dropped with its named warning
-    cloud = PointCloud(DEGENERATE_CLOUDS[name](np.random.default_rng(0)))
+# each cloud as it is, and scaled above SUBSAMPLE_ABOVE
+DEGENERATE_CASES = [(name, scaled) for scaled in (False, True)
+                    for name in sorted(DEGENERATE_CLOUDS)]
+
+
+@pytest.mark.parametrize("name, scaled", DEGENERATE_CASES, ids=[
+    name + ("-above-subsample-threshold" if scaled else "") for name, scaled in DEGENERATE_CASES])
+def test_degenerate_clouds_fit_sample_and_embed(name, scaled):
+    # the k-means++ partition starts every fit, of the cloud or, scaled by
+    # repeating its points above SUBSAMPLE_ABOVE, of its subsample; the
+    # only candidate that may fail is a K above the distinct count,
+    # dropped with its named warning
+    points = DEGENERATE_CLOUDS[name](np.random.default_rng(0))
+    if scaled:
+        points = np.tile(points, (em.SUBSAMPLE_ABOVE // len(points) + 1, 1))
+    cloud = PointCloud(points)
     distinct = len(np.unique(cloud.points, axis=0))
     ks = [k for k in (1, 2, 4, 8) if k <= len(cloud)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ensemble, table = build_ensemble(cloud, ks, FitConfig(seed=0))
     dropped = [k for k in ks if k > distinct]
+    subsample = f"the fit of the {em.SUBSAMPLE_POINTS}-point subsample failed: " if scaled else ""
     assert [str(w.message) for w in caught] == [
-        f"candidate K={k} dropped: K={k} needs {k} distinct points, the cloud has {distinct}"
-        for k in dropped]
+        f"candidate K={k} dropped: {subsample}K={k} needs {k} distinct points, "
+        f"the cloud has {distinct}" for k in dropped]
     assert [row.k for row in table.rows] == [k for k in ks if k not in dropped]
     eps = covariance_floor(_sorted_points(cloud.points))
     for member in ensemble.members:
