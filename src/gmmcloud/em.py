@@ -645,11 +645,10 @@ class _Lockstep:
 
 def _subsample_starts(subsamples: list[PointCloud], ks: list[int], config: FitConfig
                       ) -> list[list[Gmm | FitError]]:
-    """Each subsample's fitted mixture or FitError per K of ks, from one
+    """Per K of ks, each subsample's fitted mixture or FitError, from one
     fit_em_candidates call: a failed fit's error says that it was the
     subsample's, and a K above SUBSAMPLE_POINTS fails without a fit."""
-    fitting = [k for k in ks if k <= SUBSAMPLE_POINTS]
-    fitted = iter(fit_em_candidates(subsamples, fitting, config) if fitting else ())
+    fitted = iter(fit_em_candidates(subsamples, [k for k in ks if k <= SUBSAMPLE_POINTS], config))
     per_k = []
     for k in ks:
         if k > SUBSAMPLE_POINTS:
@@ -666,7 +665,7 @@ def _subsample_starts(subsamples: list[PointCloud], ks: list[int], config: FitCo
                              f"{result}")
             error.__cause__ = result
             per_k[-1].append(error)
-    return [list(starts) for starts in zip(*per_k)]
+    return per_k
 
 
 def _prepared(chunk: list[tuple[int, PointCloud]], ks: list[int], config: FitConfig):
@@ -681,9 +680,9 @@ def _prepared(chunk: list[tuple[int, PointCloud]], ks: list[int], config: FitCon
 
     Returns the (position, FitError) pairs of the clouds that fail the
     extent check and, for the others, their (position, centre) pairs,
-    stacked feature tables (B, 10, N) and floors (B,), and each one's
-    list of starts per K: k-means++ codes (N,), the subsample's fitted
-    Gmm, or a FitError."""
+    stacked feature tables (B, 10, N) and floors (B,), and per K of ks
+    the list of their starts: k-means++ codes (N,), the subsample's
+    fitted Gmm, or a FitError."""
     failed, starts, phis, floors, seeded, subsamples = [], [], [], [], [], []
     for index, cloud in chunk:
         pts = _sorted_points(cloud.points)
@@ -701,9 +700,9 @@ def _prepared(chunk: list[tuple[int, PointCloud]], ks: list[int], config: FitCon
             subsamples.append(PointCloud(pts[rows]))
         else:
             seeded.append(kmeans_init(pts, ks, config.seed))
-    if subsamples:
-        seeded = _subsample_starts(subsamples, ks, config)
-    return failed, starts, np.stack(phis) if phis else None, np.array(floors), seeded
+    per_k = (_subsample_starts(subsamples, ks, config) if subsamples
+             else [[codes[i] for codes in seeded] for i in range(len(ks))])
+    return failed, starts, np.stack(phis) if phis else None, np.array(floors), per_k
 
 
 def _start(phi: np.ndarray, centres: list[np.ndarray], begun: list, k: int) -> np.ndarray:
@@ -731,8 +730,9 @@ def fit_em_candidates(clouds, ks, config: FitConfig = FitConfig()
     prepared once for all Ks (_prepared): one sort, floor and feature
     table per cloud, and either one seeding per restart to the largest
     K or, above SUBSAMPLE_ABOVE points, one fit of a subsample at every
-    K. Then each K runs one lockstep batch of the chunk's clouds whose
-    start at K exists, on their rows of the chunk's tables, from start
+    K, and their starts come back as one list per K. Each K runs one
+    lockstep batch of the clouds whose start at K exists, on their rows
+    of the chunk's tables, from start
     responsibilities built in the array the batch owns (_start): its
     fits start together and it runs until its last fit leaves (see the
     module docstring). Every fit is bit-identical to its fit_em. A K
@@ -751,11 +751,9 @@ def fit_em_candidates(clouds, ks, config: FitConfig = FitConfig()
     results: list[list] = [[None] * len(clouds) for _ in ks]
     for group in groups.values():
         for start in range(0, len(group), BATCH_FITS):
-            failed, starts, phi, eps, seeded = _prepared(
+            failed, starts, phi, eps, per_k = _prepared(
                 group[start:start + BATCH_FITS], ks, config)
-            for i, k in enumerate(ks):
-                # each K takes its entries off the clouds' lists of starts
-                begun = [one.pop(0) for one in seeded]
+            for i, (k, begun) in enumerate(zip(ks, per_k)):
                 done = failed + [(index, b) for (index, _), b in zip(starts, begun)
                                  if isinstance(b, FitError)]
                 rows = np.array([row for row, b in enumerate(begun)

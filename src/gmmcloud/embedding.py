@@ -73,7 +73,10 @@ def inflated_bounds(clouds, margin_fraction: float = INFLATE_FRACTION) -> np.nda
     each axis extent, finite and >= 0. A zero-extent axis is padded half a
     unit per side."""
     margin_fraction = checked_real("margin_fraction", margin_fraction, 0.0)
-    pts = np.vstack([c.points for c in clouds])
+    points = [c.points for c in clouds]
+    if not points:
+        raise ValueError("need at least one cloud")
+    pts = np.vstack(points)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     extent = hi - lo

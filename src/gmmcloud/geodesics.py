@@ -227,12 +227,8 @@ def interpolate_point_clouds(x: PointCloud, y: PointCloud, ts=DEFAULT_TS,
     n_out = checked_integer("output cloud size", len(x) if n_out is None else n_out, 1)
     fit = FitConfig(seed=seed)
     ks = None if candidate_ks is None else _checked_ks(candidate_ks, [x, y])  # read once
-    ks_x = default_candidate_ks(len(x)) if ks is None else ks
-    ks_y = default_candidate_ks(len(y)) if ks is None else ks
-    ensemble_x, _ = build_ensemble(x, ks_x, fit)
-    ensemble_y, _ = build_ensemble(y, ks_y, fit)
-    gx = dominant_member(ensemble_x)
-    gy = dominant_member(ensemble_y)
+    gx, gy = (dominant_member(build_ensemble(c, ks or default_candidate_ks(len(c)), fit)[0])
+              for c in (x, y))
     k = min(gx.k, gy.k)
     source = project_to_k(gx, k)
     target = project_to_k(gy, k)

@@ -6,10 +6,11 @@ clears a fixed threshold form the ensemble; their weights renormalize to
 the selection probabilities p_k. build_ensemble fits one cloud's
 candidates one K at a time with fit_em; build_ensembles fits many clouds
 at all their Ks with one fit_em_candidates call, which prepares each
-cloud once for every K. Both score, warn and assemble through the same
-code, so each cloud gets the same ensemble either way. akaike_weights
-and member_probabilities are the only code that derives weights, keep
-flags and p_k from AIC scores; io checks every model file against them.
+cloud once for every K. Both hand each cloud's fits, in ascending K, to
+one step that scores, warns and assembles, so each cloud gets the same
+ensemble either way. akaike_weights and member_probabilities are the
+only code that derives weights, keep flags and p_k from AIC scores; io
+checks every model file against them.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ def parameter_count(k: int) -> int:
 
 
 def aic_score(cloud: PointCloud, model: Gmm) -> float:
-    """AIC of a fitted mixture on the cloud it was fitted to."""
-    log_likelihood = float(np.sum(gmm_log_density(cloud.points, model)))
+    """AIC of a fitted mixture on the cloud it was fitted to. The log
+    densities are summed in ascending order, so the score, like the fit,
+    is a function of the point multiset."""
+    log_likelihood = float(np.sort(gmm_log_density(cloud.points, model)).sum())
     return 2.0 * parameter_count(model.k) - 2.0 * log_likelihood
 
 
@@ -91,19 +94,6 @@ def default_candidate_ks(n: int) -> tuple[int, ...]:
     return ks if ks else (1,)
 
 
-def ensemble_from_scored_models(scored) -> tuple[GmmEnsemble, AicTable]:
-    """Assemble an ensemble from (K, aic, model) triples.
-
-    Keeps the candidates above the weight threshold and renormalizes
-    their Akaike weights into selection probabilities.
-    """
-    triples = sorted(scored, key=lambda t: t[0])
-    table = akaike_weights([(k, a) for k, a, _ in triples])
-    kept = [model for row, (_, _, model) in zip(table.rows, triples) if row.kept]
-    return GmmEnsemble(tuple(EnsembleMember(p, model) for (_, p), model
-                             in zip(member_probabilities(table), kept))), table
-
-
 def _checked_ks(candidate_ks, clouds) -> list[int]:
     ks = sorted({checked_integer("component count", k) for k in candidate_ks})
     if not ks:
@@ -114,14 +104,15 @@ def _checked_ks(candidate_ks, clouds) -> list[int]:
     return ks
 
 
-def _ensemble_from_fits(cloud: PointCloud, fits) -> tuple[GmmEnsemble, AicTable]:
-    """Score one cloud's (K, FitResult or FitError) pairs and assemble
-    the ensemble. A failed candidate is dropped with a warning, attributed
-    to the caller of build_ensemble or build_ensembles; if every
-    candidate failed, FitError gives each candidate's reason."""
+def _ensemble_from_fits(cloud: PointCloud, ks, results) -> tuple[GmmEnsemble, AicTable]:
+    """Score one cloud's FitResult or FitError at each K of the sorted ks
+    and assemble the ensemble of the kept candidates. A failed candidate
+    is dropped with a warning, attributed to the caller of build_ensemble
+    or build_ensembles; if every candidate failed, FitError gives each
+    candidate's reason."""
     scored = []
     failures = []
-    for k, result in fits:
+    for k, result in zip(ks, results):
         if isinstance(result, FitError):
             warnings.warn(f"candidate K={k} dropped: {result}", stacklevel=3)
             failures.append(f"K={k}: {result}")
@@ -129,7 +120,10 @@ def _ensemble_from_fits(cloud: PointCloud, fits) -> tuple[GmmEnsemble, AicTable]
             scored.append((k, aic_score(cloud, result.model), result.model))
     if not scored:
         raise FitError(f"every candidate fit failed: {'; '.join(failures)}")
-    return ensemble_from_scored_models(scored)
+    table = akaike_weights([(k, a) for k, a, _ in scored])
+    kept = [model for row, (_, _, model) in zip(table.rows, scored) if row.kept]
+    return GmmEnsemble(tuple(EnsembleMember(p, model) for (_, p), model
+                             in zip(member_probabilities(table), kept))), table
 
 
 def build_ensemble(cloud: PointCloud, candidate_ks, config: FitConfig = FitConfig()
@@ -139,13 +133,14 @@ def build_ensemble(cloud: PointCloud, candidate_ks, config: FitConfig = FitConfi
     A candidate whose fit fails is dropped with a warning; if every
     candidate fails, FitError gives each candidate's reason.
     """
-    fits = []
-    for k in _checked_ks(candidate_ks, [cloud]):
+    ks = _checked_ks(candidate_ks, [cloud])
+    results = []
+    for k in ks:
         try:
-            fits.append((k, fit_em(cloud, k, config)))
+            results.append(fit_em(cloud, k, config))
         except FitError as exc:
-            fits.append((k, exc))
-    return _ensemble_from_fits(cloud, fits)
+            results.append(exc)
+    return _ensemble_from_fits(cloud, ks, results)
 
 
 def build_ensembles(clouds, candidate_ks, config: FitConfig = FitConfig()
@@ -159,8 +154,6 @@ def build_ensembles(clouds, candidate_ks, config: FitConfig = FitConfig()
     before it are assembled."""
     clouds = list(clouds)
     ks = _checked_ks(candidate_ks, clouds)
-    fits = fit_em_candidates(clouds, ks, config)
-    ensembles = []
-    for cloud, results in zip(clouds, zip(*fits)):
-        ensembles.append(_ensemble_from_fits(cloud, zip(ks, results)))
-    return ensembles
+    # map: before Python 3.12 a comprehension's frame would take the warnings
+    return list(map(_ensemble_from_fits, clouds, [ks] * len(clouds),
+                    zip(*fit_em_candidates(clouds, ks, config))))

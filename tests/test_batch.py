@@ -125,6 +125,18 @@ def test_build_ensembles_follows_the_input_order(small_batches):
         ensemble_bytes(*pair) for pair in forward]
 
 
+def test_drop_warnings_point_at_the_caller():
+    # a dropped candidate's warning is attributed to the caller of
+    # build_ensemble or build_ensembles, not to a file of the package
+    short = PointCloud(np.repeat(np.random.default_rng(6).normal(size=(6, 3)), 10, axis=0))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        build_ensembles([short], (1, 8))
+        build_ensemble(short, (1, 8))
+    assert [(w.filename, str(w.message).split(":")[0]) for w in seen] == [
+        (__file__, "candidate K=8 dropped")] * 2
+
+
 def test_build_ensembles_checks_every_cloud_before_fitting():
     with pytest.raises(ValueError, match="more components than points: K=32, N=20"):
         build_ensembles([tube(0), PointCloud(np.zeros((20, 3)))], (2, 32))

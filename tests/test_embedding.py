@@ -70,6 +70,14 @@ def test_inflated_bounds_margin_is_a_finite_real_at_least_zero():
             inflated_bounds([UNIT_BOX], margin_fraction=bad)
 
 
+def test_no_clouds_have_no_bounds():
+    for no_clouds in ([], iter(())):
+        with pytest.raises(ValueError, match="^need at least one cloud$"):
+            inflated_bounds(no_clouds)
+    with pytest.raises(ValueError, match="^need at least one cloud$"):
+        make_probe_set([], seed=0)
+
+
 def test_degenerate_axis_padded_half_unit():
     flat = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
     bounds = inflated_bounds([flat])

@@ -18,7 +18,8 @@ from gmmcloud import em
 from gmmcloud.em import FitConfig, FitError, _sorted_points
 from gmmcloud.embedding import embed, inflated_bounds, make_probe_set
 from gmmcloud.io import FileFormatError, FitMetadata, load_model, save_model
-from gmmcloud.model import Gmm, PointCloud, covariance_floor, gmm_log_density
+from gmmcloud.model import (EnsembleMember, Gmm, GmmEnsemble, PointCloud, covariance_floor,
+                            gmm_log_density)
 from gmmcloud.sampling import generate_point_cloud, rng_stream
 from gmmcloud.selection import (
     AicRow,
@@ -28,7 +29,7 @@ from gmmcloud.selection import (
     akaike_weights,
     build_ensemble,
     default_candidate_ks,
-    ensemble_from_scored_models,
+    member_probabilities,
     parameter_count,
 )
 from gmmcloud.shapes import add_outliers, make_bent_tube, tube_spec_for_class
@@ -45,10 +46,11 @@ def test_parameter_count():
 
 
 def test_aic_arithmetic():
-    # AIC = 2p - 2 log L, log L the sum of the cloud's log densities, bit for bit
+    # AIC = 2p - 2 log L, log L the sum of the cloud's log densities in
+    # ascending order, bit for bit
     cloud = PointCloud(np.random.default_rng(4).normal(size=(50, 3)))
     model = point_model(0.5)
-    log_likelihood = float(np.sum(gmm_log_density(cloud.points, model)))
+    log_likelihood = float(np.sort(gmm_log_density(cloud.points, model)).sum())
     assert aic_score(cloud, model) == 2.0 * 9 - 2.0 * log_likelihood
 
 
@@ -114,7 +116,8 @@ def test_akaike_weights_rejects_bad_input():
 def test_aic_table_validation(tmp_path):
     # AicTable checks nothing itself: a model file's table must be the one
     # akaike_weights computes from its AICs, when written and when read
-    ensemble, good = ensemble_from_scored_models([(1, 100.0, point_model(0.0))])
+    ensemble = GmmEnsemble((EnsembleMember(1.0, point_model(0.0)),))
+    good = akaike_weights([(1, 100.0)])
     metadata = FitMetadata(0, (1, 2), 5)
     for case, (rows, message) in enumerate([
         ((), "aic_table: need at least one (K, AIC) pair"),
@@ -135,20 +138,17 @@ def test_aic_table_validation(tmp_path):
             load_model(path)
 
 
-def test_ensemble_from_scored_models_renormalizes():
-    scored = [(1, 100.0, point_model(0.0)), (2, 102.0, point_model(1.0, k=2)),
-              (3, 120.0, point_model(2.0, k=3))]
-    ensemble, table = ensemble_from_scored_models(scored)
-    assert [row.k for row in table.rows] == [1, 2, 3]
-    assert len(ensemble.members) == 2
+def test_member_probabilities_renormalize():
+    table = akaike_weights([(1, 100.0), (2, 102.0), (3, 120.0)])
+    assert [(row.k, row.kept) for row in table.rows] == [(1, True), (2, True), (3, False)]
+    probabilities = member_probabilities(table)
+    # the kept rows, in order, with their weights over the kept weights' sum
+    assert [k for k, _ in probabilities] == [1, 2]
     p1 = 1.0 / (1.0 + math.exp(-1.0))
     p2 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
-    assert math.isclose(ensemble.members[0].weight, p1, rel_tol=1e-12)
-    assert math.isclose(ensemble.members[1].weight, p2, rel_tol=1e-12)
-    # the kept members are the low-AIC models, matched by position
-    assert ensemble.members[0].model.means[0, 0] == 0.0
-    assert ensemble.members[1].model.means[0, 0] == 1.0
-    assert abs(math.fsum(m.weight for m in ensemble.members) - 1.0) < 1e-12
+    assert math.isclose(probabilities[0][1], p1, rel_tol=1e-12)
+    assert math.isclose(probabilities[1][1], p2, rel_tol=1e-12)
+    assert abs(math.fsum(p for _, p in probabilities) - 1.0) < 1e-12
 
 
 def test_default_candidate_ks():
@@ -178,6 +178,26 @@ def test_build_ensemble_on_separated_data():
     best_row = min(table.rows, key=lambda r: r.aic)
     assert best_row.k == 2
     assert abs(math.fsum(m.weight for m in ensemble.members) - 1.0) < 1e-12
+    # the members are the kept rows' fits, in order, with their p_k
+    assert [(m.model.k, m.weight) for m in ensemble.members] == member_probabilities(table)
+
+
+@pytest.mark.parametrize("n_points,ks", [(600, (1, 2, 4, 8)), (em.SUBSAMPLE_ABOVE + 1, (2, 4))])
+def test_build_ensemble_is_permutation_invariant(n_points, ks):
+    # like the fits, the AIC table and the p_k are functions of the point
+    # multiset, below and above the subsample threshold
+    pts = make_bent_tube(tube_spec_for_class("demented", n_points=n_points), seed=2).points
+    config = FitConfig(seed=7)
+    ensemble, table = build_ensemble(PointCloud(pts), ks, config)
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        shuffled, shuffled_table = build_ensemble(PointCloud(pts[rng.permutation(len(pts))]),
+                                                  ks, config)
+        assert shuffled_table == table
+        assert [m.weight for m in shuffled.members] == [m.weight for m in ensemble.members]
+        for a, b in zip(shuffled.members, ensemble.members, strict=True):
+            for part in ("weights", "means", "covariances"):
+                np.testing.assert_array_equal(getattr(a.model, part), getattr(b.model, part))
 
 
 def test_build_ensemble_validates_candidates():
