@@ -9,14 +9,14 @@ under the same seed.
 EM starts from its own M-step on the one-hot partition of the points by
 their nearest k-means++ seed (Arthur & Vassilvitskii 2007); no Lloyd
 pass refines it, since EM refines the same partition anyway (seeding
-as a GMM start: Blömer & Bujna 2016). Of the restarts, only the winning
-seeding partitions the points: a new seed takes the points strictly
+as a GMM start: Blömer & Bujna 2016). Each seeding partitions the
+points as it draws its seeds: a new seed takes the points strictly
 closer to it, so ties stay with the earlier seed. Every seed is a point
 at a new position, so it is its own strict nearest seed and no cluster
 is empty; a cloud with fewer than K distinct points fails with FitError.
 The first K seeds of a seeding from a stream are the K-seed seeding from
-it, and the seeding loop computes each prefix's potential anyway, so one
-seeding per restart to the largest K seeds every smaller K.
+it, and the seeding loop computes each prefix's potential and partition
+anyway, so one seeding per restart to the largest K seeds every smaller K.
 
 A cloud of more than SUBSAMPLE_ABOVE points starts elsewhere: its
 points take fewer EM maps from a start that is nearly fitted than from
@@ -175,46 +175,35 @@ def _squared_distances(x: np.ndarray, y: np.ndarray, z: np.ndarray, c: np.ndarra
     return (x - c[..., 0]) ** 2 + (y - c[..., 1]) ** 2 + (z - c[..., 2]) ** 2
 
 
-def _kmeans_pp_seeds(pts: np.ndarray, k: int, rng: np.random.Generator
-                     ) -> tuple[list[int], list[float]]:
-    """The indices of a k-means++ seeding's first K seeds and the
-    potential of each prefix: potentials[j] is the sum over points of the
-    squared distance to the nearest of the first j + 1 seeds. The first
-    K seeds of a longer seeding from the same stream are the K-seed
-    seeding, so one seeding to the largest K serves every smaller K. The
-    seeding stops early, with fewer than K seeds, once every point lies
-    on a seed."""
-    n = pts.shape[0]
+def _kmeans_pp_seeds(pts: np.ndarray, ks, rng: np.random.Generator
+                     ) -> tuple[list[int], list[float], dict[int, np.ndarray]]:
+    """A k-means++ seeding to the largest K of ks: the indices of its
+    seeds, the potential of each prefix (potentials[j] is the sum over
+    points of the squared distance to the nearest of the first j + 1
+    seeds) and, for each K of ks it reaches, the codes (N,) of each
+    point's nearest of the first K seeds, kept as the seeds are drawn
+    (see the module docstring). The seeding stops early, with fewer than
+    K seeds, once every point lies on a seed."""
+    n, wanted, last = pts.shape[0], set(ks), max(ks)
     x, y, z = np.ascontiguousarray(pts.T)
     seeds = [int(rng.integers(n))]
     d2 = _squared_distances(x, y, z, pts[seeds[0]])
-    potentials = []
-    for _ in range(1, k):
-        total = float(d2.sum())
-        potentials.append(total)
-        if total == 0.0:
-            return seeds, potentials
+    codes = np.zeros(n, dtype=np.intp)
+    potentials, partitions = [], {}
+    while True:
+        potentials.append(float(d2.sum()))
+        if len(seeds) in wanted:
+            partitions[len(seeds)] = codes.copy()
+        if len(seeds) == last or potentials[-1] == 0.0:
+            return seeds, potentials, partitions
         # side="right" skips the flat cdf steps of points on a seed
-        idx = int((d2.cumsum() / total).searchsorted(rng.random(), side="right"))
+        idx = int((d2.cumsum() / potentials[-1]).searchsorted(rng.random(), side="right"))
         if idx == n:  # the draw fell past the rounded end of the cdf
             idx = int(np.flatnonzero(d2)[-1])
-        seeds.append(idx)
-        d2 = np.minimum(d2, _squared_distances(x, y, z, pts[idx]))
-    potentials.append(float(d2.sum()))
-    return seeds, potentials
-
-
-def _nearest_seed_codes(pts: np.ndarray, seeds: list[int]) -> np.ndarray:
-    """The codes (N,) of each point's nearest seed, the first on ties: in
-    seeding order, each seed takes the points strictly closer to it."""
-    x, y, z = np.ascontiguousarray(pts.T)
-    codes = np.zeros(pts.shape[0], dtype=np.intp)
-    d2 = _squared_distances(x, y, z, pts[seeds[0]])
-    for j, idx in enumerate(seeds[1:], start=1):
         dj = _squared_distances(x, y, z, pts[idx])
-        codes[dj < d2] = j
+        codes[dj < d2] = len(seeds)
         np.minimum(d2, dj, out=d2)
-    return codes
+        seeds.append(idx)
 
 
 def _check_component_count(k: int, n: int):
@@ -240,22 +229,22 @@ def kmeans_init(points: np.ndarray, ks, seed: int) -> list[np.ndarray | FitError
     best k-means++ seeding of the points at that K, or its FitError when
     the points run out of distinct positions before K.
 
-    Each of KMEANS_RESTARTS streams draws one seeding to the largest K. A
-    K takes the first K seeds of the restart whose K-seed potential is
-    lowest, the first on ties (see the module docstring), and fails when
-    a restart stops short of K seeds, naming the seeds it drew.
+    Each of KMEANS_RESTARTS streams draws one seeding to the largest K,
+    which partitions the points at every K of ks. A K takes the codes of
+    the restart whose K-seed potential is lowest, the first on ties, and
+    fails when a restart stops short of K seeds, naming the seeds it drew.
     """
-    seedings = [_kmeans_pp_seeds(points, max(ks), rng_stream(seed, r))
+    seedings = [_kmeans_pp_seeds(points, ks, rng_stream(seed, r))
                 for r in range(KMEANS_RESTARTS)]
     results = []
     for one in ks:
-        short = [len(seeds) for seeds, _ in seedings if len(seeds) < one]
+        short = [len(seeds) for seeds, _, _ in seedings if len(seeds) < one]
         if short:
             results.append(FitError(
                 f"K={one} needs {one} distinct points, the cloud has {short[0]}"))
         else:
-            seeds, _ = min(seedings, key=lambda seeding: seeding[1][one - 1])
-            results.append(_nearest_seed_codes(points, seeds[:one]))
+            _, _, codes = min(seedings, key=lambda seeding: seeding[1][one - 1])
+            results.append(codes[one])
     return results
 
 
@@ -766,8 +755,9 @@ def fit_em_candidates(clouds, ks, config: FitConfig = FitConfig()
                                              [begun[row] for row in rows], k))
                     # only the batch holds its tables, and the last batch
                     # the chunk's: its fits leaving free them, as in a
-                    # batch of one K
+                    # batch of one K; the batch has read K's starts
                     del tables
+                    begun.clear()
                     if i == len(ks) - 1:
                         del phi
                     while batch.fits:

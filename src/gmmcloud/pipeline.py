@@ -80,26 +80,19 @@ def run_generation_classification(config: ExperimentConfig = ExperimentConfig()
     """Run the full generate-refit-classify benchmark once; the seed
     drives the shapes, the fits and the generated clouds."""
     fit = FitConfig(seed=config.seed)
-    labels = sorted(config.generated_counts)
-    base_clouds = []
-    base_ensembles = []
-    for ci, label in enumerate(labels):
+    base_clouds, base_ensembles, generated_clouds = [], [], []
+    for ci, label in enumerate(sorted(config.generated_counts)):
         spec = tube_spec_for_class(label, n_points=config.n_points)
+        members = []
         for b in range(config.base_shapes_per_class):
             cloud = make_bent_tube(spec, seed=config.seed * 10007 + ci * 101 + b)
-            ensemble, _ = build_ensemble(cloud, config.candidate_ks, fit)
             base_clouds.append(cloud)
-            base_ensembles.append((ensemble, label))
-
-    generated_clouds = []
-    stream_id = 0
-    for ci, label in enumerate(labels):
-        members = [(e, l) for e, l in base_ensembles if l == label]
+            members.append(build_ensemble(cloud, config.candidate_ks, fit)[0])
+        base_ensembles += [(ensemble, label) for ensemble in members]
         for i in range(config.generated_counts[label]):
-            source, _ = members[i % len(members)]
-            stream_id += 1
             generated_clouds.append(generate_point_cloud(
-                source, config.n_points, rng_stream(config.seed, stream_id), label=label))
+                members[i % len(members)], config.n_points,
+                rng_stream(config.seed, len(generated_clouds) + 1), label=label))
     refits = build_ensembles(generated_clouds, config.candidate_ks, fit)
     generated_ensembles = [(ensemble, cloud.label)
                            for cloud, (ensemble, _) in zip(generated_clouds, refits)]

@@ -552,10 +552,11 @@ def test_a_fit_whose_stabilising_map_fails_fails_only_itself(monkeypatch):
 THREAD_SCRIPT = """
 import hashlib
 import numpy as np
-from gmmcloud.em import FitConfig, fit_em_candidates
+from gmmcloud.em import SUBSAMPLE_ABOVE, FitConfig, fit_em_candidates
 from gmmcloud.shapes import make_bent_tube, tube_spec_for_class
 clouds = [make_bent_tube(tube_spec_for_class("demented", n_points=n), s)
-          for s, n in ((0, 600), (1, 600), (2, 600), (3, 6000), (4, 6000))]
+          for s, n in ((0, 600), (1, 600), (2, 600), (3, 6000), (4, 6000),
+                       (5, SUBSAMPLE_ABOVE + 1))]
 h = hashlib.sha256()
 for k in (2, 8):
     for r in fit_em_candidates(clouds, [k], FitConfig(seed=0))[0]:
@@ -568,7 +569,8 @@ print(h.hexdigest())
 
 def test_batched_fits_do_not_depend_on_the_blas_thread_count():
     # a batched product has a new shape, which BLAS could split over
-    # threads in a new way; checked in new interpreters, one single-threaded
+    # threads in a new way; checked in new interpreters, one single-threaded,
+    # on clouds below the subsample threshold and one above it
     src = os.path.dirname(os.path.dirname(gmmcloud.__file__))
     env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(

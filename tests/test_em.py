@@ -98,10 +98,10 @@ def test_kmeans_one_point_per_cluster():
 
 def kmeans_pp_reference(pts, k, rng):
     """k-means++ seeding in its row form, np.sum((pts - c) ** 2, axis=1),
-    which em._kmeans_pp_seeds and em._nearest_seed_codes must reproduce
-    bit for bit: the seeds, their partition and the potential, the final
-    d2.sum(), or the FitError when the points run out before the K-th
-    seed."""
+    which em._kmeans_pp_seeds must reproduce bit for bit: the seeds and
+    the potential, the final d2.sum(), or the FitError when the points
+    run out before the K-th seed. partition_reference gives the seeds'
+    partition."""
     n = pts.shape[0]
     centers = np.empty((k, 3))
     centers[0] = pts[int(rng.integers(n))]
@@ -259,10 +259,10 @@ def test_fit_em_fails_on_a_start_with_a_zero_weight_component(monkeypatch):
 
 
 def kmeans_pp_partition(pts, k, rng):
-    """One k-means++ seeding's codes and potential: its seeds, partitioned
-    the way kmeans_init partitions the winning seeding."""
-    seeds, potentials = em._kmeans_pp_seeds(pts, k, rng)
-    return em._nearest_seed_codes(pts, seeds), potentials[-1]
+    """One k-means++ seeding's codes and potential at K, as kmeans_init
+    reads them."""
+    _, potentials, codes = em._kmeans_pp_seeds(pts, [k], rng)
+    return codes[k], potentials[-1]
 
 
 class EdgeDraws:
@@ -313,25 +313,25 @@ def test_nearest_seed_partition_breaks_exact_ties_to_the_lowest_index():
     ties = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1)
     assert ties.tolist() == [4, 2, 2, 2, 2, 1, 1, 1, 1]
     draws = TieDraws()
-    seeds, potentials = em._kmeans_pp_seeds(pts, 4, draws)
-    assert draws.draws == [] and seeds == [5, 6, 7, 8]
-    codes = em._nearest_seed_codes(pts, seeds)
-    # the seeding's own codes keep the first of equal minima
-    assert codes.tolist() == [0, 0, 1, 1, 0, 0, 1, 2, 3]
-    np.testing.assert_array_equal(codes, np.argmin(d2, axis=1))
+    seeds, potentials, codes = em._kmeans_pp_seeds(pts, [2, 3, 4], draws)
+    assert draws.draws == [] and seeds == [5, 6, 7, 8] and sorted(codes) == [2, 3, 4]
+    # the seeding's own codes keep the first of equal minima, at every K
+    assert codes[4].tolist() == [0, 0, 1, 1, 0, 0, 1, 2, 3]
+    for k in (2, 3, 4):
+        np.testing.assert_array_equal(codes[k], np.argmin(d2[:, :k], axis=1))
     assert potentials[-1] == float(d2.min(axis=1).sum())
 
 
 def assert_kmeans_pp_matches_reference(pts, k):
-    """The seeding and its row form agree bit for bit: the seeds, their
-    partition and the potential of every prefix. Where the row form
-    raises FitError, the seeding stops short of K at the distinct count
-    it names. Returns how many of the three seeds fell short."""
+    """The seeding and its row form agree bit for bit: the seeds, and the
+    partition and potential of every prefix. Where the row form raises
+    FitError, the seeding stops short of K at the distinct count it
+    names. Returns how many of the three seeds fell short."""
     pts = em._sorted_points(pts)
     short = 0
     for seed in range(3):
         rng, ref_rng = rng_stream(seed), rng_stream(seed)
-        seeds, potentials = em._kmeans_pp_seeds(pts, k, rng)
+        seeds, potentials, codes = em._kmeans_pp_seeds(pts, range(1, k + 1), rng)
         try:
             ref_centers, ref_potential = kmeans_pp_reference(pts, k, ref_rng)
         except FitError as exc:
@@ -340,14 +340,14 @@ def assert_kmeans_pp_matches_reference(pts, k):
             short += 1
         else:
             assert pts[seeds].tobytes() == ref_centers.tobytes()
-            codes = em._nearest_seed_codes(pts, seeds)
-            assert codes.tolist() == partition_reference(pts, ref_centers).tolist()
             assert potentials[-1].hex() == ref_potential.hex()
         # both consumed the same draws
         assert rng.random() == ref_rng.random()
-        assert len(potentials) == len(seeds)
+        assert len(potentials) == len(seeds) and sorted(codes) == list(range(1, len(seeds) + 1))
         for j, potential in enumerate(potentials, start=1):
-            assert potential.hex() == kmeans_pp_reference(pts, j, rng_stream(seed))[1].hex()
+            centers, prefix_potential = kmeans_pp_reference(pts, j, rng_stream(seed))
+            assert potential.hex() == prefix_potential.hex()
+            assert codes[j].tolist() == partition_reference(pts, centers).tolist()
     return short
 
 
